@@ -1239,6 +1239,9 @@ class StateMoveStream:
         self._target: Optional[ModuleInstance] = None
         self._target_name: Optional[str] = None
         self._packet: Optional[bytes] = None
+        #: Stack depth of the divulged packet, as counted by the module
+        #: that encoded it (None until divulged, or if its host sent none).
+        self.frames: Optional[int] = None
         self._failure: Optional[BaseException] = None
         self._delivered = threading.Event()
         self._lock = threading.Lock()
@@ -1257,6 +1260,7 @@ class StateMoveStream:
             return
         with self._lock:
             self._packet = packet
+            self.frames = self._old_module.mh.outgoing_frames
             if self._target is not None:
                 self._target.mh.incoming_packet = packet
         self._delivered.set()

@@ -643,7 +643,9 @@ class ModuleHost:
     def _arm(self, module: ModuleInstance) -> None:
         """Point the module's divulge at the bus (push, don't poll)."""
         module.mh.set_divulge_callback(
-            lambda packet, m=module: self.send_event(["divulged", m.name, packet]),
+            lambda packet, m=module: self.send_event(
+                ["divulged", m.name, packet, m.mh.outgoing_frames]
+            ),
             lambda failure, m=module: self.send_event(
                 ["divulge_failed", m.name, f"{type(failure).__name__}: {failure}"]
             ),
@@ -1139,6 +1141,7 @@ class _ProxyMH:
         self.divulged = threading.Event()
         self.restored = threading.Event()
         self.outgoing_packet: Optional[bytes] = None
+        self.outgoing_frames: Optional[int] = None
         self.divulge_failed: Optional[BaseException] = None
         self._incoming: Optional[bytes] = None
         self._reconfig_mirror = False
@@ -1210,8 +1213,9 @@ class _ProxyMH:
 
     # -- event sinks (called from the link dispatcher thread) -------------------
 
-    def _on_divulged(self, packet: bytes) -> None:
+    def _on_divulged(self, packet: bytes, frames: Optional[int]) -> None:
         self.outgoing_packet = packet
+        self.outgoing_frames = frames
         with self._cb_lock:
             callback = self._divulge_callback
         self.divulged.set()  # same order as MH.encode: event, then callback
@@ -1335,6 +1339,7 @@ class RemoteModuleHandle:
         self.mh.divulged.clear()
         self.mh.restored.clear()
         self.mh.outgoing_packet = None
+        self.mh.outgoing_frames = None
         value = self.link.request(
             ["revive", self.name, pkt], timeout=timeout + 30.0
         )
@@ -1608,7 +1613,12 @@ class RemoteTransport(Transport):
             elif command == "divulged":
                 handle = self._handles.get(str(args[0]))
                 if handle is not None:
-                    handle.mh._on_divulged(bytes(args[1]))  # type: ignore[arg-type]
+                    # Without a frame count the coordinator peeks the
+                    # packet header for the depth it reports.
+                    handle.mh._on_divulged(
+                        bytes(args[1]),  # type: ignore[arg-type]
+                        args[2] if len(args) > 2 else None,  # type: ignore[arg-type]
+                    )
             elif command == "divulge_failed":
                 handle = self._handles.get(str(args[0]))
                 if handle is not None:

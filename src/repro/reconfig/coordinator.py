@@ -554,11 +554,14 @@ class ReconfigurationCoordinator:
         report.completed.append("commit")
         report.t_done = time.monotonic()
         telemetry.count("reconfig.commits")
-        # Reporting detail, computed off the critical path: the depth
-        # comes from the packet's peekable header — no frame decode.
-        from repro.state.frames import peek_state_header
+        # Reporting detail: the depth arrives with the divulged packet.
+        # Peeking for it would skip over the whole statics and heap.
+        depth = stream.frames
+        if depth is None:
+            from repro.state.frames import peek_state_header
 
-        report.stack_depth = peek_state_header(packet).depth
+            depth = peek_state_header(packet).depth
+        report.stack_depth = depth
         self.history.append(report)
         self.bus.trace.append(report.describe())
 

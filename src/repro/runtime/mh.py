@@ -107,6 +107,10 @@ class MH:
         self._last_restored_fmt: str = ""
         self.incoming_packet: Optional[bytes] = None
         self.outgoing_packet: Optional[bytes] = None
+        # Depth of the stack inside outgoing_packet.  The count sits behind
+        # statics and heap on the wire, so it travels beside the packet
+        # instead of making the coordinator skip over both to report it.
+        self.outgoing_frames: Optional[int] = None
         self.divulged = threading.Event()
         self.restored = threading.Event()  # set by end_restore (clone health)
         # Platform hook fired right after ``restored`` is set.  Remote
@@ -281,6 +285,7 @@ class MH:
         ).close()
         self._capture_span = telemetry.NOOP_SPAN
         self.outgoing_packet = packet
+        self.outgoing_frames = len(self._captured)
         self.stats["packets_encoded"] += 1
         telemetry.count("mh.packets_encoded", key=self.module)
         self.capturestack = False
@@ -545,6 +550,7 @@ class MH:
         with self._divulge_lock:
             self.incoming_packet = packet
             self.outgoing_packet = None
+            self.outgoing_frames = None
             self._status = "clone"
             self.reconfig = False
             self.capturestack = False

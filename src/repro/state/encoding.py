@@ -19,29 +19,42 @@ fails loudly at the module, not mysteriously at the clone).
 Implementation notes (the reconfiguration critical path, see
 ``docs/state-encoding.md``):
 
-- **Compiled encoder plans.**  Each :class:`TypeSpec` compiles once into a
-  flat closure that validates and appends in a single walk
-  (:func:`compiled_encoder`); each format string compiles once into a
-  tuple of those closures (:func:`encoder_plan`, lru-cached alongside
-  format parsing).  The old ``Encoder.write`` re-dispatched on
-  ``isinstance``/tag chars for every value of every frame.
-- **Machine-representability stays a pluggable hook.**  Compiled closures
-  take the machine's check suite as a call argument
+- **Declared values: compiled encoder plans.**  Each :class:`TypeSpec`
+  compiles once into a flat closure that validates and appends in a
+  single walk (:func:`compiled_encoder`); each format string compiles
+  once into a tuple of those closures (:func:`encoder_plan`, cached
+  alongside format parsing).  This is the path of every activation
+  record and every bus message.
+- **Self-described values: one walk, no inference.**  The wire form of an
+  ``a`` value depends only on the runtime type of each node, so
+  :func:`write_any` dispatches on ``type(value)`` and appends tag and
+  payload directly.  It is the path of the statics and heap dicts of every
+  state packet.  It builds no :class:`TypeSpec` and compiles nothing: an
+  inferred spec for a heterogeneous container collapses to ``a`` and must
+  be inferred again one level down, so inference costs a pass over the
+  whole subtree *per nesting level*, and every distinct inferred shape
+  would be compiled and cached forever.
+- **Machine-representability stays a pluggable hook.**  Both writers take
+  the machine's check suite as a call argument
   (``MachineProfile.codec_checks``: per-char closures with bounds and
   error strings pre-resolved; subclasses that override
   ``check_representable`` get shims that route every scalar through the
   override), so heterogeneity errors surface at capture time with
   identical messages and custom profiles keep working.
-- **Zero-copy decode.**  The decode core (:func:`read_value`) is a
-  position-passing function over any buffer (``bytes`` or ``memoryview``)
-  with slice-free scalar reads (``struct.unpack_from``), so decoding a
-  packet region never copies it out first.  :func:`skip_value` advances
-  past a value without materialising it — that is what makes process-state
-  headers peekable (:func:`repro.state.frames.peek_state_header`).
+- **Zero-copy decode, the same walk from the other side.**  The decode
+  core (:func:`read_value`) is a position-passing function over any
+  buffer (``bytes`` or ``memoryview``) with slice-free scalar reads
+  (``struct.unpack_from``), so decoding a packet region never copies it
+  out first.  It tests tags in the order state packets contain them and
+  reads one-byte varints and short string elements in place.
+  :func:`skip_value` advances past a value without materialising it —
+  that is what makes process-state headers peekable
+  (:func:`repro.state.frames.peek_state_header`).
 
-The naive tree-walk implementation this replaced is preserved verbatim in
+The naive tree-walk implementation this replaced — infer-then-encode for
+``a`` values included — is preserved verbatim in
 :mod:`repro.state.reference` as the executable wire specification; a
-golden-bytes test pins the compiled path to it byte-for-byte.
+golden-bytes test pins this module to it byte-for-byte.
 """
 
 from __future__ import annotations
@@ -51,15 +64,18 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import DecodingError, EncodingError
 from repro.state.format import (
+    ANY_TAG_BY_TYPE,
     DictType,
     ListType,
     ScalarType,
     TupleType,
     TypeSpec,
+    any_tag,
     check_arity,
-    format_of_value,
+    unsupported_any,
 )
 from repro.state.machine import MachineProfile
+from repro.state.pointers import SymbolicPointer
 
 
 def _zigzag_big(n: int) -> int:
@@ -102,6 +118,69 @@ def _pointer_parts(value: object) -> Tuple[str, int]:
 
 
 # ---------------------------------------------------------------------------
+# Self-describing values: one walk
+# ---------------------------------------------------------------------------
+
+#: Spec handed to a machine's ``check_other`` hook (``checks[3]``, present
+#: only for profiles that override ``check_representable``) for strings.
+_SPEC_STR = ScalarType("s")
+
+
+def write_any(buf: bytearray, value: object, checks: Optional[tuple]) -> None:
+    """Append the self-describing (``a``) wire form of ``value``.
+
+    The wire form of an ``a`` value depends only on the runtime type of
+    each node — every element carries its own tag — so one recursive walk
+    writes tag and payload directly: exact-type lookup in
+    ``ANY_TAG_BY_TYPE``, then :func:`any_tag`'s ``isinstance`` chain for
+    subclasses.  Strings, longs and containers — nearly every node of a
+    state packet — are written here; the rarer scalars go to the compiled
+    encoder of their tag.  Either way machine checks fire per scalar,
+    exactly as under a declared format; an unsupported type raises the
+    inference :class:`FormatError`.  No :class:`TypeSpec` is built and
+    nothing is compiled or cached per value shape.
+    """
+    tag = ANY_TAG_BY_TYPE.get(type(value)) or any_tag(value)
+    if tag == 0x73:  # 's'
+        if checks is not None and checks[3] is not None:
+            checks[3](_SPEC_STR, value)
+        data = value.encode("utf-8")
+        buf.append(0x73)
+        length = len(data)
+        if length < 0x80:
+            buf.append(length)
+        else:
+            _append_varint(buf, length)
+        buf += data
+    elif tag == 0x6C:  # 'l'
+        if checks is not None:
+            checks[1](value)
+        buf.append(0x6C)
+        n = value * 2 if value >= 0 else -value * 2 - 1
+        while n > 0x7F:
+            buf.append(n & 0x7F | 0x80)
+            n >>= 7
+        buf.append(n)
+    elif tag == 0x5B or tag == 0x28:  # '[' / '('
+        buf.append(tag)
+        _append_varint(buf, len(value))
+        for item in value:
+            write_any(buf, item, checks)
+    elif tag == 0x7B:  # '{'
+        buf.append(0x7B)
+        _append_varint(buf, len(value))
+        for key, item in value.items():
+            write_any(buf, key, checks)
+            write_any(buf, item, checks)
+    elif tag == 0x6E:  # 'n'
+        buf.append(0x6E)
+    elif tag:  # 'b' / 'F' / 'B' / 'p'
+        _SCALAR_ENCODER_BY_TAG[tag](buf, value, checks)
+    else:
+        raise unsupported_any(value)
+
+
+# ---------------------------------------------------------------------------
 # Compiled encoders
 # ---------------------------------------------------------------------------
 
@@ -122,12 +201,7 @@ def _build_scalar_encoder(spec: ScalarType) -> _EncodeFn:
     char = spec.char
 
     if char == "a":
-
-        def enc_any(buf, value, checks):
-            # Self-describing: infer the concrete spec and encode under it.
-            compiled_encoder(format_of_value(value))(buf, value, checks)
-
-        return enc_any
+        return write_any
 
     if char == "n":
 
@@ -335,6 +409,12 @@ def compiled_encoder(spec: TypeSpec) -> _EncodeFn:
     return encoder
 
 
+#: The compiled encoders :func:`write_any` hands its rarer scalars to.
+_SCALAR_ENCODER_BY_TAG: Dict[int, _EncodeFn] = {
+    ord(char): compiled_encoder(ScalarType(char)) for char in "bFBp"
+}
+
+
 def encoder_plan(fmt: str) -> Tuple[_EncodeFn, ...]:
     """One compiled encoder per top-level spec of ``fmt``.
 
@@ -364,9 +444,10 @@ class Encoder:
     so heterogeneity errors surface at capture time with the live value in
     the message.
 
-    ``write`` dispatches through the compiled per-spec closures, so the
-    class costs nothing over :func:`encode_values`; it remains the
-    convenient streaming API for callers that assemble a buffer piecewise.
+    ``write`` dispatches through the compiled per-spec closures (and, for
+    an ``a`` spec, :func:`write_any`), so the class costs nothing over
+    :func:`encode_values`; it remains the convenient streaming API for
+    callers that assemble a buffer piecewise.
     """
 
     def __init__(self, machine: Optional[MachineProfile] = None):
@@ -431,20 +512,6 @@ def _read_varint(buf, pos: int, end: int) -> Tuple[int, int]:
             raise DecodingError("runaway varint in abstract state")
 
 
-_SymbolicPointer = None
-
-
-def _pointer_cls():
-    # Imported lazily (and memoized) to avoid a circular import with
-    # repro.state.pointers.
-    global _SymbolicPointer
-    if _SymbolicPointer is None:
-        from repro.state.pointers import SymbolicPointer
-
-        _SymbolicPointer = SymbolicPointer
-    return _SymbolicPointer
-
-
 def read_value(
     buf, pos: int, end: int, machine: Optional[MachineProfile] = None
 ) -> Tuple[object, int]:
@@ -463,19 +530,76 @@ def read_value(
     )
 
 
+#: Tags whose payload starts with a varint (length, count or zigzag value).
+_VARINT_TAGS = frozenset(b"sli[({Bp")
+
+
 def _read_checked(buf, pos: int, end: int, checks) -> Tuple[object, int]:
     # The decode core; ``checks`` is a machine's compiled check suite
     # (resolved once per top-level value, not once per scalar) or None.
+    # Tags are tested in the order state packets contain them (strings,
+    # longs, lists, dicts), a one-byte varint is read in place, and the
+    # container loops read a short string element in place instead of
+    # paying a call and a tuple for it.
     if pos >= end:
         raise _truncated(pos, 1, end)
     tag = buf[pos]
     pos += 1
-    if tag == 0x6C or tag == 0x69:  # 'l' / 'i'
-        z, pos = _read_varint(buf, pos, end)
-        value = (z >> 1) if z % 2 == 0 else -((z + 1) >> 1)
-        if checks is not None:
-            checks[1 if tag == 0x6C else 0](value)
-        return value, pos
+    if tag in _VARINT_TAGS:
+        if pos >= end:
+            raise _truncated(pos, 1, end)
+        n = buf[pos]
+        if n < 0x80:
+            pos += 1
+        else:
+            n, pos = _read_varint(buf, pos, end)
+        if tag == 0x73:  # 's'
+            stop = pos + n
+            if stop > end:
+                raise _truncated(pos, n, end)
+            return str(buf[pos:stop], "utf-8"), stop
+        if tag == 0x6C or tag == 0x69:  # 'l' / 'i'
+            value = (n >> 1) if n % 2 == 0 else -((n + 1) >> 1)
+            if checks is not None:
+                checks[1 if tag == 0x6C else 0](value)
+            return value, pos
+        if tag == 0x5B or tag == 0x28:  # '[' / '('
+            items = []
+            append = items.append
+            for _ in range(n):
+                if pos + 1 < end and buf[pos] == 0x73 and buf[pos + 1] < 0x80:
+                    start = pos + 2
+                    pos = start + buf[pos + 1]
+                    if pos > end:
+                        raise _truncated(start, pos - start, end)
+                    append(str(buf[start:pos], "utf-8"))
+                else:
+                    item, pos = _read_checked(buf, pos, end, checks)
+                    append(item)
+            return (items if tag == 0x5B else tuple(items)), pos
+        if tag == 0x7B:  # '{'
+            result = {}
+            for _ in range(n):
+                if pos + 1 < end and buf[pos] == 0x73 and buf[pos + 1] < 0x80:
+                    start = pos + 2
+                    pos = start + buf[pos + 1]
+                    if pos > end:
+                        raise _truncated(start, pos - start, end)
+                    key = str(buf[start:pos], "utf-8")
+                else:
+                    key, pos = _read_checked(buf, pos, end, checks)
+                result[key], pos = _read_checked(buf, pos, end, checks)
+            return result, pos
+        stop = pos + n
+        if stop > end:
+            raise _truncated(pos, n, end)
+        if tag == 0x42:  # 'B'
+            return bytes(buf[pos:stop]), stop
+        # 'p': segment string, then the zigzag index
+        segment = str(buf[pos:stop], "utf-8")
+        z, pos = _read_varint(buf, stop, end)
+        index = (z >> 1) if z % 2 == 0 else -((z + 1) >> 1)
+        return SymbolicPointer(segment, index), pos
     if tag == 0x46:  # 'F'
         if pos + 8 > end:
             raise _truncated(pos, 8, end)
@@ -485,11 +609,6 @@ def _read_checked(buf, pos: int, end: int, checks) -> Tuple[object, int]:
             if check is not None:
                 check(value)
         return value, pos + 8
-    if tag == 0x73:  # 's'
-        length, pos = _read_varint(buf, pos, end)
-        if pos + length > end:
-            raise _truncated(pos, length, end)
-        return str(buf[pos : pos + length], "utf-8"), pos + length
     if tag == 0x6E:  # 'n'
         return None, pos
     if tag == 0x62:  # 'b'
@@ -500,41 +619,6 @@ def _read_checked(buf, pos: int, end: int, checks) -> Tuple[object, int]:
         if pos + 4 > end:
             raise _truncated(pos, 4, end)
         return _unpack_f32(buf, pos)[0], pos + 4
-    if tag == 0x42:  # 'B'
-        length, pos = _read_varint(buf, pos, end)
-        if pos + length > end:
-            raise _truncated(pos, length, end)
-        return bytes(buf[pos : pos + length]), pos + length
-    if tag == 0x70:  # 'p'
-        length, pos = _read_varint(buf, pos, end)
-        if pos + length > end:
-            raise _truncated(pos, length, end)
-        segment = str(buf[pos : pos + length], "utf-8")
-        pos += length
-        z, pos = _read_varint(buf, pos, end)
-        index = (z >> 1) if z % 2 == 0 else -((z + 1) >> 1)
-        return _pointer_cls()(segment, index), pos
-    if tag == 0x5B:  # '['
-        count, pos = _read_varint(buf, pos, end)
-        result = []
-        for _ in range(count):
-            item, pos = _read_checked(buf, pos, end, checks)
-            result.append(item)
-        return result, pos
-    if tag == 0x28:  # '('
-        count, pos = _read_varint(buf, pos, end)
-        items = []
-        for _ in range(count):
-            item, pos = _read_checked(buf, pos, end, checks)
-            items.append(item)
-        return tuple(items), pos
-    if tag == 0x7B:  # '{'
-        count, pos = _read_varint(buf, pos, end)
-        result = {}
-        for _ in range(count):
-            key, pos = _read_checked(buf, pos, end, checks)
-            result[key], pos = _read_checked(buf, pos, end, checks)
-        return result, pos
     raise DecodingError(f"unknown tag {chr(tag)!r} at offset {pos - 1}")
 
 
@@ -543,52 +627,54 @@ def skip_value(buf, pos: int, end: int) -> int:
 
     The cost is the structural walk only — string/bytes payloads are
     skipped by length, scalars by width.  This is what makes state-packet
-    headers peekable: the coordinator can read the stack depth that sits
-    *after* the statics and heap dicts without decoding either.
+    headers peekable: :func:`repro.state.frames.peek_state_header` reads
+    the stack depth that sits *after* the statics and heap dicts without
+    decoding either.  Same shape as the decode core.
     """
     if pos >= end:
         raise _truncated(pos, 1, end)
     tag = buf[pos]
     pos += 1
+    if tag in _VARINT_TAGS:
+        if pos >= end:
+            raise _truncated(pos, 1, end)
+        n = buf[pos]
+        if n < 0x80:
+            pos += 1
+        else:
+            n, pos = _read_varint(buf, pos, end)
+        if tag == 0x6C or tag == 0x69:  # 'l' / 'i'
+            return pos
+        if tag == 0x5B or tag == 0x28 or tag == 0x7B:  # '[' / '(' / '{'
+            for _ in range(n * 2 if tag == 0x7B else n):
+                if pos + 1 < end and buf[pos] == 0x73 and buf[pos + 1] < 0x80:
+                    start = pos + 2
+                    pos = start + buf[pos + 1]
+                    if pos > end:
+                        raise _truncated(start, pos - start, end)
+                else:
+                    pos = skip_value(buf, pos, end)
+            return pos
+        if pos + n > end:  # 's' / 'B' / 'p': a payload of n bytes
+            raise _truncated(pos, n, end)
+        if tag == 0x70:  # 'p': the zigzag index follows the segment
+            _, pos = _read_varint(buf, pos + n, end)
+            return pos
+        return pos + n
+    if tag == 0x46:  # 'F'
+        if pos + 8 > end:
+            raise _truncated(pos, 8, end)
+        return pos + 8
     if tag == 0x6E:  # 'n'
         return pos
     if tag == 0x62:  # 'b'
         if pos >= end:
             raise _truncated(pos, 1, end)
         return pos + 1
-    if tag == 0x6C or tag == 0x69:  # 'l' / 'i'
-        _, pos = _read_varint(buf, pos, end)
-        return pos
     if tag == 0x66:  # 'f'
         if pos + 4 > end:
             raise _truncated(pos, 4, end)
         return pos + 4
-    if tag == 0x46:  # 'F'
-        if pos + 8 > end:
-            raise _truncated(pos, 8, end)
-        return pos + 8
-    if tag == 0x73 or tag == 0x42:  # 's' / 'B'
-        length, pos = _read_varint(buf, pos, end)
-        if pos + length > end:
-            raise _truncated(pos, length, end)
-        return pos + length
-    if tag == 0x70:  # 'p'
-        length, pos = _read_varint(buf, pos, end)
-        if pos + length > end:
-            raise _truncated(pos, length, end)
-        _, pos = _read_varint(buf, pos + length, end)
-        return pos
-    if tag == 0x5B or tag == 0x28:  # '[' / '('
-        count, pos = _read_varint(buf, pos, end)
-        for _ in range(count):
-            pos = skip_value(buf, pos, end)
-        return pos
-    if tag == 0x7B:  # '{'
-        count, pos = _read_varint(buf, pos, end)
-        for _ in range(count):
-            pos = skip_value(buf, pos, end)
-            pos = skip_value(buf, pos, end)
-        return pos
     raise DecodingError(f"unknown tag {chr(tag)!r} at offset {pos - 1}")
 
 
@@ -699,7 +785,7 @@ def decode_values(
 def encode_any(value: object, machine: Optional[MachineProfile] = None) -> bytes:
     """Encode a single self-described value (format char ``a``)."""
     buf = bytearray()
-    _ENC_ANY(buf, value, None if machine is None else _checks_of(machine))
+    write_any(buf, value, None if machine is None else _checks_of(machine))
     return bytes(buf)
 
 
@@ -710,6 +796,3 @@ def decode_any(data, machine: Optional[MachineProfile] = None) -> object:
     if pos < end:
         raise DecodingError(f"{end - pos} trailing bytes after value")
     return value
-
-
-_ENC_ANY = compiled_encoder(ScalarType("a"))

@@ -46,6 +46,7 @@ from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 from repro.errors import FormatError
+from repro.state.pointers import SymbolicPointer
 
 SCALAR_CHARS = frozenset("bilfFsBpna")
 
@@ -237,34 +238,81 @@ def format_to_pattern(fmt: str) -> str:
     return " ".join(names)
 
 
+#: Wire tag of a self-described (``a``) value, keyed by its exact runtime
+#: type.  The ``a`` writer (:mod:`repro.state.encoding`), the ``a`` matcher
+#: and :func:`format_of_value` all dispatch through this one table, so a
+#: value always travels under the tag inference would name for it.
+ANY_TAG_BY_TYPE: Dict[type, int] = {
+    type(None): 0x6E,  # 'n'
+    bool: 0x62,  # 'b'
+    int: 0x6C,  # 'l'
+    float: 0x46,  # 'F'
+    str: 0x73,  # 's'
+    bytes: 0x42,  # 'B'
+    bytearray: 0x42,
+    list: 0x5B,  # '['
+    tuple: 0x28,  # '('
+    dict: 0x7B,  # '{'
+    SymbolicPointer: 0x70,  # 'p'
+}
+
+
+def any_tag(value: object) -> int:
+    """The tag ``value`` travels under as an ``a`` value; 0 if unsupported.
+
+    Subclasses (``IntEnum``, ``defaultdict``, namedtuples, ...) fall
+    through to an ``isinstance`` chain; its order is part of the wire
+    contract — ``bool`` is tested before ``int`` because it subclasses it.
+    """
+    tag = ANY_TAG_BY_TYPE.get(type(value))
+    if tag is not None:
+        return tag
+    if isinstance(value, bool):
+        return 0x62
+    if isinstance(value, int):
+        return 0x6C
+    if isinstance(value, float):
+        return 0x46
+    if isinstance(value, str):
+        return 0x73
+    if isinstance(value, (bytes, bytearray)):
+        return 0x42
+    if isinstance(value, list):
+        return 0x5B
+    if isinstance(value, tuple):
+        return 0x28
+    if isinstance(value, dict):
+        return 0x7B
+    # Foreign pointer classes are accepted structurally, by name; the
+    # writer then validates their segment/index fields.
+    if type(value).__name__ == "SymbolicPointer":
+        return 0x70
+    return 0
+
+
+def unsupported_any(value: object) -> FormatError:
+    """The error for a value no ``a`` tag covers (``any_tag`` returned 0)."""
+    return FormatError(f"cannot infer abstract type for {type(value).__name__}")
+
+
 def format_of_value(value: object) -> TypeSpec:
     """Infer the most specific :class:`TypeSpec` for a Python value.
 
-    Used by the self-describing ``a`` encoding and by the dynamic capture
-    path when a module does not declare parameter types.
+    The public inference helper (diagnostics, tests, the reference
+    codec).  The live codec never calls it: an ``a`` value is written in
+    one walk straight from :func:`any_tag`, because inferring a spec for a
+    heterogeneous container re-infers every child at every nesting level.
     """
-    # bool must be tested before int: bool is a subclass of int.
-    if value is None:
-        return ScalarType("n")
-    if isinstance(value, bool):
-        return ScalarType("b")
-    if isinstance(value, int):
-        return ScalarType("l")
-    if isinstance(value, float):
-        return ScalarType("F")
-    if isinstance(value, str):
-        return ScalarType("s")
-    if isinstance(value, (bytes, bytearray)):
-        return ScalarType("B")
-    if isinstance(value, list):
+    tag = any_tag(value)
+    if tag == 0x5B:
         if value:
             first = format_of_value(value[0])
             if all(format_of_value(v) == first for v in value[1:]):
                 return ListType(first)
         return ListType(ScalarType("a"))
-    if isinstance(value, tuple):
+    if tag == 0x28:
         return TupleType(tuple(format_of_value(v) for v in value))
-    if isinstance(value, dict):
+    if tag == 0x7B:
         if value:
             key_specs = {format_of_value(k) for k in value}
             val_specs = {format_of_value(v) for v in value.values()}
@@ -272,10 +320,9 @@ def format_of_value(value: object) -> TypeSpec:
             val = val_specs.pop() if len(val_specs) == 1 else ScalarType("a")
             return DictType(key, val)
         return DictType(ScalarType("a"), ScalarType("a"))
-    # Symbolic pointers are detected structurally to avoid a circular import.
-    if type(value).__name__ == "SymbolicPointer":
-        return ScalarType("p")
-    raise FormatError(f"cannot infer abstract type for {type(value).__name__}")
+    if not tag:
+        raise unsupported_any(value)
+    return ScalarType(chr(tag))
 
 
 # ---------------------------------------------------------------------------
@@ -293,13 +340,14 @@ _Matcher = Callable[[object], bool]
 
 
 def _match_any(value: object) -> bool:
-    if value is None:
-        return True
-    try:
-        format_of_value(value)
-    except FormatError:
-        return False
-    return True
+    # Anything the ``a`` writer can encode matches: the same tag table,
+    # walked without building a TypeSpec.
+    tag = any_tag(value)
+    if tag == 0x5B or tag == 0x28:
+        return all(_match_any(item) for item in value)
+    if tag == 0x7B:
+        return all(_match_any(k) and _match_any(v) for k, v in value.items())
+    return tag != 0
 
 
 def _build_matcher(spec: TypeSpec) -> _Matcher:

@@ -37,12 +37,12 @@ from repro.state.encoding import (
     _append_varint,
     _checks_of,
     _read_checked,
-    compiled_encoder,
     encoder_plan,
     read_value,
     skip_value,
+    write_any,
 )
-from repro.state.format import ScalarType, check_arity, parse_format
+from repro.state.format import check_arity, parse_format
 from repro.state.machine import MachineProfile
 
 #: Magic prefix of a serialized process state packet.
@@ -54,9 +54,6 @@ STATE_VERSION = 1
 _LEN_OFFSET = len(STATE_MAGIC) + 1
 #: Full fixed-header size: magic + version + 4-byte body length.
 _BODY_OFFSET = _LEN_OFFSET + 4
-
-#: Compiled self-describing encoder, used for the statics/heap dicts.
-_ENC_ANY = compiled_encoder(ScalarType("a"))
 
 
 def _append_str(buf: bytearray, value: object) -> None:
@@ -327,8 +324,9 @@ class ProcessState:
         """Serialize to the canonical packet moved by ``objstate_move``.
 
         One ``bytearray`` end to end: the fixed header goes in first with
-        a placeholder length word, the body is appended through compiled
-        encoder plans, and the length is patched in place — no per-frame
+        a placeholder length word, the body is appended — statics and
+        heap by the one-walk ``a`` writer, frames through their compiled
+        encoder plans — and the length is patched in place: no per-frame
         Encoder objects, no header+body concatenation copy.
         """
         checks = None if machine is None else _checks_of(machine)
@@ -339,8 +337,8 @@ class ProcessState:
         _append_str(buf, self.status)
         _append_str(buf, self.reconfig_point)
         _append_str(buf, self.source_machine)
-        _ENC_ANY(buf, dict(self.statics), checks)
-        _ENC_ANY(buf, dict(self.heap), checks)
+        write_any(buf, dict(self.statics), checks)
+        write_any(buf, dict(self.heap), checks)
         buf.append(0x6C)  # 'l'
         _append_varint(buf, len(self.stack) * 2)  # zigzag of a non-negative
         for record in self.stack:

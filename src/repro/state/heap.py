@@ -93,6 +93,9 @@ class HeapImage:
 
 
 _SCALARS = (type(None), bool, int, float, str, bytes)
+#: Exact-type membership, tested before the ``isinstance`` chains: nearly
+#: every heap node is a plain scalar, and no scalar is a pointer or tuple.
+_EXACT_SCALARS = frozenset(_SCALARS)
 
 
 class HeapCodec:
@@ -136,6 +139,8 @@ class HeapCodec:
             raise HeapError(f"cannot intern heap node of type {type(obj).__name__}")
 
         def flatten(obj: object) -> object:
+            if type(obj) in _EXACT_SCALARS:
+                return obj
             if isinstance(obj, SymbolicPointer):
                 return obj
             if isinstance(obj, _SCALARS):
@@ -185,6 +190,8 @@ class HeapCodec:
             raise HeapError(f"unknown heap node kind {kind!r}")
 
         def unflatten(value: object) -> object:
+            if type(value) in _EXACT_SCALARS:
+                return value
             if isinstance(value, SymbolicPointer):
                 if value.segment in image.segments:
                     target = build_segment(value.segment)

@@ -188,7 +188,9 @@ class MachineProfile:
         char = scalar.char
         if char in ("i", "l") and isinstance(value, int) and not isinstance(value, bool):
             rng = self.int_range(char)
-            if value not in rng:
+            # Bounds, not ``in``: range membership of an int *subclass*
+            # (an IntEnum member) degrades to a linear scan of 2**64 values.
+            if not rng.start <= value < rng.stop:
                 raise MachineCompatibilityError(
                     f"integer {value} does not fit a "
                     f"{self.int_bits if char == 'i' else self.long_bits}-bit "

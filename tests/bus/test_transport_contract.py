@@ -264,6 +264,26 @@ class TestReplaceContract:
         _feed(bus, 10)
         _wait(lambda: bus.statics_of("counter").get("total") == 16)
 
+    def test_stack_depth_travels_with_the_packet(self, placed_bus, monkeypatch):
+        # The frame count sits behind statics and heap on the wire; the
+        # host that encoded the packet sends it alongside, so reporting it
+        # never walks the packet.
+        import repro.state.frames as frames
+
+        peek = frames.peek_state_header
+
+        def no_peek(packet):
+            raise AssertionError("replace() peeked the packet for its depth")
+
+        monkeypatch.setattr(frames, "peek_state_header", no_peek)
+        bus, placement = placed_bus
+        self._launch_counter(bus, placement)
+        coordinator = ReconfigurationCoordinator(bus)
+        with _Nudger(bus):
+            report = coordinator.replace("counter", timeout=30)
+        packet = bus.get_module("counter").mh.incoming_packet
+        assert report.stack_depth == peek(packet).depth >= 1
+
     def test_failed_rebind_rolls_back_to_old_process(self, placed_bus):
         bus, placement = placed_bus
         self._launch_counter(bus, placement)

@@ -18,6 +18,7 @@ import threading
 
 import pytest
 
+from repro.bus.bus import StateMoveStream
 from repro.bus.module import ModuleState, _prepare_module_cached
 from repro.errors import (
     BusError,
@@ -104,6 +105,11 @@ class TestPipelinedMove:
         feed_sensor(monitor, *range(1, 9))
         wait_displays(monitor, 2)
         old = monitor.get_module("compute")
+        # Two requests and eight readings are consumed; the eleventh
+        # message is the third request, which takes compute past its
+        # point and into a sensor read nobody feeds.  Signalled before
+        # that, it would reach the point on its own.
+        wait_until(lambda: old.mh.stats["messages_received"] >= 11, timeout=15)
         worker, outcome = move_in_background(monitor)
         wait_signalled(monitor, "compute")
         wait_until(lambda: monitor.has_module("compute.new"), timeout=15)
@@ -122,12 +128,28 @@ class TestPipelinedMove:
         values = wait_displays(monitor, 30)
         assert values == expected_averages(30)
 
-    def test_depth_comes_from_peekable_header(self, monitor):
+    def test_depth_matches_peekable_header(self, monitor):
         feed_sensor(monitor, *range(1, 9))
         wait_displays(monitor, 2)
         report = complete_move(monitor, 9)
         packet = monitor.get_module("compute").mh.incoming_packet
         assert report.stack_depth == peek_state_header(packet).depth
+
+    def test_depth_falls_back_to_peek_without_a_count(self, monitor, monkeypatch):
+        # A host that sends no frame count with its divulge leaves the
+        # stream's count unset; the coordinator then reads the header.
+        on_divulge = StateMoveStream._on_divulge
+
+        def without_count(stream, packet):
+            on_divulge(stream, packet)
+            stream.frames = None
+
+        monkeypatch.setattr(StateMoveStream, "_on_divulge", without_count)
+        feed_sensor(monitor, *range(1, 9))
+        wait_displays(monitor, 2)
+        report = complete_move(monitor, 9)
+        packet = monitor.get_module("compute").mh.incoming_packet
+        assert report.stack_depth == peek_state_header(packet).depth >= 2
 
     def test_clone_reuses_transform_result(self, monitor):
         # The wait window covers clone construction because the AST

@@ -1,6 +1,6 @@
-"""Tests for the compiled codec plans: caching behaviour and equivalence.
+"""Tests for the compiled codec plans and the one-walk ``a`` writer.
 
-The fast path rests on two properties:
+The fast path rests on three properties:
 
 1. Plans are *shared*: the same format string (or structurally equal
    TypeSpec) always yields the same compiled closures, so a deep capture
@@ -8,27 +8,46 @@ The fast path rests on two properties:
 2. Plans are *faithful*: for every format character and any acceptable
    value, the compiled encoder emits exactly the bytes the reference
    tree-walk emits (property-tested below with hypothesis).
+3. Self-described (``a``) values are written in *one walk* keyed on the
+   runtime type of each node: no TypeSpec is inferred, nothing is compiled
+   or cached per value shape, and the bytes, machine checks and errors
+   are those of the reference codec's infer-then-encode path.
 """
+
+import collections
+import enum
+
+import pytest
 
 from hypothesis import given, settings, strategies as st
 
+import repro.state.encoding as encoding_module
+import repro.state.format as format_module
+import repro.state.frames as frames_module
+from repro.errors import FormatError, MachineCompatibilityError
 from repro.state.encoding import (
     _ENCODER_CACHE,
     _PLAN_CACHE,
+    Encoder,
     compiled_encoder,
+    decode_any,
+    encode_any,
     encode_values,
     encoder_plan,
 )
 from repro.state.format import (
     ScalarType,
+    TypeSpec,
     compiled_matcher,
     matcher_plan,
     parse_format,
     value_matches,
 )
-from repro.state.machine import MACHINES
+from repro.state.frames import ActivationRecord, ProcessState, StackState
+from repro.state.heap import HeapCodec
+from repro.state.machine import MACHINES, Endianness, MachineProfile
 from repro.state.pointers import SymbolicPointer
-from repro.state.reference import reference_encode_values
+from repro.state.reference import reference_encode_any, reference_encode_values
 
 
 class TestPlanCaching:
@@ -161,3 +180,207 @@ def test_compiled_matcher_matches_value_matches_contract(case):
 def test_container_formats_match_reference(values):
     for fmt, wrapped in (("[l]", values), ("(" + "l" * len(values) + ")", tuple(values))):
         assert encode_values(fmt, [wrapped]) == reference_encode_values(fmt, [wrapped])
+
+
+# -- the one-walk 'a' writer ------------------------------------------------
+
+
+class Colour(enum.IntEnum):
+    RED = 1
+    BLUE = 70000
+
+
+Pair = collections.namedtuple("Pair", "left right")
+
+
+def _defaultdict(items):
+    made = collections.defaultdict(list)
+    made.update(items)
+    return made
+
+
+any_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**62), 2**62),
+    finite_floats,
+    st.text(max_size=20),
+    st.sampled_from(["x" * 127, "y" * 128, "é" * 64]),  # one/two-byte length
+    st.binary(max_size=20),
+    st.binary(max_size=8).map(bytearray),
+    st.sampled_from(list(Colour)),
+    pointers,
+)
+any_keys = st.one_of(
+    st.text(max_size=6), st.integers(-50, 50), st.booleans(), st.none()
+)
+
+# Heterogeneous nesting: mixed-type lists, None inside otherwise
+# homogeneous lists, empty containers, bool/int mixes, dict subclasses,
+# namedtuples — everything the inference path used to collapse to 'a'.
+any_values = st.recursive(
+    any_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(st.one_of(st.none(), st.integers(0, 9)), max_size=5),
+        st.lists(st.one_of(st.booleans(), st.integers(0, 1)), max_size=5),
+        st.lists(children, max_size=3).map(tuple),
+        st.tuples(children, children).map(lambda t: Pair(*t)),
+        st.dictionaries(any_keys, children, max_size=4),
+        st.dictionaries(any_keys, children, max_size=3).map(
+            collections.OrderedDict
+        ),
+        st.dictionaries(any_keys, children, max_size=3).map(_defaultdict),
+    ),
+    max_leaves=15,
+)
+
+
+def _outcome(fn, *args):
+    # Bytes, or the error's class name and text: both are the contract.
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+        return (type(exc).__name__, str(exc))
+
+
+def _heap_image_with_alias_and_cycle():
+    shared = {"n": 1, "tags": ["x", "y"]}
+    ring = [shared, ("t", 2.5, None)]
+    ring.append(ring)
+    roots = {"a": shared, "b": shared, "ring": ring, "blob": b"\x00\x01"}
+    return HeapCodec().capture(roots).to_abstract()
+
+
+class TestOneWalkWriter:
+    @given(
+        value=any_values,
+        machine=st.sampled_from([None, "sparc-like", "vax-like", "m68k-like"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bytes_and_errors_match_reference(self, value, machine):
+        profile = MACHINES[machine] if machine else None
+        ours = _outcome(encode_any, value, profile)
+        assert ours == _outcome(reference_encode_any, value, profile)
+        if isinstance(ours, bytes):
+            # IntEnum/bytearray/dict subclasses compare equal to the plain
+            # values they decode as.
+            assert decode_any(ours) == value
+
+    def test_heap_image_matches_reference_and_round_trips(self):
+        image = _heap_image_with_alias_and_cycle()
+        for machine in (None, MACHINES["sparc-like"], MACHINES["vax-like"]):
+            data = encode_any(image, machine)
+            assert data == reference_encode_any(image, machine)
+            assert decode_any(data, machine) == image
+
+    def test_machine_check_fires_deep_inside_a_heap_dict(self):
+        vax = MACHINES["vax-like"]
+        heap = {"image": {"segments": {"heap:0": ["dict", [["big", 2**40]]]}}}
+        with pytest.raises(MachineCompatibilityError) as ours:
+            encode_any(heap, vax)
+        with pytest.raises(MachineCompatibilityError) as reference:
+            reference_encode_any(heap, vax)
+        assert str(ours.value) == str(reference.value)
+        assert "does not fit a 32-bit native long" in str(ours.value)
+        state = ProcessState(module="m", heap=heap)
+        with pytest.raises(MachineCompatibilityError) as packet:
+            state.to_bytes(vax)
+        assert str(packet.value) == str(ours.value)
+        assert encode_any(heap, MACHINES["sparc-like"])  # 64-bit long: fine
+
+    def test_overriding_profile_sees_every_scalar(self):
+        class Recording(MachineProfile):
+            def check_representable(self, spec, value):
+                seen.append((spec.format_char(), value))
+
+        value = {
+            "s": ["text", 7, 2.5, True, None, b"raw", Colour.BLUE],
+            3: (SymbolicPointer("heap:1", 4), {"deep": ["er", -1]}),
+        }
+        seen: list = []
+        ours = encode_any(value, Recording("rec", Endianness.BIG))
+        live, seen = seen, []
+        assert ours == reference_encode_any(value, Recording("rec", Endianness.BIG))
+        assert live == seen
+        assert ("s", "text") in live and ("s", "deep") in live
+        assert ("l", 7) in live and ("F", 2.5) in live and ("b", True) in live
+
+    def test_unsupported_type_error_matches_reference(self):
+        for value in (object(), {"k": [1, {2.5}]}, ("x", [frozenset()])):
+            ours = _outcome(encode_any, value, None)
+            assert ours == _outcome(reference_encode_any, value, None)
+            assert ours[0] == "FormatError"
+        with pytest.raises(FormatError, match="cannot infer abstract type for set"):
+            encode_values("{sa}", [{"k": set()}])
+
+    def test_any_values_leave_the_encoder_cache_alone(self):
+        # The inference path compiled and cached an encoder for every
+        # distinct inferred shape, forever.
+        encode_any([1, "warm"])
+        before = len(_ENCODER_CACHE)
+        for n in range(1000):
+            shape = tuple([n, "s", 1.5, None][: n % 4 + 1]) + (("x",) * (n % 7),)
+            encode_any({f"k{n}": shape, "nest": {n: [shape, {"d": n * 0.5}]}})
+        assert len(_ENCODER_CACHE) == before
+
+    def test_no_inference_on_the_packet_path(self, monkeypatch):
+        # Structural guard: the pre-pass cannot creep back in unnoticed.
+        for module in (encoding_module, frames_module):
+            assert not hasattr(module, "format_of_value")
+        calls = []
+        real = format_module.format_of_value
+        monkeypatch.setattr(
+            format_module,
+            "format_of_value",
+            lambda value: calls.append(value) or real(value),
+        )
+        built = []
+        real_init = ScalarType.__post_init__
+        monkeypatch.setattr(
+            ScalarType,
+            "__post_init__",
+            lambda self: built.append(self) or real_init(self),
+        )
+        machine = MACHINES["sparc-like"]
+        store = {f"k0.{i:04d}": f"v{i}" for i in range(4096)}
+        frames = [
+            ActivationRecord("descend", 3, "lllF", [3, 256, level, float(level)])
+            for level in range(256)
+        ]
+        state = ProcessState(
+            module="shard_0",
+            stack=StackState(frames),
+            statics={"served": 1, "label": "x"},
+            heap={"image": HeapCodec().capture({"store": store}).to_abstract()},
+        )
+        state.to_bytes(machine)  # warm the machine's checks and frame plans
+        calls.clear()
+        built.clear()
+        packet = state.to_bytes(machine)
+        encode_any(state.heap, machine)
+        Encoder(machine).write(ScalarType("a"), state.heap)
+        assert calls == []
+        assert [spec for spec in built if isinstance(spec, TypeSpec)] == [
+            ScalarType("a")
+        ]  # the one spec this test itself constructed
+        assert ProcessState.from_bytes(packet).heap == state.heap
+
+
+class TestAnyMatcher:
+    def test_accepts_everything_the_writer_encodes(self):
+        image = _heap_image_with_alias_and_cycle()
+        for value in (None, 1, "s", [1, "x", None], image, Colour.RED, Pair(1, [2])):
+            assert value_matches(ScalarType("a"), value)
+
+    def test_rejects_unsupported_types_at_any_depth(self):
+        for value in (object(), [1, {2}], {"k": (1, [object()])}, {frozenset(): 1}):
+            assert not value_matches(ScalarType("a"), value)
+
+    def test_builds_no_typespec(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(
+            ScalarType, "__post_init__", lambda self: built.append(self)
+        )
+        assert compiled_matcher(ScalarType("a"))({"k": [1, "x", (2.5, None)]})
+        assert len(built) == 1  # the spec passed to compiled_matcher above

@@ -18,6 +18,7 @@ import pytest
 
 from repro.state.encoding import decode_values, encode_values
 from repro.state.frames import ProcessState, ActivationRecord, StackState, peek_state_header
+from repro.state.heap import HeapCodec, HeapImage
 from repro.state.machine import MACHINES
 from repro.state.pointers import SymbolicPointer
 from repro.state.reference import (
@@ -57,6 +58,46 @@ GOLDEN_VECTORS = [
     ("b", [None], "6e"),
     ("[i]", [None], "6e"),
     ("a", [None], "6e"),
+    # Self-described ('a') values the seed wrote through type inference and
+    # the live codec writes in one walk: mixed-type list, None inside a
+    # homogeneous list, empty containers, bool/int mix, bytearray, pointers
+    # in tuples and lists, a heap-image-shaped dict, mixed dict keys, and
+    # a string whose length needs a two-byte varint.
+    (
+        "a",
+        [[1, "x", 2.5, None, True, b"\x00\xff"]],
+        "5b066c027301784640040000000000006e6201420200ff",
+    ),
+    ("a", [[1, None, 3]], "5b036c026e6c06"),
+    ("a", [[[], {}, ()]], "5b035b007b002800"),
+    ("a", [[True, 1, False, 0]], "5b0462016c0262006c00"),
+    ("a", [bytearray(b"raw")], "4203726177"),
+    (
+        "a",
+        [("p", SymbolicPointer("heap:0", 0), [SymbolicPointer("obj:3", -2)])],
+        "28037301707006686561703a30005b0170056f626a3a3303",
+    ),
+    (
+        "a",
+        [
+            {
+                "image": {
+                    "roots": {"store": SymbolicPointer("heap:0", 0)},
+                    "segments": {"heap:0": ["dict", [["k", "v"], ["n", 7]]]},
+                },
+                "files": [],
+            }
+        ],
+        "7b027305696d6167657b027305726f6f74737b01730573746f72657006686561703a3000"
+        "73087365676d656e74737b017306686561703a305b027304646963745b025b0273016b73"
+        "01765b0273016e6c0e730566696c65735b00",
+    ),
+    (
+        "a",
+        [{1: "int key", "s": 2, None: [None]}],
+        "7b036c027307696e74206b65797301736c046e5b016e",
+    ),
+    ("a", ["x" * 130], "738201" + "78" * 130),
 ]
 
 
@@ -112,6 +153,47 @@ class TestLiveComparison:
         compiled = state.to_bytes(machine)
         reference = reference_state_to_bytes(sample_state(), machine)
         assert compiled == reference
+
+    def test_heap_bearing_packet_identical(self):
+        # The shape that made inference quadratic: a captured heap image
+        # (container segments behind symbolic pointers, an alias and a
+        # cycle) nested four dicts deep under the packet's heap field.
+        shared = {"hits": 3, "tags": ["a", "b"]}
+        ring: list = [1, shared]
+        ring.append(ring)
+        roots = {
+            "store": {f"k{i:03d}": f"v{i}" for i in range(200)},
+            "shared": shared,
+            "again": shared,
+            "ring": ring,
+        }
+
+        def state() -> ProcessState:
+            return ProcessState(
+                module="shard",
+                stack=StackState(
+                    [ActivationRecord("main", 1, "lla", [1, 7, {"mixed": [1, "x"]}])]
+                ),
+                statics={"served": 12, "name": "shard_0", "ratio": 0.5},
+                heap={
+                    "image": HeapCodec().capture(roots).to_abstract(),
+                    "files": [],
+                },
+                reconfig_point="Q",
+                source_machine="sparc-like",
+            )
+
+        machine = MACHINES["sparc-like"]
+        packet = state().to_bytes(machine)
+        assert packet == reference_state_to_bytes(state(), machine)
+        ours = ProcessState.from_bytes(packet, MACHINES["vax-like"])
+        ref = reference_state_from_bytes(packet, MACHINES["vax-like"])
+        assert ours.heap == ref.heap and ours.statics == ref.statics
+        rebuilt = HeapCodec().restore(HeapImage.from_abstract(ours.heap["image"]))
+        assert rebuilt["store"] == roots["store"]
+        assert rebuilt["shared"] is rebuilt["again"] is rebuilt["ring"][1]
+        assert rebuilt["ring"][2] is rebuilt["ring"]
+        assert peek_state_header(packet).depth == 1
 
     def test_process_state_decoders_agree(self):
         machine = MACHINES["sparc-like"]
