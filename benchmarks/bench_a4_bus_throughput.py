@@ -23,9 +23,8 @@ worker-pool transport.  Its headline ``aggregate`` is an in-process
 sender fanning out over pipe links to 8 receivers in each of 2 worker
 processes — every delivery crosses a link, so the number is dominated
 by frame cost, which is exactly what send-side coalescing (see
-:mod:`repro.bus.batch`) amortizes: ``aggregate_unbatched`` re-measures
-the same shape with batching disabled and ``batch_speedup`` is their
-ratio.  The tier also keeps the original pinned credit-loop pairs
+:mod:`repro.bus.batch`) amortizes.  The tier also keeps the pinned
+credit-loop pairs
 (``pinned_pairs_aggregate``) where pushed host-local routes bypass the
 links entirely — the multi-core scale-out story — plus the in-process
 pair baseline.  The tier publishes honest numbers: ``cpus`` records
@@ -45,7 +44,7 @@ import sys
 import time
 from typing import Dict, List, Tuple
 
-from repro.bus.batch import batch_settings, batching_disabled
+from repro.bus.batch import batch_settings
 from repro.bus.bus import SoftwareBus
 from repro.bus.interfaces import InterfaceDecl, Role
 from repro.bus.message import Message
@@ -314,16 +313,11 @@ def run_xproc_tier(seconds: float) -> Dict[str, object]:
     inproc = measure_pairs(workers=0, pairs=1, seconds=seconds)
     pinned = measure_pairs(workers=workers, pairs=workers, seconds=seconds)
 
-    def xlink_run() -> float:
-        bus, names = build_xlink(workers=workers, fanout=fanout)
-        try:
-            return measure_xlink(bus, names, seconds)
-        finally:
-            bus.shutdown()
-
-    aggregate = xlink_run()
-    with batching_disabled():
-        unbatched = xlink_run()
+    bus, names = build_xlink(workers=workers, fanout=fanout)
+    try:
+        aggregate = measure_xlink(bus, names, seconds)
+    finally:
+        bus.shutdown()
     return {
         "cpus": cpus,
         "workers": workers,
@@ -337,8 +331,6 @@ def run_xproc_tier(seconds: float) -> Dict[str, object]:
         "inproc_pair_baseline": round(inproc, 1),
         "pinned_pairs_aggregate": round(pinned, 1),
         "aggregate": round(aggregate, 1),
-        "aggregate_unbatched": round(unbatched, 1),
-        "batch_speedup": round(aggregate / unbatched, 2) if unbatched else 0.0,
         "scaleup_vs_inproc_pair": round(aggregate / inproc, 2) if inproc else 0.0,
     }
 

@@ -11,7 +11,9 @@ import time
 import pytest
 
 from repro.apps.monitor import build_monitor_configuration
-from repro.bus.tcp import DistributedBus
+from repro.bus.bus import SoftwareBus
+from repro.bus.transport import TcpTransport
+from repro.reconfig.coordinator import ReconfigurationCoordinator
 
 from benchmarks.conftest import report
 
@@ -21,13 +23,16 @@ def _launch():
         requests=200, group_size=4, interval=0.02, discard=False
     )
     config.modules["sensor"].attributes["interval"] = "0.002"
-    bus = DistributedBus(sleep_scale=1.0)
-    bus.spawn_machine("alpha", "sparc-like")
-    bus.spawn_machine("beta", "vax-like")
-    bus.launch(
-        config,
-        placement={"display": "alpha", "compute": "alpha", "sensor": "alpha"},
+    for inst in config.application.instances:
+        inst.attributes["placement"] = "tcp:alpha"
+    bus = SoftwareBus(sleep_scale=1.0)
+    bus.attach_transport(
+        TcpTransport(
+            machines={"alpha": "sparc-like", "beta": "vax-like"}, sleep_scale=1.0
+        ),
+        owned=True,
     )
+    bus.launch(config)
     deadline = time.monotonic() + 40
     while time.monotonic() < deadline:
         if len(bus.statics_of("display").get("displayed", [])) >= 2:
@@ -42,7 +47,9 @@ def test_fig1_distributed_move(benchmark):
         return (_launch(),), {}
 
     def run_move(bus):
-        move = bus.move_module("compute", "beta", timeout=20)
+        move = ReconfigurationCoordinator(bus).replace(
+            "compute", machine="beta", placement="tcp:beta", timeout=20, kind="move"
+        )
         display_before = len(bus.statics_of("display")["displayed"])
         deadline = time.monotonic() + 30
         while time.monotonic() < deadline:
@@ -60,6 +67,6 @@ def test_fig1_distributed_move(benchmark):
         "FIG1-TCP",
         "the move works across genuinely separate machines (processes); "
         "state crosses the network in the abstract format",
-        f"cross-process move: packet {move['packet_bytes']}B over TCP, "
-        f"total {move['total_s'] * 1000:.0f}ms" if move else "completed",
+        f"cross-process move: packet {move.packet_bytes}B over TCP, "
+        f"total {move.total_time * 1000:.0f}ms" if move else "completed",
     )

@@ -2,9 +2,11 @@
 """Distributed operation: real OS processes, state over a real socket.
 
 Every simulated machine is its own Python process (a machine daemon)
-connected to a central bus over TCP.  The monitor application is placed
-entirely on machine ``alpha``; the compute module is then moved to
-machine ``beta`` — its captured activation-record stack crosses the
+connected to the bus over TCP — the ordinary ``SoftwareBus`` with a
+``TcpTransport`` attached, so the move below is the same transactional
+``replace()`` every other placement uses.  The monitor application is
+placed entirely on machine ``alpha``; the compute module is then moved
+to machine ``beta`` — its captured activation-record stack crosses the
 network as canonical abstract bytes and is decoded by a process with a
 *different* simulated architecture.
 
@@ -14,7 +16,9 @@ Run:  python examples/distributed_tcp.py
 import time
 
 from repro.apps import build_monitor_configuration
-from repro.bus.tcp import DistributedBus
+from repro.bus.bus import SoftwareBus
+from repro.bus.transport import TcpTransport
+from repro.reconfig.coordinator import ReconfigurationCoordinator
 
 
 def main():
@@ -23,17 +27,19 @@ def main():
     )
     config.modules["sensor"].attributes["interval"] = "0.002"
 
-    bus = DistributedBus(sleep_scale=1.0)
-    print("spawning machine daemons (separate OS processes) ...")
-    bus.spawn_machine("alpha", "sparc-like")
-    bus.spawn_machine("beta", "vax-like")
-    for line in bus.trace:
-        print(f"  {line}")
+    for inst in config.application.instances:
+        inst.attributes["placement"] = "tcp:alpha"
 
-    bus.launch(
-        config,
-        placement={"display": "alpha", "compute": "alpha", "sensor": "alpha"},
+    bus = SoftwareBus(sleep_scale=1.0)
+    print("spawning machine daemons (separate OS processes) ...")
+    daemons = TcpTransport(
+        machines={"alpha": "sparc-like", "beta": "vax-like"}, sleep_scale=1.0
     )
+    bus.attach_transport(daemons, owned=True)
+    for link in daemons.links():
+        print(f"  machine {link.name} up ({link.profile.describe()})")
+
+    bus.launch(config)
 
     def displayed():
         return bus.statics_of("display").get("displayed", [])
@@ -42,21 +48,25 @@ def main():
         time.sleep(0.02)
     print(f"\n{len(displayed())} averages displayed; moving compute over TCP ...")
 
-    report = bus.move_module("compute", "beta", timeout=20)
-    print(f"  state packet: {report['packet_bytes']} bytes over the wire")
+    report = ReconfigurationCoordinator(bus).replace(
+        "compute", machine="beta", placement="tcp:beta", timeout=20, kind="move"
+    )
+    print(f"  state packet: {report.packet_bytes} bytes over the wire")
     print(f"  delay to reconfiguration point: "
-          f"{report['delay_to_point_s'] * 1000:.1f} ms")
-    print(f"  total move time: {report['total_s'] * 1000:.1f} ms")
+          f"{report.delay_to_point * 1000:.1f} ms")
+    print(f"  total move time: {report.total_time * 1000:.1f} ms")
 
     while len(displayed()) < 24:
         time.sleep(0.02)
     values = displayed()
+    placement = bus.get_module("compute").placement
     bus.shutdown()
 
     expected = [2.5 + 4 * k for k in range(24)]
     assert values == expected, (values, expected)
     print(f"\nall 24 averages exact across the cross-process move:")
     print(f"  {values}")
+    assert placement == "tcp:beta", placement
     print(f"compute now runs in the beta daemon process.")
 
 

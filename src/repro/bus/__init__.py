@@ -15,7 +15,10 @@ asynchronous.  Bindings connect the interfaces of modules."
 - :mod:`repro.bus.machine`    — simulated hosts with architecture profiles
 - :mod:`repro.bus.module`     — module instances (thread of control + namespace)
 - :mod:`repro.bus.bus`        — the bus itself: routing, lifecycle, introspection
-- :mod:`repro.bus.tcp`        — genuine multi-process operation over TCP
+- :mod:`repro.bus.transport`  — where a module executes: in the bus process,
+  in a pipe worker (:mod:`repro.bus.procpool`) or in a TCP machine daemon
+  (:mod:`repro.bus.tcp`), behind one link and one module-host protocol
+- :mod:`repro.bus.batch`      — coalesced delivery frames for those links
 """
 
 from repro.bus.message import Message

@@ -53,13 +53,11 @@ than silently truncating if a caller exceeds them.
 
 from __future__ import annotations
 
-import os
 import struct
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, List, Optional, Tuple
 
 from repro.errors import InjectedFault, TransportError
@@ -183,65 +181,13 @@ class BatchPolicy:
     linger_s: float = 0.0
 
 
-#: Session-wide defaults, env-tunable (read at Link/host construction so
-#: spawned worker processes inherit the same settings).
-BATCH_MAX_ENTRIES = int(os.environ.get("REPRO_BATCH_MAX_ENTRIES", "128"))
-BATCH_MAX_BYTES = int(os.environ.get("REPRO_BATCH_MAX_BYTES", str(256 * 1024)))
-BATCH_PENDING_HWM = int(
-    os.environ.get("REPRO_BATCH_PENDING_HWM", str(4 * 1024 * 1024))
-)
-BATCH_LINGER_S = float(os.environ.get("REPRO_BATCH_LINGER", "0"))
-
-#: Process-local kill switch (benchmarks measure the frame-per-message
-#: baseline through this; ``REPRO_BATCH=0`` disables for children too).
-_disabled = os.environ.get("REPRO_BATCH", "1") in ("0", "false", "no")
-
-
-def default_policy() -> Optional[BatchPolicy]:
-    """The policy new links/hosts coalesce under; ``None`` = batching off."""
-    if _disabled:
-        return None
-    return BatchPolicy(
-        max_entries=BATCH_MAX_ENTRIES,
-        max_bytes=BATCH_MAX_BYTES,
-        pending_hwm=BATCH_PENDING_HWM,
-        linger_s=BATCH_LINGER_S,
-    )
-
-
 def batch_settings() -> dict:
-    """The effective settings, for bench meta blocks (see benchmarks/_meta.py)."""
-    policy = default_policy()
-    if policy is None:
-        return {"enabled": False}
-    return {
-        "enabled": True,
-        "max_entries": policy.max_entries,
-        "max_bytes": policy.max_bytes,
-        "pending_hwm": policy.pending_hwm,
-        "linger_s": policy.linger_s,
-    }
+    """The caps every link and host coalesces under, for bench meta blocks.
 
-
-@contextmanager
-def batching_disabled():
-    """Construct links with batching off (frame-per-message baseline).
-
-    Affects links/hosts created *inside* the context; the env override
-    makes worker processes spawned inside it inherit the setting.
+    ``perf/compare.py`` refuses to compare runs whose meta differ, so the
+    keys and values here are part of the benchmark's contract.
     """
-    global _disabled
-    saved, saved_env = _disabled, os.environ.get("REPRO_BATCH")
-    _disabled = True
-    os.environ["REPRO_BATCH"] = "0"
-    try:
-        yield
-    finally:
-        _disabled = saved
-        if saved_env is None:
-            os.environ.pop("REPRO_BATCH", None)
-        else:
-            os.environ["REPRO_BATCH"] = saved_env
+    return {"enabled": True, **asdict(BatchPolicy())}
 
 
 # ---------------------------------------------------------------------------

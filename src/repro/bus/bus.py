@@ -247,6 +247,12 @@ class SoftwareBus:
         self.hosts = HostRegistry()
         self.module_specs: Dict[str, ModuleSpec] = {}
         self._instances: Dict[str, ModuleInstance] = {}
+        # Pre-rename name -> current name.  A write issued under a
+        # clone's temporary name can reach route() after the commit
+        # renamed the clone; it is routed as the renamed instance.
+        # Consulted only when the name is otherwise unknown, forgotten
+        # when that name is added again.
+        self._renamed: Dict[str, str] = {}
         self._bindings: List[BindingSpec] = []
         self._lock = threading.RLock()
         # Copy-on-write routing snapshot: instance -> interface -> entry.
@@ -394,6 +400,7 @@ class SoftwareBus:
                     spec, name, host, status, state_packet, self._sleep_policy
                 )
                 self._instances[name] = module
+                self._renamed.pop(name, None)
                 self._invalidate_routing_locked()
             self.trace.append(
                 f"add module {name} on {machine} (status={status})"
@@ -427,6 +434,7 @@ class SoftwareBus:
                     raise BusError(f"instance {name!r} already exists")
                 self.hosts.adopt(module.host)
                 self._instances[name] = module
+                self._renamed.pop(name, None)
                 self._invalidate_routing_locked()
             self.trace.append(
                 f"add module {name} on {module.host.name} "
@@ -466,24 +474,32 @@ class SoftwareBus:
 
         Used by replacement scripts so the clone takes over the replaced
         module's instance name once the original is gone.
+
+        The whole rename is one bus-lock section, for a remote module
+        including the request that renames it on its host (the rebind
+        batch issues link requests under this lock too; the link's
+        pump/dispatcher split is what makes that safe).  The routing
+        snapshot is dropped *first*: ``clear_routes`` reaches every host
+        ahead of the rename (per-link FIFO), and a router arriving
+        meanwhile waits on the lock instead of compiling the old name
+        into a fresh table.  What was already in flight under the old
+        name is resolved through ``_renamed`` here and
+        ``ModuleHost.renamed`` on the host, so a message is routed
+        either as the old name or as the new one, never dropped between.
         """
         with self._lock:
             module = self.get_module(old_name)
             if new_name in self._instances:
                 raise BusError(f"instance {new_name!r} already exists")
-        if getattr(module, "is_remote", False):
-            # Round-trip to the remote host outside the bus lock; the
-            # handle's name flips with it.
-            module.transport.rename(module, new_name)
-        with self._lock:
-            if self._instances.get(old_name) is not module:
-                raise BusError(
-                    f"instance {old_name!r} changed during rename"
-                )
-            del self._instances[old_name]
-            if not getattr(module, "is_remote", False):
+            self._invalidate_routing_locked()
+            if getattr(module, "is_remote", False):
+                module.transport.rename(module, new_name)
+            else:
                 module.rename(new_name)
+            del self._instances[old_name]
             self._instances[new_name] = module
+            self._renamed.pop(new_name, None)
+            self._renamed[old_name] = new_name
 
             def rewrite(binding: BindingSpec) -> BindingSpec:
                 return BindingSpec(
@@ -498,7 +514,6 @@ class SoftwareBus:
                 )
 
             self._bindings = [rewrite(b) for b in self._bindings]
-            self._invalidate_routing_locked()
         self.trace.append(f"rename {old_name} -> {new_name}")
 
     def get_module(self, instance: str) -> ModuleInstance:
@@ -639,34 +654,33 @@ class SoftwareBus:
         self,
         instance: str,
         interface: str,
-        wire: bytes,
-        profile: MachineProfile,
-    ) -> None:
-        """A remotely hosted module wrote on an endpoint without a
-        host-local route: decode under the sender host's profile and fan
-        out through the ordinary routing table."""
-        self.route(instance, interface, Message.from_wire(wire, profile))
-
-    def _on_transport_write_to(
-        self,
-        instance: str,
-        interface: str,
         destination: str,
         wire: bytes,
         profile: MachineProfile,
     ) -> None:
+        """A remotely hosted module wrote on an endpoint without a
+        host-local route: decode under the sender host's profile and
+        route through the ordinary table (directed when ``destination``
+        is non-empty).
+
+        Inproc raises into the writer; across a process boundary there
+        is no writer stack to raise into, so a write that cannot be
+        routed is recorded instead — and the rest of the batch it
+        arrived in still goes out.
+        """
         message = Message.from_wire(wire, profile)
         try:
-            self.route_to(instance, interface, destination, message)
+            if destination:
+                self.route_to(instance, interface, destination, message)
+            else:
+                self.route(instance, interface, message)
         except (BindingError, UnknownModuleError) as exc:
-            # Inproc raises into the writer; across a process boundary
-            # there is no writer stack to raise into, so the error is
-            # recorded instead (the DistributedBus drop semantics).
             self.trace.append(
-                f"drop directed {instance}.{interface} -> {destination}: {exc}"
+                f"drop write {instance}.{interface} -> "
+                f"{destination or '*'}: {exc}"
             )
             telemetry.event(
-                "bus.directed_drop",
+                "bus.write_drop",
                 instance=instance,
                 interface=interface,
                 destination=destination,
@@ -933,6 +947,17 @@ class SoftwareBus:
         order = ["healthy", "unknown", "degraded", "suspect", "dead"]
         return min(statuses, key=order.index)
 
+    def _routes_after_rebuild(
+        self, instance: str
+    ) -> Optional[Dict[str, _RouteEntry]]:
+        """Slow path of ``route``/``route_to``: the snapshot lacks ``instance``.
+
+        A stale snapshot, a write issued under a name that has since
+        been renamed, or an unknown instance — a rebuild settles which.
+        """
+        table = self._rebuild_routing()
+        return table.get(instance) or table.get(self._renamed.get(instance, ""))
+
     def route(self, instance: str, interface: str, message: Message) -> None:
         """Deliver a message written on (instance, interface).
 
@@ -948,8 +973,7 @@ class SoftwareBus:
             table = self._rebuild_routing()
         by_interface = table.get(instance)
         if by_interface is None:
-            # Stale snapshot or unknown instance: rebuild settles which.
-            by_interface = self._rebuild_routing().get(instance)
+            by_interface = self._routes_after_rebuild(instance)
             if by_interface is None:
                 self.get_module(instance)  # raises UnknownModuleError
                 return
@@ -1000,7 +1024,7 @@ class SoftwareBus:
             table = self._rebuild_routing()
         by_interface = table.get(instance)
         if by_interface is None:
-            by_interface = self._rebuild_routing().get(instance, {})
+            by_interface = self._routes_after_rebuild(instance) or {}
         entry = by_interface.get(interface)
         target = entry.by_dest.get(destination) if entry is not None else None
         if target is None:

@@ -13,10 +13,9 @@ the wire format.  No sockets, no framing headers: a frame is one
 Deliveries are *coalesced*: a busy link ships ``deliver_batch`` frames
 carrying many already-encoded message wires per ``send_bytes`` (see
 :mod:`repro.bus.batch`), and the worker dispatches the whole batch
-inline in the serve loop — one frame decode, one modules-lock acquire —
-so per-message pipe overhead is amortized away.  Events stay inline
-precisely because of that: per-link FIFO is what makes queue snapshots
-exact w.r.t. prior deliveries, batched or not.
+inline in the serve loop (:func:`~repro.bus.transport.serve_host`) —
+one frame decode, one modules-lock acquire — so per-message pipe
+overhead is amortized away.
 
 Placement is ``placement="worker"`` (round-robin over the pool) or
 ``placement="worker:<index>"`` (pinned to one slot).  Workers spawn
@@ -35,10 +34,9 @@ import threading
 from typing import Dict, List, Optional, Tuple
 
 from repro.bus.machine import Host
-from repro.bus.transport import Link, ModuleHost, RemoteTransport
+from repro.bus.transport import Link, RemoteTransport, serve_host
 from repro.errors import BusError, TransportError
 from repro.runtime.faults import FaultPlan
-from repro.runtime.mh import SleepPolicy
 from repro.state.encoding import decode_any, encode_any
 from repro.state.machine import MACHINES, MachineProfile, profile_from_abstract
 
@@ -76,77 +74,12 @@ class PipeChannel:
             pass
 
 
-def _send(channel: PipeChannel, send_lock: threading.Lock, frame: List[object]) -> None:
-    try:
-        with send_lock:
-            channel.send(frame)
-    except TransportError:
-        pass  # bus side went away; the serve loop will notice on recv
-
-
-def _serve(
-    core: ModuleHost,
-    channel: PipeChannel,
-    send_lock: threading.Lock,
-    seq: int,
-    command: str,
-    args: List[object],
-) -> None:
-    """Execute one request on its own thread and ship the reply.
-
-    Requests run off the serve loop because several of them block on
-    module progress (``wait_divulged``, ``stop``) while events — message
-    deliveries — must keep flowing.
-    """
-    try:
-        result = core.handle(command, args)
-        reply: List[object] = ["rep", seq, result]
-    except Exception as exc:  # noqa: BLE001 - every failure becomes an err reply
-        reply = ["err", seq, f"{type(exc).__name__}: {exc}"]
-    _send(channel, send_lock, reply)
-
-
 def worker_main(conn, name: str, profile_raw: Dict[str, object], sleep_scale: float) -> None:
     """Entry point of one worker process (must stay module-level: spawn
     pickles it by qualified name)."""
-    channel = PipeChannel(conn)
-    send_lock = threading.Lock()
-
-    def send_event(command: List[object]) -> None:
-        _send(channel, send_lock, ["evt", 0] + list(command))
-
-    host = Host(name=name, profile=profile_from_abstract(profile_raw))
-    core = ModuleHost(
-        name, host, SleepPolicy(scale=float(sleep_scale)), send_event
+    serve_host(
+        PipeChannel(conn), name, profile_from_abstract(profile_raw), float(sleep_scale)
     )
-    try:
-        while True:
-            try:
-                frame = channel.recv()
-            except TransportError:
-                break  # bus process closed the pipe
-            kind = str(frame[0])
-            if kind == "evt":
-                # Events are handled inline: per-link FIFO is what makes
-                # queue snapshots exact w.r.t. prior deliveries.
-                try:
-                    core.handle(str(frame[2]), list(frame[3:]))
-                except Exception:  # noqa: BLE001 - a bad event must not kill the worker
-                    pass
-            elif kind == "req":
-                seq = int(frame[1])
-                command = str(frame[2])
-                if command == "shutdown":
-                    _send(channel, send_lock, ["rep", seq, True])
-                    break
-                threading.Thread(
-                    target=_serve,
-                    args=(core, channel, send_lock, seq, command, list(frame[3:])),
-                    name=f"serve-{command}",
-                    daemon=True,
-                ).start()
-    finally:
-        core.stop_all()
 
 
 class _WorkerSlot:

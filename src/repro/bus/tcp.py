@@ -1,9 +1,9 @@
-"""Genuine multi-process distributed operation over TCP.
+"""Machine daemons: genuine multi-process distributed operation over TCP.
 
-The in-process :class:`~repro.bus.bus.SoftwareBus` simulates machines as
-threads.  This module runs each machine as a real OS process (a *machine
-daemon*) connected to a central bus process over TCP — the closest a
-single host gets to the paper's heterogeneous network of workstations:
+The in-process placement simulates machines as threads.  A *machine
+daemon* is one simulated machine as a real OS process, connected to the
+bus process over TCP — the closest a single host gets to the paper's
+heterogeneous network of workstations:
 
 - every message and state packet crossing machines travels as canonical
   abstract bytes over a real socket;
@@ -16,64 +16,42 @@ single host gets to the paper's heterogeneous network of workstations:
   source, mirroring the paper's "prepare when the original program is
   compiled".
 
-Wire protocol: length-prefixed frames whose payload is one self-described
-value in our own canonical encoding (dogfooding ``repro.state.encoding``).
-Each frame is ``[kind, seq, command, args...]`` with ``kind`` in
-``req``/``rep``/``evt``.
+This module owns what is TCP-specific: the length-prefixed framing,
+:class:`SocketChannel` (a socket as the frame channel
+:class:`~repro.bus.transport.Link` and
+:func:`~repro.bus.transport.serve_host` speak over), the daemon's
+``hello`` handshake, and the ``python -m repro.bus.tcp`` entry point.
+The bus-side client is :class:`~repro.bus.transport.TcpTransport`
+(``placement="tcp:<machine>"`` on an ordinary ``SoftwareBus``); the
+module hosting inside the daemon is the same
+:class:`~repro.bus.transport.ModuleHost` serve loop pipe workers run.
 
-Busy links coalesce deliveries: many message wires ride one
-``deliver_batch`` event frame (one TCP write, one ``tcp.send_frame``
-span), and daemon-side tunneled writes return as ``write_batch`` — see
-:mod:`repro.bus.batch` and docs/tcp-protocol.md for the blob layout.
-The per-message ``deliver``/``write`` frames remain valid; batching is a
-send-side optimization, not a protocol break.
+Wire protocol: frames whose payload is one self-described value in our
+own canonical encoding (dogfooding ``repro.state.encoding``).  Each
+frame is ``[kind, seq, command, args...]`` with ``kind`` in
+``req``/``rep``/``err``/``evt``.  Deliveries and tunneled writes ride
+coalesced ``deliver_batch``/``write_batch`` event frames — see
+:mod:`repro.bus.batch` and docs/tcp-protocol.md.
 """
 
 from __future__ import annotations
 
 import socket
 import struct
-import subprocess
 import sys
-import threading
-import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
-from repro.bus.batch import unpack_batch
-from repro.bus.machine import Host
-from repro.bus.spec import (
-    BindingSpec,
-    Configuration,
-    ModuleSpec,
-    spec_from_abstract,
-)
-from repro.bus.transport import ModuleHost
-from repro.core.transformer import prepare_module
-from repro.errors import (
-    BusError,
-    InjectedFault,
-    ReconfigTimeoutError,
-    TransportError,
-    UnknownModuleError,
-)
+from repro.bus.transport import serve_host
+from repro.errors import TransportError
 from repro.runtime import faults, telemetry
-from repro.runtime.faults import RetryPolicy
-from repro.runtime.mh import SleepPolicy
 from repro.state.encoding import decode_any, encode_any
-from repro.state.machine import MACHINES, MachineProfile, profile_from_abstract
+from repro.state.machine import MachineProfile, profile_from_abstract
 
 __all__ = [
-    "DistributedBus",
-    "MachineDaemon",
     "SocketChannel",
     "daemon_entry",
     "recv_frame",
     "send_frame",
-    "spec_from_abstract",
-    "spec_to_abstract",
-    "profile_from_abstract",
-    "profile_to_abstract",
 ]
 
 _FRAME_HEADER = struct.Struct(">I")
@@ -176,126 +154,8 @@ class SocketChannel:
 
 
 # ---------------------------------------------------------------------------
-# Spec serialization (canonical forms live with the types; these aliases
-# keep the historical tcp.py import surface working)
-# ---------------------------------------------------------------------------
-
-
-def spec_to_abstract(spec: ModuleSpec, prepared_source: str) -> dict:
-    return spec.to_abstract(prepared_source)
-
-
-def profile_to_abstract(profile: MachineProfile) -> dict:
-    return profile.to_abstract()
-
-
-# ---------------------------------------------------------------------------
 # Machine daemon (runs in its own OS process)
 # ---------------------------------------------------------------------------
-
-
-class MachineDaemon:
-    """One simulated machine as a real process hosting module threads.
-
-    All module hosting — lifecycle, delivery, divulge push, host-local
-    routes — lives in the shared :class:`~repro.bus.transport.ModuleHost`
-    core; this class only owns the socket plumbing around it.  Pipe
-    workers (:mod:`repro.bus.procpool`) wrap the very same core, so the
-    two remote placements cannot drift apart."""
-
-    def __init__(
-        self,
-        machine_name: str,
-        profile: MachineProfile,
-        bus_address: Tuple[str, int],
-        sleep_scale: float = 0.0,
-    ):
-        self.machine_name = machine_name
-        self.profile = profile
-        self.bus_address = bus_address
-        self.sleep_policy = SleepPolicy(scale=sleep_scale)
-        self.host = Host(name=machine_name, profile=profile)
-        self._sock: Optional[socket.socket] = None
-        self._send_lock = threading.Lock()
-        self.core = ModuleHost(
-            machine_name, self.host, self.sleep_policy, self.send_event
-        )
-        self.modules = self.core.modules  # shared dict (legacy attribute)
-
-    # -- plumbing ---------------------------------------------------------------
-
-    def send_event(self, command: List[object]) -> None:
-        with self._send_lock:
-            assert self._sock is not None
-            send_frame(self._sock, ["evt", 0] + command)
-
-    def _reply(self, seq: int, value: object) -> None:
-        with self._send_lock:
-            assert self._sock is not None
-            send_frame(self._sock, ["rep", seq, value])
-
-    def _reply_error(self, seq: int, message: str) -> None:
-        with self._send_lock:
-            assert self._sock is not None
-            send_frame(self._sock, ["err", seq, message])
-
-    # -- main loop -----------------------------------------------------------------
-
-    def run(self) -> None:
-        self._sock = socket.create_connection(self.bus_address, timeout=30)
-        self._sock.settimeout(None)
-        # Frames are small and latency-bound (request/reply round-trips
-        # gate every reconfiguration stage): never wait for Nagle.
-        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self.send_event(["hello", self.machine_name, profile_to_abstract(self.profile)])
-        try:
-            while True:
-                frame = recv_frame(self._sock)
-                if not isinstance(frame, list) or len(frame) < 3:
-                    raise TransportError(f"malformed frame {frame!r}")
-                kind, seq, command = frame[0], frame[1], frame[2]
-                args = frame[3:]
-                if kind == "evt":
-                    # Fire-and-forget events (message delivery): no reply,
-                    # so the bus can route from its reader threads without
-                    # deadlocking on its own request path.
-                    try:
-                        self._handle(str(command), args)
-                    except Exception:  # noqa: BLE001 - drop bad event
-                        pass
-                    continue
-                if kind != "req":
-                    continue
-                if command == "shutdown":
-                    self._reply(int(seq), True)
-                    return
-                # Handle each request on its own thread: wait_divulged can
-                # take seconds, during which message deliveries and other
-                # commands must keep flowing.
-                threading.Thread(
-                    target=self._handle_request,
-                    args=(int(seq), str(command), args),
-                    daemon=True,
-                ).start()
-        except TransportError:
-            pass  # bus went away; daemon exits
-        finally:
-            self.core.stop_all()
-            if self._sock is not None:
-                self._sock.close()
-
-    # -- command handlers -------------------------------------------------------------
-
-    def _handle_request(self, seq: int, command: str, args: List[object]) -> None:
-        try:
-            result = self._handle(command, args)
-        except Exception as exc:  # noqa: BLE001 - ship error to bus
-            self._reply_error(seq, f"{type(exc).__name__}: {exc}")
-        else:
-            self._reply(seq, result)
-
-    def _handle(self, command: str, args: List[object]) -> object:
-        return self.core.handle(command, list(args))
 
 
 def daemon_entry(
@@ -305,13 +165,19 @@ def daemon_entry(
     bus_port: int,
     sleep_scale: float,
 ) -> None:
-    """Entry point for the daemon process."""
-    MachineDaemon(
-        machine_name,
-        profile_from_abstract(profile_raw),
-        (bus_host, bus_port),
-        sleep_scale=sleep_scale,
-    ).run()
+    """Entry point for the daemon process: connect, say hello, serve."""
+    profile = profile_from_abstract(profile_raw)
+    sock = socket.create_connection((bus_host, bus_port), timeout=30)
+    sock.settimeout(None)
+    # Frames are small and latency-bound (request/reply round-trips
+    # gate every reconfiguration stage): never wait for Nagle.
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    channel = SocketChannel(sock)
+    try:
+        channel.send(["evt", 0, "hello", machine_name, profile.to_abstract()])
+        serve_host(channel, machine_name, profile, sleep_scale)
+    finally:
+        channel.close()
 
 
 def _daemon_argv(
@@ -334,519 +200,6 @@ def _daemon_argv(
         str(address[1]),
         str(sleep_scale),
     ]
-
-
-# ---------------------------------------------------------------------------
-# Central distributed bus
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class _RemoteInstance:
-    instance: str
-    spec: ModuleSpec  # unprepared spec (bus-side view)
-    machine: str
-    prepared_source: str
-
-
-class _Waiter:
-    """One pending request awaiting its reply frame."""
-
-    __slots__ = ("event", "kind", "value")
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.kind = ""
-        self.value: object = None
-
-    def complete(self, kind: str, value: object) -> None:
-        self.kind = kind
-        self.value = value
-        self.event.set()
-
-
-class _DaemonLink:
-    """Bus-side connection to one machine daemon."""
-
-    def __init__(
-        self,
-        name: str,
-        profile: MachineProfile,
-        sock: socket.socket,
-        bus,
-        retry: Optional[RetryPolicy] = None,
-    ):
-        self.name = name
-        self.profile = profile
-        self.sock = sock
-        self.bus = bus
-        self.retry = retry or RetryPolicy(attempts=3, backoff=0.05)
-        self._seq = 0
-        self._send_lock = threading.Lock()
-        self._lock = threading.Lock()
-        self._pending: Dict[int, _Waiter] = {}
-        self._reader = threading.Thread(
-            target=self._read_loop, name=f"daemon-link-{name}", daemon=True
-        )
-        self._reader.start()
-
-    def _read_loop(self) -> None:
-        try:
-            while True:
-                try:
-                    frame = recv_frame(self.sock)
-                except InjectedFault:
-                    continue  # injected receive fault: frame lost; requests retry
-                kind = frame[0]  # type: ignore[index]
-                if kind in ("rep", "err"):
-                    seq = int(frame[1])  # type: ignore[index,arg-type]
-                    with self._lock:
-                        waiter = self._pending.pop(seq, None)
-                    if waiter is not None:
-                        waiter.complete(str(kind), frame[2])  # type: ignore[index]
-                elif kind == "evt":
-                    command = frame[2]  # type: ignore[index]
-                    if command == "write_batch":
-                        # Coalesced daemon writes: one frame, many wires.
-                        wires, entries = unpack_batch(bytes(frame[3]))  # type: ignore[index,arg-type]
-                        for instance, interface, dest, widx in entries:
-                            if dest:
-                                self.bus._on_remote_write_to(
-                                    instance, interface, dest, wires[widx]
-                                )
-                            else:
-                                self.bus._on_remote_write(
-                                    instance, interface, wires[widx]
-                                )
-                    elif command == "write":
-                        _, _, _, instance, interface, wire = frame  # type: ignore[misc]
-                        self.bus._on_remote_write(
-                            str(instance), str(interface), bytes(wire)
-                        )
-                    elif command == "write_to":
-                        _, _, _, instance, interface, dest, wire = frame  # type: ignore[misc]
-                        self.bus._on_remote_write_to(
-                            str(instance), str(interface), str(dest), bytes(wire)
-                        )
-        except (TransportError, OSError):
-            return
-
-    def send_event(self, command: List[object]) -> None:
-        """Fire-and-forget frame (used for message delivery)."""
-        try:
-            with self._send_lock:
-                send_frame(self.sock, ["evt", 0] + command)
-        except InjectedFault:
-            pass  # injected fault on a fire-and-forget send == frame lost
-
-    def request(self, command: List[object], timeout: float = 30.0) -> object:
-        """Round-trip a request frame, retrying lost frames with backoff.
-
-        Each attempt gets a fresh sequence number and the full
-        ``timeout``; a reply that never arrives (dropped request or
-        dropped reply frame) is retried up to the policy's budget.  The
-        daemon executes every request frame it receives, so a retry
-        whose *reply* was lost re-executes the command — callers on the
-        retry path must be idempotent or tolerate an "already present"
-        error reply.  ``err`` replies are never retried (the daemon ran
-        the command and it failed).
-        """
-        delays = self.retry.delays()
-        failure: Optional[Exception] = None
-        for attempt in range(self.retry.attempts):
-            waiter = _Waiter()
-            with self._lock:
-                self._seq += 1
-                seq = self._seq
-                self._pending[seq] = waiter
-            try:
-                with self._send_lock:
-                    send_frame(self.sock, ["req", seq] + command)
-            except InjectedFault as exc:
-                with self._lock:
-                    self._pending.pop(seq, None)
-                failure = exc
-            else:
-                if waiter.event.wait(timeout):
-                    if waiter.kind == "err":
-                        message = str(waiter.value)
-                        if "ReconfigTimeoutError" in message:
-                            raise ReconfigTimeoutError(message)
-                        raise BusError(f"daemon {self.name}: {message}")
-                    return waiter.value
-                with self._lock:
-                    self._pending.pop(seq, None)
-                failure = TransportError(
-                    f"daemon {self.name}: no reply to {command[0]!r} "
-                    f"in {timeout}s"
-                )
-            if attempt < len(delays):
-                time.sleep(delays[attempt])
-        assert failure is not None
-        raise failure
-
-    def close(self) -> None:
-        try:
-            self.sock.close()
-        except OSError:
-            pass
-
-
-class DistributedBus:
-    """The central bus process of a TCP-distributed application.
-
-    Modules run inside machine daemons (real OS processes); this object
-    holds the binding table, routes canonical message bytes between
-    daemons, and executes move/replace reconfigurations whose state
-    packets genuinely cross the network.
-    """
-
-    def __init__(self, sleep_scale: float = 0.0):
-        self.sleep_scale = sleep_scale
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind(("127.0.0.1", 0))
-        self._listener.listen(16)
-        self.address: Tuple[str, int] = self._listener.getsockname()
-        self._links: Dict[str, _DaemonLink] = {}
-        self._processes: List[subprocess.Popen] = []
-        self._instances: Dict[str, _RemoteInstance] = {}
-        self._bindings: List[BindingSpec] = []
-        self._lock = threading.RLock()
-        self.trace: List[str] = []
-
-    # -- machines ---------------------------------------------------------------
-
-    def spawn_machine(self, name: str, architecture: str = "modern-64") -> None:
-        """Launch a machine daemon process and wait for its hello."""
-        base = MACHINES[architecture]
-        profile = MachineProfile(
-            name=name,
-            endianness=base.endianness,
-            int_bits=base.int_bits,
-            long_bits=base.long_bits,
-            float_bits=base.float_bits,
-        )
-        process = subprocess.Popen(
-            _daemon_argv(name, profile, self.address, self.sleep_scale)
-        )
-        self._processes.append(process)
-        self._listener.settimeout(30)
-        sock, _addr = self._listener.accept()
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        hello = recv_frame(sock)
-        if not (isinstance(hello, list) and hello[2] == "hello"):
-            raise TransportError(f"unexpected first frame {hello!r}")
-        daemon_name = str(hello[3])
-        daemon_profile = profile_from_abstract(dict(hello[4]))
-        link = _DaemonLink(daemon_name, daemon_profile, sock, self)
-        self._links[daemon_name] = link
-        self.trace.append(f"machine {daemon_name} up ({daemon_profile.describe()})")
-
-    def _link(self, machine: str) -> _DaemonLink:
-        try:
-            return self._links[machine]
-        except KeyError:
-            raise BusError(f"no machine daemon named {machine!r}") from None
-
-    # -- application --------------------------------------------------------------
-
-    def launch(self, config: Configuration, placement: Dict[str, str]) -> None:
-        """Place and start every instance of a parsed MIL application."""
-        config.validate()
-        if config.application is None:
-            raise BusError("configuration has no application specification")
-        for inst in config.application.instances:
-            machine = placement.get(inst.instance) or inst.machine
-            if not machine:
-                raise BusError(f"no placement for instance {inst.instance!r}")
-            self.add_module(config.modules[inst.module], inst.instance, machine)
-        for binding in config.application.bindings:
-            self.add_binding(binding)
-        for inst in config.application.instances:
-            self.start_module(inst.instance)
-
-    def add_module(
-        self,
-        spec: ModuleSpec,
-        instance: str,
-        machine: str,
-        status: str = "original",
-        state_packet: Optional[bytes] = None,
-    ) -> None:
-        with self._lock:
-            if instance in self._instances:
-                raise BusError(f"instance {instance!r} already exists")
-            source = spec.inline_source
-            if not source:
-                with open(spec.source, "r", encoding="utf-8") as handle:
-                    source = handle.read()
-            if spec.is_reconfigurable:
-                prepared = prepare_module(
-                    source,
-                    module_name=spec.name,
-                    declared_points=list(spec.reconfig_points),
-                ).source
-            else:
-                prepared = source
-            self._link(machine).request(
-                [
-                    "add",
-                    instance,
-                    spec_to_abstract(spec, prepared),
-                    status,
-                    state_packet,
-                ]
-            )
-            self._instances[instance] = _RemoteInstance(
-                instance=instance,
-                spec=spec,
-                machine=machine,
-                prepared_source=prepared,
-            )
-        self.trace.append(f"add {instance} on {machine} (status={status})")
-
-    def start_module(self, instance: str) -> None:
-        remote = self._instance(instance)
-        self._link(remote.machine).request(["start", instance])
-
-    def remove_module(self, instance: str) -> None:
-        with self._lock:
-            remote = self._instance(instance)
-            self._link(remote.machine).request(["remove", instance])
-            del self._instances[instance]
-
-    def _instance(self, instance: str) -> _RemoteInstance:
-        with self._lock:
-            try:
-                return self._instances[instance]
-            except KeyError:
-                raise UnknownModuleError(f"no instance {instance!r}") from None
-
-    # -- bindings -------------------------------------------------------------------
-
-    def add_binding(self, binding: BindingSpec) -> None:
-        with self._lock:
-            self._bindings.append(binding)
-
-    def remove_binding(self, binding: BindingSpec) -> None:
-        with self._lock:
-            self._bindings.remove(binding)
-
-    # -- routing --------------------------------------------------------------------
-
-    def _on_remote_write(self, instance: str, interface: str, wire: bytes) -> None:
-        """A daemon reported a module write; fan out to bound peers.
-
-        Peer resolution AND the sends happen under the bus lock: a move
-        switches an instance's machine under the same lock, so every
-        delivery is either fully routed to the old daemon (and then
-        drained) or fully routed to the new one — never dropped between.
-        Per-link TCP FIFO then guarantees drains see all prior deliveries.
-        """
-        with self._lock:
-            for binding in self._bindings:
-                (a_inst, a_if), (b_inst, b_if) = binding.endpoints()
-                if (a_inst, a_if) == (instance, interface):
-                    peer, peer_if = b_inst, b_if
-                elif (b_inst, b_if) == (instance, interface):
-                    peer, peer_if = a_inst, a_if
-                else:
-                    continue
-                remote = self._instances.get(peer)
-                if remote is None:
-                    continue
-                decl = remote.spec.interface(peer_if)
-                if decl.direction.can_receive:
-                    self._link(remote.machine).send_event(
-                        ["deliver", peer, peer_if, wire]
-                    )
-
-    def _on_remote_write_to(
-        self, instance: str, interface: str, destination: str, wire: bytes
-    ) -> None:
-        """Directed delivery across daemons (server replies)."""
-        with self._lock:
-            for binding in self._bindings:
-                (a_inst, a_if), (b_inst, b_if) = binding.endpoints()
-                if (a_inst, a_if) == (instance, interface) and b_inst == destination:
-                    peer, peer_if = b_inst, b_if
-                elif (b_inst, b_if) == (instance, interface) and a_inst == destination:
-                    peer, peer_if = a_inst, a_if
-                else:
-                    continue
-                remote = self._instances.get(peer)
-                if remote is None:
-                    continue
-                if remote.spec.interface(peer_if).direction.can_receive:
-                    self._link(remote.machine).send_event(
-                        ["deliver", peer, peer_if, wire]
-                    )
-                    return
-        self.trace.append(
-            f"dropped directed send {instance}.{interface} -> {destination}"
-        )
-
-    # -- introspection ----------------------------------------------------------------
-
-    def statics_of(self, instance: str) -> Dict[str, object]:
-        remote = self._instance(instance)
-        return dict(self._link(remote.machine).request(["statics", instance]))  # type: ignore[arg-type]
-
-    def state_of(self, instance: str) -> str:
-        remote = self._instance(instance)
-        return str(self._link(remote.machine).request(["state", instance]))
-
-    def machine_of(self, instance: str) -> str:
-        return self._instance(instance).machine
-
-    def snapshot_configuration(self) -> Dict[str, object]:
-        """Current distributed topology: placements plus bindings."""
-        with self._lock:
-            return {
-                "instances": {
-                    name: remote.machine
-                    for name, remote in sorted(self._instances.items())
-                },
-                "bindings": [b.describe() for b in self._bindings],
-                "machines": sorted(self._links),
-            }
-
-    # -- reconfiguration ---------------------------------------------------------------
-
-    def move_module(
-        self, instance: str, machine: str, timeout: float = 15.0
-    ) -> Dict[str, object]:
-        """Move a module between daemon processes, state over the wire."""
-        return self.replace_module(instance, machine=machine, timeout=timeout)
-
-    def upgrade_module(
-        self,
-        instance: str,
-        new_source: str,
-        machine: Optional[str] = None,
-        timeout: float = 15.0,
-    ) -> Dict[str, object]:
-        """Replace a module with a new version across daemon processes."""
-        return self.replace_module(
-            instance, machine=machine, new_source=new_source, timeout=timeout
-        )
-
-    def replace_module(
-        self,
-        instance: str,
-        machine: Optional[str] = None,
-        new_source: Optional[str] = None,
-        timeout: float = 15.0,
-    ) -> Dict[str, object]:
-        """The general distributed replacement (move and/or upgrade)."""
-        remote = self._instance(instance)
-        old_machine = remote.machine
-        machine = machine or old_machine
-        old_link = self._link(old_machine)
-        new_link = self._link(machine)
-        if new_source is not None:
-            remote.prepared_source = prepare_module(
-                new_source,
-                module_name=remote.spec.name,
-                declared_points=list(remote.spec.reconfig_points),
-            ).source
-        started = time.monotonic()
-
-        old_link.request(["signal", instance])
-        packet = bytes(
-            old_link.request(["wait_divulged", instance, timeout], timeout=timeout + 5)  # type: ignore[arg-type]
-        )
-        divulged = time.monotonic()
-
-        spec = remote.spec.with_attributes(machine=machine, status="clone")
-
-        if machine == old_machine:
-            # Same-daemon replacement: add the clone under a temporary
-            # key, then atomically swap it in (queues move with it).
-            temp = f"{instance}.tmp"
-            new_link.request(
-                [
-                    "add",
-                    temp,
-                    spec_to_abstract(spec, remote.prepared_source),
-                    "clone",
-                    packet,
-                ]
-            )
-            new_link.request(["swap", instance, temp])
-            new_link.request(["start", instance])
-            done = time.monotonic()
-            result = {
-                "instance": instance,
-                "from": old_machine,
-                "to": machine,
-                "packet_bytes": len(packet),
-                "delay_to_point_s": divulged - started,
-                "total_s": done - started,
-            }
-            self.trace.append(str(result))
-            return result
-
-        # The instance keeps its name throughout: instances are keyed
-        # per-daemon, so "compute" can exist on both machines while the
-        # handover is in flight — bindings never change, only placement.
-        new_link.request(
-            [
-                "add",
-                instance,
-                spec_to_abstract(spec, remote.prepared_source),
-                "clone",
-                packet,
-            ]
-        )
-
-        # Atomic placement switch: from here on, routing targets the new
-        # daemon.  (Routing sends hold the same lock, so nothing lands
-        # "between" machines.)
-        with self._lock:
-            remote.machine = machine
-
-        # Older messages still queued at the old daemon move to the front
-        # of the clone's queues; per-link FIFO ensures this drain sees
-        # everything routed before the switch.
-        queued = old_link.request(["drain_queues", instance])
-        for interface, wires in dict(queued).items():  # type: ignore[union-attr]
-            if wires:
-                new_link.request(
-                    ["deliver_front", instance, interface, [bytes(w) for w in wires]]
-                )
-
-        new_link.request(["start", instance])
-        old_link.request(["remove", instance])
-        done = time.monotonic()
-        report = {
-            "instance": instance,
-            "from": old_machine,
-            "to": machine,
-            "packet_bytes": len(packet),
-            "delay_to_point_s": divulged - started,
-            "total_s": done - started,
-        }
-        self.trace.append(str(report))
-        return report
-
-    # -- shutdown ----------------------------------------------------------------------
-
-    def shutdown(self) -> None:
-        for link in self._links.values():
-            try:
-                link.request(["shutdown"], timeout=5)
-            except (BusError, TransportError):
-                pass
-            link.close()
-        for process in self._processes:
-            try:
-                process.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                process.terminate()
-                process.wait(timeout=5)
-        self._listener.close()
 
 
 if __name__ == "__main__":

@@ -2,12 +2,9 @@
 
 POLYLITH's central claim is that composition is independent of where
 code actually executes — the bus hides module location behind interface
-bindings.  Until this layer existed, our reproduction only partially
-honoured that: every module was a thread inside the bus process (GIL
-bound), with the TCP machine daemons living off to the side as a
-separate, incompatible API.  A :class:`Transport` now answers "where
-does this instance run, and how do messages reach it" for three
-placements:
+bindings.  A :class:`Transport` answers "where does this instance run,
+and how do messages reach it" for three placements, all on the one
+:class:`~repro.bus.bus.SoftwareBus`:
 
 ``inproc``
     today's path — modules are threads in the bus process, delivery is
@@ -16,9 +13,9 @@ placements:
     a pool of long-lived worker processes fed over ``multiprocessing``
     pipes, the wire format being the same canonical self-described
     encoding as state packets (the PR 2 compiled codecs);
-``tcp``
-    the existing machine-daemon processes rehomed behind the same
-    interface (:class:`TcpTransport`).
+``tcp`` (:class:`TcpTransport`, daemons in :mod:`repro.bus.tcp`)
+    one machine-daemon process per simulated machine, each with its own
+    architecture profile, reached over a TCP socket.
 
 The pieces shared by every out-of-process placement live here:
 
@@ -30,8 +27,8 @@ The pieces shared by every out-of-process placement live here:
     blocks on bus internals).
 :class:`ModuleHost`
     the remote-side core hosting real :class:`ModuleInstance` threads
-    and serving the command protocol; used verbatim by pipe workers and
-    by the TCP machine daemon.
+    and serving the command protocol; :func:`serve_host` is the loop
+    around it that pipe workers and TCP machine daemons both run.
 :class:`RemoteModuleHandle`
     the bus-side stand-in for a remotely hosted module.  It duck-types
     the slice of :class:`ModuleInstance` the bus, the coordinator, and
@@ -57,7 +54,7 @@ import time
 from queue import SimpleQueue
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.bus.batch import BatchPolicy, Coalescer, default_policy, unpack_batch
+from repro.bus.batch import BatchPolicy, Coalescer, unpack_batch
 from repro.bus.machine import Host
 from repro.bus.message import Message
 from repro.bus.module import ModuleInstance, ModuleState, prepared_source_for
@@ -207,6 +204,28 @@ def _error_from(link_name: str, message: str) -> BusError:
     return BusError(f"{link_name}: {message}")
 
 
+def note_event_failed(
+    host: str, command: str, exc: BaseException, first: bool
+) -> None:
+    """Account for an event whose handler raised, at either end of a link.
+
+    Events have no reply to carry the error back, so the failure is
+    counted (``link.event_errors``, keyed by host) and the first one of
+    a streak raises a ``link.event_failed`` flare naming the command —
+    the receive-side twin of ``link.send_failed``.
+    """
+    rec = telemetry.recorder
+    if rec is not None:
+        rec.count("link.event_errors", key=host)
+    if first:
+        telemetry.event(
+            "link.event_failed",
+            host=host,
+            command=command,
+            error=f"{type(exc).__name__}: {exc}",
+        )
+
+
 class Link:
     """Bus-side end of one remote module host's channel.
 
@@ -238,7 +257,7 @@ class Link:
         channel,
         on_event: Optional[Callable[[str, List[object]], None]] = None,
         retry: Optional[RetryPolicy] = None,
-        batch: object = "default",
+        batch: Optional[BatchPolicy] = None,
     ):
         self.name = name
         self.profile = profile
@@ -252,20 +271,15 @@ class Link:
         self._pending: Dict[int, _Waiter] = {}
         self._events: SimpleQueue = SimpleQueue()
         self._send_failing = False
-        policy = default_policy() if batch == "default" else batch
-        self.batch_policy: Optional[BatchPolicy] = policy  # type: ignore[assignment]
-        if policy is not None:
-            self._coalescer: Optional[Coalescer] = Coalescer(
-                name,
-                "deliver_batch",
-                ship=self._ship_event,
-                send_lock=self._send_lock,
-                policy=policy,  # type: ignore[arg-type]
-                notify_drop=self._note_send_failed,
-                notify_ok=self._note_send_ok,
-            )
-        else:
-            self._coalescer = None
+        self._coalescer = Coalescer(
+            name,
+            "deliver_batch",
+            ship=self._ship_event,
+            send_lock=self._send_lock,
+            policy=batch or BatchPolicy(),
+            notify_drop=self._note_send_failed,
+            notify_ok=self._note_send_ok,
+        )
         self._pump = threading.Thread(
             target=self._read_loop, name=f"link-pump-{name}", daemon=True
         )
@@ -295,8 +309,7 @@ class Link:
             pass
         finally:
             self.closed.set()
-            if self._coalescer is not None:
-                self._coalescer.close()
+            self._coalescer.close()
             with self._lock:
                 pending = list(self._pending.values())
                 self._pending.clear()
@@ -305,6 +318,7 @@ class Link:
             self._events.put(None)
 
     def _dispatch_loop(self) -> None:
+        failing = False
         while True:
             item = self._events.get()
             if item is None:
@@ -314,8 +328,11 @@ class Link:
                 continue
             try:
                 handler(item[0], list(item[1]))
-            except Exception:  # noqa: BLE001 - a bad event must not kill the link
-                pass
+            except Exception as exc:  # noqa: BLE001 - a bad event must not kill the link
+                note_event_failed(self.name, item[0], exc, first=not failing)
+                failing = True
+            else:
+                failing = False
 
     def _ship_event(self, command: List[object]) -> None:
         """Raw event send — caller (coalescer flusher) holds the send lock."""
@@ -355,8 +372,7 @@ class Link:
         """
         try:
             with self._send_lock:
-                if self._coalescer is not None:
-                    self._coalescer.drain_locked()
+                self._coalescer.drain_locked()
                 self.channel.send(["evt", 0] + list(command))
         except (InjectedFault, TransportError, OSError) as exc:
             # A lost event is a lost frame; the host notices via FIFO
@@ -370,11 +386,7 @@ class Link:
 
     def send_deliver(self, instance: str, interface: str, wire: bytes) -> None:
         """Queue one encoded message for coalesced delivery (hot path)."""
-        coalescer = self._coalescer
-        if coalescer is not None:
-            coalescer.append(instance, interface, "", wire)
-        else:
-            self.send_event(["deliver", instance, interface, wire])
+        self._coalescer.append(instance, interface, "", wire)
 
     def send_deliver_shared(self, pairs, wire: bytes) -> None:
         """Deliver one encoded wire to many ``(instance, interface)`` targets.
@@ -382,14 +394,9 @@ class Link:
         The encode-once fan-out: the wire is embedded in the batch blob a
         single time and every entry references it by index.
         """
-        coalescer = self._coalescer
-        if coalescer is not None:
-            coalescer.append_shared(
-                [(instance, interface, "") for instance, interface in pairs], wire
-            )
-        else:
-            for instance, interface in pairs:
-                self.send_event(["deliver", instance, interface, wire])
+        self._coalescer.append_shared(
+            [(instance, interface, "") for instance, interface in pairs], wire
+        )
 
     def request(self, command: List[object], timeout: float = 30.0) -> object:
         """Round-trip one request frame.
@@ -419,8 +426,7 @@ class Link:
                     # FIFO barrier: requests (queue snapshots, drains,
                     # transfers) must observe every delivery appended
                     # before them, so pending batches ship first.
-                    if self._coalescer is not None:
-                        self._coalescer.drain_locked()
+                    self._coalescer.drain_locked()
                     self.channel.send(["req", seq] + payload)
             except InjectedFault as exc:
                 with self._lock:
@@ -448,8 +454,7 @@ class Link:
         raise failure
 
     def close(self) -> None:
-        if self._coalescer is not None:
-            self._coalescer.close()
+        self._coalescer.close()
         try:
             self.channel.close()
         except OSError:
@@ -461,54 +466,6 @@ class Link:
 # ---------------------------------------------------------------------------
 
 
-class _HostBusShim:
-    """What remotely hosted ModuleInstances see as 'the bus'.
-
-    Writes on endpoints with a pushed host-local route are delivered
-    directly into the destination queue — same-process identity, no
-    encoding, no bus involvement (this is the multi-core fast path).
-    Everything else tunnels to the bus as a canonical ``write`` event.
-    """
-
-    __slots__ = ("core",)
-
-    def __init__(self, core: "ModuleHost"):
-        self.core = core
-
-    def route(self, instance: str, interface: str, message: Message) -> None:
-        core = self.core
-        entry = core.routes.get((instance, interface))
-        if entry is None:
-            core.tunnel_write(instance, interface, message.to_wire(core.profile))
-            return
-        modules = core.modules
-        for dest, dest_if in entry:
-            module = modules.get(dest)
-            if module is not None:
-                module.queue(dest_if).put(message)
-
-    def route_to(
-        self, instance: str, interface: str, destination: str, message: Message
-    ) -> None:
-        core = self.core
-        entry = core.routes.get((instance, interface))
-        if entry is None:
-            core.tunnel_write_to(
-                instance, interface, destination, message.to_wire(core.profile)
-            )
-            return
-        for dest, dest_if in entry:
-            if dest == destination:
-                module = core.modules.get(dest)
-                if module is not None:
-                    module.queue(dest_if).put(message)
-                return
-        raise BindingError(
-            f"directed send from {instance}.{interface} to "
-            f"{destination!r}: no such binding"
-        )
-
-
 class ModuleHost:
     """Hosts real module threads inside a remote process.
 
@@ -518,11 +475,20 @@ class ModuleHost:
     Lifecycle, divulge, and restore transitions are *pushed* as events,
     so the bus-side handles mirror them without polling.
 
-    Tunneled writes (no host-local route) coalesce into ``write_batch``
-    frames through a lazily created :class:`~repro.bus.batch.Coalescer`;
-    every *other* outbound event drains that tunnel first so divulge,
-    lifecycle, and heartbeat events stay FIFO-ordered behind the writes
-    that preceded them.
+    The host is also what its modules see as "the bus" (:meth:`route`,
+    :meth:`route_to`): a write on an endpoint with a pushed host-local
+    route is put directly into the destination queue — same-process
+    identity, no encoding, no bus involvement (the multi-core fast
+    path).  Everything else tunnels to the bus, coalesced into
+    ``write_batch`` frames; every *other* outbound event drains that
+    tunnel first so divulge, lifecycle, and heartbeat events stay
+    FIFO-ordered behind the writes that preceded them.
+
+    A commit renames the clone ``X.new -> X`` while deliveries addressed
+    to the old name may still be in flight; :attr:`renamed` remembers
+    the last rename of each name so such a delivery lands at the renamed
+    module (consulted only when the name is otherwise unknown, forgotten
+    when that name is added again).
     """
 
     def __init__(
@@ -538,18 +504,23 @@ class ModuleHost:
         self.sleep_policy = sleep_policy
         self._raw_send_event = send_event
         self._send_gate = threading.Lock()
-        self._tunnel: Optional[Coalescer] = None
-        self._tunnel_lock = threading.Lock()
-        self._batch_policy = default_policy()
+        self._tunnel = Coalescer(
+            machine_name,
+            "write_batch",
+            ship=send_event,
+            send_lock=self._send_gate,
+            policy=BatchPolicy(),
+        )
         self.modules: Dict[str, ModuleInstance] = {}
         # Guards modules-dict mutations against concurrent deliveries
-        # (events run inline in the serve loop while commands like swap
-        # run on their own threads).
+        # (events run inline in the serve loop while commands like
+        # rename run on their own threads).
         self.modules_lock = threading.Lock()
+        #: pre-rename name -> current name (see the class docstring).
+        self.renamed: Dict[str, str] = {}
         # (instance, interface) -> ((dest, dest_if), ...) for endpoints
         # whose whole fan-out lives on this host.  Replaced atomically.
         self.routes: Dict[Tuple[str, str], Tuple] = {}
-        self.shim = _HostBusShim(self)
         #: instance -> monotonic time of the last delivery served through
         #: this host (host-local fast-path writes bypass it; the
         #: heartbeat reports the age as "last delivery the bus caused").
@@ -574,46 +545,58 @@ class ModuleHost:
         first under the same send-gate hold — a ``divulged`` event must
         never overtake the writes the module issued before divulging.
         """
-        tunnel = self._tunnel
-        if tunnel is None:
-            self._raw_send_event(command)
-            return
         with self._send_gate:
-            tunnel.drain_locked()
+            self._tunnel.drain_locked()
             self._raw_send_event(command)
 
-    def _tunnel_coalescer(self) -> Optional[Coalescer]:
-        tunnel = self._tunnel
-        if tunnel is None and self._batch_policy is not None:
-            with self._tunnel_lock:
-                tunnel = self._tunnel
-                if tunnel is None:
-                    tunnel = Coalescer(
-                        self.machine_name,
-                        "write_batch",
-                        ship=self._raw_send_event,
-                        send_lock=self._send_gate,
-                        policy=self._batch_policy,
-                    )
-                    self._tunnel = tunnel
-        return tunnel
+    # -- what hosted modules see as "the bus" --------------------------------
 
-    def tunnel_write(self, instance: str, interface: str, wire: bytes) -> None:
-        """Coalesce one bus-bound write (the no-host-local-route path)."""
-        tunnel = self._tunnel_coalescer()
-        if tunnel is not None:
-            tunnel.append(instance, interface, "", wire)
-        else:
-            self.send_event(["write", instance, interface, wire])
+    def _count_miss(self, n: int) -> None:
+        """Deliveries that found no module or queue (withdrawn in flight)."""
+        rec = telemetry.recorder
+        if rec is not None:
+            rec.count("host.deliver_miss", n=n, key=self.machine_name)
 
-    def tunnel_write_to(
-        self, instance: str, interface: str, destination: str, wire: bytes
+    def _renamed_module(self, name: str, n: int = 1) -> Optional[ModuleInstance]:
+        """Where ``n`` deliveries addressed to the unknown ``name`` belong:
+        the module that bore the name before a rename, else a counted miss."""
+        module = self.modules.get(self.renamed.get(name, ""))
+        if module is None:
+            self._count_miss(n)
+        return module
+
+    def route(self, instance: str, interface: str, message: Message) -> None:
+        entry = self.routes.get((instance, interface))
+        if entry is None:
+            self._tunnel.append(
+                instance, interface, "", message.to_wire(self.profile)
+            )
+            return
+        modules = self.modules
+        for dest, dest_if in entry:
+            module = modules.get(dest) or self._renamed_module(dest)
+            if module is not None:
+                module.queue(dest_if).put(message)
+
+    def route_to(
+        self, instance: str, interface: str, destination: str, message: Message
     ) -> None:
-        tunnel = self._tunnel_coalescer()
-        if tunnel is not None:
-            tunnel.append(instance, interface, destination, wire)
-        else:
-            self.send_event(["write_to", instance, interface, destination, wire])
+        entry = self.routes.get((instance, interface))
+        if entry is None:
+            self._tunnel.append(
+                instance, interface, destination, message.to_wire(self.profile)
+            )
+            return
+        for dest, dest_if in entry:
+            if dest == destination:
+                module = self.modules.get(dest) or self._renamed_module(dest)
+                if module is not None:
+                    module.queue(dest_if).put(message)
+                return
+        raise BindingError(
+            f"directed send from {instance}.{interface} to "
+            f"{destination!r}: no such binding"
+        )
 
     def stop_all(self) -> None:
         """Serve-loop teardown: ask every hosted module thread to exit."""
@@ -624,13 +607,11 @@ class ModuleHost:
             modules = list(self.modules.values())
         for module in modules:
             module.mh.stop()
-        tunnel = self._tunnel
-        if tunnel is not None:
-            # Flush what the modules wrote before their threads exited,
-            # then stop accepting appends.
-            with self._send_gate:
-                tunnel.drain_locked()
-            tunnel.close()
+        # Flush what the modules wrote before their threads exited, then
+        # stop accepting appends.
+        with self._send_gate:
+            self._tunnel.drain_locked()
+        self._tunnel.close()
 
     def _module(self, instance) -> ModuleInstance:
         try:
@@ -676,7 +657,7 @@ class ModuleHost:
             name=str(instance),
             spec=spec,
             host=self.host,
-            bus=self.shim,
+            bus=self,
             status=str(status),
             sleep_policy=self.sleep_policy,
         )
@@ -691,29 +672,7 @@ class ModuleHost:
                     f"already present"
                 )
             self.modules[str(instance)] = module
-        return True
-
-    def _cmd_swap(self, instance, temp) -> bool:
-        """Atomically let the clone ``temp`` take over ``instance``.
-
-        Used for same-host replacement: the old module's queued messages
-        move to the front of the clone's queues, and the name mapping
-        flips in one step, so no delivery lands in a gap.
-        """
-        with self.modules_lock:
-            old = self.modules.pop(str(instance))
-            clone = self.modules.pop(str(temp))
-            for decl in old.spec.interfaces:
-                if old.has_queue(decl.name) and clone.has_queue(decl.name):
-                    clone.queue(decl.name).prepend(old.queue(decl.name).drain())
-            clone.rename(str(instance))
-            self.modules[str(instance)] = clone
-        # The clone's deliveries were tracked under its temp name; fold
-        # them into the surviving name so heartbeat ages stay truthful.
-        stamp = self._last_delivery.pop(str(temp), None)
-        if stamp is not None:
-            self._last_delivery[str(instance)] = stamp
-        old.stop()
+            self.renamed.pop(str(instance), None)
         return True
 
     def _cmd_start(self, instance) -> bool:
@@ -725,9 +684,6 @@ class ModuleHost:
         self._arm(module)
         module.mh.request_reconfig()
         return True
-
-    def _cmd_wait_divulged(self, instance, timeout) -> bytes:
-        return self._module(instance).wait_divulged(float(timeout))
 
     def _cmd_stop(self, instance) -> str:
         module = self._module(instance)
@@ -749,6 +705,7 @@ class ModuleHost:
             module = self.modules.pop(str(old_name))
             module.rename(str(new_name))
             self.modules[str(new_name)] = module
+            self.renamed[str(old_name)] = str(new_name)
         stamp = self._last_delivery.pop(str(old_name), None)
         if stamp is not None:
             self._last_delivery[str(new_name)] = stamp
@@ -778,28 +735,15 @@ class ModuleHost:
 
     # -- message delivery and queue transfer ---------------------------------
 
-    def _cmd_deliver(self, instance, interface, wire) -> bool:
-        # The span is sampled like any per-message span at steady state,
-        # but inside a replace window the adopted trace context makes it
-        # a recorded child of the bus-side span that caused the write —
-        # so merged trees show the remote hop of every delivery.
-        with telemetry.span(
-            "host.deliver", instance=str(instance), interface=str(interface)
-        ):
-            message = Message.from_wire(bytes(wire), self.profile)
-            with self.modules_lock:
-                module = self._module(instance)
-                module.deliver(str(interface), message)
-        self._last_delivery[str(instance)] = time.monotonic()
-        return True
-
     def _cmd_deliver_batch(self, blob) -> bool:
         """Deliver a coalesced batch: one lock acquire, one telemetry span.
 
         Each distinct wire decodes once; when it fans out to several
         modules the same :class:`Message` object is shared — delivered
         messages are treated as immutable (see ``FanoutTransfer``), so
-        same-host sharing is safe.  Modules withdrawn between flush and
+        same-host sharing is safe.  An entry flushed under a clone's
+        temporary name and dispatched after the commit renamed it lands
+        at the renamed module.  Modules withdrawn between flush and
         dispatch are skipped and counted, not raised: a batch is a run
         of fire-and-forget deliveries, and a miss on one entry must not
         discard the rest.
@@ -829,28 +773,24 @@ class ModuleHost:
                     buckets[key] = [message]
                 else:
                     bucket.append(message)
-            missed = 0
             touched = []
             with self.modules_lock:
                 modules = self.modules
                 for (instance, interface), run in buckets.items():
-                    module = modules.get(instance)
+                    module = modules.get(instance) or self._renamed_module(
+                        instance, len(run)
+                    )
                     if module is None:
-                        missed += len(run)
                         continue
                     try:
                         module.queue(interface).put_many(run)
-                    except BusError:  # no such queue, or closed mid-swap
-                        missed += len(run)
+                    except BusError:  # no such queue
+                        self._count_miss(len(run))
                         continue
-                    touched.append(instance)
+                    touched.append(module.name)
         now = time.monotonic()
         for instance in touched:
             self._last_delivery[instance] = now
-        if missed:
-            rec = telemetry.recorder
-            if rec is not None:
-                rec.count("host.deliver_miss", n=missed, key=self.machine_name)
         return True
 
     def _cmd_deliver_front(self, instance, interface, wires) -> bool:
@@ -881,15 +821,6 @@ class ModuleHost:
         """
         return len(self._module(instance).queue(str(interface)).drain())
 
-    def _cmd_drain_queues(self, instance) -> Dict[str, List[bytes]]:
-        module = self._module(instance)
-        result: Dict[str, List[bytes]] = {}
-        for decl in module.spec.interfaces:
-            if module.has_queue(decl.name):
-                drained = module.queue(decl.name).drain()
-                result[decl.name] = [m.to_wire(self.profile) for m in drained]
-        return result
-
     # -- host-local routing ---------------------------------------------------
 
     def _cmd_set_routes(self, routes_raw) -> bool:
@@ -912,13 +843,6 @@ class ModuleHost:
         # Test/debug introspection: only canonical-encodable statics travel.
         statics = self._module(instance).mh.statics
         return {k: v for k, v in statics.items()}
-
-    def _cmd_state(self, instance) -> str:
-        return self._module(instance).state.value
-
-    def _cmd_crash_info(self, instance) -> str:
-        crash = self._module(instance).crash
-        return repr(crash) if crash is not None else ""
 
     def _cmd_ping(self) -> str:
         return self.machine_name
@@ -1048,6 +972,73 @@ class ModuleHost:
             except Exception:  # noqa: BLE001 - a module mid-teardown is skippable
                 continue
         return {"modules": modules}
+
+
+def serve_host(
+    channel, name: str, profile: MachineProfile, sleep_scale: float
+) -> None:
+    """Host modules behind ``channel`` until shutdown or the bus goes away.
+
+    The whole remote side of a link, for pipe workers and TCP daemons
+    alike.  Events are handled inline: per-link FIFO is what makes queue
+    snapshots exact w.r.t. prior deliveries.  Requests each run on their
+    own thread, because several of them block on module progress
+    (``stop``, ``revive``) while deliveries must keep flowing, and every
+    outcome becomes a ``rep`` or ``err`` reply.
+    """
+    send_lock = threading.Lock()
+
+    def send(frame: List[object]) -> None:
+        try:
+            with send_lock:
+                channel.send(frame)
+        except TransportError:
+            pass  # bus side went away; the loop below notices on recv
+
+    core = ModuleHost(
+        name,
+        Host(name=name, profile=profile),
+        SleepPolicy(scale=sleep_scale),
+        lambda command: send(["evt", 0] + list(command)),
+    )
+
+    def serve(seq: int, command: str, args: List[object]) -> None:
+        try:
+            reply: List[object] = ["rep", seq, core.handle(command, args)]
+        except Exception as exc:  # noqa: BLE001 - every failure becomes an err reply
+            reply = ["err", seq, f"{type(exc).__name__}: {exc}"]
+        send(reply)
+
+    failing = False
+    try:
+        while True:
+            try:
+                frame = channel.recv()
+            except TransportError:
+                break  # bus process closed the channel
+            if not isinstance(frame, list) or len(frame) < 3:
+                break  # not our protocol: nothing sane to reply to
+            kind, seq, command = frame[0], frame[1], str(frame[2])
+            if kind == "evt":
+                try:
+                    core.handle(command, frame[3:])
+                except Exception as exc:  # noqa: BLE001 - a bad event must not kill the host
+                    note_event_failed(name, command, exc, first=not failing)
+                    failing = True
+                else:
+                    failing = False
+            elif kind == "req":
+                if command == "shutdown":
+                    send(["rep", int(seq), True])
+                    break
+                threading.Thread(
+                    target=serve,
+                    args=(int(seq), command, frame[3:]),
+                    name=f"serve-{command}",
+                    daemon=True,
+                ).start()
+    finally:
+        core.stop_all()
 
 
 # ---------------------------------------------------------------------------
@@ -1586,29 +1577,8 @@ class RemoteTransport(Transport):
                     return
                 wires, entries = unpack_batch(bytes(args[0]))  # type: ignore[arg-type]
                 for instance, interface, destination, widx in entries:
-                    if destination:
-                        bus._on_transport_write_to(
-                            instance, interface, destination, wires[widx], link.profile
-                        )
-                    else:
-                        bus._on_transport_write(
-                            instance, interface, wires[widx], link.profile
-                        )
-            elif command == "write":
-                bus = self._bus
-                if bus is not None:
                     bus._on_transport_write(
-                        str(args[0]), str(args[1]), bytes(args[2]), link.profile  # type: ignore[arg-type]
-                    )
-            elif command == "write_to":
-                bus = self._bus
-                if bus is not None:
-                    bus._on_transport_write_to(
-                        str(args[0]),
-                        str(args[1]),
-                        str(args[2]),
-                        bytes(args[3]),  # type: ignore[arg-type]
-                        link.profile,
+                        instance, interface, destination, wires[widx], link.profile
                     )
             elif command == "divulged":
                 handle = self._handles.get(str(args[0]))
@@ -1642,16 +1612,18 @@ class RemoteTransport(Transport):
 
 
 class TcpTransport(RemoteTransport):
-    """The machine-daemon escape hatch, rehomed as a first-class transport.
+    """Machine daemons: one OS process per machine, reached over TCP.
 
-    Spawns ``python -m repro.bus.tcp`` daemon processes exactly as
-    :class:`~repro.bus.tcp.DistributedBus` does, but speaks to them
-    through the shared :class:`Link`/:class:`ModuleHost` protocol — so a
-    module placed with ``placement="tcp"`` participates in the ordinary
-    :class:`~repro.bus.bus.SoftwareBus` topology (mixed bindings with
-    inproc and worker modules included) instead of living in a separate
-    API.  TCP frames are lossy under the chaos suite, so requests run
-    under the retrying policy.
+    Spawns one ``python -m repro.bus.tcp`` daemon per machine and speaks
+    to it through the shared :class:`Link`/:class:`ModuleHost` protocol
+    — so a module placed with ``placement="tcp:<machine>"`` participates
+    in the ordinary :class:`~repro.bus.bus.SoftwareBus` topology (mixed
+    bindings with inproc and worker modules included).  ``machines`` is
+    a count (named ``<host_prefix><i>``), a list of names, or a mapping
+    ``name -> architecture`` for daemons of different architectures;
+    ``architecture`` is the profile of every machine not given one.  TCP
+    frames are lossy under the chaos suite, so requests run under the
+    retrying policy.
     """
 
     name = "tcp"
@@ -1670,23 +1642,21 @@ class TcpTransport(RemoteTransport):
         from repro.bus import tcp as tcpmod  # late: tcp.py imports this module
         from repro.state.machine import MACHINES
 
-        self._tcp = tcpmod
         self._listener = socketlib.socket(socketlib.AF_INET, socketlib.SOCK_STREAM)
         self._listener.setsockopt(socketlib.SOL_SOCKET, socketlib.SO_REUSEADDR, 1)
         self._listener.bind(("127.0.0.1", 0))
         self._listener.listen(16)
         address: Tuple[str, int] = self._listener.getsockname()
-        names = (
-            [f"{host_prefix}{i}" for i in range(machines)]
-            if isinstance(machines, int)
-            else list(machines)
-        )
-        base = MACHINES[architecture]
+        if isinstance(machines, int):
+            machines = [f"{host_prefix}{i}" for i in range(machines)]
+        if not isinstance(machines, dict):
+            machines = dict.fromkeys(machines, architecture)
         self._processes: List = []
         self._machines: List[Tuple[str, Link, Host]] = []
         self._rr = 0
         self._rr_lock = threading.Lock()
-        for name in names:
+        for name, machine_architecture in machines.items():
+            base = MACHINES[machine_architecture]
             profile = MachineProfile(
                 name=name,
                 endianness=base.endianness,

@@ -93,8 +93,13 @@ class TestInvalidation:
         bus.rename_instance("sender", "origin")
         send(bus, 2, instance="origin")
         assert received(bus, "r1") == [1, 2]
+        # A write issued under the pre-rename name (a clone that read its
+        # own name just before the commit renamed it) is routed as the
+        # renamed instance; a name that never existed still raises.
+        send(bus, 3, instance="sender")
+        assert received(bus, "r1") == [3]
         with pytest.raises(UnknownModuleError):
-            send(bus, 3, instance="sender")
+            send(bus, 4, instance="nobody")
 
     def test_removed_instance_never_receives(self, bus):
         bus.add_module(receiver_spec(), instance="old", machine="local")

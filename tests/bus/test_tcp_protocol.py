@@ -6,18 +6,10 @@ import threading
 import pytest
 
 from repro.bus.interfaces import InterfaceDecl, Role
-from repro.bus.spec import ModuleSpec
-from repro.bus.tcp import (
-    _MAX_FRAME,
-    profile_from_abstract,
-    profile_to_abstract,
-    recv_frame,
-    send_frame,
-    spec_from_abstract,
-    spec_to_abstract,
-)
+from repro.bus.spec import ModuleSpec, spec_from_abstract
+from repro.bus.tcp import _MAX_FRAME, recv_frame, send_frame
 from repro.errors import TransportError
-from repro.state.machine import MACHINES
+from repro.state.machine import MACHINES, profile_from_abstract
 
 
 @pytest.fixture
@@ -37,9 +29,9 @@ class TestFraming:
     def test_binary_payload(self, sock_pair):
         left, right = sock_pair
         packet = bytes(range(256)) * 10
-        send_frame(left, ["evt", 0, "deliver", "m", "inp", packet])
+        send_frame(left, ["evt", 0, "deliver_batch", packet])
         frame = recv_frame(right)
-        assert frame[5] == packet
+        assert frame[3] == packet
 
     def test_multiple_frames_in_order(self, sock_pair):
         left, right = sock_pair
@@ -95,7 +87,7 @@ class TestSpecSerialization:
 
     def test_roundtrip(self):
         spec = self.make_spec()
-        raw = spec_to_abstract(spec, prepared_source="PREPARED")
+        raw = spec.to_abstract(prepared_source="PREPARED")
         back = spec_from_abstract(raw)
         assert back.name == "compute"
         assert back.inline_source == "PREPARED"
@@ -109,7 +101,7 @@ class TestSpecSerialization:
     def test_survives_canonical_encoding(self):
         from repro.state.encoding import decode_any, encode_any
 
-        raw = spec_to_abstract(self.make_spec(), "SRC")
+        raw = self.make_spec().to_abstract("SRC")
         assert spec_from_abstract(decode_any(encode_any(raw))).name == "compute"
 
 
@@ -117,5 +109,5 @@ class TestProfileSerialization:
     @pytest.mark.parametrize("name", sorted(MACHINES))
     def test_roundtrip(self, name):
         profile = MACHINES[name]
-        back = profile_from_abstract(profile_to_abstract(profile))
+        back = profile_from_abstract(profile.to_abstract())
         assert back == profile

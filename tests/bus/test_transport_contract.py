@@ -11,7 +11,10 @@ per placement:
   nothing across a process boundary;
 - a stop request interrupts a read blocked on an empty queue promptly;
 - ``replace()`` round-trips state through the transport, and a rebind
-  that keeps failing rolls back to the old module *in its process*.
+  that keeps failing rolls back to the old module *in its process*;
+- a numbered stream through a remotely hosted relay stays exact — every
+  number once, in order — through dozens of ``replace()`` calls, staying
+  on a host and migrating between a pipe worker and a TCP daemon.
 """
 
 import threading
@@ -68,6 +71,16 @@ def main():
 FEEDER_SOURCE = '''
 def main():
     mh.sleep(0.01)
+'''
+
+RELAY_SOURCE = '''
+def main():
+    n = 0
+    mh.init()
+    while mh.running:
+        mh.reconfig_point("Q")
+        n = mh.read1("inp")
+        mh.write("out", "l", n)
 '''
 
 
@@ -312,6 +325,97 @@ class TestReplaceContract:
         _wait(lambda: bus.statics_of("counter").get("total") == 15)
 
 
+class TestReplaceUnderStream:
+    """No message is lost to a replacement of a *remotely hosted* module.
+
+    The relay sits between an in-process feeder and an in-process
+    collector, so every number crosses its host's link twice: as a
+    coalesced delivery addressed to the relay by name, and as a tunneled
+    write carrying the relay's name as sender.  The commit renames the
+    clone ``relay.new -> relay`` while both are in flight; what is
+    addressed to the old name must still land (see
+    ``tests/bus/test_rename_window.py`` for the deterministic cases).
+
+    Recording switches the bus to per-delivery closures and suppresses
+    host-local routes, so both routing shapes run; the drop counters
+    are only readable while recording.
+    """
+
+    REPLACES = 24
+    PERIOD_S = 0.0025
+
+    @pytest.fixture
+    def mixed_bus(self):
+        bus = SoftwareBus(sleep_scale=0.0, workers=1)
+        bus.attach_transport(TcpTransport(machines=1, sleep_scale=0.0), owned=True)
+        yield bus
+        bus.shutdown()
+
+    @pytest.mark.parametrize("recording", [True, False], ids=["recorded", "plain"])
+    @pytest.mark.parametrize(
+        "placements",
+        [("worker:0",), ("tcp:0",), ("worker:0", "tcp:0")],
+        ids=["worker", "tcp", "migrating"],
+    )
+    def test_every_number_arrives_once_in_order(
+        self, mixed_bus, placements, recording
+    ):
+        bus = mixed_bus
+        rec = telemetry.enable(capacity=1 << 16) if recording else None
+        relay = ModuleSpec(
+            name="relay",
+            inline_source=RELAY_SOURCE,
+            interfaces=[
+                InterfaceDecl(name="inp", role=Role.USE, pattern="l"),
+                InterfaceDecl(name="out", role=Role.DEFINE, pattern="l"),
+            ],
+            reconfig_points=["Q"],
+        )
+        bus.add_module(_feeder_spec(), instance="feeder")
+        bus.add_module(relay, instance="relay", placement=placements[0])
+        bus.add_module(_collector_spec(), instance="collector")
+        bus.add_binding(BindingSpec("feeder", "out", "relay", "inp"))
+        bus.add_binding(BindingSpec("relay", "out", "collector", "inp"))
+        bus.start_module("relay")
+        bus.start_module("collector")
+
+        sent = 0
+        stop = threading.Event()
+
+        def feed():
+            nonlocal sent
+            while not stop.is_set():
+                _feed(bus, sent)
+                sent += 1
+                time.sleep(self.PERIOD_S)
+
+        feeder = threading.Thread(target=feed, daemon=True)
+        feeder.start()
+        try:
+            coordinator = ReconfigurationCoordinator(bus)
+            for i in range(self.REPLACES):
+                coordinator.replace(
+                    "relay",
+                    placement=placements[(i + 1) % len(placements)],
+                    timeout=30,
+                )
+        finally:
+            stop.set()
+            feeder.join(10)
+        assert not feeder.is_alive()
+
+        got = _wait(
+            lambda: (lambda g: g if len(g) >= sent else None)(
+                bus.statics_of("collector").get("got", [])
+            )
+        )
+        assert list(got) == list(range(sent))
+        assert sent > self.REPLACES, "the stream never overlapped a replace"
+        if rec is not None:
+            assert rec.counter_total("host.deliver_miss") == 0
+            assert rec.counter_total("link.event_errors") == 0
+
+
 class TestTraceStitching:
     """A replace yields ONE merged span tree, whatever the transport.
 
@@ -479,14 +583,7 @@ class TestBatchedDelivery:
     def _shrink_batches(self, bus, max_entries=7):
         """Force many tiny batches so boundaries land mid-stream."""
         for link in _links_of(bus):
-            coalescer = link._coalescer
-            if coalescer is not None:
-                coalescer.policy = BatchPolicy(
-                    max_entries=max_entries,
-                    max_bytes=coalescer.policy.max_bytes,
-                    pending_hwm=coalescer.policy.pending_hwm,
-                    linger_s=0.0,
-                )
+            link._coalescer.policy = BatchPolicy(max_entries=max_entries)
 
     def test_fifo_preserved_across_batch_boundaries(self, placed_bus):
         bus, placement = placed_bus
@@ -575,11 +672,9 @@ class TestBatchedDelivery:
     def test_send_event_failures_are_counted(self):
         rec = telemetry.enable(capacity=1024)
         try:
-            link = Link(
-                "failing", MACHINES["modern-64"], _FailChannel(), batch=None
-            )
+            link = Link("failing", MACHINES["modern-64"], _FailChannel())
             for _ in range(3):
-                link.send_event(["deliver", "m", "inp", b"x"])
+                link.send_event(["install_packet", "m", b"x"])
             assert rec.counter("link.events_dropped", key="failing") == 3
             flares = [
                 e for e in rec.events() if e.get("kind") == "link.send_failed"
@@ -627,7 +722,8 @@ class TestBatchedDelivery:
         core, profile = self._host_core()
         try:
             self._add(core, "collector")
-            core.handle("deliver", ["collector", "inp", _msg(1).to_wire(profile)])
+            blob = pack_batch([(_msg(1).to_wire(profile), [("collector", "inp", "")])])
+            core.handle("deliver_batch", [blob])
             assert "collector" in core._last_delivery
             core.handle("rename", ["collector", "collector2"])
             assert "collector" not in core._last_delivery

@@ -11,7 +11,7 @@ transactional contract from the outside:
 - after every abort the old module still serves traffic, with the state
   it had when the fault hit (the in-flight request was served exactly
   once, never lost, never duplicated);
-- TCP frame faults are absorbed by the daemon link's bounded retry.
+- TCP frame faults are absorbed by the link's bounded request retry.
 
 Traffic is event-driven (the manual kvstore harness): the shard only
 reaches its reconfiguration point when a test feeds it a request, so no
@@ -30,7 +30,8 @@ from pathlib import Path
 import pytest
 
 from repro.bus.module import ModuleState
-from repro.bus.tcp import _DaemonLink
+from repro.bus.tcp import SocketChannel
+from repro.bus.transport import Link
 from repro.errors import (
     InjectedFault,
     ReconfigTimeoutError,
@@ -301,7 +302,7 @@ def test_clone_restore_fault_caught_by_health_check(kv, site, mode):
 
 
 # ---------------------------------------------------------------------------
-# TCP frame faults: the daemon link absorbs them with bounded retry
+# TCP frame faults: the link absorbs them with bounded request retry
 # ---------------------------------------------------------------------------
 
 
@@ -332,12 +333,11 @@ class _EchoDaemon:
             return
 
 
-def _make_link(sock) -> _DaemonLink:
-    return _DaemonLink(
+def _make_link(sock) -> Link:
+    return Link(
         "echo",
         MACHINES["modern-64"],
-        sock,
-        bus=None,
+        SocketChannel(sock),
         retry=RetryPolicy(attempts=3, backoff=0.01),
     )
 
