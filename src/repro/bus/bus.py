@@ -253,7 +253,11 @@ class SoftwareBus:
         # Consulted only when the name is otherwise unknown, forgotten
         # when that name is added again.
         self._renamed: Dict[str, str] = {}
-        self._bindings: List[BindingSpec] = []
+        # The binding table, in binding order (delivery order among the
+        # destinations of one endpoint follows it).  An insertion-ordered
+        # dict used as an ordered set: membership and removal are O(1),
+        # a re-added binding goes to the end, exactly as in a list.
+        self._bindings: Dict[BindingSpec, None] = {}
         self._lock = threading.RLock()
         # Copy-on-write routing snapshot: instance -> interface -> entry.
         # ``None`` means "stale, rebuild on next route"; mutators only
@@ -513,7 +517,7 @@ class SoftwareBus:
                     to_interface=binding.to_interface,
                 )
 
-            self._bindings = [rewrite(b) for b in self._bindings]
+            self._bindings = dict.fromkeys(rewrite(b) for b in self._bindings)
         self.trace.append(f"rename {old_name} -> {new_name}")
 
     def get_module(self, instance: str) -> ModuleInstance:
@@ -548,25 +552,32 @@ class SoftwareBus:
                 )
             if binding in self._bindings:
                 raise BindingError(f"{binding.describe()}: already bound")
-            self._bindings.append(binding)
+            self._bindings[binding] = None
             self._invalidate_routing_locked()
         self.trace.append(binding.describe())
 
     def remove_binding(self, binding: BindingSpec) -> None:
+        # A binding is the same link regardless of endpoint order.
+        flipped = BindingSpec(
+            from_instance=binding.to_instance,
+            from_interface=binding.to_interface,
+            to_instance=binding.from_instance,
+            to_interface=binding.from_interface,
+        )
         with self._lock:
-            # A binding is the same link regardless of endpoint order.
-            for existing in list(self._bindings):
-                if existing == binding or (
-                    existing.from_instance == binding.to_instance
-                    and existing.from_interface == binding.to_interface
-                    and existing.to_instance == binding.from_instance
-                    and existing.to_interface == binding.from_interface
-                ):
-                    self._bindings.remove(existing)
-                    self._invalidate_routing_locked()
-                    self.trace.append(f"unbind {existing.describe()[5:]}")
-                    return
-            raise BindingError(f"{binding.describe()}: no such binding")
+            table = self._bindings
+            if binding in table and flipped in table:
+                # Both orientations are bound: the earlier one goes.
+                existing = next(b for b in table if b in (binding, flipped))
+            elif binding in table:
+                existing = binding
+            elif flipped in table:
+                existing = flipped
+            else:
+                raise BindingError(f"{binding.describe()}: no such binding")
+            del table[existing]
+            self._invalidate_routing_locked()
+            self.trace.append(f"unbind {existing.describe()[5:]}")
 
     def bindings(self) -> List[BindingSpec]:
         with self._lock:
@@ -584,7 +595,9 @@ class SoftwareBus:
         """
         with self._lock:
             index = {binding: i for i, binding in enumerate(order)}
-            self._bindings.sort(key=lambda b: index.get(b, len(index)))
+            self._bindings = dict.fromkeys(
+                sorted(self._bindings, key=lambda b: index.get(b, len(index)))
+            )
 
     def bindings_of(self, instance: str) -> List[BindingSpec]:
         with self._lock:
@@ -602,7 +615,14 @@ class SoftwareBus:
         per-link FIFO guarantees a remote host stops using its local
         routes before it sees any post-change command — which is what
         makes queue snapshots during a rebind exact.
+
+        Hosts hold routes only while a snapshot is published (a rebuild
+        publishes its table before it pushes routes, under this lock), so
+        with the snapshot already dropped there is nothing left to clear:
+        a batch of topology edits costs one broadcast, not one per edit.
         """
+        if self._routing_table is None:
+            return
         self._routing_table = None
         for transport in self._transports.values():
             links = getattr(transport, "links", None)
@@ -731,11 +751,11 @@ class SoftwareBus:
                         entry.instrument(rec, f"{name}.{ifname}", in_degree, derived)
                 self._freeze_derivation(derived)
                 self._sync_remote_recorders()
-            else:
+            self._routing_table = table
+            if rec is None:
                 # Only when nothing records bus-side: endpoints whose
                 # whole fan-out is host-local bypass the bus entirely.
                 self._push_worker_routes(table)
-            self._routing_table = table
             return table
 
     def _prepare_telemetry(self, rec: telemetry.FlightRecorder) -> None:

@@ -10,7 +10,10 @@ asynchronously delivered messages.
 A reconfigurable module (its spec declares reconfiguration points) is
 passed through :func:`repro.core.prepare_module` at load time — the
 paper prepares modules "when the original program is compiled", i.e.
-ahead of any reconfiguration request.
+ahead of any reconfiguration request.  Load also compiles (once per
+module text) and builds the instance's namespace, so ``start()`` only
+spawns the thread: nothing is compiled while a replacement has the
+application waiting.
 """
 
 from __future__ import annotations
@@ -19,13 +22,18 @@ import enum
 import threading
 import traceback
 from functools import lru_cache
+from types import CodeType
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.bus.machine import Host
 from repro.bus.message import Message
 from repro.bus.queues import MessageQueue
 from repro.bus.spec import ModuleSpec
-from repro.core.transformer import TransformResult, prepare_module
+from repro.core.transformer import (
+    TransformResult,
+    module_filename,
+    prepare_module,
+)
 from repro.errors import (
     ModuleCrashedError,
     ModuleLifecycleError,
@@ -121,19 +129,35 @@ def _prepare_module_cached(
 
     The transformation is deterministic in these four inputs and its
     result is never mutated after construction, so instances of the same
-    module share one :class:`TransformResult`.  The payoff is on the
-    reconfiguration critical path: a replacement clone is prepared from
-    the exact source/points/pruning of the original, so its whole AST
-    pipeline collapses to a cache hit.  Transform *errors* are not
-    cached (``lru_cache`` re-raises by re-running), so a rejected new
-    version stays rejected with a fresh traceback every time.
+    module share one :class:`TransformResult` — code object included.
+    The payoff is on the reconfiguration critical path: a replacement
+    clone is prepared from the exact source/points/pruning of the
+    original, so its whole AST pipeline *and* its compile collapse to a
+    cache hit.  Transform *errors* are not cached (``lru_cache`` re-raises
+    by re-running), so a rejected new version stays rejected with a fresh
+    traceback every time.
     """
-    return prepare_module(
+    result = prepare_module(
         source,
         module_name=module_name,
         declared_points=list(declared_points),
         prune_dead_captures=prune_dead_captures,
     )
+    telemetry.count("module.compiled", key=module_name)
+    return result
+
+
+@lru_cache(maxsize=128)
+def _compile_cached(source: str, module_name: str) -> CodeType:
+    """The code object of a module text that needs no preparation.
+
+    Serves non-reconfigurable modules and the already-prepared text a
+    remote host receives.  Code objects are immutable, so every instance
+    of the text executes the same one — each into its own namespace.
+    """
+    code = compile(source, module_filename(module_name), "exec")
+    telemetry.count("module.compiled", key=module_name)
+    return code
 
 
 def resolve_source(spec: ModuleSpec) -> str:
@@ -150,6 +174,18 @@ def resolve_source(spec: ModuleSpec) -> str:
     return source
 
 
+def _prepared(spec: ModuleSpec, source: str) -> TransformResult:
+    """The (memoized) preparation of a reconfigurable ``spec``."""
+    prune = spec.attributes.get("prune_dead_captures", "").lower() in (
+        "true",
+        "yes",
+        "1",
+    )
+    return _prepare_module_cached(
+        source, spec.name, tuple(spec.reconfig_points), prune
+    )
+
+
 def prepared_source_for(spec: ModuleSpec) -> str:
     """Executable (transformed if reconfigurable) source for ``spec``.
 
@@ -162,14 +198,7 @@ def prepared_source_for(spec: ModuleSpec) -> str:
     """
     source = resolve_source(spec)
     if spec.is_reconfigurable:
-        prune = spec.attributes.get("prune_dead_captures", "").lower() in (
-            "true",
-            "yes",
-            "1",
-        )
-        return _prepare_module_cached(
-            source, spec.name, tuple(spec.reconfig_points), prune
-        ).source
+        return _prepared(spec, source).source
     return source
 
 
@@ -236,10 +265,15 @@ class ModuleInstance:
     # -- lifecycle -----------------------------------------------------------
 
     def load(self) -> None:
-        """Resolve the source and (if reconfigurable) prepare it.
+        """Prepare the module and build this instance's namespace.
 
-        The transformation runs once per instance creation — i.e. ahead
-        of time, never at reconfiguration time.
+        Everything a start needs except the thread happens here, ahead
+        of any reconfiguration request: the source is resolved, prepared
+        if reconfigurable and compiled — once per module text per
+        process, every later instance of the text hits the caches — and
+        the code object is executed into a fresh namespace of this
+        instance's own.  The module's top-level statements therefore run
+        now, on the loading thread.
         """
         if self.state not in (ModuleState.CREATED,):
             raise ModuleLifecycleError(f"{self.name}: cannot load in {self.state}")
@@ -249,21 +283,15 @@ class ModuleInstance:
         ):
             source = resolve_source(self.spec)
             if self.spec.is_reconfigurable:
-                prune = self.spec.attributes.get(
-                    "prune_dead_captures", ""
-                ).lower() in (
-                    "true",
-                    "yes",
-                    "1",
-                )
-                self.transform = _prepare_module_cached(
-                    source,
-                    self.spec.name,
-                    tuple(self.spec.reconfig_points),
-                    prune,
-                )
+                self.transform = _prepared(self.spec, source)
                 source = self.transform.source
+                code = self.transform.code
+            else:
+                code = _compile_cached(source, self.spec.name)
             self.executable_source = source
+            namespace = {"mh": self.mh, "Ref": Ref, "__name__": self.spec.name}
+            exec(code, namespace)
+            self.namespace = namespace
         self.state = ModuleState.LOADED
 
     def start(self) -> None:
@@ -272,9 +300,6 @@ class ModuleInstance:
             self.load()
         if self.state is not ModuleState.LOADED:
             raise ModuleLifecycleError(f"{self.name}: cannot start in {self.state}")
-        self.namespace = {"mh": self.mh, "Ref": Ref, "__name__": self.spec.name}
-        code = compile(self.executable_source, f"<module {self.name}>", "exec")
-        exec(code, self.namespace)
         main = self.namespace.get("main")
         if not callable(main):
             raise ModuleLifecycleError(
@@ -368,7 +393,7 @@ class ModuleInstance:
                 raise ModuleLifecycleError(
                     f"{self.name}: cannot revive while its thread is alive"
                 )
-        if not self.namespace.get("main"):
+        if self.thread is None:
             raise ModuleLifecycleError(f"{self.name}: never started; cannot revive")
         self.mh.prepare_revival(pkt)
         self.crash = None

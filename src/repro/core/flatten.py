@@ -197,14 +197,23 @@ def flatten_function(
     out.level -= 2
     out.level -= 1
 
-    source = out.source()
+    return out.source()
+
+
+def check_flattened(name: str, source: str) -> None:
+    """Raise a :class:`FlattenError` naming ``name`` if ``source`` is invalid.
+
+    Only the failure path of :func:`repro.core.transformer.prepare_module`
+    calls this: the assembled module is compiled once, and when that
+    raises, each flattened procedure is compiled on its own to name the
+    culprit.
+    """
     try:
-        compile(source, f"<flattened {fn.name}>", "exec")
-    except SyntaxError as exc:  # pragma: no cover - emitter bug guard
+        compile(source, f"<flattened {name}>", "exec")
+    except SyntaxError as exc:
         raise FlattenError(
-            f"flattener produced invalid source for {fn.name!r}: {exc}\n{source}"
+            f"flattener produced invalid source for {name!r}: {exc}\n{source}"
         ) from exc
-    return source
 
 
 def _emit_block(

@@ -33,12 +33,22 @@ class BindCommand:
     op: str
     left: Endpoint
     right: Optional[Endpoint] = None  # absent for rmq
+    #: The binding an ``add``/``del`` edits, built when the command is
+    #: prepared so that applying it constructs nothing.
+    binding: Optional[BindingSpec] = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.op not in _OPS:
             raise ReconfigError(f"unknown bind command {self.op!r}")
         if self.op != "rmq" and self.right is None:
             raise ReconfigError(f"bind command {self.op!r} needs two endpoints")
+        if self.op in ("add", "del"):
+            self.binding = BindingSpec(
+                from_instance=self.left[0],
+                from_interface=self.left[1],
+                to_instance=self.right[0],
+                to_interface=self.right[1],
+            )
 
     def describe(self) -> str:
         left = f"{self.left[0]}.{self.left[1]}"
@@ -99,9 +109,9 @@ class BindBatch:
         try:
             for command in self.commands:
                 if command.op == "add":
-                    bus.add_binding(_binding(command.left, command.right))
+                    bus.add_binding(command.binding)
                 elif command.op == "del":
-                    bus.remove_binding(_binding(command.left, command.right))
+                    bus.remove_binding(command.binding)
                 elif command.op == "cq":
                     bus.copy_queue(command.left[0], command.left[1], command.right[0])  # type: ignore[index]
                 elif command.op == "rmq":
@@ -128,9 +138,9 @@ class BindBatch:
         try:
             for command in reversed(self._done):
                 if command.op == "add":
-                    bus.remove_binding(_binding(command.left, command.right))
+                    bus.remove_binding(command.binding)
                 elif command.op == "del":
-                    bus.add_binding(_binding(command.left, command.right))
+                    bus.add_binding(command.binding)
         finally:
             if lock is not None:
                 lock.release()
@@ -139,13 +149,3 @@ class BindBatch:
 
     def describe(self) -> str:
         return "\n".join(command.describe() for command in self.commands)
-
-
-def _binding(left: Endpoint, right: Optional[Endpoint]) -> BindingSpec:
-    assert right is not None
-    return BindingSpec(
-        from_instance=left[0],
-        from_interface=left[1],
-        to_instance=right[0],
-        to_interface=right[1],
-    )

@@ -485,6 +485,10 @@ class ReconfigurationCoordinator:
             batch = prepare_rebind_batch(
                 self.bus, old, temp_name, preserve_queues=preserve_queues
             )
+            # Rollback restores this order; like the batch it protects it
+            # does not depend on the divulge, so it is taken before the
+            # wait rather than while nobody serves.
+            binding_order = self.bus.bindings()
 
             report.stage = "wait_point"
             report.stage_attempts["wait_point"] = 1
@@ -501,7 +505,6 @@ class ReconfigurationCoordinator:
             }
 
             report.stage = "rebind"
-            binding_order = self.bus.bindings()
 
             def rebind() -> None:
                 faults.fire_hard("coordinator.rebind")

@@ -111,6 +111,15 @@ def placed_bus(request):
     bus.shutdown()
 
 
+@pytest.fixture
+def mixed_bus():
+    """One bus with a pipe worker and a TCP daemon attached."""
+    bus = SoftwareBus(sleep_scale=0.0, workers=1)
+    bus.attach_transport(TcpTransport(machines=1, sleep_scale=0.0), owned=True)
+    yield bus
+    bus.shutdown()
+
+
 def _collector_spec(name="collector"):
     return ModuleSpec(
         name=name,
@@ -344,13 +353,6 @@ class TestReplaceUnderStream:
     REPLACES = 24
     PERIOD_S = 0.0025
 
-    @pytest.fixture
-    def mixed_bus(self):
-        bus = SoftwareBus(sleep_scale=0.0, workers=1)
-        bus.attach_transport(TcpTransport(machines=1, sleep_scale=0.0), owned=True)
-        yield bus
-        bus.shutdown()
-
     @pytest.mark.parametrize("recording", [True, False], ids=["recorded", "plain"])
     @pytest.mark.parametrize(
         "placements",
@@ -414,6 +416,53 @@ class TestReplaceUnderStream:
         if rec is not None:
             assert rec.counter_total("host.deliver_miss") == 0
             assert rec.counter_total("link.event_errors") == 0
+
+
+class TestNoCompileInRemoteReplace:
+    """The multi-process twin of ``tests/reconfig/test_blackout_compile.py``.
+
+    A host compiles a prepared text the first time it receives it and
+    never again: every later clone on that host hits its code cache.
+    ``module.compiled`` counts the misses in the host's own recorder and
+    rides home on the remote counter source, so "compiles per replace"
+    is readable from the bus whatever the placement.
+    """
+
+    REPLACES = 20
+
+    @pytest.mark.parametrize("placement", ["worker:0", "tcp:0"])
+    def test_compiled_counter_is_flat_on_the_host(self, mixed_bus, placement):
+        bus = mixed_bus
+        rec = telemetry.enable(capacity=1 << 14)
+        # Placing anything spawns the host; its recorder must be up
+        # before the module under test arrives, or its one compile
+        # would go uncounted.
+        bus.add_module(_collector_spec("warm"), instance="warm", placement=placement)
+        transport = bus.transport(placement.partition(":")[0])
+        transport.enable_telemetry()
+
+        def compiled_on_host():
+            counters, _ = transport.telemetry_snapshot()
+            return counters.get(("module.compiled", "counter"), 0)
+
+        bus.add_module(_feeder_spec(), instance="feeder")
+        bus.add_module(_counter_spec(), instance="counter", placement=placement)
+        bus.add_binding(BindingSpec("feeder", "out", "counter", "inp"))
+        bus.start_module("counter")
+        _feed(bus, 1, 2, 3)
+        _wait(lambda: bus.statics_of("counter").get("total") == 6)
+        assert compiled_on_host() == 1
+        merged = rec.counter("module.compiled", key="counter")
+        assert merged >= 1  # the host's count reached the bus recorder
+
+        coordinator = ReconfigurationCoordinator(bus)
+        with _Nudger(bus):
+            for _ in range(self.REPLACES):
+                coordinator.replace("counter", timeout=30)
+        assert compiled_on_host() == 1  # every clone stayed on, and hit, this host
+        assert rec.counter("module.compiled", key="counter") == merged
+        _feed(bus, 10)
+        _wait(lambda: bus.statics_of("counter").get("total") == 16)
 
 
 class TestTraceStitching:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import builtins
 import signal
 import threading
 import time
@@ -53,6 +54,20 @@ def watchdog(request):
     yield
     signal.setitimer(signal.ITIMER_REAL, 0.0)
     signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def compile_calls(monkeypatch):
+    """File names of every ``builtins.compile`` call made during the test."""
+    calls = []
+    real = builtins.compile
+
+    def counting(source, filename, *args, **kwargs):
+        calls.append(filename)
+        return real(source, filename, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "compile", counting)
+    return calls
 
 
 def wait_until(predicate, timeout: float = 10.0, interval: float = 0.005):

@@ -61,6 +61,39 @@ class TestFigure4Structure:
         compile(result.source, "<x>", "exec")
 
 
+class TestCompiledOnce:
+    """The assembled module is compiled exactly once, and the code kept."""
+
+    def test_result_carries_the_code_of_its_source(self):
+        result = prepare_module(COMPUTE_SRC, "compute")
+        assert result.code.co_filename == "<module compute>"
+        namespace = {}
+        exec(result.code, namespace)
+        assert callable(namespace["main"]) and callable(namespace["compute"])
+        first_line = namespace["compute"].__code__.co_firstlineno
+        assert result.source.splitlines()[first_line - 1].startswith("def compute(")
+
+    def test_one_compile_per_preparation(self, compile_calls):
+        prepare_module(COMPUTE_SRC, "compute")
+        # ast.parse is a compile() too (filename "<unknown>"); nothing
+        # else is: no per-procedure guard, no throw-away syntax check.
+        assert [f for f in compile_calls if f != "<unknown>"] == ["<module compute>"]
+
+    def test_bad_flattener_output_names_the_procedure(self, monkeypatch):
+        from repro.core import transformer
+        from repro.errors import FlattenError
+
+        flatten = transformer.flatten_function
+
+        def broken(fn, *args, **kwargs):
+            text = flatten(fn, *args, **kwargs)
+            return text + "    )\n" if fn.name == "compute" else text
+
+        monkeypatch.setattr(transformer, "flatten_function", broken)
+        with pytest.raises(FlattenError, match="invalid source for 'compute'"):
+            prepare_module(COMPUTE_SRC, "compute")
+
+
 class TestNoPointsPassthrough:
     def test_module_without_points_untouched(self):
         source = "def main():\n    pass\n"
@@ -68,6 +101,7 @@ class TestNoPointsPassthrough:
         assert not result.is_reconfigurable
         assert result.source == source
         assert result.reports == {}
+        assert result.code is None  # nothing was assembled, nothing compiled
 
 
 class TestDeclaredPoints:

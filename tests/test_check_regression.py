@@ -1,6 +1,7 @@
 """The CI regression gate's three comparisons (benchmarks/check_regression.py)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -67,4 +68,19 @@ def test_cli_modes_and_exit_codes(tmp_path, capsys):
     assert main(ratio + ["1.0"]) == 1
     assert main(ratio + ["5.0"]) == 0
     assert main(["--ratio", m, "results.heap.encode_ms"]) == 2  # usage
+    capsys.readouterr()
+
+
+def test_start_clone_share_gate_on_the_committed_state_file(tmp_path, capsys):
+    # The CI gate's exact key path and limit: the committed run passes,
+    # a run shaped like the one before the code object moved to load()
+    # (clone compiled inside start_clone: 1.42 of 1.81 ms) does not.
+    committed = Path(__file__).resolve().parents[1] / "BENCH_state.json"
+    gate = ["results.fig1_move.start_ms", "results.fig1_move.overhead_ms", "0.67"]
+    assert main(["--ratio", str(committed)] + gate) == 0
+    before = tmp_path / "before.json"
+    before.write_text(
+        json.dumps({"results": {"fig1_move": {"start_ms": 1.42, "overhead_ms": 1.81}}})
+    )
+    assert main(["--ratio", str(before)] + gate) == 1
     capsys.readouterr()
