@@ -27,7 +27,9 @@ by frame cost, which is exactly what send-side coalescing (see
 credit-loop pairs
 (``pinned_pairs_aggregate``) where pushed host-local routes bypass the
 links entirely — the multi-core scale-out story — plus the in-process
-pair baseline.  The tier publishes honest numbers: ``cpus`` records
+pair baseline, and ``spawn_ms``, the cold start of one worker (fresh
+one-slot pool: construct, first placement, close).  The tier publishes
+honest numbers: ``cpus`` records
 ``os.cpu_count()``; on a single-core container the workers timeshare
 one core, so the win comes from fewer frames, not more cores.
 
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import sys
 import time
 from typing import Dict, List, Tuple
@@ -306,6 +309,30 @@ def measure_xlink(bus: SoftwareBus, names: List[str], seconds: float) -> float:
     return delivered / elapsed
 
 
+def measure_spawn_ms(rounds: int = 3) -> float:
+    """Median wall time of a worker's cold start, in milliseconds.
+
+    One round is a fresh one-slot pool from construction through its
+    first placement (which spawns the worker: interpreter start, the
+    host's imports, the ping handshake, one ``add``) to ``close()``.
+    Recorded, not gated: it scales with the runner and with bytecode
+    caching — the exact gate on what a host imports is
+    ``tests/test_import_closure.py``.  Run as a script, ``spawn``
+    re-imports this file in the child, so the figure then includes the
+    benchmark's own imports (the bus among them) on top of the host's.
+    """
+    times = []
+    for _ in range(rounds):
+        start = time.perf_counter()
+        bus = SoftwareBus(sleep_scale=0.0, workers=1)
+        try:
+            bus.add_module(receiver_spec(), instance="r", placement="worker:0")
+        finally:
+            bus.shutdown()
+        times.append((time.perf_counter() - start) * 1000.0)
+    return statistics.median(times)
+
+
 def run_xproc_tier(seconds: float) -> Dict[str, object]:
     cpus = os.cpu_count() or 1
     workers = max(2, min(4, cpus))
@@ -331,6 +358,7 @@ def run_xproc_tier(seconds: float) -> Dict[str, object]:
         "inproc_pair_baseline": round(inproc, 1),
         "pinned_pairs_aggregate": round(pinned, 1),
         "aggregate": round(aggregate, 1),
+        "spawn_ms": round(measure_spawn_ms(), 1),
         "scaleup_vs_inproc_pair": round(aggregate / inproc, 2) if inproc else 0.0,
     }
 

@@ -27,29 +27,7 @@ Layer map (see DESIGN.md):
 - ``repro.baselines``— comparison systems from the related-work section
 """
 
-from repro.bus import (
-    ApplicationSpec,
-    BindingSpec,
-    InstanceSpec,
-    ModuleSpec,
-    SoftwareBus,
-    parse_mil,
-    parse_module_spec,
-)
-from repro.core import prepare_module
-from repro.errors import ReproError
-from repro.reconfig import (
-    ReconfigurationCoordinator,
-    ReconfigurationReport,
-    attach_module,
-    detach_module,
-    move_module,
-    replace_module,
-    replicate_module,
-    upgrade_module,
-)
-from repro.runtime import MH, Ref
-from repro.state import MACHINES, MachineProfile, ProcessState
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -78,3 +56,37 @@ __all__ = [
     "ProcessState",
     "__version__",
 ]
+
+# Resolved on first use: ``import repro.bus.procpool`` in a worker must
+# not load the bus, the transformer or the coordinator (see repro._lazy).
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.bus.spec": [
+            "ApplicationSpec",
+            "BindingSpec",
+            "InstanceSpec",
+            "ModuleSpec",
+        ],
+        "repro.bus.bus": ["SoftwareBus"],
+        "repro.bus.mil": ["parse_mil", "parse_module_spec"],
+        "repro.core.transformer": ["prepare_module"],
+        "repro.errors": ["ReproError"],
+        "repro.reconfig.coordinator": [
+            "ReconfigurationCoordinator",
+            "ReconfigurationReport",
+        ],
+        "repro.reconfig.scripts": [
+            "move_module",
+            "replace_module",
+            "replicate_module",
+            "upgrade_module",
+            "attach_module",
+            "detach_module",
+        ],
+        "repro.runtime.mh": ["MH"],
+        "repro.runtime.refs": ["Ref"],
+        "repro.state.machine": ["MACHINES", "MachineProfile"],
+        "repro.state.frames": ["ProcessState"],
+    },
+)

@@ -21,14 +21,7 @@ asynchronous.  Bindings connect the interfaces of modules."
 - :mod:`repro.bus.batch`      — coalesced delivery frames for those links
 """
 
-from repro.bus.message import Message
-from repro.bus.interfaces import Direction, InterfaceDecl, Role
-from repro.bus.queues import MessageQueue
-from repro.bus.spec import ApplicationSpec, BindingSpec, InstanceSpec, ModuleSpec
-from repro.bus.mil import parse_mil, parse_module_spec
-from repro.bus.machine import Host
-from repro.bus.module import ModuleInstance, ModuleState
-from repro.bus.bus import SoftwareBus
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Message",
@@ -47,3 +40,25 @@ __all__ = [
     "ModuleState",
     "SoftwareBus",
 ]
+
+# Resolved on first use (see repro._lazy): every pipe worker and TCP
+# daemon runs this file on its way to ``repro.bus.procpool`` /
+# ``repro.bus.tcp`` and needs neither the MIL parser nor the bus.
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.bus.message": ["Message"],
+        "repro.bus.interfaces": ["Direction", "InterfaceDecl", "Role"],
+        "repro.bus.queues": ["MessageQueue"],
+        "repro.bus.spec": [
+            "ApplicationSpec",
+            "BindingSpec",
+            "InstanceSpec",
+            "ModuleSpec",
+        ],
+        "repro.bus.mil": ["parse_mil", "parse_module_spec"],
+        "repro.bus.machine": ["Host"],
+        "repro.bus.module": ["ModuleInstance", "ModuleState"],
+        "repro.bus.bus": ["SoftwareBus"],
+    },
+)

@@ -14,6 +14,12 @@ from __future__ import annotations
 import threading
 from typing import Dict, List, Optional, Tuple
 
+# Not used by name here.  ``bus/module.py`` resolves the transformer
+# inside its preparation memo so that hosts, which import that file but
+# never this one, do not load the pipeline; importing it here keeps the
+# deferral out of the bus process — after ``import repro.bus.bus`` no
+# set-up, ``launch()`` or ``replace()`` executes a first-use import.
+import repro.core.transformer  # noqa: F401
 from repro.bus.machine import HostRegistry
 from repro.bus.message import FanoutTransfer, Message
 from repro.bus.module import ModuleInstance, ModuleState

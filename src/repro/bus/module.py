@@ -23,17 +23,13 @@ import threading
 import traceback
 from functools import lru_cache
 from types import CodeType
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.bus.machine import Host
 from repro.bus.message import Message
 from repro.bus.queues import MessageQueue
 from repro.bus.spec import ModuleSpec
-from repro.core.transformer import (
-    TransformResult,
-    module_filename,
-    prepare_module,
-)
+from repro.core.naming import module_filename
 from repro.errors import (
     ModuleCrashedError,
     ModuleLifecycleError,
@@ -43,6 +39,9 @@ from repro.errors import (
 from repro.runtime import faults, telemetry
 from repro.runtime.mh import MH, ModuleStop, SleepPolicy
 from repro.runtime.refs import Ref
+
+if TYPE_CHECKING:
+    from repro.core.transformer import TransformResult
 
 
 class ModuleState(enum.Enum):
@@ -136,7 +135,15 @@ def _prepare_module_cached(
     cache hit.  Transform *errors* are not cached (``lru_cache`` re-raises
     by re-running), so a rejected new version stays rejected with a fresh
     traceback every time.
+
+    The transformer is resolved here rather than at the top of this file,
+    which every pipe worker and TCP daemon imports: a host receives
+    prepared text and never runs it.  In the bus process
+    :mod:`repro.bus.bus` has already imported it, so this is a
+    ``sys.modules`` lookup on a cache miss, never a first-use import.
     """
+    from repro.core.transformer import prepare_module
+
     result = prepare_module(
         source,
         module_name=module_name,

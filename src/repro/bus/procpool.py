@@ -92,6 +92,18 @@ class _WorkerSlot:
         self.process = process
 
 
+class _Spawn:
+    """A slot whose worker is starting: the placement that reserved it
+    spawns, placements arriving meanwhile wait for its outcome."""
+
+    __slots__ = ("done", "slot", "error")
+
+    def __init__(self):
+        self.done = threading.Event()
+        self.slot: Optional[_WorkerSlot] = None
+        self.error: Optional[BaseException] = None
+
+
 class ProcessTransport(RemoteTransport):
     """A fixed-size pool of worker processes as a bus transport."""
 
@@ -113,7 +125,13 @@ class ProcessTransport(RemoteTransport):
         self._architecture = architecture
         self._sleep_scale = sleep_scale
         self._host_prefix = host_prefix
+        #: Published slots: a worker is listed once it answered its ping.
         self._slots: List[Optional[_WorkerSlot]] = [None] * workers
+        #: index -> the spawn in progress for that (still empty) slot.
+        self._spawning: Dict[int, _Spawn] = {}
+        #: Guards the two tables and ``_rr``, for table edits only —
+        #: ``links()`` takes it under the bus lock, so nothing slow (a
+        #: process start, a round-trip) may run while it is held.
         self._slots_lock = threading.Lock()
         self._rr = 0
 
@@ -122,49 +140,85 @@ class ProcessTransport(RemoteTransport):
         return len(self._slots)
 
     def links(self) -> List[Link]:
-        with self._slots_lock:
-            return [slot.link for slot in self._slots if slot is not None]
+        return [slot.link for slot in self._live_slots()]
 
     # -- pool management -------------------------------------------------------
 
     def _ensure_slot(self, index: int) -> _WorkerSlot:
+        """The worker of slot ``index``, spawned on first placement.
+
+        Reserve under the lock, spawn and shake hands outside it, publish
+        under it: a lazy spawn takes hundreds of milliseconds, during
+        which routing rebuilds and topology edits keep listing the
+        workers that are already up.
+        """
         with self._slots_lock:
             slot = self._slots[index]
             if slot is not None:
                 return slot
-            name = f"{self._host_prefix}{index}"
-            base = MACHINES[self._architecture]
-            profile = MachineProfile(
-                name=name,
-                endianness=base.endianness,
-                int_bits=base.int_bits,
-                long_bits=base.long_bits,
-                float_bits=base.float_bits,
-            )
-            parent_conn, child_conn = self._ctx.Pipe()
-            process = self._ctx.Process(
-                target=worker_main,
-                args=(child_conn, name, profile.to_abstract(), self._sleep_scale),
-                name=f"repro-{name}",
-                daemon=True,
-            )
-            process.start()
-            child_conn.close()
-            link = Link(name, profile, PipeChannel(parent_conn))
-            link.on_event = self._make_on_event(link)
+            spawn = self._spawning.get(index)
+            reserved = spawn is None
+            if reserved:
+                spawn = self._spawning[index] = _Spawn()
+        if not reserved:
+            spawn.done.wait()
+            if spawn.slot is None:
+                raise TransportError(
+                    f"worker slot {index} failed to start: {spawn.error}"
+                ) from spawn.error
+            return spawn.slot
+        try:
+            spawn.slot = self._spawn(index)
+        except BaseException as exc:
+            spawn.error = exc
+            raise
+        finally:
+            with self._slots_lock:
+                self._slots[index] = spawn.slot  # still None if the spawn failed
+                del self._spawning[index]
+            spawn.done.set()
+        # After publishing: a concurrent enable_health() either lists
+        # this slot or has already set the monitor this call reads.
+        self._sync_health(spawn.slot.link)
+        return spawn.slot
+
+    def _spawn(self, index: int) -> _WorkerSlot:
+        """Start one worker process and wait for its first reply."""
+        name = f"{self._host_prefix}{index}"
+        base = MACHINES[self._architecture]
+        profile = MachineProfile(
+            name=name,
+            endianness=base.endianness,
+            int_bits=base.int_bits,
+            long_bits=base.long_bits,
+            float_bits=base.float_bits,
+        )
+        parent_conn, child_conn = self._ctx.Pipe()
+        process = self._ctx.Process(
+            target=worker_main,
+            args=(child_conn, name, profile.to_abstract(), self._sleep_scale),
+            name=f"repro-{name}",
+            daemon=True,
+        )
+        process.start()
+        child_conn.close()
+        link = Link(name, profile, PipeChannel(parent_conn))
+        link.on_event = self._make_on_event(link)
+        try:
             # Spawn handshake: the first reply proves the interpreter is
             # up and the repro imports completed (slow on cold caches).
             link.request(["ping"], timeout=60.0)
-            # A slot spawned after enable_health must start beating too.
-            self._sync_health(link)
-            slot = _WorkerSlot(
-                name=name,
-                link=link,
-                host=Host(name=name, profile=profile),
-                process=process,
-            )
-            self._slots[index] = slot
-            return slot
+        except BaseException:
+            link.close()
+            process.terminate()
+            process.join(timeout=5)
+            raise
+        return _WorkerSlot(
+            name=name,
+            link=link,
+            host=Host(name=name, profile=profile),
+            process=process,
+        )
 
     def peek_host(self, slot: Optional[str]) -> Optional[str]:
         """Resolve a slot to its host name with no side effects.
@@ -235,6 +289,12 @@ class ProcessTransport(RemoteTransport):
     # -- teardown ---------------------------------------------------------------
 
     def close(self) -> None:
+        # A spawn in flight publishes when it completes; wait for it so
+        # that its worker is closed below, not left behind.
+        with self._slots_lock:
+            spawning = list(self._spawning.values())
+        for spawn in spawning:
+            spawn.done.wait()
         with self._slots_lock:
             slots = [slot for slot in self._slots if slot is not None]
             self._slots = [None] * len(self._slots)

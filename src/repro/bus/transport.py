@@ -49,10 +49,11 @@ flight recorder keeps seeing every delivery.
 
 from __future__ import annotations
 
+import socket
 import threading
 import time
 from queue import SimpleQueue
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.bus.batch import BatchPolicy, Coalescer, unpack_batch
 from repro.bus.machine import Host
@@ -75,6 +76,9 @@ from repro.runtime import faults, telemetry
 from repro.runtime.faults import FaultPlan, RetryPolicy
 from repro.runtime.mh import SleepPolicy
 from repro.state.machine import MachineProfile, profile_from_abstract
+
+if TYPE_CHECKING:
+    import subprocess
 
 
 class Transport:
@@ -1636,58 +1640,114 @@ class TcpTransport(RemoteTransport):
         host_prefix: str = "tcphost-",
     ):
         super().__init__()
-        import socket as socketlib
         import subprocess
 
         from repro.bus import tcp as tcpmod  # late: tcp.py imports this module
         from repro.state.machine import MACHINES
 
-        self._listener = socketlib.socket(socketlib.AF_INET, socketlib.SOCK_STREAM)
-        self._listener.setsockopt(socketlib.SOL_SOCKET, socketlib.SO_REUSEADDR, 1)
-        self._listener.bind(("127.0.0.1", 0))
-        self._listener.listen(16)
-        address: Tuple[str, int] = self._listener.getsockname()
         if isinstance(machines, int):
             machines = [f"{host_prefix}{i}" for i in range(machines)]
         if not isinstance(machines, dict):
             machines = dict.fromkeys(machines, architecture)
-        self._processes: List = []
+        #: machine name -> daemon process, in declared order.
+        self._processes: Dict[str, subprocess.Popen] = {}
         self._machines: List[Tuple[str, Link, Host]] = []
         self._rr = 0
         self._rr_lock = threading.Lock()
-        for name, machine_architecture in machines.items():
-            base = MACHINES[machine_architecture]
-            profile = MachineProfile(
-                name=name,
-                endianness=base.endianness,
-                int_bits=base.int_bits,
-                long_bits=base.long_bits,
-                float_bits=base.float_bits,
-            )
-            process = subprocess.Popen(
-                tcpmod._daemon_argv(name, profile, address, sleep_scale)
-            )
-            self._processes.append(process)
-            self._listener.settimeout(60)
-            sock, _addr = self._listener.accept()
-            sock.setsockopt(socketlib.IPPROTO_TCP, socketlib.TCP_NODELAY, 1)
+        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        links: Dict[str, Link] = {}
+        try:
+            self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            self._listener.bind(("127.0.0.1", 0))
+            self._listener.listen(16)
+            address: Tuple[str, int] = self._listener.getsockname()
+            # Every daemon is started before any hello is awaited, so
+            # their interpreter start-ups overlap.
+            for name, machine_architecture in machines.items():
+                base = MACHINES[machine_architecture]
+                profile = MachineProfile(
+                    name=name,
+                    endianness=base.endianness,
+                    int_bits=base.int_bits,
+                    long_bits=base.long_bits,
+                    float_bits=base.float_bits,
+                )
+                self._processes[name] = subprocess.Popen(
+                    tcpmod._daemon_argv(name, profile, address, sleep_scale)
+                )
+            deadline = time.monotonic() + 60.0
+            while len(links) < len(self._processes):
+                link = self._next_hello(
+                    {n: p for n, p in self._processes.items() if n not in links},
+                    deadline,
+                )
+                links[link.name] = link
+        except BaseException:
+            # The caller gets no object to close(): leave nothing behind.
+            for link in links.values():
+                link.close()
+            self._reap(grace=0.0)
+            raise
+        # Declared order, not hello order: round-robin and ``tcp:<index>``
+        # placement count along it.
+        self._machines = [
+            (name, links[name], Host(name=name, profile=links[name].profile))
+            for name in self._processes
+        ]
+
+    def _next_hello(
+        self, waiting: Dict[str, subprocess.Popen], deadline: float
+    ) -> Link:
+        """The link of the next daemon to connect and say hello.
+
+        Daemons come up in any order, so the name in the hello — not the
+        accept order — says which machine a connection is; it must be one
+        of ``waiting`` (name -> child process still owing its hello).  A
+        child found dead while nobody connects fails the start at once.
+        """
+        from repro.bus import tcp as tcpmod  # late: tcp.py imports this module
+
+        self._listener.settimeout(0.1)
+        while True:
+            try:
+                sock, _addr = self._listener.accept()
+                break
+            except socket.timeout:
+                pass
+            for name, child in waiting.items():
+                if child.poll() is not None:
+                    raise TransportError(
+                        f"tcp daemon {name!r} exited with status "
+                        f"{child.returncode} before its hello"
+                    )
+            if time.monotonic() > deadline:
+                raise TransportError(
+                    f"no hello from tcp daemon(s) {sorted(waiting)} within 60s"
+                )
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            sock.settimeout(max(0.1, deadline - time.monotonic()))
             hello = tcpmod.recv_frame(sock)
+            sock.settimeout(None)
             if not (
                 isinstance(hello, list) and len(hello) >= 5 and hello[2] == "hello"
             ):
                 raise TransportError(f"unexpected first frame {hello!r}")
-            daemon_name = str(hello[3])
-            daemon_profile = profile_from_abstract(dict(hello[4]))
-            link = Link(
-                daemon_name,
-                daemon_profile,
-                tcpmod.SocketChannel(sock),
-                retry=RetryPolicy(attempts=3, backoff=0.05),
-            )
-            link.on_event = self._make_on_event(link)
-            self._machines.append(
-                (daemon_name, link, Host(name=daemon_name, profile=daemon_profile))
-            )
+            name = str(hello[3])
+            if name not in waiting:
+                raise TransportError(f"hello from unexpected tcp daemon {name!r}")
+            profile = profile_from_abstract(dict(hello[4]))
+        except BaseException:
+            sock.close()
+            raise
+        link = Link(
+            name,
+            profile,
+            tcpmod.SocketChannel(sock),
+            retry=RetryPolicy(attempts=3, backoff=0.05),
+        )
+        link.on_event = self._make_on_event(link)
+        return link
 
     def links(self) -> List[Link]:
         return [link for _, link, _ in self._machines]
@@ -1736,13 +1796,21 @@ class TcpTransport(RemoteTransport):
             except (BusError, TransportError):
                 pass
             link.close()
-        for process in self._processes:
+        self._reap(grace=5.0)
+
+    def _reap(self, grace: float) -> None:
+        """Give every daemon ``grace`` seconds to exit, stop the ones
+        that do not, and close the listener."""
+        import subprocess
+
+        for process in self._processes.values():
             try:
-                process.wait(timeout=5)
-            except Exception:  # noqa: BLE001 - escalate to terminate
+                process.wait(timeout=grace)
+            except subprocess.TimeoutExpired:
                 process.terminate()
                 try:
                     process.wait(timeout=5)
-                except Exception:  # noqa: BLE001 - last resort
+                except subprocess.TimeoutExpired:  # last resort
                     process.kill()
+                    process.wait()
         self._listener.close()

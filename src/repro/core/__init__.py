@@ -18,17 +18,7 @@ Pipeline (Section 3 of the paper):
 8. :mod:`repro.core.transformer` — assembles the final module source
 """
 
-from repro.core.callgraph import CallSite, StaticCallGraph, build_call_graph
-from repro.core.recongraph import (
-    RECONFIG_NODE,
-    ReconEdge,
-    ReconfigPoint,
-    ReconfigurationGraph,
-    build_reconfiguration_graph,
-    find_reconfig_points,
-)
-from repro.core.liveness import EdgeLiveness, LivenessReport, analyze_liveness
-from repro.core.transformer import TransformResult, prepare_module
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CallSite",
@@ -46,3 +36,22 @@ __all__ = [
     "LivenessReport",
     "analyze_liveness",
 ]
+
+# Resolved on first use (see repro._lazy): a host process imports
+# ``repro.core.naming`` and must not load the pipeline with it.
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.core.callgraph": ["CallSite", "StaticCallGraph", "build_call_graph"],
+        "repro.core.recongraph": [
+            "RECONFIG_NODE",
+            "ReconEdge",
+            "ReconfigPoint",
+            "ReconfigurationGraph",
+            "build_reconfiguration_graph",
+            "find_reconfig_points",
+        ],
+        "repro.core.liveness": ["EdgeLiveness", "LivenessReport", "analyze_liveness"],
+        "repro.core.transformer": ["TransformResult", "prepare_module"],
+    },
+)

@@ -7,10 +7,11 @@ procedure b. ... At any particular time during program execution, the
 frames contained in the activation record stack correspond to a path in
 the static call graph originating at node main."
 
-We use a :class:`networkx.MultiDiGraph` so two calls from ``main`` to
-``a`` produce two distinct edges, each carrying its :class:`CallSite`
-(line number and the exact AST nodes) — the paper labels edges with line
-numbers for the same reason.
+Two calls from ``main`` to ``a`` are two distinct edges, each a
+:class:`CallSite` (line number and the exact AST nodes) in ``sites`` —
+the paper labels edges with line numbers for the same reason.  The
+node-level queries (who calls whom, what reaches what) run on a plain
+adjacency built from those sites.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
-
-import networkx as nx
 
 from repro.errors import CallGraphError
 
@@ -94,13 +93,33 @@ class _CallCollector(ast.NodeVisitor):
             self.visit(child)
 
 
+def _closure(start: str, step: Dict[str, Set[str]]) -> Set[str]:
+    """``start`` and every node reachable from it along ``step`` edges."""
+    seen = {start}
+    pending = [start]
+    while pending:
+        for neighbour in step.get(pending.pop(), ()):
+            if neighbour not in seen:
+                seen.add(neighbour)
+                pending.append(neighbour)
+    return seen
+
+
 @dataclass
 class StaticCallGraph:
     """The program's static call graph plus the underlying AST functions."""
 
     functions: Dict[str, ast.FunctionDef] = field(default_factory=dict)
     sites: List[CallSite] = field(default_factory=list)
-    graph: nx.MultiDiGraph = field(default_factory=nx.MultiDiGraph)
+
+    def __post_init__(self) -> None:
+        # caller -> callees and callee -> callers.  Sets: the parallel
+        # edges live in ``sites``, no node-level query counts them.
+        self._callees: Dict[str, Set[str]] = {name: set() for name in self.functions}
+        self._callers: Dict[str, Set[str]] = {name: set() for name in self.functions}
+        for site in self.sites:
+            self._callees[site.caller].add(site.callee)
+            self._callers[site.callee].add(site.caller)
 
     # -- queries ------------------------------------------------------------
 
@@ -108,10 +127,10 @@ class StaticCallGraph:
         return name in self.functions
 
     def callees(self, name: str) -> List[str]:
-        return sorted(set(self.graph.successors(name))) if name in self.graph else []
+        return sorted(self._callees.get(name, ()))
 
     def callers(self, name: str) -> List[str]:
-        return sorted(set(self.graph.predecessors(name))) if name in self.graph else []
+        return sorted(self._callers.get(name, ()))
 
     def sites_from(self, name: str) -> List[CallSite]:
         return [s for s in self.sites if s.caller == name]
@@ -121,17 +140,16 @@ class StaticCallGraph:
 
     def reachable_from(self, name: str) -> Set[str]:
         """All procedures reachable from ``name`` (inclusive)."""
-        if name not in self.graph:
-            return {name} if name in self.functions else set()
-        return {name} | nx.descendants(self.graph, name)
+        if name not in self.functions:
+            return set()
+        return _closure(name, self._callees)
 
     def reaching(self, targets: Set[str]) -> Set[str]:
-        """All procedures from which any of ``targets`` is reachable."""
+        """All procedures from which any of ``targets`` is reachable
+        (each target included, known or not)."""
         result: Set[str] = set()
         for target in targets:
-            if target in self.graph:
-                result |= nx.ancestors(self.graph, target)
-            result.add(target)
+            result |= _closure(target, self._callers)
         return result
 
     def possible_stacks_are_paths(self) -> bool:
@@ -140,12 +158,10 @@ class StaticCallGraph:
         nodes except main have one or more incoming edges holds only for
         programs without dead procedures; dead procedures are allowed but
         never on a stack)."""
-        for node in self.graph.nodes:
-            if node == MAIN:
-                continue
-            if self.graph.in_degree(node) == 0 and node in self.reachable_from(MAIN):
-                return False
-        return True
+        on_stack = self.reachable_from(MAIN)
+        return all(
+            self._callers[node] for node in on_stack if node != MAIN
+        )
 
 
 def module_functions(tree: ast.Module) -> Dict[str, ast.FunctionDef]:
@@ -171,15 +187,11 @@ def build_call_graph(tree: ast.Module) -> StaticCallGraph:
     """
     functions = module_functions(tree)
     known = set(functions)
-    result = StaticCallGraph(functions=functions)
-    for name in functions:  # ensure isolated nodes exist
-        result.graph.add_node(name)
+    sites: List[CallSite] = []
     for name, fn in functions.items():
         collector = _CallCollector(name, known)
         for stmt in fn.body:
             collector.visit_stmt(stmt)
-        for site in collector.sites:
-            result.sites.append(site)
-            result.graph.add_edge(site.caller, site.callee, site=site)
-    result.sites.sort(key=lambda s: (functions[s.caller].lineno, s.lineno, s.col))
-    return result
+        sites.extend(collector.sites)
+    sites.sort(key=lambda s: (functions[s.caller].lineno, s.lineno, s.col))
+    return StaticCallGraph(functions=functions, sites=sites)

@@ -11,28 +11,7 @@
   measurements and failure handling
 """
 
-from repro.reconfig.bindcmds import BindBatch, BindCommand
-from repro.reconfig.primitives import (
-    ObjectCapability,
-    bind_cap,
-    chg_obj,
-    edit_bind,
-    obj_cap,
-    objstate_move,
-    rebind,
-    struct_ifdest,
-    struct_ifsources,
-    struct_objnames,
-)
-from repro.reconfig.coordinator import ReconfigurationCoordinator, ReconfigurationReport
-from repro.reconfig.scripts import (
-    attach_module,
-    detach_module,
-    move_module,
-    replace_module,
-    replicate_module,
-    upgrade_module,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BindBatch",
@@ -56,3 +35,35 @@ __all__ = [
     "attach_module",
     "detach_module",
 ]
+
+# Resolved on first use (see repro._lazy).
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.reconfig.bindcmds": ["BindBatch", "BindCommand"],
+        "repro.reconfig.primitives": [
+            "ObjectCapability",
+            "obj_cap",
+            "bind_cap",
+            "edit_bind",
+            "rebind",
+            "struct_objnames",
+            "struct_ifdest",
+            "struct_ifsources",
+            "objstate_move",
+            "chg_obj",
+        ],
+        "repro.reconfig.coordinator": [
+            "ReconfigurationCoordinator",
+            "ReconfigurationReport",
+        ],
+        "repro.reconfig.scripts": [
+            "replace_module",
+            "move_module",
+            "replicate_module",
+            "upgrade_module",
+            "attach_module",
+            "detach_module",
+        ],
+    },
+)

@@ -10,6 +10,23 @@ from repro.errors import CallGraphError
 from tests.core.helpers import COMPUTE_SRC, FIGURE6_SRC
 
 
+DESCEND_SRC = """\
+def main():
+    mh.init()
+    descend(256)
+
+
+def descend(n: int):
+    request = None
+    if n > 1:
+        descend(n - 1)
+        return
+    while mh.running:
+        mh.reconfig_point('Q')
+        request = mh.read('requests')
+"""
+
+
 def graph_of(source):
     return build_call_graph(ast.parse(source))
 
@@ -93,6 +110,55 @@ class TestReachability:
     def test_paths_invariant(self):
         assert graph_of(FIGURE6_SRC).possible_stacks_are_paths()
         assert graph_of(COMPUTE_SRC).possible_stacks_are_paths()
+
+    def test_figure6_node_queries(self):
+        graph = graph_of(FIGURE6_SRC)
+        # Two call sites main -> a, one caller/callee entry.
+        assert graph.callees("main") == ["a", "b"]
+        assert graph.callees("a") == ["b"]
+        assert graph.callers("a") == ["main"]
+        assert graph.callers("helper") == ["b"]
+        assert graph.callers("main") == []
+        assert graph.reachable_from("b") == {"b", "helper"}
+        assert graph.reaching({"helper"}) == {"main", "a", "b", "helper"}
+        assert graph.reaching({"a", "helper"}) == {"main", "a", "b", "helper"}
+
+    def test_deep_self_recursion(self):
+        # The shape of the benchmark's deep shard: main calls descend(256),
+        # which calls itself — statically one self-loop, however deep.
+        graph = graph_of(DESCEND_SRC)
+        assert graph.callees("descend") == ["descend"]
+        assert graph.callers("descend") == ["descend", "main"]
+        assert graph.reachable_from("descend") == {"descend"}
+        assert graph.reachable_from("main") == {"main", "descend"}
+        assert graph.reaching({"descend"}) == {"main", "descend"}
+        assert len(graph.sites_between("descend", "descend")) == 1
+        assert graph.possible_stacks_are_paths()
+
+    def test_cycle_back_to_the_argument(self):
+        graph = graph_of(
+            "def main():\n    a()\n\ndef a():\n    b()\n\ndef b():\n    a()\n"
+        )
+        assert graph.reachable_from("a") == {"a", "b"}
+        assert graph.reachable_from("b") == {"a", "b"}
+        assert graph.reaching({"a"}) == {"main", "a", "b"}
+
+    def test_dead_procedure_is_a_node_without_callers(self):
+        graph = graph_of(FIGURE6_SRC + "\n\ndef dead():\n    a(1)\n")
+        assert graph.callers("dead") == []
+        assert graph.callees("dead") == ["a"]
+        assert graph.reachable_from("dead") == {"dead", "a", "b", "helper"}
+        assert graph.callers("a") == ["dead", "main"]
+        assert graph.possible_stacks_are_paths()
+
+    def test_unknown_name(self):
+        graph = graph_of(FIGURE6_SRC)
+        assert graph.callees("nope") == []
+        assert graph.callers("nope") == []
+        assert graph.reachable_from("nope") == set()
+        # Each target is included even when the program has no such procedure.
+        assert graph.reaching({"nope"}) == {"nope"}
+        assert graph.reaching({"nope", "a"}) == {"nope", "main", "a"}
 
 
 class TestModuleFunctions:

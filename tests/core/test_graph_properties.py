@@ -4,12 +4,13 @@ The paper's defining law (Section 3): the reconfiguration graph spans
 exactly the procedures on paths from ``main`` to a procedure containing
 a reconfiguration point.  We generate random call structures and check
 the law, plus the numbering invariants, against the independent
-ground truth computed from the generated call matrix with networkx.
+ground truth computed from the generated call matrix by brute force —
+and the call graph's own queries against the same brute force over
+arbitrary edge lists (parallel edges, self-loops, cycles).
 """
 
 import ast
 
-import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,16 +19,34 @@ from repro.core.recongraph import RECONFIG_NODE, build_reconfiguration_graph
 from repro.errors import ReconfigGraphError
 
 
-def _truth_graph(edges, main_calls, count):
-    truth = nx.DiGraph()
-    truth.add_node("main")
-    for index in range(count):
-        truth.add_node(f"f{index}")
-    for target in main_calls:
-        truth.add_edge("main", f"f{target}")
-    for caller, callee in edges:
-        truth.add_edge(f"f{caller}", f"f{callee}")
-    return truth
+def closure(start, edges):
+    """``start`` plus everything reachable along ``edges``: the edge list
+    is rescanned until nothing is added (no adjacency, no worklist)."""
+    seen = {start}
+    grew = True
+    while grew:
+        grew = False
+        for source, target in edges:
+            if source in seen and target not in seen:
+                seen.add(target)
+                grew = True
+    return seen
+
+
+def simple_paths(edges, source, target, path=()):
+    path = path + (source,)
+    if source == target:
+        yield path
+        return
+    for a, b in sorted(set(edges)):
+        if a == source and b not in path:
+            yield from simple_paths(edges, b, target, path)
+
+
+def _truth_edges(edges, main_calls):
+    return [("main", f"f{target}") for target in main_calls] + [
+        (f"f{caller}", f"f{callee}") for caller, callee in edges
+    ]
 
 
 @st.composite
@@ -87,8 +106,8 @@ def test_node_set_law(program):
     tree = ast.parse(source)
     call_graph = build_call_graph(tree)
 
-    truth = _truth_graph(edges, main_calls, count)
-    reachable = {"main"} | nx.descendants(truth, "main")
+    truth = _truth_edges(edges, main_calls)
+    reachable = closure("main", truth)
     points = {f"f{i}" for i in point_holders}
 
     if points - reachable:
@@ -97,12 +116,8 @@ def test_node_set_law(program):
             build_reconfiguration_graph(call_graph)
         return
     recon = build_reconfiguration_graph(call_graph)
-    reaches_point = set()
-    for node in truth.nodes:
-        if node in points or any(
-            nx.has_path(truth, node, point) for point in points
-        ):
-            reaches_point.add(node)
+    nodes = {"main"} | {f"f{i}" for i in range(count)}
+    reaches_point = {node for node in nodes if closure(node, truth) & points}
 
     expected_nodes = (reachable & reaches_point) | {"main"}
     assert set(recon.nodes) == expected_nodes
@@ -133,16 +148,62 @@ def test_every_possible_stack_is_instrumented(program):
     tree = ast.parse(source)
     call_graph = build_call_graph(tree)
 
-    truth = _truth_graph(edges, main_calls, count)
-    reachable = {"main"} | nx.descendants(truth, "main")
+    truth = _truth_edges(edges, main_calls)
+    reachable = closure("main", truth)
     if {f"f{i}" for i in point_holders} - reachable:
         return  # rejected configuration, covered by test_node_set_law
     recon = build_reconfiguration_graph(call_graph)
 
     for point in point_holders:
-        holder = f"f{point}"
-        if holder not in truth or not nx.has_path(truth, "main", holder):
-            continue
-        for path in nx.all_simple_paths(truth, "main", holder):
+        for path in simple_paths(truth, "main", f"f{point}"):
             for node in path:
                 assert recon.is_instrumented(node), (path, node)
+
+
+# -- the call graph's own queries ---------------------------------------------
+
+PROCEDURES = ["main"] + [f"p{i}" for i in range(7)]
+
+
+@st.composite
+def edge_lists(draw):
+    """Procedures (``main`` first, at most 8) and an arbitrary list of
+    calls among them: repeats are parallel edges, ``(p, p)`` is direct
+    recursion, longer cycles arise freely."""
+    names = PROCEDURES[: draw(st.integers(min_value=1, max_value=len(PROCEDURES)))]
+    call = st.tuples(st.sampled_from(names), st.sampled_from(names))
+    return names, draw(st.lists(call, max_size=20))
+
+
+def program_of(names, edges):
+    lines = []
+    for name in names:
+        lines.append(f"def {name}():")
+        lines.extend(f"    {callee}()" for caller, callee in edges if caller == name)
+        lines.append("    return None")
+        lines.append("")
+    return "\n".join(lines)
+
+
+@given(edge_lists(), st.sets(st.sampled_from(PROCEDURES + ["ghost"]), max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_call_graph_queries_match_brute_force(program, targets):
+    names, edges = program
+    graph = build_call_graph(ast.parse(program_of(names, edges)))
+    backwards = [(b, a) for a, b in edges]
+
+    assert len(graph.sites) == len(edges)  # parallel edges stay distinct
+    for name in names:
+        assert graph.callees(name) == sorted({b for a, b in edges if a == name})
+        assert graph.callers(name) == sorted({a for a, b in edges if b == name})
+        assert graph.reachable_from(name) == closure(name, edges)
+        assert len(graph.sites_from(name)) == sum(a == name for a, _ in edges)
+    expected = set()
+    for target in targets:
+        expected |= closure(target, backwards)  # the target itself, known or not
+    assert graph.reaching(targets) == expected
+    # Everything main reaches got there by a call, so it has a caller.
+    assert graph.possible_stacks_are_paths()
+    assert all(
+        graph.callers(name) for name in closure("main", edges) - {"main"}
+    )
