@@ -22,6 +22,14 @@ what the flight recorder costs on the bus message hot path
   used by the sites that cannot compile themselves out (faults-style
   one-attribute-load-plus-branch idiom), measured directly.
 
+Recording must observe the bus, not re-route it: the recorded
+cross-architecture 8-way entry is asserted to keep the plain entry's
+compiled groups, and two cross-process shapes are recorded (not gated)
+plain vs recording — ``xlink_fanout8`` (``route()`` µs, an in-process
+sender fanning out to 8 receivers in one pipe worker) and
+``pinned_pair`` (msgs/s of a credit-loop pair pinned to ``worker:0``,
+running on its host-local route).
+
 Methodology: one persistent bus, modes switched in place, and every
 enabled/disabled segment *straddled* between two baseline segments
 whose mean it is compared against (``b1 e b2 d b3`` per round, medians
@@ -82,14 +90,185 @@ def assert_disabled_path_uninstrumented() -> None:
     try:
         table = bus._rebuild_routing()
         entry = table["sender"]["out"]
-        assert entry.local_puts, "1to1 scenario must take the local fast path"
-        for put in entry.local_puts:
+        assert entry.puts and entry.groups is None, (
+            "1to1 scenario must be one identity put"
+        )
+        for put in entry.puts:
             assert getattr(put, "__func__", None) is MessageQueue.put, (
                 f"disabled routing table holds a wrapper {put!r}; "
                 f"the disabled hot path is no longer free"
             )
     finally:
         bus.shutdown()
+
+
+def group_shape(entry) -> object:
+    """A route entry's compiled ``groups`` with bound puts reduced to
+    their queues (recording swaps the queue class, so the bound methods
+    differ; who receives what, grouped how, must not)."""
+    if entry.groups is None:
+        return None
+    xfers, links = entry.groups
+    return (
+        [(profile.name, [put.__self__ for put in puts]) for profile, puts in xfers],
+        [(link, list(pairs)) for link, pairs in links],
+    )
+
+
+def assert_recording_keeps_the_plan() -> None:
+    """Recording adds counting, it does not re-route.
+
+    The cross-architecture 8-way fan-out (encode once, decode once for
+    the receivers' profile) compiles to the same groups with a recorder
+    installed, and gains at most one counting callable in front.
+    """
+    assert telemetry.recorder is None
+    bus, _ = build(receivers=8, receiver_host="sparc")
+    try:
+        plain = bus._rebuild_routing()["sender"]["out"]
+        telemetry.enable(capacity=1024, sample=SAMPLE)
+        try:
+            recorded = bus._rebuild_routing()["sender"]["out"]
+        finally:
+            telemetry.disable()
+        assert plain.groups is not None, "xarch8 must compile transfer groups"
+        assert group_shape(recorded) == group_shape(plain), (
+            "recording replaced the compiled cross-profile fan-out"
+        )
+        assert len(recorded.puts) <= len(plain.puts) + 1
+    finally:
+        bus.shutdown()
+
+
+def measure_xlink_fanout(rounds: int, calls: int) -> Dict[str, object]:
+    """``route()`` µs on an 8-way link fan-out, plain vs recording.
+
+    One in-process sender bound to 8 receivers in one pipe worker, so a
+    ``route()`` is one encode plus one coalescer append.  Plain and
+    recorded segments alternate on one bus, each opened by one untimed
+    ``route()`` (the table recompiles after the switch); every segment
+    checks that the worker received all 8 copies of every message and
+    every recorded one that ``bus.routed``/``bus.delivered`` are exact.
+    Recorded, not gated.
+    """
+    from repro.bus.message import Message
+
+    from benchmarks.bench_a4_bus_throughput import build_xlink
+
+    chunks = 5
+    assert telemetry.recorder is None
+    bus, names = build_xlink(workers=1, fanout=8)
+    exact = True
+    times: Dict[str, List[float]] = {"plain": [], "recording": []}
+    try:
+        queues = [bus.get_module(name).queue("inp") for name in names]
+        message = Message(
+            values=[7], fmt="l", source_instance="sender", source_interface="out"
+        )
+
+        def segment(rec) -> None:
+            nonlocal exact
+            bus.route("sender", "out", message)
+            delivered = 0
+            elapsed = 0.0
+            # Timed in chunks, the worker's queues emptied between them
+            # (untimed): short segments are dominated by scheduling noise
+            # between the flusher thread and the worker, one long one
+            # would pile every message up in the worker.
+            for _ in range(chunks):
+                start = time.perf_counter()
+                for _ in range(calls):
+                    bus.route("sender", "out", message)
+                elapsed += time.perf_counter() - start
+                delivered += sum(queue.discard() for queue in queues)
+            sent = chunks * calls + 1
+            times["plain" if rec is None else "recording"].append(
+                elapsed / (sent - 1) * 1e6
+            )
+            exact &= delivered == sent * len(names)
+            if rec is not None:
+                exact &= rec.counter("bus.routed", key="sender.out") == sent
+                exact &= rec.counter_total("bus.delivered") == sent * len(names)
+
+        segment(None)  # warm-up
+        del times["plain"][:]
+        for _ in range(rounds):
+            segment(None)
+            rec = telemetry.enable(capacity=1024, sample=SAMPLE)
+            try:
+                segment(rec)
+            finally:
+                telemetry.disable()
+    finally:
+        if telemetry.recorder is not None:
+            telemetry.disable()
+        bus.shutdown()
+    plain = statistics.median(times["plain"])
+    recording = statistics.median(times["recording"])
+    return {
+        "plain_route_us": round(plain, 2),
+        "recording_route_us": round(recording, 2),
+        "ratio": round(recording / plain, 3),
+        "counts_exact": exact,
+        "rounds": rounds,
+        "calls": chunks * calls,
+    }
+
+
+def measure_pinned_pair(rounds: int, seconds: float) -> Dict[str, object]:
+    """Consumed msgs/s of a credit-loop pair pinned to ``worker:0``.
+
+    bench_a4's producer/consumer pair, both halves on one worker, so its
+    whole loop runs on pushed host-local routes.  Plain and recorded
+    segments alternate on the running pair; each starts 0.1 s after the
+    switch, once the routes have been cleared and pushed again.
+    Recorded, not gated.
+    """
+    from repro.bus.bus import SoftwareBus
+    from repro.bus.spec import BindingSpec
+
+    from benchmarks.bench_a4_bus_throughput import consumer_spec, producer_spec
+
+    assert telemetry.recorder is None
+    bus = SoftwareBus(sleep_scale=0.0, workers=1)
+    rates: Dict[str, List[float]] = {"plain": [], "recording": []}
+    try:
+        bus.add_module(producer_spec(), instance="p", placement="worker:0")
+        bus.add_module(consumer_spec(), instance="c", placement="worker:0")
+        bus.add_binding(BindingSpec("p", "out", "c", "inp"))
+        bus.add_binding(BindingSpec("c", "credit_out", "p", "credit"))
+        bus.start_module("c")
+        bus.start_module("p")
+
+        def segment(mode: str) -> None:
+            time.sleep(0.1)
+            before = int(bus.statics_of("c").get("got", 0))
+            start = time.perf_counter()
+            time.sleep(seconds)
+            after = int(bus.statics_of("c").get("got", 0))
+            rates[mode].append((after - before) / (time.perf_counter() - start))
+
+        time.sleep(0.3)  # warm-up
+        for _ in range(rounds):
+            segment("plain")
+            telemetry.enable(capacity=1024, sample=SAMPLE)
+            try:
+                segment("recording")
+            finally:
+                telemetry.disable()
+    finally:
+        if telemetry.recorder is not None:
+            telemetry.disable()
+        bus.shutdown()
+    plain = statistics.median(rates["plain"])
+    recording = statistics.median(rates["recording"])
+    return {
+        "plain_msgs_per_sec": round(plain, 1),
+        "recording_msgs_per_sec": round(recording, 1),
+        "ratio": round(recording / plain, 3) if plain else 0.0,
+        "rounds": rounds,
+        "seconds": seconds,
+    }
 
 
 def guard_cost_ns(iterations: int = 1_000_000) -> float:
@@ -112,8 +291,9 @@ def measure_modes(seconds: float, rounds: int) -> Dict[str, object]:
     """Straddled baseline / enabled / disabled trials, median summary.
 
     One persistent 1-to-1 bus serves every trial; modes are switched
-    *in place* (``telemetry.enable()``/``disable()`` plus invalidating
-    the routing table so the delivery path recompiles for the new mode).
+    *in place* with ``telemetry.enable()``/``disable()`` alone — a
+    recorder change makes the bus recompile its delivery path, exactly
+    what a user toggling telemetry on a running application gets.
     Each round runs five straddled segments::
 
         b1   enabled   b2   disabled   b3
@@ -156,14 +336,12 @@ def measure_modes(seconds: float, rounds: int) -> Dict[str, object]:
             return sent / (time.perf_counter() - start)
 
         def set_enabled(on: bool) -> None:
+            # The bus recompiles its delivery path on its own: a recorder
+            # change drops every live routing table.
             if on:
                 telemetry.enable(capacity=1024, sample=SAMPLE)
             else:
                 telemetry.disable()
-            # Recompile the delivery path for the new mode: rebinds the
-            # per-destination puts against the (possibly class-swapped)
-            # queues, exactly as a live bus does on its next route().
-            bus._routing_table = None
 
         segment = max(0.05, seconds / 2.0)
         spin(0.3)  # interpreter/branch-predictor warm-up
@@ -273,7 +451,6 @@ def measure_tracing_health(seconds: float, rounds: int) -> Dict[str, object]:
             else:
                 bus.disable_health()
                 telemetry.disable()
-            bus._routing_table = None
 
         segment = max(0.05, seconds / 2.0)
         spin(0.3)
@@ -342,6 +519,7 @@ def measure_fig1_move(enabled: bool, iterations: int) -> Tuple[float, float]:
 
 def run_all(seconds: float, rounds: int, move_iterations: int) -> Dict[str, object]:
     assert_disabled_path_uninstrumented()
+    assert_recording_keeps_the_plan()
     modes = measure_modes(seconds, rounds)
     tracing_health = measure_tracing_health(seconds, rounds)
     move_off = measure_fig1_move(enabled=False, iterations=move_iterations)
@@ -364,6 +542,9 @@ def run_all(seconds: float, rounds: int, move_iterations: int) -> Dict[str, obje
                 "mean": round(move_on[1], 3),
             },
         },
+        # Cross-process shapes, plain vs recording (recorded, not gated).
+        "xlink_fanout8": measure_xlink_fanout(rounds=5, calls=4000),
+        "pinned_pair": measure_pinned_pair(rounds=5, seconds=seconds),
     }
 
 

@@ -12,6 +12,7 @@ Figure-5-style scripted API wrapping them is :mod:`repro.reconfig`.
 from __future__ import annotations
 
 import threading
+import weakref
 from typing import Dict, List, Optional, Tuple
 
 # Not used by name here.  ``bus/module.py`` resolves the transformer
@@ -21,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 # set-up, ``launch()`` or ``replace()`` executes a first-use import.
 import repro.core.transformer  # noqa: F401
 from repro.bus.machine import HostRegistry
-from repro.bus.message import FanoutTransfer, Message
+from repro.bus.message import Message
 from repro.bus.module import ModuleInstance, ModuleState
 from repro.bus.spec import (
     ApplicationSpec,
@@ -43,164 +44,129 @@ from repro.runtime import faults, telemetry
 from repro.runtime.mh import SleepPolicy
 from repro.state.machine import MachineProfile
 
+#: Every live bus, held weakly, so a recorder installed or removed
+#: mid-run reaches their routing tables (``_recompile_live_buses``).
+_live_buses: "weakref.WeakSet[SoftwareBus]" = weakref.WeakSet()
+_live_buses_lock = threading.Lock()
+
+
+@telemetry.on_activation
+def _recompile_live_buses(rec: Optional[telemetry.FlightRecorder]) -> None:
+    with _live_buses_lock:
+        buses = list(_live_buses)
+    for bus in buses:
+        bus._on_recorder_change(rec)
+
 
 class _RouteEntry:
-    """Precomputed deliveries for one bound (instance, interface) endpoint.
+    """Compiled deliveries for one bound (instance, interface) endpoint.
 
     Built once per topology change (see ``SoftwareBus._rebuild_routing``),
-    so the per-message path is a dict lookup plus direct ``queue.put``
-    calls — no binding-list scan, no interface-direction re-checks, and
-    no bus lock held during delivery.  ``deliveries`` pairs each
-    receiving queue's bound ``put`` with the receiver's machine profile
-    (``None`` when the transfer is an identity — same host profile — so
-    broadcast can skip the wire round-trip without consulting profiles).
+    so the per-message path is a dict lookup plus direct calls — no
+    binding-list scan, no interface-direction re-checks, and no bus lock
+    held during delivery.  The same shape whether or not a recorder is
+    installed (recording only adds a counting callable, see
+    :meth:`instrument`):
+
+    - ``puts``: called with the message as written — the bound ``put`` of
+      every local receiver on the sender's profile (identity transfers).
+    - ``groups``: ``None`` when that is every delivery, else
+      ``(xfer_groups, link_groups)``.  The message is encoded once; each
+      distinct receiver profile decodes the wire once for its
+      ``[put]`` (``xfer_groups``: ``[(profile, [put])]``), and each link
+      ships it once with every ``(instance, interface)`` target riding
+      in the same batch entry list (``link_groups``: ``[(link,
+      [(instance, interface)])]``) — encode-once fan-out, in process and
+      across process boundaries alike.
+    - ``by_dest``: destination instance -> ``(put, receiver_profile |
+      None)`` for ``route_to``.
     """
 
-    __slots__ = (
-        "sender_profile",
-        "deliveries",
-        "local_puts",
-        "by_dest",
-        "peers",
-        "plan",
-        "_wiring",
-    )
+    __slots__ = ("sender_profile", "puts", "groups", "by_dest", "targets")
 
     def __init__(self, sender_profile: Optional[MachineProfile]):
         self.sender_profile = sender_profile
-        # [(queue.put, receiver_profile | None)]
-        self.deliveries: List[Tuple] = []
-        # Fast path when every delivery is an identity transfer.
-        self.local_puts: Optional[List] = None
-        # destination instance -> (queue.put, receiver_profile | None)
+        self.puts: List = []
+        self.groups: Optional[Tuple[List, List]] = None
         self.by_dest: Dict[str, Tuple] = {}
-        # (peer module-or-handle, peer interface) per delivery; consumed
-        # by the worker route push at rebuild time.
-        self.peers: List[Tuple] = []
-        # Grouped fan-out ``(local_puts, xfer_groups, link_groups)`` for
-        # entries with at least one non-identity delivery: the message is
-        # encoded once, each distinct receiver profile decodes once, and
-        # each link gets one coalesced entry per target — see finalize().
-        self.plan: Optional[Tuple] = None
-        # (destination instance, dest interface, queue | None) per
-        # delivery; only consumed by telemetry instrumentation at
-        # rebuild time (None for remote deliveries, whose queue depth
-        # lives in the remote host's own recorder).
-        self._wiring: List[Tuple] = []
+        # (dest instance, dest interface, queue, receiver profile, link)
+        # per delivery: queue/profile are None for a remote peer and link
+        # is None for a local one.  Read at rebuild time only (grouping,
+        # telemetry, the host-local route push).
+        self.targets: List[Tuple] = []
 
     def add(self, peer, peer_if: str) -> None:
-        self.peers.append((peer, peer_if))
-        remote_put = getattr(peer, "remote_put", None)
-        if remote_put is not None:
-            # Remote peer: the bound callable encodes with the sender's
-            # profile and ships one transport event per message; the
-            # receiving host decodes under its own profile, so the
-            # delivery is an identity from the fan-out's point of view.
-            delivery = (remote_put(peer_if, self.sender_profile), None)
-            self.deliveries.append(delivery)
-            self.by_dest.setdefault(peer.name, delivery)
-            self._wiring.append((peer.name, peer_if, None))
-            return
-        receiver = peer.host.profile
-        sender = self.sender_profile
-        if (
-            sender is receiver
-            or sender is None
-            or receiver is None
-            or sender.name == receiver.name
-        ):
-            receiver = None  # identity transfer
-        queue = peer.queue(peer_if)
-        delivery = (queue.put, receiver)
-        self.deliveries.append(delivery)
-        self.by_dest.setdefault(peer.name, delivery)
-        self._wiring.append((peer.name, peer_if, queue))
+        link = getattr(peer, "link", None)
+        queue = receiver = None
+        if link is not None:
+            # Remote peer: the host decodes under its own profile, so the
+            # fan-out only ever ships the sender's wire (see finalize).
+            put = peer.remote_put(peer_if, self.sender_profile)
+        else:
+            receiver = peer.host.profile
+            sender = self.sender_profile
+            if (
+                sender is receiver
+                or sender is None
+                or receiver is None
+                or sender.name == receiver.name
+            ):
+                receiver = None  # identity transfer
+            queue = peer.queue(peer_if)
+            put = queue.put
+            if receiver is None:
+                self.puts.append(put)
+        self.by_dest.setdefault(peer.name, (put, receiver))
+        self.targets.append((peer.name, peer_if, queue, receiver, link))
 
     def finalize(self) -> None:
-        """Classify the fan-out once so ``route()`` never re-derives it.
-
-        All-identity entries keep the raw ``local_puts`` fast path.
-        Anything else compiles a *plan*: local identity puts, transfer
-        groups keyed by distinct receiver profile (decode the shared
-        wire once per profile), and link groups keyed by transport link
-        (ship the shared wire once per link with every ``(instance,
-        interface)`` target riding in the same batch entry list — the
-        encode-once fan-out across process boundaries).
-        """
-        # Remote handles report ``profile is None`` too (their encode
-        # happens inside the bound callable), so the all-identity fast
-        # path must also require that no peer sits behind a link —
-        # otherwise an all-remote fan-out would re-encode per delivery
-        # instead of sharing one wire per link.
-        if all(profile is None for _, profile in self.deliveries) and not any(
-            getattr(peer, "link", None) is not None for peer, _ in self.peers
-        ):
-            self.local_puts = [put for put, _ in self.deliveries]
-            return
-        locals_: List = []
+        """Group the non-identity deliveries once so ``route()`` never
+        re-derives them: by receiver profile name, and by link."""
         xfers: Dict[str, Tuple] = {}
         links: Dict[int, Tuple] = {}
-        for (peer, peer_if), (put, profile) in zip(self.peers, self.deliveries):
-            link = getattr(peer, "link", None)
+        for dest, dest_if, queue, receiver, link in self.targets:
             if link is not None:
-                group = links.get(id(link))
-                if group is None:
-                    links[id(link)] = (link, [(peer.name, peer_if)])
-                else:
-                    group[1].append((peer.name, peer_if))
-            elif profile is None:
-                locals_.append(put)
-            else:
-                group = xfers.get(profile.name)
-                if group is None:
-                    xfers[profile.name] = (profile, [put])
-                else:
-                    group[1].append(put)
-        self.plan = (locals_, list(xfers.values()), list(links.values()))
+                links.setdefault(id(link), (link, []))[1].append((dest, dest_if))
+            elif receiver is not None:
+                xfers.setdefault(receiver.name, (receiver, []))[1].append(queue.put)
+        if xfers or links:
+            self.groups = (list(xfers.values()), list(links.values()))
 
     def instrument(self, rec, endpoint: str, in_degree, derived) -> None:
-        """Recompile this entry's telemetry at rebuild time.
+        """Add this entry's telemetry at rebuild time (recorder installed).
 
-        Called only while a recorder is installed — the *disabled*
-        per-message path carries zero added instructions (not even a
-        flag test; see docs/telemetry.md).  The *enabled* path no longer
-        wraps every delivery in counting closures either:
+        The compiled fan-out is kept exactly as built; recording adds at
+        most one counting callable at the front of ``puts``:
 
         - ``bus.delivered`` and ``queue.hwm`` come from the receiving
           queues themselves, whose class swaps to
-          ``RecordingMessageQueue`` while recording — the fan-out keeps
-          calling raw bound ``put`` methods.
-        - ``bus.routed`` is *derived*: when the entry delivers into a
-          local queue fed by no other endpoint (``in_degree`` counts
-          edges per receiving endpoint), every undirected put on that
-          queue is exactly one ``route()`` call here, so the count is
-          computed lazily from the queue's cells — ``derived`` collects
-          endpoint -> queue for ``SoftwareBus._routed_source``.  Only
-          entries with no such queue (pure fan-in receivers, all-remote
-          fan-outs) pay for a counting wrapper, on the first delivery
-          of the fan-out only.
+          ``RecordingMessageQueue`` while recording (the table is rebuilt
+          whenever the recorder changes, so it holds the swapped ``put``).
+        - ``bus.routed`` is *derived* when the entry delivers into a local
+          queue fed by no other endpoint (``in_degree`` counts edges per
+          receiving endpoint): every undirected put on that queue is
+          exactly one ``route()`` call here, so the count is computed
+          lazily from the queue's cells — ``derived`` collects endpoint
+          -> queue for ``SoftwareBus._routed_source``.  Other entries
+          (fan-in receivers, all-remote fan-outs) count it directly.
+        - An unbound endpoint counts ``bus.dropped`` instead, so silent
+          drops become visible.
         - Directed sends re-bind ``by_dest`` to ``put_directed`` so the
           queue tags them out of the routed derivation in-lock; remote
           targets count on the sender's shard (the remote host's own
           queue counts the delivery).
-
-        An unbound endpoint gets a counting stub so silent drops become
-        visible.
         """
-        # While recording, route via the per-delivery closures so every
-        # delivery stays individually countable (same trade as the route
-        # push-down, which is also suppressed while telemetry records).
-        self.plan = None
-        if not self.deliveries:
+        if not self.targets:
             def drop(message, _rec=rec, _key=endpoint):
                 _rec.count("bus.dropped", key=_key)
 
-            self.local_puts = [drop]
+            self.puts = [drop]
             return
         by_dest: Dict[str, Tuple] = {}
-        for (dest, dest_if, queue), (put, profile) in zip(self._wiring, self.deliveries):
+        for dest, _, queue, _, _ in self.targets:
             if dest in by_dest:
                 continue
+            put, receiver = self.by_dest[dest]
             if queue is not None:
                 def directed(message, _queue=queue, _rec=rec, _key=endpoint):
                     _rec.count("bus.directed", key=_key)
@@ -211,21 +177,17 @@ class _RouteEntry:
                     _rec.count("bus.directed", key=_key)
                     _put(message)
 
-            by_dest[dest] = (directed, profile)
+            by_dest[dest] = (directed, receiver)
         self.by_dest = by_dest
-        for dest, dest_if, queue in self._wiring:
+        for dest, dest_if, queue, _, _ in self.targets:
             if queue is not None and in_degree.get((dest, dest_if)) == 1:
                 derived[endpoint] = queue
                 return
-        put0, profile0 = self.deliveries[0]
 
-        def routed(message, _put=put0, _rec=rec, _key=endpoint):
+        def routed(message, _rec=rec, _key=endpoint):
             _rec.count("bus.routed", key=_key)
-            _put(message)
 
-        self.deliveries[0] = (routed, profile0)
-        if self.local_puts is not None:
-            self.local_puts = [put for put, _ in self.deliveries]
+        self.puts = [routed] + self.puts
 
 
 class SoftwareBus:
@@ -287,6 +249,8 @@ class SoftwareBus:
         self._inproc = InprocTransport()
         self._inproc.attach_bus(self)
         self._transports[self._inproc.name] = self._inproc
+        with _live_buses_lock:
+            _live_buses.add(self)
         if workers:
             from repro.bus.procpool import ProcessTransport
 
@@ -646,8 +610,9 @@ class SoftwareBus:
         sender's own link: the host then delivers those writes directly
         (same-process queue put, no encoding, no bus hop) — the fast
         path that lets pinned producer/consumer pairs scale with cores.
-        Skipped entirely while bus-side telemetry records, so the flight
-        recorder keeps seeing every delivery.
+        Recording does not change this: a host counts ``bus.routed`` /
+        ``bus.directed`` for the writes it delivers itself, and its
+        counters reach the bus recorder through the remote source.
         """
         routes_by_link: Dict[object, List[List[object]]] = {}
         for name, by_interface in table.items():
@@ -656,18 +621,10 @@ class SoftwareBus:
             if link is None:
                 continue
             for ifname, entry in by_interface.items():
-                if not entry.peers:
-                    continue
-                if all(
-                    getattr(peer, "link", None) is link
-                    for peer, _ in entry.peers
-                ):
+                targets = entry.targets
+                if targets and all(peer_link is link for *_, peer_link in targets):
                     routes_by_link.setdefault(link, []).append(
-                        [
-                            name,
-                            ifname,
-                            [[peer.name, peer_if] for peer, peer_if in entry.peers],
-                        ]
+                        [name, ifname, [[dest, dest_if] for dest, dest_if, *_ in targets]]
                     )
         for transport in self._transports.values():
             links = getattr(transport, "links", None)
@@ -758,10 +715,7 @@ class SoftwareBus:
                 self._freeze_derivation(derived)
                 self._sync_remote_recorders()
             self._routing_table = table
-            if rec is None:
-                # Only when nothing records bus-side: endpoints whose
-                # whole fan-out is host-local bypass the bus entirely.
-                self._push_worker_routes(table)
+            self._push_worker_routes(table)
             return table
 
     def _prepare_telemetry(self, rec: telemetry.FlightRecorder) -> None:
@@ -841,6 +795,31 @@ class SoftwareBus:
                 if current is None or v > current:
                     gauges[k] = v
         return counters, gauges
+
+    def _on_recorder_change(
+        self, rec: Optional[telemetry.FlightRecorder]
+    ) -> None:
+        """A recorder was installed or removed: recompile on next route.
+
+        The table holds ``put`` methods bound when it was built, i.e. of
+        the queue class before the recording swap; dropping it is what
+        makes counts start (or stop) on the next message.  Removing the
+        recorder also removes the remote hosts' recorders (best-effort
+        per link, like their installation in ``_sync_remote_recorders``).
+        """
+        with self._lock:
+            self._invalidate_routing_locked()
+            transports = list(self._transports.values())
+        if rec is not None:
+            return
+        for transport in transports:
+            disable_remote = getattr(transport, "disable_telemetry", None)
+            if disable_remote is None:
+                continue
+            try:
+                disable_remote()
+            except Exception:  # noqa: BLE001 - e.g. an injected link fault
+                continue
 
     def _sync_remote_recorders(self) -> None:
         """Install recorders in remote hosts (idempotent, every rebuild).
@@ -1006,35 +985,21 @@ class SoftwareBus:
         entry = by_interface.get(interface)
         if entry is None:
             return  # declared-interface misuse kept as the historical no-op
-        local_puts = entry.local_puts
-        if local_puts is not None:
-            for put in local_puts:
-                put(message)
-            return
-        plan = entry.plan
-        if plan is not None:
-            # Compiled fan-out: encode once, decode once per distinct
-            # receiver profile, ship once per link (the batch entry list
-            # carries every same-host target of this wire).
-            locals_, xfers, links = plan
-            for put in locals_:
-                put(message)
-            wire = None
-            sender = entry.sender_profile
+        for put in entry.puts:
+            put(message)
+        groups = entry.groups
+        if groups is not None:
+            # Encode once, decode once per distinct receiver profile, ship
+            # once per link (the batch entry list carries every same-host
+            # target of this wire).
+            xfers, links = groups
+            wire = message.to_wire(entry.sender_profile)
             for profile, puts in xfers:
-                if wire is None:
-                    wire = message.to_wire(sender)
                 decoded = Message.from_wire(wire, profile)
                 for put in puts:
                     put(decoded)
             for link, pairs in links:
-                if wire is None:
-                    wire = message.to_wire(sender)
                 link.send_deliver_shared(pairs, wire)
-            return
-        fanout = FanoutTransfer(message, entry.sender_profile)
-        for put, profile in entry.deliveries:
-            put(fanout.for_profile(profile))
 
     def route_to(
         self, instance: str, interface: str, destination: str, message: Message

@@ -118,42 +118,3 @@ class Message:
             return self
         return Message.from_wire(self.to_wire(sender), receiver)
 
-
-class FanoutTransfer:
-    """Encode-once view of one message delivered to many receivers.
-
-    A broadcast ``route`` may cross the machine boundary once per peer;
-    naively that re-encodes the sender's wire form for every receiver and
-    re-decodes it for every receiver, even when many receivers share a
-    machine profile.  This helper encodes the wire form at most once per
-    fan-out and decodes at most once per *distinct* receiver profile
-    (memoized by profile name), so an N-way cross-host fan-out costs one
-    encode plus ``len(profiles)`` decodes instead of N of each.
-
-    The per-profile decoded message is shared between same-profile
-    receivers — safe because delivered messages are treated as immutable
-    (same-host broadcast already shares the sender's message object).
-    """
-
-    __slots__ = ("message", "_sender", "_wire", "_decoded")
-
-    def __init__(self, message: Message, sender: Optional[MachineProfile]):
-        self.message = message
-        self._sender = sender
-        self._wire: Optional[bytes] = None
-        self._decoded: dict = {}
-
-    def for_profile(self, receiver: Optional[MachineProfile]) -> Message:
-        """The message as decoded on ``receiver`` (identity when local)."""
-        sender = self._sender
-        if sender is receiver or sender is None or receiver is None:
-            return self.message
-        if sender.name == receiver.name:
-            return self.message
-        cached = self._decoded.get(receiver.name)
-        if cached is None:
-            if self._wire is None:
-                self._wire = self.message.to_wire(sender)
-            cached = Message.from_wire(self._wire, receiver)
-            self._decoded[receiver.name] = cached
-        return cached

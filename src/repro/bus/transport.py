@@ -42,9 +42,9 @@ Worker-local fan-out: the bus pushes per-host route tables to each link
 that same host; such writes are delivered host-locally without touching
 the bus process at all, which is what lets pinned producer/consumer
 pairs scale with cores.  Any topology change broadcasts ``clear_routes``
-first (per-link FIFO makes subsequent queue snapshots/drains exact), and
-route pushes are suppressed while bus-side telemetry is recording so the
-flight recorder keeps seeing every delivery.
+first (per-link FIFO makes subsequent queue snapshots/drains exact).
+Routes are pushed whether or not telemetry records: a host counts the
+writes it delivers itself, the bus the ones tunneled to it.
 """
 
 from __future__ import annotations
@@ -483,7 +483,9 @@ class ModuleHost:
     :meth:`route_to`): a write on an endpoint with a pushed host-local
     route is put directly into the destination queue — same-process
     identity, no encoding, no bus involvement (the multi-core fast
-    path).  Everything else tunnels to the bus, coalesced into
+    path); while recording, the host counts such a write as
+    ``bus.routed`` (``bus.directed``) itself, so every write is counted
+    exactly once.  Everything else tunnels to the bus, coalesced into
     ``write_batch`` frames; every *other* outbound event drains that
     tunnel first so divulge, lifecycle, and heartbeat events stay
     FIFO-ordered behind the writes that preceded them.
@@ -576,6 +578,9 @@ class ModuleHost:
                 instance, interface, "", message.to_wire(self.profile)
             )
             return
+        rec = telemetry.recorder
+        if rec is not None:
+            rec.count("bus.routed", key=f"{instance}.{interface}")
         modules = self.modules
         for dest, dest_if in entry:
             module = modules.get(dest) or self._renamed_module(dest)
@@ -593,6 +598,9 @@ class ModuleHost:
             return
         for dest, dest_if in entry:
             if dest == destination:
+                rec = telemetry.recorder
+                if rec is not None:
+                    rec.count("bus.directed", key=f"{instance}.{interface}")
                 module = self.modules.get(dest) or self._renamed_module(dest)
                 if module is not None:
                     module.queue(dest_if).put(message)
@@ -744,10 +752,10 @@ class ModuleHost:
 
         Each distinct wire decodes once; when it fans out to several
         modules the same :class:`Message` object is shared — delivered
-        messages are treated as immutable (see ``FanoutTransfer``), so
-        same-host sharing is safe.  An entry flushed under a clone's
-        temporary name and dispatched after the commit renamed it lands
-        at the renamed module.  Modules withdrawn between flush and
+        messages are treated as immutable (``SoftwareBus.route`` shares
+        them the same way), so same-host sharing is safe.  An entry
+        flushed under a clone's temporary name and dispatched after the
+        commit renamed it lands at the renamed module.  Modules withdrawn between flush and
         dispatch are skipped and counted, not raised: a batch is a run
         of fire-and-forget deliveries, and a miss on one entry must not
         discard the rest.
@@ -1396,6 +1404,8 @@ class RemoteTransport(Transport):
         #: hosts currently unreachable — used to emit
         #: ``telemetry.source_lost`` once per outage, not once per read.
         self._lost_links: set = set()
+        #: set by enable_telemetry, cleared by disable_telemetry.
+        self._hosts_recording = False
         self._health_monitor = None
         self._health_interval = 0.0
 
@@ -1416,12 +1426,26 @@ class RemoteTransport(Transport):
         Enable-if-absent on the host side, so the bus may call this on
         every routing rebuild to catch hosts spawned after ``enable()``.
         """
+        self._hosts_recording = True
         for link in self.links():
             link.request(["telemetry_enable"])
 
     def disable_telemetry(self) -> None:
+        """Uninstall every live host's recorder, best-effort per link.
+
+        The hosts' totals are read one last time first and served from
+        then on, so the bus recorder that ``telemetry.disable()``
+        detached still exports what the hosts counted.
+        """
+        if not self._hosts_recording:
+            return
+        self.telemetry_snapshot()
+        self._hosts_recording = False
         for link in self.links():
-            link.request(["telemetry_disable"])
+            try:
+                link.request(["telemetry_disable"], timeout=5)
+            except (BusError, OSError):
+                pass
 
     def telemetry_snapshot(self):
         """Aggregate counters/gauges across this transport's hosts.
@@ -1435,48 +1459,19 @@ class RemoteTransport(Transport):
         A host that died (or is shutting down) mid-read must not poison
         ``snapshot()``: its last successfully read totals keep counting,
         and a ``telemetry.source_lost`` event marks the outage once.
+        Once ``disable_telemetry`` has run, the last totals are served
+        without asking the hosts.
         """
         counters: Dict[Tuple[str, Optional[str]], int] = {}
         gauges: Dict[Tuple[str, Optional[str]], float] = {}
         rec = telemetry.recorder
         for link in self.links():
-            try:
-                snap = link.request(["telemetry_snapshot"])
-                link_counters: Dict[Tuple[str, Optional[str]], int] = {}
-                link_gauges: Dict[Tuple[str, Optional[str]], float] = {}
-                for flat, value in dict(snap.get("counters", {})).items():
-                    name, _, key = str(flat).partition("|")
-                    link_counters[(name, key or None)] = int(value)
-                for flat, value in dict(snap.get("gauges", {})).items():
-                    name, _, key = str(flat).partition("|")
-                    link_gauges[(name, key or None)] = float(value)
-                records = snap.get("records") or []
-                if rec is not None and records:
-                    rec.ingest_remote(
-                        link.name, [dict(r) for r in records]
-                    )
-                self._last_link_totals[link.name] = (link_counters, link_gauges)
-                self._lost_links.discard(link.name)
-            except (BusError, OSError) as exc:
-                cached = self._last_link_totals.get(link.name)
-                if link.name not in self._lost_links:
-                    self._lost_links.add(link.name)
-                    telemetry.event(
-                        "telemetry.source_lost",
-                        host=link.name,
-                        transport=self.name,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                monitor = self._health_monitor
-                if monitor is not None:
-                    # Self-healing condemnation: a later heartbeat
-                    # un-condemns, so a transient fault costs nothing.
-                    monitor.mark_dead(
-                        link.name, f"telemetry_snapshot: {type(exc).__name__}"
-                    )
-                if cached is None:
+            totals = self._last_link_totals.get(link.name)
+            if self._hosts_recording or totals is None:
+                totals = self._read_host_totals(link, rec)
+                if totals is None:
                     continue
-                link_counters, link_gauges = cached
+            link_counters, link_gauges = totals
             for k, v in link_counters.items():
                 counters[k] = counters.get(k, 0) + v
             for k, v in link_gauges.items():
@@ -1484,6 +1479,42 @@ class RemoteTransport(Transport):
                 if current is None or v > current:
                     gauges[k] = v
         return counters, gauges
+
+    def _read_host_totals(self, link: Link, rec) -> Optional[Tuple[Dict, Dict]]:
+        """One host's ``(counters, gauges)``, or its last known totals."""
+        try:
+            snap = link.request(["telemetry_snapshot"])
+            link_counters: Dict[Tuple[str, Optional[str]], int] = {}
+            link_gauges: Dict[Tuple[str, Optional[str]], float] = {}
+            for flat, value in dict(snap.get("counters", {})).items():
+                name, _, key = str(flat).partition("|")
+                link_counters[(name, key or None)] = int(value)
+            for flat, value in dict(snap.get("gauges", {})).items():
+                name, _, key = str(flat).partition("|")
+                link_gauges[(name, key or None)] = float(value)
+            records = snap.get("records") or []
+            if rec is not None and records:
+                rec.ingest_remote(link.name, [dict(r) for r in records])
+            totals = self._last_link_totals[link.name] = (link_counters, link_gauges)
+            self._lost_links.discard(link.name)
+            return totals
+        except (BusError, OSError) as exc:
+            if link.name not in self._lost_links:
+                self._lost_links.add(link.name)
+                telemetry.event(
+                    "telemetry.source_lost",
+                    host=link.name,
+                    transport=self.name,
+                    error=f"{type(exc).__name__}: {exc}",
+                )
+            monitor = self._health_monitor
+            if monitor is not None:
+                # Self-healing condemnation: a later heartbeat
+                # un-condemns, so a transient fault costs nothing.
+                monitor.mark_dead(
+                    link.name, f"telemetry_snapshot: {type(exc).__name__}"
+                )
+            return self._last_link_totals.get(link.name)
 
     def flush_telemetry(self) -> None:
         """Pull buffered remote trace records home and drop contexts.

@@ -41,12 +41,11 @@ instrumentation site with::
 so the disabled cost is one attribute load plus one branch — the same
 idiom as :mod:`repro.runtime.faults`.  The bus goes further: its
 per-message accounting is compiled into the routing table and the queue
-classes at enable time (see ``SoftwareBus._rebuild_routing`` and
-``queues.RecordingMessageQueue``), so the disabled ``route()`` fast path
-carries **zero** added instructions.  Consequence: enable telemetry
-*before* launching an application (or touch the topology afterwards)
-for bus counters to appear.  ``bench_o1_telemetry_overhead`` proves both
-the disabled-mode (<3%) and enabled-mode (<10%) overhead bounds.
+classes whenever the recorder changes (see ``SoftwareBus._rebuild_routing``
+and ``queues.RecordingMessageQueue``), so the disabled ``route()`` fast
+path carries **zero** added instructions.  ``bench_o1_telemetry_overhead``
+proves both the disabled-mode (<3%) and enabled-mode (<10%) overhead
+bounds.
 
 Enabled-mode cost model (see docs/telemetry.md for the full writeup):
 
@@ -813,10 +812,11 @@ class FlightRecorder:
 recorder: Optional[FlightRecorder] = None
 
 #: Activation hooks: called with the new recorder on ``enable()`` and
-#: with ``None`` on ``disable()``.  The queue layer uses this to swap
-#: live queues to/from their recording class; registration is
-#: import-time only (no unregistration — modules live as long as the
-#: process).
+#: with ``None`` on a ``disable()`` that removed one — only when the
+#: recorder actually changes.  The queue layer uses this to swap live
+#: queues to/from their recording class, the bus to recompile its
+#: routing tables; registration is import-time only (no unregistration
+#: — modules live as long as the process).
 _activation_hooks: List[Callable[[Optional[FlightRecorder]], None]] = []
 
 
@@ -830,9 +830,7 @@ def enable(capacity: int = 4096, sample: int = 1) -> FlightRecorder:
     """Install (and return) a fresh recorder, replacing any current one.
 
     ``sample=N`` records 1-in-N top-level per-message spans (replace
-    trees are always complete; see module docstring).  Enable *before*
-    launching a bus so that per-message bus accounting is compiled into
-    its routing table and queues (see module docstring).
+    trees are always complete; see module docstring).
     """
     global recorder
     recorder = rec = FlightRecorder(capacity=capacity, sample=sample)
@@ -845,8 +843,9 @@ def disable() -> Optional[FlightRecorder]:
     """Uninstall the recorder; returns it so callers can still export."""
     global recorder
     current, recorder = recorder, None
-    for hook in _activation_hooks:
-        hook(None)
+    if current is not None:
+        for hook in _activation_hooks:
+            hook(None)
     return current
 
 

@@ -14,7 +14,9 @@ per placement:
   that keeps failing rolls back to the old module *in its process*;
 - a numbered stream through a remotely hosted relay stays exact — every
   number once, in order — through dozens of ``replace()`` calls, staying
-  on a host and migrating between a pipe worker and a TCP daemon.
+  on a host and migrating between a pipe worker and a TCP daemon;
+- recording leaves cross-process routing as it is: host-local routes
+  stay pushed, link fan-outs stay one append per send.
 """
 
 import threading
@@ -71,6 +73,15 @@ def main():
 FEEDER_SOURCE = '''
 def main():
     mh.sleep(0.01)
+'''
+
+PRODUCER_SOURCE = '''
+def main():
+    n = 0
+    mh.init()
+    while n < COUNT:
+        mh.write("out", "l", n)
+        n = n + 1
 '''
 
 RELAY_SOURCE = '''
@@ -134,6 +145,14 @@ def _counter_spec():
         inline_source=COUNTER_SOURCE,
         interfaces=[InterfaceDecl(name="inp", role=Role.USE, pattern="l")],
         reconfig_points=["Q"],
+    )
+
+
+def _producer_spec(count):
+    return ModuleSpec(
+        name="producer",
+        inline_source=PRODUCER_SOURCE.replace("COUNT", str(count)),
+        interfaces=[InterfaceDecl(name="out", role=Role.DEFINE, pattern="l")],
     )
 
 
@@ -345,9 +364,9 @@ class TestReplaceUnderStream:
     addressed to the old name must still land (see
     ``tests/bus/test_rename_window.py`` for the deterministic cases).
 
-    Recording switches the bus to per-delivery closures and suppresses
-    host-local routes, so both routing shapes run; the drop counters
-    are only readable while recording.
+    ``recorded`` runs the same routing shapes as ``plain`` (recording
+    only adds counting, see ``TestRecordedRouting``); it is kept because
+    the drop counters are only readable while recording.
     """
 
     REPLACES = 24
@@ -416,6 +435,86 @@ class TestReplaceUnderStream:
         if rec is not None:
             assert rec.counter_total("host.deliver_miss") == 0
             assert rec.counter_total("link.event_errors") == 0
+
+
+class TestRecordedRouting:
+    """Recording observes cross-process routing; it does not re-route it.
+
+    With a recorder installed a pinned pair keeps its host-local route
+    (the host counts the writes it delivers itself) and a link fan-out
+    stays one coalescer append per ``route()``; removing the bus recorder
+    removes the hosts' recorders too.
+    """
+
+    MESSAGES = 2000
+
+    def test_pinned_pair_keeps_its_host_local_route(self):
+        bus = SoftwareBus(sleep_scale=0.0, workers=1)
+        try:
+            rec = telemetry.enable(capacity=1 << 14)
+            bus.add_module(_producer_spec(self.MESSAGES), instance="p", placement="worker:0")
+            bus.add_module(_collector_spec(), instance="c", placement="worker:0")
+            bus.add_binding(BindingSpec("p", "out", "c", "inp"))
+            tunneled = []
+            on_write = bus._on_transport_write
+
+            def spy(instance, *args):
+                tunneled.append(instance)
+                on_write(instance, *args)
+
+            bus._on_transport_write = spy
+            bus._rebuild_routing()  # installs the host's recorder, pushes the route
+            bus.start_module("c")
+            bus.start_module("p")
+            got = _wait(
+                lambda: (lambda g: g if len(g) >= self.MESSAGES else None)(
+                    bus.statics_of("c").get("got", [])
+                )
+            )
+            assert list(got) == list(range(self.MESSAGES))
+            assert "p" not in tunneled, "the pair's writes went through the bus"
+            assert rec.counter("bus.routed", key="p.out") == self.MESSAGES
+            assert rec.counter("bus.delivered", key="c.inp") == self.MESSAGES
+
+            telemetry.disable()
+            counters = bus.transport("worker").telemetry_counters()
+            assert counters and all(c == {} for c in counters.values()), counters
+        finally:
+            bus.shutdown()
+
+    def test_link_fan_out_is_one_append_per_route(self):
+        bus = SoftwareBus(sleep_scale=0.0, workers=1)
+        try:
+            rec = telemetry.enable(capacity=1 << 14)
+            bus.add_module(_feeder_spec(), instance="feeder")
+            names = [f"c{i}" for i in range(8)]
+            for name in names:
+                bus.add_module(_collector_spec(name), instance=name, placement="worker:0")
+                bus.add_binding(BindingSpec("feeder", "out", name, "inp"))
+            _feed(bus, 0)  # compiles the table, installs the host's recorder
+            coalescer = bus.get_module("c0").link._coalescer
+            appends = []
+
+            def spying(method):
+                real = getattr(coalescer, method)
+
+                def spy(*args):
+                    appends.append(method)
+                    real(*args)
+
+                setattr(coalescer, method, spy)
+
+            spying("append")
+            spying("append_shared")
+            _feed(bus, *range(1, 101))
+            assert appends == ["append_shared"] * 100
+            sent = 101
+            queues = [bus.get_module(name).queue("inp") for name in names]
+            assert sum(queue.discard() for queue in queues) == len(names) * sent
+            assert rec.counter("bus.routed", key="feeder.out") == sent
+            assert rec.counter_total("bus.delivered") == len(names) * sent
+        finally:
+            bus.shutdown()
 
 
 class TestNoCompileInRemoteReplace:

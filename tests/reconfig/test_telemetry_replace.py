@@ -430,8 +430,9 @@ class TestBusCounters:
         try:
             table = bus._rebuild_routing()
             entry = table["sender"]["out"]
-            assert entry.local_puts
-            for put in entry.local_puts:
+            assert entry.groups is None
+            assert len(entry.puts) == 2
+            for put in entry.puts:
                 assert getattr(put, "__func__", None) is MessageQueue.put
         finally:
             bus.shutdown()
