@@ -441,6 +441,8 @@ class SoftwareBus:
             # Free the slot on the remote host; the instance is already
             # unrouted, so late tunneled frames for it fall harmlessly.
             module.discard()
+        else:
+            module.retire()
         self.trace.append(f"remove module {instance}")
 
     def rename_instance(self, old_name: str, new_name: str) -> None:

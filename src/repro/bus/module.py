@@ -411,6 +411,28 @@ class ModuleInstance:
         )
         self.thread.start()
 
+    def retire(self) -> None:
+        """Cut the reference cycles of a removed instance.
+
+        A module is tied into cycles with its ``mh``: the port points back
+        at the instance, the divulge/failure/``on_restored`` callbacks and
+        the lifecycle hook close over it, and the namespace and its
+        functions' ``__globals__`` point at each other.  Cut here, the
+        instance, its heap and its state packets are freed by reference
+        counting the moment the last caller drops it, not at whichever
+        gen-2 collection comes next.  Called by whoever removes the
+        instance, never by :meth:`stop` (a revival reuses the namespace),
+        and only once the thread has exited: a thread that outlived its
+        stop still runs in the namespace.
+        """
+        if self.thread is not None and self.thread.is_alive():
+            return
+        self.mh.set_divulge_callback(None)
+        self.mh.on_restored = None
+        self.mh.attach_port(None)
+        self.lifecycle_hook = None
+        self.namespace.clear()
+
     def rename(self, new_name: str) -> None:
         """Adopt a new instance name, rebranding the per-interface queues."""
         self.name = new_name

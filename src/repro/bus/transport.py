@@ -710,6 +710,7 @@ class ModuleHost:
         self._last_delivery.pop(str(instance), None)
         module.stop()
         module.state = ModuleState.REMOVED
+        module.retire()
         return True
 
     def _cmd_rename(self, old_name, new_name) -> bool:

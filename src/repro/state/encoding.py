@@ -164,14 +164,46 @@ def write_any(buf: bytearray, value: object, checks: Optional[tuple]) -> None:
     elif tag == 0x5B or tag == 0x28:  # '[' / '('
         buf.append(tag)
         _append_varint(buf, len(value))
+        # A short str element is written right here, not through a call;
+        # a profile with a check_other hook must see every string, so it
+        # takes the call.
+        inline = checks is None or checks[3] is None
         for item in value:
-            write_any(buf, item, checks)
+            if (
+                inline
+                and type(item) is str
+                and len(data := item.encode("utf-8")) < 0x80
+            ):
+                buf.append(0x73)
+                buf.append(len(data))
+                buf += data
+            else:
+                write_any(buf, item, checks)
     elif tag == 0x7B:  # '{'
         buf.append(0x7B)
         _append_varint(buf, len(value))
+        inline = checks is None or checks[3] is None
         for key, item in value.items():
-            write_any(buf, key, checks)
-            write_any(buf, item, checks)
+            if (
+                inline
+                and type(key) is str
+                and len(data := key.encode("utf-8")) < 0x80
+            ):
+                buf.append(0x73)
+                buf.append(len(data))
+                buf += data
+            else:
+                write_any(buf, key, checks)
+            if (
+                inline
+                and type(item) is str
+                and len(data := item.encode("utf-8")) < 0x80
+            ):
+                buf.append(0x73)
+                buf.append(len(data))
+                buf += data
+            else:
+                write_any(buf, item, checks)
     elif tag == 0x6E:  # 'n'
         buf.append(0x6E)
     elif tag:  # 'b' / 'F' / 'B' / 'p'
@@ -539,8 +571,8 @@ def _read_checked(buf, pos: int, end: int, checks) -> Tuple[object, int]:
     # (resolved once per top-level value, not once per scalar) or None.
     # Tags are tested in the order state packets contain them (strings,
     # longs, lists, dicts), a one-byte varint is read in place, and the
-    # container loops read a short string element in place instead of
-    # paying a call and a tuple for it.
+    # container loops read a short string element (a dict's key and
+    # value alike) in place instead of paying a call and a tuple for it.
     if pos >= end:
         raise _truncated(pos, 1, end)
     tag = buf[pos]
@@ -588,7 +620,14 @@ def _read_checked(buf, pos: int, end: int, checks) -> Tuple[object, int]:
                     key = str(buf[start:pos], "utf-8")
                 else:
                     key, pos = _read_checked(buf, pos, end, checks)
-                result[key], pos = _read_checked(buf, pos, end, checks)
+                if pos + 1 < end and buf[pos] == 0x73 and buf[pos + 1] < 0x80:
+                    start = pos + 2
+                    pos = start + buf[pos + 1]
+                    if pos > end:
+                        raise _truncated(start, pos - start, end)
+                    result[key] = str(buf[start:pos], "utf-8")
+                else:
+                    result[key], pos = _read_checked(buf, pos, end, checks)
             return result, pos
         stop = pos + n
         if stop > end:

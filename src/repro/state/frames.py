@@ -47,8 +47,10 @@ from repro.state.machine import MachineProfile
 
 #: Magic prefix of a serialized process state packet.
 STATE_MAGIC = b"MHST"
-#: Version of the packet layout; bumped on incompatible change.
-STATE_VERSION = 1
+#: Version of the packet layout; bumped on incompatible change.  Version 2:
+#: heap segments are the codec's own dicts and lists (version 1 wrapped
+#: them as ``["dict", [[k, v], ...]]`` / ``["list", [...]]``).
+STATE_VERSION = 2
 
 #: ``len(STATE_MAGIC) + 1`` (version byte) — start of the body-length word.
 _LEN_OFFSET = len(STATE_MAGIC) + 1

@@ -69,10 +69,12 @@ class HeapImage:
     """A flattened, machine-independent image of a heap object graph.
 
     ``roots`` maps root names to values; ``segments`` maps segment ids to
-    flattened container contents.  Inside both, references to shared or
-    cyclic containers appear as :class:`SymbolicPointer` values whose
-    segment names key into ``segments``.  The whole image is encodable
-    with format char ``a``.
+    flattened container contents: a list segment *is* a ``list`` and a
+    dict segment *is* a ``dict``, in the codec's own containers, so the
+    image carries no per-entry wrapper.  Inside both, references to
+    shared or cyclic containers appear as :class:`SymbolicPointer` values
+    whose segment names key into ``segments``.  The whole image is
+    encodable with format char ``a``.
     """
 
     roots: Dict[str, object] = field(default_factory=dict)
@@ -95,6 +97,7 @@ class HeapImage:
 _SCALARS = (type(None), bool, int, float, str, bytes)
 #: Exact-type membership, tested before the ``isinstance`` chains: nearly
 #: every heap node is a plain scalar, and no scalar is a pointer or tuple.
+#: Container elements of these types are copied without a call at all.
 _EXACT_SCALARS = frozenset(_SCALARS)
 
 
@@ -106,6 +109,12 @@ class HeapCodec:
     mutable and therefore interned as segments, so aliasing and cycles
     are preserved exactly; tuples are immutable and flattened in place
     unless they participate in a cycle through a mutable container.
+
+    A segment is the container's flattened copy, of the container's own
+    kind (``{flatten(k): flatten(v)}`` or ``[flatten(v), ...]``), so the
+    restore side tells the two apart by ``type(node)``.  Containers occur
+    in an image only as segments: one found inline, not behind a pointer,
+    is malformed.
     """
 
     def __init__(self, prefix: str = "heap"):
@@ -117,6 +126,7 @@ class HeapCodec:
         image = HeapImage()
         seen: Dict[int, str] = {}
         counter = [0]
+        exact = _EXACT_SCALARS
 
         def intern(obj: object) -> SymbolicPointer:
             key = id(obj)
@@ -132,10 +142,14 @@ class HeapCodec:
 
         def flatten_children(obj: object) -> object:
             if isinstance(obj, list):
-                return ["list", [flatten(v) for v in obj]]
+                return [v if type(v) in exact else flatten(v) for v in obj]
             if isinstance(obj, dict):
-                items = [[flatten(k), flatten(v)] for k, v in obj.items()]
-                return ["dict", items]
+                return {
+                    (k if type(k) in exact else flatten(k)): (
+                        v if type(v) in exact else flatten(v)
+                    )
+                    for k, v in obj.items()
+                }
             raise HeapError(f"cannot intern heap node of type {type(obj).__name__}")
 
         def flatten(obj: object) -> object:
@@ -162,6 +176,7 @@ class HeapCodec:
 
     def restore(self, image: HeapImage) -> Dict[str, object]:
         rebuilt: Dict[str, object] = {}
+        exact = _EXACT_SCALARS
 
         def build_segment(segment: str) -> object:
             if segment in rebuilt:
@@ -170,24 +185,22 @@ class HeapCodec:
                 node = image.segments[segment]
             except KeyError:
                 raise HeapError(f"dangling heap segment {segment!r}") from None
-            if not isinstance(node, list) or len(node) != 2:
-                raise HeapError(f"malformed heap segment {segment!r}: {node!r}")
-            kind, payload = node
-            if kind == "list":
-                shell: object = []
-                rebuilt[segment] = shell
-                shell.extend(unflatten(v) for v in payload)  # type: ignore[union-attr]
-                return shell
-            if kind == "dict":
-                shell = {}
-                rebuilt[segment] = shell
-                for pair in payload:
-                    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                        raise HeapError(f"malformed dict entry in {segment!r}")
-                    key, value = pair
-                    shell[unflatten(key)] = unflatten(value)  # type: ignore[index]
-                return shell
-            raise HeapError(f"unknown heap node kind {kind!r}")
+            # The shell is registered before its children are rebuilt, so
+            # a cycle back to this segment finds it.
+            if type(node) is list:
+                items: List[object] = []
+                rebuilt[segment] = items
+                items.extend([v if type(v) in exact else unflatten(v) for v in node])
+                return items
+            if type(node) is dict:
+                entries: Dict[object, object] = {}
+                rebuilt[segment] = entries
+                for key, value in node.items():
+                    entries[key if type(key) in exact else unflatten(key)] = (
+                        value if type(value) in exact else unflatten(value)
+                    )
+                return entries
+            raise HeapError(f"malformed heap segment {segment!r}: {node!r}")
 
         def unflatten(value: object) -> object:
             if type(value) in _EXACT_SCALARS:

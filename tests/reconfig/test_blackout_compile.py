@@ -145,11 +145,13 @@ class TestCloneSharesCodeOnly:
     def test_clone_gets_fresh_module_state_after_a_move(self, app):
         _wait_progress(app, 5)
         old = app.get_module("compute")
+        # Read before the move: removal clears the old instance's namespace.
+        old_seen = old.namespace["SEEN"]
         move_module(app, "compute", machine="beta", timeout=15)
         clone = app.get_module("compute")
         assert clone is not old
         assert clone.transform is old.transform  # one preparation, one code object
-        assert clone.namespace["SEEN"] is not old.namespace["SEEN"]
+        assert clone.namespace["SEEN"] is not old_seen
         carried = clone.mh.statics["n"]
         _wait_progress(app, carried + 3)
         statics = clone.mh.statics
@@ -158,7 +160,7 @@ class TestCloneSharesCodeOnly:
         assert statics["n"] > carried >= 5
         assert statics["seen"] < statics["n"]
         assert statics["tallied"] == statics["seen"]
-        assert len(old.namespace["SEEN"]) >= 5
+        assert len(old_seen) >= 5
 
     def test_crash_after_a_move_names_the_module_not_the_clone(self, app):
         _wait_progress(app, 2)

@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 import repro.state.encoding as encoding_module
 import repro.state.format as format_module
 import repro.state.frames as frames_module
-from repro.errors import FormatError, MachineCompatibilityError
+from repro.errors import DecodingError, FormatError, MachineCompatibilityError
 from repro.state.encoding import (
     _ENCODER_CACHE,
     _PLAN_CACHE,
@@ -47,7 +47,11 @@ from repro.state.frames import ActivationRecord, ProcessState, StackState
 from repro.state.heap import HeapCodec
 from repro.state.machine import MACHINES, Endianness, MachineProfile
 from repro.state.pointers import SymbolicPointer
-from repro.state.reference import reference_encode_any, reference_encode_values
+from repro.state.reference import (
+    reference_decode_values,
+    reference_encode_any,
+    reference_encode_values,
+)
 
 
 class TestPlanCaching:
@@ -365,6 +369,72 @@ class TestOneWalkWriter:
             ScalarType("a")
         ]  # the one spec this test itself constructed
         assert ProcessState.from_bytes(packet).heap == state.heap
+
+
+class Label(str):
+    pass
+
+
+#: Strings around the one-byte length a container loop writes and reads
+#: in place: empty, 127/128 bytes, and non-ASCII text whose character
+#: count is below 128 while its UTF-8 length is not.
+BOUNDARY_STRINGS = [
+    "",
+    "x" * 127,
+    "y" * 128,
+    "é" * 63 + "a",  # 64 characters, 127 bytes
+    "é" * 64,  # 64 characters, 128 bytes
+    "€" * 43,  # 43 characters, 129 bytes
+    Label("sub"),
+    Label("z" * 130),
+]
+
+
+class TestInPlaceStrings:
+    @pytest.mark.parametrize("text", BOUNDARY_STRINGS, ids=repr)
+    @pytest.mark.parametrize("machine", [None, "sparc-like", "vax-like"])
+    def test_matches_reference_in_every_container(self, text, machine):
+        profile = MACHINES[machine] if machine else None
+        for value in ({text: text}, [text], (text,), {"k": [text, (text,)]}):
+            data = encode_any(value, profile)
+            assert data == reference_encode_any(value, profile)
+            assert decode_any(data, profile) == reference_decode_values(data)[0]
+            assert decode_any(data) == value
+
+    def test_length_boundary_on_the_wire(self):
+        assert encode_any(["x" * 127])[:4] == bytes.fromhex("5b01737f")
+        assert encode_any(["y" * 128])[:5] == bytes.fromhex("5b01738001")
+        assert encode_any({"é" * 64: ""})[:5] == bytes.fromhex("7b01738001")
+
+    def test_overriding_profile_sees_every_string_once(self):
+        class Recording(MachineProfile):
+            def check_representable(self, spec, value):
+                seen.append((spec.format_char(), value))
+
+        value = {"a": "b", "c": ["d", ("e", Label("f"))], "": "", "n": 1}
+        seen: list = []
+        ours = encode_any(value, Recording("rec", Endianness.BIG))
+        live, seen = seen, []
+        assert ours == reference_encode_any(value, Recording("rec", Endianness.BIG))
+        assert live == seen
+        assert sorted(v for char, v in live if char == "s") == sorted(
+            ["a", "b", "c", "d", "e", "f", "", "", "n"]
+        )
+
+    @pytest.mark.parametrize(
+        "data,message",
+        [
+            ("7b0173016b730576616c", "need 5 bytes at offset 7, have 3"),
+            ("7b0173016b73", "need 1 bytes at offset 6, have 0"),
+            ("7b0173016b738c01c3a9c3a9", "need 140 bytes at offset 8, have 4"),
+        ],
+    )
+    def test_truncated_value_inside_a_dict(self, data, message):
+        # {"k": <str>} cut short inside the value string: the in-place
+        # read reports what the recursive read reported.
+        with pytest.raises(DecodingError) as error:
+            decode_any(bytes.fromhex(data))
+        assert str(error.value) == f"truncated abstract state: {message}"
 
 
 class TestAnyMatcher:

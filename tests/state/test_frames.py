@@ -2,14 +2,17 @@
 
 import pytest
 
-from repro.errors import DecodingError, MachineCompatibilityError
+from repro.errors import DecodingError, MachineCompatibilityError, RestoreError
+from repro.runtime.mh import MH
 from repro.state.frames import (
     STATE_MAGIC,
+    STATE_VERSION,
     ActivationRecord,
     ProcessState,
     StackState,
     frames_equal_ignoring_order_metadata,
 )
+from repro.state.pointers import SymbolicPointer
 
 
 def make_record(procedure="compute", location=3, fmt="lllF", values=None):
@@ -106,6 +109,31 @@ class TestProcessState:
         packet[len(STATE_MAGIC)] = 99
         with pytest.raises(DecodingError, match="version"):
             ProcessState.from_bytes(bytes(packet))
+
+    def test_version_1_heap_layout_is_refused(self, sparc):
+        # Version 1 wrapped every heap segment as ["dict", [[k, v], ...]];
+        # such a packet must be refused whole, never half-installed.
+        state = self.make_state()
+        state.heap = {
+            "image": {
+                "roots": {"store": SymbolicPointer("heap:0", 0)},
+                "segments": {"heap:0": ["dict", [["k", "v"]]]},
+            },
+            "files": [],
+        }
+        packet = bytearray(state.to_bytes(sparc))
+        assert packet[len(STATE_MAGIC)] == STATE_VERSION == 2
+        packet[len(STATE_MAGIC)] = 1
+        with pytest.raises(DecodingError, match="unsupported process state version 1"):
+            ProcessState.from_bytes(bytes(packet), sparc)
+        clone = MH("compute", sparc, status="clone")
+        clone.incoming_packet = bytes(packet)
+        with pytest.raises(DecodingError, match="version 1"):
+            clone.decode()
+        assert clone.heap == {} and clone.statics == {}
+        assert not clone.restoring
+        with pytest.raises(RestoreError, match="before decode"):
+            clone.restore("main")
 
     def test_length_checked(self):
         packet = self.make_state().to_bytes()

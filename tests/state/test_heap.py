@@ -13,6 +13,9 @@ from repro.state.heap import (
     run_capture_hook,
     run_restore_hook,
 )
+from repro.state.pointers import SymbolicPointer
+
+POINTER = SymbolicPointer("heap:0", 0)
 
 
 @pytest.fixture(autouse=True)
@@ -83,6 +86,72 @@ class TestAliasingAndCycles:
         rebuilt = HeapCodec().restore(HeapImage.from_abstract(decode_any(wire)))
         assert rebuilt["a"] is rebuilt["b"]
 
+    def test_keys_pointers_and_empties_survive_the_wire(self):
+        shared = {"n": 1}
+        ring: list = [shared]
+        ring.append(ring)
+        outside = SymbolicPointer("static:x", 3)
+        roots = {
+            "store": {
+                (1, "a"): [2, (3, shared)],
+                outside: SymbolicPointer("file:log", -1),
+                "empty_list": [],
+                "empty_dict": {},
+                "empty_tuple": (),
+                "": "",
+            },
+            "ring": ring,
+            "again": shared,
+        }
+        restored = _over_the_wire(roots)
+        store = restored["store"]
+        assert store == roots["store"] and list(store) == list(roots["store"])
+        assert store[outside] == SymbolicPointer("file:log", -1)
+        assert store[(1, "a")][1][1] is restored["again"] is restored["ring"][0]
+        assert restored["ring"][1] is restored["ring"]
+        assert store["empty_list"] is not store["empty_dict"]
+
+
+def _over_the_wire(roots):
+    image = HeapCodec().capture(roots).to_abstract()
+    return HeapCodec().restore(HeapImage.from_abstract(decode_any(encode_any(image))))
+
+
+def _strings(value):
+    """Every string anywhere in an image value, keys included."""
+    if isinstance(value, str):
+        yield value
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from _strings(key)
+            yield from _strings(item)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _strings(item)
+
+
+class TestImageLayout:
+    def test_segments_are_the_codecs_own_containers(self):
+        roots = {"store": {"k": ["x", "y"], "j": 2}, "xs": [1, {"d": None}]}
+        image = HeapCodec().capture(roots)
+        store = image.segments[image.roots["store"].segment]
+        xs = image.segments[image.roots["xs"].segment]
+        assert type(store) is dict and type(xs) is list
+        assert store["j"] == 2
+        assert type(image.segments[store["k"].segment]) is list
+        assert type(image.segments[xs[1].segment]) is dict
+        for value in (image.to_abstract(), decode_any(encode_any(image.to_abstract()))):
+            assert not {"dict", "list"} & set(_strings(value))
+
+    def test_segment_entries_are_flattened_once(self):
+        # Scalars are copied as they are; only containers, tuples and
+        # pointers are rewritten.
+        image = HeapCodec().capture({"m": {"a": "b", 1: (2,), "l": [None]}})
+        segment = image.segments[image.roots["m"].segment]
+        assert segment["a"] == "b"
+        assert segment[1] == ("tuple", (2,))
+        assert isinstance(segment["l"], SymbolicPointer)
+
 
 class TestHeapErrors:
     def test_unsupported_type_names_hook(self):
@@ -101,15 +170,30 @@ class TestHeapErrors:
             HeapImage.from_abstract({"roots": [], "segments": {}})
 
     def test_dangling_segment(self):
-        from repro.state.pointers import SymbolicPointer
-
         image = HeapImage(roots={"x": SymbolicPointer("heap:9", 0)}, segments={"heap:9": None})
         with pytest.raises(HeapError):
             HeapCodec().restore(image)
 
-    def test_pointer_outside_image_kept_symbolic(self):
-        from repro.state.pointers import SymbolicPointer
+    @pytest.mark.parametrize(
+        "roots,segments,message",
+        [
+            # A segment must be a list or a dict...
+            ({"x": POINTER}, {"heap:0": ("a", "b")}, "malformed heap segment"),
+            ({"x": POINTER}, {"heap:0": "list"}, "malformed heap segment"),
+            # ...and a container only ever appears behind a pointer: the
+            # version-1 tagged form is now an inline list inside a list.
+            ({"x": POINTER}, {"heap:0": ["dict", [["k", "v"]]]}, "malformed heap image value"),
+            ({"x": POINTER}, {"heap:0": {"k": {"inline": 1}}}, "malformed heap image value"),
+            ({"x": [1, 2]}, {}, "malformed heap image value"),
+            ({"x": SymbolicPointer("heap:0", 2)}, {"heap:0": []}, "non-zero index"),
+        ],
+    )
+    def test_malformed_segments(self, roots, segments, message):
+        image = HeapImage(roots=roots, segments=segments)
+        with pytest.raises(HeapError, match=message):
+            HeapCodec().restore(image)
 
+    def test_pointer_outside_image_kept_symbolic(self):
         pointer = SymbolicPointer("static:x", 0)
         image = HeapCodec().capture({"p": pointer})
         assert HeapCodec().restore(image)["p"] == pointer

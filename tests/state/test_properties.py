@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from repro.state.encoding import decode_any, decode_values, encode_any, encode_values
 from repro.state.format import format_of_value
 from repro.state.frames import ActivationRecord, ProcessState, StackState
-from repro.state.heap import HeapCodec
+from repro.state.heap import HeapCodec, HeapImage
 from repro.state.machine import MACHINES
+from repro.state.pointers import SymbolicPointer
 
 # Values whose equality survives a roundtrip (floats: finite doubles only,
 # NaN breaks ==; they are covered by the unit tests).
@@ -92,16 +93,32 @@ def test_process_state_roundtrip_any_depth(depth):
     assert last is not None and last.location == 4
 
 
+# Pointers into other areas (statics, files) pass through the heap codec;
+# their segment names never collide with the codec's own "heap:N".
+outside_pointers = st.builds(
+    SymbolicPointer,
+    segment=st.text(max_size=5).map(lambda s: "static:" + s),
+    index=st.integers(-3, 3),
+)
+heap_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(10**6), max_value=10**6),
+    st.text(max_size=10),
+    outside_pointers,
+)
+heap_keys = st.one_of(
+    st.text(max_size=5),
+    st.integers(-5, 5),
+    outside_pointers,
+    st.tuples(st.text(max_size=3), st.integers(0, 3)),
+    st.tuples(),
+)
 heap_values = st.recursive(
-    st.one_of(
-        st.none(),
-        st.booleans(),
-        st.integers(min_value=-(10**6), max_value=10**6),
-        st.text(max_size=10),
-    ),
+    heap_scalars,
     lambda children: st.one_of(
         st.lists(children, max_size=4),
-        st.dictionaries(st.text(max_size=5), children, max_size=4),
+        st.dictionaries(heap_keys, children, max_size=4),
         st.tuples(children, children),
     ),
     max_leaves=20,
@@ -112,6 +129,15 @@ heap_values = st.recursive(
 @settings(max_examples=100, deadline=None)
 def test_heap_codec_roundtrip(roots):
     assert HeapCodec().roundtrip(roots) == roots
+    # ...and across the wire, between two machines, in key order.
+    image = encode_any(HeapCodec().capture(roots).to_abstract(), MACHINES["sparc-like"])
+    rebuilt = HeapCodec().restore(
+        HeapImage.from_abstract(decode_any(image, MACHINES["vax-like"]))
+    )
+    assert rebuilt == roots
+    assert [list(v) for v in rebuilt.values() if isinstance(v, dict)] == [
+        list(v) for v in roots.values() if isinstance(v, dict)
+    ]
 
 
 @given(st.lists(st.integers(), min_size=1, max_size=8), st.integers(1, 3))
