@@ -3,6 +3,7 @@
 import pytest
 
 from repro.baselines.module_atomic import module_level_replace, wait_for_quiescence
+from repro.bus.message import Message
 from repro.errors import ReconfigTimeoutError
 
 from tests.conftest import wait_until
@@ -16,20 +17,21 @@ def monitor():
     bus.shutdown()
 
 
+def flood_compute(bus):
+    """Queue a backlog ``compute`` cannot possibly drain within a window."""
+    bus.get_module("compute").queue("sensor").extend(
+        [Message(values=[v], fmt="i") for v in range(5000)]
+    )
+
+
 class TestQuiescence:
     def test_idle_module_is_quiescent(self, monitor):
         # display's queue drains between requests, sensor's never fills.
         assert wait_for_quiescence(monitor, "sensor", timeout=2)
 
     def test_flooded_module_never_quiesces(self, monitor):
-        # A backlog the module cannot possibly drain within the window:
-        # without participation, the platform has no safe moment to act.
-        from repro.bus.message import Message
-
-        compute = monitor.get_module("compute")
-        compute.queue("sensor").extend(
-            [Message(values=[v], fmt="i") for v in range(5000)]
-        )
+        # Without participation, the platform has no safe moment to act.
+        flood_compute(monitor)
         assert not wait_for_quiescence(monitor, "compute", timeout=0.3)
 
 
@@ -50,6 +52,8 @@ class TestModuleLevelReplace:
 
     def test_refuses_without_force(self, monitor):
         wait_displayed(monitor, 1)
+        # The live monitor alone leaves compute idle now and then.
+        flood_compute(monitor)
         with pytest.raises(ReconfigTimeoutError):
             module_level_replace(
                 monitor,

@@ -36,7 +36,6 @@ FORBIDDEN = [
     "repro.bus.bus",
     "repro.reconfig",
     "repro.apps",
-    "repro.loadgen",
     "repro.tools",
     "repro.baselines",
 ]
