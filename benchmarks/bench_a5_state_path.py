@@ -7,8 +7,8 @@ four layers this repo optimises:
 
 - ``roundtrip``   capture -> encode -> decode -> restore at stack depths
                   1 / 64 / 512 (the D2 scenario), driven through MH so
-                  the compiled codec plans, zero-copy decode, and lazy
-                  frame materialisation are all on the measured path;
+                  the compiled codec plans and the one-pass decode off
+                  the packet's bytes are on the measured path;
 - ``codec``       ProcessState to_bytes/from_bytes for a depth-512
                   packet, compiled vs the preserved seed codec
                   (``repro.state.reference``) *live in the same run* —
@@ -129,10 +129,7 @@ def _sample_state(depth: int) -> ProcessState:
     for level in range(depth):
         mh.capture("compute", "lllF", 3, depth, level, float(level))
     mh.capture("main", "llF", 1, depth, 0.0)
-    packet = mh.encode()
-    state = ProcessState.from_bytes(packet)
-    state.stack.materialize()
-    return state
+    return ProcessState.from_bytes(mh.encode())
 
 
 def measure_codec(reps: int) -> Dict[str, float]:
@@ -144,7 +141,7 @@ def measure_codec(reps: int) -> Dict[str, float]:
     )
 
     def compiled_pass():
-        ProcessState.from_bytes(state.to_bytes(machine), machine).stack.materialize()
+        ProcessState.from_bytes(state.to_bytes(machine), machine)
 
     def reference_pass():
         reference_state_from_bytes(reference_state_to_bytes(state, machine), machine)

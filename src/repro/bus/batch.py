@@ -120,25 +120,24 @@ def unpack_batch(
     blob: bytes,
 ) -> Tuple[List[bytes], List[Tuple[str, str, str, int]]]:
     """Decode a batch blob into ``(wires, [(a, b, c, wire_index), ...])``."""
-    view = memoryview(blob)
     offset = 0
-    (n_wires,) = _U32.unpack_from(view, offset)
+    (n_wires,) = _U32.unpack_from(blob, offset)
     offset += 4
     wires: List[bytes] = []
     for _ in range(n_wires):
-        (length,) = _U32.unpack_from(view, offset)
+        (length,) = _U32.unpack_from(blob, offset)
         offset += 4
-        wires.append(bytes(view[offset : offset + length]))
+        wires.append(blob[offset : offset + length])
         offset += length
-    (n_strings,) = _U32.unpack_from(view, offset)
+    (n_strings,) = _U32.unpack_from(blob, offset)
     offset += 4
     strings: List[str] = []
     for _ in range(n_strings):
-        (length,) = _U16.unpack_from(view, offset)
+        (length,) = _U16.unpack_from(blob, offset)
         offset += 2
-        strings.append(str(view[offset : offset + length], "utf-8"))
+        strings.append(str(blob[offset : offset + length], "utf-8"))
         offset += length
-    (n_entries,) = _U32.unpack_from(view, offset)
+    (n_entries,) = _U32.unpack_from(blob, offset)
     offset += 4
     end = offset + n_entries * _ENTRY.size
     if end > len(blob):
@@ -148,7 +147,7 @@ def unpack_batch(
     try:
         entries = [
             (strings[ia], strings[ib], strings[ic], widx)
-            for ia, ib, ic, widx in _ENTRY.iter_unpack(view[offset:end])
+            for ia, ib, ic, widx in _ENTRY.iter_unpack(blob[offset:end])
         ]
     except IndexError:
         raise TransportError(

@@ -1109,19 +1109,26 @@ class SoftwareBus:
         particular interface, then moves that state information to an
         interface of another module."  The divulged packet crosses the
         two hosts' machine profiles like any other message.
+
+        The one-shot form of :meth:`objstate_stream`: the target must
+        exist before the signal, and the old module is joined once it has
+        divulged.
         """
-        old_module = self.get_module(old)
+        self._check_move_target(new)
+        stream = self.objstate_stream(old)
+        stream.attach_target(new)
+        packet = stream.wait(timeout)
+        self.get_module(old).join(timeout)
+        return packet
+
+    def _check_move_target(self, new: str) -> ModuleInstance:
         new_module = self.get_module(new)
         if new_module.state not in (ModuleState.CREATED, ModuleState.LOADED):
             raise BusError(
                 f"objstate_move target {new!r} already started; state must "
                 f"be installed before the clone runs"
             )
-        self.signal_reconfig(old)
-        packet = old_module.wait_divulged(timeout)
-        new_module.mh.incoming_packet = packet
-        self.trace.append(f"objstate_move {old} -> {new} ({len(packet)} bytes)")
-        return packet
+        return new_module
 
     def objstate_stream(self, old: str) -> "StateMoveStream":
         """Pipelined ``objstate_move``: signal now, deliver whenever.
@@ -1244,9 +1251,10 @@ class StateMoveStream:
     its mail slot right there, otherwise :meth:`attach_target` installs
     it as soon as the clone is named.
 
-    Unlike the one-shot ``objstate_move``, :meth:`wait` does not join the
-    old module's thread — its teardown overlaps with rebinding and clone
-    start, and ``remove_module`` joins it at the end of the replacement.
+    :meth:`wait` does not join the old module's thread (the one-shot
+    :meth:`SoftwareBus.objstate_move` does): its teardown overlaps with
+    rebinding and clone start, and ``remove_module`` joins it at the end
+    of the replacement.
     """
 
     def __init__(self, bus: SoftwareBus, old: str, old_module: ModuleInstance):
@@ -1257,7 +1265,7 @@ class StateMoveStream:
         self._target_name: Optional[str] = None
         self._packet: Optional[bytes] = None
         #: Stack depth of the divulged packet, as counted by the module
-        #: that encoded it (None until divulged, or if its host sent none).
+        #: that encoded it (None until divulged).
         self.frames: Optional[int] = None
         self._failure: Optional[BaseException] = None
         self._delivered = threading.Event()
@@ -1305,12 +1313,7 @@ class StateMoveStream:
         the time it is attached, the packet is installed here instead of
         in the callback.
         """
-        new_module = self.bus.get_module(new)
-        if new_module.state not in (ModuleState.CREATED, ModuleState.LOADED):
-            raise BusError(
-                f"objstate_move target {new!r} already started; state must "
-                f"be installed before the clone runs"
-            )
+        new_module = self.bus._check_move_target(new)
         with self._lock:
             self._target = new_module
             self._target_name = new

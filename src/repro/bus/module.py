@@ -444,22 +444,6 @@ class ModuleInstance:
         if self.state is ModuleState.CRASHED and self.crash is not None:
             raise ModuleCrashedError(self.name, self.crash)
 
-    def wait_divulged(self, timeout: float) -> bytes:
-        """Block until the module has captured and divulged its state."""
-        if not self.mh.divulged.wait(timeout):
-            self.check_alive()
-            from repro.errors import ReconfigTimeoutError
-
-            raise ReconfigTimeoutError(
-                f"{self.name}: no reconfiguration point reached within "
-                f"{timeout}s"
-            )
-        self.join(timeout)
-        packet = self.mh.outgoing_packet
-        if packet is None:  # pragma: no cover - divulged implies packet
-            raise ModuleLifecycleError(f"{self.name}: divulged without packet")
-        return packet
-
     def describe(self) -> str:
         return (
             f"{self.name} [{self.spec.name}] on {self.host.name} "

@@ -1217,7 +1217,7 @@ class _ProxyMH:
 
     # -- event sinks (called from the link dispatcher thread) -------------------
 
-    def _on_divulged(self, packet: bytes, frames: Optional[int]) -> None:
+    def _on_divulged(self, packet: bytes, frames: int) -> None:
         self.outgoing_packet = packet
         self.outgoing_frames = frames
         with self._cb_lock:
@@ -1353,18 +1353,6 @@ class RemoteModuleHandle:
     def check_alive(self) -> None:
         if self.state is ModuleState.CRASHED and self.crash is not None:
             raise ModuleCrashedError(self.name, self.crash)
-
-    def wait_divulged(self, timeout: float) -> bytes:
-        if not self.mh.divulged.wait(timeout):
-            self.check_alive()
-            raise ReconfigTimeoutError(
-                f"{self.name}: no reconfiguration point reached within "
-                f"{timeout}s"
-            )
-        packet = self.mh.outgoing_packet
-        if packet is None:  # pragma: no cover - divulged implies packet
-            raise ModuleLifecycleError(f"{self.name}: divulged without packet")
-        return packet
 
     def discard(self) -> None:
         """Remove the module from its remote host (bus-side bookkeeping too)."""
@@ -1619,11 +1607,8 @@ class RemoteTransport(Transport):
             elif command == "divulged":
                 handle = self._handles.get(str(args[0]))
                 if handle is not None:
-                    # Without a frame count the coordinator peeks the
-                    # packet header for the depth it reports.
                     handle.mh._on_divulged(
-                        bytes(args[1]),  # type: ignore[arg-type]
-                        args[2] if len(args) > 2 else None,  # type: ignore[arg-type]
+                        bytes(args[1]), args[2]  # type: ignore[arg-type]
                     )
             elif command == "divulge_failed":
                 handle = self._handles.get(str(args[0]))

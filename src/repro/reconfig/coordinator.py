@@ -557,14 +557,9 @@ class ReconfigurationCoordinator:
         report.completed.append("commit")
         report.t_done = time.monotonic()
         telemetry.count("reconfig.commits")
-        # Reporting detail: the depth arrives with the divulged packet.
-        # Peeking for it would skip over the whole statics and heap.
-        depth = stream.frames
-        if depth is None:
-            from repro.state.frames import peek_state_header
-
-            depth = peek_state_header(packet).depth
-        report.stack_depth = depth
+        # Reporting detail: the encoding module counted the frames and
+        # sent the count with the packet.
+        report.stack_depth = stream.frames
         self.history.append(report)
         self.bus.trace.append(report.describe())
 

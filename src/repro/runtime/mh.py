@@ -346,10 +346,6 @@ class MH:
                 raise RestoreError(
                     f"state packet is for module {state.module!r}, this is {self.module!r}"
                 )
-            # Frames parse lazily; force them through the target-machine check
-            # here, before any state is installed, so an unrepresentable value
-            # refuses the whole packet with nothing half-restored.
-            state.stack.materialize()
             self._restore_stack = state.stack
             self._active_point = state.reconfig_point
             self.statics.update(state.statics)

@@ -38,9 +38,7 @@ from repro.state.encoding import (
 from repro.state.frames import (
     ActivationRecord,
     StackState,
-    StateHeader,
     ProcessState,
-    peek_state_header,
 )
 from repro.state.pointers import SymbolicPointer, PointerTable
 from repro.state.heap import HeapImage, HeapCodec, heap_hook
@@ -67,9 +65,7 @@ __all__ = [
     "decode_any",
     "ActivationRecord",
     "StackState",
-    "StateHeader",
     "ProcessState",
-    "peek_state_header",
     "SymbolicPointer",
     "PointerTable",
     "HeapImage",

@@ -41,15 +41,13 @@ Implementation notes (the reconfiguration critical path, see
   ``check_representable`` get shims that route every scalar through the
   override), so heterogeneity errors surface at capture time with
   identical messages and custom profiles keep working.
-- **Zero-copy decode, the same walk from the other side.**  The decode
-  core (:func:`read_value`) is a position-passing function over any
-  buffer (``bytes`` or ``memoryview``) with slice-free scalar reads
-  (``struct.unpack_from``), so decoding a packet region never copies it
-  out first.  It tests tags in the order state packets contain them and
-  reads one-byte varints and short string elements in place.
-  :func:`skip_value` advances past a value without materialising it —
-  that is what makes process-state headers peekable
-  (:func:`repro.state.frames.peek_state_header`).
+- **Decode: the same walk from the other side.**  The decode core
+  (:func:`read_value`) is a position-passing function over the packet's
+  own ``bytes``: a caller decodes a region by starting at its offset, so
+  nothing is copied out first.  Scalars are read in place
+  (``struct.unpack_from``), tags are tested in the order state packets
+  contain them, and one-byte varints and short string elements are read
+  inline.  A string costs one slice of ``bytes`` and one UTF-8 decode.
 
 The naive tree-walk implementation this replaced — infer-then-encode for
 ``a`` values included — is preserved verbatim in
@@ -81,10 +79,6 @@ from repro.state.pointers import SymbolicPointer
 def _zigzag_big(n: int) -> int:
     # Arbitrary-precision zigzag: non-negative -> 2n, negative -> -2n - 1.
     return n * 2 if n >= 0 else -n * 2 - 1
-
-
-def _unzigzag(z: int) -> int:
-    return (z >> 1) if z % 2 == 0 else -((z + 1) >> 1)
 
 
 _pack_f32 = struct.Struct(">f").pack
@@ -549,9 +543,8 @@ def read_value(
 ) -> Tuple[object, int]:
     """Decode one self-described value from ``buf[pos:end]``.
 
-    Returns ``(value, new_pos)``.  ``buf`` may be ``bytes`` or a
-    ``memoryview`` — scalar payloads are read in place with
-    ``struct.unpack_from`` and only string/bytes payloads materialise a
+    Returns ``(value, new_pos)``.  Scalar payloads are read off ``buf`` in
+    place with ``struct.unpack_from``; only string/bytes payloads make a
     copy (the decoded value itself).  When a :class:`MachineProfile` is
     supplied, decoded integers and doubles are checked against that
     (target) machine's native ranges — this is where a 2**40 captured on
@@ -661,69 +654,12 @@ def _read_checked(buf, pos: int, end: int, checks) -> Tuple[object, int]:
     raise DecodingError(f"unknown tag {chr(tag)!r} at offset {pos - 1}")
 
 
-def skip_value(buf, pos: int, end: int) -> int:
-    """Advance past one encoded value without materialising it.
-
-    The cost is the structural walk only — string/bytes payloads are
-    skipped by length, scalars by width.  This is what makes state-packet
-    headers peekable: :func:`repro.state.frames.peek_state_header` reads
-    the stack depth that sits *after* the statics and heap dicts without
-    decoding either.  Same shape as the decode core.
-    """
-    if pos >= end:
-        raise _truncated(pos, 1, end)
-    tag = buf[pos]
-    pos += 1
-    if tag in _VARINT_TAGS:
-        if pos >= end:
-            raise _truncated(pos, 1, end)
-        n = buf[pos]
-        if n < 0x80:
-            pos += 1
-        else:
-            n, pos = _read_varint(buf, pos, end)
-        if tag == 0x6C or tag == 0x69:  # 'l' / 'i'
-            return pos
-        if tag == 0x5B or tag == 0x28 or tag == 0x7B:  # '[' / '(' / '{'
-            for _ in range(n * 2 if tag == 0x7B else n):
-                if pos + 1 < end and buf[pos] == 0x73 and buf[pos + 1] < 0x80:
-                    start = pos + 2
-                    pos = start + buf[pos + 1]
-                    if pos > end:
-                        raise _truncated(start, pos - start, end)
-                else:
-                    pos = skip_value(buf, pos, end)
-            return pos
-        if pos + n > end:  # 's' / 'B' / 'p': a payload of n bytes
-            raise _truncated(pos, n, end)
-        if tag == 0x70:  # 'p': the zigzag index follows the segment
-            _, pos = _read_varint(buf, pos + n, end)
-            return pos
-        return pos + n
-    if tag == 0x46:  # 'F'
-        if pos + 8 > end:
-            raise _truncated(pos, 8, end)
-        return pos + 8
-    if tag == 0x6E:  # 'n'
-        return pos
-    if tag == 0x62:  # 'b'
-        if pos >= end:
-            raise _truncated(pos, 1, end)
-        return pos + 1
-    if tag == 0x66:  # 'f'
-        if pos + 4 > end:
-            raise _truncated(pos, 4, end)
-        return pos + 4
-    raise DecodingError(f"unknown tag {chr(tag)!r} at offset {pos - 1}")
-
-
 class Decoder:
     """Streaming canonical decoder.
 
-    A thin positional wrapper over :func:`read_value`; accepts ``bytes``
-    or a ``memoryview`` (the zero-copy path used for process-state
-    bodies).  When a :class:`MachineProfile` is supplied, decoded integers
-    and doubles are checked against that (target) machine's native ranges.
+    A thin positional wrapper over :func:`read_value`.  When a
+    :class:`MachineProfile` is supplied, decoded integers and doubles are
+    checked against that (target) machine's native ranges.
     """
 
     def __init__(self, data, machine: Optional[MachineProfile] = None):
@@ -740,30 +676,12 @@ class Decoder:
     def at_end(self) -> bool:
         return self._pos >= self._end
 
-    def _take(self, count: int) -> bytes:
-        if self._pos + count > self._end:
-            raise _truncated(self._pos, count, self._end)
-        chunk = bytes(self._data[self._pos : self._pos + count])
-        self._pos += count
-        return chunk
-
-    def _read_varint(self) -> int:
-        value, self._pos = _read_varint(self._data, self._pos, self._end)
-        return value
-
-    def _read_signed(self) -> int:
-        return _unzigzag(self._read_varint())
-
     def read(self) -> object:
         """Decode one self-described value."""
         value, self._pos = _read_checked(
             self._data, self._pos, self._end, self._checks
         )
         return value
-
-    def skip(self) -> None:
-        """Advance past one value without materialising it."""
-        self._pos = skip_value(self._data, self._pos, self._end)
 
     def read_all(self) -> List[object]:
         values: List[object] = []

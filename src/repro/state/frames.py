@@ -17,29 +17,24 @@ The serialized form (:meth:`ProcessState.to_bytes`) is the packet that
 
 Critical-path layout (see ``docs/state-encoding.md``): serialization
 appends every field and frame into **one** ``bytearray`` through compiled
-encoder plans; deserialization reads header fields from a ``memoryview``
-of the packet body and leaves the frames as an undecoded byte region that
-:class:`StackState` materialises on first access.  Callers that only need
-identity or depth — the coordinator recording ``stack_depth``, trace
-lines, queue accounting — use :func:`peek_state_header` and never decode
-a frame at all.
+encoder plans; deserialization is the same walk from the other side, one
+pass over the packet's own ``bytes`` from the end of the fixed header that
+decodes header fields, statics, heap and every frame before it returns.
+The stack depth a coordinator reports comes from the encoding module's
+frame count, sent with the packet, never from parsing it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import DecodingError, EncodingError
 from repro.state.encoding import (
-    Decoder,
-    Encoder,
     _append_varint,
     _checks_of,
     _read_checked,
     encoder_plan,
-    read_value,
-    skip_value,
     write_any,
 )
 from repro.state.format import check_arity, parse_format
@@ -123,21 +118,6 @@ class ActivationRecord:
             check_arity(self.fmt, values)
             raise
 
-    def encode_into(self, encoder: Encoder) -> None:
-        self.encode_into_buffer(encoder._buffer, encoder.machine)
-
-    @classmethod
-    def decode_from(cls, decoder: Decoder) -> "ActivationRecord":
-        procedure = decoder.read()
-        location = decoder.read()
-        fmt = decoder.read()
-        if not isinstance(procedure, str) or not isinstance(fmt, str):
-            raise DecodingError("corrupt activation record header")
-        if not isinstance(location, int):
-            raise DecodingError("corrupt activation record location")
-        values = [decoder.read() for _ in parse_format(fmt)]
-        return cls(procedure=procedure, location=location, fmt=fmt, values=values)
-
 
 class StackState:
     """The captured activation-record stack.
@@ -148,105 +128,49 @@ class StackState:
     a frame.  Restoration consumes them in the opposite order
     (:meth:`pop_for_restore` yields ``main`` first), mirroring how the
     restore blocks rebuild the stack by re-executing calls downward.
-
-    A stack parsed from a packet starts **lazy**: :attr:`depth` comes from
-    the packet's frame count and the records stay an undecoded byte region
-    until something touches a frame.  Restoration pops the *last* wire
-    frame first, so frames cannot stream one at a time — the first touch
-    decodes them all.  Depth-only consumers never pay for a decode.
     """
 
     def __init__(self, records: Optional[Sequence[ActivationRecord]] = None):
         self._records: List[ActivationRecord] = list(records or [])
-        self._pending = 0
-        self._materializer: Optional[Callable[[], List[ActivationRecord]]] = None
-
-    @classmethod
-    def lazy(
-        cls, count: int, materializer: Callable[[], List[ActivationRecord]]
-    ) -> "StackState":
-        """A stack of ``count`` frames decoded on first record access."""
-        stack = cls()
-        stack._pending = count
-        stack._materializer = materializer
-        return stack
-
-    def _ensure(self) -> None:
-        if self._materializer is not None:
-            materializer, self._materializer = self._materializer, None
-            self._pending = 0
-            self._records.extend(materializer())
-
-    def materialize(self) -> "StackState":
-        """Force-decode any pending frames (validating them); returns self."""
-        self._ensure()
-        return self
 
     def __len__(self) -> int:
-        return len(self._records) + self._pending
+        return len(self._records)
 
     def __iter__(self):
-        self._ensure()
         return iter(self._records)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StackState):
             return False
-        self._ensure()
-        other._ensure()
         return self._records == other._records
 
     def records(self) -> List[ActivationRecord]:
-        self._ensure()
         return list(self._records)
 
     @property
     def depth(self) -> int:
-        return len(self._records) + self._pending
+        return len(self._records)
 
     def push_captured(self, record: ActivationRecord) -> None:
         """Append a frame during capture (top of stack arrives first)."""
-        self._ensure()
         self._records.append(record)
 
     def pop_for_restore(self) -> ActivationRecord:
         """Remove and return the next frame to restore (outermost first)."""
-        self._ensure()
         if not self._records:
             raise DecodingError("restore consumed more frames than captured")
         return self._records.pop()
 
     def peek_for_restore(self) -> Optional[ActivationRecord]:
-        self._ensure()
         return self._records[-1] if self._records else None
 
     def call_chain(self) -> List[str]:
         """Procedure names from ``main`` down to the reconfiguration point."""
-        self._ensure()
         return [record.procedure for record in reversed(self._records)]
 
 
-@dataclass(frozen=True)
-class StateHeader:
-    """The peekable prefix of a process-state packet.
-
-    Everything the coordinator's bookkeeping needs — identity, origin and
-    stack depth — without decoding a single activation record.  ``depth``
-    sits *after* the statics and heap values on the wire; they are skipped
-    structurally (:func:`repro.state.encoding.skip_value`), never decoded.
-    """
-
-    module: str
-    status: str
-    reconfig_point: str
-    source_machine: str
-    depth: int
-    body_length: int
-    packet_length: int
-
-
-def _check_packet_framing(data) -> int:
-    """Validate magic/version/length; return the body length."""
+def _check_packet_framing(data) -> None:
+    """Validate magic, version and length word."""
     if len(data) < _LEN_OFFSET + 4:
         raise DecodingError("process state packet too short")
     if bytes(data[: len(STATE_MAGIC)]) != STATE_MAGIC:
@@ -260,47 +184,13 @@ def _check_packet_framing(data) -> int:
             f"process state length mismatch: header says {length}, "
             f"packet has {len(data) - _BODY_OFFSET}"
         )
-    return length
 
 
 def _read_str_field(buf, pos: int, end: int, name: str) -> Tuple[str, int]:
-    value, pos = read_value(buf, pos, end)
+    value, pos = _read_checked(buf, pos, end, None)
     if not isinstance(value, str):
         raise DecodingError(f"corrupt process state field {name!r}")
     return value, pos
-
-
-def peek_state_header(data) -> StateHeader:
-    """Read a packet's identity and stack depth without decoding frames.
-
-    Cost is the four header strings plus a structural skip over the
-    statics and heap — proportional to the packet prefix, independent of
-    the stack depth and of how much state each activation record carries.
-    The coordinator uses this to record ``stack_depth`` off the critical
-    path (it used to pay a full ``from_bytes`` for that one integer).
-    """
-    length = _check_packet_framing(data)
-    buf = memoryview(data)[_BODY_OFFSET:]
-    end = len(buf)
-    pos = 0
-    module, pos = _read_str_field(buf, pos, end, "module")
-    status, pos = _read_str_field(buf, pos, end, "status")
-    reconfig_point, pos = _read_str_field(buf, pos, end, "reconfig_point")
-    source_machine, pos = _read_str_field(buf, pos, end, "source_machine")
-    pos = skip_value(buf, pos, end)  # statics
-    pos = skip_value(buf, pos, end)  # heap
-    frame_count, pos = read_value(buf, pos, end)
-    if not isinstance(frame_count, int) or frame_count < 0:
-        raise DecodingError("corrupt frame count in process state")
-    return StateHeader(
-        module=module,
-        status=status,
-        reconfig_point=reconfig_point,
-        source_machine=source_machine,
-        depth=frame_count,
-        body_length=length,
-        packet_length=len(data),
-    )
 
 
 @dataclass
@@ -356,66 +246,54 @@ class ProcessState:
         """Parse a packet produced by :meth:`to_bytes`.
 
         ``machine`` is the *target* machine profile; representability of
-        every value is checked as it decodes.  Header fields, statics and
-        heap decode immediately — off a ``memoryview``, so the body is
-        never copied out of the packet — while activation records stay an
-        undecoded region until first access (see :class:`StackState`).
-        Callers that need the target-machine check to cover the frames
-        *now* (module restore does, before installing any state) call
-        ``state.stack.materialize()``.
+        every value is checked as it decodes.  One pass over ``data``
+        itself, from the end of the fixed header: header fields, statics,
+        heap and every activation record are decoded before this returns,
+        so a corrupt or truncated frame, bytes after the last frame, or a
+        value the target cannot hold refuses the whole packet here, before
+        a module installs any of it.
         """
         _check_packet_framing(data)
-        buf = memoryview(data)[_BODY_OFFSET:]
-        end = len(buf)
-        pos = 0
-        module, pos = _read_str_field(buf, pos, end, "module")
-        status, pos = _read_str_field(buf, pos, end, "status")
-        reconfig_point, pos = read_value(buf, pos, end)
-        source_machine, pos = read_value(buf, pos, end)
-        statics, pos = read_value(buf, pos, end, machine)
-        heap, pos = read_value(buf, pos, end, machine)
-        frame_count, pos = read_value(buf, pos, end)
+        checks = None if machine is None else _checks_of(machine)
+        end = len(data)
+        module, pos = _read_str_field(data, _BODY_OFFSET, end, "module")
+        status, pos = _read_str_field(data, pos, end, "status")
+        reconfig_point, pos = _read_checked(data, pos, end, None)
+        source_machine, pos = _read_checked(data, pos, end, None)
+        statics, pos = _read_checked(data, pos, end, checks)
+        heap, pos = _read_checked(data, pos, end, checks)
+        frame_count, pos = _read_checked(data, pos, end, None)
         if not isinstance(statics, dict) or not isinstance(heap, dict):
             raise DecodingError("corrupt statics/heap in process state")
         if not isinstance(frame_count, int) or frame_count < 0:
             raise DecodingError("corrupt frame count in process state")
-
-        frame_region_start = pos
-
-        def materialize_frames() -> List[ActivationRecord]:
-            checks = None if machine is None else _checks_of(machine)
-            records = []
-            fpos = frame_region_start
-            for _ in range(frame_count):
-                procedure, fpos = _read_checked(buf, fpos, end, None)
-                location, fpos = _read_checked(buf, fpos, end, None)
-                fmt, fpos = _read_checked(buf, fpos, end, None)
-                if not isinstance(procedure, str) or not isinstance(fmt, str):
-                    raise DecodingError("corrupt activation record header")
-                if not isinstance(location, int):
-                    raise DecodingError("corrupt activation record location")
-                values = []
-                for _ in parse_format(fmt):
-                    value, fpos = _read_checked(buf, fpos, end, checks)
-                    values.append(value)
-                # Trusted construction: the values just came off the
-                # self-describing wire under this fmt's arity, so the
-                # dataclass __post_init__ re-validation is skipped.
-                record = ActivationRecord.__new__(ActivationRecord)
-                record.procedure = procedure
-                record.location = location
-                record.fmt = fmt
-                record.values = values
-                records.append(record)
-            if fpos < end:
-                raise DecodingError(
-                    f"{end - fpos} trailing bytes in process state packet"
-                )
-            return records
-
+        records = []
+        for _ in range(frame_count):
+            procedure, pos = _read_checked(data, pos, end, None)
+            location, pos = _read_checked(data, pos, end, None)
+            fmt, pos = _read_checked(data, pos, end, None)
+            if not isinstance(procedure, str) or not isinstance(fmt, str):
+                raise DecodingError("corrupt activation record header")
+            if not isinstance(location, int):
+                raise DecodingError("corrupt activation record location")
+            values = []
+            for _ in parse_format(fmt):
+                value, pos = _read_checked(data, pos, end, checks)
+                values.append(value)
+            # Trusted construction: the values just came off the
+            # self-describing wire under this fmt's arity, so the
+            # dataclass __post_init__ re-validation is skipped.
+            record = ActivationRecord.__new__(ActivationRecord)
+            record.procedure = procedure
+            record.location = location
+            record.fmt = fmt
+            record.values = values
+            records.append(record)
+        if pos < end:
+            raise DecodingError(f"{end - pos} trailing bytes in process state packet")
         return cls(
             module=module,
-            stack=StackState.lazy(frame_count, materialize_frames),
+            stack=StackState(records),
             statics=statics,
             heap=heap,
             reconfig_point=str(reconfig_point),
@@ -442,13 +320,9 @@ class ProcessState:
 
         This is exactly what a cross-machine move does; exposing it as a
         method lets tests and the heterogeneity benchmark (D5) exercise
-        the translation without a running bus.  The result is fully
-        materialised: a translation that merely deferred the target
-        machine's representability check would not be a translation.
+        the translation without a running bus.
         """
-        state = ProcessState.from_bytes(self.to_bytes(source), target)
-        state.stack.materialize()
-        return state
+        return ProcessState.from_bytes(self.to_bytes(source), target)
 
 
 def frames_equal_ignoring_order_metadata(

@@ -69,22 +69,27 @@ class TestLoad:
 
 
 class TestDivulgeFlow:
-    def test_signal_then_wait_divulged(self, bus):
+    def test_objstate_move_installs_divulged_packet(self, bus):
         module = bus.add_module(pointed_spec(), machine="local", start=True)
-        bus.signal_reconfig("pointed")
-        packet = module.wait_divulged(timeout=10)
+        clone = bus.add_module(
+            pointed_spec(), instance="clone", machine="local", status="clone"
+        )
+        packet = bus.objstate_move("pointed", "clone", timeout=10)
         assert packet.startswith(b"MHST")
         assert module.state is ModuleState.DIVULGED
+        assert clone.mh.incoming_packet == packet
+        assert f"objstate_move pointed -> clone ({len(packet)} bytes)" in bus.trace
 
-    def test_wait_divulged_timeout(self, bus):
+    def test_objstate_move_timeout(self, bus):
         spec = ModuleSpec(
             name="pointless",
             inline_source="def main():\n    while mh.running:\n        mh.sleep(0.01)\n",
         )
-        module = bus.add_module(spec, machine="local", start=True)
-        module.mh.request_reconfig()  # no point exists: never honoured
+        bus.add_module(spec, machine="local", start=True)
+        bus.add_module(spec, instance="clone", machine="local", status="clone")
+        # No point exists: the signal is never honoured.
         with pytest.raises(ReconfigTimeoutError):
-            module.wait_divulged(timeout=0.3)
+            bus.objstate_move("pointless", "clone", timeout=0.3)
 
     def test_objstate_move_rejects_running_target(self, bus):
         bus.add_module(pointed_spec(), machine="local", start=True)
@@ -94,6 +99,9 @@ class TestDivulgeFlow:
 
         with pytest.raises(BusError, match="already started"):
             bus.objstate_move("pointed", "clone2", timeout=2)
+        # Refused before the signal: the old module keeps running.
+        assert not bus.get_module("pointed").mh.reconfig
+        assert "signal reconfig pointed" not in bus.trace
 
 
 class TestQueuesAndDescribe:

@@ -308,22 +308,27 @@ class TestReplaceContract:
     def test_stack_depth_travels_with_the_packet(self, placed_bus, monkeypatch):
         # The frame count sits behind statics and heap on the wire; the
         # host that encoded the packet sends it alongside, so reporting it
-        # never walks the packet.
-        import repro.state.frames as frames
+        # never parses the packet.  Only the clone may decode it, and an
+        # in-process clone does so on its own thread.
+        from repro.state.frames import ProcessState
 
-        peek = frames.peek_state_header
+        parse = ProcessState.from_bytes.__func__
+        coordinator_thread = threading.get_ident()
 
-        def no_peek(packet):
-            raise AssertionError("replace() peeked the packet for its depth")
+        def clone_only(cls, data, machine=None):
+            if threading.get_ident() == coordinator_thread:
+                raise AssertionError("replace() parsed the packet for its depth")
+            return parse(cls, data, machine)
 
-        monkeypatch.setattr(frames, "peek_state_header", no_peek)
+        monkeypatch.setattr(ProcessState, "from_bytes", classmethod(clone_only))
         bus, placement = placed_bus
         self._launch_counter(bus, placement)
         coordinator = ReconfigurationCoordinator(bus)
         with _Nudger(bus):
             report = coordinator.replace("counter", timeout=30)
         packet = bus.get_module("counter").mh.incoming_packet
-        assert report.stack_depth == peek(packet).depth >= 1
+        monkeypatch.undo()
+        assert report.stack_depth == ProcessState.from_bytes(packet).stack.depth >= 1
 
     def test_failed_rebind_rolls_back_to_old_process(self, placed_bus):
         bus, placement = placed_bus

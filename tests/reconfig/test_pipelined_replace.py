@@ -18,7 +18,6 @@ import threading
 
 import pytest
 
-from repro.bus.bus import StateMoveStream
 from repro.bus.module import ModuleState, _prepare_module_cached
 from repro.errors import (
     BusError,
@@ -27,7 +26,7 @@ from repro.errors import (
     TransformError,
 )
 from repro.reconfig.scripts import move_module, upgrade_module
-from repro.state.frames import peek_state_header
+from repro.state.frames import ProcessState
 
 from tests.conftest import wait_until
 from tests.reconfig.helpers import (
@@ -133,23 +132,7 @@ class TestPipelinedMove:
         wait_displays(monitor, 2)
         report = complete_move(monitor, 9)
         packet = monitor.get_module("compute").mh.incoming_packet
-        assert report.stack_depth == peek_state_header(packet).depth
-
-    def test_depth_falls_back_to_peek_without_a_count(self, monitor, monkeypatch):
-        # A host that sends no frame count with its divulge leaves the
-        # stream's count unset; the coordinator then reads the header.
-        on_divulge = StateMoveStream._on_divulge
-
-        def without_count(stream, packet):
-            on_divulge(stream, packet)
-            stream.frames = None
-
-        monkeypatch.setattr(StateMoveStream, "_on_divulge", without_count)
-        feed_sensor(monitor, *range(1, 9))
-        wait_displays(monitor, 2)
-        report = complete_move(monitor, 9)
-        packet = monitor.get_module("compute").mh.incoming_packet
-        assert report.stack_depth == peek_state_header(packet).depth >= 2
+        assert report.stack_depth == ProcessState.from_bytes(packet).stack.depth >= 2
 
     def test_clone_reuses_transform_result(self, monitor):
         # The wait window covers clone construction because the AST
@@ -236,7 +219,7 @@ class TestStateMoveStream:
         stream.attach_target("compute.late")
         packet = stream.wait(timeout=5)
         assert monitor.get_module("compute.late").mh.incoming_packet == packet
-        assert peek_state_header(packet).module == "compute"
+        assert ProcessState.from_bytes(packet).module == "compute"
 
     def test_attach_to_started_module_rejected(self, monitor):
         stream = monitor.objstate_stream("compute")

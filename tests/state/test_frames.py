@@ -166,3 +166,56 @@ class TestProcessState:
         text = self.make_state().summary()
         assert "main -> compute" in text
         assert "depth=4" in text
+
+
+def _with_body(packet: bytes, body: bytes) -> bytes:
+    # The same fixed header with the length word patched to the new body,
+    # so the framing check passes and only the body is at fault.
+    header = packet[: len(STATE_MAGIC) + 1]
+    return header + len(body).to_bytes(4, "big") + body
+
+
+class TestEagerDecode:
+    """``from_bytes`` decodes every frame before it returns.
+
+    A packet whose framing is sound but whose frame region is not is
+    refused by ``from_bytes`` itself, not at the first touch of a frame.
+    """
+
+    BODY = len(STATE_MAGIC) + 5
+
+    def packet(self, machine=None):
+        return TestProcessState().make_state().to_bytes(machine)
+
+    def test_truncated_frame_region_refused(self):
+        packet = self.packet()
+        with pytest.raises(DecodingError, match="truncated abstract state"):
+            ProcessState.from_bytes(_with_body(packet, packet[self.BODY : -4]))
+
+    def test_corrupt_frame_region_refused(self):
+        packet = bytearray(self.packet())
+        # The last frame ends with main's 'F' local: tag plus 8 bytes.
+        assert packet[-9] == ord("F")
+        packet[-9] = ord("z")
+        with pytest.raises(DecodingError, match="unknown tag 'z'"):
+            ProcessState.from_bytes(bytes(packet))
+
+    def test_trailing_bytes_after_last_frame_refused(self):
+        packet = self.packet()
+        forged = _with_body(packet, packet[self.BODY :] + b"\x6e\x6e")
+        with pytest.raises(
+            DecodingError, match="2 trailing bytes in process state packet"
+        ):
+            ProcessState.from_bytes(forged)
+
+    def test_unrepresentable_frame_value_refused_for_target(self, sparc, vax):
+        state = TestProcessState().make_state()
+        state.stack.push_captured(make_record(values=[3, 2**40, 0, 0.0]))
+        packet = state.to_bytes(sparc)
+        with pytest.raises(
+            MachineCompatibilityError,
+            match="integer 1099511627776 does not fit a 32-bit native long "
+            "on machine 'vax-like'",
+        ):
+            ProcessState.from_bytes(packet, vax)
+        assert ProcessState.from_bytes(packet, sparc).stack.depth == 5
