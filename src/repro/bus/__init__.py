@@ -15,9 +15,12 @@ asynchronous.  Bindings connect the interfaces of modules."
 - :mod:`repro.bus.machine`    — simulated hosts with architecture profiles
 - :mod:`repro.bus.module`     — module instances (thread of control + namespace)
 - :mod:`repro.bus.bus`        — the bus itself: routing, lifecycle, introspection
-- :mod:`repro.bus.transport`  — where a module executes: in the bus process,
-  in a pipe worker (:mod:`repro.bus.procpool`) or in a TCP machine daemon
-  (:mod:`repro.bus.tcp`), behind one link and one module-host protocol
+- :mod:`repro.bus.transport`  — where else a module executes: in a pipe
+  worker (:mod:`repro.bus.procpool`) or in a TCP machine daemon
+  (:mod:`repro.bus.tcp`); the bus-side handles and the shared slot table
+- :mod:`repro.bus.link`       — the bus-side end of a remote host's channel
+- :mod:`repro.bus.host`       — the remote end: the module host every
+  worker and daemon runs, and all such a process imports of the bus
 - :mod:`repro.bus.batch`      — coalesced delivery frames for those links
 """
 
@@ -42,7 +45,7 @@ __all__ = [
 ]
 
 # Resolved on first use (see repro._lazy): every pipe worker and TCP
-# daemon runs this file on its way to ``repro.bus.procpool`` /
+# daemon runs this file on its way to ``repro.bus.host`` /
 # ``repro.bus.tcp`` and needs neither the MIL parser nor the bus.
 __getattr__, __dir__ = lazy_exports(
     globals(),

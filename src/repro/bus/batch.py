@@ -13,8 +13,7 @@ ones:
     whatever accumulated, so a sparse sender sees one thread wakeup of
     added latency, while a busy sender's messages pile up naturally
     during the previous ``send`` and ship many-per-frame.  A single
-    flush is bounded by ``max_entries``/``max_bytes``; ``linger_s > 0``
-    optionally trades latency for larger batches (the deadline cap).
+    flush is bounded by ``max_entries``/``max_bytes``.
     Pending bytes are bounded by ``pending_hwm``: appenders *block* when
     a slow receiver lets the backlog grow, so backpressure propagates to
     senders instead of OOMing the bus process.
@@ -55,7 +54,6 @@ from __future__ import annotations
 
 import struct
 import threading
-import time
 from collections import deque
 from dataclasses import asdict, dataclass
 from typing import Callable, List, Optional, Tuple
@@ -174,19 +172,16 @@ class BatchPolicy:
     #: Pending-byte high-watermark: appenders block above this, so a
     #: slow receiver backpressures its senders instead of OOMing them.
     pending_hwm: int = 4 * 1024 * 1024
-    #: Deadline cap: how long the flusher may linger after waking to let
-    #: a batch grow.  0 (the default) flushes the moment the channel is
-    #: idle — no Nagle-style delay on quiet links.
-    linger_s: float = 0.0
 
 
 def batch_settings() -> dict:
     """The caps every link and host coalesces under, for bench meta blocks.
 
     ``perf/compare.py`` refuses to compare runs whose meta differ, so the
-    keys and values here are part of the benchmark's contract.
+    keys and values here are part of the benchmark's contract — which is
+    why the key of a flush delay that was never enabled still reads 0.
     """
-    return {"enabled": True, **asdict(BatchPolicy())}
+    return {"enabled": True, **asdict(BatchPolicy()), "linger_s": 0.0}
 
 
 # ---------------------------------------------------------------------------
@@ -331,17 +326,12 @@ class Coalescer:
                 notify_ok()
 
     def _flush_loop(self) -> None:
-        linger = self.policy.linger_s
         while True:
             with self._lock:
                 while not self._groups and not self._closed:
                     self._data.wait()
                 if self._closed:
                     return  # pending entries die with the channel
-            if linger > 0:
-                # Deadline cap: trade up to ``linger`` of latency for a
-                # fuller batch.  The default (0) ships immediately.
-                time.sleep(linger)
             with self.send_lock:
                 with self._lock:
                     groups, entries = self._pop_chunk()

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import threading
 import weakref
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 # Not used by name here.  ``bus/module.py`` resolves the transformer
 # inside its preparation memo so that hosts, which import that file but
@@ -31,7 +31,6 @@ from repro.bus.spec import (
     InstanceSpec,
     ModuleSpec,
 )
-from repro.bus.transport import InprocTransport, Transport
 from repro.errors import (
     BindingError,
     BusError,
@@ -43,6 +42,9 @@ from repro.errors import (
 from repro.runtime import faults, telemetry
 from repro.runtime.mh import SleepPolicy
 from repro.state.machine import MachineProfile
+
+if TYPE_CHECKING:
+    from repro.bus.transport import RemoteTransport
 
 #: Every live bus, held weakly, so a recorder installed or removed
 #: mid-run reaches their routing tables (``_recompile_live_buses``).
@@ -197,10 +199,11 @@ class SoftwareBus:
     :class:`~repro.runtime.mh.SleepPolicy`: examples use 1.0 (the paper's
     wall-clock pacing), tests and benchmarks use 0.0.
 
+    A module added without a placement is a thread in this process.
     ``workers`` > 0 attaches an owned process worker pool
     (:class:`~repro.bus.procpool.ProcessTransport`), making
     ``placement="worker"`` / ``"worker:<i>"`` available on
-    :meth:`add_module`; further transports attach via
+    :meth:`add_module`; further remote transports attach via
     :meth:`attach_transport`.  Modules placed on a transport appear in
     the topology as ordinary instances — bindings, replacement, and
     introspection treat them uniformly through their handles.
@@ -240,15 +243,12 @@ class SoftwareBus:
         self._sleep_policy = SleepPolicy(scale=sleep_scale)
         self.application_name = ""
         self.trace: List[str] = []  # reconfiguration/audit log
-        self._transports: Dict[str, Transport] = {}
-        self._owned_transports: List[Transport] = []
+        self._transports: Dict[str, RemoteTransport] = {}
+        self._owned_transports: List[RemoteTransport] = []
         # Health plane (opt-in via enable_health; benchmarks measure the
         # heartbeat cost explicitly rather than paying it by default).
         self._health_monitor = None
         self._health_interval = 0.0
-        self._inproc = InprocTransport()
-        self._inproc.attach_bus(self)
-        self._transports[self._inproc.name] = self._inproc
         with _live_buses_lock:
             _live_buses.add(self)
         if workers:
@@ -263,32 +263,29 @@ class SoftwareBus:
                 owned=True,
             )
 
-    def attach_transport(
-        self, transport, name: Optional[str] = None, owned: bool = False
-    ):
-        """Register a transport under ``name`` (default: its own name).
+    def attach_transport(self, transport: RemoteTransport, owned: bool = False):
+        """Register a remote transport under its own name.
 
         ``owned`` transports are closed by :meth:`shutdown`; shared ones
         (one pool serving several buses, as the test suite does) are the
         caller's to close.
         """
-        key = name or transport.name
         with self._lock:
-            if key in self._transports:
-                raise BusError(f"transport {key!r} already attached")
+            if transport.name in self._transports:
+                raise BusError(f"transport {transport.name!r} already attached")
             transport.attach_bus(self)
-            self._transports[key] = transport
+            self._transports[transport.name] = transport
             if owned:
                 self._owned_transports.append(transport)
             monitor = self._health_monitor
-        if monitor is not None and hasattr(transport, "enable_health"):
+        if monitor is not None:
             try:
                 transport.enable_health(monitor, self._health_interval)
             except Exception:  # noqa: BLE001 - heartbeats are best-effort
                 pass
         return transport
 
-    def transport(self, name: str):
+    def transport(self, name: str) -> RemoteTransport:
         transport = self._transports.get(name)
         if transport is None:
             raise BusError(f"no transport {name!r} attached")
@@ -369,10 +366,17 @@ class SoftwareBus:
             with self._lock:
                 if name in self._instances:
                     raise BusError(f"instance {name!r} already exists")
-                host = self.hosts.ensure(machine)
-                module = self._inproc.add_module(
-                    spec, name, host, status, state_packet, self._sleep_policy
+                module = ModuleInstance(
+                    name=name,
+                    spec=spec,
+                    host=self.hosts.ensure(machine),
+                    bus=self,
+                    status=status,
+                    sleep_policy=self._sleep_policy,
                 )
+                if state_packet is not None:
+                    module.mh.incoming_packet = state_packet
+                module.load()
                 self._instances[name] = module
                 self._renamed.pop(name, None)
                 self._invalidate_routing_locked()
@@ -381,11 +385,9 @@ class SoftwareBus:
             )
         else:
             tname, _, slot = placement.partition(":")
+            if tname == "inproc":
+                raise BusError(f"placement {placement!r}: inproc takes no slot")
             transport = self.transport(tname)
-            if transport is self._inproc:
-                raise BusError(
-                    f"placement {placement!r}: inproc takes no slot"
-                )
             with self._lock:
                 if name in self._instances:
                     raise BusError(f"instance {name!r} already exists")
@@ -597,10 +599,7 @@ class SoftwareBus:
             return
         self._routing_table = None
         for transport in self._transports.values():
-            links = getattr(transport, "links", None)
-            if links is None:
-                continue
-            for link in links():
+            for link in transport.links():
                 link.send_event(["clear_routes"])
 
     def _push_worker_routes(
@@ -629,10 +628,7 @@ class SoftwareBus:
                         [name, ifname, [[dest, dest_if] for dest, dest_if, *_ in targets]]
                     )
         for transport in self._transports.values():
-            links = getattr(transport, "links", None)
-            if links is None:
-                continue
-            for link in links():
+            for link in transport.links():
                 link.send_event(["set_routes", routes_by_link.get(link, [])])
 
     def _on_transport_write(
@@ -734,10 +730,7 @@ class SoftwareBus:
             self._routed_base = {}
             self._routed_epoch = {}
             rec.add_source(self._routed_source)
-            if any(
-                hasattr(t, "telemetry_snapshot")
-                for t in self._transports.values()
-            ):
+            if self._transports:
                 rec.add_source(self._remote_telemetry_source)
         else:
             self._routed_base = self._derived_routed()
@@ -778,11 +771,7 @@ class SoftwareBus:
         loses nothing but its own contribution.
         """
         with self._lock:
-            transports = [
-                t
-                for t in self._transports.values()
-                if hasattr(t, "telemetry_snapshot")
-            ]
+            transports = list(self._transports.values())
         counters: Dict[Tuple[str, Optional[str]], int] = {}
         gauges: Dict[Tuple[str, Optional[str]], float] = {}
         for transport in transports:
@@ -815,11 +804,8 @@ class SoftwareBus:
         if rec is not None:
             return
         for transport in transports:
-            disable_remote = getattr(transport, "disable_telemetry", None)
-            if disable_remote is None:
-                continue
             try:
-                disable_remote()
+                transport.disable_telemetry()
             except Exception:  # noqa: BLE001 - e.g. an injected link fault
                 continue
 
@@ -834,11 +820,8 @@ class SoftwareBus:
         routing.
         """
         for transport in list(self._transports.values()):
-            enable_remote = getattr(transport, "enable_telemetry", None)
-            if enable_remote is None:
-                continue
             try:
-                enable_remote()
+                transport.enable_telemetry()
             except Exception:
                 continue
 
@@ -855,11 +838,8 @@ class SoftwareBus:
         with self._lock:
             transports = list(self._transports.values())
         for transport in transports:
-            flush = getattr(transport, "flush_telemetry", None)
-            if flush is None:
-                continue
             try:
-                flush()
+                transport.flush_telemetry()
             except Exception:  # noqa: BLE001 - flush must never break replace()
                 continue
 
@@ -886,11 +866,8 @@ class SoftwareBus:
             self._health_interval = float(interval)
             transports = list(self._transports.values())
         for transport in transports:
-            enable = getattr(transport, "enable_health", None)
-            if enable is None:
-                continue
             try:
-                enable(monitor, float(interval))
+                transport.enable_health(monitor, float(interval))
             except Exception:  # noqa: BLE001 - a sick host beats later or never
                 continue
         rec = telemetry.recorder
@@ -905,11 +882,8 @@ class SoftwareBus:
         if monitor is None:
             return
         for transport in transports:
-            disable = getattr(transport, "disable_health", None)
-            if disable is None:
-                continue
             try:
-                disable()
+                transport.disable_health()
             except Exception:  # noqa: BLE001 - host may already be gone
                 continue
         rec = telemetry.recorder
@@ -940,15 +914,10 @@ class SoftwareBus:
             transport = self._transports.get(name)
         if transport is None:
             return None
-        peek = getattr(transport, "peek_host", None)
-        if peek is not None and slot:
-            host = peek(slot)
-            if host is not None:
-                return monitor.status_of(host)
-        links = getattr(transport, "links", None)
-        if links is None:
-            return None
-        statuses = [monitor.status_of(link.name) for link in links()]
+        host = transport.peek_host(slot)
+        if host is not None:
+            return monitor.status_of(host)
+        statuses = [monitor.status_of(link.name) for link in transport.links()]
         if not statuses:
             return None
         order = ["healthy", "unknown", "degraded", "suspect", "dead"]
@@ -1218,9 +1187,7 @@ class SoftwareBus:
             owned = self._owned_transports
             self._owned_transports = []
             for transport in owned:
-                for key, value in list(self._transports.items()):
-                    if value is transport:
-                        del self._transports[key]
+                del self._transports[transport.name]
         for transport in owned:
             transport.close()
 

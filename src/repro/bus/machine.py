@@ -9,7 +9,7 @@ round-tripped through the canonical abstract encoding (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
 from repro.errors import BusError
@@ -41,13 +41,7 @@ class HostRegistry:
         elif profile.name != name:
             # Rebrand the architecture profile with the host's name so
             # captured states record *which machine* they came from.
-            profile = MachineProfile(
-                name=name,
-                endianness=profile.endianness,
-                int_bits=profile.int_bits,
-                long_bits=profile.long_bits,
-                float_bits=profile.float_bits,
-            )
+            profile = replace(profile, name=name)
         host = Host(name=name, profile=profile)
         self._hosts[name] = host
         return host

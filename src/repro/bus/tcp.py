@@ -18,13 +18,14 @@ heterogeneous network of workstations:
 
 This module owns what is TCP-specific: the length-prefixed framing,
 :class:`SocketChannel` (a socket as the frame channel
-:class:`~repro.bus.transport.Link` and
-:func:`~repro.bus.transport.serve_host` speak over), the daemon's
-``hello`` handshake, and the ``python -m repro.bus.tcp`` entry point.
-The bus-side client is :class:`~repro.bus.transport.TcpTransport`
-(``placement="tcp:<machine>"`` on an ordinary ``SoftwareBus``); the
-module hosting inside the daemon is the same
-:class:`~repro.bus.transport.ModuleHost` serve loop pipe workers run.
+:class:`~repro.bus.link.Link` and :func:`~repro.bus.host.serve_host`
+speak over), the daemon's ``hello`` handshake, and the
+``python -m repro.bus.tcp`` entry point.  The module hosting inside the
+daemon is the same :class:`~repro.bus.host.ModuleHost` serve loop pipe
+workers run, and a daemon imports nothing of the bus side: the client
+is :class:`~repro.bus.transport.TcpTransport`
+(``placement="tcp:<machine>"`` on an ordinary ``SoftwareBus``), which
+imports this file, not the other way round.
 
 Wire protocol: frames whose payload is one self-described value in our
 own canonical encoding (dogfooding ``repro.state.encoding``).  Each
@@ -41,7 +42,7 @@ import struct
 import sys
 from typing import List, Tuple
 
-from repro.bus.transport import serve_host
+from repro.bus.host import serve_host
 from repro.errors import TransportError
 from repro.runtime import faults, telemetry
 from repro.state.encoding import decode_any, encode_any
@@ -130,7 +131,7 @@ class SocketChannel:
     """A connected socket as a frame channel.
 
     Adapts the length-prefixed framing above to the channel protocol
-    consumed by :class:`~repro.bus.transport.Link` (``send``/``recv``/
+    consumed by :class:`~repro.bus.link.Link` (``send``/``recv``/
     ``close``), so TCP machine daemons and pipe workers speak to the bus
     through the same link machinery.
     """

@@ -1,34 +1,24 @@
-"""Pluggable transports: *where* a module executes, behind one interface.
+"""Remote transports: the bus-side half of out-of-process placement.
 
 POLYLITH's central claim is that composition is independent of where
 code actually executes — the bus hides module location behind interface
-bindings.  A :class:`Transport` answers "where does this instance run,
-and how do messages reach it" for three placements, all on the one
+bindings.  A module placed with ``placement="<transport>[:<slot>]"``
+runs in a host process reached over a :class:`~repro.bus.link.Link`;
+without a placement it is a thread in the bus process
+(:meth:`~repro.bus.bus.SoftwareBus.add_module` builds it directly).  Two
+remote transports attach to the one
 :class:`~repro.bus.bus.SoftwareBus`:
 
-``inproc``
-    today's path — modules are threads in the bus process, delivery is
-    a direct deque put with no encoding (kept allocation-free);
-``worker`` (:mod:`repro.bus.procpool`)
+``worker`` (:class:`~repro.bus.procpool.ProcessTransport`)
     a pool of long-lived worker processes fed over ``multiprocessing``
-    pipes, the wire format being the same canonical self-described
-    encoding as state packets (the PR 2 compiled codecs);
+    pipes;
 ``tcp`` (:class:`TcpTransport`, daemons in :mod:`repro.bus.tcp`)
     one machine-daemon process per simulated machine, each with its own
     architecture profile, reached over a TCP socket.
 
-The pieces shared by every out-of-process placement live here:
+This file holds what the bus process needs of them and nothing a host
+runs (that is :mod:`repro.bus.host`):
 
-:class:`Link`
-    the bus-side end of a remote host's control/data channel — seq'd
-    request/reply with a pump thread, plus fire-and-forget events.
-    Events are dispatched from a *separate* thread so a request issued
-    while holding the bus lock can always see its reply (the pump never
-    blocks on bus internals).
-:class:`ModuleHost`
-    the remote-side core hosting real :class:`ModuleInstance` threads
-    and serving the command protocol; :func:`serve_host` is the loop
-    around it that pipe workers and TCP machine daemons both run.
 :class:`RemoteModuleHandle`
     the bus-side stand-in for a remotely hosted module.  It duck-types
     the slice of :class:`ModuleInstance` the bus, the coordinator, and
@@ -36,1022 +26,49 @@ The pieces shared by every out-of-process placement live here:
     divulge/restore events are pushed by the remote host, so ``replace()``
     works unchanged when old module and clone live in different
     processes (the state packet simply travels over the transport).
-
-Worker-local fan-out: the bus pushes per-host route tables to each link
-(``set_routes``) covering endpoints whose *every* destination lives on
-that same host; such writes are delivered host-locally without touching
-the bus process at all, which is what lets pinned producer/consumer
-pairs scale with cores.  Any topology change broadcasts ``clear_routes``
-first (per-link FIFO makes subsequent queue snapshots/drains exact).
-Routes are pushed whether or not telemetry records: a host counts the
-writes it delivers itself, the bus the ones tunneled to it.
+:class:`RemoteTransport`
+    one slot table for both transports — host names in declared order,
+    round-robin, slot resolution, placement, shutdown — plus remote
+    telemetry, the health plane and event dispatch.  A subclass says
+    only how a host starts.
+:class:`TcpTransport`
+    the daemons' client.  It stays here rather than in :mod:`repro.bus.tcp`
+    because a daemon runs ``python -m repro.bus.tcp``: the client there
+    would be back in every daemon's import closure.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import socket
+import subprocess
 import threading
 import time
-from queue import SimpleQueue
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.bus.batch import BatchPolicy, Coalescer, unpack_batch
+from repro.bus import tcp
+from repro.bus.batch import unpack_batch
+from repro.bus.link import Link
 from repro.bus.machine import Host
 from repro.bus.message import Message
-from repro.bus.module import ModuleInstance, ModuleState, prepared_source_for
-from repro.bus.queues import MessageQueue
-from repro.bus.spec import ModuleSpec, spec_from_abstract
+from repro.bus.module import ModuleState, prepared_source_for
+from repro.bus.spec import ModuleSpec
 from repro.errors import (
-    BindingError,
     BusError,
     InjectedFault,
     ModuleCrashedError,
     ModuleLifecycleError,
-    ReconfigTimeoutError,
     TransportError,
     UnknownInterfaceError,
-    UnknownModuleError,
 )
-from repro.runtime import faults, telemetry
+from repro.runtime import telemetry
 from repro.runtime.faults import FaultPlan, RetryPolicy
-from repro.runtime.mh import SleepPolicy
-from repro.state.machine import MachineProfile, profile_from_abstract
+from repro.state.machine import MACHINES, MachineProfile, profile_from_abstract
 
-if TYPE_CHECKING:
-    import subprocess
 
-
-class Transport:
-    """Where a set of module instances executes.
-
-    A transport is attached to one :class:`~repro.bus.bus.SoftwareBus`
-    under a name; ``placement="<name>[:slot]"`` on ``add_module`` selects
-    it.  ``close`` tears down whatever processes it owns.
-    """
-
-    name = "transport"
-
-    def attach_bus(self, bus) -> None:
-        self._bus = bus
-
-    def close(self) -> None:  # pragma: no cover - trivial default
-        pass
-
-
-class InprocTransport(Transport):
-    """Today's path: modules are threads in the bus process.
-
-    Delivery stays the direct ``deque.append`` behind a precompiled
-    routing entry — attaching other transports adds nothing to this hot
-    path (remote deliveries compile into the routing table exactly like
-    local ones, as bound callables).
-    """
-
-    name = "inproc"
-
-    def __init__(self):
-        self._bus = None
-
-    def add_module(
-        self,
-        spec: ModuleSpec,
-        instance: str,
-        host: Host,
-        status: str,
-        state_packet: Optional[bytes],
-        sleep_policy: SleepPolicy,
-    ) -> ModuleInstance:
-        module = ModuleInstance(
-            name=instance,
-            spec=spec,
-            host=host,
-            bus=self._bus,
-            status=status,
-            sleep_policy=sleep_policy,
-        )
-        if state_packet is not None:
-            module.mh.incoming_packet = state_packet
-        module.load()
-        return module
-
-
-# ---------------------------------------------------------------------------
-# Bus-side link plumbing
-# ---------------------------------------------------------------------------
-
-
-class _Waiter:
-    """One pending request awaiting its reply frame."""
-
-    __slots__ = ("event", "kind", "value")
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.kind = ""
-        self.value: object = None
-
-    def complete(self, kind: str, value: object) -> None:
-        self.kind = kind
-        self.value = value
-        self.event.set()
-
-
-#: Tag of the optional trace-context trailer a request frame may carry:
-#: ``["tctx", recon_id, parent_span_id, lamport_tick]`` appended after
-#: the command's own arguments.  Absence is the backward-compatible
-#: default (events never carry one, old senders never append one).
-TRACE_CONTEXT_TAG = "tctx"
-
-
-def strip_trace_context(args: List[object]) -> List[object]:
-    """Pop (and adopt) an optional trace-context trailer off request args.
-
-    The receiving host calls this before dispatching a command: if the
-    sender piggybacked a ``["tctx", recon, parent_sid, tick]`` trailer,
-    spans opened while serving the command — and by module threads it
-    wakes — record under that remote parent, and the local Lamport clock
-    absorbs the sender's tick.  Without a trailer this is a pure
-    pass-through, so hosts speaking the old frame shape are unaffected.
-    """
-    if args and isinstance(args[-1], (list, tuple)):
-        trailer = args[-1]
-        if len(trailer) == 4 and trailer[0] == TRACE_CONTEXT_TAG:
-            recon = trailer[1]
-            telemetry.adopt_trace_context(
-                str(recon) if recon is not None else None,
-                int(trailer[2]),  # type: ignore[arg-type]
-                int(trailer[3]),  # type: ignore[arg-type]
-            )
-            return list(args[:-1])
-    return list(args)
-
-
-def _wire_safe(value: object) -> object:
-    """Clamp a telemetry record value to canonically encodable types."""
-    if value is None or isinstance(value, (bool, int, float, str, bytes)):
-        return value
-    if isinstance(value, dict):
-        return {str(k): _wire_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_wire_safe(v) for v in value]
-    return repr(value)
-
-
-def _error_from(link_name: str, message: str) -> BusError:
-    """Rehydrate a remote ``err`` reply into a useful exception type."""
-    if "ReconfigTimeoutError" in message:
-        return ReconfigTimeoutError(message)
-    if "UnknownModuleError" in message:
-        return UnknownModuleError(f"{link_name}: {message}")
-    if "TransportError" in message or message == "link closed":
-        return TransportError(f"{link_name}: {message}")
-    return BusError(f"{link_name}: {message}")
-
-
-def note_event_failed(
-    host: str, command: str, exc: BaseException, first: bool
-) -> None:
-    """Account for an event whose handler raised, at either end of a link.
-
-    Events have no reply to carry the error back, so the failure is
-    counted (``link.event_errors``, keyed by host) and the first one of
-    a streak raises a ``link.event_failed`` flare naming the command —
-    the receive-side twin of ``link.send_failed``.
-    """
-    rec = telemetry.recorder
-    if rec is not None:
-        rec.count("link.event_errors", key=host)
-    if first:
-        telemetry.event(
-            "link.event_failed",
-            host=host,
-            command=command,
-            error=f"{type(exc).__name__}: {exc}",
-        )
-
-
-class Link:
-    """Bus-side end of one remote module host's channel.
-
-    The frame protocol is the machine-daemon one: ``[kind, seq,
-    command, args...]`` with ``kind`` in ``req``/``rep``/``err``/``evt``.
-    The *pump* thread only ever completes request waiters and enqueues
-    events; events are handled on a dedicated dispatcher thread.  That
-    split is load-bearing: the rebind batch issues queue-transfer
-    requests while holding the bus lock, and an event handler may block
-    on that same lock (tunneled writes route through the bus) — with a
-    single thread the reply behind a blocked event could never be read.
-
-    ``retry`` enables the lossy-channel request policy (used over TCP,
-    where the chaos suite drops frames); pipes are loss-free and run
-    single-attempt.
-
-    Deliveries do not ship frame-per-message: :meth:`send_deliver` hands
-    the encoded wire to a per-link :class:`~repro.bus.batch.Coalescer`
-    whose flusher drains opportunistically, so a busy link ships many
-    messages per ``deliver_batch`` frame.  Per-link FIFO survives
-    because every *other* frame (requests, non-delivery events) drains
-    the pending batch under the send lock before going out.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        profile: MachineProfile,
-        channel,
-        on_event: Optional[Callable[[str, List[object]], None]] = None,
-        retry: Optional[RetryPolicy] = None,
-        batch: Optional[BatchPolicy] = None,
-    ):
-        self.name = name
-        self.profile = profile
-        self.channel = channel
-        self.on_event = on_event
-        self.retry = retry
-        self.closed = threading.Event()
-        self._seq = 0
-        self._lock = threading.Lock()
-        self._send_lock = threading.Lock()
-        self._pending: Dict[int, _Waiter] = {}
-        self._events: SimpleQueue = SimpleQueue()
-        self._send_failing = False
-        self._coalescer = Coalescer(
-            name,
-            "deliver_batch",
-            ship=self._ship_event,
-            send_lock=self._send_lock,
-            policy=batch or BatchPolicy(),
-            notify_drop=self._note_send_failed,
-            notify_ok=self._note_send_ok,
-        )
-        self._pump = threading.Thread(
-            target=self._read_loop, name=f"link-pump-{name}", daemon=True
-        )
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, name=f"link-evt-{name}", daemon=True
-        )
-        self._pump.start()
-        self._dispatcher.start()
-
-    def _read_loop(self) -> None:
-        try:
-            while True:
-                try:
-                    frame = self.channel.recv()
-                except InjectedFault:
-                    continue  # injected receive fault: frame lost; requests retry
-                kind = frame[0]
-                if kind in ("rep", "err"):
-                    seq = int(frame[1])
-                    with self._lock:
-                        waiter = self._pending.pop(seq, None)
-                    if waiter is not None:
-                        waiter.complete(str(kind), frame[2])
-                elif kind == "evt":
-                    self._events.put((str(frame[2]), frame[3:]))
-        except (TransportError, OSError, EOFError):
-            pass
-        finally:
-            self.closed.set()
-            self._coalescer.close()
-            with self._lock:
-                pending = list(self._pending.values())
-                self._pending.clear()
-            for waiter in pending:
-                waiter.complete("err", "link closed")
-            self._events.put(None)
-
-    def _dispatch_loop(self) -> None:
-        failing = False
-        while True:
-            item = self._events.get()
-            if item is None:
-                return
-            handler = self.on_event
-            if handler is None:
-                continue
-            try:
-                handler(item[0], list(item[1]))
-            except Exception as exc:  # noqa: BLE001 - a bad event must not kill the link
-                note_event_failed(self.name, item[0], exc, first=not failing)
-                failing = True
-            else:
-                failing = False
-
-    def _ship_event(self, command: List[object]) -> None:
-        """Raw event send — caller (coalescer flusher) holds the send lock."""
-        self.channel.send(["evt", 0] + list(command))
-
-    def _note_send_ok(self) -> None:
-        if self._send_failing:
-            self._send_failing = False
-
-    def _note_send_failed(self, dropped: int, exc: BaseException) -> None:
-        """Mark the link's send side as failing — one event per streak.
-
-        Chaos-injected faults are deliberate single-frame losses, not an
-        outage; they are counted (``link.events_dropped``) but do not
-        raise the ``link.send_failed`` flare.
-        """
-        if isinstance(exc, InjectedFault):
-            return
-        if not self._send_failing:
-            self._send_failing = True
-            telemetry.event(
-                "link.send_failed",
-                host=self.name,
-                error=f"{type(exc).__name__}: {exc}",
-                dropped=int(dropped),
-            )
-
-    def send_event(self, command: List[object]) -> None:
-        """Fire-and-forget frame (non-delivery events: route pushes, packets).
-
-        Acts as a FIFO barrier: any coalesced deliveries pending on this
-        link ship first, under the same send-lock hold, so the event is
-        ordered behind every delivery appended before this call.  Failed
-        sends are counted (``link.events_dropped``) instead of silently
-        vanishing, and the first failure of a streak emits a
-        ``link.send_failed`` event.
-        """
-        try:
-            with self._send_lock:
-                self._coalescer.drain_locked()
-                self.channel.send(["evt", 0] + list(command))
-        except (InjectedFault, TransportError, OSError) as exc:
-            # A lost event is a lost frame; the host notices via FIFO
-            # gaps — but the loss itself is now observable.
-            rec = telemetry.recorder
-            if rec is not None:
-                rec.count("link.events_dropped", key=self.name)
-            self._note_send_failed(1, exc)
-        else:
-            self._note_send_ok()
-
-    def send_deliver(self, instance: str, interface: str, wire: bytes) -> None:
-        """Queue one encoded message for coalesced delivery (hot path)."""
-        self._coalescer.append(instance, interface, "", wire)
-
-    def send_deliver_shared(self, pairs, wire: bytes) -> None:
-        """Deliver one encoded wire to many ``(instance, interface)`` targets.
-
-        The encode-once fan-out: the wire is embedded in the batch blob a
-        single time and every entry references it by index.
-        """
-        self._coalescer.append_shared(
-            [(instance, interface, "") for instance, interface in pairs], wire
-        )
-
-    def request(self, command: List[object], timeout: float = 30.0) -> object:
-        """Round-trip one request frame.
-
-        With a retry policy, lost frames are retried with fresh sequence
-        numbers (the daemon-link semantics: ``err`` replies never retry,
-        re-executed commands must be idempotent).  Without one — pipes —
-        a single attempt either answers or raises ``TransportError``.
-        """
-        attempts = self.retry.attempts if self.retry is not None else 1
-        delays = self.retry.delays() if self.retry is not None else []
-        failure: Optional[Exception] = None
-        payload = list(command)
-        tctx = telemetry.trace_context()
-        if tctx is not None:
-            payload.append([TRACE_CONTEXT_TAG, tctx[0], tctx[1], tctx[2]])
-        for attempt in range(attempts):
-            if self.closed.is_set():
-                raise TransportError(f"link {self.name}: closed")
-            waiter = _Waiter()
-            with self._lock:
-                self._seq += 1
-                seq = self._seq
-                self._pending[seq] = waiter
-            try:
-                with self._send_lock:
-                    # FIFO barrier: requests (queue snapshots, drains,
-                    # transfers) must observe every delivery appended
-                    # before them, so pending batches ship first.
-                    self._coalescer.drain_locked()
-                    self.channel.send(["req", seq] + payload)
-            except InjectedFault as exc:
-                with self._lock:
-                    self._pending.pop(seq, None)
-                failure = exc
-            except (TransportError, OSError) as exc:
-                with self._lock:
-                    self._pending.pop(seq, None)
-                raise TransportError(
-                    f"link {self.name}: send failed: {exc}"
-                ) from exc
-            else:
-                if waiter.event.wait(timeout):
-                    if waiter.kind == "err":
-                        raise _error_from(self.name, str(waiter.value))
-                    return waiter.value
-                with self._lock:
-                    self._pending.pop(seq, None)
-                failure = TransportError(
-                    f"link {self.name}: no reply to {command[0]!r} in {timeout}s"
-                )
-            if attempt < len(delays):
-                time.sleep(delays[attempt])
-        assert failure is not None
-        raise failure
-
-    def close(self) -> None:
-        self._coalescer.close()
-        try:
-            self.channel.close()
-        except OSError:
-            pass
-
-
-# ---------------------------------------------------------------------------
-# Remote-side core (shared by pipe workers and TCP machine daemons)
-# ---------------------------------------------------------------------------
-
-
-class ModuleHost:
-    """Hosts real module threads inside a remote process.
-
-    One instance per worker process / machine daemon.  The surrounding
-    serve loop feeds frames in; :meth:`handle` executes commands; pushes
-    back to the bus go through the injected ``send_event`` callable.
-    Lifecycle, divulge, and restore transitions are *pushed* as events,
-    so the bus-side handles mirror them without polling.
-
-    The host is also what its modules see as "the bus" (:meth:`route`,
-    :meth:`route_to`): a write on an endpoint with a pushed host-local
-    route is put directly into the destination queue — same-process
-    identity, no encoding, no bus involvement (the multi-core fast
-    path); while recording, the host counts such a write as
-    ``bus.routed`` (``bus.directed``) itself, so every write is counted
-    exactly once.  Everything else tunnels to the bus, coalesced into
-    ``write_batch`` frames; every *other* outbound event drains that
-    tunnel first so divulge, lifecycle, and heartbeat events stay
-    FIFO-ordered behind the writes that preceded them.
-
-    A commit renames the clone ``X.new -> X`` while deliveries addressed
-    to the old name may still be in flight; :attr:`renamed` remembers
-    the last rename of each name so such a delivery lands at the renamed
-    module (consulted only when the name is otherwise unknown, forgotten
-    when that name is added again).
-    """
-
-    def __init__(
-        self,
-        machine_name: str,
-        host: Host,
-        sleep_policy: SleepPolicy,
-        send_event: Callable[[List[object]], None],
-    ):
-        self.machine_name = machine_name
-        self.host = host
-        self.profile = host.profile
-        self.sleep_policy = sleep_policy
-        self._raw_send_event = send_event
-        self._send_gate = threading.Lock()
-        self._tunnel = Coalescer(
-            machine_name,
-            "write_batch",
-            ship=send_event,
-            send_lock=self._send_gate,
-            policy=BatchPolicy(),
-        )
-        self.modules: Dict[str, ModuleInstance] = {}
-        # Guards modules-dict mutations against concurrent deliveries
-        # (events run inline in the serve loop while commands like
-        # rename run on their own threads).
-        self.modules_lock = threading.Lock()
-        #: pre-rename name -> current name (see the class docstring).
-        self.renamed: Dict[str, str] = {}
-        # (instance, interface) -> ((dest, dest_if), ...) for endpoints
-        # whose whole fan-out lives on this host.  Replaced atomically.
-        self.routes: Dict[Tuple[str, str], Tuple] = {}
-        #: instance -> monotonic time of the last delivery served through
-        #: this host (host-local fast-path writes bypass it; the
-        #: heartbeat reports the age as "last delivery the bus caused").
-        self._last_delivery: Dict[str, float] = {}
-        self._hb_lock = threading.Lock()
-        self._hb_interval = 0.0
-        self._hb_stop: Optional[threading.Event] = None
-        self._hb_thread: Optional[threading.Thread] = None
-
-    # -- plumbing ----------------------------------------------------------
-
-    def handle(self, command: str, args: List[object]) -> object:
-        handler = getattr(self, f"_cmd_{command}", None)
-        if handler is None:
-            raise BusError(f"host {self.machine_name}: unknown command {command!r}")
-        return handler(*strip_trace_context(args))
-
-    def send_event(self, command: List[object]) -> None:
-        """Push one event to the bus, FIFO-ordered behind tunneled writes.
-
-        When the write tunnel has coalesced frames pending, they ship
-        first under the same send-gate hold — a ``divulged`` event must
-        never overtake the writes the module issued before divulging.
-        """
-        with self._send_gate:
-            self._tunnel.drain_locked()
-            self._raw_send_event(command)
-
-    # -- what hosted modules see as "the bus" --------------------------------
-
-    def _count_miss(self, n: int) -> None:
-        """Deliveries that found no module or queue (withdrawn in flight)."""
-        rec = telemetry.recorder
-        if rec is not None:
-            rec.count("host.deliver_miss", n=n, key=self.machine_name)
-
-    def _renamed_module(self, name: str, n: int = 1) -> Optional[ModuleInstance]:
-        """Where ``n`` deliveries addressed to the unknown ``name`` belong:
-        the module that bore the name before a rename, else a counted miss."""
-        module = self.modules.get(self.renamed.get(name, ""))
-        if module is None:
-            self._count_miss(n)
-        return module
-
-    def route(self, instance: str, interface: str, message: Message) -> None:
-        entry = self.routes.get((instance, interface))
-        if entry is None:
-            self._tunnel.append(
-                instance, interface, "", message.to_wire(self.profile)
-            )
-            return
-        rec = telemetry.recorder
-        if rec is not None:
-            rec.count("bus.routed", key=f"{instance}.{interface}")
-        modules = self.modules
-        for dest, dest_if in entry:
-            module = modules.get(dest) or self._renamed_module(dest)
-            if module is not None:
-                module.queue(dest_if).put(message)
-
-    def route_to(
-        self, instance: str, interface: str, destination: str, message: Message
-    ) -> None:
-        entry = self.routes.get((instance, interface))
-        if entry is None:
-            self._tunnel.append(
-                instance, interface, destination, message.to_wire(self.profile)
-            )
-            return
-        for dest, dest_if in entry:
-            if dest == destination:
-                rec = telemetry.recorder
-                if rec is not None:
-                    rec.count("bus.directed", key=f"{instance}.{interface}")
-                module = self.modules.get(dest) or self._renamed_module(dest)
-                if module is not None:
-                    module.queue(dest_if).put(message)
-                return
-        raise BindingError(
-            f"directed send from {instance}.{interface} to "
-            f"{destination!r}: no such binding"
-        )
-
-    def stop_all(self) -> None:
-        """Serve-loop teardown: ask every hosted module thread to exit."""
-        with self._hb_lock:
-            if self._hb_stop is not None:
-                self._hb_stop.set()
-        with self.modules_lock:
-            modules = list(self.modules.values())
-        for module in modules:
-            module.mh.stop()
-        # Flush what the modules wrote before their threads exited, then
-        # stop accepting appends.
-        with self._send_gate:
-            self._tunnel.drain_locked()
-        self._tunnel.close()
-
-    def _module(self, instance) -> ModuleInstance:
-        try:
-            return self.modules[str(instance)]
-        except KeyError:
-            raise UnknownModuleError(
-                f"host {self.machine_name}: no instance {instance!r}"
-            ) from None
-
-    def _arm(self, module: ModuleInstance) -> None:
-        """Point the module's divulge at the bus (push, don't poll)."""
-        module.mh.set_divulge_callback(
-            lambda packet, m=module: self.send_event(
-                ["divulged", m.name, packet, m.mh.outgoing_frames]
-            ),
-            lambda failure, m=module: self.send_event(
-                ["divulge_failed", m.name, f"{type(failure).__name__}: {failure}"]
-            ),
-        )
-
-    def _watch(self, module: ModuleInstance) -> None:
-        module.lifecycle_hook = self._push_lifecycle
-        module.mh.on_restored = lambda m=module: self.send_event(
-            ["restored", m.name]
-        )
-
-    def _push_lifecycle(self, module: ModuleInstance) -> None:
-        crash = module.crash
-        self.send_event(
-            [
-                "lifecycle",
-                module.name,
-                module.state.value,
-                repr(crash) if crash is not None else "",
-            ]
-        )
-
-    # -- module lifecycle commands -----------------------------------------
-
-    def _cmd_add(self, instance, spec_raw, status, packet) -> bool:
-        spec = spec_from_abstract(dict(spec_raw))
-        module = ModuleInstance(
-            name=str(instance),
-            spec=spec,
-            host=self.host,
-            bus=self,
-            status=str(status),
-            sleep_policy=self.sleep_policy,
-        )
-        if packet is not None:
-            module.mh.incoming_packet = bytes(packet)
-        module.load()
-        self._watch(module)
-        with self.modules_lock:
-            if str(instance) in self.modules:
-                raise BusError(
-                    f"host {self.machine_name}: instance {instance!r} "
-                    f"already present"
-                )
-            self.modules[str(instance)] = module
-            self.renamed.pop(str(instance), None)
-        return True
-
-    def _cmd_start(self, instance) -> bool:
-        self._module(instance).start()
-        return True
-
-    def _cmd_signal(self, instance) -> bool:
-        module = self._module(instance)
-        self._arm(module)
-        module.mh.request_reconfig()
-        return True
-
-    def _cmd_stop(self, instance) -> str:
-        module = self._module(instance)
-        module.stop()
-        return module.state.value
-
-    def _cmd_remove(self, instance) -> bool:
-        with self.modules_lock:
-            module = self.modules.pop(str(instance))
-        # Withdrawn/migrated modules must not leak delivery stamps (or
-        # report stale ages if the name is ever reused).
-        self._last_delivery.pop(str(instance), None)
-        module.stop()
-        module.state = ModuleState.REMOVED
-        module.retire()
-        return True
-
-    def _cmd_rename(self, old_name, new_name) -> bool:
-        with self.modules_lock:
-            module = self.modules.pop(str(old_name))
-            module.rename(str(new_name))
-            self.modules[str(new_name)] = module
-            self.renamed[str(old_name)] = str(new_name)
-        stamp = self._last_delivery.pop(str(old_name), None)
-        if stamp is not None:
-            self._last_delivery[str(new_name)] = stamp
-        return True
-
-    def _cmd_revive(self, instance, packet) -> str:
-        module = self._module(instance)
-        module.revive(bytes(packet))
-        # revive() reset the divulge machinery; future captures must
-        # push to the bus again.
-        self._arm(module)
-        return module.state.value
-
-    # -- state move commands -----------------------------------------------
-
-    def _cmd_install_packet(self, instance, packet) -> bool:
-        self._module(instance).mh.incoming_packet = bytes(packet)
-        return True
-
-    def _cmd_abandon(self, instance) -> bool:
-        self._module(instance).mh.abandon_divulge()
-        return True
-
-    def _cmd_clear_reconfig(self, instance) -> bool:
-        self._module(instance).mh.reconfig = False
-        return True
-
-    # -- message delivery and queue transfer ---------------------------------
-
-    def _cmd_deliver_batch(self, blob) -> bool:
-        """Deliver a coalesced batch: one lock acquire, one telemetry span.
-
-        Each distinct wire decodes once; when it fans out to several
-        modules the same :class:`Message` object is shared — delivered
-        messages are treated as immutable (``SoftwareBus.route`` shares
-        them the same way), so same-host sharing is safe.  An entry
-        flushed under a clone's temporary name and dispatched after the
-        commit renamed it lands at the renamed module.  Modules withdrawn between flush and
-        dispatch are skipped and counted, not raised: a batch is a run
-        of fire-and-forget deliveries, and a miss on one entry must not
-        discard the rest.
-        """
-        wires, entries = unpack_batch(bytes(blob))
-        profile = self.profile
-        with telemetry.span(
-            "host.deliver_batch", n=len(entries), wires=len(wires)
-        ):
-            # Decode and bucket outside the modules lock: one frame often
-            # names the same few queues over and over (a fan-out repeats
-            # its receiver set per group), so deliveries collapse to one
-            # ``put_many`` — one queue-lock acquire — per distinct queue.
-            # Per-queue FIFO holds (buckets keep entry order); cross-queue
-            # order within one batch is not observable, since any snapshot
-            # or transfer rides a request ordered behind the whole frame.
-            decoded: List[Optional[Message]] = [None] * len(wires)
-            buckets: Dict[Tuple[str, str], List[Message]] = {}
-            for instance, interface, _unused, widx in entries:
-                message = decoded[widx]
-                if message is None:
-                    message = Message.from_wire(wires[widx], profile)
-                    decoded[widx] = message
-                key = (instance, interface)
-                bucket = buckets.get(key)
-                if bucket is None:
-                    buckets[key] = [message]
-                else:
-                    bucket.append(message)
-            touched = []
-            with self.modules_lock:
-                modules = self.modules
-                for (instance, interface), run in buckets.items():
-                    module = modules.get(instance) or self._renamed_module(
-                        instance, len(run)
-                    )
-                    if module is None:
-                        continue
-                    try:
-                        module.queue(interface).put_many(run)
-                    except BusError:  # no such queue
-                        self._count_miss(len(run))
-                        continue
-                    touched.append(module.name)
-        now = time.monotonic()
-        for instance in touched:
-            self._last_delivery[instance] = now
-        return True
-
-    def _cmd_deliver_front(self, instance, interface, wires) -> bool:
-        """Prepend a batch of (older) messages — the ``cq`` transfer."""
-        messages = [Message.from_wire(bytes(w), self.profile) for w in wires]
-        with self.modules_lock:
-            self._module(instance).queue(str(interface)).prepend(messages)
-        self._last_delivery[str(instance)] = time.monotonic()
-        return True
-
-    def _cmd_counts(self, instance) -> Dict[str, int]:
-        return self._module(instance).queued_counts()
-
-    def _cmd_snapshot_queue(self, instance, interface) -> List[bytes]:
-        messages = self._module(instance).queue(str(interface)).snapshot()
-        return [m.to_wire(self.profile) for m in messages]
-
-    def _cmd_drain_queue(self, instance, interface) -> List[bytes]:
-        messages = self._module(instance).queue(str(interface)).drain()
-        return [m.to_wire(self.profile) for m in messages]
-
-    def _cmd_discard_queue(self, instance, interface) -> int:
-        """Drain and *discard* — returns only the count.
-
-        ``remove_queue`` on a remote module only needs how many messages
-        died with the queue; shipping every wire back just to count them
-        (the old ``drain_queue`` round-trip) wastes the whole batch win.
-        """
-        return len(self._module(instance).queue(str(interface)).drain())
-
-    # -- host-local routing ---------------------------------------------------
-
-    def _cmd_set_routes(self, routes_raw) -> bool:
-        table: Dict[Tuple[str, str], Tuple] = {}
-        for entry in routes_raw:
-            instance, interface, pairs = entry[0], entry[1], entry[2]
-            table[(str(instance), str(interface))] = tuple(
-                (str(dest), str(dest_if)) for dest, dest_if in pairs
-            )
-        self.routes = table
-        return True
-
-    def _cmd_clear_routes(self) -> bool:
-        self.routes = {}
-        return True
-
-    # -- introspection ---------------------------------------------------------
-
-    def _cmd_statics(self, instance) -> Dict[str, object]:
-        # Test/debug introspection: only canonical-encodable statics travel.
-        statics = self._module(instance).mh.statics
-        return {k: v for k, v in statics.items()}
-
-    def _cmd_ping(self) -> str:
-        return self.machine_name
-
-    # -- chaos / telemetry parity across the boundary --------------------------
-
-    def _cmd_install_faults(self, plan_raw) -> bool:
-        faults.uninstall()  # retried installs must not trip the nesting guard
-        faults.install(FaultPlan.from_abstract(dict(plan_raw)))
-        return True
-
-    def _cmd_clear_faults(self) -> bool:
-        faults.uninstall()
-        return True
-
-    def _cmd_telemetry_enable(self) -> bool:
-        if telemetry.recorder is None:
-            telemetry.enable()
-        return True
-
-    def _cmd_telemetry_disable(self) -> bool:
-        if telemetry.recorder is not None:
-            telemetry.disable()
-        return True
-
-    def _cmd_telemetry_counters(self) -> Dict[str, int]:
-        rec = telemetry.recorder
-        if rec is None:
-            return {}
-        return {
-            f"{name}|{key or ''}": int(value)
-            for (name, key), value in rec.counters().items()
-        }
-
-    def _cmd_telemetry_snapshot(self) -> Dict[str, object]:
-        """Counters, gauges, and buffered trace records, wire-keyed.
-
-        Counters/gauges are absolute totals — the bus-side aggregation
-        source re-reads them on every merge, so repeated reads are
-        idempotent.  ``records`` is different: the host's span/event
-        ring is *drained* (shipped exactly once) so the bus recorder can
-        merge remote halves of replace trees — see
-        ``FlightRecorder.ingest_remote``.
-        """
-        rec = telemetry.recorder
-        if rec is None:
-            return {"counters": {}, "gauges": {}, "records": []}
-        return {
-            "counters": {
-                f"{name}|{key or ''}": int(value)
-                for (name, key), value in rec.counters().items()
-            },
-            "gauges": {
-                f"{name}|{key or ''}": float(value)
-                for (name, key), value in rec.gauges().items()
-            },
-            "records": [_wire_safe(record) for record in rec.drain_records()],
-        }
-
-    def _cmd_clear_trace_context(self) -> bool:
-        """Drop the adopted ambient root (sent at commit/rollback)."""
-        telemetry.clear_trace_context()
-        return True
-
-    # -- health plane -----------------------------------------------------------
-
-    def _cmd_health_enable(self, interval) -> bool:
-        """Start (or retune) the periodic heartbeat publisher."""
-        with self._hb_lock:
-            self._hb_interval = max(0.005, float(interval))
-            if self._hb_thread is None or not self._hb_thread.is_alive():
-                self._hb_stop = threading.Event()
-                self._hb_thread = threading.Thread(
-                    target=self._heartbeat_loop,
-                    args=(self._hb_stop,),
-                    name=f"heartbeat-{self.machine_name}",
-                    daemon=True,
-                )
-                self._hb_thread.start()
-        return True
-
-    def _cmd_health_disable(self) -> bool:
-        with self._hb_lock:
-            if self._hb_stop is not None:
-                self._hb_stop.set()
-            self._hb_thread = None
-            self._hb_stop = None
-        return True
-
-    def _heartbeat_loop(self, stop: threading.Event) -> None:
-        seq = 0
-        while not stop.wait(self._hb_interval):
-            seq += 1
-            try:
-                self.send_event(
-                    ["heartbeat", self.machine_name, seq, self._health_payload()]
-                )
-            except Exception:  # noqa: BLE001 - a sick link must not kill the beat
-                pass
-
-    def _health_payload(self) -> Dict[str, object]:
-        """Per-module liveness detail riding on each heartbeat."""
-        now = time.monotonic()
-        with self.modules_lock:
-            items = list(self.modules.items())
-        modules: Dict[str, object] = {}
-        for name, module in items:
-            try:
-                counts = module.queued_counts()
-                hwm = 0
-                for decl in module.spec.interfaces:
-                    if module.has_queue(decl.name):
-                        cell = getattr(module.queue(decl.name), "_hwm", 0)
-                        if cell > hwm:
-                            hwm = int(cell)
-                last = self._last_delivery.get(name)
-                mh = module.mh
-                modules[name] = {
-                    "state": module.state.value,
-                    "queued": int(sum(counts.values())),
-                    "queue_hwm": hwm,
-                    "divulging": bool(mh.reconfig and not mh.divulged.is_set()),
-                    "last_delivery_age": (
-                        now - last if last is not None else None
-                    ),
-                }
-            except Exception:  # noqa: BLE001 - a module mid-teardown is skippable
-                continue
-        return {"modules": modules}
-
-
-def serve_host(
-    channel, name: str, profile: MachineProfile, sleep_scale: float
-) -> None:
-    """Host modules behind ``channel`` until shutdown or the bus goes away.
-
-    The whole remote side of a link, for pipe workers and TCP daemons
-    alike.  Events are handled inline: per-link FIFO is what makes queue
-    snapshots exact w.r.t. prior deliveries.  Requests each run on their
-    own thread, because several of them block on module progress
-    (``stop``, ``revive``) while deliveries must keep flowing, and every
-    outcome becomes a ``rep`` or ``err`` reply.
-    """
-    send_lock = threading.Lock()
-
-    def send(frame: List[object]) -> None:
-        try:
-            with send_lock:
-                channel.send(frame)
-        except TransportError:
-            pass  # bus side went away; the loop below notices on recv
-
-    core = ModuleHost(
-        name,
-        Host(name=name, profile=profile),
-        SleepPolicy(scale=sleep_scale),
-        lambda command: send(["evt", 0] + list(command)),
-    )
-
-    def serve(seq: int, command: str, args: List[object]) -> None:
-        try:
-            reply: List[object] = ["rep", seq, core.handle(command, args)]
-        except Exception as exc:  # noqa: BLE001 - every failure becomes an err reply
-            reply = ["err", seq, f"{type(exc).__name__}: {exc}"]
-        send(reply)
-
-    failing = False
-    try:
-        while True:
-            try:
-                frame = channel.recv()
-            except TransportError:
-                break  # bus process closed the channel
-            if not isinstance(frame, list) or len(frame) < 3:
-                break  # not our protocol: nothing sane to reply to
-            kind, seq, command = frame[0], frame[1], str(frame[2])
-            if kind == "evt":
-                try:
-                    core.handle(command, frame[3:])
-                except Exception as exc:  # noqa: BLE001 - a bad event must not kill the host
-                    note_event_failed(name, command, exc, first=not failing)
-                    failing = True
-                else:
-                    failing = False
-            elif kind == "req":
-                if command == "shutdown":
-                    send(["rep", int(seq), True])
-                    break
-                threading.Thread(
-                    target=serve,
-                    args=(int(seq), command, frame[3:]),
-                    name=f"serve-{command}",
-                    daemon=True,
-                ).start()
-    finally:
-        core.stop_all()
+def host_profile(name: str, architecture: str) -> MachineProfile:
+    """The profile of host ``name``: a catalogued architecture, renamed."""
+    return dataclasses.replace(MACHINES[architecture], name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -1379,11 +396,28 @@ class RemoteModuleHandle:
 # ---------------------------------------------------------------------------
 
 
-class RemoteTransport(Transport):
-    """Shared bus-side logic for transports hosting modules out of process."""
+class RemoteTransport:
+    """Shared bus-side logic for transports hosting modules out of process.
 
-    def __init__(self):
+    The slot table: ``_names`` lists the hosts in declared order, and
+    ``_slots[i]`` holds host ``i``'s ``(link, host)`` once it answered
+    (``None`` before).  A placement slot is a host name or an index into
+    ``_names``; no slot means round-robin along it.  A subclass says how
+    a host starts (:meth:`_slot`, :meth:`_reap`) and how a placement is
+    spelled (:meth:`_label`).
+    """
+
+    name = "remote"
+
+    def __init__(self, names: Sequence[str] = ()):
         self._bus = None
+        self._names = list(names)
+        self._slots: List[Optional[Tuple[Link, Host]]] = [None] * len(self._names)
+        #: Guards ``_slots`` and ``_rr``, for table edits only — ``links()``
+        #: takes it under the bus lock, so nothing slow (a process start,
+        #: a round-trip) may run while it is held.
+        self._slots_lock = threading.Lock()
+        self._rr = 0
         self._handles: Dict[str, RemoteModuleHandle] = {}
         self._handles_lock = threading.Lock()
         #: host name -> last successfully read (counters, gauges): a
@@ -1401,11 +435,103 @@ class RemoteTransport(Transport):
     def attach_bus(self, bus) -> None:
         self._bus = bus
 
-    def links(self) -> List[Link]:  # pragma: no cover - overridden
-        raise NotImplementedError
+    # -- the slot table --------------------------------------------------------
+
+    def links(self) -> List[Link]:
+        """The links of every host that is up (a starting one is not)."""
+        with self._slots_lock:
+            return [slot[0] for slot in self._slots if slot is not None]
+
+    def _index(self, slot: str) -> Optional[int]:
+        """The index ``slot`` names (a host name or an index), else None."""
+        if slot in self._names:
+            return self._names.index(slot)
+        try:
+            index = int(slot)
+        except ValueError:
+            return None
+        return index if 0 <= index < len(self._names) else None
+
+    def peek_host(self, slot: Optional[str]) -> Optional[str]:
+        """Resolve a slot to its host name with no side effects.
+
+        Unlike :meth:`_place` this neither starts the host nor advances
+        round-robin — the coordinator's health pre-flight must be able to
+        ask "who would this placement target" without perturbing
+        placement itself.
+        """
+        index = self._index(slot) if slot else None
+        return None if index is None else self._names[index]
 
     def _place(self, slot: Optional[str]) -> Tuple[Link, Host, str]:
-        raise NotImplementedError
+        if not slot:
+            with self._slots_lock:
+                index = self._rr % len(self._names)
+                self._rr += 1
+        else:
+            index = self._index(slot)
+            if index is None:
+                raise BusError(
+                    f"{self.name} transport has no slot {slot!r} "
+                    f"(hosts: {', '.join(self._names)})"
+                )
+        link, host = self._slot(index)
+        return link, host, f"{self.name}:{self._label(index)}"
+
+    def _label(self, index: int) -> str:
+        """How a placement on host ``index`` is spelled after the colon."""
+        return self._names[index]
+
+    def _slot(self, index: int) -> Tuple[Link, Host]:
+        """Host ``index``'s ``(link, host)``; started ahead by default."""
+        slot = self._slots[index]
+        if slot is None:
+            raise TransportError(f"{self.name} host {self._names[index]!r} is down")
+        return slot
+
+    def _open_link(
+        self, name: str, profile: MachineProfile, channel, retry=None
+    ) -> Link:
+        link = Link(name, profile, channel, retry=retry)
+        link.on_event = self._make_on_event(link)
+        return link
+
+    def close(self) -> None:
+        """Shut every host down and close its link, then reap the processes."""
+        with self._slots_lock:
+            slots = [slot for slot in self._slots if slot is not None]
+            self._slots = [None] * len(self._slots)
+        for link, _host in slots:
+            try:
+                link.request(["shutdown"], timeout=5)
+            except BusError:
+                pass
+            link.close()
+        self._reap(grace=5.0)
+
+    def _reap(self, grace: float) -> None:
+        """Give every host process ``grace`` seconds to exit, then stop it."""
+
+    def _broadcast(self, command: List[object], timeout: float = 30.0) -> None:
+        """Request ``command`` of every live host, best-effort per link: a
+        dead link (a crashed worker stays published) must not keep the
+        command from the links after it."""
+        for link in self.links():
+            try:
+                link.request(command, timeout=timeout)
+            except (BusError, InjectedFault, OSError):
+                pass
+
+    # -- chaos parity ----------------------------------------------------------
+
+    def install_fault_plan(self, plan: FaultPlan) -> None:
+        """Arm the same schedule in every live host (fresh firing state)."""
+        for link in self.links():
+            link.request(["install_faults", plan.to_abstract()])
+
+    def clear_fault_plan(self) -> None:
+        for link in self.links():
+            link.request(["clear_faults"])
 
     # -- remote telemetry ------------------------------------------------------
 
@@ -1416,8 +542,7 @@ class RemoteTransport(Transport):
         every routing rebuild to catch hosts spawned after ``enable()``.
         """
         self._hosts_recording = True
-        for link in self.links():
-            link.request(["telemetry_enable"])
+        self._broadcast(["telemetry_enable"])
 
     def disable_telemetry(self) -> None:
         """Uninstall every live host's recorder, best-effort per link.
@@ -1430,11 +555,7 @@ class RemoteTransport(Transport):
             return
         self.telemetry_snapshot()
         self._hosts_recording = False
-        for link in self.links():
-            try:
-                link.request(["telemetry_disable"], timeout=5)
-            except (BusError, OSError):
-                pass
+        self._broadcast(["telemetry_disable"], timeout=5)
 
     def telemetry_snapshot(self):
         """Aggregate counters/gauges across this transport's hosts.
@@ -1514,11 +635,7 @@ class RemoteTransport(Transport):
         has nothing left to say.
         """
         self.telemetry_snapshot()
-        for link in self.links():
-            try:
-                link.request(["clear_trace_context"], timeout=5)
-            except (BusError, OSError):
-                pass
+        self._broadcast(["clear_trace_context"], timeout=5)
 
     # -- health plane ----------------------------------------------------------
 
@@ -1527,23 +644,24 @@ class RemoteTransport(Transport):
         self._health_monitor = monitor
         self._health_interval = float(interval)
         for link in self.links():
-            monitor.register_host(link.name, transport=self.name)
-            link.request(["health_enable", float(interval)])
+            self._arm_health(link)
 
     def disable_health(self) -> None:
-        monitor, self._health_monitor = self._health_monitor, None
-        for link in self.links():
-            try:
-                link.request(["health_disable"])
-            except (BusError, OSError):
-                pass
+        self._health_monitor = None
+        self._broadcast(["health_disable"])
 
-    def _sync_health(self, link: Link) -> None:
-        """Arm heartbeats on a host spawned after ``enable_health``."""
+    def _arm_health(self, link: Link) -> None:
+        """Register ``link``'s host and start its heartbeats, if a monitor
+        is set.  A dead link is skipped: its host is registered and so
+        goes dead for missing beats, and the links after it still arm."""
         monitor = self._health_monitor
-        if monitor is not None:
-            monitor.register_host(link.name, transport=self.name)
+        if monitor is None:
+            return
+        monitor.register_host(link.name, transport=self.name)
+        try:
             link.request(["health_enable", self._health_interval])
+        except (BusError, InjectedFault, OSError):
+            pass
 
     # -- handle bookkeeping ----------------------------------------------------
 
@@ -1636,15 +754,15 @@ class TcpTransport(RemoteTransport):
     """Machine daemons: one OS process per machine, reached over TCP.
 
     Spawns one ``python -m repro.bus.tcp`` daemon per machine and speaks
-    to it through the shared :class:`Link`/:class:`ModuleHost` protocol
-    — so a module placed with ``placement="tcp:<machine>"`` participates
-    in the ordinary :class:`~repro.bus.bus.SoftwareBus` topology (mixed
-    bindings with inproc and worker modules included).  ``machines`` is
-    a count (named ``<host_prefix><i>``), a list of names, or a mapping
-    ``name -> architecture`` for daemons of different architectures;
-    ``architecture`` is the profile of every machine not given one.  TCP
-    frames are lossy under the chaos suite, so requests run under the
-    retrying policy.
+    to it through the shared :class:`Link`/:class:`~repro.bus.host.ModuleHost`
+    protocol — so a module placed with ``placement="tcp:<machine>"``
+    participates in the ordinary :class:`~repro.bus.bus.SoftwareBus`
+    topology (mixed bindings with inproc and worker modules included).
+    ``machines`` is a count (named ``<host_prefix><i>``), a list of
+    names, or a mapping ``name -> architecture`` for daemons of different
+    architectures; ``architecture`` is the profile of every machine not
+    given one.  TCP frames are lossy under the chaos suite, so requests
+    run under the retrying policy.
     """
 
     name = "tcp"
@@ -1656,21 +774,13 @@ class TcpTransport(RemoteTransport):
         sleep_scale: float = 0.0,
         host_prefix: str = "tcphost-",
     ):
-        super().__init__()
-        import subprocess
-
-        from repro.bus import tcp as tcpmod  # late: tcp.py imports this module
-        from repro.state.machine import MACHINES
-
         if isinstance(machines, int):
             machines = [f"{host_prefix}{i}" for i in range(machines)]
         if not isinstance(machines, dict):
             machines = dict.fromkeys(machines, architecture)
+        super().__init__(machines)
         #: machine name -> daemon process, in declared order.
         self._processes: Dict[str, subprocess.Popen] = {}
-        self._machines: List[Tuple[str, Link, Host]] = []
-        self._rr = 0
-        self._rr_lock = threading.Lock()
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         links: Dict[str, Link] = {}
         try:
@@ -1681,16 +791,13 @@ class TcpTransport(RemoteTransport):
             # Every daemon is started before any hello is awaited, so
             # their interpreter start-ups overlap.
             for name, machine_architecture in machines.items():
-                base = MACHINES[machine_architecture]
-                profile = MachineProfile(
-                    name=name,
-                    endianness=base.endianness,
-                    int_bits=base.int_bits,
-                    long_bits=base.long_bits,
-                    float_bits=base.float_bits,
-                )
                 self._processes[name] = subprocess.Popen(
-                    tcpmod._daemon_argv(name, profile, address, sleep_scale)
+                    tcp._daemon_argv(
+                        name,
+                        host_profile(name, machine_architecture),
+                        address,
+                        sleep_scale,
+                    )
                 )
             deadline = time.monotonic() + 60.0
             while len(links) < len(self._processes):
@@ -1705,11 +812,10 @@ class TcpTransport(RemoteTransport):
                 link.close()
             self._reap(grace=0.0)
             raise
-        # Declared order, not hello order: round-robin and ``tcp:<index>``
-        # placement count along it.
-        self._machines = [
-            (name, links[name], Host(name=name, profile=links[name].profile))
-            for name in self._processes
+        # Declared order, not hello order.
+        self._slots = [
+            (links[name], Host(name=name, profile=links[name].profile))
+            for name in self._names
         ]
 
     def _next_hello(
@@ -1722,8 +828,6 @@ class TcpTransport(RemoteTransport):
         of ``waiting`` (name -> child process still owing its hello).  A
         child found dead while nobody connects fails the start at once.
         """
-        from repro.bus import tcp as tcpmod  # late: tcp.py imports this module
-
         self._listener.settimeout(0.1)
         while True:
             try:
@@ -1744,7 +848,7 @@ class TcpTransport(RemoteTransport):
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             sock.settimeout(max(0.1, deadline - time.monotonic()))
-            hello = tcpmod.recv_frame(sock)
+            hello = tcp.recv_frame(sock)
             sock.settimeout(None)
             if not (
                 isinstance(hello, list) and len(hello) >= 5 and hello[2] == "hello"
@@ -1757,69 +861,16 @@ class TcpTransport(RemoteTransport):
         except BaseException:
             sock.close()
             raise
-        link = Link(
+        return self._open_link(
             name,
             profile,
-            tcpmod.SocketChannel(sock),
+            tcp.SocketChannel(sock),
             retry=RetryPolicy(attempts=3, backoff=0.05),
         )
-        link.on_event = self._make_on_event(link)
-        return link
-
-    def links(self) -> List[Link]:
-        return [link for _, link, _ in self._machines]
-
-    def peek_host(self, slot: Optional[str]) -> Optional[str]:
-        """Resolve a slot to its daemon name without advancing round-robin."""
-        if not slot:
-            return None
-        for name, _, _ in self._machines:
-            if name == slot:
-                return name
-        try:
-            index = int(slot)
-        except ValueError:
-            return None
-        if 0 <= index < len(self._machines):
-            return self._machines[index][0]
-        return None
-
-    def _place(self, slot: Optional[str]) -> Tuple[Link, Host, str]:
-        if not slot:
-            with self._rr_lock:
-                index = self._rr % len(self._machines)
-                self._rr += 1
-        else:
-            index = next(
-                (i for i, (name, _, _) in enumerate(self._machines) if name == slot),
-                -1,
-            )
-            if index < 0:
-                try:
-                    index = int(slot)
-                except ValueError:
-                    raise BusError(
-                        f"tcp transport has no machine {slot!r}"
-                    ) from None
-                if not 0 <= index < len(self._machines):
-                    raise BusError(f"tcp transport slot {slot!r} out of range")
-        name, link, host = self._machines[index]
-        return link, host, f"{self.name}:{name}"
-
-    def close(self) -> None:
-        for _, link, _ in self._machines:
-            try:
-                link.request(["shutdown"], timeout=5)
-            except (BusError, TransportError):
-                pass
-            link.close()
-        self._reap(grace=5.0)
 
     def _reap(self, grace: float) -> None:
         """Give every daemon ``grace`` seconds to exit, stop the ones
         that do not, and close the listener."""
-        import subprocess
-
         for process in self._processes.values():
             try:
                 process.wait(timeout=grace)

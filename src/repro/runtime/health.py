@@ -6,7 +6,7 @@ Replication from Non-Reconfigurable Building Blocks" (PAPERS.md) extends
 that to fleets: you cannot health-gate a rolling replacement without a
 failure-detection signal.  This module is that signal for our bus.
 
-Every remote :class:`~repro.bus.transport.ModuleHost` publishes periodic
+Every remote :class:`~repro.bus.host.ModuleHost` publishes periodic
 ``heartbeat`` events over its existing link (no extra sockets): liveness
 plus per-module queue depth, queue high-water mark, last-delivery age,
 and whether a divulge is in flight.  The bus-side :class:`HealthMonitor`

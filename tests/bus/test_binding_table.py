@@ -16,12 +16,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bus.bus import SoftwareBus
 from repro.bus.interfaces import InterfaceDecl, Role
+from repro.bus.machine import Host
 from repro.bus.message import Message
 from repro.bus.spec import BindingSpec, ModuleSpec
+from repro.bus.transport import RemoteTransport
 from repro.errors import BindingError
 from repro.reconfig.bindcmds import BindBatch
 from repro.reconfig.coordinator import prepare_rebind_batch
 from repro.reconfig.primitives import obj_cap
+from repro.state.machine import MACHINES
 
 IDLE = "def main():\n    pass\n"
 
@@ -169,19 +172,17 @@ class _CountingLink:
         self.events.append(command[0])
 
 
-class _CountingTransport:
+class _CountingTransport(RemoteTransport):
     """A transport that hosts nothing; its links only count events."""
 
     name = "counting"
 
     def __init__(self, links=3):
-        self._links = [_CountingLink(f"host-{i}") for i in range(links)]
-
-    def attach_bus(self, bus):
-        pass
-
-    def links(self):
-        return self._links
+        super().__init__([f"host-{i}" for i in range(links)])
+        self._slots = [
+            (_CountingLink(name), Host(name, MACHINES["modern-64"]))
+            for name in self._names
+        ]
 
 
 MONITORS = 64

@@ -96,11 +96,10 @@ def _feed(bus, *values):
         )
 
 
-def _worker_slot(bus, index=0):
-    transport = bus._transports["worker"]
-    slot = transport._slots[index]
-    assert slot is not None, f"worker slot {index} never spawned"
-    return slot
+def _worker_process(bus, index=0):
+    process = bus.transport("worker")._processes.get(f"worker-{index}")
+    assert process is not None, f"worker slot {index} never spawned"
+    return process
 
 
 class TestLiveHeartbeats:
@@ -144,7 +143,7 @@ class TestKilledWorker:
         _launch_counter(worker_bus)
         monitor.wait_for_status("worker-0", ("healthy",), timeout=10.0)
 
-        _worker_slot(worker_bus).process.kill()
+        _worker_process(worker_bus).kill()
         detect_started = time.monotonic()
         status = monitor.wait_for_status(
             "worker-0", ("dead",), timeout=10.0
@@ -183,9 +182,9 @@ class TestSourceLost:
             assert any(
                 key.startswith("bus.delivered") for key in first["counters"]
             )
-            slot = _worker_slot(worker_bus)
-            slot.process.kill()
-            slot.process.join(timeout=10)
+            process = _worker_process(worker_bus)
+            process.kill()
+            process.join(timeout=10)
             deadline = time.monotonic() + 10
             while True:
                 # Must not raise into snapshot(); the dead link's last

@@ -32,7 +32,7 @@ from repro.bus.message import Message
 from repro.bus.procpool import ProcessTransport
 from repro.bus.spec import BindingSpec, ModuleSpec
 from repro.bus.transport import TcpTransport
-from repro.errors import TransportError
+from repro.errors import BusError, TransportError
 
 from tests.conftest import wait_until
 
@@ -137,6 +137,38 @@ def in_thread(fn, *args):
     return thread
 
 
+@pytest.mark.parametrize(
+    "kind", ["worker", pytest.param("tcp", marks=pytest.mark.multiproc)]
+)
+def test_one_slot_table_for_both_transports(kind):
+    """On either transport a slot is a host name or an index, no slot is
+    round-robin in declared order, anything else is a ``BusError``, and a
+    peek neither starts a host nor advances round-robin."""
+    context = ThreadContext()
+    if kind == "worker":
+        transport, labels = pool(context, workers=3), ["0", "1", "2"]
+    else:
+        transport = TcpTransport(machines=3)
+        labels = transport._names
+    names = list(transport._names)
+    try:
+        for index, name in enumerate(names):
+            assert transport.peek_host(str(index)) == transport.peek_host(name) == name
+        for bad in ("3", "-1", "nope"):
+            assert transport.peek_host(bad) is None
+            with pytest.raises(BusError, match=repr(bad)):
+                transport._place(bad)
+        assert context.processes == []  # no worker spawned so far
+        placements = [transport._place(None)[2] for _ in range(4)]
+        assert placements == [f"{transport.name}:{labels[i]}" for i in (0, 1, 2, 0)]
+        link, host, placement = transport._place(names[1])
+        assert transport._place("1") == (link, host, placement)
+        assert link.name == host.name == names[1]
+        assert placement == f"{transport.name}:{labels[1]}"
+    finally:
+        transport.close()
+
+
 class TestLazyWorkerSpawn:
     def test_links_returns_while_a_slot_is_spawning(self):
         context = ThreadContext(gate_open=False)
@@ -150,7 +182,7 @@ class TestLazyWorkerSpawn:
             assert placing.is_alive()
             # Published slots only: the worker has not answered yet.
             assert listing.result == []
-            assert transport._live_slots() == []
+            assert transport._slots == [None, None]
         finally:
             context.gate.set()
             placing.join(PROMPT_S)
@@ -293,13 +325,13 @@ class TestTcpDaemonStart:
     def test_declared_order_survives_hello_order(self):
         transport = TcpTransport(machines={"b": "vax-like", "a": "sparc-like"})
         try:
-            assert [name for name, _, _ in transport._machines] == ["b", "a"]
-            for name, link, host in transport._machines:
+            assert transport._names == ["b", "a"]
+            for name, (link, host) in zip(transport._names, transport._slots):
                 # Each connection was matched to its machine by the name
                 # in its hello, and carries that daemon's own profile.
                 assert link.name == host.name == host.profile.name == name
                 assert link.request(["ping"]) is not None
-            by_name = {name: host.profile for name, _, host in transport._machines}
+            by_name = {host.name: host.profile for _, host in transport._slots}
             assert by_name["b"].endianness.value == "little"
             assert by_name["a"].endianness.value == "big"
             assert transport.peek_host("0") == "b"

@@ -12,13 +12,15 @@ the next message, and removing it stops the remote hosts' recorders too.
 import pytest
 
 from repro.bus.bus import SoftwareBus
+from repro.bus.host import ModuleHost
 from repro.bus.interfaces import InterfaceDecl, Role
 from repro.bus.machine import Host
 from repro.bus.message import Message
 from repro.bus.module import prepared_source_for
 from repro.bus.queues import MessageQueue
 from repro.bus.spec import BindingSpec, ModuleSpec
-from repro.bus.transport import ModuleHost, RemoteTransport
+from repro.bus.transport import RemoteTransport
+from repro.errors import TransportError
 from repro.runtime import telemetry
 from repro.runtime.mh import SleepPolicy
 from repro.state.machine import MACHINES
@@ -73,15 +75,9 @@ class _FakeTransport(RemoteTransport):
     name = "fake"
 
     def __init__(self):
-        super().__init__()
+        super().__init__(["fake-0"])
         self.link = _FakeLink()
-        self.host = Host(name="fake-0", profile=MACHINES["modern-64"])
-
-    def links(self):
-        return [self.link]
-
-    def _place(self, slot):
-        return self.link, self.host, "fake:0"
+        self._slots = [(self.link, Host(name="fake-0", profile=MACHINES["modern-64"]))]
 
 
 def _bus():
@@ -316,6 +312,37 @@ def test_disable_stops_the_hosts_and_keeps_their_totals(bus):
     assert link.host_counters == {}
     # The detached recorder still exports what the host counted.
     assert rec.counter("bus.delivered", key="f0.inp") == 1
+
+
+class _Monitor:
+    def __init__(self):
+        self.hosts = []
+
+    def register_host(self, host, transport=None):
+        self.hosts.append(host)
+
+
+def _closed(command, timeout=30.0):
+    raise TransportError("link fake-0: closed")
+
+
+def test_a_dead_link_does_not_disarm_the_links_after_it():
+    """Recorders and heartbeats are armed per link: a dead host (a
+    crashed worker stays published) is skipped, the hosts after it are
+    still armed."""
+    dead, live = _FakeLink(), _FakeLink()
+    live.name = "fake-1"
+    dead.request = _closed
+    transport = RemoteTransport(["fake-0", "fake-1"])
+    transport._slots = [
+        (link, Host(name=link.name, profile=MACHINES["modern-64"]))
+        for link in (dead, live)
+    ]
+    monitor = _Monitor()
+    transport.enable_telemetry()
+    transport.enable_health(monitor, 0.05)
+    assert live.requests == ["telemetry_enable", "health_enable"]
+    assert monitor.hosts == ["fake-0", "fake-1"]
 
 
 def test_disable_without_a_recorder_touches_no_bus(bus):

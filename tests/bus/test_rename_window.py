@@ -22,12 +22,14 @@ import pytest
 
 from repro.bus.batch import pack_batch
 from repro.bus.bus import SoftwareBus
+from repro.bus.host import ModuleHost, serve_host
 from repro.bus.interfaces import InterfaceDecl, Role
+from repro.bus.link import Link
 from repro.bus.machine import Host
 from repro.bus.message import Message
 from repro.bus.module import prepared_source_for
 from repro.bus.spec import BindingSpec, ModuleSpec
-from repro.bus.transport import Link, ModuleHost, RemoteTransport, serve_host
+from repro.bus.transport import RemoteTransport
 from repro.errors import TransportError, UnknownModuleError
 from repro.runtime import telemetry
 from repro.runtime.mh import SleepPolicy

@@ -27,12 +27,14 @@ import pytest
 
 from repro.bus.batch import BatchPolicy, pack_batch, unpack_batch
 from repro.bus.bus import SoftwareBus
+from repro.bus.host import ModuleHost
 from repro.bus.interfaces import InterfaceDecl, Role
+from repro.bus.link import Link
 from repro.bus.machine import Host
 from repro.bus.message import Message
 from repro.bus.module import ModuleState, prepared_source_for
 from repro.bus.spec import BindingSpec, ModuleSpec
-from repro.bus.transport import Link, ModuleHost, TcpTransport
+from repro.bus.transport import TcpTransport
 from repro.errors import ReconfigurationAborted, TransportError
 from repro.reconfig.coordinator import ReconfigurationCoordinator
 from repro.runtime import telemetry
@@ -482,8 +484,9 @@ class TestRecordedRouting:
             assert rec.counter("bus.delivered", key="c.inp") == self.MESSAGES
 
             telemetry.disable()
-            counters = bus.transport("worker").telemetry_counters()
-            assert counters and all(c == {} for c in counters.values()), counters
+            links = bus.transport("worker").links()
+            counters = [link.request(["telemetry_snapshot"])["counters"] for link in links]
+            assert counters and all(c == {} for c in counters), counters
         finally:
             bus.shutdown()
 
@@ -675,12 +678,7 @@ def _msg(value):
 
 
 def _links_of(bus):
-    links = []
-    for transport in bus._transports.values():
-        get = getattr(transport, "links", None)
-        if get is not None:
-            links.extend(get())
-    return links
+    return [link for t in bus._transports.values() for link in t.links()]
 
 
 class _GateChannel:
@@ -787,10 +785,10 @@ class TestBatchedDelivery:
     def test_backpressure_blocks_then_drains(self):
         profile = MACHINES["modern-64"]
         channel = _GateChannel()
-        policy = BatchPolicy(
-            max_entries=8, max_bytes=1 << 20, pending_hwm=256, linger_s=0.0
+        link = Link("gate", profile, channel)
+        link._coalescer.policy = BatchPolicy(
+            max_entries=8, max_bytes=1 << 20, pending_hwm=256
         )
-        link = Link("gate", profile, channel, batch=policy)
         try:
             wires = [_msg(i).to_wire(profile) for i in range(40)]
             done = threading.Event()

@@ -31,7 +31,7 @@ import pytest
 
 from repro.bus.module import ModuleState
 from repro.bus.tcp import SocketChannel
-from repro.bus.transport import Link
+from repro.bus.link import Link
 from repro.errors import (
     InjectedFault,
     ReconfigTimeoutError,

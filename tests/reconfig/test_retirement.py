@@ -18,7 +18,7 @@ from repro.bus.interfaces import InterfaceDecl, Role
 from repro.bus.machine import Host
 from repro.bus.module import ModuleState, prepared_source_for
 from repro.bus.spec import BindingSpec, ModuleSpec
-from repro.bus.transport import ModuleHost
+from repro.bus.host import ModuleHost
 from repro.errors import ReconfigurationAborted
 from repro.reconfig.coordinator import ReconfigurationCoordinator
 from repro.runtime.faults import FaultPlan, fault_plan

@@ -1,10 +1,11 @@
 """The import contract: what a host process loads, and what the façades promise.
 
-A pipe worker (``import repro.bus.procpool``) and a TCP daemon
-(``python -m repro.bus.tcp``) host prepared modules: they need the module
-host, queues, codecs, ``mh``, telemetry and faults — not the transformer
-pipeline, the MIL parser, the bus, the coordinator, or any third-party
-package.  Every case runs in a fresh interpreter, because this process
+A pipe worker (``spawn`` unpickles ``repro.bus.host.worker_main``) and a
+TCP daemon (``python -m repro.bus.tcp``) host prepared modules: they need
+the module host, queues, codecs, ``mh``, telemetry and faults — not the
+bus-side half of the remote stack (link, transports, pool), the
+transformer pipeline, the MIL parser, the bus, the coordinator, or any
+third-party package.  Every case runs in a fresh interpreter, because this process
 has long since imported everything.
 """
 
@@ -34,6 +35,9 @@ FORBIDDEN = [
     "repro.core.transformer",
     "repro.bus.mil",
     "repro.bus.bus",
+    "repro.bus.link",
+    "repro.bus.transport",
+    "repro.bus.procpool",
     "repro.reconfig",
     "repro.apps",
     "repro.tools",
@@ -78,7 +82,7 @@ def forbidden_in(loaded):
     )
 
 
-@pytest.mark.parametrize("module", ["repro.bus.procpool", "repro.bus.tcp"])
+@pytest.mark.parametrize("module", ["repro.bus.host", "repro.bus.tcp"])
 def test_host_closure(module):
     loaded = fresh(LOADED_BY.format(module=module))
     assert module in loaded
