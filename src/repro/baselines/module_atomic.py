@@ -24,7 +24,6 @@ from typing import Dict, Optional
 from repro.bus.bus import SoftwareBus
 from repro.bus.spec import ModuleSpec
 from repro.errors import ReconfigTimeoutError
-from repro.reconfig.coordinator import prepare_rebind_batch
 from repro.reconfig.primitives import obj_cap
 
 
@@ -102,23 +101,22 @@ def module_level_replace(
     spec = (new_spec or old.spec).with_attributes(
         machine=target_machine, status="original"
     )
-    temp_name = f"{instance}.new"
-    bus.add_module(spec, instance=temp_name, machine=target_machine)
-
-    batch = prepare_rebind_batch(bus, old, temp_name)
+    new = bus.build_clone(
+        spec, instance, machine=target_machine, status="original"
+    )
 
     # Stop the old module at an arbitrary execution point: whatever it was
     # doing is gone.  Record what was still queued (it is copied by the
-    # batch's cq commands, but *in-progress* work has no representation).
+    # hand-over's cq commands, but *in-progress* work has no
+    # representation).
     old_module = bus.get_module(instance)
     report.discarded_messages = {
         name: count for name, count in old_module.queued_counts().items() if count
     }
     old_module.stop()
 
-    batch.apply(bus)
-    bus.start_module(temp_name)
-    bus.remove_module(instance)
-    bus.rename_instance(temp_name, instance)
+    bus.hand_over(old_module, new)
+    bus.start_module(instance)
+    bus.discard_module(old_module)
     bus.trace.append(report.describe())
     return report

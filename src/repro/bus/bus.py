@@ -82,6 +82,10 @@ class _RouteEntry:
       across process boundaries alike.
     - ``by_dest``: destination instance -> ``(put, receiver_profile |
       None)`` for ``route_to``.
+
+    A remote peer is addressed on its host by its key
+    (:attr:`~repro.bus.transport.RemoteModuleHandle.key`), not its name:
+    the link groups and the host-local routes carry the key.
     """
 
     __slots__ = ("sender_profile", "puts", "groups", "by_dest", "targets")
@@ -91,16 +95,17 @@ class _RouteEntry:
         self.puts: List = []
         self.groups: Optional[Tuple[List, List]] = None
         self.by_dest: Dict[str, Tuple] = {}
-        # (dest instance, dest interface, queue, receiver profile, link)
-        # per delivery: queue/profile are None for a remote peer and link
-        # is None for a local one.  Read at rebuild time only (grouping,
-        # telemetry, the host-local route push).
+        # (dest instance, dest interface, queue, receiver profile, link,
+        # key) per delivery: queue/profile are None for a remote peer, and
+        # link/key None for a local one.  Read at rebuild time only
+        # (grouping, telemetry, the host-local route push).
         self.targets: List[Tuple] = []
 
     def add(self, peer, peer_if: str) -> None:
         link = getattr(peer, "link", None)
-        queue = receiver = None
+        queue = receiver = key = None
         if link is not None:
+            key = peer.key
             # Remote peer: the host decodes under its own profile, so the
             # fan-out only ever ships the sender's wire (see finalize).
             put = peer.remote_put(peer_if, self.sender_profile)
@@ -119,16 +124,16 @@ class _RouteEntry:
             if receiver is None:
                 self.puts.append(put)
         self.by_dest.setdefault(peer.name, (put, receiver))
-        self.targets.append((peer.name, peer_if, queue, receiver, link))
+        self.targets.append((peer.name, peer_if, queue, receiver, link, key))
 
     def finalize(self) -> None:
         """Group the non-identity deliveries once so ``route()`` never
         re-derives them: by receiver profile name, and by link."""
         xfers: Dict[str, Tuple] = {}
         links: Dict[int, Tuple] = {}
-        for dest, dest_if, queue, receiver, link in self.targets:
+        for _, dest_if, queue, receiver, link, key in self.targets:
             if link is not None:
-                links.setdefault(id(link), (link, []))[1].append((dest, dest_if))
+                links.setdefault(id(link), (link, []))[1].append((key, dest_if))
             elif receiver is not None:
                 xfers.setdefault(receiver.name, (receiver, []))[1].append(queue.put)
         if xfers or links:
@@ -165,7 +170,7 @@ class _RouteEntry:
             self.puts = [drop]
             return
         by_dest: Dict[str, Tuple] = {}
-        for dest, _, queue, _, _ in self.targets:
+        for dest, _, queue, *_ in self.targets:
             if dest in by_dest:
                 continue
             put, receiver = self.by_dest[dest]
@@ -181,7 +186,7 @@ class _RouteEntry:
 
             by_dest[dest] = (directed, receiver)
         self.by_dest = by_dest
-        for dest, dest_if, queue, _, _ in self.targets:
+        for dest, dest_if, queue, *_ in self.targets:
             if queue is not None and in_degree.get((dest, dest_if)) == 1:
                 derived[endpoint] = queue
                 return
@@ -217,13 +222,14 @@ class SoftwareBus:
     ):
         self.hosts = HostRegistry()
         self.module_specs: Dict[str, ModuleSpec] = {}
+        # Instance name -> the module that answers to it.  A replacement
+        # swaps the entry in place (hand_over), so a name keeps its
+        # bindings and its place in every table while its module changes.
         self._instances: Dict[str, ModuleInstance] = {}
-        # Pre-rename name -> current name.  A write issued under a
-        # clone's temporary name can reach route() after the commit
-        # renamed the clone; it is routed as the renamed instance.
-        # Consulted only when the name is otherwise unknown, forgotten
-        # when that name is added again.
-        self._renamed: Dict[str, str] = {}
+        # Modules the bus owns that answer to no name: a clone not yet
+        # handed over, and the module it replaced until commit or
+        # rollback.  Routed nothing; shutdown() stops and discards them.
+        self._unbound: List[ModuleInstance] = []
         # The binding table, in binding order (delivery order among the
         # destinations of one endpoint follows it).  An insertion-ordered
         # dict used as an ordered set: membership and removal are O(1),
@@ -358,67 +364,99 @@ class SoftwareBus:
         can place modules declaratively.
         """
         name = instance or spec.name
+        with self._lock:
+            if name in self._instances:
+                raise BusError(f"instance {name!r} already exists")
+        module, where = self._build(
+            spec, name, machine, status, state_packet, attributes, placement
+        )
+        with self._lock:
+            if name in self._instances:
+                try:
+                    self._free(module)
+                except (BusError, TransportError):
+                    pass
+                raise BusError(f"instance {name!r} already exists")
+            self._instances[name] = module
+            self._invalidate_routing_locked()
+        self.trace.append(f"add module {name} on {where} (status={status})")
+        if start:
+            self.start_module(name)
+        return module
+
+    def build_clone(
+        self,
+        spec: ModuleSpec,
+        instance: str,
+        machine: str = "local",
+        status: str = "clone",
+        placement: Optional[str] = None,
+    ):
+        """Build the successor of ``instance``, under the same name.
+
+        The clone answers to nothing yet: it is in no routing table and
+        not in :meth:`instances`, so the module that answers to
+        ``instance`` keeps serving while the clone loads.
+        :meth:`hand_over` makes it the module that answers to the name.
+        Until then the bus still owns it: :meth:`shutdown` stops and
+        discards it like any module.
+        """
+        module, where = self._build(
+            spec, instance, machine, status, None, None, placement
+        )
+        with self._lock:
+            self._unbound.append(module)
+        self.trace.append(f"build clone {instance} on {where} (status={status})")
+        return module
+
+    def _build(
+        self,
+        spec: ModuleSpec,
+        name: str,
+        machine: str,
+        status: str,
+        state_packet: Optional[bytes],
+        attributes: Optional[Dict[str, str]],
+        placement: Optional[str],
+    ) -> Tuple[ModuleInstance, str]:
+        """Create and load module ``name`` where ``placement`` says, and say
+        where (for the trace).  The caller decides what answers to it."""
         if attributes:
             spec = spec.with_attributes(**attributes)
         if placement is None:
             placement = spec.attributes.get("placement") or None
         if placement in (None, "", "inproc"):
             with self._lock:
-                if name in self._instances:
-                    raise BusError(f"instance {name!r} already exists")
-                module = ModuleInstance(
-                    name=name,
-                    spec=spec,
-                    host=self.hosts.ensure(machine),
-                    bus=self,
-                    status=status,
-                    sleep_policy=self._sleep_policy,
-                )
-                if state_packet is not None:
-                    module.mh.incoming_packet = state_packet
-                module.load()
-                self._instances[name] = module
-                self._renamed.pop(name, None)
-                self._invalidate_routing_locked()
-            self.trace.append(
-                f"add module {name} on {machine} (status={status})"
-            )
-        else:
-            tname, _, slot = placement.partition(":")
-            if tname == "inproc":
-                raise BusError(f"placement {placement!r}: inproc takes no slot")
-            transport = self.transport(tname)
-            with self._lock:
-                if name in self._instances:
-                    raise BusError(f"instance {name!r} already exists")
-            # The placement round-trip runs outside the bus lock: it can
-            # block on a worker spawn, and tunneled deliveries from other
-            # remote modules must keep routing meanwhile.
-            module = transport.add_module(
-                spec,
-                instance=name,
+                host = self.hosts.ensure(machine)
+            module = ModuleInstance(
+                name=name,
+                spec=spec,
+                host=host,
+                bus=self,
                 status=status,
-                state_packet=state_packet,
-                slot=slot or None,
+                sleep_policy=self._sleep_policy,
             )
-            with self._lock:
-                if name in self._instances:
-                    try:
-                        module.discard()
-                    except (BusError, TransportError):
-                        pass
-                    raise BusError(f"instance {name!r} already exists")
-                self.hosts.adopt(module.host)
-                self._instances[name] = module
-                self._renamed.pop(name, None)
-                self._invalidate_routing_locked()
-            self.trace.append(
-                f"add module {name} on {module.host.name} "
-                f"via {tname} (status={status})"
-            )
-        if start:
-            self.start_module(name)
-        return module
+            if state_packet is not None:
+                module.mh.incoming_packet = state_packet
+            module.load()
+            return module, machine
+        tname, _, slot = placement.partition(":")
+        if tname == "inproc":
+            raise BusError(f"placement {placement!r}: inproc takes no slot")
+        transport = self.transport(tname)
+        # The placement round-trip runs outside the bus lock: it can
+        # block on a worker spawn, and tunneled deliveries from other
+        # remote modules must keep routing meanwhile.
+        module = transport.add_module(
+            spec,
+            instance=name,
+            status=status,
+            state_packet=state_packet,
+            slot=slot or None,
+        )
+        with self._lock:
+            self.hosts.adopt(module.host)
+        return module, f"{module.host.name} via {tname}"
 
     def start_module(self, instance: str) -> None:
         self.get_module(instance).start()
@@ -439,60 +477,32 @@ class SoftwareBus:
             module.state = ModuleState.REMOVED
             del self._instances[instance]
             self._invalidate_routing_locked()
+        self._free(module)
+        self.trace.append(f"remove module {instance}")
+
+    def discard_module(self, module: ModuleInstance, timeout: float = 5.0) -> None:
+        """Stop and delete a module that answers to no name: the module a
+        committed :meth:`hand_over` replaced, or a clone a rollback
+        withdraws.  Nothing routes to it, so no binding is in the way."""
+        with self._lock:
+            if not any(m is module for m in self._unbound):
+                raise BusError(f"{module.name!r} on {module.host.name}: not unbound")
+        module.stop(timeout)
+        with self._lock:
+            module.state = ModuleState.REMOVED
+            self._unbound = [m for m in self._unbound if m is not module]
+        self._free(module)
+        self.trace.append(f"remove module {module.name} on {module.host.name}")
+
+    @staticmethod
+    def _free(module: ModuleInstance) -> None:
+        """Release a stopped module that nothing routes to any more."""
         if getattr(module, "is_remote", False):
-            # Free the slot on the remote host; the instance is already
+            # Free the slot on the remote host; the module is already
             # unrouted, so late tunneled frames for it fall harmlessly.
             module.discard()
         else:
             module.retire()
-        self.trace.append(f"remove module {instance}")
-
-    def rename_instance(self, old_name: str, new_name: str) -> None:
-        """Rename an instance, rewriting every binding that mentions it.
-
-        Used by replacement scripts so the clone takes over the replaced
-        module's instance name once the original is gone.
-
-        The whole rename is one bus-lock section, for a remote module
-        including the request that renames it on its host (the rebind
-        batch issues link requests under this lock too; the link's
-        pump/dispatcher split is what makes that safe).  The routing
-        snapshot is dropped *first*: ``clear_routes`` reaches every host
-        ahead of the rename (per-link FIFO), and a router arriving
-        meanwhile waits on the lock instead of compiling the old name
-        into a fresh table.  What was already in flight under the old
-        name is resolved through ``_renamed`` here and
-        ``ModuleHost.renamed`` on the host, so a message is routed
-        either as the old name or as the new one, never dropped between.
-        """
-        with self._lock:
-            module = self.get_module(old_name)
-            if new_name in self._instances:
-                raise BusError(f"instance {new_name!r} already exists")
-            self._invalidate_routing_locked()
-            if getattr(module, "is_remote", False):
-                module.transport.rename(module, new_name)
-            else:
-                module.rename(new_name)
-            del self._instances[old_name]
-            self._instances[new_name] = module
-            self._renamed.pop(new_name, None)
-            self._renamed[old_name] = new_name
-
-            def rewrite(binding: BindingSpec) -> BindingSpec:
-                return BindingSpec(
-                    from_instance=new_name
-                    if binding.from_instance == old_name
-                    else binding.from_instance,
-                    from_interface=binding.from_interface,
-                    to_instance=new_name
-                    if binding.to_instance == old_name
-                    else binding.to_instance,
-                    to_interface=binding.to_interface,
-                )
-
-            self._bindings = dict.fromkeys(rewrite(b) for b in self._bindings)
-        self.trace.append(f"rename {old_name} -> {new_name}")
 
     def get_module(self, instance: str) -> ModuleInstance:
         with self._lock:
@@ -513,17 +523,29 @@ class SoftwareBus:
     # Reconfiguration primitives: bindings
     # ------------------------------------------------------------------
 
+    def _check_binding(
+        self, binding: BindingSpec, successor: Optional[ModuleInstance] = None
+    ) -> None:
+        """Raise unless both bound interfaces exist and are compatible;
+        ``successor`` stands in for the module answering to its name
+        (:meth:`hand_over`).  Caller holds the bus lock."""
+        left, right = (
+            successor
+            if successor is not None and name == successor.name
+            else self.get_module(name)
+            for name, _ in binding.endpoints()
+        )
+        left_decl = left.spec.interface(binding.from_interface)
+        right_decl = right.spec.interface(binding.to_interface)
+        if not left_decl.compatible_with(right_decl):
+            raise BindingError(
+                f"{binding.describe()}: incompatible interfaces "
+                f"({left_decl.describe()} vs {right_decl.describe()})"
+            )
+
     def add_binding(self, binding: BindingSpec) -> None:
         with self._lock:
-            left = self.get_module(binding.from_instance)
-            right = self.get_module(binding.to_instance)
-            left_decl = left.spec.interface(binding.from_interface)
-            right_decl = right.spec.interface(binding.to_interface)
-            if not left_decl.compatible_with(right_decl):
-                raise BindingError(
-                    f"{binding.describe()}: incompatible interfaces "
-                    f"({left_decl.describe()} vs {right_decl.describe()})"
-                )
+            self._check_binding(binding)
             if binding in self._bindings:
                 raise BindingError(f"{binding.describe()}: already bound")
             self._bindings[binding] = None
@@ -557,25 +579,85 @@ class SoftwareBus:
         with self._lock:
             return list(self._bindings)
 
-    def restore_binding_order(self, order: List[BindingSpec]) -> None:
-        """Reorder the binding table to match a prior snapshot.
-
-        Rollback support: undoing a rebind batch re-adds deleted
-        bindings at the end of the table, so after a rollback the
-        topology is equal as a *set* but not as a *sequence* — and the
-        all-or-nothing contract promises a byte-identical configuration
-        snapshot.  Bindings absent from ``order`` keep their relative
-        order after all known ones.
-        """
-        with self._lock:
-            index = {binding: i for i, binding in enumerate(order)}
-            self._bindings = dict.fromkeys(
-                sorted(self._bindings, key=lambda b: index.get(b, len(index)))
-            )
-
     def bindings_of(self, instance: str) -> List[BindingSpec]:
         with self._lock:
             return [b for b in self._bindings if b.involves(instance)]
+
+    # ------------------------------------------------------------------
+    # Replacement: which module answers to a name
+    # ------------------------------------------------------------------
+
+    def hand_over(
+        self,
+        old: ModuleInstance,
+        new: ModuleInstance,
+        preserve_queues: bool = True,
+    ) -> None:
+        """Make ``new`` the module that answers to ``old``'s name (rebind).
+
+        One bus-lock section.  Every binding of the name is checked
+        against ``new``'s interfaces first, so a successor that drops or
+        changes a bound interface raises with nothing changed.  Then
+        ``new`` takes ``old``'s entry in place, the routing snapshot is
+        dropped (``clear_routes`` reaches every host ahead of the queue
+        transfer, per-link FIFO), and Figure 5's ``cq``/``rmq`` move what
+        is queued at ``old`` to the front of ``new``'s queues
+        (``preserve_queues=False`` leaves out the ``cq``).  No binding is
+        edited: a binding names an instance, and the instance is the
+        same.  ``old`` stays owned by the bus, unbound, until
+        :meth:`discard_module` or :meth:`hand_back`.
+        """
+        with self._lock:
+            queued = [d.name for d in old.spec.interfaces if old.has_queue(d.name)]
+            if preserve_queues:
+                for ifname in queued:
+                    new.queue(ifname)  # raises before anything changed
+            self._swap(old, new, "hand over")
+            for ifname in queued:
+                if preserve_queues:
+                    self._copy_queue(old, ifname, new)
+                self._remove_queue(old, ifname)
+
+    def hand_back(self, new: ModuleInstance, old: ModuleInstance) -> None:
+        """Undo :meth:`hand_over` (rollback): ``old`` answers to its name
+        again, and everything that reached ``new``'s queues — the copied
+        messages and every later arrival — moves to the front of
+        ``old``'s, drained rather than copied so a clone still reading
+        cannot take a message twice."""
+        with self._lock:
+            self._swap(new, old, "hand back")
+            for decl in new.spec.interfaces:
+                if not (new.has_queue(decl.name) and old.has_queue(decl.name)):
+                    continue
+                messages = new.queue(decl.name).drain()
+                if messages:
+                    old.queue(decl.name).prepend(
+                        [
+                            m.transferred(new.host.profile, old.host.profile)
+                            for m in messages
+                        ]
+                    )
+
+    def _swap(
+        self, current: ModuleInstance, successor: ModuleInstance, verb: str
+    ) -> None:
+        """Make the unbound ``successor`` answer to ``current``'s name in
+        its place, once every binding of the name fits it; ``current``
+        becomes unbound.  Caller holds the bus lock."""
+        name = current.name
+        if self._instances.get(name) is not current:
+            raise BusError(f"{name!r} is not answered by the module handing over")
+        if successor.name != name or not any(m is successor for m in self._unbound):
+            raise BusError(f"no unbound successor named {name!r} to hand over to")
+        for binding in self._bindings:
+            if binding.involves(name):
+                self._check_binding(binding, successor)
+        self._instances[name] = successor
+        self._unbound = [m for m in self._unbound if m is not successor] + [current]
+        self._invalidate_routing_locked()
+        self.trace.append(
+            f"{verb} {name}: {current.host.name} -> {successor.host.name}"
+        )
 
     # ------------------------------------------------------------------
     # Message routing
@@ -611,7 +693,9 @@ class SoftwareBus:
         sender's own link: the host then delivers those writes directly
         (same-process queue put, no encoding, no bus hop) — the fast
         path that lets pinned producer/consumer pairs scale with cores.
-        Recording does not change this: a host counts ``bus.routed`` /
+        A route names each destination by its host key and its instance
+        name (the name is what ``route_to`` matches).  Recording does not
+        change this: a host counts ``bus.routed`` /
         ``bus.directed`` for the writes it delivers itself, and its
         counters reach the bus recorder through the remote source.
         """
@@ -623,9 +707,13 @@ class SoftwareBus:
                 continue
             for ifname, entry in by_interface.items():
                 targets = entry.targets
-                if targets and all(peer_link is link for *_, peer_link in targets):
+                if targets and all(t[4] is link for t in targets):
                     routes_by_link.setdefault(link, []).append(
-                        [name, ifname, [[dest, dest_if] for dest, dest_if, *_ in targets]]
+                        [
+                            name,
+                            ifname,
+                            [[key, dest_if, dest] for dest, dest_if, *_, key in targets],
+                        ]
                     )
         for transport in self._transports.values():
             for link in transport.links():
@@ -923,17 +1011,6 @@ class SoftwareBus:
         order = ["healthy", "unknown", "degraded", "suspect", "dead"]
         return min(statuses, key=order.index)
 
-    def _routes_after_rebuild(
-        self, instance: str
-    ) -> Optional[Dict[str, _RouteEntry]]:
-        """Slow path of ``route``/``route_to``: the snapshot lacks ``instance``.
-
-        A stale snapshot, a write issued under a name that has since
-        been renamed, or an unknown instance — a rebuild settles which.
-        """
-        table = self._rebuild_routing()
-        return table.get(instance) or table.get(self._renamed.get(instance, ""))
-
     def route(self, instance: str, interface: str, message: Message) -> None:
         """Deliver a message written on (instance, interface).
 
@@ -949,7 +1026,8 @@ class SoftwareBus:
             table = self._rebuild_routing()
         by_interface = table.get(instance)
         if by_interface is None:
-            by_interface = self._routes_after_rebuild(instance)
+            # A stale snapshot or an unknown instance: a rebuild settles which.
+            by_interface = self._rebuild_routing().get(instance)
             if by_interface is None:
                 self.get_module(instance)  # raises UnknownModuleError
                 return
@@ -986,7 +1064,7 @@ class SoftwareBus:
             table = self._rebuild_routing()
         by_interface = table.get(instance)
         if by_interface is None:
-            by_interface = self._routes_after_rebuild(instance) or {}
+            by_interface = self._rebuild_routing().get(instance) or {}
         entry = by_interface.get(interface)
         target = entry.by_dest.get(destination) if entry is not None else None
         if target is None:
@@ -1090,11 +1168,13 @@ class SoftwareBus:
         self.get_module(old).join(timeout)
         return packet
 
-    def _check_move_target(self, new: str) -> ModuleInstance:
-        new_module = self.get_module(new)
+    def _check_move_target(self, new) -> ModuleInstance:
+        """The module a state move installs into: ``new`` names it, or is
+        it (a clone built by :meth:`build_clone` answers to no name)."""
+        new_module = self.get_module(new) if isinstance(new, str) else new
         if new_module.state not in (ModuleState.CREATED, ModuleState.LOADED):
             raise BusError(
-                f"objstate_move target {new!r} already started; state must "
+                f"objstate_move target {new_module.name!r} already started; state must "
                 f"be installed before the clone runs"
             )
         return new_module
@@ -1122,30 +1202,39 @@ class SoftwareBus:
 
     def copy_queue(self, old: str, interface: str, new: str) -> int:
         """Copy messages queued at old's interface to new's same interface."""
-        old_module = self.get_module(old)
-        new_module = self.get_module(new)
-        if not old_module.has_queue(interface):
-            return 0
-        messages = old_module.queue(interface).snapshot()
-        if messages:
-            transferred = [
-                m.transferred(old_module.host.profile, new_module.host.profile)
-                for m in messages
-            ]
-            new_module.queue(interface).prepend(transferred)
-        self.trace.append(f"cq {old}.{interface} -> {new} ({len(messages)} msgs)")
-        return len(messages)
+        return self._copy_queue(self.get_module(old), interface, self.get_module(new))
 
     def remove_queue(self, old: str, interface: str) -> int:
-        old_module = self.get_module(old)
-        if not old_module.has_queue(interface):
+        return self._remove_queue(self.get_module(old), interface)
+
+    def _copy_queue(
+        self, old: ModuleInstance, interface: str, new: ModuleInstance
+    ) -> int:
+        if not old.has_queue(interface):
             return 0
-        queue = old_module.queue(interface)
+        messages = old.queue(interface).snapshot()
+        if messages:
+            transferred = [
+                m.transferred(old.host.profile, new.host.profile) for m in messages
+            ]
+            new.queue(interface).prepend(transferred)
+        self.trace.append(
+            f"cq {old.name}.{interface} -> {new.name} on {new.host.name} "
+            f"({len(messages)} msgs)"
+        )
+        return len(messages)
+
+    def _remove_queue(self, old: ModuleInstance, interface: str) -> int:
+        if not old.has_queue(interface):
+            return 0
+        queue = old.queue(interface)
         # Remote queues expose discard(): drop server-side and return the
         # count instead of shipping every doomed wire back over the link.
         discard = getattr(queue, "discard", None)
         removed = discard() if discard is not None else len(queue.drain())
-        self.trace.append(f"rmq {old}.{interface} ({removed} msgs)")
+        self.trace.append(
+            f"rmq {old.name}.{interface} on {old.host.name} ({removed} msgs)"
+        )
         return removed
 
     # ------------------------------------------------------------------
@@ -1154,7 +1243,7 @@ class SoftwareBus:
 
     def shutdown(self, timeout: float = 5.0) -> None:
         with self._lock:
-            modules = list(self._instances.values())
+            modules = list(self._instances.values()) + self._unbound
             monitor, self._health_monitor = self._health_monitor, None
         if monitor is not None:
             # Hosts are going away with their transports; just stop
@@ -1182,6 +1271,7 @@ class SoftwareBus:
                     pass  # host already gone
         with self._lock:
             self._instances.clear()
+            self._unbound = []
             self._bindings.clear()
             self._invalidate_routing_locked()
             owned = self._owned_transports
@@ -1229,7 +1319,7 @@ class StateMoveStream:
         self.old = old
         self._old_module = old_module
         self._target: Optional[ModuleInstance] = None
-        self._target_name: Optional[str] = None
+        self._target_label = ""
         self._packet: Optional[bytes] = None
         #: Stack depth of the divulged packet, as counted by the module
         #: that encoded it (None until divulged).
@@ -1272,24 +1362,30 @@ class StateMoveStream:
             cause=type(failure).__name__,
         )
 
-    def attach_target(self, new: str) -> None:
-        """Name the clone that receives the state.
+    def attach_target(self, new) -> None:
+        """Name (or pass) the clone that receives the state.
 
         The clone may have been built during the wait window, i.e. after
         the signal went out; if the old module has already divulged by
         the time it is attached, the packet is installed here instead of
-        in the callback.
+        in the callback.  A clone from
+        :meth:`SoftwareBus.build_clone` answers to no name yet, so it is
+        passed as the module itself.
         """
         new_module = self.bus._check_move_target(new)
         with self._lock:
             self._target = new_module
-            self._target_name = new
+            self._target_label = (
+                new
+                if isinstance(new, str)
+                else f"{new_module.name} on {new_module.host.name}"
+            )
             if self._packet is not None:
                 new_module.mh.incoming_packet = self._packet
 
     def wait(self, timeout: float = 10.0) -> bytes:
         """Block until the packet has been handed to the clone."""
-        if self._target_name is None:
+        if self._target is None:
             raise BusError(
                 f"objstate_move from {self.old!r} has no target; call "
                 f"attach_target() before wait()"
@@ -1306,7 +1402,7 @@ class StateMoveStream:
         if packet is None:  # pragma: no cover - delivered implies packet
             raise BusError(f"{self.old}: divulged without packet")
         self.bus.trace.append(
-            f"objstate_move {self.old} -> {self._target_name} "
+            f"objstate_move {self.old} -> {self._target_label} "
             f"({len(packet)} bytes)"
         )
         return packet

@@ -32,8 +32,7 @@ from repro.bus.message import Message
 from repro.bus.module import ModuleInstance, ModuleState
 from repro.bus.spec import spec_from_abstract
 from repro.errors import BindingError, BusError, TransportError, UnknownModuleError
-from repro.runtime import faults, telemetry
-from repro.runtime.faults import FaultPlan
+from repro.runtime import telemetry
 from repro.runtime.mh import SleepPolicy
 from repro.state.encoding import decode_any, encode_any
 from repro.state.machine import MachineProfile, profile_from_abstract
@@ -122,11 +121,12 @@ class ModuleHost:
     tunnel first so divulge, lifecycle, and heartbeat events stay
     FIFO-ordered behind the writes that preceded them.
 
-    A commit renames the clone ``X.new -> X`` while deliveries addressed
-    to the old name may still be in flight; :attr:`renamed` remembers
-    the last rename of each name so such a delivery lands at the renamed
-    module (consulted only when the name is otherwise unknown, forgotten
-    when that name is added again).
+    A hosted module is addressed by the key the bus gave it at ``add``
+    (``<instance>#<n>``): :attr:`modules`, deliveries, commands and
+    events all use the key, while the instance name is only what the
+    module writes under.  A replaced module and its clone can therefore
+    share one host and one name; a delivery reaches the module it was
+    addressed to, or is counted as a miss once that module is removed.
     """
 
     def __init__(
@@ -149,17 +149,17 @@ class ModuleHost:
             send_lock=self._send_gate,
             policy=BatchPolicy(),
         )
+        #: key -> hosted module.
         self.modules: Dict[str, ModuleInstance] = {}
         # Guards modules-dict mutations against concurrent deliveries
         # (events run inline in the serve loop while commands like
-        # rename run on their own threads).
+        # add and remove run on their own threads).
         self.modules_lock = threading.Lock()
-        #: pre-rename name -> current name (see the class docstring).
-        self.renamed: Dict[str, str] = {}
-        # (instance, interface) -> ((dest, dest_if), ...) for endpoints
-        # whose whole fan-out lives on this host.  Replaced atomically.
+        # (instance, interface) -> ((dest key, dest_if, dest name), ...)
+        # for endpoints whose whole fan-out lives on this host.  Replaced
+        # atomically.
         self.routes: Dict[Tuple[str, str], Tuple] = {}
-        #: instance -> monotonic time of the last delivery served through
+        #: key -> monotonic time of the last delivery served through
         #: this host (host-local fast-path writes bypass it; the
         #: heartbeat reports the age as "last delivery the bus caused").
         self._last_delivery: Dict[str, float] = {}
@@ -195,14 +195,6 @@ class ModuleHost:
         if rec is not None:
             rec.count("host.deliver_miss", n=n, key=self.machine_name)
 
-    def _renamed_module(self, name: str, n: int = 1) -> Optional[ModuleInstance]:
-        """Where ``n`` deliveries addressed to the unknown ``name`` belong:
-        the module that bore the name before a rename, else a counted miss."""
-        module = self.modules.get(self.renamed.get(name, ""))
-        if module is None:
-            self._count_miss(n)
-        return module
-
     def route(self, instance: str, interface: str, message: Message) -> None:
         entry = self.routes.get((instance, interface))
         if entry is None:
@@ -214,9 +206,11 @@ class ModuleHost:
         if rec is not None:
             rec.count("bus.routed", key=f"{instance}.{interface}")
         modules = self.modules
-        for dest, dest_if in entry:
-            module = modules.get(dest) or self._renamed_module(dest)
-            if module is not None:
+        for key, dest_if, _ in entry:
+            module = modules.get(key)
+            if module is None:
+                self._count_miss(1)
+            else:
                 module.queue(dest_if).put(message)
 
     def route_to(
@@ -228,13 +222,15 @@ class ModuleHost:
                 instance, interface, destination, message.to_wire(self.profile)
             )
             return
-        for dest, dest_if in entry:
+        for key, dest_if, dest in entry:
             if dest == destination:
                 rec = telemetry.recorder
                 if rec is not None:
                     rec.count("bus.directed", key=f"{instance}.{interface}")
-                module = self.modules.get(dest) or self._renamed_module(dest)
-                if module is not None:
+                module = self.modules.get(key)
+                if module is None:
+                    self._count_miss(1)
+                else:
                     module.queue(dest_if).put(message)
                 return
         raise BindingError(
@@ -257,37 +253,35 @@ class ModuleHost:
             self._tunnel.drain_locked()
         self._tunnel.close()
 
-    def _module(self, instance) -> ModuleInstance:
+    def _module(self, key) -> ModuleInstance:
         try:
-            return self.modules[str(instance)]
+            return self.modules[str(key)]
         except KeyError:
             raise UnknownModuleError(
-                f"host {self.machine_name}: no instance {instance!r}"
+                f"host {self.machine_name}: no module {key!r}"
             ) from None
 
-    def _arm(self, module: ModuleInstance) -> None:
+    def _arm(self, key: str, module: ModuleInstance) -> None:
         """Point the module's divulge at the bus (push, don't poll)."""
         module.mh.set_divulge_callback(
             lambda packet, m=module: self.send_event(
-                ["divulged", m.name, packet, m.mh.outgoing_frames]
+                ["divulged", key, packet, m.mh.outgoing_frames]
             ),
-            lambda failure, m=module: self.send_event(
-                ["divulge_failed", m.name, f"{type(failure).__name__}: {failure}"]
+            lambda failure: self.send_event(
+                ["divulge_failed", key, f"{type(failure).__name__}: {failure}"]
             ),
         )
 
-    def _watch(self, module: ModuleInstance) -> None:
-        module.lifecycle_hook = self._push_lifecycle
-        module.mh.on_restored = lambda m=module: self.send_event(
-            ["restored", m.name]
-        )
+    def _watch(self, key: str, module: ModuleInstance) -> None:
+        module.lifecycle_hook = lambda m: self._push_lifecycle(key, m)
+        module.mh.on_restored = lambda: self.send_event(["restored", key])
 
-    def _push_lifecycle(self, module: ModuleInstance) -> None:
+    def _push_lifecycle(self, key: str, module: ModuleInstance) -> None:
         crash = module.crash
         self.send_event(
             [
                 "lifecycle",
-                module.name,
+                key,
                 module.state.value,
                 repr(crash) if crash is not None else "",
             ]
@@ -295,7 +289,9 @@ class ModuleHost:
 
     # -- module lifecycle commands -----------------------------------------
 
-    def _cmd_add(self, instance, spec_raw, status, packet) -> bool:
+    def _cmd_add(self, key, instance, spec_raw, status, packet) -> bool:
+        """Host module ``key``, named ``instance`` (what it writes under)."""
+        key = str(key)
         spec = spec_from_abstract(dict(spec_raw))
         module = ModuleInstance(
             name=str(instance),
@@ -308,74 +304,60 @@ class ModuleHost:
         if packet is not None:
             module.mh.incoming_packet = bytes(packet)
         module.load()
-        self._watch(module)
+        self._watch(key, module)
         with self.modules_lock:
-            if str(instance) in self.modules:
+            if key in self.modules:
                 raise BusError(
-                    f"host {self.machine_name}: instance {instance!r} "
-                    f"already present"
+                    f"host {self.machine_name}: module {key!r} already present"
                 )
-            self.modules[str(instance)] = module
-            self.renamed.pop(str(instance), None)
+            self.modules[key] = module
         return True
 
-    def _cmd_start(self, instance) -> bool:
-        self._module(instance).start()
+    def _cmd_start(self, key) -> bool:
+        self._module(key).start()
         return True
 
-    def _cmd_signal(self, instance) -> bool:
-        module = self._module(instance)
-        self._arm(module)
+    def _cmd_signal(self, key) -> bool:
+        module = self._module(key)
+        self._arm(str(key), module)
         module.mh.request_reconfig()
         return True
 
-    def _cmd_stop(self, instance) -> str:
-        module = self._module(instance)
+    def _cmd_stop(self, key) -> str:
+        module = self._module(key)
         module.stop()
         return module.state.value
 
-    def _cmd_remove(self, instance) -> bool:
+    def _cmd_remove(self, key) -> bool:
         with self.modules_lock:
-            module = self.modules.pop(str(instance))
-        # Withdrawn/migrated modules must not leak delivery stamps (or
-        # report stale ages if the name is ever reused).
-        self._last_delivery.pop(str(instance), None)
+            module = self.modules.pop(str(key))
+        # Withdrawn/migrated modules must not leak delivery stamps.
+        self._last_delivery.pop(str(key), None)
         module.stop()
         module.state = ModuleState.REMOVED
         module.retire()
         return True
 
-    def _cmd_rename(self, old_name, new_name) -> bool:
-        with self.modules_lock:
-            module = self.modules.pop(str(old_name))
-            module.rename(str(new_name))
-            self.modules[str(new_name)] = module
-            self.renamed[str(old_name)] = str(new_name)
-        stamp = self._last_delivery.pop(str(old_name), None)
-        if stamp is not None:
-            self._last_delivery[str(new_name)] = stamp
-        return True
-
-    def _cmd_revive(self, instance, packet) -> str:
-        module = self._module(instance)
+    def _cmd_revive(self, key, packet) -> str:
+        module = self._module(key)
         module.revive(bytes(packet))
         # revive() reset the divulge machinery; future captures must
         # push to the bus again.
-        self._arm(module)
+        self._arm(str(key), module)
         return module.state.value
 
     # -- state move commands -----------------------------------------------
 
-    def _cmd_install_packet(self, instance, packet) -> bool:
-        self._module(instance).mh.incoming_packet = bytes(packet)
+    def _cmd_install_packet(self, key, packet) -> bool:
+        self._module(key).mh.incoming_packet = bytes(packet)
         return True
 
-    def _cmd_abandon(self, instance) -> bool:
-        self._module(instance).mh.abandon_divulge()
+    def _cmd_abandon(self, key) -> bool:
+        self._module(key).mh.abandon_divulge()
         return True
 
-    def _cmd_clear_reconfig(self, instance) -> bool:
-        self._module(instance).mh.reconfig = False
+    def _cmd_clear_reconfig(self, key) -> bool:
+        self._module(key).mh.reconfig = False
         return True
 
     # -- message delivery and queue transfer ---------------------------------
@@ -386,9 +368,8 @@ class ModuleHost:
         Each distinct wire decodes once; when it fans out to several
         modules the same :class:`Message` object is shared — delivered
         messages are treated as immutable (``SoftwareBus.route`` shares
-        them the same way), so same-host sharing is safe.  An entry
-        flushed under a clone's temporary name and dispatched after the
-        commit renamed it lands at the renamed module.  Modules withdrawn between flush and
+        them the same way), so same-host sharing is safe.  Entries are
+        addressed by module key.  Modules withdrawn between flush and
         dispatch are skipped and counted, not raised: a batch is a run
         of fire-and-forget deliveries, and a miss on one entry must not
         discard the rest.
@@ -407,64 +388,62 @@ class ModuleHost:
             # or transfer rides a request ordered behind the whole frame.
             decoded: List[Optional[Message]] = [None] * len(wires)
             buckets: Dict[Tuple[str, str], List[Message]] = {}
-            for instance, interface, _unused, widx in entries:
+            for key, interface, _unused, widx in entries:
                 message = decoded[widx]
                 if message is None:
                     message = Message.from_wire(wires[widx], profile)
                     decoded[widx] = message
-                key = (instance, interface)
-                bucket = buckets.get(key)
+                bucket = buckets.get((key, interface))
                 if bucket is None:
-                    buckets[key] = [message]
+                    buckets[(key, interface)] = [message]
                 else:
                     bucket.append(message)
             touched = []
             with self.modules_lock:
                 modules = self.modules
-                for (instance, interface), run in buckets.items():
-                    module = modules.get(instance) or self._renamed_module(
-                        instance, len(run)
-                    )
+                for (key, interface), run in buckets.items():
+                    module = modules.get(key)
                     if module is None:
+                        self._count_miss(len(run))
                         continue
                     try:
                         module.queue(interface).put_many(run)
                     except BusError:  # no such queue
                         self._count_miss(len(run))
                         continue
-                    touched.append(module.name)
+                    touched.append(key)
         now = time.monotonic()
-        for instance in touched:
-            self._last_delivery[instance] = now
+        for key in touched:
+            self._last_delivery[key] = now
         return True
 
-    def _cmd_deliver_front(self, instance, interface, wires) -> bool:
+    def _cmd_deliver_front(self, key, interface, wires) -> bool:
         """Prepend a batch of (older) messages — the ``cq`` transfer."""
         messages = [Message.from_wire(bytes(w), self.profile) for w in wires]
         with self.modules_lock:
-            self._module(instance).queue(str(interface)).prepend(messages)
-        self._last_delivery[str(instance)] = time.monotonic()
+            self._module(key).queue(str(interface)).prepend(messages)
+        self._last_delivery[str(key)] = time.monotonic()
         return True
 
-    def _cmd_counts(self, instance) -> Dict[str, int]:
-        return self._module(instance).queued_counts()
+    def _cmd_counts(self, key) -> Dict[str, int]:
+        return self._module(key).queued_counts()
 
-    def _cmd_snapshot_queue(self, instance, interface) -> List[bytes]:
-        messages = self._module(instance).queue(str(interface)).snapshot()
+    def _cmd_snapshot_queue(self, key, interface) -> List[bytes]:
+        messages = self._module(key).queue(str(interface)).snapshot()
         return [m.to_wire(self.profile) for m in messages]
 
-    def _cmd_drain_queue(self, instance, interface) -> List[bytes]:
-        messages = self._module(instance).queue(str(interface)).drain()
+    def _cmd_drain_queue(self, key, interface) -> List[bytes]:
+        messages = self._module(key).queue(str(interface)).drain()
         return [m.to_wire(self.profile) for m in messages]
 
-    def _cmd_discard_queue(self, instance, interface) -> int:
+    def _cmd_discard_queue(self, key, interface) -> int:
         """Drain and *discard* — returns only the count.
 
         ``remove_queue`` on a remote module only needs how many messages
         died with the queue; shipping every wire back just to count them
         (the old ``drain_queue`` round-trip) wastes the whole batch win.
         """
-        return len(self._module(instance).queue(str(interface)).drain())
+        return len(self._module(key).queue(str(interface)).drain())
 
     # -- host-local routing ---------------------------------------------------
 
@@ -473,7 +452,7 @@ class ModuleHost:
         for entry in routes_raw:
             instance, interface, pairs = entry[0], entry[1], entry[2]
             table[(str(instance), str(interface))] = tuple(
-                (str(dest), str(dest_if)) for dest, dest_if in pairs
+                (str(key), str(dest_if), str(dest)) for key, dest_if, dest in pairs
             )
         self.routes = table
         return True
@@ -484,24 +463,15 @@ class ModuleHost:
 
     # -- introspection ---------------------------------------------------------
 
-    def _cmd_statics(self, instance) -> Dict[str, object]:
+    def _cmd_statics(self, key) -> Dict[str, object]:
         # Test/debug introspection: only canonical-encodable statics travel.
-        statics = self._module(instance).mh.statics
+        statics = self._module(key).mh.statics
         return {k: v for k, v in statics.items()}
 
     def _cmd_ping(self) -> str:
         return self.machine_name
 
-    # -- chaos / telemetry parity across the boundary --------------------------
-
-    def _cmd_install_faults(self, plan_raw) -> bool:
-        faults.uninstall()  # retried installs must not trip the nesting guard
-        faults.install(FaultPlan.from_abstract(dict(plan_raw)))
-        return True
-
-    def _cmd_clear_faults(self) -> bool:
-        faults.uninstall()
-        return True
+    # -- telemetry parity across the boundary ---------------------------------
 
     def _cmd_telemetry_enable(self) -> bool:
         if telemetry.recorder is None:
@@ -580,12 +550,14 @@ class ModuleHost:
                 pass
 
     def _health_payload(self) -> Dict[str, object]:
-        """Per-module liveness detail riding on each heartbeat."""
+        """Per-module liveness detail riding on each heartbeat, by instance
+        name (a clone sharing the host with the module it replaces
+        reports last)."""
         now = time.monotonic()
         with self.modules_lock:
             items = list(self.modules.items())
         modules: Dict[str, object] = {}
-        for name, module in items:
+        for key, module in items:
             try:
                 counts = module.queued_counts()
                 hwm = 0
@@ -594,9 +566,9 @@ class ModuleHost:
                         cell = getattr(module.queue(decl.name), "_hwm", 0)
                         if cell > hwm:
                             hwm = int(cell)
-                last = self._last_delivery.get(name)
+                last = self._last_delivery.get(key)
                 mh = module.mh
-                modules[name] = {
+                modules[module.name] = {
                     "state": module.state.value,
                     "queued": int(sum(counts.values())),
                     "queue_hwm": hwm,

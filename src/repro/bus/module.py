@@ -433,12 +433,6 @@ class ModuleInstance:
         self.lifecycle_hook = None
         self.namespace.clear()
 
-    def rename(self, new_name: str) -> None:
-        """Adopt a new instance name, rebranding the per-interface queues."""
-        self.name = new_name
-        for ifname, queue in self._queues.items():
-            queue.rename(f"{new_name}.{ifname}")
-
     def check_alive(self) -> None:
         """Raise the module's crash, if it crashed."""
         if self.state is ModuleState.CRASHED and self.crash is not None:

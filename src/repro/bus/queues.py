@@ -171,18 +171,6 @@ class MessageQueue:
     def peek_count(self) -> int:
         return len(self)
 
-    def rename(self, name: str) -> None:
-        """Rebrand the queue when its owning instance is renamed.
-
-        Replacement commits rename the clone to the replaced module's
-        instance name; without this the queue kept reporting the
-        temporary ``<instance>.new.<interface>`` name in errors and in
-        the ``queue.hwm`` telemetry key.  Accumulated delivery cells
-        move with the queue: after a commit they report under the final
-        instance name, matching the old wrapper-counter behaviour.
-        """
-        self.name = name
-
     def snapshot(self) -> List[Message]:
         """Atomic copy of the queued messages (the ``cq`` command)."""
         with self._lock:

@@ -40,6 +40,7 @@ runs (that is :mod:`repro.bus.host`):
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import socket
 import subprocess
 import threading
@@ -62,7 +63,7 @@ from repro.errors import (
     UnknownInterfaceError,
 )
 from repro.runtime import telemetry
-from repro.runtime.faults import FaultPlan, RetryPolicy
+from repro.runtime.faults import RetryPolicy
 from repro.state.machine import MACHINES, MachineProfile, profile_from_abstract
 
 
@@ -83,7 +84,8 @@ class ProxyQueue:
     direct wire-put); this covers the reconfiguration-time queue
     operations — ``cq``/``rmq`` snapshots, drains, and prepends — which
     travel as requests so their effects are ordered against prior
-    deliveries by per-link FIFO.
+    deliveries by per-link FIFO.  On the wire the queue is addressed by
+    its module's host key.
     """
 
     __slots__ = ("_handle", "interface")
@@ -99,7 +101,7 @@ class ProxyQueue:
     def put(self, message: Message) -> None:
         handle = self._handle
         handle.link.send_deliver(
-            handle.name, self.interface, message.to_wire(handle.host.profile)
+            handle.key, self.interface, message.to_wire(handle.host.profile)
         )
 
     def peek_count(self) -> int:
@@ -110,14 +112,14 @@ class ProxyQueue:
 
     def snapshot(self) -> List[Message]:
         wires = self._handle.link.request(
-            ["snapshot_queue", self._handle.name, self.interface]
+            ["snapshot_queue", self._handle.key, self.interface]
         )
         profile = self._handle.host.profile
         return [Message.from_wire(bytes(w), profile) for w in wires]  # type: ignore[union-attr]
 
     def drain(self) -> List[Message]:
         wires = self._handle.link.request(
-            ["drain_queue", self._handle.name, self.interface]
+            ["drain_queue", self._handle.key, self.interface]
         )
         profile = self._handle.host.profile
         return [Message.from_wire(bytes(w), profile) for w in wires]  # type: ignore[union-attr]
@@ -126,7 +128,7 @@ class ProxyQueue:
         """Drain remotely, returning only the count (no wires shipped back)."""
         return int(
             self._handle.link.request(
-                ["discard_queue", self._handle.name, self.interface]
+                ["discard_queue", self._handle.key, self.interface]
             )  # type: ignore[arg-type]
         )
 
@@ -135,7 +137,7 @@ class ProxyQueue:
         self._handle.link.request(
             [
                 "deliver_front",
-                self._handle.name,
+                self._handle.key,
                 self.interface,
                 [m.to_wire(profile) for m in messages],
             ]
@@ -179,7 +181,7 @@ class _ProxyMH:
     def statics(self) -> Dict[str, object]:
         """Live snapshot of the remote module's statics (one request)."""
         return dict(
-            self._handle.link.request(["statics", self._handle.name])  # type: ignore[call-overload]
+            self._handle.link.request(["statics", self._handle.key])  # type: ignore[call-overload]
         )
 
     def stop(self) -> None:
@@ -198,7 +200,7 @@ class _ProxyMH:
         self._incoming = packet
         if packet is not None:
             self._handle.link.send_event(
-                ["install_packet", self._handle.name, packet]
+                ["install_packet", self._handle.key, packet]
             )
 
     def set_divulge_callback(
@@ -213,14 +215,14 @@ class _ProxyMH:
             self._failure_callback = on_failure
 
     def request_reconfig(self) -> None:
-        self._handle.link.request(["signal", self._handle.name])
+        self._handle.link.request(["signal", self._handle.key])
         self._reconfig_mirror = True
 
     def abandon_divulge(self) -> None:
         with self._cb_lock:
             self._divulge_callback = None
             self._failure_callback = None
-        self._handle.link.request(["abandon", self._handle.name])
+        self._handle.link.request(["abandon", self._handle.key])
 
     @property
     def reconfig(self) -> bool:
@@ -230,7 +232,7 @@ class _ProxyMH:
     def reconfig(self, value: bool) -> None:
         self._reconfig_mirror = bool(value)
         command = "signal" if value else "clear_reconfig"
-        self._handle.link.request([command, self._handle.name])
+        self._handle.link.request([command, self._handle.key])
 
     # -- event sinks (called from the link dispatcher thread) -------------------
 
@@ -261,12 +263,18 @@ class RemoteModuleHandle:
     operate on it unchanged.  ``thread`` is always ``None`` (the real
     thread lives remotely); liveness is mirrored from pushed lifecycle
     events instead.
+
+    ``name`` is the instance name the module answers to and writes
+    under; ``key`` (``<name>#<n>``, fixed at placement) is how its host,
+    its deliveries and its events address it, so a replaced module and
+    its clone can share one host and one name.
     """
 
     is_remote = True
 
     def __init__(
         self,
+        key: str,
         name: str,
         spec: ModuleSpec,
         host: Host,
@@ -275,6 +283,7 @@ class RemoteModuleHandle:
         placement: str,
         status: str = "original",
     ):
+        self.key = key
         self.name = name
         self.spec = spec
         self.host = host
@@ -311,7 +320,7 @@ class RemoteModuleHandle:
         self.queue(interface).put(message)
 
     def queued_counts(self) -> Dict[str, int]:
-        raw = self.link.request(["counts", self.name])
+        raw = self.link.request(["counts", self.key])
         return {str(k): int(v) for k, v in dict(raw).items()}  # type: ignore[call-overload]
 
     def remote_put(self, interface: str, sender_profile: Optional[MachineProfile]):
@@ -327,11 +336,11 @@ class RemoteModuleHandle:
         def put(
             message: Message,
             _link=self.link,
-            _name=self.name,
+            _key=self.key,
             _interface=interface,
             _profile=sender_profile,
         ) -> None:
-            _link.send_deliver(_name, _interface, message.to_wire(_profile))
+            _link.send_deliver(_key, _interface, message.to_wire(_profile))
 
         return put
 
@@ -341,11 +350,11 @@ class RemoteModuleHandle:
         pass  # loaded remotely at add time
 
     def start(self) -> None:
-        self.link.request(["start", self.name])
+        self.link.request(["start", self.key])
         self.state = ModuleState.RUNNING
 
     def stop(self, timeout: float = 5.0) -> None:
-        value = self.link.request(["stop", self.name], timeout=timeout + 30.0)
+        value = self.link.request(["stop", self.key], timeout=timeout + 30.0)
         self.state = ModuleState(str(value))
 
     def join(self, timeout: float = 5.0) -> None:
@@ -362,7 +371,7 @@ class RemoteModuleHandle:
         self.mh.outgoing_packet = None
         self.mh.outgoing_frames = None
         value = self.link.request(
-            ["revive", self.name, pkt], timeout=timeout + 30.0
+            ["revive", self.key, pkt], timeout=timeout + 30.0
         )
         self.crash = None
         self.state = ModuleState(str(value))
@@ -373,8 +382,8 @@ class RemoteModuleHandle:
 
     def discard(self) -> None:
         """Remove the module from its remote host (bus-side bookkeeping too)."""
-        self.transport._forget(self.name)
-        self.link.request(["remove", self.name])
+        self.transport._forget(self.key)
+        self.link.request(["remove", self.key])
         self.state = ModuleState.REMOVED
 
     # -- event sink -----------------------------------------------------------
@@ -418,6 +427,10 @@ class RemoteTransport:
         #: a round-trip) may run while it is held.
         self._slots_lock = threading.Lock()
         self._rr = 0
+        #: Host key -> handle.  Keys are ``<instance>#<n>``, ``n`` from
+        #: this counter, so they are unique across every bus sharing the
+        #: transport.
+        self._keys = itertools.count(1)
         self._handles: Dict[str, RemoteModuleHandle] = {}
         self._handles_lock = threading.Lock()
         #: host name -> last successfully read (counters, gauges): a
@@ -521,17 +534,6 @@ class RemoteTransport:
                 link.request(command, timeout=timeout)
             except (BusError, InjectedFault, OSError):
                 pass
-
-    # -- chaos parity ----------------------------------------------------------
-
-    def install_fault_plan(self, plan: FaultPlan) -> None:
-        """Arm the same schedule in every live host (fresh firing state)."""
-        for link in self.links():
-            link.request(["install_faults", plan.to_abstract()])
-
-    def clear_fault_plan(self) -> None:
-        for link in self.links():
-            link.request(["clear_faults"])
 
     # -- remote telemetry ------------------------------------------------------
 
@@ -667,18 +669,11 @@ class RemoteTransport:
 
     def _register(self, handle: RemoteModuleHandle) -> None:
         with self._handles_lock:
-            self._handles[handle.name] = handle
+            self._handles[handle.key] = handle
 
-    def _forget(self, name: str) -> None:
+    def _forget(self, key: str) -> None:
         with self._handles_lock:
-            self._handles.pop(name, None)
-
-    def rename(self, handle: RemoteModuleHandle, new_name: str) -> None:
-        handle.link.request(["rename", handle.name, new_name])
-        with self._handles_lock:
-            self._handles.pop(handle.name, None)
-            handle.name = new_name
-            self._handles[new_name] = handle
+            self._handles.pop(key, None)
 
     # -- module placement ------------------------------------------------------
 
@@ -692,10 +687,12 @@ class RemoteTransport:
     ) -> RemoteModuleHandle:
         link, host, placement = self._place(slot)
         prepared = prepared_source_for(spec)
+        key = f"{instance}#{next(self._keys)}"
         link.request(
-            ["add", instance, spec.to_abstract(prepared), status, state_packet]
+            ["add", key, instance, spec.to_abstract(prepared), status, state_packet]
         )
         handle = RemoteModuleHandle(
+            key=key,
             name=instance,
             spec=spec,
             host=host,

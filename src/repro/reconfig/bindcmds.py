@@ -70,7 +70,6 @@ class BindBatch:
 
     commands: List[BindCommand] = field(default_factory=list)
     applied: bool = False
-    _done: List[BindCommand] = field(default_factory=list)
 
     # -- preparation -----------------------------------------------------------
 
@@ -116,36 +115,10 @@ class BindBatch:
                     bus.copy_queue(command.left[0], command.left[1], command.right[0])  # type: ignore[index]
                 elif command.op == "rmq":
                     bus.remove_queue(command.left[0], command.left[1])
-                self._done.append(command)
         finally:
             if lock is not None:
                 lock.release()
         self.applied = True
-
-    def undo(self, bus: SoftwareBus) -> None:
-        """Reverse the binding edits that actually ran, newest first.
-
-        The rollback half of an aborted replacement.  Only ``add`` and
-        ``del`` invert cleanly; ``cq``/``rmq`` moved message *contents*,
-        which the coordinator compensates separately (it drains the
-        clone's queues back into the revived original — the clone's
-        queues are the single source of truth for every message copied
-        by ``cq`` plus everything delivered after the rebind).
-        """
-        lock = getattr(bus, "_lock", None)
-        if lock is not None:
-            lock.acquire()
-        try:
-            for command in reversed(self._done):
-                if command.op == "add":
-                    bus.remove_binding(command.binding)
-                elif command.op == "del":
-                    bus.add_binding(command.binding)
-        finally:
-            if lock is not None:
-                lock.release()
-        self._done = []
-        self.applied = False
 
     def describe(self) -> str:
         return "\n".join(command.describe() for command in self.commands)

@@ -1,32 +1,41 @@
 """Orchestration of a module replacement, with timing and failure handling.
 
 The coordinator runs the event sequence of Figure 5 — access old module,
-prepare bind commands, move state, rebind, start new, remove old — and
+build the new one, move state, rebind, start new, remove old — and
 records when each step completed, which is what benchmark D3
-(reconfiguration delay vs. point placement) measures.
+(reconfiguration delay vs. point placement) measures.  Unlike the
+script's literal rendition (:func:`~repro.reconfig.scripts.figure5_replacement_script`,
+whose clone stays a separate ``new`` object) the clone is built under
+the instance's own name and answers to nothing until the rebind hands
+the name over to it, so nothing is ever renamed and the binding table
+is never edited.
 
 Failure semantics: replacement is a *transaction*.  The stages are
 
 ========================  ==================================================
-``clone_build``           create ``<instance>.new`` (pre-signal for a new
-                          version, inside the wait window for a move)
+``clone_build``           build the clone under the instance's name,
+                          unbound (pre-signal for a new version, inside
+                          the wait window for a move)
 ``signal``                deliver the reconfiguration signal to the old
                           module
 ``wait_point``            wait (with deadline) for the old module to reach
                           a reconfiguration point and divulge its state
-``rebind``                apply the prepared bind batch, moving every
-                          binding and queued message to the clone
+``rebind``                hand the name over: check every binding of it
+                          against the clone, make the clone the module
+                          that answers to it, ``cq``/``rmq`` from the old
+                          module
 ``start_clone``           start the clone's thread of control
 ``health_check``          wait until the clone finishes restoring (its
                           ``end_restore`` ran) — the point of no return
-``commit``                remove the old module, rename the clone
+``commit``                remove the old module
 ========================  ==================================================
 
 ``clone_build``, ``rebind`` and ``start_clone`` retry transient failures
 (injected faults, transport errors) under a bounded backoff policy.  Any
 stage failing before ``commit`` triggers rollback: the signal is
-withdrawn, applied bind edits are reversed, messages that reached the
-clone's queues are drained back, the clone is torn down, and the old
+withdrawn, the name is handed back to the old module if the clone had
+it, messages that reached the clone's queues are drained back, the
+clone is torn down, and the old
 module — whose thread exited when it divulged — is *revived* from its
 own captured state packet, so the application keeps executing exactly
 where the capture left it.  Every abort surfaces as a typed
@@ -138,6 +147,10 @@ def prepare_rebind_batch(
     the paper's two loops touch some bindings twice; we deduplicate).
     Queue copies (``cq``) and removals (``rmq``) are appended for every
     interface that can receive, so no queued message is lost.
+
+    This is the batch form of the script, for a ``new`` instance with a
+    name of its own; :meth:`ReconfigurationCoordinator.replace` does not
+    edit bindings at all (:meth:`~repro.bus.bus.SoftwareBus.hand_over`).
     """
     batch = BindBatch()
     seen: Set[BindingSpec] = set()
@@ -226,44 +239,29 @@ class ReconfigurationCoordinator:
         report: ReconfigurationReport,
         stream: StateMoveStream,
         instance: str,
-        temp_name: str,
         old_module: ModuleInstance,
-        batch: Optional[BindBatch],
+        clone: Optional[ModuleInstance],
         packet: Optional[bytes],
-        binding_order: Optional[List[BindingSpec]],
     ) -> None:
         """Put the application back on the old module.
 
         Order matters: withdraw the signal first (new captures stop),
-        reverse the bind edits (new deliveries route to the old module
-        again), then drain whatever reached the clone's queues back to
-        the front of the old module's queues (the clone's queues hold
-        every ``cq``-copied message plus all post-rebind arrivals, so
-        nothing is lost or duplicated), tear the clone down, and finally
-        revive the old module from its captured packet if its thread
-        already exited divulging.
+        hand the name back if the clone had it (new deliveries route to
+        the old module again, and whatever reached the clone's queues —
+        every ``cq``-copied message plus all post-rebind arrivals —
+        drains back to the front of the old module's queues, so nothing
+        is lost or duplicated), tear the clone down, and finally revive
+        the old module from its captured packet if its thread already
+        exited divulging.  The binding table was never edited, so it is
+        the sequence it was.
         """
         bus = self.bus
         stream.cancel()
-        if batch is not None and batch.applied:
-            batch.undo(bus)
-            if binding_order is not None:
-                bus.restore_binding_order(binding_order)
         pkt = packet if packet is not None else old_module.mh.outgoing_packet
-        if bus.has_module(temp_name):
-            clone = bus.get_module(temp_name)
-            for decl in clone.spec.interfaces:
-                if not (clone.has_queue(decl.name) and old_module.has_queue(decl.name)):
-                    continue
-                messages = clone.queue(decl.name).drain()
-                if messages:
-                    old_module.queue(decl.name).prepend(
-                        [
-                            m.transferred(clone.host.profile, old_module.host.profile)
-                            for m in messages
-                        ]
-                    )
-            bus.remove_module(temp_name)
+        if clone is not None:
+            if bus.get_module(instance) is clone:
+                bus.hand_back(clone, old_module)
+            bus.discard_module(clone)
         if pkt is not None and not (
             old_module.state is ModuleState.RUNNING
             and old_module.thread is not None
@@ -324,8 +322,9 @@ class ReconfigurationCoordinator:
         """Replace ``instance`` with a (possibly relocated, possibly new
         version) clone that resumes from the captured state.
 
-        The clone temporarily exists as ``<instance>.new`` and takes over
-        the original instance name once the original is removed.
+        The clone is built under ``instance`` but answers to nothing until
+        the rebind stage hands the name over to it; bindings, and a
+        directed send to the name, then reach the clone.
         ``preserve_queues=False`` omits the ``cq`` commands — an ablation
         showing why Figure 5 copies queues (messages queued at the old
         module would otherwise be lost).
@@ -385,7 +384,6 @@ class ReconfigurationCoordinator:
             recon_id=telemetry.next_reconfiguration_id(),
             health_verdict=verdict or "",
         )
-        temp_name = f"{instance}.new"
         # The root span is "ambient": spans opened by other threads with
         # no local parent — the old module's capture/encode, the clone's
         # decode/restore — attach under it, so the whole replacement
@@ -401,10 +399,8 @@ class ReconfigurationCoordinator:
                 new_machine=target_machine,
             ) as root:
                 self._replace_txn(
-                    old,
                     spec,
                     report,
-                    temp_name,
                     new_spec,
                     timeout,
                     preserve_queues,
@@ -424,10 +420,8 @@ class ReconfigurationCoordinator:
 
     def _replace_txn(
         self,
-        old: ObjectCapability,
         spec: ModuleSpec,
         report: ReconfigurationReport,
-        temp_name: str,
         new_spec: Optional[ModuleSpec],
         timeout: float,
         preserve_queues: bool,
@@ -435,15 +429,13 @@ class ReconfigurationCoordinator:
     ) -> None:
         instance = report.instance
         target_machine = report.new_machine
+        clone: Optional[ModuleInstance] = None
 
         def build_clone() -> None:
+            nonlocal clone
             faults.fire_hard("coordinator.clone_build")
-            self.bus.add_module(
-                spec,
-                instance=temp_name,
-                machine=target_machine,
-                status="clone",
-                placement=placement,
+            clone = self.bus.build_clone(
+                spec, instance, machine=target_machine, placement=placement
             )
 
         # A *new* version can be rejected by the transformer, and the
@@ -453,7 +445,6 @@ class ReconfigurationCoordinator:
         # original already proved loadable, so the signal goes out first
         # and the clone is built inside the wait-for-point window, which
         # otherwise is pure dead time (the dominant delay_to_point term).
-        clone_built = False
         if new_spec is not None:
             report.stage = "clone_build"
             try:
@@ -461,7 +452,6 @@ class ReconfigurationCoordinator:
             except _TRANSIENT as exc:
                 # Nothing signalled, nothing to roll back.
                 raise self._abort(report, exc) from exc
-            clone_built = True
             report.completed.append("clone_build")
 
         report.stage = "signal"
@@ -472,23 +462,13 @@ class ReconfigurationCoordinator:
         report.completed.append("signal")
         old_module = self.bus.get_module(instance)
 
-        batch: Optional[BindBatch] = None
         packet: Optional[bytes] = None
-        binding_order: Optional[List[BindingSpec]] = None
         try:
-            if not clone_built:
+            if clone is None:
                 report.stage = "clone_build"
                 self._attempt(report, "clone_build", build_clone)
-                clone_built = True
                 report.completed.append("clone_build")
-            stream.attach_target(temp_name)
-            batch = prepare_rebind_batch(
-                self.bus, old, temp_name, preserve_queues=preserve_queues
-            )
-            # Rollback restores this order; like the batch it protects it
-            # does not depend on the divulge, so it is taken before the
-            # wait rather than while nobody serves.
-            binding_order = self.bus.bindings()
+            stream.attach_target(clone)
 
             report.stage = "wait_point"
             report.stage_attempts["wait_point"] = 1
@@ -508,7 +488,7 @@ class ReconfigurationCoordinator:
 
             def rebind() -> None:
                 faults.fire_hard("coordinator.rebind")
-                batch.apply(self.bus)
+                self.bus.hand_over(old_module, clone, preserve_queues=preserve_queues)
 
             self._attempt(report, "rebind", rebind)
             report.completed.append("rebind")
@@ -518,7 +498,7 @@ class ReconfigurationCoordinator:
 
             def start_clone() -> None:
                 faults.fire_hard("coordinator.start_clone")
-                self.bus.start_module(temp_name)
+                self.bus.start_module(instance)
 
             self._attempt(report, "start_clone", start_clone)
             report.completed.append("start_clone")
@@ -526,22 +506,15 @@ class ReconfigurationCoordinator:
 
             report.stage = "health_check"
             report.stage_attempts["health_check"] = 1
-            with telemetry.span("stage.health_check", instance=temp_name):
-                self._await_restored(self.bus.get_module(temp_name), timeout)
+            with telemetry.span("stage.health_check", instance=instance):
+                self._await_restored(clone, timeout)
             report.completed.append("health_check")
         except Exception as exc:
             rolled_back = True
             try:
                 with telemetry.span("stage.rollback", instance=instance):
                     self._rollback(
-                        report,
-                        stream,
-                        instance,
-                        temp_name,
-                        old_module,
-                        batch,
-                        packet,
-                        binding_order,
+                        report, stream, instance, old_module, clone, packet
                     )
                 telemetry.count("reconfig.rollbacks")
             except Exception:
@@ -552,8 +525,7 @@ class ReconfigurationCoordinator:
         report.stage = "commit"
         report.stage_attempts["commit"] = 1
         with telemetry.span("stage.commit", instance=instance):
-            self.bus.remove_module(instance)
-            self.bus.rename_instance(temp_name, instance)
+            self.bus.discard_module(old_module)
         report.completed.append("commit")
         report.t_done = time.monotonic()
         telemetry.count("reconfig.commits")

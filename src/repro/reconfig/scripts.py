@@ -147,9 +147,9 @@ def figure5_replacement_script(
 ) -> str:
     """A line-by-line rendition of the paper's Figure 5 script.
 
-    Returns the new instance's name (``<module>.new`` — unlike the
-    coordinator, this faithful version does not fold the name back, just
-    as the paper's script leaves ``new`` as a distinct object).
+    Returns the new instance's name (``<module>.new``: the paper's script
+    leaves ``new`` as a distinct object; the coordinator instead builds
+    its clone under the module's own name and hands the name over).
     """
     # access old module
     old = obj_cap(bus, module_name)

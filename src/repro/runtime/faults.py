@@ -47,8 +47,8 @@ MODES = ("crash", "delay", "drop")
 # single tuple so the chaos suite can parametrize over the closed set and
 # a typo in a schedule is caught by FaultPlan.schedule().
 SITES = (
-    "coordinator.clone_build",  # building the <instance>.new clone
-    "coordinator.rebind",  # applying the prepared bind batch
+    "coordinator.clone_build",  # building the (unbound) clone
+    "coordinator.rebind",  # handing the instance name over to the clone
     "coordinator.start_clone",  # starting the clone's thread
     "module.load",  # resolving/transforming clone source
     "bus.stream_divulge",  # divulged-packet hand-off (old module's thread)

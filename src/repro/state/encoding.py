@@ -34,13 +34,13 @@ Implementation notes (the reconfiguration critical path, see
   be inferred again one level down, so inference costs a pass over the
   whole subtree *per nesting level*, and every distinct inferred shape
   would be compiled and cached forever.
-- **Machine-representability stays a pluggable hook.**  Both writers take
-  the machine's check suite as a call argument
-  (``MachineProfile.codec_checks``: per-char closures with bounds and
-  error strings pre-resolved; subclasses that override
-  ``check_representable`` get shims that route every scalar through the
-  override), so heterogeneity errors surface at capture time with
-  identical messages and custom profiles keep working.
+- **Machine checks are compiled per profile.**  Both writers take the
+  machine's check suite as a call argument (``MachineProfile.codec_checks``:
+  ``(check_i, check_l, check_F)``, closures with bounds and error
+  strings pre-resolved, ``None`` where the machine imposes nothing), so
+  heterogeneity errors surface at capture time with the messages of
+  ``MachineProfile.check_representable``.  Strings, bytes, booleans,
+  ``None`` and pointers fit every machine and are never checked.
 - **Decode: the same walk from the other side.**  The decode core
   (:func:`read_value`) is a position-passing function over the packet's
   own ``bytes``: a caller decodes a region by starting at its offset, so
@@ -115,11 +115,6 @@ def _pointer_parts(value: object) -> Tuple[str, int]:
 # Self-describing values: one walk
 # ---------------------------------------------------------------------------
 
-#: Spec handed to a machine's ``check_other`` hook (``checks[3]``, present
-#: only for profiles that override ``check_representable``) for strings.
-_SPEC_STR = ScalarType("s")
-
-
 def write_any(buf: bytearray, value: object, checks: Optional[tuple]) -> None:
     """Append the self-describing (``a``) wire form of ``value``.
 
@@ -136,8 +131,6 @@ def write_any(buf: bytearray, value: object, checks: Optional[tuple]) -> None:
     """
     tag = ANY_TAG_BY_TYPE.get(type(value)) or any_tag(value)
     if tag == 0x73:  # 's'
-        if checks is not None and checks[3] is not None:
-            checks[3](_SPEC_STR, value)
         data = value.encode("utf-8")
         buf.append(0x73)
         length = len(data)
@@ -158,16 +151,9 @@ def write_any(buf: bytearray, value: object, checks: Optional[tuple]) -> None:
     elif tag == 0x5B or tag == 0x28:  # '[' / '('
         buf.append(tag)
         _append_varint(buf, len(value))
-        # A short str element is written right here, not through a call;
-        # a profile with a check_other hook must see every string, so it
-        # takes the call.
-        inline = checks is None or checks[3] is None
+        # A short str element is written right here, not through a call.
         for item in value:
-            if (
-                inline
-                and type(item) is str
-                and len(data := item.encode("utf-8")) < 0x80
-            ):
+            if type(item) is str and len(data := item.encode("utf-8")) < 0x80:
                 buf.append(0x73)
                 buf.append(len(data))
                 buf += data
@@ -176,23 +162,14 @@ def write_any(buf: bytearray, value: object, checks: Optional[tuple]) -> None:
     elif tag == 0x7B:  # '{'
         buf.append(0x7B)
         _append_varint(buf, len(value))
-        inline = checks is None or checks[3] is None
         for key, item in value.items():
-            if (
-                inline
-                and type(key) is str
-                and len(data := key.encode("utf-8")) < 0x80
-            ):
+            if type(key) is str and len(data := key.encode("utf-8")) < 0x80:
                 buf.append(0x73)
                 buf.append(len(data))
                 buf += data
             else:
                 write_any(buf, key, checks)
-            if (
-                inline
-                and type(item) is str
-                and len(data := item.encode("utf-8")) < 0x80
-            ):
+            if type(item) is str and len(data := item.encode("utf-8")) < 0x80:
                 buf.append(0x73)
                 buf.append(len(data))
                 buf += data
@@ -218,8 +195,8 @@ _EncodeFn = Callable[[bytearray, object, Optional[tuple]], None]
 
 
 def _checks_of(machine: MachineProfile) -> tuple:
-    # The compiled (check_i, check_l, check_F, check_other) suite, attached
-    # to the machine on first use — see MachineProfile.codec_checks.
+    # The compiled (check_i, check_l, check_F) suite, attached to the
+    # machine on first use — see MachineProfile.codec_checks.
     return machine.__dict__.get("_codec_checks") or machine.codec_checks()
 
 
@@ -235,8 +212,6 @@ def _build_scalar_encoder(spec: ScalarType) -> _EncodeFn:
             if value is None:
                 buf.append(0x6E)  # 'n'
                 return
-            if checks is not None and checks[3] is not None:
-                checks[3](spec, value)
             raise EncodingError(f"format 'n' requires None, got {value!r}")
 
         return enc_none
@@ -247,8 +222,6 @@ def _build_scalar_encoder(spec: ScalarType) -> _EncodeFn:
             if value is None:
                 buf.append(0x6E)
                 return
-            if checks is not None and checks[3] is not None:
-                checks[3](spec, value)
             if not isinstance(value, bool):
                 raise EncodingError(f"format 'b' requires bool, got {value!r}")
             buf.append(0x62)  # 'b'
@@ -292,12 +265,8 @@ def _build_scalar_encoder(spec: ScalarType) -> _EncodeFn:
             if value is None:
                 buf.append(0x6E)
                 return
-            if checks is not None:
-                if is_double:
-                    if checks[2] is not None:
-                        checks[2](value)
-                elif checks[3] is not None:
-                    checks[3](spec, value)
+            if is_double and checks is not None and checks[2] is not None:
+                checks[2](value)
             if type(value) is not float and (
                 not isinstance(value, (int, float)) or isinstance(value, bool)
             ):
@@ -315,8 +284,6 @@ def _build_scalar_encoder(spec: ScalarType) -> _EncodeFn:
             if value is None:
                 buf.append(0x6E)
                 return
-            if checks is not None and checks[3] is not None:
-                checks[3](spec, value)
             if not isinstance(value, str):
                 raise EncodingError(f"format 's' requires str, got {value!r}")
             data = value.encode("utf-8")
@@ -332,8 +299,6 @@ def _build_scalar_encoder(spec: ScalarType) -> _EncodeFn:
             if value is None:
                 buf.append(0x6E)
                 return
-            if checks is not None and checks[3] is not None:
-                checks[3](spec, value)
             if not isinstance(value, (bytes, bytearray)):
                 raise EncodingError(f"format 'B' requires bytes, got {value!r}")
             buf.append(0x42)  # 'B'
@@ -348,8 +313,6 @@ def _build_scalar_encoder(spec: ScalarType) -> _EncodeFn:
             if value is None:
                 buf.append(0x6E)
                 return
-            if checks is not None and checks[3] is not None:
-                checks[3](spec, value)
             segment, index = _pointer_parts(value)
             data = segment.encode("utf-8")
             buf.append(0x70)  # 'p'

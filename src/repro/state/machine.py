@@ -80,44 +80,21 @@ class MachineProfile:
     def codec_checks(self) -> tuple:
         """Per-char representability checks compiled for the codec hot path.
 
-        Returns ``(check_i, check_l, check_F, check_other)`` where each
-        entry is either ``None`` (this machine imposes no constraint on
-        that char — the codec skips the call entirely) or a closure with
-        the bounds and error strings pre-resolved.  The result is attached
+        Returns ``(check_i, check_l, check_F)`` where each entry is either
+        ``None`` (this machine imposes no constraint on that char — the
+        codec skips the call entirely) or a closure with the bounds and
+        the error strings of :meth:`check_representable` pre-resolved.
+        No other scalar has a machine constraint.  The result is attached
         to the instance, so the cost is paid once per machine.
-
-        This is the pluggable-hook boundary: a subclass that overrides
-        :meth:`check_representable` gets shims that route every scalar
-        through the override, so custom representability rules keep
-        working and keep their own error messages.
         """
         checks = self.__dict__.get("_codec_checks")
         if checks is not None:
             return checks
-        if type(self).check_representable is not MachineProfile.check_representable:
-
-            def shim_for(spec: ScalarType):
-                def shim(value, _spec=spec, _machine=self):
-                    _machine.check_representable(_spec, value)
-
-                return shim
-
-            def shim_other(spec, value, _machine=self):
-                _machine.check_representable(spec, value)
-
-            checks = (
-                shim_for(ScalarType("i")),
-                shim_for(ScalarType("l")),
-                shim_for(ScalarType("F")),
-                shim_other,
-            )
-        else:
-            checks = (
-                self._compile_int_check("i"),
-                self._compile_int_check("l"),
-                self._compile_double_check(),
-                None,
-            )
+        checks = (
+            self._compile_int_check("i"),
+            self._compile_int_check("l"),
+            self._compile_double_check(),
+        )
         object.__setattr__(self, "_codec_checks", checks)
         return checks
 

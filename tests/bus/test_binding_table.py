@@ -1,4 +1,4 @@
-"""The binding table is an ordered set; a rebind batch is one table edit.
+"""The binding table is an ordered set; a rebind is one table edit.
 
 ``SoftwareBus`` keeps its bindings in an insertion-ordered dict, so
 membership and removal cost O(1) where the list it replaced scanned.
@@ -6,9 +6,11 @@ What the list *meant* is kept exactly, and the model test holds the bus
 against a plain-list reference for it: binding order (which is delivery
 order among the destinations of one endpoint), a removed-and-re-added
 binding going to the end, either endpoint order naming the same link on
-removal, and the errors.  The batch tests pin the cost model: however
-many commands a ``BindBatch`` carries, applying it invalidates routing
-once, i.e. one ``clear_routes`` per attached link.
+removal, and the errors.  The rebind tests pin the cost model: however
+many commands a Figure-5 ``BindBatch`` carries, applying it invalidates
+routing once, i.e. one ``clear_routes`` per attached link; and a
+replacement's hand-over edits no binding at all, so the table keeps its
+sequence and routing is invalidated once.
 """
 
 import pytest
@@ -20,8 +22,7 @@ from repro.bus.machine import Host
 from repro.bus.message import Message
 from repro.bus.spec import BindingSpec, ModuleSpec
 from repro.bus.transport import RemoteTransport
-from repro.errors import BindingError
-from repro.reconfig.bindcmds import BindBatch
+from repro.errors import BindingError, SpecError
 from repro.reconfig.coordinator import prepare_rebind_batch
 from repro.reconfig.primitives import obj_cap
 from repro.state.machine import MACHINES
@@ -145,24 +146,6 @@ def test_table_matches_the_plain_list_reference(sequence):
         bus.shutdown()
 
 
-def test_restore_binding_order_is_a_stable_sort_against_the_snapshot():
-    bus = _bus()
-    try:
-        first = [BindingSpec("hub", "out", name, "inp") for name in LEAVES]
-        for binding in first:
-            bus.add_binding(binding)
-        order = bus.bindings()
-        bus.remove_binding(first[0])
-        late = BindingSpec("m1", "cli", "hub", "srv")
-        bus.add_binding(late)
-        bus.add_binding(first[0])
-        assert bus.bindings() == [first[1], first[2], late, first[0]]
-        bus.restore_binding_order(order)
-        assert bus.bindings() == first + [late]  # unknown ones keep their place, last
-    finally:
-        bus.shutdown()
-
-
 class _CountingLink:
     def __init__(self, name):
         self.name = name
@@ -227,37 +210,50 @@ class TestBatchIsOneTableEdit:
         ]
         assert bus.destinations_of("hub", "out") == []
 
-    def test_apply_undo_restore_is_byte_identical(self, wide):
+    def test_hand_over_and_back_is_byte_identical(self, wide):
         bus, _ = wide
         order = bus.bindings()
         before = bus.snapshot_configuration().describe()
-        batch = prepare_rebind_batch(bus, obj_cap(bus, "hub"), "hub.new")
-        batch.apply(bus)
-        assert bus.snapshot_configuration().describe() != before
-        batch.undo(bus)
-        assert set(bus.bindings()) == set(order)
-        bus.restore_binding_order(order)
+        old = bus.get_module("hub")
+        clone = bus.build_clone(HUB, "hub", machine="beta")
+        bus.hand_over(old, clone)
+        assert bus.bindings() == order
+        assert bus.snapshot_configuration().describe() != before  # hub on beta
+        bus.hand_back(clone, old)
         assert bus.bindings() == order
         assert bus.snapshot_configuration().describe() == before
-        _publish_routes(bus)  # the rolled-back table routes
+        _publish_routes(bus)  # the handed-back table routes
         assert bus.get_module("mon_63").queue("inp").peek_count() == 1
 
-    def test_partial_failure_undoes_exactly_what_ran(self, wide):
+    def test_refused_hand_over_changes_nothing(self, wide):
         bus, _ = wide
         order = bus.bindings()
         before = bus.snapshot_configuration().describe()
-        batch = BindBatch()
-        for j in range(4):
-            batch.delete(("hub", "out"), (f"mon_{j:02d}", "inp"))
-            batch.add(("hub.new", "out"), (f"mon_{j:02d}", "inp"))
-        batch.add(("hub", "out"), ("mon_40", "inp"))  # already bound: fails here
-        batch.delete(("hub", "out"), ("mon_41", "inp"))  # never reached
-        with pytest.raises(BindingError, match="already bound"):
-            batch.apply(bus)
-        assert not batch.applied
-        assert batch._done == batch.commands[:8]
-        assert BindingSpec("hub", "out", "mon_41", "inp") in bus.bindings()
-        batch.undo(bus)
-        bus.restore_binding_order(order)
+        old = bus.get_module("hub")
+        without_out = ModuleSpec(
+            name="hub", inline_source=IDLE, interfaces=[HUB.interface("srv")]
+        )
+        clone = bus.build_clone(without_out, "hub")
+        with pytest.raises(SpecError, match="has no interface 'out'"):
+            bus.hand_over(old, clone)
+        assert bus.get_module("hub") is old
         assert bus.bindings() == order
         assert bus.snapshot_configuration().describe() == before
+        bus.discard_module(clone)
+        assert not bus._unbound
+
+    def test_hand_over_clears_routes_once_and_edits_no_binding(self, wide):
+        bus, transport = wide
+        order = bus.bindings()
+        old = bus.get_module("hub")
+        clone = bus.build_clone(HUB, "hub")
+        _publish_routes(bus)
+        for link in transport.links():
+            del link.events[:]
+        bus.hand_over(old, clone)
+        for link in transport.links():
+            assert link.events.count("clear_routes") == 1, link.name
+        assert bus.bindings() == order
+        assert bus.get_module("hub") is clone
+        _publish_routes(bus)  # the hub's endpoint now routes from the clone
+        assert bus.get_module("mon_63").queue("inp").peek_count() == 2

@@ -1,0 +1,235 @@
+"""A replace hands the instance name over; it never renames.
+
+The clone is built under the public name and answers to nothing until
+the ``rebind`` stage, where the bus makes it the module that answers to
+the name.  From that moment a directed send to the name reaches the
+clone, and because no binding is edited the binding table is the same
+sequence before the replace, after ``rebind``, and after commit or
+rollback — delivery order among one endpoint's destinations follows
+that sequence.  A successor that drops a bound interface is refused at
+``rebind``, before anything changed.  A host addresses its modules by a
+key fixed at placement, so the module a replace retires and its clone
+can share one host and one name.
+"""
+
+import threading
+import time
+
+import pytest
+
+from repro.bus.batch import pack_batch
+from repro.bus.bus import SoftwareBus
+from repro.bus.host import ModuleHost
+from repro.bus.interfaces import InterfaceDecl, Role
+from repro.bus.machine import Host
+from repro.bus.message import Message
+from repro.bus.module import prepared_source_for
+from repro.bus.spec import BindingSpec, ModuleSpec
+from repro.errors import ReconfigurationAborted, SpecError
+from repro.reconfig.coordinator import ReconfigurationCoordinator
+from repro.runtime.mh import SleepPolicy
+from repro.state.machine import MACHINES
+
+from tests.conftest import wait_until
+
+COUNTER_SOURCE = '''
+def main():
+    total = 0
+    mh.statics["total"] = 0
+    mh.init()
+    while mh.running:
+        mh.reconfig_point("Q")
+        n = mh.read1("inp")
+        total = total + n
+        mh.statics["total"] = total
+'''
+
+IDLE_SOURCE = "def main():\n    mh.sleep(0.01)\n"
+
+IN = InterfaceDecl(name="inp", role=Role.USE, pattern="l")
+OUT = InterfaceDecl(name="out", role=Role.DEFINE, pattern="l")
+
+
+def _counter_spec(*interfaces):
+    return ModuleSpec(
+        name="counter",
+        inline_source=COUNTER_SOURCE,
+        interfaces=list(interfaces or (IN,)),
+        reconfig_points=["Q"],
+    )
+
+
+def _idle_spec(name, *interfaces):
+    return ModuleSpec(name=name, inline_source=IDLE_SOURCE, interfaces=list(interfaces))
+
+
+def _message(value):
+    return Message(
+        values=[value], fmt="l", source_instance="feeder", source_interface="out"
+    ).validated()
+
+
+def _feed(bus, *values):
+    for value in values:
+        bus.route("feeder", "out", _message(value))
+
+
+def _total(bus):
+    return bus.statics_of("counter").get("total")
+
+
+class _Nudger:
+    """Feeds zeros so a counter blocked on ``read`` keeps coming back to
+    its reconfiguration point while a replace waits for it."""
+
+    def __init__(self, bus):
+        self.bus = bus
+        self.stop = threading.Event()
+        self.thread = threading.Thread(target=self._run, daemon=True)
+
+    def _run(self):
+        while not self.stop.is_set():
+            _feed(self.bus, 0)
+            time.sleep(0.02)
+
+    def __enter__(self):
+        self.thread.start()
+        return self
+
+    def __exit__(self, *exc):
+        self.stop.set()
+        self.thread.join()
+
+
+@pytest.fixture(
+    params=[None, pytest.param("worker:0", marks=pytest.mark.multiproc)],
+    ids=["inproc", "worker"],
+)
+def app(request, watchdog):
+    """feeder -> counter, then feeder -> sink: the counter's binding is
+    not the last one in the table."""
+    bus = SoftwareBus(sleep_scale=0.0, workers=1 if request.param else 0)
+    bus.add_module(_idle_spec("feeder", OUT), instance="feeder")
+    bus.add_module(_counter_spec(), instance="counter", placement=request.param)
+    bus.add_module(_idle_spec("sink", IN), instance="sink")
+    bus.add_binding(BindingSpec("feeder", "out", "counter", "inp"))
+    bus.add_binding(BindingSpec("feeder", "out", "sink", "inp"))
+    bus.start_module("counter")
+    _feed(bus, 1, 2, 3)
+    wait_until(lambda: _total(bus) == 6)
+    yield bus
+    bus.shutdown()
+
+
+def _between_rebind_and_commit(bus, monkeypatch, action):
+    """Run ``action`` when the coordinator starts the clone: after the
+    rebind stage, before the commit."""
+    start_module = bus.start_module
+    seen = []
+
+    def start_after(instance):
+        seen.append(action())
+        start_module(instance)
+
+    monkeypatch.setattr(bus, "start_module", start_after)
+    return seen
+
+
+class TestDirectedSendDuringReplace:
+    def test_route_to_the_public_name_reaches_the_clone(self, app, monkeypatch):
+        def send():
+            app.route_to("feeder", "out", "counter", _message(100))
+            return app.get_module("counter")
+
+        seen = _between_rebind_and_commit(app, monkeypatch, send)
+        old = app.get_module("counter")
+        with _Nudger(app):
+            ReconfigurationCoordinator(app).replace("counter", timeout=30)
+        (answering,) = seen
+        assert answering is not old
+        assert app.get_module("counter") is answering  # the clone, committed
+        wait_until(lambda: _total(app) == 106)
+
+
+class TestBindingSequence:
+    def test_commit_keeps_the_binding_sequence(self, app, monkeypatch):
+        before = app.bindings()
+        seen = _between_rebind_and_commit(app, monkeypatch, app.bindings)
+        with _Nudger(app):
+            ReconfigurationCoordinator(app).replace("counter", timeout=30)
+        assert seen == [before]  # after rebind
+        assert app.bindings() == before  # after commit
+        _feed(app, 10)
+        wait_until(lambda: _total(app) == 16)
+
+    def test_dropped_bound_interface_aborts_at_rebind(self, watchdog):
+        bus = SoftwareBus(sleep_scale=0.0)
+        try:
+            bus.add_module(_idle_spec("feeder", OUT), instance="feeder")
+            bus.add_module(_counter_spec(IN, OUT), instance="counter")
+            bus.add_module(_idle_spec("sink", IN), instance="sink")
+            bus.add_binding(BindingSpec("feeder", "out", "counter", "inp"))
+            bus.add_binding(BindingSpec("counter", "out", "sink", "inp"))
+            bus.add_binding(BindingSpec("feeder", "out", "sink", "inp"))
+            bus.start_module("counter")
+            old = bus.get_module("counter")
+            before = bus.bindings()
+            with _Nudger(bus):
+                with pytest.raises(ReconfigurationAborted) as aborted:
+                    ReconfigurationCoordinator(bus).replace(
+                        "counter", new_spec=_counter_spec(IN), timeout=30
+                    )
+            assert aborted.value.stage == "rebind"
+            assert aborted.value.rolled_back
+            assert isinstance(aborted.value.cause, SpecError)  # no 'out
+            assert bus.bindings() == before
+            assert bus.get_module("counter") is old
+            assert not bus._unbound
+            total = _total(bus)
+            _feed(bus, 5)
+            wait_until(lambda: _total(bus) == total + 5)
+        finally:
+            bus.shutdown()
+
+
+class TestOneHostOneName:
+    """A host addresses modules by key; the name is what they write under."""
+
+    def test_old_module_and_clone_share_a_host_and_a_name(self):
+        profile = MACHINES["modern-64"]
+        events = []
+        core = ModuleHost(
+            "unit-host", Host("unit-host", profile), SleepPolicy(scale=0.0), events.append
+        )
+        spec = _counter_spec()
+        try:
+            for key in ("counter#1", "counter#2"):
+                core.handle(
+                    "add",
+                    [key, "counter", spec.to_abstract(prepared_source_for(spec)), "clone", None],
+                )
+            assert {m.name for m in core.modules.values()} == {"counter"}
+            blob = pack_batch(
+                [
+                    (_message(7).to_wire(profile), [("counter#1", "inp", "")]),
+                    (_message(8).to_wire(profile), [("counter#2", "inp", "")]),
+                ]
+            )
+            core.handle("deliver_batch", [blob])
+            # A host-local route names the destination's key and its name;
+            # route_to matches the name and delivers to the key.
+            core.handle(
+                "set_routes", [[["feeder", "out", [["counter#2", "inp", "counter"]]]]]
+            )
+            core.route_to("feeder", "out", "counter", _message(9))
+
+            def queued(key):
+                return [m.values[0] for m in core.modules[key].queue("inp").snapshot()]
+
+            assert queued("counter#1") == [7]
+            assert queued("counter#2") == [8, 9]
+            core.handle("remove", ["counter#1"])
+            assert list(core.modules) == ["counter#2"]
+            assert list(core._last_delivery) == ["counter#2"]
+        finally:
+            core.stop_all()

@@ -262,7 +262,8 @@ def test_link_fan_out_is_one_append_per_route(bus):
     telemetry.enable(capacity=1024)
     for value in range(SENDS):
         _send(bus, "s", value)
-    assert link.appends == [[("f0", "inp"), ("f1", "inp")]] * SENDS
+    f0, f1 = (bus.get_module(name).key for name in ("f0", "f1"))
+    assert link.appends == [[(f0, "inp"), (f1, "inp")]] * SENDS
 
 
 def test_enable_and_disable_mid_run(bus):
@@ -297,7 +298,8 @@ def test_host_local_routes_are_pushed_while_recording(bus):
     link = bus.transport("fake").link
     telemetry.enable(capacity=1024)
     bus._rebuild_routing()
-    assert link.events[-1] == ["set_routes", [["fa", "out", [["fb", "inp"]]]]]
+    fb = bus.get_module("fb").key
+    assert link.events[-1] == ["set_routes", [["fa", "out", [[fb, "inp", "fb"]]]]]
 
 
 def test_disable_stops_the_hosts_and_keeps_their_totals(bus):
@@ -368,9 +370,15 @@ class TestHostCounts:
         for name, spec in (("a", SENDER), ("b", RECEIVER)):
             core.handle(
                 "add",
-                [name, spec.to_abstract(prepared_source_for(spec)), "original", None],
+                [
+                    f"{name}#1",
+                    name,
+                    spec.to_abstract(prepared_source_for(spec)),
+                    "original",
+                    None,
+                ],
             )
-        core.handle("set_routes", [[["a", "out", [["b", "inp"]]]]])
+        core.handle("set_routes", [[["a", "out", [["b#1", "inp", "b"]]]]])
         return core
 
     def test_routed_and_directed_are_counted_once(self):

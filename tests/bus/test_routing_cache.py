@@ -3,9 +3,9 @@
 ``SoftwareBus.route`` serves deliveries from a precomputed snapshot
 (``bus.py::_RouteEntry``); these tests pin down the invalidation
 contract: after every topology mutation — ``add_binding``,
-``remove_binding``, ``add_module``, ``remove_module``,
-``rename_instance``, and a full Figure-5 replacement — messages route
-to the *new* topology and never to removed instances.
+``remove_binding``, ``add_module``, ``remove_module``, a replacement's
+hand-over, and a full Figure-5 replacement — messages route to the
+*new* topology and never to removed instances.
 """
 
 import pytest
@@ -78,28 +78,32 @@ class TestInvalidation:
         send(bus, 2)
         assert received(bus, "r1") == [1]
 
-    def test_rename_receiver_keeps_routing(self, bus):
+    def test_hand_over_receiver_keeps_routing(self, bus):
         bus.add_module(receiver_spec(), instance="r1", machine="local")
         bus.add_binding(BindingSpec("sender", "out", "r1", "inp"))
         send(bus, 1)
-        bus.rename_instance("r1", "r1-renamed")
+        old = bus.get_module("r1")
+        bus.hand_over(old, bus.build_clone(receiver_spec(), "r1"))
         send(bus, 2)
-        assert received(bus, "r1-renamed") == [1, 2]
+        # cq moved 1 to the clone's queue, and 2 was routed to it.
+        assert received(bus, "r1") == [1, 2]
+        assert old.queue("inp").peek_count() == 0
 
-    def test_rename_sender_moves_endpoint(self, bus):
+    def test_hand_over_sender_moves_endpoint(self, bus):
         bus.add_module(receiver_spec(), instance="r1", machine="local")
         bus.add_binding(BindingSpec("sender", "out", "r1", "inp"))
         send(bus, 1)
-        bus.rename_instance("sender", "origin")
-        send(bus, 2, instance="origin")
+        old = bus.get_module("sender")
+        bus.hand_over(old, bus.build_clone(sender_spec(), "sender"))
+        send(bus, 2)
         assert received(bus, "r1") == [1, 2]
-        # A write issued under the pre-rename name (a clone that read its
-        # own name just before the commit renamed it) is routed as the
-        # renamed instance; a name that never existed still raises.
-        send(bus, 3, instance="sender")
-        assert received(bus, "r1") == [3]
+        # The name routes from the clone's entry now; a name that never
+        # existed still raises.
+        assert bus._routing_table["sender"]["out"].sender_profile is (
+            bus.get_module("sender").host.profile
+        )
         with pytest.raises(UnknownModuleError):
-            send(bus, 4, instance="nobody")
+            send(bus, 3, instance="nobody")
 
     def test_removed_instance_never_receives(self, bus):
         bus.add_module(receiver_spec(), instance="old", machine="local")
@@ -171,8 +175,8 @@ class TestReplacementScript:
     def test_figure5_replacement_reroutes(self):
         """An objstate_move-driven replacement routes to the clone only.
 
-        Runs the full Figure-5 move (signal, divulge, rebind, rename) on
-        the live monitor app and asserts the displayed stream keeps
+        Runs the full Figure-5 move (signal, divulge, hand-over, commit)
+        on the live monitor app and asserts the displayed stream keeps
         flowing afterwards — i.e. every routing entry that mentioned the
         old compute instance was rebuilt for the clone.
         """

@@ -346,7 +346,7 @@ class TestReplaceContract:
                 with pytest.raises(ReconfigurationAborted) as excinfo:
                     coordinator.replace("counter", timeout=30)
             assert excinfo.value.rolled_back
-            assert not bus.has_module("counter.new")
+            assert not bus._unbound  # no clone left behind
             survivor = bus.get_module("counter")
             assert survivor.state is ModuleState.RUNNING
 
@@ -365,11 +365,14 @@ class TestReplaceUnderStream:
 
     The relay sits between an in-process feeder and an in-process
     collector, so every number crosses its host's link twice: as a
-    coalesced delivery addressed to the relay by name, and as a tunneled
-    write carrying the relay's name as sender.  The commit renames the
-    clone ``relay.new -> relay`` while both are in flight; what is
-    addressed to the old name must still land (see
-    ``tests/bus/test_rename_window.py`` for the deterministic cases).
+    coalesced delivery addressed to the relay's host key, and as a
+    tunneled write carrying the relay's name as sender.  The rebind
+    hands the name ``relay`` over to the clone while both are in flight;
+    what was addressed to the old module's key lands in its queue ahead
+    of ``cq`` (see ``tests/bus/test_hand_over.py`` for the deterministic
+    cases).  A router preempted between its snapshot and its put can
+    still land a number in the old queue after ``cq`` copied it — the
+    queue-seal race ROADMAP keeps open, and this test's rare loss.
 
     ``recorded`` runs the same routing shapes as ``plain`` (recording
     only adds counting, see ``TestRecordedRouting``); it is kept because
@@ -844,11 +847,11 @@ class TestBatchedDelivery:
         )
         return core, profile
 
-    def _add(self, core, instance):
+    def _add(self, core, key):
         spec = _collector_spec()
         core.handle(
             "add",
-            [instance, spec.to_abstract(prepared_source_for(spec)), "original", None],
+            [key, "collector", spec.to_abstract(prepared_source_for(spec)), "original", None],
         )
 
     def test_deliver_batch_dispatch_and_shared_wires(self):
@@ -872,14 +875,11 @@ class TestBatchedDelivery:
     def test_last_delivery_tracks_module_lifecycle(self):
         core, profile = self._host_core()
         try:
-            self._add(core, "collector")
-            blob = pack_batch([(_msg(1).to_wire(profile), [("collector", "inp", "")])])
+            self._add(core, "collector#1")
+            blob = pack_batch([(_msg(1).to_wire(profile), [("collector#1", "inp", "")])])
             core.handle("deliver_batch", [blob])
-            assert "collector" in core._last_delivery
-            core.handle("rename", ["collector", "collector2"])
-            assert "collector" not in core._last_delivery
-            assert "collector2" in core._last_delivery
-            core.handle("remove", ["collector2"])
+            assert "collector#1" in core._last_delivery
+            core.handle("remove", ["collector#1"])
             assert core._last_delivery == {}, "removal must drop the stamp"
         finally:
             core.stop_all()

@@ -92,9 +92,14 @@ def feed_sensor(bus: SoftwareBus, *values: int) -> None:
 
 
 def wait_signalled(bus: SoftwareBus, instance: str, baseline: int = 0) -> None:
-    """Block until ``instance`` has received a reconfiguration signal."""
-    mh = bus.get_module(instance).mh
-    wait_until(lambda: mh.stats["signals"] > baseline, timeout=15)
+    """Block until ``instance`` has received a reconfiguration signal.
+
+    Counted from the bus trace, not from the module's MH: by the time
+    this looks, a replace that reached its point on its own may already
+    have handed the name over to the clone, which was never signalled.
+    """
+    line = f"signal reconfig {instance}"
+    wait_until(lambda: bus.trace.count(line) > baseline, timeout=15)
 
 
 def launch_manual_kv(

@@ -176,7 +176,7 @@ def assert_committed(kv, outcome):
     assert "commit" in report.completed
     shard = kv.get_module("shard")
     assert shard.host.name == "beta"
-    assert not kv.has_module("shard.new")
+    assert not kv._unbound  # no clone left behind
     assert kv_round_trip(kv, "get", "k1") == ("k1", "v1")
     assert len(kv.get_module("client").queue("replies")) == 0
     return report
@@ -194,7 +194,7 @@ def assert_rolled_back(kv, before, outcome, stage):
     # Byte-identical topology: same instances, placements, and bindings
     # in the same order as before the replace was attempted.
     assert kv.snapshot_configuration().describe() == before
-    assert not kv.has_module("shard.new")
+    assert not kv._unbound  # no clone left behind
     shard = kv.get_module("shard")
     assert shard.state is ModuleState.RUNNING
     assert shard.host.name == "alpha"

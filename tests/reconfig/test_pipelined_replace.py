@@ -93,8 +93,8 @@ class TestPipelinedMove:
         wait_displays(monitor, 2)
         complete_move(monitor, 9)
         signal_at = trace_index(monitor, "signal reconfig compute")
-        clone_at = trace_index(monitor, "add module compute.new")
-        moved_at = trace_index(monitor, "objstate_move compute -> compute.new")
+        clone_at = trace_index(monitor, "build clone compute on beta")
+        moved_at = trace_index(monitor, "objstate_move compute -> compute on beta")
         assert signal_at < clone_at < moved_at
 
     def test_clone_is_built_while_wait_window_is_open(self, monitor):
@@ -111,7 +111,10 @@ class TestPipelinedMove:
         wait_until(lambda: old.mh.stats["messages_received"] >= 11, timeout=15)
         worker, outcome = move_in_background(monitor)
         wait_signalled(monitor, "compute")
-        wait_until(lambda: monitor.has_module("compute.new"), timeout=15)
+        wait_until(
+            lambda: any(line.startswith("build clone compute") for line in monitor.trace),
+            timeout=15,
+        )
         assert not old.mh.divulged.is_set()  # still waiting on the point
         feed_sensor(monitor, 9)  # now let it reach the point
         worker.join(timeout=30)
@@ -165,7 +168,7 @@ class TestPipelinedMove:
         feed_sensor(monitor, 9)
         worker.join(timeout=30)
         assert "error" not in outcome, f"upgrade failed: {outcome.get('error')!r}"
-        clone_at = trace_index(monitor, "add module compute.new")
+        clone_at = trace_index(monitor, "build clone compute")
         signal_at = trace_index(monitor, "signal reconfig compute")
         assert clone_at < signal_at
 
@@ -189,7 +192,7 @@ class TestTimeoutRollback:
         mh = monitor.get_module("compute").mh
         assert not mh.reconfig
         assert mh._divulge_callback is None
-        assert not monitor.has_module("compute.new")
+        assert not monitor._unbound  # no clone left behind
         assert monitor.get_module("compute").state is ModuleState.RUNNING
         # The proof the rollback worked: the application still computes.
         feed_sensor(monitor, *range(1, 5))

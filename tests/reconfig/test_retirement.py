@@ -122,14 +122,14 @@ class TestInProcessReplace:
         _wait_progress(app, 3)
         original = app.get_module("compute")
         clones = []
-        add_module = app.add_module
+        build_clone = app.build_clone
 
-        def recording_add_module(*args, **kwargs):
-            module = add_module(*args, **kwargs)
+        def recording_build_clone(*args, **kwargs):
+            module = build_clone(*args, **kwargs)
             clones.append(_refs(module))
             return module
 
-        monkeypatch.setattr(app, "add_module", recording_add_module)
+        monkeypatch.setattr(app, "build_clone", recording_build_clone)
         plan = FaultPlan("start-clone-crash").schedule(
             "coordinator.start_clone", "crash", times=99
         )
@@ -174,13 +174,19 @@ class TestHostSideRemove:
         try:
             core.handle(
                 "add",
-                ["stage", spec.to_abstract(prepared_source_for(spec)), "original", None],
+                [
+                    "stage#1",
+                    "stage",
+                    spec.to_abstract(prepared_source_for(spec)),
+                    "original",
+                    None,
+                ],
             )
-            core.handle("start", ["stage"])
-            core.handle("signal", ["stage"])  # arms the divulge lambdas
-            module_ref, mh_ref = _refs(core.modules["stage"])
-            core.handle("remove", ["stage"])
-            assert "stage" not in core.modules
+            core.handle("start", ["stage#1"])
+            core.handle("signal", ["stage#1"])  # arms the divulge lambdas
+            module_ref, mh_ref = _refs(core.modules["stage#1"])
+            core.handle("remove", ["stage#1"])
+            assert "stage#1" not in core.modules
             assert module_ref() is None
             assert mh_ref() is None
         finally:

@@ -111,7 +111,7 @@ class TestReplaceModule:
             assert before == after
             assert not bus.get_module("compute").mh.reconfig
             assert bus.get_module("compute").state is ModuleState.RUNNING
-            assert not bus.has_module("compute.new")
+            assert not bus._unbound  # no clone left behind
         finally:
             bus.shutdown()
 

@@ -87,6 +87,9 @@ class TestSuccessfulReplaceTree:
             outcome = move_in_background(
                 bus, "compute", feed, machine="beta", timeout=15
             )
+            # Building the clone leaves the table alone; the hand-over
+            # drops it, so the first write after the move rebuilds it.
+            feed_sensor(bus, 2)
         finally:
             bus.shutdown()
 

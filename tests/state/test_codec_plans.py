@@ -45,7 +45,7 @@ from repro.state.format import (
 )
 from repro.state.frames import ActivationRecord, ProcessState, StackState
 from repro.state.heap import HeapCodec
-from repro.state.machine import MACHINES, Endianness, MachineProfile
+from repro.state.machine import MACHINES
 from repro.state.pointers import SymbolicPointer
 from repro.state.reference import (
     reference_decode_values,
@@ -293,23 +293,6 @@ class TestOneWalkWriter:
         assert str(packet.value) == str(ours.value)
         assert encode_any(heap, MACHINES["sparc-like"])  # 64-bit long: fine
 
-    def test_overriding_profile_sees_every_scalar(self):
-        class Recording(MachineProfile):
-            def check_representable(self, spec, value):
-                seen.append((spec.format_char(), value))
-
-        value = {
-            "s": ["text", 7, 2.5, True, None, b"raw", Colour.BLUE],
-            3: (SymbolicPointer("heap:1", 4), {"deep": ["er", -1]}),
-        }
-        seen: list = []
-        ours = encode_any(value, Recording("rec", Endianness.BIG))
-        live, seen = seen, []
-        assert ours == reference_encode_any(value, Recording("rec", Endianness.BIG))
-        assert live == seen
-        assert ("s", "text") in live and ("s", "deep") in live
-        assert ("l", 7) in live and ("F", 2.5) in live and ("b", True) in live
-
     def test_unsupported_type_error_matches_reference(self):
         for value in (object(), {"k": [1, {2.5}]}, ("x", [frozenset()])):
             ours = _outcome(encode_any, value, None)
@@ -405,21 +388,6 @@ class TestInPlaceStrings:
         assert encode_any(["x" * 127])[:4] == bytes.fromhex("5b01737f")
         assert encode_any(["y" * 128])[:5] == bytes.fromhex("5b01738001")
         assert encode_any({"é" * 64: ""})[:5] == bytes.fromhex("7b01738001")
-
-    def test_overriding_profile_sees_every_string_once(self):
-        class Recording(MachineProfile):
-            def check_representable(self, spec, value):
-                seen.append((spec.format_char(), value))
-
-        value = {"a": "b", "c": ["d", ("e", Label("f"))], "": "", "n": 1}
-        seen: list = []
-        ours = encode_any(value, Recording("rec", Endianness.BIG))
-        live, seen = seen, []
-        assert ours == reference_encode_any(value, Recording("rec", Endianness.BIG))
-        assert live == seen
-        assert sorted(v for char, v in live if char == "s") == sorted(
-            ["a", "b", "c", "d", "e", "f", "", "", "n"]
-        )
 
     @pytest.mark.parametrize(
         "data,message",
