@@ -9,7 +9,8 @@ property of *machines* (see :mod:`repro.state.machine`), not of the wire.
 Wire grammar (one value)::
 
     value   := tag payload
-    tag     := 1 byte, the ASCII format character ('i', 'F', '[', ...)
+    tag     := 1 byte, the ASCII format character ('i', 'F', '[', ...),
+               or '}' for a packed string dict (below)
     payload := fixed per tag; containers carry a varint count then values
 
 Self-description means the decoder never needs the format string; format
@@ -34,6 +35,19 @@ Implementation notes (the reconfiguration critical path, see
   be inferred again one level down, so inference costs a pass over the
   whole subtree *per nesting level*, and every distinct inferred shape
   would be compiled and cached forever.
+- **A string-to-string dict is one packed run.**  A non-empty dict whose
+  keys and values are all ``str`` with no NUL in any of them travels as
+  the ``}`` tag: the pair count, then the byte length and UTF-8 of
+  ``k1 NUL v1 NUL k2 ... vn`` — joined and encoded in C on the way out,
+  one slice, one UTF-8 decode and one ``split`` on the way in, instead
+  of a tag, a length and a decode per string.  The rule depends only on
+  the entries, so the encoding stays canonical; it applies to every
+  ``{``-tagged value (``a`` values, dict subclasses, declared ``{..}``
+  formats whose key and value specs are ``s`` or ``a``).  A dict whose
+  first key or value is not a ``str`` is turned away before the join;
+  otherwise the attempt falls back to the per-entry walk on any failure
+  — a later non-str entry, a NUL inside an entry, a lone surrogate — so
+  the walk's errors and their messages are unchanged.
 - **Machine checks are compiled per profile.**  Both writers take the
   machine's check suite as a call argument (``MachineProfile.codec_checks``:
   ``(check_i, check_l, check_F)``, closures with bounds and error
@@ -47,17 +61,23 @@ Implementation notes (the reconfiguration critical path, see
   nothing is copied out first.  Scalars are read in place
   (``struct.unpack_from``), tags are tested in the order state packets
   contain them, and one-byte varints and short string elements are read
-  inline.  A string costs one slice of ``bytes`` and one UTF-8 decode.
+  inline.  A string costs one slice of ``bytes`` and one UTF-8 decode;
+  a packed dict costs one of each for all of its strings.  A payload
+  that is not UTF-8 raises ``DecodingError``: the core lets the
+  ``UnicodeDecodeError`` through and each decode entry point converts
+  it (:func:`_bad_utf8`), so the per-string reads carry no handler.
 
 The naive tree-walk implementation this replaced — infer-then-encode for
-``a`` values included — is preserved verbatim in
-:mod:`repro.state.reference` as the executable wire specification; a
-golden-bytes test pins this module to it byte-for-byte.
+``a`` values included — is preserved in :mod:`repro.state.reference` as
+the executable wire specification (it writes and reads the packed ``}``
+form entry by entry, as the rule states it); a golden-bytes test pins
+this module to it byte-for-byte.
 """
 
 from __future__ import annotations
 
 import struct
+from itertools import chain
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import DecodingError, EncodingError
@@ -85,6 +105,7 @@ _pack_f32 = struct.Struct(">f").pack
 _pack_f64 = struct.Struct(">d").pack
 _unpack_f32 = struct.Struct(">f").unpack_from
 _unpack_f64 = struct.Struct(">d").unpack_from
+_chain = chain.from_iterable
 
 def _append_varint(buf: bytearray, n: int) -> None:
     if n < 0:
@@ -109,6 +130,44 @@ def _pointer_parts(value: object) -> Tuple[str, int]:
     if not isinstance(segment, str) or not isinstance(index, int):
         raise EncodingError(f"format 'p' requires SymbolicPointer, got {value!r}")
     return segment, index
+
+
+def _write_packed(buf: bytearray, value: dict) -> bool:
+    """Append ``value`` in the packed ``}`` form if the rule admits it.
+
+    The rule: the dict is non-empty, and every key and value is a ``str``
+    holding no NUL.  Then ``k1 NUL v1 NUL k2 ... vn`` is joined, counted
+    and encoded in C.  Any failure of the attempt returns False with
+    ``buf`` untouched, and the caller's per-entry walk writes the ``{``
+    form and raises its own errors: ``TypeError`` from a non-str entry,
+    a NUL count other than 2n - 1 from a NUL inside an entry, or
+    ``UnicodeEncodeError`` from a lone surrogate.  An empty dict, or one
+    whose first key or value is not a ``str`` (statics, int-valued
+    heaps), is turned away before the join, so it pays no throwaway
+    list and no exception.
+    """
+    for key, item in value.items():
+        if not (isinstance(key, str) and isinstance(item, str)):
+            return False
+        break
+    else:
+        return False
+    try:
+        text = "\x00".join(_chain(value.items()))
+    except TypeError:
+        return False
+    count = len(value)
+    if text.count("\x00") != 2 * count - 1:
+        return False
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    buf.append(0x7D)  # '}'
+    _append_varint(buf, count)
+    _append_varint(buf, len(data))
+    buf += data
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +218,9 @@ def write_any(buf: bytearray, value: object, checks: Optional[tuple]) -> None:
                 buf += data
             else:
                 write_any(buf, item, checks)
-    elif tag == 0x7B:  # '{'
+    elif tag == 0x7B:  # '{', or '}' when every entry is a str
+        if _write_packed(buf, value):
+            return
         buf.append(0x7B)
         _append_varint(buf, len(value))
         for key, item in value.items():
@@ -365,6 +426,12 @@ def _build_encoder(spec: TypeSpec) -> _EncodeFn:
     if isinstance(spec, DictType):
         enc_key = compiled_encoder(spec.key)
         enc_val = compiled_encoder(spec.value)
+        # Only a dict whose key and value specs both admit a str can take
+        # the packed form; any other declaration always walks.
+        packable = all(
+            isinstance(part, ScalarType) and part.char in "sa"
+            for part in (spec.key, spec.value)
+        )
 
         def enc_dict(buf, value, checks):
             if value is None:
@@ -372,6 +439,8 @@ def _build_encoder(spec: TypeSpec) -> _EncodeFn:
                 return
             if not isinstance(value, dict):
                 raise EncodingError(f"expected dict, got {type(value).__name__}")
+            if packable and _write_packed(buf, value):
+                return
             buf.append(0x7B)  # '{'
             _append_varint(buf, len(value))
             for key, item in value.items():
@@ -513,13 +582,26 @@ def read_value(
     (target) machine's native ranges — this is where a 2**40 captured on
     a 64-bit host fails to land on a simulated 32-bit host.
     """
-    return _read_checked(
-        buf, pos, end, None if machine is None else _checks_of(machine)
-    )
+    try:
+        return _read_checked(
+            buf, pos, end, None if machine is None else _checks_of(machine)
+        )
+    except UnicodeDecodeError as exc:
+        raise _bad_utf8(exc) from exc
+
+
+def _bad_utf8(exc: UnicodeDecodeError) -> DecodingError:
+    """The typed error for a string payload that is not UTF-8.
+
+    The decode core lets ``UnicodeDecodeError`` through, so its string
+    reads stay one slice and one decode; each decode entry point converts
+    it here, once, on its way out.
+    """
+    return DecodingError(f"invalid UTF-8 in abstract state: {exc.reason}")
 
 
 #: Tags whose payload starts with a varint (length, count or zigzag value).
-_VARINT_TAGS = frozenset(b"sli[({Bp")
+_VARINT_TAGS = frozenset(b"sli[({}Bp")
 
 
 def _read_checked(buf, pos: int, end: int, checks) -> Tuple[object, int]:
@@ -585,6 +667,19 @@ def _read_checked(buf, pos: int, end: int, checks) -> Tuple[object, int]:
                 else:
                     result[key], pos = _read_checked(buf, pos, end, checks)
             return result, pos
+        if tag == 0x7D:  # '}': n pairs as one NUL-joined UTF-8 run
+            size, pos = _read_varint(buf, pos, end)
+            stop = pos + size
+            if stop > end:
+                raise _truncated(pos, size, end)
+            parts = str(buf[pos:stop], "utf-8").split("\x00")
+            if len(parts) != 2 * n:
+                raise DecodingError(
+                    f"packed dict of {n} pairs holds {len(parts)} strings "
+                    f"at offset {pos}"
+                )
+            it = iter(parts)
+            return dict(zip(it, it)), stop
         stop = pos + n
         if stop > end:
             raise _truncated(pos, n, end)
@@ -641,9 +736,12 @@ class Decoder:
 
     def read(self) -> object:
         """Decode one self-described value."""
-        value, self._pos = _read_checked(
-            self._data, self._pos, self._end, self._checks
-        )
+        try:
+            value, self._pos = _read_checked(
+                self._data, self._pos, self._end, self._checks
+            )
+        except UnicodeDecodeError as exc:
+            raise _bad_utf8(exc) from exc
         return value
 
     def read_all(self) -> List[object]:
@@ -696,9 +794,12 @@ def decode_values(
     pos = 0
     end = len(data)
     checks = None if machine is None else _checks_of(machine)
-    while pos < end:
-        value, pos = _read_checked(data, pos, end, checks)
-        values.append(value)
+    try:
+        while pos < end:
+            value, pos = _read_checked(data, pos, end, checks)
+            values.append(value)
+    except UnicodeDecodeError as exc:
+        raise _bad_utf8(exc) from exc
     return values
 
 

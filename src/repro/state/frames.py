@@ -33,6 +33,7 @@ from repro.errors import DecodingError, EncodingError
 from repro.state.encoding import (
     _append_varint,
     _checks_of,
+    _bad_utf8,
     _read_checked,
     encoder_plan,
     write_any,
@@ -44,8 +45,9 @@ from repro.state.machine import MachineProfile
 STATE_MAGIC = b"MHST"
 #: Version of the packet layout; bumped on incompatible change.  Version 2:
 #: heap segments are the codec's own dicts and lists (version 1 wrapped
-#: them as ``["dict", [[k, v], ...]]`` / ``["list", [...]]``).
-STATE_VERSION = 2
+#: them as ``["dict", [[k, v], ...]]`` / ``["list", [...]]``).  Version 3:
+#: a non-empty ``str -> str`` dict travels as one packed ``}`` value.
+STATE_VERSION = 3
 
 #: ``len(STATE_MAGIC) + 1`` (version byte) — start of the body-length word.
 _LEN_OFFSET = len(STATE_MAGIC) + 1
@@ -256,39 +258,42 @@ class ProcessState:
         _check_packet_framing(data)
         checks = None if machine is None else _checks_of(machine)
         end = len(data)
-        module, pos = _read_str_field(data, _BODY_OFFSET, end, "module")
-        status, pos = _read_str_field(data, pos, end, "status")
-        reconfig_point, pos = _read_checked(data, pos, end, None)
-        source_machine, pos = _read_checked(data, pos, end, None)
-        statics, pos = _read_checked(data, pos, end, checks)
-        heap, pos = _read_checked(data, pos, end, checks)
-        frame_count, pos = _read_checked(data, pos, end, None)
-        if not isinstance(statics, dict) or not isinstance(heap, dict):
-            raise DecodingError("corrupt statics/heap in process state")
-        if not isinstance(frame_count, int) or frame_count < 0:
-            raise DecodingError("corrupt frame count in process state")
-        records = []
-        for _ in range(frame_count):
-            procedure, pos = _read_checked(data, pos, end, None)
-            location, pos = _read_checked(data, pos, end, None)
-            fmt, pos = _read_checked(data, pos, end, None)
-            if not isinstance(procedure, str) or not isinstance(fmt, str):
-                raise DecodingError("corrupt activation record header")
-            if not isinstance(location, int):
-                raise DecodingError("corrupt activation record location")
-            values = []
-            for _ in parse_format(fmt):
-                value, pos = _read_checked(data, pos, end, checks)
-                values.append(value)
-            # Trusted construction: the values just came off the
-            # self-describing wire under this fmt's arity, so the
-            # dataclass __post_init__ re-validation is skipped.
-            record = ActivationRecord.__new__(ActivationRecord)
-            record.procedure = procedure
-            record.location = location
-            record.fmt = fmt
-            record.values = values
-            records.append(record)
+        try:
+            module, pos = _read_str_field(data, _BODY_OFFSET, end, "module")
+            status, pos = _read_str_field(data, pos, end, "status")
+            reconfig_point, pos = _read_checked(data, pos, end, None)
+            source_machine, pos = _read_checked(data, pos, end, None)
+            statics, pos = _read_checked(data, pos, end, checks)
+            heap, pos = _read_checked(data, pos, end, checks)
+            frame_count, pos = _read_checked(data, pos, end, None)
+            if not isinstance(statics, dict) or not isinstance(heap, dict):
+                raise DecodingError("corrupt statics/heap in process state")
+            if not isinstance(frame_count, int) or frame_count < 0:
+                raise DecodingError("corrupt frame count in process state")
+            records = []
+            for _ in range(frame_count):
+                procedure, pos = _read_checked(data, pos, end, None)
+                location, pos = _read_checked(data, pos, end, None)
+                fmt, pos = _read_checked(data, pos, end, None)
+                if not isinstance(procedure, str) or not isinstance(fmt, str):
+                    raise DecodingError("corrupt activation record header")
+                if not isinstance(location, int):
+                    raise DecodingError("corrupt activation record location")
+                values = []
+                for _ in parse_format(fmt):
+                    value, pos = _read_checked(data, pos, end, checks)
+                    values.append(value)
+                # Trusted construction: the values just came off the
+                # self-describing wire under this fmt's arity, so the
+                # dataclass __post_init__ re-validation is skipped.
+                record = ActivationRecord.__new__(ActivationRecord)
+                record.procedure = procedure
+                record.location = location
+                record.fmt = fmt
+                record.values = values
+                records.append(record)
+        except UnicodeDecodeError as exc:
+            raise _bad_utf8(exc) from exc
         if pos < end:
             raise DecodingError(f"{end - pos} trailing bytes in process state packet")
         return cls(

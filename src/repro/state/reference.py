@@ -15,10 +15,15 @@ compiled per-spec plans.  It exists for two reasons:
    speedups are same-container comparisons rather than stale constants.
 
 Do not "fix" or optimise this module; its only job is to stay equal to
-the seed semantics.  (The one deliberate divergence of the live codec —
-rejecting non-numeric values under ``'f'``/``'F'`` instead of silently
-coercing through ``float()`` — is documented where the live codec does
-it; this reference keeps the old coercion so the divergence is testable.)
+the seed semantics, plus the one deliberate wire change since: a
+non-empty dict of NUL-free strings under an ``s``/``a`` key and value
+spec travels as the packed ``}`` tag (count, byte length, the UTF-8 of
+``k1 NUL v1 NUL ... vn``), written and read here entry by entry, as the
+rule states it (``STATE_VERSION`` 3).  (The one deliberate divergence
+of the live codec — rejecting non-numeric values under ``'f'``/``'F'``
+instead of silently coercing through ``float()`` — is documented where
+the live codec does it; this reference keeps the old coercion so the
+divergence is testable.)
 """
 
 from __future__ import annotations
@@ -98,6 +103,13 @@ class ReferenceEncoder:
         elif isinstance(spec, DictType):
             if not isinstance(value, dict):
                 raise EncodingError(f"expected dict, got {type(value).__name__}")
+            packed = _packed_payload(spec, value)
+            if packed is not None:
+                self._buffer.append(ord("}"))
+                self._write_varint(len(value))
+                self._write_varint(len(packed))
+                self._buffer.extend(packed)
+                return
             self._buffer.append(ord("{"))
             self._write_varint(len(value))
             for key, item in value.items():
@@ -155,6 +167,30 @@ class ReferenceEncoder:
             self._write_signed(index)
         else:  # pragma: no cover - SCALAR_CHARS is closed
             raise EncodingError(f"unknown scalar format {char!r}")
+
+
+def _packed_payload(spec: DictType, value: dict) -> Optional[bytes]:
+    """The ``}`` payload of ``value`` under ``spec``, or None for ``{``.
+
+    The rule as stated, entry by entry: a non-empty dict whose key and
+    value specs both admit a str (``s`` or ``a``), every key and value a
+    ``str`` with no NUL, and the whole run encodable as UTF-8.
+    """
+    if not value:
+        return None
+    for part in (spec.key, spec.value):
+        if not isinstance(part, ScalarType) or part.char not in ("s", "a"):
+            return None
+    strings = []
+    for key, item in value.items():
+        for text in (key, item):
+            if not isinstance(text, str) or "\x00" in text:
+                return None
+            strings.append(text)
+    try:
+        return "\x00".join(strings).encode("utf-8")
+    except UnicodeEncodeError:
+        return None
 
 
 def _pointer_parts(value: object) -> Tuple[str, int]:
@@ -249,6 +285,17 @@ class ReferenceDecoder:
                 key = self.read()
                 result[key] = self.read()
             return result
+        if tag == "}":
+            count = self._read_varint()
+            length = self._read_varint()
+            strings = self._take(length).decode("utf-8").split("\x00")
+            if len(strings) != 2 * count:
+                raise DecodingError(
+                    f"packed dict of {count} pairs holds {len(strings)} strings"
+                )
+            return {
+                strings[i]: strings[i + 1] for i in range(0, len(strings), 2)
+            }
         raise DecodingError(f"unknown tag {tag!r} at offset {self._pos - 1}")
 
     def read_all(self) -> List[object]:

@@ -231,6 +231,8 @@ any_values = st.recursive(
         st.lists(children, max_size=3).map(tuple),
         st.tuples(children, children).map(lambda t: Pair(*t)),
         st.dictionaries(any_keys, children, max_size=4),
+        # All-str dicts take the packed '}' form unless a NUL falls back.
+        st.dictionaries(st.text(max_size=6), st.text(max_size=6), min_size=1),
         st.dictionaries(any_keys, children, max_size=3).map(
             collections.OrderedDict
         ),
@@ -378,7 +380,15 @@ class TestInPlaceStrings:
     @pytest.mark.parametrize("machine", [None, "sparc-like", "vax-like"])
     def test_matches_reference_in_every_container(self, text, machine):
         profile = MACHINES[machine] if machine else None
-        for value in ({text: text}, [text], (text,), {"k": [text, (text,)]}):
+        # {text: text} takes the packed '}' form; {text: None} keeps the
+        # '{' walk and its in-place key read.
+        for value in (
+            {text: text},
+            {text: None},
+            [text],
+            (text,),
+            {"k": [text, (text,)]},
+        ):
             data = encode_any(value, profile)
             assert data == reference_encode_any(value, profile)
             assert decode_any(data, profile) == reference_decode_values(data)[0]
@@ -387,7 +397,10 @@ class TestInPlaceStrings:
     def test_length_boundary_on_the_wire(self):
         assert encode_any(["x" * 127])[:4] == bytes.fromhex("5b01737f")
         assert encode_any(["y" * 128])[:5] == bytes.fromhex("5b01738001")
-        assert encode_any({"é" * 64: ""})[:5] == bytes.fromhex("7b01738001")
+        # A str -> str dict is packed, so the dict walk's two-byte key
+        # length is pinned on a dict with a non-str value.
+        assert encode_any({"é" * 64: 0})[:5] == bytes.fromhex("7b01738001")
+        assert encode_any({"é" * 64: ""})[:5] == bytes.fromhex("7d018101c3")
 
     @pytest.mark.parametrize(
         "data,message",

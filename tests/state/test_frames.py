@@ -122,7 +122,7 @@ class TestProcessState:
             "files": [],
         }
         packet = bytearray(state.to_bytes(sparc))
-        assert packet[len(STATE_MAGIC)] == STATE_VERSION == 2
+        assert packet[len(STATE_MAGIC)] == STATE_VERSION == 3
         packet[len(STATE_MAGIC)] = 1
         with pytest.raises(DecodingError, match="unsupported process state version 1"):
             ProcessState.from_bytes(bytes(packet), sparc)

@@ -14,9 +14,12 @@ layers of protection here:
    is caught byte-for-byte.
 """
 
+import collections
+
 import pytest
 
-from repro.state.encoding import decode_values, encode_values
+from repro.errors import DecodingError
+from repro.state.encoding import decode_any, decode_values, encode_any, encode_values
 from repro.state.frames import ProcessState, ActivationRecord, StackState
 from repro.state.heap import HeapCodec, HeapImage
 from repro.state.machine import MACHINES
@@ -100,6 +103,30 @@ GOLDEN_VECTORS = [
     ("a", ["x" * 130], "738201" + "78" * 130),
 ]
 
+# The packed string dict ('}'): pair count, byte length, then the UTF-8 of
+# k1 NUL v1 NUL ... vn.  Not produced by the seed codec: each hex string
+# below is derived by hand from that rule (or, for the fallbacks, from
+# the '{' grammar), so a drift in both codecs at once still fails here.
+PACKED_VECTORS = [
+    ("a", [{"a": "b"}], "7d0103610062"),
+    ("{ss}", [{"a": "b"}], "7d0103610062"),
+    ("{sa}", [{"b": "2", "a": "1"}], "7d020762003200610031"),
+    ("a", [{"": ""}], "7d010100"),
+    ("a", [{"é": "☃"}], "7d0106c3a900e29883"),
+    # 129 payload bytes: a two-byte length varint.
+    ("a", [{"k": "x" * 127}], "7d0181016b00" + "78" * 127),
+    # Only the innermost dict is all-str.
+    ("a", [{"k": {"a": "b"}}], "7b0173016b7d0103610062"),
+    # The empty dict, a NUL inside a key or a value, one non-str value,
+    # and a declared value spec that is neither 's' nor 'a' keep '{'.
+    ("a", [{}], "7b00"),
+    ("a", [{"a\x00": "b"}], "7b0173026100730162"),
+    ("a", [{"a": "\x00"}], "7b01730161730100"),
+    ("a", [{"a": "b", "n": 1}], "7b0273016173016273016e6c02"),
+    ("a", [{"a": None}], "7b017301616e"),
+    ("{ss}", [{"a": None}], "7b017301616e"),
+]
+
 
 def sample_state() -> ProcessState:
     frames = [
@@ -131,6 +158,64 @@ class TestGoldenVectors:
     def test_decoders_agree_on_seed_bytes(self, fmt, values, expected):
         data = bytes.fromhex(expected)
         assert decode_values(data) == reference_decode_values(data)
+
+
+class TestPackedStringDict:
+    @pytest.mark.parametrize("fmt,values,expected", PACKED_VECTORS)
+    def test_both_codecs_write_the_derived_bytes(self, fmt, values, expected):
+        assert encode_values(fmt, values).hex() == expected
+        assert reference_encode_values(fmt, values).hex() == expected
+
+    @pytest.mark.parametrize("fmt,values,expected", PACKED_VECTORS)
+    def test_both_codecs_read_them_back(self, fmt, values, expected):
+        data = bytes.fromhex(expected)
+        assert decode_values(data) == reference_decode_values(data) == values
+
+    def test_dict_subclass_packs_like_a_plain_dict(self):
+        plain = {f"k{i}": f"v{i}" for i in range(40)}
+        expected = encode_any(plain)
+        assert expected[0] == ord("}")
+        for subclass in (
+            collections.OrderedDict(plain),
+            collections.defaultdict(str, plain),
+        ):
+            assert encode_any(subclass) == expected
+            assert encode_values("{ss}", [subclass]) == expected
+
+    def test_fallback_keeps_the_walks_errors(self):
+        # A lone surrogate and a non-str under a declared 's' fail the
+        # packed attempt; the walk then raises exactly as before.
+        def outcome(fn, *args):
+            try:
+                return fn(*args)
+            except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+                return (type(exc).__name__, str(exc))
+
+        for fmt, values in (
+            ("a", [{"a": "\ud800"}]),
+            ("{ss}", [{"a": "\ud800"}]),
+            ("{ss}", [{"a": 1}]),
+            ("{sl}", [{"a": "b"}]),
+        ):
+            ours = outcome(encode_values, fmt, values)
+            assert isinstance(ours, tuple)
+            assert ours == outcome(reference_encode_values, fmt, values)
+
+    @pytest.mark.parametrize(
+        "data,message",
+        [
+            ("7d0103616262", "packed dict of 1 pairs holds 1 strings"),
+            ("7d0203610062", "packed dict of 2 pairs holds 2 strings"),
+            ("7d00026100", "packed dict of 0 pairs holds 2 strings"),
+            ("7d010a610062", "truncated abstract state: need 10 bytes"),
+            ("7d01", "truncated abstract state"),
+        ],
+    )
+    def test_malformed_payload_is_a_decoding_error(self, data, message):
+        with pytest.raises(DecodingError, match=message):
+            decode_any(bytes.fromhex(data))
+        with pytest.raises(DecodingError):
+            reference_decode_values(bytes.fromhex(data))
 
 
 class TestLiveComparison:

@@ -4,8 +4,16 @@ import pytest
 
 from repro.bus.message import Message
 from repro.errors import DecodingError, EncodingError
-from repro.state.encoding import Decoder, Encoder, decode_values, encode_values
+from repro.state.encoding import (
+    Decoder,
+    Encoder,
+    decode_any,
+    decode_values,
+    encode_values,
+    read_value,
+)
 from repro.state.format import ScalarType
+from repro.state.frames import ProcessState
 from repro.state.machine import Endianness
 
 
@@ -34,6 +42,43 @@ class TestDecoderDefenses:
         encoder = Encoder()
         with pytest.raises(EncodingError):
             encoder._write_varint(-1)
+
+
+#: One value each whose string bytes are not UTF-8: an 's' payload, a
+#: 'p' segment, a '{' key and a packed '}' payload.
+BAD_UTF8 = [
+    b"s\x02\xff\xfe",
+    b"p\x02\xff\xfe\x00",
+    b"{\x01s\x01\xffs\x01a",
+    b"}\x01\x03\xff\x00a",
+]
+
+
+class TestInvalidUtf8:
+    @pytest.mark.parametrize("data", BAD_UTF8, ids=lambda d: chr(d[0]))
+    def test_every_entry_point_raises_decoding_error(self, data):
+        with pytest.raises(DecodingError, match="invalid UTF-8"):
+            decode_values(data)
+        with pytest.raises(DecodingError, match="invalid UTF-8"):
+            decode_any(data)
+        with pytest.raises(DecodingError, match="invalid UTF-8"):
+            read_value(data, 0, len(data))
+        with pytest.raises(DecodingError, match="invalid UTF-8"):
+            Decoder(data).read()
+
+    def test_message_from_wire(self):
+        wire = bytearray(encode_values("ssll", ["ab", "out", 1, 5]))
+        assert wire[:4] == b"s\x02ab"
+        wire[2:4] = b"\xff\xfe"
+        with pytest.raises(DecodingError, match="invalid UTF-8"):
+            Message.from_wire(bytes(wire), None)
+
+    def test_process_state_packet(self):
+        packet = bytearray(ProcessState(module="compute").to_bytes())
+        at = packet.index(b"compute")
+        packet[at : at + 2] = b"\xff\xfe"
+        with pytest.raises(DecodingError, match="invalid UTF-8"):
+            ProcessState.from_bytes(bytes(packet))
 
 
 class TestMessageDefenses:

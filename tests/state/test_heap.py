@@ -52,6 +52,44 @@ class TestHeapCodecContainers:
         assert HeapCodec().roundtrip(roots) == roots
 
 
+class TestStringStoreSegments:
+    def test_plain_store_round_trips_to_a_distinct_dict(self):
+        store = {f"k{i}": f"v{i}" for i in range(64)}
+        restored = HeapCodec().roundtrip({"store": store})["store"]
+        assert restored == store and restored is not store
+        restored["k0"] = "changed"
+        del restored["k1"]
+        assert store["k0"] == "v0" and "k1" in store
+
+    def test_restore_shares_no_container_with_the_image(self):
+        store = {"a": "b", 1: 2.5, None: True}
+        xs = [1, "x", b"y", None]
+        image = HeapCodec().capture({"store": store, "xs": xs})
+        first = HeapCodec().restore(image)
+        second = HeapCodec().restore(image)
+        assert first == second == {"store": store, "xs": xs}
+        for name in ("store", "xs"):
+            segment = image.segments[image.roots[name].segment]
+            assert first[name] is not segment and first[name] is not second[name]
+
+    def test_a_store_with_one_pointer_value(self):
+        shared = ["x"]
+        store = {"a": "b", "c": "d", "list": shared}
+        image = HeapCodec().capture({"store": store, "shared": shared})
+        segment = image.segments[image.roots["store"].segment]
+        assert isinstance(segment["list"], SymbolicPointer)
+        restored = HeapCodec().restore(image)
+        assert restored["store"] == store
+        assert restored["store"]["list"] is restored["shared"]
+
+    def test_store_over_the_wire(self):
+        store = {f"k{i}": f"v{i}" for i in range(64)}
+        wire = encode_any(HeapCodec().capture({"store": store}).to_abstract())
+        assert b"}\x40" in wire  # the packed tag and a count of 64
+        restored = HeapCodec().restore(HeapImage.from_abstract(decode_any(wire)))
+        assert restored["store"] == store and list(restored["store"]) == list(store)
+
+
 class TestAliasingAndCycles:
     def test_shared_list_stays_shared(self):
         shared = [1, 2]
