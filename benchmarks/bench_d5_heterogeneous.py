@@ -17,12 +17,7 @@ import itertools
 import pytest
 
 from repro.state.format import ScalarType
-from repro.state.frames import (
-    ActivationRecord,
-    ProcessState,
-    StackState,
-    frames_equal_ignoring_order_metadata,
-)
+from repro.state.frames import ActivationRecord, ProcessState, StackState
 from repro.state.machine import MACHINES
 
 from benchmarks.conftest import report
@@ -57,7 +52,7 @@ def test_d5_translate_pair(benchmark, pair):
     state = deep_state()
 
     moved = benchmark(state.translate, source, target)
-    assert frames_equal_ignoring_order_metadata(moved.stack, state.stack)
+    assert moved.stack == state.stack
     assert moved.statics == state.statics
 
 
@@ -68,7 +63,7 @@ def test_d5_shape():
     chain = [MACHINES[name] for name, _ in PAIRS][:4]
     for source, target in zip(chain, chain[1:]):
         current = current.translate(source, target)
-    assert frames_equal_ignoring_order_metadata(current.stack, state.stack)
+    assert current.stack == state.stack
 
     # Native images differ; canonical bytes do not.
     big = MACHINES["sparc-like"]

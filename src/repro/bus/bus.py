@@ -289,6 +289,11 @@ class SoftwareBus:
                 transport.enable_health(monitor, self._health_interval)
             except Exception:  # noqa: BLE001 - heartbeats are best-effort
                 pass
+        if telemetry.recorder is not None:
+            try:
+                transport.enable_telemetry()
+            except Exception:  # noqa: BLE001 - remote counters are best-effort
+                pass
         return transport
 
     def transport(self, name: str) -> RemoteTransport:
@@ -799,7 +804,6 @@ class SoftwareBus:
                     for ifname, entry in by_interface.items():
                         entry.instrument(rec, f"{name}.{ifname}", in_degree, derived)
                 self._freeze_derivation(derived)
-                self._sync_remote_recorders()
             self._routing_table = table
             self._push_worker_routes(table)
             return table
@@ -882,36 +886,35 @@ class SoftwareBus:
 
         The table holds ``put`` methods bound when it was built, i.e. of
         the queue class before the recording swap; dropping it is what
-        makes counts start (or stop) on the next message.  Removing the
-        recorder also removes the remote hosts' recorders (best-effort
-        per link, like their installation in ``_sync_remote_recorders``).
+        makes counts start (or stop) on the next message.  The remote
+        hosts' recorders follow, outside the bus lock and best-effort per
+        transport: losing remote counters must never break routing.  A
+        host that starts later is armed by its transport
+        (``RemoteTransport._arm_telemetry``), a transport attached later
+        by :meth:`attach_transport`.
         """
         with self._lock:
             self._invalidate_routing_locked()
             transports = list(self._transports.values())
-        if rec is not None:
-            return
         for transport in transports:
             try:
-                transport.disable_telemetry()
+                if rec is None:
+                    transport.disable_telemetry()
+                else:
+                    transport.enable_telemetry()
             except Exception:  # noqa: BLE001 - e.g. an injected link fault
                 continue
 
-    def _sync_remote_recorders(self) -> None:
-        """Install recorders in remote hosts (idempotent, every rebuild).
+    def share_trace_context(self) -> None:
+        """Hand the running reconfiguration's trace context to every
+        remote host, so what they do during the transaction — deliveries
+        to and from the replaced module's peers — joins its span tree.
 
-        Runs per rebuild rather than once so workers and daemons that
-        spawn *after* enable() — lazily-created pool slots, migration
-        targets — still record; ``telemetry_enable`` is enable-if-absent
-        on the host side.  Failures (dead link, injected transport
-        fault) are swallowed: losing remote counters must never break
-        routing.
+        The coordinator calls this as ``replace()`` opens its root span,
+        and :meth:`flush_remote_telemetry` drops the context again; a
+        no-op with telemetry disabled, best-effort per transport.
         """
-        for transport in list(self._transports.values()):
-            try:
-                transport.enable_telemetry()
-            except Exception:
-                continue
+        self._each_recording_transport(lambda t: t.share_trace_context())
 
     def flush_remote_telemetry(self) -> None:
         """Pull buffered trace records home from every remote host.
@@ -921,14 +924,17 @@ class SoftwareBus:
         ``replace()`` returns; it is a no-op with telemetry disabled and
         best-effort per transport (a dead host has nothing left to say).
         """
+        self._each_recording_transport(lambda t: t.flush_telemetry())
+
+    def _each_recording_transport(self, call) -> None:
         if telemetry.recorder is None:
             return
         with self._lock:
             transports = list(self._transports.values())
         for transport in transports:
             try:
-                transport.flush_telemetry()
-            except Exception:  # noqa: BLE001 - flush must never break replace()
+                call(transport)
+            except Exception:  # noqa: BLE001 - tracing must never break replace()
                 continue
 
     # ------------------------------------------------------------------
@@ -977,10 +983,6 @@ class SoftwareBus:
         rec = telemetry.recorder
         if rec is not None:
             rec.set_health_provider(None)
-
-    @property
-    def health_monitor(self):
-        return self._health_monitor
 
     def health_verdict(self, placement: Optional[str]) -> Optional[str]:
         """Monitor verdict for a placement target, ``None`` when ungated.

@@ -134,13 +134,6 @@ class _Parser:
             return True
         return False
 
-    def accept_word(self, value: str) -> bool:
-        token = self.peek()
-        if token.kind == "word" and token.value == value:
-            self.take()
-            return True
-        return False
-
     # -- grammar -----------------------------------------------------------------
 
     def parse_configuration(self) -> Configuration:

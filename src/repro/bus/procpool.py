@@ -21,17 +21,14 @@ is amortized away.
 Placement is ``placement="worker"`` (round-robin over the pool) or
 ``placement="worker:<slot>"`` (pinned to one slot, by index or host
 name; recorded as ``worker:<index>``).  Workers spawn lazily on first
-placement, so buses that never leave the process pay nothing.  The pool
-uses the ``spawn`` start method by default — the bus process is full of
-threads holding locks, which ``fork`` would duplicate mid-flight;
-override with ``start_method=`` or ``REPRO_WORKER_START`` where fork
-semantics are wanted deliberately.
+placement, so buses that never leave the process pay nothing.  Workers
+always use the ``spawn`` start method: the bus process is full of
+threads holding locks, which ``fork`` would duplicate mid-flight.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
 import threading
 from typing import Dict, Optional, Tuple
 
@@ -64,14 +61,11 @@ class ProcessTransport(RemoteTransport):
         workers: int = 2,
         architecture: str = "modern-64",
         sleep_scale: float = 0.0,
-        start_method: Optional[str] = None,
-        host_prefix: str = "worker-",
     ):
         if workers < 1:
             raise BusError("worker pool needs at least one slot")
-        super().__init__([f"{host_prefix}{i}" for i in range(workers)])
-        method = start_method or os.environ.get("REPRO_WORKER_START", "spawn")
-        self._ctx = multiprocessing.get_context(method)
+        super().__init__([f"worker-{i}" for i in range(workers)])
+        self._ctx = multiprocessing.get_context("spawn")
         self._architecture = architecture
         self._sleep_scale = sleep_scale
         #: host name -> its worker process, once spawned.
@@ -117,9 +111,11 @@ class ProcessTransport(RemoteTransport):
                 self._slots[index] = spawn.slot  # still None if the spawn failed
                 del self._spawning[index]
             spawn.done.set()
-        # After publishing: a concurrent enable_health() either lists
-        # this slot or has already set the monitor this call reads.
+        # After publishing: a concurrent enable_health() or
+        # enable_telemetry() either lists this slot or has already set
+        # the monitor or flag these calls read.
         self._arm_health(spawn.slot[0])
+        self._arm_telemetry(spawn.slot[0])
         return spawn.slot
 
     def _spawn(self, index: int) -> Tuple[Link, Host]:

@@ -143,10 +143,6 @@ class ProxyQueue:
             ]
         )
 
-    def extend(self, messages: List[Message]) -> None:
-        for message in messages:  # FIFO events append behind prior deliveries
-            self.put(message)
-
 
 class _ProxyMH:
     """The platform-facing slice of a remote module's ``mh``.
@@ -540,11 +536,21 @@ class RemoteTransport:
     def enable_telemetry(self) -> None:
         """Install a flight recorder in every live remote host.
 
-        Enable-if-absent on the host side, so the bus may call this on
-        every routing rebuild to catch hosts spawned after ``enable()``.
+        Enable-if-absent on the host side.  A host that comes up later
+        is armed as it starts (:meth:`_arm_telemetry`).
         """
         self._hosts_recording = True
         self._broadcast(["telemetry_enable"])
+
+    def _arm_telemetry(self, link: Link) -> None:
+        """Install a recorder in ``link``'s newly started host if this
+        transport's hosts are recording, best-effort like the broadcast."""
+        if not self._hosts_recording:
+            return
+        try:
+            link.request(["telemetry_enable"])
+        except (BusError, InjectedFault, OSError):
+            pass
 
     def disable_telemetry(self) -> None:
         """Uninstall every live host's recorder, best-effort per link.
@@ -627,6 +633,14 @@ class RemoteTransport:
                     link.name, f"telemetry_snapshot: {type(exc).__name__}"
                 )
             return self._last_link_totals.get(link.name)
+
+    def share_trace_context(self) -> None:
+        """Make every live host adopt the caller's trace context.
+
+        ``Link.request`` appends the context to every request and a host
+        adopts it before dispatch, so the cheapest request will do.
+        """
+        self._broadcast(["ping"], timeout=5)
 
     def flush_telemetry(self) -> None:
         """Pull buffered remote trace records home and drop contexts.
@@ -755,7 +769,7 @@ class TcpTransport(RemoteTransport):
     protocol — so a module placed with ``placement="tcp:<machine>"``
     participates in the ordinary :class:`~repro.bus.bus.SoftwareBus`
     topology (mixed bindings with inproc and worker modules included).
-    ``machines`` is a count (named ``<host_prefix><i>``), a list of
+    ``machines`` is a count (named ``tcphost-<i>``), a list of
     names, or a mapping ``name -> architecture`` for daemons of different
     architectures; ``architecture`` is the profile of every machine not
     given one.  TCP frames are lossy under the chaos suite, so requests
@@ -769,10 +783,9 @@ class TcpTransport(RemoteTransport):
         machines=1,
         architecture: str = "modern-64",
         sleep_scale: float = 0.0,
-        host_prefix: str = "tcphost-",
     ):
         if isinstance(machines, int):
-            machines = [f"{host_prefix}{i}" for i in range(machines)]
+            machines = [f"tcphost-{i}" for i in range(machines)]
         if not isinstance(machines, dict):
             machines = dict.fromkeys(machines, architecture)
         super().__init__(machines)

@@ -123,9 +123,6 @@ class StaticCallGraph:
 
     # -- queries ------------------------------------------------------------
 
-    def has_function(self, name: str) -> bool:
-        return name in self.functions
-
     def callees(self, name: str) -> List[str]:
         return sorted(self._callees.get(name, ()))
 

@@ -38,7 +38,7 @@ overhead measured honestly in benchmark D1.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
 from repro.core.capture_blocks import (
@@ -89,10 +89,6 @@ class _Emitter:
     def emit_lines(self, lines: List[str]) -> None:
         for line in lines:
             self.emit(line)
-
-    def emit_block_lines(self, lines: List[str], extra_level: int) -> None:
-        for line in lines:
-            self.lines.append(f"{INDENT * (self.level + extra_level)}{line}")
 
     def source(self) -> str:
         return "\n".join(self.lines) + "\n"

@@ -43,10 +43,6 @@ class MachineCompatibilityError(StateError):
     """
 
 
-class PointerTranslationError(StateError):
-    """A pointer could not be translated to or from symbolic form."""
-
-
 class HeapError(StateError):
     """Heap capture or restoration failed."""
 
@@ -175,11 +171,6 @@ class ReconfigError(ReproError):
 
 class ReconfigTimeoutError(ReconfigError):
     """A module did not reach a reconfiguration point within the deadline."""
-
-
-class ScriptError(ReconfigError):
-    """A reconfiguration script could not complete; the system was left
-    in the state described by the message."""
 
 
 class ReconfigurationAborted(ReconfigError):

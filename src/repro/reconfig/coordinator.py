@@ -386,8 +386,9 @@ class ReconfigurationCoordinator:
         )
         # The root span is "ambient": spans opened by other threads with
         # no local parent — the old module's capture/encode, the clone's
-        # decode/restore — attach under it, so the whole replacement
-        # renders as one tree keyed by report.recon_id.
+        # decode/restore — attach under it, and remote hosts adopt it
+        # (share_trace_context), so the whole replacement renders as one
+        # tree keyed by report.recon_id.
         try:
             with telemetry.span(
                 "reconfig.replace",
@@ -398,6 +399,7 @@ class ReconfigurationCoordinator:
                 old_machine=old.machine,
                 new_machine=target_machine,
             ) as root:
+                self.bus.share_trace_context()
                 self._replace_txn(
                     spec,
                     report,

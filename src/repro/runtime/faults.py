@@ -35,8 +35,8 @@ import random
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.errors import InjectedFault
 from repro.runtime import telemetry
@@ -204,29 +204,6 @@ class FaultPlan:
 
     # -- artifacts ---------------------------------------------------------
 
-    @classmethod
-    def from_abstract(cls, value: Dict[str, object]) -> "FaultPlan":
-        """Rebuild a plan from :meth:`to_abstract` output.
-
-        Fresh firing state: the rebuilt plan starts with an empty log and
-        unfired actions, so a schedule shipped to a worker process arms
-        the same faults there that it would arm locally.
-        """
-        seed = value.get("seed")
-        plan = cls(
-            name=str(value.get("name", "faultplan")),
-            seed=int(seed) if seed is not None else None,  # type: ignore[call-overload]
-        )
-        for action in value.get("schedule", []):  # type: ignore[union-attr]
-            plan.schedule(
-                str(action["site"]),
-                str(action["mode"]),
-                delay=float(action["delay"]),  # type: ignore[arg-type]
-                after=int(action["after"]),  # type: ignore[call-overload]
-                times=int(action["times"]),  # type: ignore[call-overload]
-            )
-        return plan
-
     def to_abstract(self) -> Dict[str, object]:
         with self._lock:
             return {
@@ -251,10 +228,6 @@ _active: Optional[FaultPlan] = None
 _install_lock = threading.Lock()
 
 
-def active_plan() -> Optional[FaultPlan]:
-    return _active
-
-
 @contextmanager
 def fault_plan(plan: FaultPlan) -> Iterator[FaultPlan]:
     """Install ``plan`` for the duration of the block.
@@ -274,27 +247,6 @@ def fault_plan(plan: FaultPlan) -> Iterator[FaultPlan]:
     finally:
         with _install_lock:
             _active = None
-
-
-def install(plan: FaultPlan) -> None:
-    """Non-contextmanager installation (remote module hosts).
-
-    A worker process arms a plan on command from the bus and disarms it
-    on a later command — there is no enclosing ``with`` block to scope
-    it.  The no-nesting rule still holds.
-    """
-    global _active
-    with _install_lock:
-        if _active is not None:
-            raise RuntimeError(f"fault plan {_active.name!r} is already installed")
-        _active = plan
-
-
-def uninstall() -> None:
-    """Disarm whatever :func:`install` armed (idempotent)."""
-    global _active
-    with _install_lock:
-        _active = None
 
 
 def fire(site: str) -> bool:

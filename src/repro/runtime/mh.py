@@ -48,6 +48,7 @@ from repro.errors import (
 from repro.runtime import faults, telemetry
 from repro.runtime.events import InterruptibleEvent
 from repro.runtime.files import FileReattachRegistry
+from repro.state.format import check_arity
 from repro.state.frames import ActivationRecord, ProcessState, StackState
 from repro.state.heap import HeapCodec, HeapImage
 from repro.state.machine import MachineProfile
@@ -237,22 +238,17 @@ class MH:
 
         The first value is always the integer resume location.  Frames
         arrive top-of-stack first, exactly as the returning capture
-        blocks emit them.
+        blocks emit them.  The values are checked against ``fmt`` once,
+        when :meth:`encode` packages the frames.
         """
         if not values:
             raise CaptureError("capture requires at least the location value")
         location = values[0]
         if not isinstance(location, int) or isinstance(location, bool):
             raise CaptureError(f"first captured value must be int location, got {location!r}")
-        try:
-            record = ActivationRecord(
-                procedure=procedure, location=location, fmt=fmt, values=list(values)
-            )
-        except FormatError as exc:
-            raise CaptureError(
-                f"bad capture block in {self.module}.{procedure}: {exc}"
-            ) from exc
-        self._captured.push_captured(record)
+        self._captured.push_captured(
+            ActivationRecord(procedure, location, fmt, list(values))
+        )
         self.stats["frames_captured"] += 1
 
     def encode(self) -> bytes:
@@ -260,25 +256,35 @@ class MH:
 
         Runs in main's capture block, after the bottom-most frame is
         captured.  Serializes with the *source* machine profile so
-        representability problems surface here, at the old module.
+        representability problems surface here, at the old module.  A
+        frame whose values do not match its capture block's format is
+        refused here too, as a :class:`CaptureError` naming the
+        procedure, before anything is divulged.
         """
         if not self.capturestack:
             raise CaptureError("encode() called outside a capture sequence")
         with telemetry.span("mh.encode", module=self.module) as enc_span:
-            heap_image = self._capture_heap()
-            state = ProcessState(
-                module=self.module,
-                stack=self._captured,
-                statics=dict(self.statics),
-                heap={
-                    "image": heap_image.to_abstract(),
-                    "files": self.files.capture(),
-                },
-                reconfig_point=self._active_point,
-                source_machine=self.machine.name if self.machine else "",
-                status="clone",
-            )
-            packet = state.to_bytes(self.machine)
+            try:
+                heap_image = self._capture_heap()
+                state = ProcessState(
+                    module=self.module,
+                    stack=self._captured,
+                    statics=dict(self.statics),
+                    heap={
+                        "image": heap_image.to_abstract(),
+                        "files": self.files.capture(),
+                    },
+                    reconfig_point=self._active_point,
+                    source_machine=self.machine.name if self.machine else "",
+                    status="clone",
+                )
+                packet = state.to_bytes(self.machine)
+            except Exception:
+                # Whatever the encoder tripped on first, a frame its
+                # format refuses is the error to report: it names the
+                # capture block to fix.  Otherwise re-raise.
+                self._refuse_bad_frame()
+                raise
             enc_span.set(bytes=len(packet), frames=len(self._captured))
         self._capture_span.set(
             bytes=len(packet), frames=len(self._captured)
@@ -315,6 +321,17 @@ class MH:
         if callback is not None:
             callback(packet)
         return packet
+
+    def _refuse_bad_frame(self) -> None:
+        """On a failed encode, raise for the first captured frame (in
+        capture order) whose values do not match its format, if any."""
+        for record in self._captured:
+            try:
+                check_arity(record.fmt, record.values)
+            except FormatError as exc:
+                raise CaptureError(
+                    f"bad capture block in {self.module}.{record.procedure}: {exc}"
+                ) from exc
 
     def _capture_heap(self) -> HeapImage:
         roots: Dict[str, object] = {}

@@ -10,7 +10,7 @@ implements that characterisation:
   native <-> canonical translation
 - :mod:`repro.state.encoding` — the canonical byte-level abstract encoding
 - :mod:`repro.state.frames` — activation records, stack state, process state
-- :mod:`repro.state.pointers` — symbolic pointer translation
+- :mod:`repro.state.pointers` — the symbolic pointer value
 - :mod:`repro.state.heap` — heap capture/restore (hooks + automatic graphs)
 """
 
@@ -28,8 +28,6 @@ from repro.state.format import (
 )
 from repro.state.machine import MachineProfile, Endianness, MACHINES
 from repro.state.encoding import (
-    Encoder,
-    Decoder,
     encode_values,
     decode_values,
     encode_any,
@@ -40,7 +38,7 @@ from repro.state.frames import (
     StackState,
     ProcessState,
 )
-from repro.state.pointers import SymbolicPointer, PointerTable
+from repro.state.pointers import SymbolicPointer
 from repro.state.heap import HeapImage, HeapCodec, heap_hook
 
 __all__ = [
@@ -57,8 +55,6 @@ __all__ = [
     "MachineProfile",
     "Endianness",
     "MACHINES",
-    "Encoder",
-    "Decoder",
     "encode_values",
     "decode_values",
     "encode_any",
@@ -67,7 +63,6 @@ __all__ = [
     "StackState",
     "ProcessState",
     "SymbolicPointer",
-    "PointerTable",
     "HeapImage",
     "HeapCodec",
     "heap_hook",

@@ -14,8 +14,8 @@ Wire grammar (one value)::
     payload := fixed per tag; containers carry a varint count then values
 
 Self-description means the decoder never needs the format string; format
-strings are used at capture time for validation (a typo'd capture block
-fails loudly at the module, not mysteriously at the clone).
+strings validate a capture as it is encoded (a typo'd capture block fails
+loudly at the module, not mysteriously at the clone).
 
 Implementation notes (the reconfiguration critical path, see
 ``docs/state-encoding.md``):
@@ -56,9 +56,10 @@ Implementation notes (the reconfiguration critical path, see
   ``MachineProfile.check_representable``.  Strings, bytes, booleans,
   ``None`` and pointers fit every machine and are never checked.
 - **Decode: the same walk from the other side.**  The decode core
-  (:func:`read_value`) is a position-passing function over the packet's
-  own ``bytes``: a caller decodes a region by starting at its offset, so
-  nothing is copied out first.  Scalars are read in place
+  (:func:`_read_checked`, behind :func:`decode_values`, :func:`decode_any`
+  and ``ProcessState.from_bytes``) is a position-passing function over the
+  packet's own ``bytes``: a caller decodes a region by starting at its
+  offset, so nothing is copied out first.  Scalars are read in place
   (``struct.unpack_from``), tags are tested in the order state packets
   contain them, and one-byte varints and short string elements are read
   inline.  A string costs one slice of ``bytes`` and one UTF-8 decode;
@@ -96,11 +97,6 @@ from repro.state.machine import MachineProfile
 from repro.state.pointers import SymbolicPointer
 
 
-def _zigzag_big(n: int) -> int:
-    # Arbitrary-precision zigzag: non-negative -> 2n, negative -> -2n - 1.
-    return n * 2 if n >= 0 else -n * 2 - 1
-
-
 _pack_f32 = struct.Struct(">f").pack
 _pack_f64 = struct.Struct(">d").pack
 _unpack_f32 = struct.Struct(">f").unpack_from
@@ -125,6 +121,10 @@ def _append_signed(buf: bytearray, n: int) -> None:
 
 
 def _pointer_parts(value: object) -> Tuple[str, int]:
+    # The 'p' matcher's test (by class name, so a foreign SymbolicPointer
+    # class passes), then the fields the wire form needs.
+    if type(value).__name__ != "SymbolicPointer":
+        raise EncodingError(f"format 'p' requires SymbolicPointer, got {value!r}")
     segment = getattr(value, "segment", None)
     index = getattr(value, "index", None)
     if not isinstance(segment, str) or not isinstance(index, int):
@@ -494,54 +494,6 @@ def encoder_plan(fmt: str) -> Tuple[_EncodeFn, ...]:
 _PLAN_CACHE: Dict[str, Tuple[_EncodeFn, ...]] = {}
 
 
-class Encoder:
-    """Append-only canonical encoder.
-
-    When a :class:`MachineProfile` is supplied, every integer and double is
-    checked for representability on that (source) machine before encoding,
-    so heterogeneity errors surface at capture time with the live value in
-    the message.
-
-    ``write`` dispatches through the compiled per-spec closures (and, for
-    an ``a`` spec, :func:`write_any`), so the class costs nothing over
-    :func:`encode_values`; it remains the convenient streaming API for
-    callers that assemble a buffer piecewise.
-    """
-
-    def __init__(self, machine: Optional[MachineProfile] = None):
-        self.machine = machine
-        self._buffer = bytearray()
-
-    def getvalue(self) -> bytes:
-        return bytes(self._buffer)
-
-    def __len__(self) -> int:
-        return len(self._buffer)
-
-    # -- primitives ----------------------------------------------------------
-
-    def _write_varint(self, n: int) -> None:
-        _append_varint(self._buffer, n)
-
-    def _write_signed(self, n: int) -> None:
-        self._write_varint(_zigzag_big(n))
-
-    # -- values ---------------------------------------------------------------
-
-    def write(self, spec: TypeSpec, value: object) -> None:
-        """Encode one value under declaration ``spec``.
-
-        ``None`` is encodable under every declaration (a NULL slot — see
-        :func:`repro.state.format.value_matches`); it travels as the ``n``
-        tag and decodes as ``None``.
-        """
-        compiled_encoder(spec)(
-            self._buffer,
-            value,
-            None if self.machine is None else _checks_of(self.machine),
-        )
-
-
 # ---------------------------------------------------------------------------
 # Decode core
 # ---------------------------------------------------------------------------
@@ -568,26 +520,6 @@ def _read_varint(buf, pos: int, end: int) -> Tuple[int, int]:
         shift += 7
         if shift > 10_000:  # defensive: corrupt stream
             raise DecodingError("runaway varint in abstract state")
-
-
-def read_value(
-    buf, pos: int, end: int, machine: Optional[MachineProfile] = None
-) -> Tuple[object, int]:
-    """Decode one self-described value from ``buf[pos:end]``.
-
-    Returns ``(value, new_pos)``.  Scalar payloads are read off ``buf`` in
-    place with ``struct.unpack_from``; only string/bytes payloads make a
-    copy (the decoded value itself).  When a :class:`MachineProfile` is
-    supplied, decoded integers and doubles are checked against that
-    (target) machine's native ranges — this is where a 2**40 captured on
-    a 64-bit host fails to land on a simulated 32-bit host.
-    """
-    try:
-        return _read_checked(
-            buf, pos, end, None if machine is None else _checks_of(machine)
-        )
-    except UnicodeDecodeError as exc:
-        raise _bad_utf8(exc) from exc
 
 
 def _bad_utf8(exc: UnicodeDecodeError) -> DecodingError:
@@ -712,53 +644,14 @@ def _read_checked(buf, pos: int, end: int, checks) -> Tuple[object, int]:
     raise DecodingError(f"unknown tag {chr(tag)!r} at offset {pos - 1}")
 
 
-class Decoder:
-    """Streaming canonical decoder.
-
-    A thin positional wrapper over :func:`read_value`.  When a
-    :class:`MachineProfile` is supplied, decoded integers and doubles are
-    checked against that (target) machine's native ranges.
-    """
-
-    def __init__(self, data, machine: Optional[MachineProfile] = None):
-        self._data = data
-        self._pos = 0
-        self._end = len(data)
-        self.machine = machine
-        self._checks = None if machine is None else _checks_of(machine)
-
-    @property
-    def remaining(self) -> int:
-        return self._end - self._pos
-
-    def at_end(self) -> bool:
-        return self._pos >= self._end
-
-    def read(self) -> object:
-        """Decode one self-described value."""
-        try:
-            value, self._pos = _read_checked(
-                self._data, self._pos, self._end, self._checks
-            )
-        except UnicodeDecodeError as exc:
-            raise _bad_utf8(exc) from exc
-        return value
-
-    def read_all(self) -> List[object]:
-        values: List[object] = []
-        while not self.at_end():
-            values.append(self.read())
-        return values
-
-
 def encode_values(
     fmt: str, values: Sequence[object], machine: Optional[MachineProfile] = None
 ) -> bytes:
     """Validate ``values`` against ``fmt`` and encode them canonically.
 
-    This is the function behind ``mh.capture`` — the paper's
-    ``mh_capture("llF", 1, n, response)`` becomes
-    ``encode_values("llF", [1, n, response], machine)``.
+    The values of the paper's ``mh_capture("llF", 1, n, response)``
+    encode as ``encode_values("llF", [1, n, response], machine)`` would
+    write them (a frame goes through the same ``encoder_plan``).
 
     Validation and encoding are one compiled walk; when a value does not
     match its declaration, the slow-path re-check reproduces the exact
@@ -811,9 +704,20 @@ def encode_any(value: object, machine: Optional[MachineProfile] = None) -> bytes
 
 
 def decode_any(data, machine: Optional[MachineProfile] = None) -> object:
-    """Decode a single self-described value, requiring full consumption."""
+    """Decode a single self-described value, requiring full consumption.
+
+    When a :class:`MachineProfile` is supplied, decoded integers and
+    doubles are checked against that (target) machine's native ranges —
+    this is where a 2**40 captured on a 64-bit host fails to land on a
+    simulated 32-bit host.
+    """
     end = len(data)
-    value, pos = read_value(data, 0, end, machine)
+    try:
+        value, pos = _read_checked(
+            data, 0, end, None if machine is None else _checks_of(machine)
+        )
+    except UnicodeDecodeError as exc:
+        raise _bad_utf8(exc) from exc
     if pos < end:
         raise DecodingError(f"{end - pos} trailing bytes after value")
     return value

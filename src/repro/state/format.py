@@ -438,9 +438,9 @@ def check_arity(fmt: str, values: Sequence[object]) -> List[TypeSpec]:
     """Parse ``fmt`` and verify it matches ``values`` element-wise.
 
     Returns the parsed specs.  Raises :class:`FormatError` on arity or
-    type mismatch; the error message names the failing position, which is
-    surfaced verbatim by ``mh.capture`` so a module author can find the
-    bad capture block.
+    type mismatch; the error message names the failing position, which
+    ``mh.encode`` surfaces verbatim, with the procedure's name, so a module
+    author can find the bad capture block.
     """
     specs = _parse_format_cached(fmt)
     if len(specs) != len(values):

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import DecodingError, EncodingError
+from repro.errors import DecodingError, EncodingError, FormatError
 from repro.state.encoding import (
     _append_varint,
     _checks_of,
@@ -79,15 +79,16 @@ class ActivationRecord:
     locals in declaration order; ``procedure`` names the function for
     diagnostics and for the restore-time sanity check that the rebuilt
     call chain matches the captured one.
+
+    Construction does not validate: ``values`` are checked against
+    ``fmt`` once, by the compiled encoder plan, when the record is
+    encoded (:meth:`encode_into_buffer`).
     """
 
     procedure: str
     location: int
     fmt: str
     values: List[object] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        check_arity(self.fmt, self.values)
 
     def encode_into_buffer(
         self, buf: bytearray, machine: Optional[MachineProfile], checks=None
@@ -96,7 +97,9 @@ class ActivationRecord:
 
         ``checks`` is the machine's resolved check suite when the caller
         already holds it (``ProcessState.to_bytes`` resolves once for the
-        whole packet); otherwise it is derived from ``machine``.
+        whole packet); otherwise it is derived from ``machine``.  A value
+        that does not match ``fmt`` raises the position-naming
+        :class:`FormatError` of :func:`check_arity`.
         """
         if checks is None and machine is not None:
             checks = _checks_of(machine)
@@ -114,9 +117,9 @@ class ActivationRecord:
         try:
             for encode, value in zip(plan, values):
                 encode(buf, value, checks)
-        except EncodingError:
-            # Values mutated since construction: surface the same
-            # position-naming FormatError the eager walk raised.
+        except (EncodingError, FormatError):
+            # A declaration mismatch surfaces as check_arity's
+            # position-naming FormatError; anything else is re-raised.
             check_arity(self.fmt, values)
             raise
 
@@ -220,8 +223,9 @@ class ProcessState:
         One ``bytearray`` end to end: the fixed header goes in first with
         a placeholder length word, the body is appended — statics and
         heap by the one-walk ``a`` writer, frames through their compiled
-        encoder plans — and the length is patched in place: no per-frame
-        Encoder objects, no header+body concatenation copy.
+        encoder plans — and the length is patched in place: no header+body
+        concatenation copy.  This is where a captured frame is validated
+        against its format (:meth:`ActivationRecord.encode_into_buffer`).
         """
         checks = None if machine is None else _checks_of(machine)
         buf = bytearray(STATE_MAGIC)
@@ -283,15 +287,7 @@ class ProcessState:
                 for _ in parse_format(fmt):
                     value, pos = _read_checked(data, pos, end, checks)
                     values.append(value)
-                # Trusted construction: the values just came off the
-                # self-describing wire under this fmt's arity, so the
-                # dataclass __post_init__ re-validation is skipped.
-                record = ActivationRecord.__new__(ActivationRecord)
-                record.procedure = procedure
-                record.location = location
-                record.fmt = fmt
-                record.values = values
-                records.append(record)
+                records.append(ActivationRecord(procedure, location, fmt, values))
         except UnicodeDecodeError as exc:
             raise _bad_utf8(exc) from exc
         if pos < end:
@@ -329,19 +325,3 @@ class ProcessState:
         """
         return ProcessState.from_bytes(self.to_bytes(source), target)
 
-
-def frames_equal_ignoring_order_metadata(
-    left: StackState, right: StackState
-) -> bool:
-    """Structural equality helper used by property tests."""
-    if len(left) != len(right):
-        return False
-    for a, b in zip(left, right):
-        if (a.procedure, a.location, a.fmt, a.values) != (
-            b.procedure,
-            b.location,
-            b.fmt,
-            b.values,
-        ):
-            return False
-    return True

@@ -8,8 +8,10 @@ points to the nth character of a string located at some symbolic address."
 In this reproduction a pointer is abstracted as a *(segment, index)* pair:
 ``segment`` is a symbolic address — a static variable name, a heap object
 id (``"heap:17"``), or an out-parameter cell id — and ``index`` an offset
-into that object.  The :class:`PointerTable` assigns segments to live
-objects at capture time and resolves them back at restore time.
+into that object.  Live heap objects get their segments from
+:class:`~repro.state.heap.HeapCodec`, which interns each object once per
+capture (so aliasing survives the move) and resolves the segments back at
+restore time; ``SymbolicPointer`` is the value that travels.
 
 Pointers *into the activation-record stack* never appear here: the paper's
 insight (which we inherit) is that stack pointers are rebuilt for free by
@@ -20,9 +22,6 @@ symbolic translation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
-
-from repro.errors import PointerTranslationError
 
 
 @dataclass(frozen=True)
@@ -38,92 +37,3 @@ class SymbolicPointer:
 
     def __str__(self) -> str:
         return f"&{self.segment}[{self.index}]"
-
-
-class PointerTable:
-    """Bidirectional map between live objects and symbolic segments.
-
-    Capture direction: :meth:`translate` interns an object and returns a
-    :class:`SymbolicPointer` to it.  Restore direction: :meth:`bind`
-    registers the recreated object for a segment and :meth:`resolve`
-    dereferences symbolic pointers against those bindings.
-    """
-
-    def __init__(self, prefix: str = "obj"):
-        self._prefix = prefix
-        self._next_id = 0
-        self._segments_by_identity: Dict[int, str] = {}
-        self._objects_by_segment: Dict[str, object] = {}
-
-    def __len__(self) -> int:
-        return len(self._objects_by_segment)
-
-    def segments(self) -> Dict[str, object]:
-        """Snapshot of segment -> object bindings (insertion-ordered)."""
-        return dict(self._objects_by_segment)
-
-    # -- capture side ----------------------------------------------------------
-
-    def translate(self, target: object, index: int = 0) -> SymbolicPointer:
-        """Return a symbolic pointer to ``target``, interning it if new.
-
-        The same live object always maps to the same segment, so aliasing
-        (two pointers to one object) survives the abstract round trip.
-        """
-        key = id(target)
-        segment = self._segments_by_identity.get(key)
-        if segment is None:
-            segment = f"{self._prefix}:{self._next_id}"
-            self._next_id += 1
-            self._segments_by_identity[key] = segment
-            self._objects_by_segment[segment] = target
-        return SymbolicPointer(segment, index)
-
-    def translate_named(self, name: str, target: object, index: int = 0) -> SymbolicPointer:
-        """Intern ``target`` under an explicit symbolic name.
-
-        Used for static variables, whose symbolic address is simply their
-        source-level name.
-        """
-        existing = self._objects_by_segment.get(name)
-        if existing is not None and existing is not target:
-            raise PointerTranslationError(
-                f"segment {name!r} already bound to a different object"
-            )
-        self._segments_by_identity[id(target)] = name
-        self._objects_by_segment[name] = target
-        return SymbolicPointer(name, index)
-
-    # -- restore side ------------------------------------------------------------
-
-    def bind(self, segment: str, target: object) -> None:
-        """Register the recreated object standing for ``segment``."""
-        self._objects_by_segment[segment] = target
-        self._segments_by_identity[id(target)] = segment
-
-    def resolve(self, pointer: SymbolicPointer) -> object:
-        """Dereference a symbolic pointer to its (recreated) object."""
-        try:
-            return self._objects_by_segment[pointer.segment]
-        except KeyError:
-            raise PointerTranslationError(
-                f"unresolved symbolic pointer {pointer}: segment not bound"
-            ) from None
-
-    def resolve_indexed(self, pointer: SymbolicPointer) -> object:
-        """Dereference and index — the paper's "nth character of a string"."""
-        target = self.resolve(pointer)
-        if pointer.index == 0:
-            return target
-        try:
-            return target[pointer.index :]  # type: ignore[index]
-        except TypeError:
-            raise PointerTranslationError(
-                f"segment {pointer.segment!r} of type "
-                f"{type(target).__name__} is not indexable"
-            ) from None
-
-    def clear(self) -> None:
-        self._segments_by_identity.clear()
-        self._objects_by_segment.clear()
-        self._next_id = 0

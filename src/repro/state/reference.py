@@ -402,6 +402,7 @@ def reference_state_from_bytes(data: bytes, machine=None):
         if not isinstance(location, int):
             raise DecodingError("corrupt activation record location")
         values = [decoder.read() for _ in parse_format(fmt)]
+        check_arity(fmt, values)
         records.append(
             ActivationRecord(
                 procedure=procedure, location=location, fmt=fmt, values=values

@@ -316,6 +316,44 @@ def test_disable_stops_the_hosts_and_keeps_their_totals(bus):
     assert rec.counter("bus.delivered", key="f0.inp") == 1
 
 
+def test_a_rebuild_while_recording_sends_no_link_request(bus):
+    """A host's recorder is installed once, when recording starts, and
+    not by every routing rebuild (which runs under the bus lock)."""
+    _fake_link(bus)
+    link = bus.transport("fake").link
+    placed = len(link.requests)
+    telemetry.enable(capacity=1024)
+    assert link.requests[placed:] == ["telemetry_enable"]
+    for value in range(3):
+        bus._rebuild_routing()
+        _send(bus, "s", value)
+    assert link.requests[placed:] == ["telemetry_enable"]
+
+
+def test_sharing_a_trace_context_is_one_request_per_host_while_recording(bus):
+    """``replace()`` hands its trace context to the hosts with one request
+    each (``Link.request`` carries the context); nothing without a
+    recorder."""
+    _fake_link(bus)
+    link = bus.transport("fake").link
+    placed = len(link.requests)
+    bus.share_trace_context()
+    assert link.requests[placed:] == []
+    telemetry.enable(capacity=1024)
+    bus.share_trace_context()
+    assert link.requests[placed:] == ["telemetry_enable", "ping"]
+
+
+def test_a_transport_attached_while_recording_is_armed():
+    bus = SoftwareBus(sleep_scale=0.0)
+    try:
+        telemetry.enable(capacity=1024)
+        transport = bus.attach_transport(_FakeTransport())
+        assert transport.link.requests == ["telemetry_enable"]
+    finally:
+        bus.shutdown()
+
+
 class _Monitor:
     def __init__(self):
         self.hosts = []

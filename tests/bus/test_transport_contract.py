@@ -473,7 +473,7 @@ class TestRecordedRouting:
                 on_write(instance, *args)
 
             bus._on_transport_write = spy
-            bus._rebuild_routing()  # installs the host's recorder, pushes the route
+            bus._rebuild_routing()  # pushes the route
             bus.start_module("c")
             bus.start_module("p")
             got = _wait(
@@ -502,7 +502,7 @@ class TestRecordedRouting:
             for name in names:
                 bus.add_module(_collector_spec(name), instance=name, placement="worker:0")
                 bus.add_binding(BindingSpec("feeder", "out", name, "inp"))
-            _feed(bus, 0)  # compiles the table, installs the host's recorder
+            _feed(bus, 0)  # compiles the table
             coalescer = bus.get_module("c0").link._coalescer
             appends = []
 
@@ -524,6 +524,25 @@ class TestRecordedRouting:
             assert sum(queue.discard() for queue in queues) == len(names) * sent
             assert rec.counter("bus.routed", key="feeder.out") == sent
             assert rec.counter_total("bus.delivered") == len(names) * sent
+        finally:
+            bus.shutdown()
+
+    def test_a_worker_spawned_after_enable_reports_its_counters(self):
+        """A pool slot that comes up after ``enable()`` is armed as it
+        starts, before the module that spawned it arrives: the host
+        counts that module's compile and every delivery to it."""
+        bus = SoftwareBus(sleep_scale=0.0, workers=1)
+        try:
+            rec = telemetry.enable(capacity=1 << 14)
+            assert bus.transport("worker").links() == []
+            bus.add_module(_feeder_spec(), instance="feeder")
+            bus.add_module(_collector_spec(), instance="c", placement="worker:0")
+            bus.add_binding(BindingSpec("feeder", "out", "c", "inp"))
+            bus.start_module("c")
+            _feed(bus, *range(50))
+            _wait(lambda: len(bus.statics_of("c").get("got", [])) == 50)
+            assert rec.counter("module.compiled", key="collector") == 1
+            assert rec.counter("bus.delivered", key="c.inp") == 50
         finally:
             bus.shutdown()
 

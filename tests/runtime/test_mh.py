@@ -73,10 +73,14 @@ class TestCaptureProtocol:
             mh.capture("f", "lF", 1.5, 2.0)
 
     def test_capture_bad_format_is_loud(self):
+        # The frame is refused when the capture is encoded, on the
+        # module's thread, before anything is divulged.
         mh = MH("m")
         mh.begin_reconfig_capture("R")
+        mh.capture("f", "ll", 1, "not an int")
         with pytest.raises(CaptureError, match="bad capture block"):
-            mh.capture("f", "ll", 1, "not an int")
+            mh.encode()
+        assert mh.outgoing_packet is None and not mh.divulged.is_set()
 
     def test_encode_outside_capture(self):
         mh = MH("m")

@@ -28,7 +28,6 @@ from repro.errors import DecodingError, FormatError, MachineCompatibilityError
 from repro.state.encoding import (
     _ENCODER_CACHE,
     _PLAN_CACHE,
-    Encoder,
     compiled_encoder,
     decode_any,
     encode_any,
@@ -348,7 +347,9 @@ class TestOneWalkWriter:
         built.clear()
         packet = state.to_bytes(machine)
         encode_any(state.heap, machine)
-        Encoder(machine).write(ScalarType("a"), state.heap)
+        compiled_encoder(ScalarType("a"))(
+            bytearray(), state.heap, machine.codec_checks()
+        )
         assert calls == []
         assert [spec for spec in built if isinstance(spec, TypeSpec)] == [
             ScalarType("a")

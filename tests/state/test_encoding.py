@@ -11,14 +11,13 @@ from repro.errors import (
     MachineCompatibilityError,
 )
 from repro.state.encoding import (
-    Decoder,
-    Encoder,
     decode_any,
     decode_values,
     encode_any,
     encode_values,
+    encoder_plan,
 )
-from repro.state.format import ScalarType, parse_format
+from repro.state.format import parse_format
 from repro.state.pointers import SymbolicPointer
 
 
@@ -112,8 +111,7 @@ class TestSelfDescribing:
 
     def test_decoder_needs_no_format(self):
         data = encode_values("llF", [1, 42, 2.5])
-        decoder = Decoder(data)
-        assert decoder.read_all() == [1, 42, 2.5]
+        assert decode_values(data) == [1, 42, 2.5]
 
     def test_trailing_bytes_rejected(self):
         data = encode_any(1) + b"\x00"
@@ -181,10 +179,8 @@ class TestWireStability:
             assert decode_values(encode_values("l", [value])) == [value]
 
     def test_encoder_len(self):
-        encoder = Encoder()
-        assert len(encoder) == 0
-        encoder.write(ScalarType("l"), 1)
-        assert len(encoder) > 0
+        assert encode_values("", []) == b""
+        assert len(encode_values("l", [1])) > 0
 
 
 class TestEncoderValidation:
@@ -205,16 +201,16 @@ class TestEncoderValidation:
             encode_values("p", ["not a pointer"])
 
     # Regression: the original encoder ran f/F values through float(), so
-    # on the direct Encoder.write path a numeric *string* (or a bool, or
-    # anything else with __float__) was silently coerced into a
-    # legitimate-looking float on the wire.  The encoder now requires an
-    # actual int or float at every level.
+    # on the direct compiled-encoder path (no format check first) a
+    # numeric *string* (or a bool, or anything else with __float__) was
+    # silently coerced into a legitimate-looking float on the wire.  The
+    # encoder now requires an actual int or float at every level.
     @pytest.mark.parametrize("fmt", ["f", "F"])
     @pytest.mark.parametrize("bad", ["1.5", True])
     def test_float_coercion_rejected_on_write(self, fmt, bad):
-        encoder = Encoder()
+        (encode,) = encoder_plan(fmt)
         with pytest.raises(EncodingError, match="requires int or float"):
-            encoder.write(ScalarType(fmt), bad)
+            encode(bytearray(), bad, None)
 
     @pytest.mark.parametrize("fmt", ["f", "F"])
     def test_numeric_string_for_float_rejected(self, fmt):

@@ -1,16 +1,23 @@
 """Tests for activation records and process state (repro.state.frames)."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from repro.errors import DecodingError, MachineCompatibilityError, RestoreError
+from repro.errors import (
+    CaptureError,
+    DecodingError,
+    FormatError,
+    MachineCompatibilityError,
+    RestoreError,
+)
 from repro.runtime.mh import MH
+from repro.state.format import check_arity, parse_format
 from repro.state.frames import (
     STATE_MAGIC,
     STATE_VERSION,
     ActivationRecord,
     ProcessState,
     StackState,
-    frames_equal_ignoring_order_metadata,
 )
 from repro.state.pointers import SymbolicPointer
 
@@ -26,8 +33,11 @@ def make_record(procedure="compute", location=3, fmt="lllF", values=None):
 
 class TestActivationRecord:
     def test_validates_on_construction(self):
+        # Construction is unchecked; the record is validated, once, when
+        # it is encoded.
+        record = ActivationRecord(procedure="f", location=1, fmt="ll", values=[1])
         with pytest.raises(Exception):
-            ActivationRecord(procedure="f", location=1, fmt="ll", values=[1])
+            ProcessState(module="m", stack=StackState([record])).to_bytes()
 
     def test_paper_shape(self):
         # Figure 4: mh_capture("lllF", 3, num, n, *rp)
@@ -63,7 +73,7 @@ class TestStackState:
         a = StackState([make_record()])
         b = StackState([make_record()])
         assert a == b
-        assert frames_equal_ignoring_order_metadata(a, b)
+        assert a != StackState([make_record(location=4)])
 
     def test_peek(self):
         stack = StackState()
@@ -97,7 +107,7 @@ class TestProcessState:
         assert restored.status == "clone"
         assert restored.statics == state.statics
         assert restored.stack.depth == 4
-        assert frames_equal_ignoring_order_metadata(restored.stack, state.stack)
+        assert restored.stack == state.stack
 
     def test_magic_checked(self):
         packet = self.make_state().to_bytes()
@@ -219,3 +229,98 @@ class TestEagerDecode:
         ):
             ProcessState.from_bytes(packet, vax)
         assert ProcessState.from_bytes(packet, sparc).stack.depth == 5
+
+
+# -- validate once: encoding refuses exactly what check_arity refuses -------
+
+
+class _DuckPointer:
+    """The fields of a pointer without its class: 'p' refuses it."""
+
+    segment = "seg"
+    index = 0
+
+
+#: One to three top-level specs over every scalar char, nested in lists,
+#: tuples and dicts.
+specs = st.recursive(
+    st.sampled_from(list("bilfFsBpna")),
+    lambda inner: st.one_of(
+        inner.map(lambda spec: f"[{spec}]"),
+        st.lists(inner, min_size=1, max_size=3).map(lambda s: f"({''.join(s)})"),
+        st.tuples(st.sampled_from("sl"), inner).map(lambda kv: "{%s%s}" % kv),
+    ),
+    max_leaves=4,
+)
+# Values of every kind, so most draws put a wrong type in some slot.
+# Floats stay within binary32 range: an 'f' slot past it fails to pack
+# whatever the format says, at the parent and here alike.
+values = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-(2**70), 2**70),
+        st.floats(width=32),
+        st.text(max_size=6),
+        st.binary(max_size=6),
+        st.builds(SymbolicPointer, st.text(max_size=4), st.integers(-3, 3)),
+        st.builds(_DuckPointer),
+        st.builds(object),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.tuples(inner),
+        st.tuples(inner, inner),
+        st.dictionaries(st.one_of(st.text(max_size=3), st.integers(-3, 3)), inner, max_size=3),
+    ),
+    max_leaves=6,
+)
+
+
+@st.composite
+def captures(draw):
+    """A capture block's format and values, arity off by one at times."""
+    fmt = "l" + "".join(draw(st.lists(specs, min_size=1, max_size=3)))
+    count = len(parse_format(fmt)) - 1
+    arity = draw(st.sampled_from([count, count, count, count - 1, count + 1]))
+    return fmt, [1] + draw(st.lists(values, min_size=arity, max_size=arity))
+
+
+@given(case=captures())
+@example(case=("lp", [1, _DuckPointer()]))
+@example(case=("la", [1, [object()]]))
+@example(case=("l[f]", [1, [2, "x"]]))
+@example(case=("ll", [1]))
+@settings(max_examples=400, deadline=None)
+def test_encoding_refuses_exactly_what_check_arity_refuses(case):
+    """A frame is checked once, when it is encoded: the packet and
+    ``mh.encode`` refuse exactly the frames ``check_arity`` refuses, with
+    its ``FormatError`` text, as ``mh.capture`` did when it checked."""
+    fmt, frame = case
+    try:
+        check_arity(fmt, frame)
+        expected = None
+    except FormatError as exc:
+        expected = str(exc)
+
+    record = ActivationRecord("f", 1, fmt, frame)
+    try:
+        ProcessState(module="m", stack=StackState([record])).to_bytes()
+        refused = None
+    except FormatError as exc:
+        refused = str(exc)
+    assert refused == expected
+
+    mh = MH("m")
+    mh.begin_reconfig_capture("R")
+    mh.capture("f", fmt, *frame)
+    mh.capture("main", "l", 1)
+    try:
+        mh.encode()
+        refused = None
+    except CaptureError as exc:
+        refused = str(exc)
+    assert refused == (
+        None if expected is None else f"bad capture block in m.f: {expected}"
+    )
+    assert mh.divulged.is_set() == (expected is None)

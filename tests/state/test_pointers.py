@@ -1,9 +1,12 @@
-"""Tests for symbolic pointer translation (repro.state.pointers)."""
+"""Tests for the symbolic pointer value (repro.state.pointers).
+
+Live objects are translated to and from symbolic segments by
+``HeapCodec`` (see ``test_heap.py``).
+"""
 
 import pytest
 
-from repro.errors import PointerTranslationError
-from repro.state.pointers import PointerTable, SymbolicPointer
+from repro.state.pointers import SymbolicPointer
 
 
 class TestSymbolicPointer:
@@ -21,86 +24,3 @@ class TestSymbolicPointer:
         with pytest.raises(Exception):
             SymbolicPointer("seg", 0).index = 3  # type: ignore[misc]
 
-
-class TestPointerTable:
-    def test_translate_interns(self):
-        table = PointerTable()
-        target = [1, 2, 3]
-        first = table.translate(target)
-        second = table.translate(target)
-        assert first.segment == second.segment
-
-    def test_aliasing_preserved(self):
-        # Two pointers to the same object map to the same segment.
-        table = PointerTable()
-        shared = {"k": 1}
-        assert table.translate(shared).segment == table.translate(shared).segment
-        assert table.translate({"k": 1}).segment != table.translate(shared).segment
-
-    def test_translate_index(self):
-        table = PointerTable()
-        pointer = table.translate("hello", index=2)
-        assert pointer.index == 2
-
-    def test_named_segments(self):
-        table = PointerTable()
-        buffer = [0] * 4
-        pointer = table.translate_named("static_buffer", buffer)
-        assert pointer.segment == "static_buffer"
-        assert table.resolve(pointer) is buffer
-
-    def test_named_conflict(self):
-        table = PointerTable()
-        table.translate_named("x", [1])
-        with pytest.raises(PointerTranslationError):
-            table.translate_named("x", [2])
-
-    def test_named_reregister_same_object(self):
-        table = PointerTable()
-        obj = [1]
-        table.translate_named("x", obj)
-        table.translate_named("x", obj)  # idempotent
-
-    def test_resolve_roundtrip(self):
-        table = PointerTable()
-        target = [1, 2]
-        pointer = table.translate(target)
-        assert table.resolve(pointer) is target
-
-    def test_resolve_unbound(self):
-        table = PointerTable()
-        with pytest.raises(PointerTranslationError, match="unresolved"):
-            table.resolve(SymbolicPointer("nowhere", 0))
-
-    def test_bind_for_restore(self):
-        capture_side = PointerTable()
-        pointer = capture_side.translate("some string", index=4)
-        restore_side = PointerTable()
-        restore_side.bind(pointer.segment, "some string")
-        assert restore_side.resolve_indexed(pointer) == " string"
-
-    def test_resolve_indexed_zero(self):
-        table = PointerTable()
-        obj = [1, 2, 3]
-        pointer = table.translate(obj)
-        assert table.resolve_indexed(pointer) is obj
-
-    def test_resolve_indexed_not_indexable(self):
-        table = PointerTable()
-        pointer = table.translate(42)
-        moved = pointer.with_offset(1)
-        with pytest.raises(PointerTranslationError, match="not indexable"):
-            table.resolve_indexed(moved)
-
-    def test_clear(self):
-        table = PointerTable()
-        table.translate([1])
-        table.clear()
-        assert len(table) == 0
-
-    def test_segments_snapshot(self):
-        table = PointerTable()
-        a, b = [1], [2]
-        table.translate(a)
-        table.translate(b)
-        assert list(table.segments().values()) == [a, b]
