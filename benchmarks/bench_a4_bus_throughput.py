@@ -28,7 +28,8 @@ credit-loop pairs
 (``pinned_pairs_aggregate``) where pushed host-local routes bypass the
 links entirely — the multi-core scale-out story — plus the in-process
 pair baseline, and ``spawn_ms``, the cold start of one worker (fresh
-one-slot pool: construct, first placement, close).  The tier publishes
+one-slot pool: construct, which starts the worker, one placement,
+close).  The tier publishes
 honest numbers: ``cpus`` records
 ``os.cpu_count()``; on a single-core container the workers timeshare
 one core, so the win comes from fewer frames, not more cores.
@@ -312,9 +313,10 @@ def measure_xlink(bus: SoftwareBus, names: List[str], seconds: float) -> float:
 def measure_spawn_ms(rounds: int = 3) -> float:
     """Median wall time of a worker's cold start, in milliseconds.
 
-    One round is a fresh one-slot pool from construction through its
-    first placement (which spawns the worker: interpreter start, the
-    host's imports, the ping handshake, one ``add``) to ``close()``.
+    One round is a fresh one-slot pool from construction (which starts
+    the worker with the pool: interpreter start, the host's imports,
+    the ping handshake) through one placement (one ``add``) to
+    ``close()``.
     Recorded, not gated: it scales with the runner and with bytecode
     caching — the exact gate on what a host imports is
     ``tests/test_import_closure.py``.  Run as a script, ``spawn``

@@ -415,8 +415,9 @@ def measure_tracing_health(seconds: float, rounds: int) -> Dict[str, object]:
         bus.add_module(sender_spec(), machine="local")
         bus.add_module(receiver_spec(), instance="r0", machine="local")
         bus.add_binding(BindingSpec("sender", "out", "r0", "inp"))
-        # Never started; placing it is what spawns the worker process
-        # whose ModuleHost will heartbeat during the enabled segments.
+        # Never started; it gives the worker (up since the bus was
+        # built) a module to report on in the heartbeats it sends
+        # during the enabled segments.
         bus.add_module(
             ModuleSpec(
                 name="idle",

@@ -449,9 +449,9 @@ class SoftwareBus:
         if tname == "inproc":
             raise BusError(f"placement {placement!r}: inproc takes no slot")
         transport = self.transport(tname)
-        # The placement round-trip runs outside the bus lock: it can
-        # block on a worker spawn, and tunneled deliveries from other
-        # remote modules must keep routing meanwhile.
+        # The placement round-trip runs outside the bus lock: the host
+        # compiles the module meanwhile, and tunneled deliveries from
+        # other remote modules must keep routing.
         module = transport.add_module(
             spec,
             instance=name,
@@ -889,9 +889,8 @@ class SoftwareBus:
         makes counts start (or stop) on the next message.  The remote
         hosts' recorders follow, outside the bus lock and best-effort per
         transport: losing remote counters must never break routing.  A
-        host that starts later is armed by its transport
-        (``RemoteTransport._arm_telemetry``), a transport attached later
-        by :meth:`attach_transport`.
+        transport's hosts are all up once it exists, so one attached
+        later is armed by :meth:`attach_transport`.
         """
         with self._lock:
             self._invalidate_routing_locked()
@@ -1186,7 +1185,7 @@ class SoftwareBus:
 
         Returns immediately after the reconfiguration signal, opening the
         wait-for-point window for the caller to spend on useful work —
-        building the clone, preparing the rebind batch.  The divulged
+        building the clone before the hand-over.  The divulged
         packet is pushed into the clone from the old module's own thread
         the instant it is produced, so the handoff adds no coordinator
         wakeup to the critical path.  Call :meth:`StateMoveStream.wait`

@@ -652,9 +652,8 @@ def serve_host(
 class PipeChannel:
     """A ``multiprocessing`` pipe as a frame channel.
 
-    Pipes are loss-free and ordered, so links over them run without a
-    retry policy; a failed pipe operation means the peer process died,
-    which surfaces as :class:`TransportError`.
+    Pipes are loss-free and ordered; a failed pipe operation means the
+    peer process died, which surfaces as :class:`TransportError`.
     """
 
     __slots__ = ("_conn",)

@@ -11,7 +11,6 @@ fire-and-forget events, over any frame channel (``send``/``recv``/
 from __future__ import annotations
 
 import threading
-import time
 from queue import SimpleQueue
 from typing import Callable, Dict, List, Optional
 
@@ -25,7 +24,6 @@ from repro.errors import (
     UnknownModuleError,
 )
 from repro.runtime import telemetry
-from repro.runtime.faults import RetryPolicy
 from repro.state.machine import MachineProfile
 
 
@@ -63,14 +61,15 @@ class Link:
     command, args...]`` with ``kind`` in ``req``/``rep``/``err``/``evt``.
     The *pump* thread only ever completes request waiters and enqueues
     events; events are handled on a dedicated dispatcher thread.  That
-    split is load-bearing: the rebind batch issues queue-transfer
-    requests while holding the bus lock, and an event handler may block
-    on that same lock (tunneled writes route through the bus) — with a
-    single thread the reply behind a blocked event could never be read.
+    split is load-bearing: the hand-over (``SoftwareBus.hand_over``)
+    issues its ``cq``/``rmq`` queue-transfer requests while holding the
+    bus lock, and an event handler may block on that same lock (tunneled
+    writes route through the bus) — with a single thread the reply
+    behind a blocked event could never be read.
 
-    ``retry`` enables the lossy-channel request policy (used over TCP,
-    where the chaos suite drops frames); pipes are loss-free and run
-    single-attempt.
+    A request is sent once: the channel delivers each frame once or
+    fails, so a lost send or a missed deadline is a ``TransportError``,
+    never a re-send.
 
     Deliveries do not ship frame-per-message: :meth:`send_deliver` hands
     the encoded wire to a per-link :class:`~repro.bus.batch.Coalescer`
@@ -86,13 +85,11 @@ class Link:
         profile: MachineProfile,
         channel,
         on_event: Optional[Callable[[str, List[object]], None]] = None,
-        retry: Optional[RetryPolicy] = None,
     ):
         self.name = name
         self.profile = profile
         self.channel = channel
         self.on_event = on_event
-        self.retry = retry
         self.closed = threading.Event()
         self._seq = 0
         self._lock = threading.Lock()
@@ -124,7 +121,7 @@ class Link:
                 try:
                     frame = self.channel.recv()
                 except InjectedFault:
-                    continue  # injected receive fault: frame lost; requests retry
+                    continue  # injected before any byte was read: nothing lost
                 kind = frame[0]
                 if kind in ("rep", "err"):
                     seq = int(frame[1])
@@ -174,8 +171,8 @@ class Link:
     def _note_send_failed(self, dropped: int, exc: BaseException) -> None:
         """Mark the link's send side as failing — one event per streak.
 
-        Chaos-injected faults are deliberate single-frame losses, not an
-        outage; they are counted (``link.events_dropped``) but do not
+        Chaos-injected faults are deliberate single-frame failures, not
+        an outage; they are counted (``link.events_dropped``) but do not
         raise the ``link.send_failed`` flare.
         """
         if isinstance(exc, InjectedFault):
@@ -228,59 +225,43 @@ class Link:
         )
 
     def request(self, command: List[object], timeout: float = 30.0) -> object:
-        """Round-trip one request frame.
+        """Round-trip one request frame, sent once.
 
-        With a retry policy, lost frames are retried with fresh sequence
-        numbers (the daemon-link semantics: ``err`` replies never retry,
-        re-executed commands must be idempotent).  Without one — pipes —
-        a single attempt either answers or raises ``TransportError``.
+        A failed send (injected or real) or no reply within ``timeout``
+        raises ``TransportError``; an ``err`` reply raises its
+        rehydrated error.
         """
-        attempts = self.retry.attempts if self.retry is not None else 1
-        delays = self.retry.delays() if self.retry is not None else []
-        failure: Optional[Exception] = None
+        if self.closed.is_set():
+            raise TransportError(f"link {self.name}: closed")
         payload = list(command)
         tctx = telemetry.trace_context()
         if tctx is not None:
             payload.append([TRACE_CONTEXT_TAG, tctx[0], tctx[1], tctx[2]])
-        for attempt in range(attempts):
-            if self.closed.is_set():
-                raise TransportError(f"link {self.name}: closed")
-            waiter = _Waiter()
+        waiter = _Waiter()
+        with self._lock:
+            self._seq += 1
+            seq = self._seq
+            self._pending[seq] = waiter
+        try:
+            with self._send_lock:
+                # FIFO barrier: requests (queue snapshots, drains,
+                # transfers) must observe every delivery appended
+                # before them, so pending batches ship first.
+                self._coalescer.drain_locked()
+                self.channel.send(["req", seq] + payload)
+        except (InjectedFault, TransportError, OSError) as exc:
             with self._lock:
-                self._seq += 1
-                seq = self._seq
-                self._pending[seq] = waiter
-            try:
-                with self._send_lock:
-                    # FIFO barrier: requests (queue snapshots, drains,
-                    # transfers) must observe every delivery appended
-                    # before them, so pending batches ship first.
-                    self._coalescer.drain_locked()
-                    self.channel.send(["req", seq] + payload)
-            except InjectedFault as exc:
-                with self._lock:
-                    self._pending.pop(seq, None)
-                failure = exc
-            except (TransportError, OSError) as exc:
-                with self._lock:
-                    self._pending.pop(seq, None)
-                raise TransportError(
-                    f"link {self.name}: send failed: {exc}"
-                ) from exc
-            else:
-                if waiter.event.wait(timeout):
-                    if waiter.kind == "err":
-                        raise _error_from(self.name, str(waiter.value))
-                    return waiter.value
-                with self._lock:
-                    self._pending.pop(seq, None)
-                failure = TransportError(
-                    f"link {self.name}: no reply to {command[0]!r} in {timeout}s"
-                )
-            if attempt < len(delays):
-                time.sleep(delays[attempt])
-        assert failure is not None
-        raise failure
+                self._pending.pop(seq, None)
+            raise TransportError(f"link {self.name}: send failed: {exc}") from exc
+        if not waiter.event.wait(timeout):
+            with self._lock:
+                self._pending.pop(seq, None)
+            raise TransportError(
+                f"link {self.name}: no reply to {command[0]!r} in {timeout}s"
+            )
+        if waiter.kind == "err":
+            raise _error_from(self.name, str(waiter.value))
+        return waiter.value
 
     def close(self) -> None:
         self._coalescer.close()

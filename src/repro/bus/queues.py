@@ -8,7 +8,7 @@ the usual blocking get.
 
 Wakeup protocol (see ``docs/bus-internals.md``): ``get`` parks on a
 condition variable with a ``time.monotonic()`` deadline — there is no
-polling loop.  Waiters are woken by ``put``/``extend``/``prepend`` (only
+polling loop.  Waiters are woken by ``put``/``put_many``/``prepend`` (only
 when someone is actually waiting), by ``close``, and by stop requests:
 a stop event that supports ``subscribe``/``unsubscribe`` (see
 :class:`repro.runtime.events.InterruptibleEvent`, which every module's
@@ -110,9 +110,9 @@ class MessageQueue:
 
         Used by coalesced ``deliver_batch`` dispatch, where one frame
         often carries many messages for the same queue.  Unlike
-        ``extend``/``prepend`` (queue *copies* during reconfiguration)
-        these are fresh deliveries, so the recording subclass counts
-        them in ``_pushed``.
+        ``prepend`` (queue *copies* during reconfiguration) these are
+        fresh deliveries, so the recording subclass counts them in
+        ``_pushed``.
         """
         with self._lock:
             if self._closed:
@@ -186,18 +186,6 @@ class MessageQueue:
             rec.count("queue.drained", n=len(items), key=self.name)
         return items
 
-    def extend(self, messages: List[Message]) -> None:
-        """Append copied messages at the back."""
-        with self._lock:
-            self._items.extend(messages)
-            depth = len(self._items)
-            if self._waiters:
-                self._not_empty.notify_all()
-        rec = telemetry.recorder
-        if rec is not None and messages:
-            rec.count("queue.copied_in", n=len(messages), key=self.name)
-            rec.gauge_max("queue.hwm", depth, key=self.name)
-
     def prepend(self, messages: List[Message]) -> None:
         """Insert copied messages at the *front*, preserving their order.
 
@@ -231,7 +219,7 @@ class RecordingMessageQueue(MessageQueue):
     producer threads.  ``put`` itself pays for exactly one extra
     increment — the depth high-water mark comes from the read-time
     probe in the aggregation source (plus exact updates on the rare
-    paths: directed puts, ``extend``/``prepend``), so it is a *sampled*
+    paths: directed puts, ``prepend``), so it is a *sampled*
     gauge: a queue drained between reads may under-report its peak.
     """
 

@@ -65,9 +65,9 @@ _MAX_FRAME = 64 * 1024 * 1024
 
 
 def send_frame(sock: socket.socket, value: object) -> None:
-    if faults.fire("tcp.send_frame"):
-        telemetry.count("tcp.frames_dropped")
-        return  # injected drop: the frame is lost on the wire
+    # An injected fault (a drop is a crash here) fails the send before
+    # any byte is written: a connection delivers each frame or fails.
+    faults.fire_hard("tcp.send_frame")
     with telemetry.span("tcp.send_frame") as span:
         payload = encode_any(value)
         if len(payload) > _MAX_FRAME:
@@ -91,25 +91,22 @@ def send_frame(sock: socket.socket, value: object) -> None:
 
 
 def recv_frame(sock: socket.socket) -> object:
-    while True:
-        dropped = faults.fire("tcp.recv_frame")  # may raise InjectedFault
-        header = _recv_exact(sock, _FRAME_HEADER.size)
-        (length,) = _FRAME_HEADER.unpack(header)
-        if length > _MAX_FRAME:
-            raise TransportError(f"oversized frame announced ({length} bytes)")
-        # The span covers payload read + decode, not the idle wait for
-        # the header — a listener parked between frames is not "receiving".
-        with telemetry.span("tcp.recv_frame", bytes=length):
-            payload = _recv_exact(sock, length)
-            if dropped:
-                telemetry.count("tcp.frames_dropped")
-                continue  # injected drop: discard this frame, read the next
-            value = decode_any(payload)
-        rec = telemetry.recorder
-        if rec is not None:
-            rec.count("tcp.frames_received")
-            rec.count("tcp.bytes_received", n=length)
-        return value
+    # An injected fault (a drop is a crash here) fails the receive before
+    # any byte is read, so the frame is still there for the next one.
+    faults.fire_hard("tcp.recv_frame")
+    header = _recv_exact(sock, _FRAME_HEADER.size)
+    (length,) = _FRAME_HEADER.unpack(header)
+    if length > _MAX_FRAME:
+        raise TransportError(f"oversized frame announced ({length} bytes)")
+    # The span covers payload read + decode, not the idle wait for
+    # the header — a listener parked between frames is not "receiving".
+    with telemetry.span("tcp.recv_frame", bytes=length):
+        value = decode_any(_recv_exact(sock, length))
+    rec = telemetry.recorder
+    if rec is not None:
+        rec.count("tcp.frames_received")
+        rec.count("tcp.bytes_received", n=length)
+    return value
 
 
 def _recv_exact(sock: socket.socket, count: int) -> bytes:

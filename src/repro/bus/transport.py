@@ -27,10 +27,11 @@ runs (that is :mod:`repro.bus.host`):
     works unchanged when old module and clone live in different
     processes (the state packet simply travels over the transport).
 :class:`RemoteTransport`
-    one slot table for both transports — host names in declared order,
+    one slot table and one start rule for both transports — host names
+    in declared order, every host started before any is awaited,
     round-robin, slot resolution, placement, shutdown — plus remote
     telemetry, the health plane and event dispatch.  A subclass says
-    only how a host starts.
+    only how its hosts start and stop.
 :class:`TcpTransport`
     the daemons' client.  It stays here rather than in :mod:`repro.bus.tcp`
     because a daemon runs ``python -m repro.bus.tcp``: the client there
@@ -56,15 +57,18 @@ from repro.bus.module import ModuleState, prepared_source_for
 from repro.bus.spec import ModuleSpec
 from repro.errors import (
     BusError,
-    InjectedFault,
     ModuleCrashedError,
     ModuleLifecycleError,
     TransportError,
     UnknownInterfaceError,
 )
 from repro.runtime import telemetry
-from repro.runtime.faults import RetryPolicy
 from repro.state.machine import MACHINES, MachineProfile, profile_from_abstract
+
+
+#: How long a transport's hosts have, all together, to start and answer:
+#: interpreter start-up plus the repro imports, slow on cold caches.
+START_TIMEOUT_S = 60.0
 
 
 def host_profile(name: str, architecture: str) -> MachineProfile:
@@ -405,11 +409,13 @@ class RemoteTransport:
     """Shared bus-side logic for transports hosting modules out of process.
 
     The slot table: ``_names`` lists the hosts in declared order, and
-    ``_slots[i]`` holds host ``i``'s ``(link, host)`` once it answered
-    (``None`` before).  A placement slot is a host name or an index into
-    ``_names``; no slot means round-robin along it.  A subclass says how
-    a host starts (:meth:`_slot`, :meth:`_reap`) and how a placement is
-    spelled (:meth:`_label`).
+    ``_slots[i]`` holds host ``i``'s ``(link, host)``.  A subclass
+    constructor fills the table through :meth:`_start`, so every host is
+    up once the transport exists; :meth:`close` empties it.  A placement
+    slot is a host name or an index into ``_names``; no slot means
+    round-robin along it.  A subclass says how its hosts start
+    (:meth:`_start_hosts`) and stop (:meth:`_reap`), and how a placement
+    is spelled (:meth:`_label`).
     """
 
     name = "remote"
@@ -417,12 +423,10 @@ class RemoteTransport:
     def __init__(self, names: Sequence[str] = ()):
         self._bus = None
         self._names = list(names)
-        self._slots: List[Optional[Tuple[Link, Host]]] = [None] * len(self._names)
-        #: Guards ``_slots`` and ``_rr``, for table edits only — ``links()``
-        #: takes it under the bus lock, so nothing slow (a process start,
-        #: a round-trip) may run while it is held.
-        self._slots_lock = threading.Lock()
-        self._rr = 0
+        #: Replaced whole, never edited in place, so readers need no lock.
+        self._slots: List[Tuple[Link, Host]] = []
+        #: Round-robin turns; ``next()`` on a count is atomic.
+        self._rr = itertools.count()
         #: Host key -> handle.  Keys are ``<instance>#<n>``, ``n`` from
         #: this counter, so they are unique across every bus sharing the
         #: transport.
@@ -439,17 +443,48 @@ class RemoteTransport:
         #: set by enable_telemetry, cleared by disable_telemetry.
         self._hosts_recording = False
         self._health_monitor = None
-        self._health_interval = 0.0
 
     def attach_bus(self, bus) -> None:
         self._bus = bus
 
+    # -- starting hosts --------------------------------------------------------
+
+    def _start(self) -> None:
+        """The one start rule: start every host, then fill the slot table.
+
+        :meth:`_start_hosts` starts every host process before it awaits
+        any handshake, so their interpreter start-ups overlap, and puts
+        each host's link in ``links`` as it opens.  If any host fails,
+        or does not answer within :data:`START_TIMEOUT_S`, every link is
+        closed and every process stopped before the error propagates:
+        the caller gets no object to close().
+        """
+        links: Dict[str, Link] = {}
+        try:
+            self._start_hosts(links, time.monotonic() + START_TIMEOUT_S)
+        except BaseException:
+            for link in links.values():
+                link.close()
+            self._reap(grace=0.0)
+            raise
+        # Declared order, not answer order.
+        self._slots = [
+            (links[name], Host(name=name, profile=links[name].profile))
+            for name in self._names
+        ]
+
+    def _start_hosts(self, links: Dict[str, Link], deadline: float) -> None:
+        """Start every host, then await each one's link by ``deadline``."""
+        raise NotImplementedError
+
+    def _reap(self, grace: float) -> None:
+        """Give every host process ``grace`` seconds to exit, then stop it."""
+
     # -- the slot table --------------------------------------------------------
 
     def links(self) -> List[Link]:
-        """The links of every host that is up (a starting one is not)."""
-        with self._slots_lock:
-            return [slot[0] for slot in self._slots if slot is not None]
+        """The link of every host, in declared order."""
+        return [link for link, _host in self._slots]
 
     def _index(self, slot: str) -> Optional[int]:
         """The index ``slot`` names (a host name or an index), else None."""
@@ -464,19 +499,16 @@ class RemoteTransport:
     def peek_host(self, slot: Optional[str]) -> Optional[str]:
         """Resolve a slot to its host name with no side effects.
 
-        Unlike :meth:`_place` this neither starts the host nor advances
-        round-robin — the coordinator's health pre-flight must be able to
-        ask "who would this placement target" without perturbing
-        placement itself.
+        Unlike :meth:`_place` this does not advance round-robin — the
+        coordinator's health pre-flight must be able to ask "who would
+        this placement target" without perturbing placement itself.
         """
         index = self._index(slot) if slot else None
         return None if index is None else self._names[index]
 
     def _place(self, slot: Optional[str]) -> Tuple[Link, Host, str]:
         if not slot:
-            with self._slots_lock:
-                index = self._rr % len(self._names)
-                self._rr += 1
+            index = next(self._rr) % len(self._names)
         else:
             index = self._index(slot)
             if index is None:
@@ -484,32 +516,24 @@ class RemoteTransport:
                     f"{self.name} transport has no slot {slot!r} "
                     f"(hosts: {', '.join(self._names)})"
                 )
-        link, host = self._slot(index)
+        slots = self._slots
+        if not slots:
+            raise TransportError(f"{self.name} transport is closed")
+        link, host = slots[index]
         return link, host, f"{self.name}:{self._label(index)}"
 
     def _label(self, index: int) -> str:
         """How a placement on host ``index`` is spelled after the colon."""
         return self._names[index]
 
-    def _slot(self, index: int) -> Tuple[Link, Host]:
-        """Host ``index``'s ``(link, host)``; started ahead by default."""
-        slot = self._slots[index]
-        if slot is None:
-            raise TransportError(f"{self.name} host {self._names[index]!r} is down")
-        return slot
-
-    def _open_link(
-        self, name: str, profile: MachineProfile, channel, retry=None
-    ) -> Link:
-        link = Link(name, profile, channel, retry=retry)
+    def _open_link(self, name: str, profile: MachineProfile, channel) -> Link:
+        link = Link(name, profile, channel)
         link.on_event = self._make_on_event(link)
         return link
 
     def close(self) -> None:
         """Shut every host down and close its link, then reap the processes."""
-        with self._slots_lock:
-            slots = [slot for slot in self._slots if slot is not None]
-            self._slots = [None] * len(self._slots)
+        slots, self._slots = self._slots, []
         for link, _host in slots:
             try:
                 link.request(["shutdown"], timeout=5)
@@ -518,9 +542,6 @@ class RemoteTransport:
             link.close()
         self._reap(grace=5.0)
 
-    def _reap(self, grace: float) -> None:
-        """Give every host process ``grace`` seconds to exit, then stop it."""
-
     def _broadcast(self, command: List[object], timeout: float = 30.0) -> None:
         """Request ``command`` of every live host, best-effort per link: a
         dead link (a crashed worker stays published) must not keep the
@@ -528,29 +549,16 @@ class RemoteTransport:
         for link in self.links():
             try:
                 link.request(command, timeout=timeout)
-            except (BusError, InjectedFault, OSError):
+            except BusError:
                 pass
 
     # -- remote telemetry ------------------------------------------------------
 
     def enable_telemetry(self) -> None:
-        """Install a flight recorder in every live remote host.
-
-        Enable-if-absent on the host side.  A host that comes up later
-        is armed as it starts (:meth:`_arm_telemetry`).
-        """
+        """Install a flight recorder in every remote host (enable-if-absent
+        on the host side)."""
         self._hosts_recording = True
         self._broadcast(["telemetry_enable"])
-
-    def _arm_telemetry(self, link: Link) -> None:
-        """Install a recorder in ``link``'s newly started host if this
-        transport's hosts are recording, best-effort like the broadcast."""
-        if not self._hosts_recording:
-            return
-        try:
-            link.request(["telemetry_enable"])
-        except (BusError, InjectedFault, OSError):
-            pass
 
     def disable_telemetry(self) -> None:
         """Uninstall every live host's recorder, best-effort per link.
@@ -616,7 +624,7 @@ class RemoteTransport:
             totals = self._last_link_totals[link.name] = (link_counters, link_gauges)
             self._lost_links.discard(link.name)
             return totals
-        except (BusError, OSError) as exc:
+        except BusError as exc:
             if link.name not in self._lost_links:
                 self._lost_links.add(link.name)
                 telemetry.event(
@@ -656,28 +664,22 @@ class RemoteTransport:
     # -- health plane ----------------------------------------------------------
 
     def enable_health(self, monitor, interval: float) -> None:
-        """Point heartbeats from every live host at ``monitor``."""
+        """Register every host with ``monitor`` and start its heartbeats.
+
+        A dead link is skipped: its host is registered and so goes dead
+        for missing beats, and the links after it still arm.
+        """
         self._health_monitor = monitor
-        self._health_interval = float(interval)
         for link in self.links():
-            self._arm_health(link)
+            monitor.register_host(link.name, transport=self.name)
+            try:
+                link.request(["health_enable", float(interval)])
+            except BusError:
+                pass
 
     def disable_health(self) -> None:
         self._health_monitor = None
         self._broadcast(["health_disable"])
-
-    def _arm_health(self, link: Link) -> None:
-        """Register ``link``'s host and start its heartbeats, if a monitor
-        is set.  A dead link is skipped: its host is registered and so
-        goes dead for missing beats, and the links after it still arm."""
-        monitor = self._health_monitor
-        if monitor is None:
-            return
-        monitor.register_host(link.name, transport=self.name)
-        try:
-            link.request(["health_enable", self._health_interval])
-        except (BusError, InjectedFault, OSError):
-            pass
 
     # -- handle bookkeeping ----------------------------------------------------
 
@@ -764,7 +766,7 @@ class RemoteTransport:
 class TcpTransport(RemoteTransport):
     """Machine daemons: one OS process per machine, reached over TCP.
 
-    Spawns one ``python -m repro.bus.tcp`` daemon per machine and speaks
+    Starts one ``python -m repro.bus.tcp`` daemon per machine and speaks
     to it through the shared :class:`Link`/:class:`~repro.bus.host.ModuleHost`
     protocol — so a module placed with ``placement="tcp:<machine>"``
     participates in the ordinary :class:`~repro.bus.bus.SoftwareBus`
@@ -772,8 +774,7 @@ class TcpTransport(RemoteTransport):
     ``machines`` is a count (named ``tcphost-<i>``), a list of
     names, or a mapping ``name -> architecture`` for daemons of different
     architectures; ``architecture`` is the profile of every machine not
-    given one.  TCP frames are lossy under the chaos suite, so requests
-    run under the retrying policy.
+    given one.
     """
 
     name = "tcp"
@@ -789,44 +790,31 @@ class TcpTransport(RemoteTransport):
         if not isinstance(machines, dict):
             machines = dict.fromkeys(machines, architecture)
         super().__init__(machines)
+        self._architectures: Dict[str, str] = machines
+        self._sleep_scale = sleep_scale
         #: machine name -> daemon process, in declared order.
         self._processes: Dict[str, subprocess.Popen] = {}
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        links: Dict[str, Link] = {}
-        try:
-            self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            self._listener.bind(("127.0.0.1", 0))
-            self._listener.listen(16)
-            address: Tuple[str, int] = self._listener.getsockname()
-            # Every daemon is started before any hello is awaited, so
-            # their interpreter start-ups overlap.
-            for name, machine_architecture in machines.items():
-                self._processes[name] = subprocess.Popen(
-                    tcp._daemon_argv(
-                        name,
-                        host_profile(name, machine_architecture),
-                        address,
-                        sleep_scale,
-                    )
+        self._start()
+
+    def _start_hosts(self, links: Dict[str, Link], deadline: float) -> None:
+        """Start every daemon, then match each hello to its machine."""
+        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        self._listener.bind(("127.0.0.1", 0))
+        self._listener.listen(16)
+        address: Tuple[str, int] = self._listener.getsockname()
+        for name, architecture in self._architectures.items():
+            self._processes[name] = subprocess.Popen(
+                tcp._daemon_argv(
+                    name, host_profile(name, architecture), address, self._sleep_scale
                 )
-            deadline = time.monotonic() + 60.0
-            while len(links) < len(self._processes):
-                link = self._next_hello(
-                    {n: p for n, p in self._processes.items() if n not in links},
-                    deadline,
-                )
-                links[link.name] = link
-        except BaseException:
-            # The caller gets no object to close(): leave nothing behind.
-            for link in links.values():
-                link.close()
-            self._reap(grace=0.0)
-            raise
-        # Declared order, not hello order.
-        self._slots = [
-            (links[name], Host(name=name, profile=links[name].profile))
-            for name in self._names
-        ]
+            )
+        while len(links) < len(self._processes):
+            link = self._next_hello(
+                {n: p for n, p in self._processes.items() if n not in links},
+                deadline,
+            )
+            links[link.name] = link
 
     def _next_hello(
         self, waiting: Dict[str, subprocess.Popen], deadline: float
@@ -853,7 +841,8 @@ class TcpTransport(RemoteTransport):
                     )
             if time.monotonic() > deadline:
                 raise TransportError(
-                    f"no hello from tcp daemon(s) {sorted(waiting)} within 60s"
+                    f"no hello from tcp daemon(s) {sorted(waiting)} "
+                    f"within {START_TIMEOUT_S}s"
                 )
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -871,12 +860,7 @@ class TcpTransport(RemoteTransport):
         except BaseException:
             sock.close()
             raise
-        return self._open_link(
-            name,
-            profile,
-            tcp.SocketChannel(sock),
-            retry=RetryPolicy(attempts=3, backoff=0.05),
-        )
+        return self._open_link(name, profile, tcp.SocketChannel(sock))
 
     def _reap(self, grace: float) -> None:
         """Give every daemon ``grace`` seconds to exit, stop the ones

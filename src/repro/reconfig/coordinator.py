@@ -333,7 +333,7 @@ class ReconfigurationCoordinator:
         :meth:`SoftwareBus.add_module`); by default it inherits the old
         module's placement, so a worker-hosted module is replaced in
         place — the captured state packet travels over the transport to
-        the clone, and the rebind batch reaches the affected workers as
+        the clone, and the hand-over reaches the affected workers as
         route updates.  Passing a different placement migrates the
         module between processes as part of the replacement.
 

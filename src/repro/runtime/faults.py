@@ -10,9 +10,11 @@ framing.  Each armed site can
 ``delay``
     sleep for a configured interval before the guarded operation, or
 ``drop``
-    make the site lose its unit of work (a frame, a divulged packet)
-    silently — :func:`fire` returns True and the caller skips the
-    operation.
+    make the site lose its unit of work (a divulge, a state packet, a
+    captured frame) silently — :func:`fire` returns True and the caller
+    skips the operation.  A site whose work cannot be lost silently (a TCP
+    frame: a connection delivers it or fails) fires with
+    :func:`fire_hard`, where a drop is a crash.
 
 Sites fire exactly once by default (``times=1``); a schedule can arm a
 site persistently (``times`` larger than the coordinator's retry budget)

@@ -19,7 +19,7 @@ def monitor():
 
 def flood_compute(bus):
     """Queue a backlog ``compute`` cannot possibly drain within a window."""
-    bus.get_module("compute").queue("sensor").extend(
+    bus.get_module("compute").queue("sensor").put_many(
         [Message(values=[v], fmt="i") for v in range(5000)]
     )
 

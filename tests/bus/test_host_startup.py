@@ -1,17 +1,16 @@
-"""Starting hosts: lazy worker spawns and TCP daemon start-up.
+"""Starting hosts: one start rule for pipe workers and TCP daemons.
 
-Two rules, one per transport.  A pipe worker spawns on first placement,
-and that spawn (a process start plus a handshake, hundreds of
-milliseconds) must not freeze the rest of the bus: ``links()`` is called
-under the bus lock by every routing invalidation, so the slot lock may
-cover table edits only.  TCP daemons start together, say hello in any
-order and are matched by name; a start that fails leaves no process,
-socket or listener behind — the caller never got an object to close.
+A remote transport starts every host process before it awaits any
+handshake, so their interpreter start-ups overlap, and it exists only
+once every host answered: a placement never starts anything.  Pipe
+workers answer a ``ping``; TCP daemons say hello in any order and are
+matched by name.  A start that fails leaves no process, link, socket or
+listener behind — the caller never got an object to close.
 
 The worker cases run on a fake ``multiprocessing`` context whose
-"processes" are threads of this one, parked at a gate inside
-``start()``: what a placement does while its worker is coming up is then
-a fact the test controls, not a timing it hopes for.
+"processes" are threads of this one: whether a worker serves, stays
+mute or exits at once is then a fact the test controls, not a timing it
+hopes for.
 """
 
 import multiprocessing
@@ -22,15 +21,14 @@ import sys
 import threading
 import time
 from multiprocessing.connection import Connection
+from types import SimpleNamespace
 
 import pytest
 
+from repro.bus import procpool
 from repro.bus import tcp as tcpmod
-from repro.bus.bus import SoftwareBus
-from repro.bus.interfaces import InterfaceDecl, Role
-from repro.bus.message import Message
+from repro.bus import transport as transportmod
 from repro.bus.procpool import ProcessTransport
-from repro.bus.spec import BindingSpec, ModuleSpec
 from repro.bus.transport import TcpTransport
 from repro.errors import BusError, TransportError
 
@@ -38,127 +36,141 @@ from tests.conftest import wait_until
 
 pytestmark = pytest.mark.usefixtures("watchdog")
 
-#: How long a call that must not block may take before the test says it did.
+#: How long a start that must not hang may take before the test says it did.
 PROMPT_S = 10.0
-
-COLLECTOR_SOURCE = '''
-def main():
-    got = []
-    mh.statics["got"] = []
-    mh.init()
-    while mh.running:
-        got.append(mh.read1("inp"))
-        mh.statics["got"] = got
-'''
-
-FEEDER_SOURCE = '''
-def main():
-    mh.sleep(0.01)
-'''
 
 
 class _ThreadProcess:
-    """A worker "process" that is a thread, parked in ``start()`` while
-    its context's gate is closed."""
+    """A worker "process" that is a thread of this one.
 
-    def __init__(self, context, target, args):
-        def run():
-            try:
-                target(*args)
-            finally:
-                args[0].close()  # a process that exits closes its pipe end
+    ``serve`` runs the real worker loop; ``mute`` keeps its pipe end open
+    and never answers (a child hung in start-up); ``stillborn`` closes
+    its pipe end at once (a child that exits before serving).
+    """
 
+    def __init__(self, context, mode, target, args):
         self._context = context
-        self._thread = threading.Thread(target=run, daemon=True)
+        self._mode = mode
+        self._conn = args[0]
         self.terminated = False
 
+        def run():
+            try:
+                if context.barrier is not None:
+                    try:
+                        context.barrier.wait()
+                    except threading.BrokenBarrierError:
+                        return  # exits unserved: the handshake reads EOF
+                target(*args)
+            finally:
+                self._conn.close()  # a process that exits closes its pipe end
+
+        self._thread = threading.Thread(target=run, daemon=True)
+
     def start(self):
-        self._context.parked.set()
-        self._context.gate.wait()
-        if self._context.stillborn:
-            self._thread = None  # never serves: the handshake gets no reply
-            return
-        self._thread.start()
+        self._context.started.append(self)
+        if self._mode == "serve":
+            self._thread.start()
+        elif self._mode == "stillborn":
+            self._conn.close()
 
     def join(self, timeout=None):
-        if self._thread is not None:
+        if self._thread.ident is not None:
             self._thread.join(timeout)
 
     def is_alive(self):
-        return self._thread is not None and self._thread.is_alive()
+        if self._mode == "mute":
+            return not self.terminated
+        return self._thread.is_alive()
 
     def terminate(self):
+        """Like a killed child, hang up the pipe: a bare ``close()`` would
+        not wake a thread blocked reading it, a ``shutdown`` wakes both
+        ends."""
         self.terminated = True
+        if self._conn.closed:
+            return
+        with socket.socket(fileno=os.dup(self._conn.fileno())) as end:
+            end.shutdown(socket.SHUT_RDWR)
+        if self._thread.ident is None:  # no thread of its own to close it
+            self._conn.close()
 
 
 class ThreadContext:
-    """Stands in for ``multiprocessing.get_context()`` in a pool."""
+    """Stands in for ``multiprocessing.get_context("spawn")`` in a pool.
 
-    def __init__(self, gate_open=True, stillborn=False):
-        self.gate = threading.Event()
-        if gate_open:
-            self.gate.set()
-        self.parked = threading.Event()
-        self.stillborn = stillborn
+    ``modes`` maps a worker index to how its process behaves (``serve``
+    by default).  With ``barrier`` set, no worker serves before that
+    many have been started.
+    """
+
+    def __init__(self, modes=None, barrier=None):
+        self.modes = dict(modes or {})
+        self.barrier = (
+            threading.Barrier(barrier, timeout=PROMPT_S) if barrier else None
+        )
         self.processes = []
+        self.started = []
+        self.parent_ends = []
 
     def Pipe(self):
-        return multiprocessing.Pipe()
+        parent, child = multiprocessing.Pipe()
+        self.parent_ends.append(parent)
+        return parent, child
 
     def Process(self, target, args, name, daemon):
         # A real child gets its own copy of the pipe end; the pool closes
-        # its copy once the child is started.  A stillborn child gets
-        # none, so the bus side reads EOF where the handshake reply is due.
-        if not self.stillborn:
-            args = (Connection(os.dup(args[0].fileno())),) + tuple(args[1:])
-        process = _ThreadProcess(self, target, args)
+        # its copy once the child is started.
+        args = (Connection(os.dup(args[0].fileno())),) + tuple(args[1:])
+        mode = self.modes.get(len(self.processes), "serve")
+        process = _ThreadProcess(self, mode, target, args)
         self.processes.append(process)
         return process
 
 
-def pool(context, workers=2):
-    transport = ProcessTransport(workers=workers, sleep_scale=0.0)
-    transport._ctx = context
-    return transport
+@pytest.fixture
+def fake_context(monkeypatch):
+    """Make pools started in this test run on a :class:`ThreadContext`."""
 
+    def install(**kwargs):
+        context = ThreadContext(**kwargs)
 
-def in_thread(fn, *args):
-    """Run ``fn`` on a thread; ``.result`` holds what it returned or raised."""
+        def get_context(method):
+            assert method == "spawn"
+            return context
 
-    def run():
-        try:
-            thread.result = fn(*args)
-        except BaseException as exc:  # noqa: BLE001 - handed to the test
-            thread.result = exc
+        monkeypatch.setattr(
+            procpool, "multiprocessing", SimpleNamespace(get_context=get_context)
+        )
+        return context
 
-    thread = threading.Thread(target=run, daemon=True)
-    thread.result = None
-    thread.start()
-    return thread
+    return install
 
 
 @pytest.mark.parametrize(
     "kind", ["worker", pytest.param("tcp", marks=pytest.mark.multiproc)]
 )
-def test_one_slot_table_for_both_transports(kind):
-    """On either transport a slot is a host name or an index, no slot is
-    round-robin in declared order, anything else is a ``BusError``, and a
-    peek neither starts a host nor advances round-robin."""
-    context = ThreadContext()
+def test_one_slot_table_for_both_transports(kind, fake_context):
+    """On either transport every host is up before the first placement,
+    a slot is a host name or an index, no slot is round-robin in
+    declared order, anything else is a ``BusError``, and a peek does not
+    advance round-robin."""
     if kind == "worker":
-        transport, labels = pool(context, workers=3), ["0", "1", "2"]
+        context = fake_context()
+        transport, labels = ProcessTransport(workers=3), ["0", "1", "2"]
+        assert len(context.started) == 3
     else:
         transport = TcpTransport(machines=3)
         labels = transport._names
     names = list(transport._names)
     try:
+        assert [link.name for link in transport.links()] == names
         for index, name in enumerate(names):
             assert transport.peek_host(str(index)) == transport.peek_host(name) == name
         for bad in ("3", "-1", "nope"):
             assert transport.peek_host(bad) is None
             with pytest.raises(BusError, match=repr(bad)):
                 transport._place(bad)
-        assert context.processes == []  # no worker spawned so far
         placements = [transport._place(None)[2] for _ in range(4)]
         assert placements == [f"{transport.name}:{labels[i]}" for i in (0, 1, 2, 0)]
         link, host, placement = transport._place(names[1])
@@ -167,157 +179,51 @@ def test_one_slot_table_for_both_transports(kind):
         assert placement == f"{transport.name}:{labels[1]}"
     finally:
         transport.close()
+    assert transport.links() == []
+    with pytest.raises(TransportError, match="closed"):
+        transport._place("0")
 
 
-class TestLazyWorkerSpawn:
-    def test_links_returns_while_a_slot_is_spawning(self):
-        context = ThreadContext(gate_open=False)
-        transport = pool(context)
-        placing = in_thread(transport._place, "1")
+class TestPoolStart:
+    def test_all_workers_start_before_any_handshake(self, fake_context):
+        """No worker answers its ``ping`` until all three were started,
+        so a pool that awaited one handshake before starting the next
+        worker would never get its first reply."""
+        context = fake_context(barrier=3)
+        transport = ProcessTransport(workers=3)
         try:
-            assert context.parked.wait(PROMPT_S)
-            listing = in_thread(transport.links)
-            listing.join(PROMPT_S)
-            assert not listing.is_alive(), "links() waited for the spawn"
-            assert placing.is_alive()
-            # Published slots only: the worker has not answered yet.
-            assert listing.result == []
-            assert transport._slots == [None, None]
-        finally:
-            context.gate.set()
-            placing.join(PROMPT_S)
-            transport.close()
-        link, host, placement = placing.result
-        assert (link.name, host.name, placement) == ("worker-1", "worker-1", "worker:1")
-
-    def test_topology_edit_completes_while_another_worker_starts(self):
-        """The bus-level twin: routing invalidation lists links under the
-        bus lock, so a parked spawn used to hold every edit up with it."""
-        context = ThreadContext()
-        bus = SoftwareBus(sleep_scale=0.0)
-        bus.attach_transport(pool(context), owned=True)
-        collector = ModuleSpec(
-            name="collector",
-            inline_source=COLLECTOR_SOURCE,
-            interfaces=[InterfaceDecl(name="inp", role=Role.USE, pattern="l")],
-        )
-        feeder = ModuleSpec(
-            name="feeder",
-            inline_source=FEEDER_SOURCE,
-            interfaces=[InterfaceDecl(name="out", role=Role.DEFINE, pattern="l")],
-        )
-        binding = BindingSpec("feeder", "out", "collector", "inp")
-
-        def got():
-            return bus.statics_of("collector").get("got")
-
-        try:
-            bus.add_module(collector, placement="worker:0", start=True)
-            bus.add_module(feeder)
-            bus.add_binding(binding)
-            bus.route("feeder", "out", Message(values=[1], fmt="l"))
-            wait_until(lambda: got() == [1])  # a routing snapshot is published
-
-            context.gate.clear()
-            context.parked.clear()
-            placing = in_thread(
-                lambda: bus.add_module(
-                    collector, instance="late", placement="worker:1", start=True
-                )
-            )
-            assert context.parked.wait(PROMPT_S)
-
-            def edit():
-                bus.remove_binding(binding)
-                bus.add_binding(binding)
-                bus.route("feeder", "out", Message(values=[2], fmt="l"))
-
-            editing = in_thread(edit)
-            editing.join(PROMPT_S)
-            assert not editing.is_alive(), "the edit waited for worker:1"
-            assert editing.result is None
-            assert placing.is_alive()
-            wait_until(lambda: got() == [1, 2])
-
-            context.gate.set()
-            placing.join(PROMPT_S)
-            assert not isinstance(placing.result, BaseException), placing.result
-            assert bus.get_module("late").placement == "worker:1"
-            assert len(bus.transport("worker").links()) == 2
-        finally:
-            context.gate.set()
-            bus.shutdown()
-
-    def test_racing_placements_share_one_process(self):
-        context = ThreadContext(gate_open=False)
-        transport = pool(context)
-        first = in_thread(transport._place, "0")
-        try:
-            assert context.parked.wait(PROMPT_S)
-            second = in_thread(transport._place, "0")
-            third = in_thread(transport._place, "0")
-            context.gate.set()
-            for thread in (first, second, third):
-                thread.join(PROMPT_S)
-                assert not thread.is_alive()
-            links = {id(thread.result[0]) for thread in (first, second, third)}
-            assert len(links) == 1
-            assert len(context.processes) == 1
-            assert transport._spawning == {}
-        finally:
-            context.gate.set()
-            transport.close()
-
-    def test_stress_many_placers_few_slots(self):
-        """More placers than cores, preempted every few bytecodes: each
-        slot still gets exactly one worker and every placer its link."""
-        context = ThreadContext()
-        transport = pool(context, workers=3)
-        barrier = threading.Barrier(12)
-
-        def place(index):
-            barrier.wait(PROMPT_S)
-            return transport._place(str(index % 3))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            placers = [in_thread(place, index) for index in range(12)]
-            for thread in placers:
-                thread.join(30.0)
-                assert not thread.is_alive()
-        finally:
-            sys.setswitchinterval(interval)
-        try:
+            assert context.started == context.processes
             assert len(context.processes) == 3
-            assert len(transport.links()) == 3
-            for index, thread in enumerate(placers):
-                assert thread.result[2] == f"worker:{index % 3}"
+            links = transport.links()
+            assert [link.name for link in links] == ["worker-0", "worker-1", "worker-2"]
+            assert all(link.request(["ping"]) is not None for link in links)
         finally:
             transport.close()
+        assert not any(process.is_alive() for process in context.processes)
 
-    def test_failed_handshake_leaves_the_slot_empty(self):
-        context = ThreadContext(gate_open=False, stillborn=True)
-        transport = pool(context)
-        first = in_thread(transport._place, "0")
-        assert context.parked.wait(PROMPT_S)
-        second = in_thread(transport._place, "0")  # waits on the same spawn
-        context.gate.set()
-        for thread in (first, second):
-            thread.join(PROMPT_S)
-            assert isinstance(thread.result, TransportError), thread.result
-        assert transport.links() == []
-        assert transport._slots == [None, None]
-        assert transport._spawning == {}
-        assert [p.terminated for p in context.processes] == [True]
-        # The reservation is gone with it: the next placement starts over.
-        transport._ctx = healthy = ThreadContext()
-        try:
-            link, _host, placement = transport._place("0")
-            assert placement == "worker:0" and link.request(["ping"]) is not None
-            assert len(healthy.processes) == 1
-        finally:
-            transport.close()
+    @pytest.mark.parametrize("mode", ["mute", "stillborn"])
+    def test_a_failed_worker_fails_the_whole_start(
+        self, fake_context, monkeypatch, mode
+    ):
+        """A worker that never answers (the start deadline passes) or
+        exits at once (its pipe reads EOF) fails the construction: every
+        process is stopped and every link closed, and a worker that
+        exits is noticed without waiting for the deadline."""
+        if mode == "mute":
+            monkeypatch.setattr(transportmod, "START_TIMEOUT_S", 0.5)
+        context = fake_context(modes={1: mode})
+        started = time.monotonic()
+        with pytest.raises(TransportError, match="worker-1"):
+            ProcessTransport(workers=3)
+        assert time.monotonic() - started < PROMPT_S
+        assert len(context.started) == 3
+        assert all(end.closed for end in context.parent_ends)
+        wait_until(
+            lambda: not any(process.is_alive() for process in context.processes),
+            timeout=PROMPT_S,
+        )
+        if mode == "mute":
+            assert context.processes[1].terminated
 
 
 @pytest.mark.multiproc

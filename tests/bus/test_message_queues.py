@@ -177,6 +177,12 @@ class TestMessageQueue:
         assert [m.values[0] for m in drained] == [1, 2]
         assert len(queue) == 0
 
+    def test_put_many_appends(self):
+        queue = MessageQueue("q")
+        queue.put(msg(1))
+        queue.put_many([msg(2), msg(3)])
+        assert [queue.get(timeout=1).values[0] for _ in range(3)] == [1, 2, 3]
+
     def test_prepend_puts_older_first(self):
         # The cq semantics: copied (older) messages are consumed before
         # freshly delivered ones.
@@ -185,12 +191,6 @@ class TestMessageQueue:
         queue.prepend([msg("old1"), msg("old2")])
         order = [queue.get(timeout=1).values[0] for _ in range(3)]
         assert order == ["old1", "old2", "new1"]
-
-    def test_extend_appends(self):
-        queue = MessageQueue("q")
-        queue.put(msg(1))
-        queue.extend([msg(2)])
-        assert [queue.get(timeout=1).values[0] for _ in range(2)] == [1, 2]
 
     def test_closed_queue_rejects_put(self):
         queue = MessageQueue("q")

@@ -111,7 +111,7 @@ def _watchdog(watchdog):
 def placed_bus(request):
     """A bus plus the placement string that selects the transport under test."""
     if request.param == "worker":
-        bus = SoftwareBus(sleep_scale=0.0, workers=2)
+        bus = SoftwareBus(sleep_scale=0.0, workers=1)
         placement = "worker:0"
     elif request.param == "tcp":
         bus = SoftwareBus(sleep_scale=0.0)
@@ -527,14 +527,13 @@ class TestRecordedRouting:
         finally:
             bus.shutdown()
 
-    def test_a_worker_spawned_after_enable_reports_its_counters(self):
-        """A pool slot that comes up after ``enable()`` is armed as it
-        starts, before the module that spawned it arrives: the host
-        counts that module's compile and every delivery to it."""
+    def test_a_pool_started_after_enable_reports_its_counters(self):
+        """A pool that starts after ``enable()`` is armed as the bus
+        attaches it, before any module arrives: the host counts the
+        module's compile and every delivery to it."""
+        rec = telemetry.enable(capacity=1 << 14)
         bus = SoftwareBus(sleep_scale=0.0, workers=1)
         try:
-            rec = telemetry.enable(capacity=1 << 14)
-            assert bus.transport("worker").links() == []
             bus.add_module(_feeder_spec(), instance="feeder")
             bus.add_module(_collector_spec(), instance="c", placement="worker:0")
             bus.add_binding(BindingSpec("feeder", "out", "c", "inp"))
@@ -562,13 +561,10 @@ class TestNoCompileInRemoteReplace:
     @pytest.mark.parametrize("placement", ["worker:0", "tcp:0"])
     def test_compiled_counter_is_flat_on_the_host(self, mixed_bus, placement):
         bus = mixed_bus
+        # The host is up with the bus, so enabling arms its recorder
+        # before the module under test arrives to be compiled.
         rec = telemetry.enable(capacity=1 << 14)
-        # Placing anything spawns the host; its recorder must be up
-        # before the module under test arrives, or its one compile
-        # would go uncounted.
-        bus.add_module(_collector_spec("warm"), instance="warm", placement=placement)
         transport = bus.transport(placement.partition(":")[0])
-        transport.enable_telemetry()
 
         def compiled_on_host():
             counters, _ = transport.telemetry_snapshot()

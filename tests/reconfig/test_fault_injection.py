@@ -11,7 +11,8 @@ transactional contract from the outside:
 - after every abort the old module still serves traffic, with the state
   it had when the fault hit (the in-flight request was served exactly
   once, never lost, never duplicated);
-- TCP frame faults are absorbed by the link's bounded request retry.
+- a request over TCP is sent once: a send fault fails it, a receive
+  fault (which fires before a byte is read) costs nothing.
 
 Traffic is event-driven (the manual kvstore harness): the shard only
 reaches its reconfiguration point when a test feeds it a request, so no
@@ -23,7 +24,9 @@ CI uploads, sufficient to replay the failure (see docs/fault-model.md).
 import json
 import os
 import socket
+import struct
 import threading
+import time
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -37,12 +40,15 @@ from repro.errors import (
     ReconfigTimeoutError,
     ReconfigurationAborted,
     ReconfigurationTimeout,
+    TransportError,
 )
 from repro.reconfig.scripts import move_module
 from repro.runtime import telemetry
-from repro.runtime.faults import FaultPlan, RetryPolicy, fault_plan
+from repro.runtime.faults import FaultPlan, fault_plan
+from repro.state.encoding import decode_any, encode_any
 from repro.state.machine import MACHINES
 
+from tests.conftest import wait_until
 from tests.reconfig.helpers import (
     kv_reply,
     kv_round_trip,
@@ -302,44 +308,49 @@ def test_clone_restore_fault_caught_by_health_check(kv, site, mode):
 
 
 # ---------------------------------------------------------------------------
-# TCP frame faults: the link absorbs them with bounded request retry
+# TCP frame faults: a request is sent once
 # ---------------------------------------------------------------------------
 
 
 class _EchoDaemon:
     """A minimal peer speaking the wire protocol: 'rep pong' per request.
 
-    Idempotent by construction — like the real daemon commands on the
-    retry path — so re-executed requests are observable but harmless
-    (``requests_served`` counts them).
+    It frames by hand, outside the ``tcp.*`` injection sites, so an armed
+    site can only fire on the link's side.  ``reply_delays`` holds the
+    delay before each successive reply (none once it runs out).
     """
 
-    def __init__(self, sock: socket.socket):
+    def __init__(self, sock: socket.socket, reply_delays=()):
         self.sock = sock
+        self.reply_delays = list(reply_delays)
         self.requests_served = 0
+        self.replies_sent = 0
         threading.Thread(target=self._serve, daemon=True, name="echo-daemon").start()
 
-    def _serve(self) -> None:
-        from repro.bus.tcp import recv_frame, send_frame
-        from repro.errors import TransportError
+    def _read(self, count: int) -> bytes:
+        data = self.sock.recv(count, socket.MSG_WAITALL)
+        if len(data) < count:
+            raise EOFError
+        return data
 
+    def _serve(self) -> None:
         try:
             while True:
-                frame = recv_frame(self.sock)
+                (length,) = struct.unpack(">I", self._read(4))
+                frame = decode_any(self._read(length))
                 if frame[0] == "req":
                     self.requests_served += 1
-                    send_frame(self.sock, ["rep", frame[1], "pong"])
-        except (TransportError, OSError, InjectedFault):
+                    if self.reply_delays:
+                        time.sleep(self.reply_delays.pop(0))
+                    payload = encode_any(["rep", frame[1], "pong"])
+                    self.sock.sendall(struct.pack(">I", len(payload)) + payload)
+                    self.replies_sent += 1
+        except (OSError, EOFError):
             return
 
 
 def _make_link(sock) -> Link:
-    return Link(
-        "echo",
-        MACHINES["modern-64"],
-        SocketChannel(sock),
-        retry=RetryPolicy(attempts=3, backoff=0.01),
-    )
+    return Link("echo", MACHINES["modern-64"], SocketChannel(sock))
 
 
 @pytest.fixture
@@ -354,65 +365,50 @@ def wire():
 
 
 @pytest.mark.parametrize("mode", ["crash", "drop"])
-def test_lost_request_frame_is_retried(wire, mode):
-    """A request frame lost on send is re-sent with a fresh sequence."""
+def test_a_lost_request_frame_fails_its_one_attempt(wire, mode):
+    """A send fault fails the request before any byte leaves: the host
+    never saw it, nothing re-sends it, and the link stays usable."""
     ours, theirs = wire
     daemon = _EchoDaemon(theirs)
     link = _make_link(ours)
     plan = FaultPlan(f"tcp-send-{mode}").schedule("tcp.send_frame", mode)
     with artifact_on_failure(plan, f"tcp-send-{mode}"):
         with fault_plan(plan):
-            assert link.request(["ping"], timeout=0.4) == "pong"
+            with pytest.raises(TransportError, match="send failed"):
+                link.request(["ping"], timeout=2.0)
+            assert plan.fired("tcp.send_frame") == 1
+            assert daemon.requests_served == 0
+            assert link.request(["ping"], timeout=2.0) == "pong"
         assert plan.fired("tcp.send_frame") == 1
-        # The dropped attempt never reached the daemon; only the retry did.
         assert daemon.requests_served == 1
 
 
-def test_persistent_send_fault_exhausts_budget_then_surfaces(wire):
-    """The link gives up after its retry budget and raises the fault —
-    but stays usable once the fault clears."""
+@pytest.mark.parametrize("mode", ["crash", "drop"])
+def test_a_recv_fault_loses_no_frame(wire, mode):
+    """A receive fault fires before the reader reads a byte, so the
+    reply still arrives and the host served the request exactly once."""
     ours, theirs = wire
     daemon = _EchoDaemon(theirs)
-    link = _make_link(ours)
-    plan = FaultPlan("tcp-send-persistent").schedule("tcp.send_frame", "crash", times=99)
-    with artifact_on_failure(plan, "tcp-send-persistent"):
+    plan = FaultPlan(f"tcp-recv-{mode}").schedule("tcp.recv_frame", mode)
+    with artifact_on_failure(plan, f"tcp-recv-{mode}"):
         with fault_plan(plan):
-            with pytest.raises(InjectedFault):
-                link.request(["ping"], timeout=0.4)
-        assert plan.fired("tcp.send_frame") == 3
-        assert daemon.requests_served == 0
-        assert link.request(["ping"], timeout=2.0) == "pong"
-
-
-def test_dropped_reply_frame_retries_at_least_once(wire):
-    """A reply lost in flight forces a retry that re-executes the command.
-
-    This is the documented at-least-once caveat of the request path: the
-    daemon served the first request, its reply was dropped, and the
-    retry made it serve again — which is why daemon commands on the
-    retry path are idempotent.
-    """
-    ours, theirs = wire
-    daemon = _EchoDaemon(theirs)  # its reader is already parked, pre-plan
-    plan = FaultPlan("tcp-recv-drop").schedule("tcp.recv_frame", "drop")
-    with artifact_on_failure(plan, "tcp-recv-drop"):
-        with fault_plan(plan):
-            # The link's reader starts under the plan, so *its* first
-            # recv consumes the armed drop: the first reply is discarded.
-            link = _make_link(ours)
-            assert link.request(["ping"], timeout=0.4) == "pong"
-        assert plan.fired("tcp.recv_frame") == 1
-        assert daemon.requests_served == 2
-
-
-def test_recv_crash_does_not_kill_the_reader(wire):
-    """An injected crash in the reader loop is absorbed; the link lives."""
-    ours, theirs = wire
-    daemon = _EchoDaemon(theirs)
-    plan = FaultPlan("tcp-recv-crash").schedule("tcp.recv_frame", "crash")
-    with artifact_on_failure(plan, "tcp-recv-crash"):
-        with fault_plan(plan):
+            # The link's reader starts under the plan, so its first
+            # receive consumes the armed fault.
             link = _make_link(ours)
             assert link.request(["ping"], timeout=2.0) == "pong"
         assert plan.fired("tcp.recv_frame") == 1
         assert daemon.requests_served == 1
+
+
+def test_a_late_reply_fails_the_request_without_a_resend(wire):
+    """A missed deadline raises; the host served the request once, and
+    its late reply, when it comes, completes nothing."""
+    ours, theirs = wire
+    daemon = _EchoDaemon(theirs, reply_delays=[0.5])
+    link = _make_link(ours)
+    with pytest.raises(TransportError, match="no reply"):
+        link.request(["ping"], timeout=0.1)
+    wait_until(lambda: daemon.replies_sent == 1)
+    assert daemon.requests_served == 1
+    assert link.request(["ping"], timeout=2.0) == "pong"
+    assert daemon.requests_served == 2
