@@ -20,7 +20,7 @@ the configurations that stress the routing table:
 
 A second tier measures the *cross-process link path* through the
 worker-pool transport.  Its headline ``aggregate`` is an in-process
-sender fanning out over pipe links to 8 receivers in each of 2 worker
+sender fanning out over links to 8 receivers in each of 2 worker
 processes — every delivery crosses a link, so the number is dominated
 by frame cost, which is exactly what send-side coalescing (see
 :mod:`repro.bus.batch`) amortizes.  The tier also keeps the pinned
@@ -315,13 +315,11 @@ def measure_spawn_ms(rounds: int = 3) -> float:
 
     One round is a fresh one-slot pool from construction (which starts
     the worker with the pool: interpreter start, the host's imports,
-    the ping handshake) through one placement (one ``add``) to
+    the hello handshake) through one placement (one ``add``) to
     ``close()``.
     Recorded, not gated: it scales with the runner and with bytecode
     caching — the exact gate on what a host imports is
-    ``tests/test_import_closure.py``.  Run as a script, ``spawn``
-    re-imports this file in the child, so the figure then includes the
-    benchmark's own imports (the bus among them) on top of the host's.
+    ``tests/test_import_closure.py``.
     """
     times = []
     for _ in range(rounds):
@@ -355,7 +353,7 @@ def run_xproc_tier(seconds: float) -> Dict[str, object]:
         "shape": (
             "aggregate: inproc sender -> "
             f"{fanout} receivers in each of {workers} workers (all "
-            "deliveries cross a pipe link)"
+            "deliveries cross a link)"
         ),
         "inproc_pair_baseline": round(inproc, 1),
         "pinned_pairs_aggregate": round(pinned, 1),

@@ -26,7 +26,7 @@ Recording must observe the bus, not re-route it: the recorded
 cross-architecture 8-way entry is asserted to keep the plain entry's
 compiled groups, and two cross-process shapes are recorded (not gated)
 plain vs recording — ``xlink_fanout8`` (``route()`` µs, an in-process
-sender fanning out to 8 receivers in one pipe worker) and
+sender fanning out to 8 receivers in one worker) and
 ``pinned_pair`` (msgs/s of a credit-loop pair pinned to ``worker:0``,
 running on its host-local route).
 
@@ -143,7 +143,7 @@ def assert_recording_keeps_the_plan() -> None:
 def measure_xlink_fanout(rounds: int, calls: int) -> Dict[str, object]:
     """``route()`` µs on an 8-way link fan-out, plain vs recording.
 
-    One in-process sender bound to 8 receivers in one pipe worker, so a
+    One in-process sender bound to 8 receivers in one worker, so a
     ``route()`` is one encode plus one coalescer append.  Plain and
     recorded segments alternate on one bus, each opened by one untimed
     ``route()`` (the table recompiles after the switch); every segment
@@ -385,14 +385,14 @@ def measure_tracing_health(seconds: float, rounds: int) -> Dict[str, object]:
 
     PR 9 added two always-on costs to enabled mode: trace-context
     propagation (a trailer on link requests, Lamport ticks on recorded
-    spans) and the health plane (a worker heartbeating over its pipe,
+    spans) and the health plane (a worker heartbeating over its link,
     the bus-side monitor recording arrivals on the dispatcher thread).
     Neither touches the inproc delivery hot path directly, and this tier
     is the proof: same straddled ``b1 e b2`` layout as
     :func:`measure_modes`, but the bus owns a spawned worker beating at
     the default 200 ms cadence while the enabled segment runs.  On the
      1-core CI containers every beat is a genuine preemption of the
-    measured loop (worker wakes, encodes, pipes; dispatcher decodes),
+    measured loop (worker wakes, encodes, sends; dispatcher decodes),
     so the default cadence — what production pays — is what the gate
     bounds.  Heartbeats stay off in every other tier — and off by
     default everywhere — precisely so this one measures their cost

@@ -57,7 +57,7 @@ __all__ = [
     "__version__",
 ]
 
-# Resolved on first use: ``import repro.bus.host`` in a worker must
+# Resolved on first use: ``python -m repro.bus.tcp`` in a daemon must
 # not load the bus, the transformer or the coordinator (see repro._lazy).
 __getattr__, __dir__ = lazy_exports(
     globals(),

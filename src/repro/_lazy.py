@@ -2,8 +2,8 @@
 
 Importing any submodule runs its package's ``__init__`` first.  A façade
 that imports what it re-exports therefore makes *every* process load
-everything the package offers — a pipe worker or TCP daemon, which only
-hosts prepared modules, would import the transformer pipeline, the MIL
+everything the package offers — a machine daemon, which only hosts
+prepared modules, would import the transformer pipeline, the MIL
 parser, the bus and the coordinator just to find ``serve_host``.  The
 four façades (``repro``, ``repro.bus``, ``repro.core``,
 ``repro.reconfig``) instead keep a submodule -> names table beside

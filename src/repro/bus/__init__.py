@@ -15,12 +15,14 @@ asynchronous.  Bindings connect the interfaces of modules."
 - :mod:`repro.bus.machine`    — simulated hosts with architecture profiles
 - :mod:`repro.bus.module`     — module instances (thread of control + namespace)
 - :mod:`repro.bus.bus`        — the bus itself: routing, lifecycle, introspection
-- :mod:`repro.bus.transport`  — where else a module executes: in a pipe
-  worker (:mod:`repro.bus.procpool`) or in a TCP machine daemon
-  (:mod:`repro.bus.tcp`); the bus-side handles and the shared slot table
+- :mod:`repro.bus.transport`  — where else a module executes: in a
+  machine daemon of the worker pool or of an attached TCP transport;
+  the bus-side handles and the shared slot table
+- :mod:`repro.bus.tcp`        — the daemons' framing, socket channel and
+  ``python -m repro.bus.tcp`` entry point
 - :mod:`repro.bus.link`       — the bus-side end of a remote host's channel
 - :mod:`repro.bus.host`       — the remote end: the module host every
-  worker and daemon runs, and all such a process imports of the bus
+  daemon runs, and all such a process imports of the bus
 - :mod:`repro.bus.batch`      — coalesced delivery frames for those links
 """
 
@@ -44,9 +46,9 @@ __all__ = [
     "SoftwareBus",
 ]
 
-# Resolved on first use (see repro._lazy): every pipe worker and TCP
-# daemon runs this file on its way to ``repro.bus.host`` /
-# ``repro.bus.tcp`` and needs neither the MIL parser nor the bus.
+# Resolved on first use (see repro._lazy): every machine daemon runs
+# this file on its way to ``repro.bus.tcp`` and needs neither the MIL
+# parser nor the bus.
 __getattr__, __dir__ = lazy_exports(
     globals(),
     {

@@ -205,8 +205,9 @@ class SoftwareBus:
     wall-clock pacing), tests and benchmarks use 0.0.
 
     A module added without a placement is a thread in this process.
-    ``workers`` > 0 attaches an owned process worker pool
-    (:class:`~repro.bus.procpool.ProcessTransport`), making
+    ``workers`` > 0 attaches an owned pool of worker processes
+    (:class:`~repro.bus.transport.WorkerTransport`: machine daemons of
+    ``worker_architecture``), making
     ``placement="worker"`` / ``"worker:<i>"`` available on
     :meth:`add_module`; further remote transports attach via
     :meth:`attach_transport`.  Modules placed on a transport appear in
@@ -258,11 +259,11 @@ class SoftwareBus:
         with _live_buses_lock:
             _live_buses.add(self)
         if workers:
-            from repro.bus.procpool import ProcessTransport
+            from repro.bus.transport import WorkerTransport
 
             self.attach_transport(
-                ProcessTransport(
-                    workers=workers,
+                WorkerTransport(
+                    machines=workers,
                     architecture=worker_architecture,
                     sleep_scale=sleep_scale,
                 ),
@@ -364,7 +365,7 @@ class SoftwareBus:
         ``None``/``"inproc"`` is today's thread-in-the-bus-process path;
         ``"<transport>"`` lets the named transport pick a slot
         (round-robin); ``"<transport>:<slot>"`` pins one (e.g.
-        ``"worker:0"``, ``"tcp:tcphost-1"``).  A ``placement`` attribute
+        ``"worker:0"``, ``"tcp:1"``).  A ``placement`` attribute
         on the (merged) spec supplies the default, so MIL instance lines
         can place modules declaratively.
         """

@@ -1,14 +1,13 @@
 """The module host: the remote end of a link, and nothing else.
 
-Every pipe worker and TCP machine daemon runs :func:`serve_host` around
-one :class:`ModuleHost`, which hosts real
+Every machine daemon — a worker of the pool or a TCP machine — runs
+:func:`serve_host` around one :class:`ModuleHost`, which hosts real
 :class:`~repro.bus.module.ModuleInstance` threads and serves the command
 protocol (docs/tcp-protocol.md).  A host process imports this file and
-its channel module — :class:`PipeChannel` here for a worker,
-:class:`~repro.bus.tcp.SocketChannel` for a daemon — and not the
+its channel module (:class:`~repro.bus.tcp.SocketChannel`), and not the
 bus-side half of the stack (:mod:`repro.bus.link`,
-:mod:`repro.bus.transport`, :mod:`repro.bus.procpool`): modules arrive
-prepared, so a host loads what it runs.
+:mod:`repro.bus.transport`): modules arrive prepared, so a host loads
+what it runs.
 
 Worker-local fan-out: the bus pushes per-host route tables to each link
 (``set_routes``) covering endpoints whose *every* destination lives on
@@ -34,8 +33,7 @@ from repro.bus.spec import spec_from_abstract
 from repro.errors import BindingError, BusError, TransportError, UnknownModuleError
 from repro.runtime import telemetry
 from repro.runtime.mh import SleepPolicy
-from repro.state.encoding import decode_any, encode_any
-from repro.state.machine import MachineProfile, profile_from_abstract
+from repro.state.machine import MachineProfile
 
 
 #: Tag of the optional trace-context trailer a request frame may carry:
@@ -587,9 +585,9 @@ def serve_host(
 ) -> None:
     """Host modules behind ``channel`` until shutdown or the bus goes away.
 
-    The whole remote side of a link, for pipe workers and TCP daemons
-    alike.  Events are handled inline: per-link FIFO is what makes queue
-    snapshots exact w.r.t. prior deliveries.  Requests each run on their
+    The whole remote side of a link, for every machine daemon.  Events
+    are handled inline: per-link FIFO is what makes queue snapshots
+    exact w.r.t. prior deliveries.  Requests each run on their
     own thread, because several of them block on module progress
     (``stop``, ``revive``) while deliveries must keep flowing, and every
     outcome becomes a ``rep`` or ``err`` reply.
@@ -647,44 +645,3 @@ def serve_host(
                 ).start()
     finally:
         core.stop_all()
-
-
-class PipeChannel:
-    """A ``multiprocessing`` pipe as a frame channel.
-
-    Pipes are loss-free and ordered; a failed pipe operation means the
-    peer process died, which surfaces as :class:`TransportError`.
-    """
-
-    __slots__ = ("_conn",)
-
-    def __init__(self, conn):
-        self._conn = conn
-
-    def send(self, value) -> None:
-        try:
-            self._conn.send_bytes(encode_any(value))
-        except (OSError, ValueError, EOFError) as exc:
-            raise TransportError(f"pipe send failed: {exc}") from exc
-
-    def recv(self):
-        try:
-            data = self._conn.recv_bytes()
-        except (OSError, EOFError) as exc:
-            raise TransportError(f"pipe closed: {exc}") from exc
-        return decode_any(data)
-
-    def close(self) -> None:
-        try:
-            self._conn.close()
-        except OSError:
-            pass
-
-
-def worker_main(conn, name: str, profile_raw: Dict[str, object], sleep_scale: float) -> None:
-    """Entry point of one pipe worker process (must stay module-level:
-    ``spawn`` pickles it by qualified name, so a worker imports this
-    file and never :mod:`repro.bus.procpool`)."""
-    serve_host(
-        PipeChannel(conn), name, profile_from_abstract(profile_raw), float(sleep_scale)
-    )

@@ -1,9 +1,8 @@
 """The bus-side end of a remote host's channel.
 
-A :class:`Link` is what the bus process holds per pipe worker or TCP
-machine daemon: seq'd request/reply with a pump thread, plus
-fire-and-forget events, over any frame channel (``send``/``recv``/
-``close``: :class:`~repro.bus.host.PipeChannel`,
+A :class:`Link` is what the bus process holds per machine daemon:
+seq'd request/reply with a pump thread, plus fire-and-forget events,
+over a frame channel (``send``/``recv``/``close``:
 :class:`~repro.bus.tcp.SocketChannel`).  The other end is
 :func:`~repro.bus.host.serve_host`.  Hosts never import this file.
 """
@@ -131,7 +130,7 @@ class Link:
                         waiter.complete(str(kind), frame[2])
                 elif kind == "evt":
                     self._events.put((str(frame[2]), frame[3:]))
-        except (TransportError, OSError, EOFError):
+        except (TransportError, OSError):
             pass
         finally:
             self.closed.set()

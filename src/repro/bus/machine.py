@@ -16,6 +16,17 @@ from repro.errors import BusError
 from repro.state.machine import MACHINES, Endianness, MachineProfile
 
 
+def catalogued(architecture: str) -> MachineProfile:
+    """The catalogue profile named ``architecture``, else a ``BusError``."""
+    try:
+        return MACHINES[architecture]
+    except KeyError:
+        raise BusError(
+            f"unknown architecture {architecture!r}; catalogue: "
+            f"{', '.join(sorted(MACHINES))}"
+        ) from None
+
+
 @dataclass
 class Host:
     """A named machine modules can be placed on."""
@@ -48,14 +59,7 @@ class HostRegistry:
 
     def add_catalogued(self, name: str, architecture: str) -> Host:
         """Register a host with one of the catalogue architectures."""
-        try:
-            profile = MACHINES[architecture]
-        except KeyError:
-            raise BusError(
-                f"unknown architecture {architecture!r}; catalogue: "
-                f"{', '.join(sorted(MACHINES))}"
-            ) from None
-        return self.add(name, profile)
+        return self.add(name, catalogued(architecture))
 
     def adopt(self, host: Host) -> Host:
         """Register a pre-built host (a transport's worker slot or machine

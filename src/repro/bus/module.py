@@ -137,7 +137,7 @@ def _prepare_module_cached(
     traceback every time.
 
     The transformer is resolved here rather than at the top of this file,
-    which every pipe worker and TCP daemon imports: a host receives
+    which every machine daemon imports: a host receives
     prepared text and never runs it.  In the bus process
     :mod:`repro.bus.bus` has already imported it, so this is a
     ``sys.modules`` lookup on a cache miss, never a first-use import.

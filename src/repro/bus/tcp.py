@@ -21,11 +21,12 @@ This module owns what is TCP-specific: the length-prefixed framing,
 :class:`~repro.bus.link.Link` and :func:`~repro.bus.host.serve_host`
 speak over), the daemon's ``hello`` handshake, and the
 ``python -m repro.bus.tcp`` entry point.  The module hosting inside the
-daemon is the same :class:`~repro.bus.host.ModuleHost` serve loop pipe
-workers run, and a daemon imports nothing of the bus side: the client
-is :class:`~repro.bus.transport.TcpTransport`
-(``placement="tcp:<machine>"`` on an ordinary ``SoftwareBus``), which
-imports this file, not the other way round.
+daemon is :class:`~repro.bus.host.ModuleHost`'s serve loop, and a
+daemon imports nothing of the bus side: the client is
+:class:`~repro.bus.transport.TcpTransport` (``placement="tcp:<machine>"``
+on an ordinary ``SoftwareBus``; the worker pool of
+``SoftwareBus(workers=N)`` is the same client under the name
+``worker``), which imports this file, not the other way round.
 
 Wire protocol: frames whose payload is one self-described value in our
 own canonical encoding (dogfooding ``repro.state.encoding``).  Each
@@ -129,8 +130,7 @@ class SocketChannel:
 
     Adapts the length-prefixed framing above to the channel protocol
     consumed by :class:`~repro.bus.link.Link` (``send``/``recv``/
-    ``close``), so TCP machine daemons and pipe workers speak to the bus
-    through the same link machinery.
+    ``close``).
     """
 
     __slots__ = ("sock",)

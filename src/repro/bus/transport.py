@@ -5,16 +5,17 @@ code actually executes — the bus hides module location behind interface
 bindings.  A module placed with ``placement="<transport>[:<slot>]"``
 runs in a host process reached over a :class:`~repro.bus.link.Link`;
 without a placement it is a thread in the bus process
-(:meth:`~repro.bus.bus.SoftwareBus.add_module` builds it directly).  Two
-remote transports attach to the one
+(:meth:`~repro.bus.bus.SoftwareBus.add_module` builds it directly).
+Every host process is a machine daemon (:mod:`repro.bus.tcp`): one OS
+process per simulated machine, with its own architecture profile,
+reached over a TCP socket.  Two transports of them attach to the one
 :class:`~repro.bus.bus.SoftwareBus`:
 
-``worker`` (:class:`~repro.bus.procpool.ProcessTransport`)
-    a pool of long-lived worker processes fed over ``multiprocessing``
-    pipes;
-``tcp`` (:class:`TcpTransport`, daemons in :mod:`repro.bus.tcp`)
-    one machine-daemon process per simulated machine, each with its own
-    architecture profile, reached over a TCP socket.
+``worker`` (:class:`WorkerTransport`)
+    the pool ``SoftwareBus(workers=N)`` owns, for multi-core scale-out;
+``tcp`` (:class:`TcpTransport`)
+    daemons the caller attaches, machines named or of mixed
+    architectures.
 
 This file holds what the bus process needs of them and nothing a host
 runs (that is :mod:`repro.bus.host`):
@@ -27,15 +28,17 @@ runs (that is :mod:`repro.bus.host`):
     works unchanged when old module and clone live in different
     processes (the state packet simply travels over the transport).
 :class:`RemoteTransport`
-    one slot table and one start rule for both transports — host names
-    in declared order, every host started before any is awaited,
+    one slot table, one naming rule and one start rule — host names in
+    declared order, every host started before any is awaited,
     round-robin, slot resolution, placement, shutdown — plus remote
     telemetry, the health plane and event dispatch.  A subclass says
     only how its hosts start and stop.
 :class:`TcpTransport`
-    the daemons' client.  It stays here rather than in :mod:`repro.bus.tcp`
-    because a daemon runs ``python -m repro.bus.tcp``: the client there
-    would be back in every daemon's import closure.
+    the daemons' client (and :class:`WorkerTransport`, the same client
+    under the name ``worker``).  It stays here rather than in
+    :mod:`repro.bus.tcp` because a daemon runs ``python -m
+    repro.bus.tcp``: the client there would be back in every daemon's
+    import closure.
 """
 
 from __future__ import annotations
@@ -46,12 +49,12 @@ import socket
 import subprocess
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.bus import tcp
 from repro.bus.batch import unpack_batch
 from repro.bus.link import Link
-from repro.bus.machine import Host
+from repro.bus.machine import Host, catalogued
 from repro.bus.message import Message
 from repro.bus.module import ModuleState, prepared_source_for
 from repro.bus.spec import ModuleSpec
@@ -63,7 +66,7 @@ from repro.errors import (
     UnknownInterfaceError,
 )
 from repro.runtime import telemetry
-from repro.state.machine import MACHINES, MachineProfile, profile_from_abstract
+from repro.state.machine import MachineProfile, profile_from_abstract
 
 
 #: How long a transport's hosts have, all together, to start and answer:
@@ -73,7 +76,7 @@ START_TIMEOUT_S = 60.0
 
 def host_profile(name: str, architecture: str) -> MachineProfile:
     """The profile of host ``name``: a catalogued architecture, renamed."""
-    return dataclasses.replace(MACHINES[architecture], name=name)
+    return dataclasses.replace(catalogued(architecture), name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -414,15 +417,23 @@ class RemoteTransport:
     up once the transport exists; :meth:`close` empties it.  A placement
     slot is a host name or an index into ``_names``; no slot means
     round-robin along it.  A subclass says how its hosts start
-    (:meth:`_start_hosts`) and stop (:meth:`_reap`), and how a placement
-    is spelled (:meth:`_label`).
+    (:meth:`_start_hosts`) and stop (:meth:`_reap`).
+
+    The naming rule: ``hosts`` given as a count ``N`` are named
+    ``<transport>-0`` … ``<transport>-(N-1)`` and a module placed on one
+    is recorded as ``<transport>:<i>``; hosts given by name keep their
+    names, in both places.
     """
 
     name = "remote"
 
-    def __init__(self, names: Sequence[str] = ()):
+    def __init__(self, hosts: Union[int, Sequence[str]] = ()):
         self._bus = None
-        self._names = list(names)
+        if isinstance(hosts, int):
+            self._names = [f"{self.name}-{i}" for i in range(hosts)]
+            self._labels = [str(i) for i in range(hosts)]
+        else:
+            self._names = self._labels = list(hosts)
         #: Replaced whole, never edited in place, so readers need no lock.
         self._slots: List[Tuple[Link, Host]] = []
         #: Round-robin turns; ``next()`` on a count is atomic.
@@ -520,11 +531,7 @@ class RemoteTransport:
         if not slots:
             raise TransportError(f"{self.name} transport is closed")
         link, host = slots[index]
-        return link, host, f"{self.name}:{self._label(index)}"
-
-    def _label(self, index: int) -> str:
-        """How a placement on host ``index`` is spelled after the colon."""
-        return self._names[index]
+        return link, host, f"{self.name}:{self._labels[index]}"
 
     def _open_link(self, name: str, profile: MachineProfile, channel) -> Link:
         link = Link(name, profile, channel)
@@ -771,10 +778,12 @@ class TcpTransport(RemoteTransport):
     protocol — so a module placed with ``placement="tcp:<machine>"``
     participates in the ordinary :class:`~repro.bus.bus.SoftwareBus`
     topology (mixed bindings with inproc and worker modules included).
-    ``machines`` is a count (named ``tcphost-<i>``), a list of
-    names, or a mapping ``name -> architecture`` for daemons of different
-    architectures; ``architecture`` is the profile of every machine not
-    given one.
+    ``machines`` is a count (named by the naming rule of
+    :class:`RemoteTransport`), a list of names, or a mapping
+    ``name -> architecture`` for daemons of different architectures;
+    ``architecture`` is the profile of every machine not given one.  An
+    empty host list or an architecture outside the catalogue is a
+    ``BusError`` before any socket or process exists.
     """
 
     name = "tcp"
@@ -785,12 +794,14 @@ class TcpTransport(RemoteTransport):
         architecture: str = "modern-64",
         sleep_scale: float = 0.0,
     ):
-        if isinstance(machines, int):
-            machines = [f"tcphost-{i}" for i in range(machines)]
-        if not isinstance(machines, dict):
-            machines = dict.fromkeys(machines, architecture)
-        super().__init__(machines)
-        self._architectures: Dict[str, str] = machines
+        super().__init__(machines if isinstance(machines, int) else list(machines))
+        if not self._names:
+            raise BusError(f"{self.name} transport needs at least one host")
+        given = machines if isinstance(machines, dict) else {}
+        self._profiles: Dict[str, MachineProfile] = {
+            name: host_profile(name, given.get(name, architecture))
+            for name in self._names
+        }
         self._sleep_scale = sleep_scale
         #: machine name -> daemon process, in declared order.
         self._processes: Dict[str, subprocess.Popen] = {}
@@ -803,11 +814,9 @@ class TcpTransport(RemoteTransport):
         self._listener.bind(("127.0.0.1", 0))
         self._listener.listen(16)
         address: Tuple[str, int] = self._listener.getsockname()
-        for name, architecture in self._architectures.items():
+        for name, profile in self._profiles.items():
             self._processes[name] = subprocess.Popen(
-                tcp._daemon_argv(
-                    name, host_profile(name, architecture), address, self._sleep_scale
-                )
+                tcp._daemon_argv(name, profile, address, self._sleep_scale)
             )
         while len(links) < len(self._processes):
             link = self._next_hello(
@@ -836,12 +845,12 @@ class TcpTransport(RemoteTransport):
             for name, child in waiting.items():
                 if child.poll() is not None:
                     raise TransportError(
-                        f"tcp daemon {name!r} exited with status "
+                        f"{self.name} daemon {name!r} exited with status "
                         f"{child.returncode} before its hello"
                     )
             if time.monotonic() > deadline:
                 raise TransportError(
-                    f"no hello from tcp daemon(s) {sorted(waiting)} "
+                    f"no hello from {self.name} daemon(s) {sorted(waiting)} "
                     f"within {START_TIMEOUT_S}s"
                 )
         try:
@@ -855,7 +864,9 @@ class TcpTransport(RemoteTransport):
                 raise TransportError(f"unexpected first frame {hello!r}")
             name = str(hello[3])
             if name not in waiting:
-                raise TransportError(f"hello from unexpected tcp daemon {name!r}")
+                raise TransportError(
+                    f"hello from unexpected {self.name} daemon {name!r}"
+                )
             profile = profile_from_abstract(dict(hello[4]))
         except BaseException:
             sock.close()
@@ -876,3 +887,10 @@ class TcpTransport(RemoteTransport):
                     process.kill()
                     process.wait()
         self._listener.close()
+
+
+class WorkerTransport(TcpTransport):
+    """The worker pool ``SoftwareBus(workers=N)`` owns: machine daemons
+    named ``worker-<i>``, placed with ``placement="worker[:<i>]"``."""
+
+    name = "worker"

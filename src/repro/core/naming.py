@@ -2,7 +2,7 @@
 
 Apart from the rest of :mod:`repro.core` because both sides of a remote
 placement need it: the transformer compiles a prepared text under it in
-the bus process, and a pipe worker or TCP daemon compiles the
+the bus process, and a machine daemon compiles the
 already-prepared text it receives under the same one — without loading
 the pipeline (``repro.core`` resolves its exports on first use, so
 importing this module imports nothing else).

@@ -249,7 +249,7 @@ class MachineProfile:
         )
 
     def to_abstract(self) -> Dict[str, object]:
-        """Plain-value form for crossing a process boundary (pipe or TCP)."""
+        """Plain-value form for crossing a process boundary (a TCP link)."""
         return {
             "name": self.name,
             "endianness": self.endianness.value,

@@ -2,7 +2,7 @@
 
 The fast end of the detector is unit-tested with a fake clock in
 tests/runtime/test_health.py; this suite runs the real thing — worker
-processes beating over their pipes, a killed worker condemned by
+processes beating over their links, a killed worker condemned by
 silence, and ``replace()`` refusing to target it — so it carries the
 ``multiproc`` marker and real timeouts.
 """
@@ -183,7 +183,7 @@ class TestSourceLost:
             )
             process = _worker_process(worker_bus)
             process.kill()
-            process.join(timeout=10)
+            process.wait(timeout=10)
             deadline = time.monotonic() + 10
             while True:
                 # Must not raise into snapshot(); the dead link's last

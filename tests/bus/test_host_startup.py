@@ -1,169 +1,115 @@
-"""Starting hosts: one start rule for pipe workers and TCP daemons.
+"""Starting hosts: one start rule, one naming rule, one transport.
 
-A remote transport starts every host process before it awaits any
-handshake, so their interpreter start-ups overlap, and it exists only
-once every host answered: a placement never starts anything.  Pipe
-workers answer a ``ping``; TCP daemons say hello in any order and are
-matched by name.  A start that fails leaves no process, link, socket or
-listener behind — the caller never got an object to close.
+Every host is a machine daemon (``python -m repro.bus.tcp``), for the
+worker pool of ``SoftwareBus(workers=N)`` and for an attached
+``TcpTransport`` alike.  A transport starts every daemon before it
+awaits any hello, so their interpreter start-ups overlap, and it exists
+only once every daemon answered: a placement never starts anything.
+Daemons say hello in any order and are matched by name.  A start that
+fails leaves no process, link, socket or listener behind — the caller
+never got an object to close — and a transport that cannot start (no
+hosts, an unknown architecture) refuses before any socket or process
+exists.
 
-The worker cases run on a fake ``multiprocessing`` context whose
-"processes" are threads of this one: whether a worker serves, stays
-mute or exits at once is then a fact the test controls, not a timing it
-hopes for.
+The failing and the synchronised daemons are stand-ins put in place of
+the real one by patching ``tcp._daemon_argv``: whether a daemon serves,
+stays mute or exits at once is then a fact the test controls, not a
+timing it hopes for.
 """
 
-import multiprocessing
-import os
 import socket
 import subprocess
 import sys
-import threading
 import time
-from multiprocessing.connection import Connection
-from types import SimpleNamespace
 
 import pytest
 
-from repro.bus import procpool
 from repro.bus import tcp as tcpmod
 from repro.bus import transport as transportmod
-from repro.bus.procpool import ProcessTransport
-from repro.bus.transport import TcpTransport
+from repro.bus.bus import SoftwareBus
+from repro.bus.transport import TcpTransport, WorkerTransport
 from repro.errors import BusError, TransportError
-
-from tests.conftest import wait_until
 
 pytestmark = pytest.mark.usefixtures("watchdog")
 
 #: How long a start that must not hang may take before the test says it did.
 PROMPT_S = 10.0
 
+#: A daemon that says hello only once ``parties`` daemons have started:
+#: each leaves a file in the barrier directory, waits for the others',
+#: then runs the real daemon (which exits 4 if they never come).
+BARRIER_DAEMON = """
+import os, runpy, sys, time
+barrier, parties = sys.argv[1], int(sys.argv[2])
+open(os.path.join(barrier, sys.argv[3]), "w").close()
+deadline = time.monotonic() + %r
+while len(os.listdir(barrier)) < parties:
+    if time.monotonic() > deadline:
+        raise SystemExit(4)
+    time.sleep(0.01)
+sys.argv = ["repro.bus.tcp"] + sys.argv[3:]
+runpy.run_module("repro.bus.tcp", run_name="__main__", alter_sys=True)
+""" % (PROMPT_S,)
 
-class _ThreadProcess:
-    """A worker "process" that is a thread of this one.
-
-    ``serve`` runs the real worker loop; ``mute`` keeps its pipe end open
-    and never answers (a child hung in start-up); ``stillborn`` closes
-    its pipe end at once (a child that exits before serving).
-    """
-
-    def __init__(self, context, mode, target, args):
-        self._context = context
-        self._mode = mode
-        self._conn = args[0]
-        self.terminated = False
-
-        def run():
-            try:
-                if context.barrier is not None:
-                    try:
-                        context.barrier.wait()
-                    except threading.BrokenBarrierError:
-                        return  # exits unserved: the handshake reads EOF
-                target(*args)
-            finally:
-                self._conn.close()  # a process that exits closes its pipe end
-
-        self._thread = threading.Thread(target=run, daemon=True)
-
-    def start(self):
-        self._context.started.append(self)
-        if self._mode == "serve":
-            self._thread.start()
-        elif self._mode == "stillborn":
-            self._conn.close()
-
-    def join(self, timeout=None):
-        if self._thread.ident is not None:
-            self._thread.join(timeout)
-
-    def is_alive(self):
-        if self._mode == "mute":
-            return not self.terminated
-        return self._thread.is_alive()
-
-    def terminate(self):
-        """Like a killed child, hang up the pipe: a bare ``close()`` would
-        not wake a thread blocked reading it, a ``shutdown`` wakes both
-        ends."""
-        self.terminated = True
-        if self._conn.closed:
-            return
-        with socket.socket(fileno=os.dup(self._conn.fileno())) as end:
-            end.shutdown(socket.SHUT_RDWR)
-        if self._thread.ident is None:  # no thread of its own to close it
-            self._conn.close()
-
-
-class ThreadContext:
-    """Stands in for ``multiprocessing.get_context("spawn")`` in a pool.
-
-    ``modes`` maps a worker index to how its process behaves (``serve``
-    by default).  With ``barrier`` set, no worker serves before that
-    many have been started.
-    """
-
-    def __init__(self, modes=None, barrier=None):
-        self.modes = dict(modes or {})
-        self.barrier = (
-            threading.Barrier(barrier, timeout=PROMPT_S) if barrier else None
-        )
-        self.processes = []
-        self.started = []
-        self.parent_ends = []
-
-    def Pipe(self):
-        parent, child = multiprocessing.Pipe()
-        self.parent_ends.append(parent)
-        return parent, child
-
-    def Process(self, target, args, name, daemon):
-        # A real child gets its own copy of the pipe end; the pool closes
-        # its copy once the child is started.
-        args = (Connection(os.dup(args[0].fileno())),) + tuple(args[1:])
-        mode = self.modes.get(len(self.processes), "serve")
-        process = _ThreadProcess(self, mode, target, args)
-        self.processes.append(process)
-        return process
+#: Stand-in daemons that never say hello.
+SILENT_DAEMONS = {
+    "mute": "import time; time.sleep(60)",
+    "stillborn": "raise SystemExit(3)",
+}
 
 
 @pytest.fixture
-def fake_context(monkeypatch):
-    """Make pools started in this test run on a :class:`ThreadContext`."""
+def recorded(monkeypatch):
+    """Record every child process and socket a transport creates here:
+    returns ``(children, sockets)``, two lists that fill as it starts."""
+    children, sockets = [], []
 
-    def install(**kwargs):
-        context = ThreadContext(**kwargs)
+    class RecordingPopen(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            children.append(self)
 
-        def get_context(method):
-            assert method == "spawn"
-            return context
+    class RecordingSocket(socket.socket):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sockets.append(self)
 
-        monkeypatch.setattr(
-            procpool, "multiprocessing", SimpleNamespace(get_context=get_context)
-        )
-        return context
-
-    return install
+    monkeypatch.setattr(subprocess, "Popen", RecordingPopen)
+    monkeypatch.setattr(socket, "socket", RecordingSocket)
+    return children, sockets
 
 
-@pytest.mark.parametrize(
-    "kind", ["worker", pytest.param("tcp", marks=pytest.mark.multiproc)]
-)
-def test_one_slot_table_for_both_transports(kind, fake_context):
-    """On either transport every host is up before the first placement,
-    a slot is a host name or an index, no slot is round-robin in
-    declared order, anything else is a ``BusError``, and a peek does not
-    advance round-robin."""
+def _replace_daemons(monkeypatch, argv_for):
+    """Start ``argv_for(name, real_argv)`` instead of daemon ``name``."""
+    real_argv = tcpmod._daemon_argv
+
+    def argv(name, profile, address, sleep_scale):
+        return argv_for(name, real_argv(name, profile, address, sleep_scale))
+
+    monkeypatch.setattr(tcpmod, "_daemon_argv", argv)
+
+
+def _assert_nothing_left(children, sockets):
+    assert all(child.poll() is not None for child in children)
+    assert all(sock.fileno() == -1 for sock in sockets)
+
+
+@pytest.mark.parametrize("kind", ["worker", "tcp"])
+def test_one_slot_table_for_both_transports(kind):
+    """Hosts given as a count are named ``<transport>-<i>`` and placed as
+    ``<transport>:<i>``; hosts given by name keep their names in both
+    places.  Either way every host is up before the first placement, a
+    slot is a host name or an index, no slot is round-robin in declared
+    order, anything else is a ``BusError``, and a peek does not advance
+    round-robin."""
     if kind == "worker":
-        context = fake_context()
-        transport, labels = ProcessTransport(workers=3), ["0", "1", "2"]
-        assert len(context.started) == 3
+        transport = WorkerTransport(machines=3)
+        names, labels = ["worker-0", "worker-1", "worker-2"], ["0", "1", "2"]
     else:
-        transport = TcpTransport(machines=3)
-        labels = transport._names
-    names = list(transport._names)
+        names = labels = ["c", "a", "b"]
+        transport = TcpTransport(machines=names)
     try:
+        assert transport._names == names
         assert [link.name for link in transport.links()] == names
         for index, name in enumerate(names):
             assert transport.peek_host(str(index)) == transport.peek_host(name) == name
@@ -172,11 +118,11 @@ def test_one_slot_table_for_both_transports(kind, fake_context):
             with pytest.raises(BusError, match=repr(bad)):
                 transport._place(bad)
         placements = [transport._place(None)[2] for _ in range(4)]
-        assert placements == [f"{transport.name}:{labels[i]}" for i in (0, 1, 2, 0)]
+        assert placements == [f"{kind}:{labels[i]}" for i in (0, 1, 2, 0)]
         link, host, placement = transport._place(names[1])
         assert transport._place("1") == (link, host, placement)
         assert link.name == host.name == names[1]
-        assert placement == f"{transport.name}:{labels[1]}"
+        assert placement == f"{kind}:{labels[1]}"
     finally:
         transport.close()
     assert transport.links() == []
@@ -185,45 +131,87 @@ def test_one_slot_table_for_both_transports(kind, fake_context):
 
 
 class TestPoolStart:
-    def test_all_workers_start_before_any_handshake(self, fake_context):
-        """No worker answers its ``ping`` until all three were started,
-        so a pool that awaited one handshake before starting the next
-        worker would never get its first reply."""
-        context = fake_context(barrier=3)
-        transport = ProcessTransport(workers=3)
+    def test_all_workers_start_before_any_handshake(
+        self, monkeypatch, recorded, tmp_path
+    ):
+        """No daemon says hello until all three were started, so a pool
+        that awaited one hello before starting the next daemon would
+        never get its first one."""
+        children, sockets = recorded
+        _replace_daemons(
+            monkeypatch,
+            lambda name, real: [sys.executable, "-c", BARRIER_DAEMON]
+            + [str(tmp_path), "3"]
+            + real[3:],
+        )
+        transport = WorkerTransport(machines=3)
         try:
-            assert context.started == context.processes
-            assert len(context.processes) == 3
+            assert len(children) == 3
+            assert sorted(p.name for p in tmp_path.iterdir()) == [
+                "worker-0",
+                "worker-1",
+                "worker-2",
+            ]
             links = transport.links()
             assert [link.name for link in links] == ["worker-0", "worker-1", "worker-2"]
             assert all(link.request(["ping"]) is not None for link in links)
         finally:
             transport.close()
-        assert not any(process.is_alive() for process in context.processes)
+        _assert_nothing_left(children, sockets)
 
     @pytest.mark.parametrize("mode", ["mute", "stillborn"])
     def test_a_failed_worker_fails_the_whole_start(
-        self, fake_context, monkeypatch, mode
+        self, monkeypatch, recorded, mode
     ):
-        """A worker that never answers (the start deadline passes) or
-        exits at once (its pipe reads EOF) fails the construction: every
-        process is stopped and every link closed, and a worker that
+        """A daemon that never says hello (the start deadline passes) or
+        exits at once fails the construction: every process is reaped
+        and every socket, the listener included, closed; a daemon that
         exits is noticed without waiting for the deadline."""
+        children, sockets = recorded
         if mode == "mute":
             monkeypatch.setattr(transportmod, "START_TIMEOUT_S", 0.5)
-        context = fake_context(modes={1: mode})
+        _replace_daemons(
+            monkeypatch,
+            lambda name, real: (
+                [sys.executable, "-c", SILENT_DAEMONS[mode]]
+                if name == "worker-1"
+                else real
+            ),
+        )
         started = time.monotonic()
         with pytest.raises(TransportError, match="worker-1"):
-            ProcessTransport(workers=3)
+            WorkerTransport(machines=3)
         assert time.monotonic() - started < PROMPT_S
-        assert len(context.started) == 3
-        assert all(end.closed for end in context.parent_ends)
-        wait_until(
-            lambda: not any(process.is_alive() for process in context.processes),
-            timeout=PROMPT_S,
-        )
-        if mode == "mute":
-            assert context.processes[1].terminated
+        assert len(children) == 3
+        assert sockets, "the listener was not created through socket.socket"
+        _assert_nothing_left(children, sockets)
+
+
+class TestRefusedStart:
+    """A transport that cannot start refuses before any socket or
+    process exists."""
+
+    @pytest.mark.parametrize("machines", [0, -1, [], {}])
+    def test_a_transport_with_no_hosts(self, recorded, machines):
+        with pytest.raises(BusError, match="at least one host"):
+            TcpTransport(machines=machines)
+        assert recorded == ([], [])
+
+    def test_a_pool_with_no_workers(self, recorded):
+        with pytest.raises(BusError, match="at least one host"):
+            SoftwareBus(sleep_scale=0.0, workers=-1)
+        assert recorded == ([], [])
+
+    def test_an_unknown_worker_architecture(self, recorded):
+        with pytest.raises(BusError, match="unknown architecture 'pdp-11'; catalogue: "):
+            SoftwareBus(sleep_scale=0.0, workers=1, worker_architecture="pdp-11")
+        assert recorded == ([], [])
+
+    def test_an_unknown_architecture_after_a_known_one(self, recorded):
+        """Daemon ``a`` would be started first; it is not started at all."""
+        with pytest.raises(BusError, match="unknown architecture 'nope'"):
+            TcpTransport(machines={"a": "sparc-like", "b": "nope"})
+        assert recorded == ([], [])
 
 
 @pytest.mark.multiproc
@@ -244,35 +232,3 @@ class TestTcpDaemonStart:
             assert transport._place("1")[2] == "tcp:a"
         finally:
             transport.close()
-
-    def test_a_daemon_that_exits_at_once_fails_the_start_cleanly(self, monkeypatch):
-        real_argv = tcpmod._daemon_argv
-        children = []
-        sockets = []
-
-        def argv(name, profile, address, sleep_scale):
-            if name == "dead":
-                return [sys.executable, "-c", "raise SystemExit(3)"]
-            return real_argv(name, profile, address, sleep_scale)
-
-        class RecordingPopen(subprocess.Popen):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                children.append(self)
-
-        class RecordingSocket(socket.socket):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                sockets.append(self)
-
-        monkeypatch.setattr(tcpmod, "_daemon_argv", argv)
-        monkeypatch.setattr(subprocess, "Popen", RecordingPopen)
-        monkeypatch.setattr(socket, "socket", RecordingSocket)
-        started = time.monotonic()
-        with pytest.raises(TransportError, match="dead"):
-            TcpTransport(machines=["alive", "dead"])
-        assert time.monotonic() - started < 5.0
-        assert len(children) == 2
-        assert all(child.poll() is not None for child in children)
-        assert sockets, "the listener was not created through socket.socket"
-        assert all(sock.fileno() == -1 for sock in sockets)

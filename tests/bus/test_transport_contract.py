@@ -1,8 +1,8 @@
 """Transport conformance: every placement honours the same bus contract.
 
 A module must behave identically whether it runs as a thread in the bus
-process (``inproc``), in a pipe-fed worker process (``worker``), or in a
-TCP machine daemon (``tcp``) — that location-independence is POLYLITH's
+process (``inproc``), in a daemon of the bus's worker pool (``worker``),
+or in a daemon of an attached TCP transport (``tcp``) — that location-independence is POLYLITH's
 central claim, and this suite is what enforces it.  Each test runs once
 per placement:
 
@@ -14,7 +14,7 @@ per placement:
   that keeps failing rolls back to the old module *in its process*;
 - a numbered stream through a remotely hosted relay stays exact — every
   number once, in order — through dozens of ``replace()`` calls, staying
-  on a host and migrating between a pipe worker and a TCP daemon;
+  on a host and migrating between a worker and a TCP daemon;
 - recording leaves cross-process routing as it is: host-local routes
   stay pushed, link fan-outs stay one append per send.
 """
@@ -126,7 +126,7 @@ def placed_bus(request):
 
 @pytest.fixture
 def mixed_bus():
-    """One bus with a pipe worker and a TCP daemon attached."""
+    """One bus with a worker and a TCP daemon attached."""
     bus = SoftwareBus(sleep_scale=0.0, workers=1)
     bus.attach_transport(TcpTransport(machines=1, sleep_scale=0.0), owned=True)
     yield bus
