@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import threading
 import weakref
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 # Not used by name here.  ``bus/module.py`` resolves the transformer
 # inside its preparation memo so that hosts, which import that file but
@@ -24,6 +24,7 @@ import repro.core.transformer  # noqa: F401
 from repro.bus.machine import HostRegistry
 from repro.bus.message import Message
 from repro.bus.module import ModuleInstance, ModuleState
+from repro.bus.queues import discarding
 from repro.bus.spec import (
     ApplicationSpec,
     BindingSpec,
@@ -478,12 +479,11 @@ class SoftwareBus:
                 f"cannot remove {instance!r}: {len(remaining)} binding(s) "
                 f"still attached — delete them first"
             )
-        module.stop(timeout)
+        self._free(module, timeout)
         with self._lock:
             module.state = ModuleState.REMOVED
             del self._instances[instance]
             self._invalidate_routing_locked()
-        self._free(module)
         self.trace.append(f"remove module {instance}")
 
     def discard_module(self, module: ModuleInstance, timeout: float = 5.0) -> None:
@@ -493,21 +493,20 @@ class SoftwareBus:
         with self._lock:
             if not any(m is module for m in self._unbound):
                 raise BusError(f"{module.name!r} on {module.host.name}: not unbound")
-        module.stop(timeout)
+        self._free(module, timeout)
         with self._lock:
             module.state = ModuleState.REMOVED
             self._unbound = [m for m in self._unbound if m is not module]
-        self._free(module)
         self.trace.append(f"remove module {module.name} on {module.host.name}")
 
     @staticmethod
-    def _free(module: ModuleInstance) -> None:
-        """Release a stopped module that nothing routes to any more."""
+    def _free(module: ModuleInstance, timeout: float = 5.0) -> None:
+        """Stop and release a module that is being deleted."""
         if getattr(module, "is_remote", False):
-            # Free the slot on the remote host; the module is already
-            # unrouted, so late tunneled frames for it fall harmlessly.
+            # Its host stops the module as it removes it: one request.
             module.discard()
         else:
+            module.stop(timeout)
             module.retire()
 
     def get_module(self, instance: str) -> ModuleInstance:
@@ -598,7 +597,7 @@ class SoftwareBus:
         old: ModuleInstance,
         new: ModuleInstance,
         preserve_queues: bool = True,
-    ) -> None:
+    ) -> Dict[str, int]:
         """Make ``new`` the module that answers to ``old``'s name (rebind).
 
         One bus-lock section.  Every binding of the name is checked
@@ -606,43 +605,145 @@ class SoftwareBus:
         changes a bound interface raises with nothing changed.  Then
         ``new`` takes ``old``'s entry in place, the routing snapshot is
         dropped (``clear_routes`` reaches every host ahead of the queue
-        transfer, per-link FIFO), and Figure 5's ``cq``/``rmq`` move what
-        is queued at ``old`` to the front of ``new``'s queues
-        (``preserve_queues=False`` leaves out the ``cq``).  No binding is
-        edited: a binding names an instance, and the instance is the
+        move, per-link FIFO), and Figure 5's ``cq``/``rmq`` run as one
+        move (:meth:`_move_queues`): ``old``'s queues are sealed with a
+        forward to ``new``'s, and what they held goes to the front of
+        ``new``'s (``preserve_queues=False`` discards it, and every late
+        put too).  Returns ``{interface: messages moved}``.  No binding
+        is edited: a binding names an instance, and the instance is the
         same.  ``old`` stays owned by the bus, unbound, until
         :meth:`discard_module` or :meth:`hand_back`.
         """
         with self._lock:
-            queued = [d.name for d in old.spec.interfaces if old.has_queue(d.name)]
             if preserve_queues:
-                for ifname in queued:
-                    new.queue(ifname)  # raises before anything changed
+                for decl in old.spec.interfaces:
+                    if old.has_queue(decl.name):
+                        new.queue(decl.name)  # raises before anything changed
             self._swap(old, new, "hand over")
-            for ifname in queued:
-                if preserve_queues:
-                    self._copy_queue(old, ifname, new)
-                self._remove_queue(old, ifname)
+            return self._move_queues(old, new, preserve_queues)
 
-    def hand_back(self, new: ModuleInstance, old: ModuleInstance) -> None:
+    def hand_back(self, new: ModuleInstance, old: ModuleInstance) -> Dict[str, int]:
         """Undo :meth:`hand_over` (rollback): ``old`` answers to its name
-        again, and everything that reached ``new``'s queues — the copied
-        messages and every later arrival — moves to the front of
-        ``old``'s, drained rather than copied so a clone still reading
-        cannot take a message twice."""
+        again, and the same move runs the other way — everything that
+        reached ``new``'s queues, the moved messages and every later
+        arrival, goes to the front of ``old``'s, and a put that still
+        reaches ``new``'s is forwarded to ``old``'s."""
         with self._lock:
             self._swap(new, old, "hand back")
-            for decl in new.spec.interfaces:
-                if not (new.has_queue(decl.name) and old.has_queue(decl.name)):
+            return self._move_queues(new, old, True)
+
+    def _move_queues(
+        self, src: ModuleInstance, dst: ModuleInstance, preserve: bool
+    ) -> Dict[str, int]:
+        """Figure 5's ``cq`` + ``rmq`` as one move, run where the queues live.
+
+        Caller holds the bus lock.  In order:
+
+        1. ``dst``'s queues are unsealed (a hand-back reopens what the
+           hand-over sealed);
+        2. ``src``'s queues are sealed, each with a forward to ``dst``'s
+           queue of the same name (profiles transferred as by ``cq``), so
+           a router still holding a routing entry taken before the
+           hand-over reaches ``dst``, behind the moved prefix; with
+           ``preserve=False`` the forward discards and counts;
+        3. what the seals took goes to the front of ``dst``'s queues;
+        4. ``{interface: moved}`` is returned (empty without ``preserve``).
+
+        A remote ``src`` is moved by its host, in one ``move_queues``
+        request.  When ``dst`` shares the host all four steps run there;
+        otherwise the host seals with no forward (a late delivery is a
+        ``host.deliver_miss``) and returns the wires, and step 3 runs
+        here.  A remote ``dst`` sealed that way is unsealed by a request
+        of its own before ``src`` is sealed.
+        """
+        names = [
+            decl.name
+            for decl in src.spec.interfaces
+            if src.has_queue(decl.name) and (dst.has_queue(decl.name) or not preserve)
+        ]
+        src_link = getattr(src, "link", None)
+        dst_link = getattr(dst, "link", None)
+        if dst_link is None:
+            for decl in dst.spec.interfaces:
+                if dst.has_queue(decl.name):
+                    dst.queue(decl.name).unseal()
+        elif dst.sealed and dst_link is not src_link:
+            dst_link.request(["move_queues", "", dst.key, preserve])
+            dst.sealed = False
+        counts: Dict[str, int] = {}
+        if src_link is None:
+            for name in names:
+                forward = self._forward(src, name, dst, preserve)
+                messages = src.queue(name).seal(forward)
+                if preserve:
+                    self._prepend(src, name, dst, messages)
+                elif messages:
+                    forward(messages)
+                counts[name] = len(messages)
+        else:
+            shared = dst_link is src_link
+            reply = src_link.request(
+                ["move_queues", src.key, dst.key if shared else "", preserve]
+            )
+            src.sealed = not shared
+            for name, moved in dict(reply).items():  # type: ignore[call-overload]
+                name = str(name)
+                if name not in names:
                     continue
-                messages = new.queue(decl.name).drain()
-                if messages:
-                    old.queue(decl.name).prepend(
-                        [
-                            m.transferred(new.host.profile, old.host.profile)
-                            for m in messages
-                        ]
-                    )
+                if preserve and not shared:  # the wires, for step 3 here
+                    messages = [
+                        Message.from_wire(bytes(w), src.host.profile) for w in moved
+                    ]
+                    self._prepend(src, name, dst, messages)
+                    moved = len(messages)
+                counts[name] = int(moved)
+        for name in names:
+            count = counts.get(name, 0)
+            if preserve:
+                self.trace.append(
+                    f"cq {src.name}.{name} -> {dst.name} on {dst.host.name} "
+                    f"({count} msgs)"
+                )
+            self.trace.append(
+                f"rmq {src.name}.{name} on {src.host.name} ({count} msgs)"
+            )
+        return {name: counts.get(name, 0) for name in names} if preserve else {}
+
+    @staticmethod
+    def _forward(
+        src: ModuleInstance, interface: str, dst: ModuleInstance, preserve: bool
+    ) -> Callable[[List[Message]], None]:
+        """What a put that finds ``src``'s sealed queue is handed to:
+        ``dst``'s queue of the same name (a remote ``dst``'s through its
+        routing put), or, without ``preserve``, a discard that counts."""
+        if not preserve:
+            return discarding(f"{src.name}.{interface}")
+        sender, receiver = src.host.profile, dst.host.profile
+        if getattr(dst, "link", None) is not None:
+            put = dst.remote_put(interface, sender)
+            receiver = sender  # the host decodes the wire under its own profile
+        else:
+            put = dst.queue(interface).put
+
+        def forward(messages: List[Message]) -> None:
+            for message in messages:
+                put(message.transferred(sender, receiver))
+
+        return forward
+
+    @staticmethod
+    def _prepend(
+        src: ModuleInstance,
+        interface: str,
+        dst: ModuleInstance,
+        messages: List[Message],
+    ) -> None:
+        """Put ``src``'s messages, transferred to ``dst``'s profile, at the
+        front of ``dst``'s queue (what ``cq`` does with its copy)."""
+        if messages:
+            dst.queue(interface).prepend(
+                [m.transferred(src.host.profile, dst.host.profile) for m in messages]
+            )
 
     def _swap(
         self, current: ModuleInstance, successor: ModuleInstance, verb: str
@@ -675,8 +776,11 @@ class SoftwareBus:
         Caller holds the bus lock.  The ``clear_routes`` broadcast is an
         event (non-blocking send), so issuing it under the lock is safe;
         per-link FIFO guarantees a remote host stops using its local
-        routes before it sees any post-change command — which is what
-        makes queue snapshots during a rebind exact.
+        routes before it sees any post-change command, such as a
+        hand-over's queue move.  A router that read the old snapshot
+        before it was dropped may still put into a replaced module's
+        queue afterwards; the move seals that queue with a forward to
+        the successor's (:meth:`_move_queues`), so the put is not lost.
 
         Hosts hold routes only while a snapshot is published (a rebuild
         publishes its table before it pushes routes, under this lock), so
@@ -1215,11 +1319,7 @@ class SoftwareBus:
         if not old.has_queue(interface):
             return 0
         messages = old.queue(interface).snapshot()
-        if messages:
-            transferred = [
-                m.transferred(old.host.profile, new.host.profile) for m in messages
-            ]
-            new.queue(interface).prepend(transferred)
+        self._prepend(old, interface, new, messages)
         self.trace.append(
             f"cq {old.name}.{interface} -> {new.name} on {new.host.name} "
             f"({len(messages)} msgs)"
@@ -1229,11 +1329,7 @@ class SoftwareBus:
     def _remove_queue(self, old: ModuleInstance, interface: str) -> int:
         if not old.has_queue(interface):
             return 0
-        queue = old.queue(interface)
-        # Remote queues expose discard(): drop server-side and return the
-        # count instead of shipping every doomed wire back over the link.
-        discard = getattr(queue, "discard", None)
-        removed = discard() if discard is not None else len(queue.drain())
+        removed = len(old.queue(interface).drain())
         self.trace.append(
             f"rmq {old.name}.{interface} on {old.host.name} ({removed} msgs)"
         )

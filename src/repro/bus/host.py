@@ -14,9 +14,15 @@ Worker-local fan-out: the bus pushes per-host route tables to each link
 that same host; such writes are delivered host-locally without touching
 the bus process at all, which is what lets pinned producer/consumer
 pairs scale with cores.  Any topology change broadcasts ``clear_routes``
-first (per-link FIFO makes subsequent queue snapshots/drains exact).
-Routes are pushed whether or not telemetry records: a host counts the
-writes it delivers itself, the bus the ones tunneled to it.
+first (per-link FIFO makes a subsequent queue move exact).  Routes are
+pushed whether or not telemetry records: a host counts the writes it
+delivers itself, the bus the ones tunneled to it.
+
+A replace moves the old module's queues where they live, in one
+command (``move_queues``): each old queue is sealed with a forward to
+the clone's queue of the same name when the clone is hosted here, and
+with no forward when it is not, and what it held goes to the clone's
+front — here, or through the bus.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from repro.bus.batch import BatchPolicy, Coalescer, unpack_batch
 from repro.bus.machine import Host
 from repro.bus.message import Message
 from repro.bus.module import ModuleInstance, ModuleState
+from repro.bus.queues import discarding
 from repro.bus.spec import spec_from_abstract
 from repro.errors import BindingError, BusError, TransportError, UnknownModuleError
 from repro.runtime import telemetry
@@ -193,6 +200,18 @@ class ModuleHost:
         if rec is not None:
             rec.count("host.deliver_miss", n=n, key=self.machine_name)
 
+    def _put_local(self, key: str, interface: str, message: Message) -> None:
+        """A host-local write; a module withdrawn in flight, or one whose
+        queue is sealed for a successor on another host, is a miss."""
+        module = self.modules.get(key)
+        if module is not None:
+            try:
+                module.queue(interface).put(message)
+                return
+            except TransportError:
+                pass
+        self._count_miss(1)
+
     def route(self, instance: str, interface: str, message: Message) -> None:
         entry = self.routes.get((instance, interface))
         if entry is None:
@@ -203,13 +222,8 @@ class ModuleHost:
         rec = telemetry.recorder
         if rec is not None:
             rec.count("bus.routed", key=f"{instance}.{interface}")
-        modules = self.modules
         for key, dest_if, _ in entry:
-            module = modules.get(key)
-            if module is None:
-                self._count_miss(1)
-            else:
-                module.queue(dest_if).put(message)
+            self._put_local(key, dest_if, message)
 
     def route_to(
         self, instance: str, interface: str, destination: str, message: Message
@@ -225,11 +239,7 @@ class ModuleHost:
                 rec = telemetry.recorder
                 if rec is not None:
                     rec.count("bus.directed", key=f"{instance}.{interface}")
-                module = self.modules.get(key)
-                if module is None:
-                    self._count_miss(1)
-                else:
-                    module.queue(dest_if).put(message)
+                self._put_local(key, dest_if, message)
                 return
         raise BindingError(
             f"directed send from {instance}.{interface} to "
@@ -416,12 +426,57 @@ class ModuleHost:
         return True
 
     def _cmd_deliver_front(self, key, interface, wires) -> bool:
-        """Prepend a batch of (older) messages — the ``cq`` transfer."""
+        """Prepend a batch of (older) messages: the literal ``cq``, or a
+        prefix a queue move took on another host."""
         messages = [Message.from_wire(bytes(w), self.profile) for w in wires]
         with self.modules_lock:
             self._module(key).queue(str(interface)).prepend(messages)
         self._last_delivery[str(key)] = time.monotonic()
         return True
+
+    def _cmd_move_queues(self, src_key, dst_key, preserve) -> Dict[str, object]:
+        """The host's half of ``SoftwareBus._move_queues``: Figure 5's
+        ``cq`` + ``rmq`` as one move, run where the queues live.
+
+        ``dst_key``'s queues are unsealed; ``src_key``'s are sealed, each
+        forwarding to ``dst_key``'s queue of the same name, and what they
+        held goes to its front; the reply is ``{interface: moved}``.  An
+        empty ``dst_key`` means the successor lives elsewhere: the queues
+        are sealed with no forward (a later delivery is a
+        ``host.deliver_miss``) and the reply carries their wires for the
+        bus to prepend.  An empty ``src_key`` only unseals.  Without
+        ``preserve`` every message is discarded and counted, and the
+        reply gives the counts.
+        """
+        with self.modules_lock:
+            dst = self._module(dst_key) if dst_key else None
+            if dst is not None:
+                for decl in dst.spec.interfaces:
+                    if dst.has_queue(decl.name):
+                        dst.queue(decl.name).unseal()
+            if not src_key:
+                return {}
+            src = self._module(src_key)
+            reply: Dict[str, object] = {}
+            for decl in src.spec.interfaces:
+                name = decl.name
+                if not src.has_queue(name):
+                    continue
+                if not preserve:
+                    forward = discarding(f"{src.name}.{name}")
+                    messages = src.queue(name).seal(forward)
+                    if messages:
+                        forward(messages)
+                    reply[name] = len(messages)
+                elif dst is None:
+                    messages = src.queue(name).seal()
+                    reply[name] = [m.to_wire(self.profile) for m in messages]
+                elif dst.has_queue(name):
+                    target = dst.queue(name)
+                    messages = src.queue(name).seal(target.put_many)
+                    target.prepend(messages)
+                    reply[name] = len(messages)
+        return reply
 
     def _cmd_counts(self, key) -> Dict[str, int]:
         return self._module(key).queued_counts()
@@ -435,12 +490,8 @@ class ModuleHost:
         return [m.to_wire(self.profile) for m in messages]
 
     def _cmd_discard_queue(self, key, interface) -> int:
-        """Drain and *discard* — returns only the count.
-
-        ``remove_queue`` on a remote module only needs how many messages
-        died with the queue; shipping every wire back just to count them
-        (the old ``drain_queue`` round-trip) wastes the whole batch win.
-        """
+        """Drain and *discard* — returns only the count (the link
+        benchmarks' delivered count, without shipping every wire back)."""
         return len(self._module(key).queue(str(interface)).drain())
 
     # -- host-local routing ---------------------------------------------------
@@ -586,8 +637,8 @@ def serve_host(
     """Host modules behind ``channel`` until shutdown or the bus goes away.
 
     The whole remote side of a link, for every machine daemon.  Events
-    are handled inline: per-link FIFO is what makes queue snapshots
-    exact w.r.t. prior deliveries.  Requests each run on their
+    are handled inline: per-link FIFO is what makes a queue move exact
+    w.r.t. prior deliveries.  Requests each run on their
     own thread, because several of them block on module progress
     (``stop``, ``revive``) while deliveries must keep flowing, and every
     outcome becomes a ``rep`` or ``err`` reply.

@@ -61,10 +61,10 @@ class Link:
     The *pump* thread only ever completes request waiters and enqueues
     events; events are handled on a dedicated dispatcher thread.  That
     split is load-bearing: the hand-over (``SoftwareBus.hand_over``)
-    issues its ``cq``/``rmq`` queue-transfer requests while holding the
-    bus lock, and an event handler may block on that same lock (tunneled
-    writes route through the bus) — with a single thread the reply
-    behind a blocked event could never be read.
+    issues its queue-move request while holding the bus lock, and an
+    event handler may block on that same lock (tunneled writes route
+    through the bus) — with a single thread the reply behind a blocked
+    event could never be read.
 
     A request is sent once: the channel delivers each frame once or
     fails, so a lost send or a missed deadline is a ``TransportError``,
@@ -243,9 +243,9 @@ class Link:
             self._pending[seq] = waiter
         try:
             with self._send_lock:
-                # FIFO barrier: requests (queue snapshots, drains,
-                # transfers) must observe every delivery appended
-                # before them, so pending batches ship first.
+                # FIFO barrier: requests (queue moves, snapshots,
+                # drains) must observe every delivery appended before
+                # them, so pending batches ship first.
                 self._coalescer.drain_locked()
                 self.channel.send(["req", seq] + payload)
         except (InjectedFault, TransportError, OSError) as exc:

@@ -2,14 +2,20 @@
 
 The reconfiguration script of Figure 5 issues ``cq`` (copy queue) and
 ``rmq`` (remove queue) bind commands so messages queued at the old
-module's interfaces are not lost during a replacement.  The queue type
-therefore supports an atomic snapshot-copy and a drain, in addition to
-the usual blocking get.
+module's interfaces are not lost during a replacement.  A replacement
+runs the pair as one move (``SoftwareBus.hand_over``): :meth:`seal`
+takes everything queued and, in the same lock hold, turns the queue
+into a forward to its successor, so a router still holding a routing
+entry taken before the hand-over reaches the successor — behind what
+was moved — instead of a queue nobody reads.  A queue sealed with no
+successor is closed: a put raises.  The literal ``cq``/``rmq`` keep an
+atomic snapshot-copy and a drain.
 
 Wakeup protocol (see ``docs/bus-internals.md``): ``get`` parks on a
 condition variable with a ``time.monotonic()`` deadline — there is no
 polling loop.  Waiters are woken by ``put``/``put_many``/``prepend`` (only
-when someone is actually waiting), by ``close``, and by stop requests:
+when someone is actually waiting), by a seal with no successor, and by
+stop requests:
 a stop event that supports ``subscribe``/``unsubscribe`` (see
 :class:`repro.runtime.events.InterruptibleEvent`, which every module's
 ``mh`` stop flag is) has the waiter's condition registered for the
@@ -42,7 +48,7 @@ import threading
 import time
 import weakref
 from collections import deque
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.bus.message import Message
 from repro.errors import TransportError
@@ -57,7 +63,8 @@ class MessageQueue:
         "_items",
         "_lock",
         "_not_empty",
-        "_closed",
+        "_sealed",
+        "_forward",
         "_waiters",
         "_pushed",
         "_directed",
@@ -70,7 +77,9 @@ class MessageQueue:
         self._items: Deque[Message] = deque()
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
-        self._closed = False
+        # Sealed: every put goes to ``_forward`` (None: the put raises).
+        self._sealed = False
+        self._forward: Optional[Callable[[List[Message]], None]] = None
         self._waiters = 0
         # Telemetry cells: total puts, puts via route_to, sampled depth
         # high-water mark.  Written only by RecordingMessageQueue (under
@@ -90,11 +99,14 @@ class MessageQueue:
 
     def put(self, message: Message) -> None:
         with self._lock:
-            if self._closed:
-                raise TransportError(f"queue {self.name!r} is closed")
-            self._items.append(message)
-            if self._waiters:
-                self._not_empty.notify()
+            if self._sealed:
+                forward = self._forward
+            else:
+                self._items.append(message)
+                if self._waiters:
+                    self._not_empty.notify()
+                return
+        self._hand_on(forward, [message])
 
     def put_directed(self, message: Message) -> None:
         """``route_to`` delivery — identical to ``put`` when disabled.
@@ -115,11 +127,14 @@ class MessageQueue:
         ``_pushed``.
         """
         with self._lock:
-            if self._closed:
-                raise TransportError(f"queue {self.name!r} is closed")
-            self._items.extend(messages)
-            if self._waiters:
-                self._not_empty.notify_all()
+            if self._sealed:
+                forward = self._forward
+            else:
+                self._items.extend(messages)
+                if self._waiters:
+                    self._not_empty.notify_all()
+                return
+        self._hand_on(forward, messages)
 
     def get(
         self,
@@ -150,7 +165,7 @@ class MessageQueue:
                         raise TransportError(
                             f"queue {self.name!r}: read interrupted by stop"
                         )
-                    if self._closed:
+                    if self._sealed and self._forward is None:
                         raise TransportError(f"queue {self.name!r} is closed")
                     if deadline is None:
                         self._not_empty.wait()
@@ -203,10 +218,41 @@ class MessageQueue:
             rec.count("queue.copied_in", n=len(messages), key=self.name)
             rec.gauge_max("queue.hwm", depth, key=self.name)
 
-    def close(self) -> None:
+    def seal(
+        self, forward: Optional[Callable[[List[Message]], None]] = None
+    ) -> List[Message]:
+        """Take everything queued and seal the queue, in one lock hold.
+
+        From then on every put arm hands its messages to ``forward``
+        (always a list), called after this queue's lock is released, so
+        no thread waits on a second queue's lock while holding this one.
+        A put that found the queue sealed therefore reaches the
+        successor's tail, behind whatever the caller moves to its front.
+        With no ``forward`` the queue is closed: a put raises, and so
+        does a read of the empty queue.  :meth:`unseal` reopens it.
+        """
         with self._lock:
-            self._closed = True
+            items = list(self._items)
+            self._items.clear()
+            self._sealed = True
+            self._forward = forward
             self._not_empty.notify_all()
+        return items
+
+    def unseal(self) -> None:
+        with self._lock:
+            self._sealed = False
+            self._forward = None
+
+    def _hand_on(
+        self,
+        forward: Optional[Callable[[List[Message]], None]],
+        messages: List[Message],
+    ) -> None:
+        """Deliver a put that found the queue sealed (lock released)."""
+        if forward is None:
+            raise TransportError(f"queue {self.name!r} is closed")
+        forward(messages)
 
 
 class RecordingMessageQueue(MessageQueue):
@@ -227,35 +273,55 @@ class RecordingMessageQueue(MessageQueue):
 
     def put(self, message: Message) -> None:
         with self._lock:
-            if self._closed:
-                raise TransportError(f"queue {self.name!r} is closed")
-            self._items.append(message)
-            self._pushed += 1
-            if self._waiters:
-                self._not_empty.notify()
+            if self._sealed:
+                forward = self._forward
+            else:
+                self._items.append(message)
+                self._pushed += 1
+                if self._waiters:
+                    self._not_empty.notify()
+                return
+        self._hand_on(forward, [message])
 
     def put_directed(self, message: Message) -> None:
         with self._lock:
-            if self._closed:
-                raise TransportError(f"queue {self.name!r} is closed")
-            items = self._items
-            items.append(message)
-            self._pushed += 1
-            self._directed += 1
-            depth = len(items)
-            if depth > self._hwm:
-                self._hwm = depth
-            if self._waiters:
-                self._not_empty.notify()
+            if self._sealed:
+                forward = self._forward
+            else:
+                items = self._items
+                items.append(message)
+                self._pushed += 1
+                self._directed += 1
+                depth = len(items)
+                if depth > self._hwm:
+                    self._hwm = depth
+                if self._waiters:
+                    self._not_empty.notify()
+                return
+        self._hand_on(forward, [message])
 
     def put_many(self, messages: List[Message]) -> None:
         with self._lock:
-            if self._closed:
-                raise TransportError(f"queue {self.name!r} is closed")
-            self._items.extend(messages)
-            self._pushed += len(messages)
-            if self._waiters:
-                self._not_empty.notify_all()
+            if self._sealed:
+                forward = self._forward
+            else:
+                self._items.extend(messages)
+                self._pushed += len(messages)
+                if self._waiters:
+                    self._not_empty.notify_all()
+                return
+        self._hand_on(forward, messages)
+
+
+def discarding(name: str) -> Callable[[List[Message]], None]:
+    """The forward of a sealed queue whose messages die with it (a move
+    with ``preserve_queues=False``): each is counted as
+    ``queue.discarded``."""
+
+    def discard(messages: List[Message]) -> None:
+        telemetry.count("queue.discarded", n=len(messages), key=name)
+
+    return discard
 
 
 #: All live queues (weak — discovery only) and, while a recorder is

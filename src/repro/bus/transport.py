@@ -88,11 +88,13 @@ class ProxyQueue:
     """Bus-side view of a remote module's per-interface queue.
 
     Hot-path delivery never passes through here (routing entries bind a
-    direct wire-put); this covers the reconfiguration-time queue
-    operations — ``cq``/``rmq`` snapshots, drains, and prepends — which
-    travel as requests so their effects are ordered against prior
-    deliveries by per-link FIFO.  On the wire the queue is addressed by
-    its module's host key.
+    direct wire-put); this covers the literal ``cq``/``rmq`` (snapshots
+    and drains), the moved prefix a replace puts at the front of a queue
+    on another host, and the benchmarks' delivered counts (discards) —
+    requests, so their effects are ordered against prior deliveries by
+    per-link FIFO.  A replace's own move is
+    one host command (``SoftwareBus._move_queues``).  On the wire the
+    queue is addressed by its module's host key.
     """
 
     __slots__ = ("_handle", "interface")
@@ -132,7 +134,8 @@ class ProxyQueue:
         return [Message.from_wire(bytes(w), profile) for w in wires]  # type: ignore[union-attr]
 
     def discard(self) -> int:
-        """Drain remotely, returning only the count (no wires shipped back)."""
+        """Drain remotely, returning only the count (no wires shipped
+        back): how the link benchmarks count what a link delivered."""
         return int(
             self._handle.link.request(
                 ["discard_queue", self._handle.key, self.interface]
@@ -297,6 +300,9 @@ class RemoteModuleHandle:
         self.state = ModuleState.LOADED
         self.crash: Optional[BaseException] = None
         self.thread = None
+        #: Its queues were sealed on its host for a successor elsewhere,
+        #: which its host cannot forward to; a hand-back unseals them.
+        self.sealed = False
         self.mh = _ProxyMH(self)
         self._queues: Dict[str, ProxyQueue] = {
             decl.name: ProxyQueue(self, decl.name)

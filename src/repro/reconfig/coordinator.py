@@ -480,17 +480,15 @@ class ReconfigurationCoordinator:
             report.completed.append("wait_point")
             report.t_divulged = time.monotonic()
             report.packet_bytes = len(packet)
-            report.queued_copied = {
-                name: count
-                for name, count in old_module.queued_counts().items()
-                if count
-            }
 
             report.stage = "rebind"
 
             def rebind() -> None:
                 faults.fire_hard("coordinator.rebind")
-                self.bus.hand_over(old_module, clone, preserve_queues=preserve_queues)
+                moved = self.bus.hand_over(
+                    old_module, clone, preserve_queues=preserve_queues
+                )
+                report.queued_copied = {n: count for n, count in moved.items() if count}
 
             self._attempt(report, "rebind", rebind)
             report.completed.append("rebind")

@@ -12,6 +12,7 @@ key fixed at placement, so the module a replace retires and its clone
 can share one host and one name.
 """
 
+import sys
 import threading
 import time
 
@@ -21,12 +22,14 @@ from repro.bus.batch import pack_batch
 from repro.bus.bus import SoftwareBus
 from repro.bus.host import ModuleHost
 from repro.bus.interfaces import InterfaceDecl, Role
+from repro.bus.link import Link
 from repro.bus.machine import Host
 from repro.bus.message import Message
 from repro.bus.module import prepared_source_for
 from repro.bus.spec import BindingSpec, ModuleSpec
 from repro.errors import ReconfigurationAborted, SpecError
 from repro.reconfig.coordinator import ReconfigurationCoordinator
+from repro.runtime import telemetry
 from repro.runtime.mh import SleepPolicy
 from repro.state.machine import MACHINES
 
@@ -45,6 +48,27 @@ def main():
 '''
 
 IDLE_SOURCE = "def main():\n    mh.sleep(0.01)\n"
+
+RELAY_SOURCE = '''
+def main():
+    n = 0
+    mh.init()
+    while mh.running:
+        mh.reconfig_point("Q")
+        n = mh.read1("inp")
+        mh.write("out", "l", n)
+'''
+
+COLLECTOR_SOURCE = '''
+def main():
+    got = []
+    mh.statics["got"] = []
+    mh.init()
+    while mh.running:
+        n = mh.read1("inp")
+        got.append(n)
+        mh.statics["got"] = got
+'''
 
 IN = InterfaceDecl(name="inp", role=Role.USE, pattern="l")
 OUT = InterfaceDecl(name="out", role=Role.DEFINE, pattern="l")
@@ -233,3 +257,169 @@ class TestOneHostOneName:
             assert list(core._last_delivery) == ["counter#2"]
         finally:
             core.stop_all()
+
+
+class TestHostMove:
+    """``move_queues``: the host's half of a hand-over, one command."""
+
+    @pytest.fixture
+    def core(self):
+        core = ModuleHost(
+            "unit-host",
+            Host("unit-host", MACHINES["modern-64"]),
+            SleepPolicy(scale=0.0),
+            lambda event: None,
+        )
+        spec = _counter_spec()
+        for key in ("counter#1", "counter#2"):
+            core.handle(
+                "add",
+                [key, "counter", spec.to_abstract(prepared_source_for(spec)), "clone", None],
+            )
+        yield core
+        core.stop_all()
+
+    @staticmethod
+    def _deliver(core, key, *values):
+        profile = core.profile
+        core.handle(
+            "deliver_batch",
+            [pack_batch([(_message(v).to_wire(profile), [(key, "inp", "")]) for v in values])],
+        )
+
+    @staticmethod
+    def _queued(core, key):
+        return [m.values[0] for m in core.modules[key].queue("inp").snapshot()]
+
+    def test_a_late_delivery_to_the_old_key_follows_the_move(self, core):
+        self._deliver(core, "counter#1", 7, 8)
+        self._deliver(core, "counter#2", 9)
+        assert core.handle("move_queues", ["counter#1", "counter#2", True]) == {"inp": 2}
+        self._deliver(core, "counter#1", 10)  # sent on a stale routing entry
+        assert self._queued(core, "counter#2") == [7, 8, 9, 10]
+        assert self._queued(core, "counter#1") == []
+
+    def test_a_successor_elsewhere_takes_the_wires_and_a_late_delivery_misses(
+        self, core
+    ):
+        rec = telemetry.enable(capacity=1 << 12)
+        self._deliver(core, "counter#1", 7, 8)
+        reply = core.handle("move_queues", ["counter#1", "", True])
+        profile = core.profile
+        assert [Message.from_wire(w, profile).values[0] for w in reply["inp"]] == [7, 8]
+        self._deliver(core, "counter#1", 9)
+        assert rec.counter_total("host.deliver_miss") == 1
+        # A hand-back reopens the queue.
+        assert core.handle("move_queues", ["", "counter#1", True]) == {}
+        self._deliver(core, "counter#1", 10)
+        assert self._queued(core, "counter#1") == [10]
+
+    def test_without_preserve_the_host_discards_and_counts(self, core):
+        rec = telemetry.enable(capacity=1 << 12)
+        self._deliver(core, "counter#1", 7, 8)
+        assert core.handle("move_queues", ["counter#1", "counter#2", False]) == {"inp": 2}
+        self._deliver(core, "counter#1", 9)
+        assert self._queued(core, "counter#2") == []
+        assert rec.counter("queue.discarded", key="counter.inp") == 3
+
+
+@pytest.mark.multiproc
+def test_a_same_host_remote_replace_makes_five_link_requests(watchdog, monkeypatch):
+    """signal, add, move_queues, start, remove: the queue move is one
+    request, and the commit removes the old module without a separate
+    stop (its host stops it as it removes it)."""
+    bus = SoftwareBus(sleep_scale=0.0, workers=1)
+    try:
+        bus.add_module(_idle_spec("feeder", OUT), instance="feeder")
+        bus.add_module(_counter_spec(), instance="counter", placement="worker:0")
+        bus.add_binding(BindingSpec("feeder", "out", "counter", "inp"))
+        bus.start_module("counter")
+        _feed(bus, 1, 2, 3)
+        wait_until(lambda: _total(bus) == 6)
+        sent = []
+        request = Link.request
+
+        def counting(link, command, *args, **kwargs):
+            sent.append((time.monotonic(), str(command[0])))
+            return request(link, command, *args, **kwargs)
+
+        monkeypatch.setattr(Link, "request", counting)
+        with _Nudger(bus):
+            report = ReconfigurationCoordinator(bus).replace("counter", timeout=30)
+        monkeypatch.undo()
+        assert [c for _, c in sent] == ["signal", "add", "move_queues", "start", "remove"]
+        between = [c for t, c in sent if report.t_divulged <= t <= report.t_started]
+        assert between == ["move_queues", "start"]
+        _feed(bus, 10)
+        wait_until(lambda: _total(bus) == 16)
+    finally:
+        bus.shutdown()
+
+
+class TestSealRace:
+    """The stochastic twin of the deterministic seal cases.
+
+    An in-process relay is replaced 60 times under an unthrottled
+    feeder.  A short switch interval and two busy threads preempt the
+    feeder between reading its routing entry and its put, so some puts
+    reach the old module's queue after the hand-over sealed it.  Each
+    must be forwarded to the clone: every number arrives once, in order.
+    """
+
+    REPLACES = 60
+
+    def test_every_number_arrives_once_in_order(self, watchdog):
+        bus = SoftwareBus(sleep_scale=0.0)
+        relay = ModuleSpec(
+            name="relay",
+            inline_source=RELAY_SOURCE,
+            interfaces=[IN, OUT],
+            reconfig_points=["Q"],
+        )
+        collector = ModuleSpec(
+            name="collector", inline_source=COLLECTOR_SOURCE, interfaces=[IN]
+        )
+        bus.add_module(_idle_spec("feeder", OUT), instance="feeder")
+        bus.add_module(relay, instance="relay")
+        bus.add_module(collector, instance="collector")
+        bus.add_binding(BindingSpec("feeder", "out", "relay", "inp"))
+        bus.add_binding(BindingSpec("relay", "out", "collector", "inp"))
+        bus.start_module("relay")
+        bus.start_module("collector")
+        stop = threading.Event()
+        sent = 0
+
+        def feed():
+            nonlocal sent
+            while not stop.is_set():
+                _feed(bus, sent)
+                sent += 1
+
+        def burn():
+            while not stop.is_set():
+                pass
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        threads = [threading.Thread(target=f, daemon=True) for f in (feed, burn, burn)]
+        try:
+            for thread in threads:
+                thread.start()
+            coordinator = ReconfigurationCoordinator(bus)
+            for _ in range(self.REPLACES):
+                coordinator.replace("relay", timeout=30)
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(10)
+            sys.setswitchinterval(interval)
+        try:
+            deadline = time.monotonic() + 10.0
+            got = []
+            while len(got) < sent and time.monotonic() < deadline:
+                time.sleep(0.02)
+                got = list(bus.statics_of("collector").get("got", []))
+            assert len(got) == sent, f"{sent - len(got)} of {sent} numbers lost"
+            assert got == list(range(sent))
+        finally:
+            bus.shutdown()

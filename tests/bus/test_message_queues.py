@@ -8,6 +8,7 @@ import pytest
 from repro.bus.message import Message
 from repro.bus.queues import MessageQueue
 from repro.errors import MachineCompatibilityError, TransportError
+from repro.runtime import telemetry
 from repro.runtime.events import InterruptibleEvent
 
 
@@ -114,7 +115,7 @@ class TestMessageQueue:
         thread = threading.Thread(target=consumer)
         thread.start()
         time.sleep(0.05)
-        queue.close()
+        queue.seal()
         thread.join(timeout=5)
         assert not thread.is_alive()
         assert outcome and "closed" in outcome[0]
@@ -194,6 +195,30 @@ class TestMessageQueue:
 
     def test_closed_queue_rejects_put(self):
         queue = MessageQueue("q")
-        queue.close()
+        queue.seal()
         with pytest.raises(TransportError, match="closed"):
             queue.put(msg(1))
+
+    @pytest.mark.parametrize("recording", [False, True], ids=["plain", "recorded"])
+    def test_seal_takes_everything_and_forwards_every_later_put(self, recording):
+        if recording:
+            telemetry.enable(capacity=1 << 10)
+        queue = MessageQueue("q")
+        queue.put(msg(1))
+        queue.put(msg(2))
+        forwarded = []
+
+        def forward(messages):
+            assert not queue._lock.locked()  # handed on after the lock
+            forwarded.extend(m.values[0] for m in messages)
+
+        assert [m.values[0] for m in queue.seal(forward)] == [1, 2]
+        queue.put(msg(3))
+        queue.put_many([msg(4), msg(5)])
+        queue.put_directed(msg(6))
+        assert forwarded == [3, 4, 5, 6]
+        assert len(queue) == 0
+        queue.unseal()
+        queue.put(msg(7))
+        assert forwarded == [3, 4, 5, 6]
+        assert queue.get(timeout=1).values == [7]

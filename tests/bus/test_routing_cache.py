@@ -15,6 +15,7 @@ from repro.bus.interfaces import InterfaceDecl, Role
 from repro.bus.message import Message
 from repro.bus.spec import BindingSpec, ModuleSpec
 from repro.errors import BindingError, UnknownModuleError
+from repro.runtime import telemetry
 from repro.state.machine import MACHINES
 
 IDLE = "def main():\n    pass\n"
@@ -140,6 +141,69 @@ class TestInvalidation:
             bus.route_to("sender", "out", "r1", message)
         bus.route_to("sender", "out", "r2", message)
         assert received(bus, "r2") == [9]
+
+
+class TestSealedHandOver:
+    """A hand-over seals the old module's queues where they live.
+
+    ``route()`` reads its routing entry without the bus lock, so a router
+    can hold an entry taken before a hand-over and put afterwards.  That
+    put reaches the clone, behind what the move took from the old queue,
+    instead of a queue nobody reads any more.
+    """
+
+    def _receiver(self, bus):
+        bus.add_module(receiver_spec(), instance="r1", machine="local")
+        bus.add_binding(BindingSpec("sender", "out", "r1", "inp"))
+        send(bus, 1)
+        send(bus, 2)
+        # The entry a router preempted before the hand-over still holds.
+        return bus.get_module("r1"), bus._routing_table["sender"]["out"]
+
+    @staticmethod
+    def _put(entry, value):
+        for put in entry.puts:
+            put(Message(values=[value], fmt="l", source_instance="sender",
+                        source_interface="out"))
+
+    @pytest.mark.parametrize("machine", ["local", "little"])
+    def test_a_stale_put_lands_at_the_clone_behind_the_moved_prefix(
+        self, bus, machine
+    ):
+        bus.add_host("little", MACHINES["vax-like"])
+        old, stale = self._receiver(bus)
+        clone = bus.build_clone(receiver_spec(), "r1", machine=machine)
+        assert bus.hand_over(old, clone) == {"inp": 2}
+        self._put(stale, 3)
+        send(bus, 4)
+        assert received(bus, "r1") == [1, 2, 3, 4]
+        assert old.queue("inp").peek_count() == 0
+
+    def test_hand_back_reopens_the_old_queue_and_forwards_the_clones(self, bus):
+        old, stale_old = self._receiver(bus)
+        clone = bus.build_clone(receiver_spec(), "r1")
+        bus.hand_over(old, clone)
+        send(bus, 3)
+        stale_clone = bus._routing_table["sender"]["out"]
+        assert bus.hand_back(clone, old) == {"inp": 3}
+        self._put(stale_clone, 4)  # forwarded back to the old module
+        self._put(stale_old, 5)  # the old queue is open again
+        send(bus, 6)
+        assert bus.get_module("r1") is old
+        assert received(bus, "r1") == [1, 2, 3, 4, 5, 6]
+        assert clone.queue("inp").peek_count() == 0
+
+    def test_without_preserve_a_late_put_is_discarded_and_counted(self, bus):
+        rec = telemetry.enable(capacity=1 << 12)
+        old, stale = self._receiver(bus)
+        clone = bus.build_clone(receiver_spec(), "r1")
+        assert bus.hand_over(old, clone, preserve_queues=False) == {}
+        self._put(stale, 3)
+        send(bus, 4)
+        assert received(bus, "r1") == [4]
+        assert old.queue("inp").peek_count() == 0
+        assert rec.counter("queue.discarded", key="r1.inp") == 3
+        assert "rmq r1.inp on local (2 msgs)" in bus.trace
 
 
 class TestCrossHostFanout:

@@ -56,11 +56,13 @@ class TestQueuePreservation:
 
     def test_ablation_without_cq_loses_messages(self, bus):
         queue_five(bus)
-        ReconfigurationCoordinator(bus).replace(
+        report = ReconfigurationCoordinator(bus).replace(
             "idler", timeout=10, preserve_queues=False
         )
         new_module = bus.get_module("idler")
         assert new_module.queued_counts()["inp"] == 0  # five messages gone
+        assert report.queued_copied == {}  # none of them reached the clone
+        assert "rmq idler.inp on local (5 msgs)" in bus.trace
 
     def test_order_preserved_with_concurrent_arrivals(self, bus):
         # Messages arriving at the *clone* after rebinding sit behind the
