@@ -11,7 +11,7 @@ four layers this repo optimises:
                   the packet's bytes are on the measured path;
 - ``codec``       ProcessState to_bytes/from_bytes for a depth-512
                   packet, compiled vs the preserved seed codec
-                  (``repro.state.reference``) *live in the same run* —
+                  (``tests/state/reference_codec.py``) *live in the same run* —
                   immune to machine drift between measurement sessions;
 - ``heap``        the same move with a *heap*: depth 256 plus a
                   4096-entry ``store`` dict, sparc-like -> vax-like,
@@ -28,7 +28,7 @@ four layers this repo optimises:
 
 Run standalone to (re)generate ``BENCH_state.json``::
 
-    PYTHONPATH=src python benchmarks/bench_a5_state_path.py [--quick]
+    PYTHONPATH=src:. python benchmarks/bench_a5_state_path.py [--quick]
 """
 
 from __future__ import annotations
@@ -46,13 +46,13 @@ from repro.reconfig.scripts import move_module
 from repro.runtime.mh import MH
 from repro.state.frames import ProcessState
 from repro.state.machine import MACHINES
-from repro.state.reference import (
-    reference_state_from_bytes,
-    reference_state_to_bytes,
-)
 
 from benchmarks._meta import bench_meta
 from benchmarks.conftest import report
+from tests.state.reference_codec import (
+    reference_state_from_bytes,
+    reference_state_to_bytes,
+)
 
 DEPTHS = [1, 64, 512]
 

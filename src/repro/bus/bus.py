@@ -12,6 +12,7 @@ Figure-5-style scripted API wrapping them is :mod:`repro.reconfig`.
 from __future__ import annotations
 
 import threading
+import time
 import weakref
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
@@ -35,7 +36,6 @@ from repro.bus.spec import (
 from repro.errors import (
     BindingError,
     BusError,
-    InjectedFault,
     ReconfigTimeoutError,
     TransportError,
     UnknownModuleError,
@@ -1261,46 +1261,60 @@ class SoftwareBus:
         The paper: "signals a module to divulge state information on a
         particular interface, then moves that state information to an
         interface of another module."  The divulged packet crosses the
-        two hosts' machine profiles like any other message.
-
-        The one-shot form of :meth:`objstate_stream`: the target must
-        exist before the signal, and the old module is joined once it has
-        divulged.
+        two hosts' machine profiles like any other message.  The target
+        must exist before the signal, and the old module is joined once
+        it has divulged.
         """
-        self._check_move_target(new)
-        stream = self.objstate_stream(old)
-        stream.attach_target(new)
-        packet = stream.wait(timeout)
-        self.get_module(old).join(timeout)
-        return packet
-
-    def _check_move_target(self, new) -> ModuleInstance:
-        """The module a state move installs into: ``new`` names it, or is
-        it (a clone built by :meth:`build_clone` answers to no name)."""
-        new_module = self.get_module(new) if isinstance(new, str) else new
-        if new_module.state not in (ModuleState.CREATED, ModuleState.LOADED):
+        target = self.get_module(new)
+        if target.state not in (ModuleState.CREATED, ModuleState.LOADED):
             raise BusError(
-                f"objstate_move target {new_module.name!r} already started; state must "
+                f"objstate_move target {new!r} already started; state must "
                 f"be installed before the clone runs"
             )
-        return new_module
-
-    def objstate_stream(self, old: str) -> "StateMoveStream":
-        """Pipelined ``objstate_move``: signal now, deliver whenever.
-
-        Returns immediately after the reconfiguration signal, opening the
-        wait-for-point window for the caller to spend on useful work —
-        building the clone before the hand-over.  The divulged
-        packet is pushed into the clone from the old module's own thread
-        the instant it is produced, so the handoff adds no coordinator
-        wakeup to the critical path.  Call :meth:`StateMoveStream.wait`
-        to close the window.
-        """
         old_module = self.get_module(old)
-        stream = StateMoveStream(self, old, old_module)
-        old_module.mh.set_divulge_callback(stream._on_divulge, stream._on_failure)
         self.signal_reconfig(old)
-        return stream
+        packet = self.await_divulge(old_module, timeout)
+        target.mh.incoming_packet = packet
+        self.trace.append(f"objstate_move {old} -> {new} ({len(packet)} bytes)")
+        old_module.join(timeout)
+        return packet
+
+    def await_divulge(self, module: ModuleInstance, timeout: float = 10.0) -> bytes:
+        """Wait for a signalled ``module`` to divulge; return its packet.
+
+        The module's own ``mh`` records the outcome (``divulge_settled``):
+        the packet it sent out, or why the divulge failed, which raises
+        here at once rather than at the deadline.  With neither by the
+        deadline, the module's crash is raised if it crashed, else a
+        timeout.  The caller installs the packet where the state goes.
+        """
+        mh = module.mh
+        deadline = time.monotonic() + timeout
+        if mh.divulge_settled.wait(timeout):
+            try:
+                if mh.divulge_failed is not None:
+                    raise mh.divulge_failed
+                dropped = faults.fire("bus.stream_divulge")
+            except Exception as exc:
+                telemetry.event(
+                    "bus.divulge_failed",
+                    instance=module.name,
+                    cause=type(exc).__name__,
+                )
+                raise
+            if not dropped:
+                packet = mh.outgoing_packet
+                telemetry.event(
+                    "bus.stream_divulge", instance=module.name, bytes=len(packet)
+                )
+                return packet
+            # A lost hand-off: only the deadline notices.
+            telemetry.event("bus.divulge_dropped", instance=module.name)
+            time.sleep(max(0.0, deadline - time.monotonic()))
+        module.check_alive()
+        raise ReconfigTimeoutError(
+            f"{module.name}: no reconfiguration point reached within {timeout}s"
+        )
 
     # ------------------------------------------------------------------
     # Queue transfer (Figure 5's ``cq`` / ``rmq`` bind commands)
@@ -1350,23 +1364,16 @@ class SoftwareBus:
             if rec is not None:
                 rec.set_health_provider(None)
         for module in modules:
-            try:
-                module.mh.stop()
-            except (BusError, TransportError):
-                pass  # host already dead: nothing left to stop
+            if not getattr(module, "is_remote", False):
+                module.mh.stop()  # every local thread is told before any join
         for module in modules:
+            # As a commit frees the module it replaced: a remote one is
+            # removed from its host (which leaves shared transports
+            # reusable), a local one is stopped and retired.
             try:
-                module.join(timeout)
+                self._free(module, timeout)
             except (BusError, TransportError):
-                pass
-        for module in modules:
-            if getattr(module, "is_remote", False):
-                # Leave shared transports reusable: every handle this bus
-                # placed is removed from its remote host.
-                try:
-                    module.discard()
-                except (BusError, TransportError):
-                    pass  # host already gone
+                pass  # host already gone
         with self._lock:
             self._instances.clear()
             self._unbound = []
@@ -1394,124 +1401,3 @@ class SoftwareBus:
         tests and benchmarks that read results out of module state.
         """
         return dict(self.get_module(instance).mh.statics)
-
-
-class StateMoveStream:
-    """An in-flight state move whose wait-for-point window is open.
-
-    Created by :meth:`SoftwareBus.objstate_stream` *after* the old module
-    has been signalled but (possibly) *before* the receiving clone exists.
-    The divulge callback runs on the old module's thread, inside
-    ``mh_encode``; if the clone is already attached the packet lands in
-    its mail slot right there, otherwise :meth:`attach_target` installs
-    it as soon as the clone is named.
-
-    :meth:`wait` does not join the old module's thread (the one-shot
-    :meth:`SoftwareBus.objstate_move` does): its teardown overlaps with
-    rebinding and clone start, and ``remove_module`` joins it at the end
-    of the replacement.
-    """
-
-    def __init__(self, bus: SoftwareBus, old: str, old_module: ModuleInstance):
-        self.bus = bus
-        self.old = old
-        self._old_module = old_module
-        self._target: Optional[ModuleInstance] = None
-        self._target_label = ""
-        self._packet: Optional[bytes] = None
-        #: Stack depth of the divulged packet, as counted by the module
-        #: that encoded it (None until divulged).
-        self.frames: Optional[int] = None
-        self._failure: Optional[BaseException] = None
-        self._delivered = threading.Event()
-        self._lock = threading.Lock()
-
-    def _on_divulge(self, packet: bytes) -> None:
-        # Runs on the old module's thread, inside mh.encode().  A fault
-        # here must not raise back into the module (it would crash it
-        # unrecoverably): a crash is routed to the failure path, a drop
-        # loses the hand-off and the waiter times out.
-        try:
-            if faults.fire("bus.stream_divulge"):
-                telemetry.event("bus.divulge_dropped", instance=self.old)
-                return
-        except InjectedFault as exc:
-            self._on_failure(exc)
-            return
-        with self._lock:
-            self._packet = packet
-            self.frames = self._old_module.mh.outgoing_frames
-            if self._target is not None:
-                self._target.mh.incoming_packet = packet
-        self._delivered.set()
-        telemetry.event(
-            "bus.stream_divulge", instance=self.old, bytes=len(packet)
-        )
-
-    def _on_failure(self, failure: BaseException) -> None:
-        # Fast abort: the divulge failed on the module's thread; wake the
-        # waiter now instead of letting it burn its full deadline.
-        with self._lock:
-            self._failure = failure
-        self._delivered.set()
-        telemetry.event(
-            "bus.divulge_failed",
-            instance=self.old,
-            cause=type(failure).__name__,
-        )
-
-    def attach_target(self, new) -> None:
-        """Name (or pass) the clone that receives the state.
-
-        The clone may have been built during the wait window, i.e. after
-        the signal went out; if the old module has already divulged by
-        the time it is attached, the packet is installed here instead of
-        in the callback.  A clone from
-        :meth:`SoftwareBus.build_clone` answers to no name yet, so it is
-        passed as the module itself.
-        """
-        new_module = self.bus._check_move_target(new)
-        with self._lock:
-            self._target = new_module
-            self._target_label = (
-                new
-                if isinstance(new, str)
-                else f"{new_module.name} on {new_module.host.name}"
-            )
-            if self._packet is not None:
-                new_module.mh.incoming_packet = self._packet
-
-    def wait(self, timeout: float = 10.0) -> bytes:
-        """Block until the packet has been handed to the clone."""
-        if self._target is None:
-            raise BusError(
-                f"objstate_move from {self.old!r} has no target; call "
-                f"attach_target() before wait()"
-            )
-        if not self._delivered.wait(timeout):
-            self._old_module.check_alive()
-            raise ReconfigTimeoutError(
-                f"{self.old}: no reconfiguration point reached within "
-                f"{timeout}s"
-            )
-        if self._failure is not None:
-            raise self._failure
-        packet = self._packet
-        if packet is None:  # pragma: no cover - delivered implies packet
-            raise BusError(f"{self.old}: divulged without packet")
-        self.bus.trace.append(
-            f"objstate_move {self.old} -> {self._target_label} "
-            f"({len(packet)} bytes)"
-        )
-        return packet
-
-    def cancel(self) -> None:
-        """Withdraw the move: detach the callback and the signal.
-
-        Abandoning (not merely detaching) the divulge closes the race
-        where the module read the reconfig flag just before the
-        withdrawal: if its capture completes anyway, the module's own
-        thread reclaims the orphaned packet and resumes from it.
-        """
-        self._old_module.mh.abandon_divulge()
-        self._old_module.mh.reconfig = False

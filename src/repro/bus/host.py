@@ -269,20 +269,21 @@ class ModuleHost:
                 f"host {self.machine_name}: no module {key!r}"
             ) from None
 
-    def _arm(self, key: str, module: ModuleInstance) -> None:
-        """Point the module's divulge at the bus (push, don't poll)."""
-        module.mh.set_divulge_callback(
-            lambda packet, m=module: self.send_event(
-                ["divulged", key, packet, m.mh.outgoing_frames]
-            ),
-            lambda failure: self.send_event(
-                ["divulge_failed", key, f"{type(failure).__name__}: {failure}"]
-            ),
-        )
-
     def _watch(self, key: str, module: ModuleInstance) -> None:
         module.lifecycle_hook = lambda m: self._push_lifecycle(key, m)
+        module.mh.on_divulge_settled = lambda: self._push_divulge(key, module)
         module.mh.on_restored = lambda: self.send_event(["restored", key])
+
+    def _push_divulge(self, key: str, module: ModuleInstance) -> None:
+        """The outcome of a divulge, pushed to the bus (push, don't poll)."""
+        mh = module.mh
+        failure = mh.divulge_failed
+        if failure is None:
+            self.send_event(["divulged", key, mh.outgoing_packet, mh.outgoing_frames])
+        else:
+            self.send_event(
+                ["divulge_failed", key, f"{type(failure).__name__}: {failure}"]
+            )
 
     def _push_lifecycle(self, key: str, module: ModuleInstance) -> None:
         crash = module.crash
@@ -326,9 +327,7 @@ class ModuleHost:
         return True
 
     def _cmd_signal(self, key) -> bool:
-        module = self._module(key)
-        self._arm(str(key), module)
-        module.mh.request_reconfig()
+        self._module(key).mh.request_reconfig()
         return True
 
     def _cmd_stop(self, key) -> str:
@@ -349,9 +348,6 @@ class ModuleHost:
     def _cmd_revive(self, key, packet) -> str:
         module = self._module(key)
         module.revive(bytes(packet))
-        # revive() reset the divulge machinery; future captures must
-        # push to the bus again.
-        self._arm(str(key), module)
         return module.state.value
 
     # -- state move commands -----------------------------------------------
@@ -362,10 +358,6 @@ class ModuleHost:
 
     def _cmd_abandon(self, key) -> bool:
         self._module(key).mh.abandon_divulge()
-        return True
-
-    def _cmd_clear_reconfig(self, key) -> bool:
-        self._module(key).mh.reconfig = False
         return True
 
     # -- message delivery and queue transfer ---------------------------------

@@ -415,8 +415,8 @@ class ModuleInstance:
         """Cut the reference cycles of a removed instance.
 
         A module is tied into cycles with its ``mh``: the port points back
-        at the instance, the divulge/failure/``on_restored`` callbacks and
-        the lifecycle hook close over it, and the namespace and its
+        at the instance, a host's ``on_divulge_settled``/``on_restored``
+        hooks and the lifecycle hook close over it, and the namespace and its
         functions' ``__globals__`` point at each other.  Cut here, the
         instance, its heap and its state packets are freed by reference
         counting the moment the last caller drops it, not at whichever
@@ -427,7 +427,7 @@ class ModuleInstance:
         """
         if self.thread is not None and self.thread.is_alive():
             return
-        self.mh.set_divulge_callback(None)
+        self.mh.on_divulge_settled = None
         self.mh.on_restored = None
         self.mh.attach_port(None)
         self.lifecycle_hook = None

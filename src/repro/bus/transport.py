@@ -168,15 +168,12 @@ class _ProxyMH:
         self.module = handle.spec.name
         self.machine = handle.host.profile
         self.divulged = threading.Event()
+        self.divulge_settled = threading.Event()
         self.restored = threading.Event()
         self.outgoing_packet: Optional[bytes] = None
         self.outgoing_frames: Optional[int] = None
         self.divulge_failed: Optional[BaseException] = None
         self._incoming: Optional[bytes] = None
-        self._reconfig_mirror = False
-        self._divulge_callback: Optional[Callable[[bytes], None]] = None
-        self._failure_callback: Optional[Callable[[BaseException], None]] = None
-        self._cb_lock = threading.Lock()
 
     # -- status -------------------------------------------------------------
 
@@ -209,55 +206,23 @@ class _ProxyMH:
                 ["install_packet", self._handle.key, packet]
             )
 
-    def set_divulge_callback(
-        self,
-        callback: Optional[Callable[[bytes], None]] = None,
-        on_failure: Optional[Callable[[BaseException], None]] = None,
-    ) -> None:
-        # Stored bus-side only; the remote host always pushes, and the
-        # "divulged" event fans into whatever is registered here.
-        with self._cb_lock:
-            self._divulge_callback = callback
-            self._failure_callback = on_failure
-
     def request_reconfig(self) -> None:
         self._handle.link.request(["signal", self._handle.key])
-        self._reconfig_mirror = True
 
     def abandon_divulge(self) -> None:
-        with self._cb_lock:
-            self._divulge_callback = None
-            self._failure_callback = None
         self._handle.link.request(["abandon", self._handle.key])
-
-    @property
-    def reconfig(self) -> bool:
-        return self._reconfig_mirror
-
-    @reconfig.setter
-    def reconfig(self, value: bool) -> None:
-        self._reconfig_mirror = bool(value)
-        command = "signal" if value else "clear_reconfig"
-        self._handle.link.request([command, self._handle.key])
 
     # -- event sinks (called from the link dispatcher thread) -------------------
 
     def _on_divulged(self, packet: bytes, frames: int) -> None:
         self.outgoing_packet = packet
         self.outgoing_frames = frames
-        with self._cb_lock:
-            callback = self._divulge_callback
-        self.divulged.set()  # same order as MH.encode: event, then callback
-        if callback is not None:
-            callback(packet)
+        self.divulged.set()
+        self.divulge_settled.set()
 
     def _on_divulge_failed(self, text: str) -> None:
-        failure = TransportError(text)
-        self.divulge_failed = failure
-        with self._cb_lock:
-            on_failure = self._failure_callback
-        if on_failure is not None:
-            on_failure(failure)
+        self.divulge_failed = TransportError(text)
+        self.divulge_settled.set()
 
 
 class RemoteModuleHandle:
@@ -376,9 +341,11 @@ class RemoteModuleHandle:
                 f"{self.name}: no captured state to revive from"
             )
         self.mh.divulged.clear()
+        self.mh.divulge_settled.clear()
         self.mh.restored.clear()
         self.mh.outgoing_packet = None
         self.mh.outgoing_frames = None
+        self.mh.divulge_failed = None
         value = self.link.request(
             ["revive", self.key, pkt], timeout=timeout + 30.0
         )

@@ -19,7 +19,8 @@ Failure semantics: replacement is a *transaction*.  The stages are
 ``signal``                deliver the reconfiguration signal to the old
                           module
 ``wait_point``            wait (with deadline) for the old module to reach
-                          a reconfiguration point and divulge its state
+                          a reconfiguration point and divulge its state,
+                          then install the packet it divulged in the clone
 ``rebind``                hand the name over: check every binding of it
                           against the clone, make the clone the module
                           that answers to it, ``cq``/``rmq`` from the old
@@ -49,7 +50,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.bus.bus import SoftwareBus, StateMoveStream
+from repro.bus.bus import SoftwareBus
 from repro.bus.module import ModuleInstance, ModuleState
 from repro.bus.spec import BindingSpec, ModuleSpec
 from repro.errors import (
@@ -237,7 +238,6 @@ class ReconfigurationCoordinator:
     def _rollback(
         self,
         report: ReconfigurationReport,
-        stream: StateMoveStream,
         instance: str,
         old_module: ModuleInstance,
         clone: Optional[ModuleInstance],
@@ -245,7 +245,8 @@ class ReconfigurationCoordinator:
     ) -> None:
         """Put the application back on the old module.
 
-        Order matters: withdraw the signal first (new captures stop),
+        Order matters: withdraw the signal first (new captures stop, and
+        a capture already under way divulges to nobody),
         hand the name back if the clone had it (new deliveries route to
         the old module again, and whatever reached the clone's queues —
         every ``cq``-copied message plus all post-rebind arrivals —
@@ -256,7 +257,7 @@ class ReconfigurationCoordinator:
         the sequence it was.
         """
         bus = self.bus
-        stream.cancel()
+        old_module.mh.abandon_divulge()
         pkt = packet if packet is not None else old_module.mh.outgoing_packet
         if clone is not None:
             if bus.get_module(instance) is clone:
@@ -459,10 +460,10 @@ class ReconfigurationCoordinator:
         report.stage = "signal"
         report.stage_attempts["signal"] = 1
         report.t_signal = time.monotonic()
-        with telemetry.span("stage.signal", instance=instance):
-            stream = self.bus.objstate_stream(instance)
-        report.completed.append("signal")
         old_module = self.bus.get_module(instance)
+        with telemetry.span("stage.signal", instance=instance):
+            self.bus.signal_reconfig(instance)
+        report.completed.append("signal")
 
         packet: Optional[bytes] = None
         try:
@@ -470,15 +471,19 @@ class ReconfigurationCoordinator:
                 report.stage = "clone_build"
                 self._attempt(report, "clone_build", build_clone)
                 report.completed.append("clone_build")
-            stream.attach_target(clone)
 
             report.stage = "wait_point"
             report.stage_attempts["wait_point"] = 1
             with telemetry.span("stage.wait_point", instance=instance) as wait_span:
-                packet = stream.wait(timeout)
+                packet = self.bus.await_divulge(old_module, timeout)
+                report.t_divulged = time.monotonic()
+                clone.mh.incoming_packet = packet
+                self.bus.trace.append(
+                    f"objstate_move {instance} -> {clone.name} on "
+                    f"{clone.host.name} ({len(packet)} bytes)"
+                )
                 wait_span.set(packet_bytes=len(packet))
             report.completed.append("wait_point")
-            report.t_divulged = time.monotonic()
             report.packet_bytes = len(packet)
 
             report.stage = "rebind"
@@ -513,9 +518,7 @@ class ReconfigurationCoordinator:
             rolled_back = True
             try:
                 with telemetry.span("stage.rollback", instance=instance):
-                    self._rollback(
-                        report, stream, instance, old_module, clone, packet
-                    )
+                    self._rollback(report, instance, old_module, clone, packet)
                 telemetry.count("reconfig.rollbacks")
             except Exception:
                 rolled_back = False
@@ -531,7 +534,7 @@ class ReconfigurationCoordinator:
         telemetry.count("reconfig.commits")
         # Reporting detail: the encoding module counted the frames and
         # sent the count with the packet.
-        report.stack_depth = stream.frames
+        report.stack_depth = old_module.mh.outgoing_frames
         self.history.append(report)
         self.bus.trace.append(report.describe())
 

@@ -114,7 +114,8 @@ def objstate_move(
     """Get state from the old module and send it to the new one.
 
     The paper names the interfaces ("encode"/"decode"); on this bus the
-    divulged packet travels the control channel, with the same
+    old module's ``mh`` records what it divulged, the bus waits for that
+    outcome and installs the packet in the new module, with the same
     machine-profile translation as any message.
     """
     return bus.objstate_move(old.instance, new.instance, timeout=timeout)

@@ -1,8 +1,8 @@
 """Deterministic fault injection for reconfiguration transactions.
 
 A :class:`FaultPlan` arms named *injection sites* threaded through the
-platform's replacement path — the coordinator stages, the streamed state
-move, clone preparation, capture/restore in the MH runtime, and TCP
+platform's replacement path — the coordinator stages, the state packet's
+hand-off, clone preparation, capture/restore in the MH runtime, and TCP
 framing.  Each armed site can
 
 ``crash``
@@ -53,7 +53,7 @@ SITES = (
     "coordinator.rebind",  # handing the instance name over to the clone
     "coordinator.start_clone",  # starting the clone's thread
     "module.load",  # resolving/transforming clone source
-    "bus.stream_divulge",  # divulged-packet hand-off (old module's thread)
+    "bus.stream_divulge",  # divulged-packet hand-off (where the packet is taken)
     "mh.capture",  # entering the capture sequence at a point
     "mh.encode",  # after the state packet is built, before divulge
     "mh.decode",  # clone parsing the incoming packet

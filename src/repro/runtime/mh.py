@@ -112,16 +112,20 @@ class MH:
         # statics and heap on the wire, so it travels beside the packet
         # instead of making the coordinator skip over both to report it.
         self.outgoing_frames: Optional[int] = None
-        self.divulged = threading.Event()
+        self.divulged = threading.Event()  # the packet went out
+        # Set by encode for either outcome of a divulge: the packet went
+        # out (``divulged``) or the divulge failed (``divulge_failed``).
+        # The coordinator waits on it and takes the packet from here.
+        self.divulge_settled = threading.Event()
         self.restored = threading.Event()  # set by end_restore (clone health)
-        # Platform hook fired right after ``restored`` is set.  Remote
-        # module hosts use it to push a "restored" event to the bus
-        # process, whose coordinator health-checks the clone without
-        # polling across the process boundary.  Survives prepare_revival
-        # (a revived module's restore completion is equally interesting).
+        # Platform hooks fired right after ``divulge_settled`` and
+        # ``restored`` are set.  Remote module hosts use them to push the
+        # outcome to the bus process, so its coordinator waits for the
+        # packet and health-checks the clone without polling across the
+        # process boundary.  Both survive prepare_revival (a revived
+        # module's next divulge and restore are equally interesting).
+        self.on_divulge_settled: Optional[Callable[[], None]] = None
         self.on_restored: Optional[Callable[[], None]] = None
-        self._divulge_callback: Optional[Callable[[bytes], None]] = None
-        self._failure_callback: Optional[Callable[[BaseException], None]] = None
         self._divulge_lock = threading.Lock()
         # A fault at the capture sites cannot raise through module code
         # (the capture blocks return unconditionally once entered, the
@@ -206,8 +210,11 @@ class MH:
         self.stats["signals"] += 1
 
     def request_reconfig(self) -> None:
-        """Platform-side alias used by the bus control channel."""
-        self.catch_reconfig()
+        """Platform side of the signal: a new signal also clears the mark
+        an earlier, withdrawn one left (:meth:`abandon_divulge`)."""
+        with self._divulge_lock:
+            self._divulge_abandoned = False
+            self.catch_reconfig()
 
     # ------------------------------------------------------------------
     # Capture (Figure 7)
@@ -310,16 +317,23 @@ class MH:
                 module=self.module,
                 cause=type(failure).__name__ if failure is not None else "drop",
             )
-            with self._divulge_lock:
-                on_failure = self._failure_callback
-            if failure is not None and on_failure is not None:
-                on_failure(failure)
-            return packet
+            if failure is None:
+                return packet  # dropped: nobody hears of it
         with self._divulge_lock:
-            callback = self._divulge_callback
-        self.divulged.set()
-        if callback is not None:
-            callback(packet)
+            # A withdrawn signal: the packet goes to nobody, and the
+            # module's thread resumes from it (reclaim_abandoned_divulge).
+            # The hook runs inside the lock so that a remote host pushes
+            # the outcome before it answers an abandon that follows.
+            if not self._divulge_abandoned:
+                if failure is None:
+                    self.divulged.set()
+                self.divulge_settled.set()
+                hook = self.on_divulge_settled
+                if hook is not None:
+                    try:
+                        hook()
+                    except Exception:  # noqa: BLE001 - hooks must not crash the module
+                        pass
         return packet
 
     def _refuse_bad_frame(self) -> None:
@@ -511,39 +525,18 @@ class MH:
         """Platform side: connect this runtime to the software bus."""
         self._port = port
 
-    def set_divulge_callback(
-        self,
-        callback: Optional[Callable[[bytes], None]] = None,
-        on_failure: Optional[Callable[[BaseException], None]] = None,
-    ) -> None:
-        """Platform side: where :meth:`encode` delivers the state packet.
-
-        The bus's streamed state move installs its delivery hook here so
-        the packet reaches the clone on the divulging thread, with no
-        coordinator wakeup in between; ``None`` detaches the hook (used
-        when a timed-out reconfiguration is withdrawn).  ``on_failure``
-        is invoked instead of the callback when the divulge fails on the
-        module's thread, so the waiter aborts without burning its full
-        deadline.
-        """
-        with self._divulge_lock:
-            self._divulge_callback = callback
-            self._failure_callback = on_failure
-            if callback is not None:
-                self._divulge_abandoned = False
-
     def abandon_divulge(self) -> None:
-        """Withdraw an in-flight streamed move (rollback path).
+        """Withdraw the signal (rollback path).
 
-        After this, a capture that already raced past the signal check
-        divulges to nobody — the module's thread detects the abandoned
-        packet via :meth:`reclaim_abandoned_divulge` and resumes from it
-        instead of exiting.
+        Clears ``reconfig`` and, in the same lock hold, marks a divulge
+        that already raced past the signal check as abandoned: it goes to
+        nobody, and the module's thread detects the packet via
+        :meth:`reclaim_abandoned_divulge` and resumes from it instead of
+        exiting.
         """
         with self._divulge_lock:
             self._divulge_abandoned = True
-            self._divulge_callback = None
-            self._failure_callback = None
+            self.reconfig = False
 
     def reclaim_abandoned_divulge(self) -> Optional[bytes]:
         """Module-thread side of :meth:`abandon_divulge` (one-shot)."""
@@ -571,12 +564,11 @@ class MH:
             self._captured = StackState()
             self._restore_stack = None
             self.divulged.clear()
+            self.divulge_settled.clear()
             self.restored.clear()
             self._suppress_divulge = False
             self.divulge_failed = None
             self._divulge_abandoned = False
-            self._divulge_callback = None
-            self._failure_callback = None
         # Spans from the interrupted capture/restore must not leak into
         # the revival's restore sequence.
         self._capture_span.close()

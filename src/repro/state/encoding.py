@@ -69,8 +69,8 @@ Implementation notes (the reconfiguration critical path, see
   it (:func:`_bad_utf8`), so the per-string reads carry no handler.
 
 The naive tree-walk implementation this replaced — infer-then-encode for
-``a`` values included — is preserved in :mod:`repro.state.reference` as
-the executable wire specification (it writes and reads the packed ``}``
+``a`` values included — is preserved in ``tests/state/reference_codec.py``
+as the executable wire specification (it writes and reads the packed ``}``
 form entry by entry, as the rule states it); a golden-bytes test pins
 this module to it byte-for-byte.
 """

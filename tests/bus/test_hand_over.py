@@ -27,7 +27,7 @@ from repro.bus.machine import Host
 from repro.bus.message import Message
 from repro.bus.module import prepared_source_for
 from repro.bus.spec import BindingSpec, ModuleSpec
-from repro.errors import ReconfigurationAborted, SpecError
+from repro.errors import ReconfigurationAborted, ReconfigurationTimeout, SpecError
 from repro.reconfig.coordinator import ReconfigurationCoordinator
 from repro.runtime import telemetry
 from repro.runtime.mh import SleepPolicy
@@ -352,6 +352,63 @@ def test_a_same_host_remote_replace_makes_five_link_requests(watchdog, monkeypat
         assert between == ["move_queues", "start"]
         _feed(bus, 10)
         wait_until(lambda: _total(bus) == 16)
+    finally:
+        bus.shutdown()
+
+
+@pytest.mark.multiproc
+def test_a_rolled_back_remote_replace_makes_four_link_requests(watchdog, monkeypatch):
+    """signal, add, abandon, remove: withdrawing the signal is one
+    request, which also clears the module's reconfiguration flag."""
+    bus = SoftwareBus(sleep_scale=0.0, workers=1)
+    try:
+        bus.add_module(_idle_spec("feeder", OUT), instance="feeder")
+        bus.add_module(_counter_spec(), instance="counter", placement="worker:0")
+        bus.add_binding(BindingSpec("feeder", "out", "counter", "inp"))
+        bus.start_module("counter")
+        _feed(bus, 1, 2, 3)
+        wait_until(lambda: _total(bus) == 6)
+        sent = []
+        request = Link.request
+
+        def counting(link, command, *args, **kwargs):
+            sent.append(str(command[0]))
+            return request(link, command, *args, **kwargs)
+
+        monkeypatch.setattr(Link, "request", counting)
+        # Blocked on an empty queue, the counter never reaches its point.
+        with pytest.raises(ReconfigurationTimeout) as excinfo:
+            ReconfigurationCoordinator(bus).replace("counter", timeout=0.5)
+        monkeypatch.undo()
+        assert excinfo.value.stage == "wait_point" and excinfo.value.rolled_back
+        assert sent == ["signal", "add", "abandon", "remove"]
+        _feed(bus, 10)
+        wait_until(lambda: _total(bus) == 16)
+    finally:
+        bus.shutdown()
+
+
+@pytest.mark.multiproc
+def test_shutdown_removes_a_remote_module_with_one_request(watchdog, monkeypatch):
+    """Shutdown frees a module as a commit does: its host stops it as it
+    removes it, so no separate stop is sent."""
+    bus = SoftwareBus(sleep_scale=0.0, workers=1)
+    try:
+        bus.add_module(_counter_spec(), instance="counter", placement="worker:0")
+        bus.start_module("counter")
+        sent = []
+        request = Link.request
+
+        def counting(link, command, *args, **kwargs):
+            sent.append(str(command[0]))
+            return request(link, command, *args, **kwargs)
+
+        monkeypatch.setattr(Link, "request", counting)
+        bus.shutdown()
+        monkeypatch.undo()
+        # One remove for the module, then the bus closes the transport it
+        # owns, which shuts the daemon down.
+        assert sent == ["remove", "shutdown"]
     finally:
         bus.shutdown()
 

@@ -4,9 +4,10 @@ The coordinator's critical path used to be strictly sequential: build
 clone, prepare rebind batch, signal, wait for the reconfiguration point,
 move state.  The pipelined path signals *first* (for a same-version
 clone, whose spec the original already proved loadable) and spends the
-wait-for-point window building the clone and the batch; the divulged
-packet is pushed into the clone from the old module's own thread via
-the divulge callback (bus.objstate_stream).
+wait-for-point window building the clone.  The old module's ``mh``
+records what it divulged, and the coordinator takes the packet from
+there and installs it in the clone once the clone is built
+(bus.await_divulge), whichever of the two finished first.
 
 Synchronization here is event-based, not paced: the sensor emits nothing
 on its own (manual monitor harness), so the old module reaches its
@@ -20,12 +21,12 @@ import pytest
 
 from repro.bus.module import ModuleState, _prepare_module_cached
 from repro.errors import (
-    BusError,
     ReconfigTimeoutError,
     ReconfigurationTimeout,
     TransformError,
 )
 from repro.reconfig.scripts import move_module, upgrade_module
+from repro.runtime.faults import FaultPlan, fault_plan
 from repro.state.frames import ProcessState
 
 from tests.conftest import wait_until
@@ -191,7 +192,7 @@ class TestTimeoutRollback:
         assert excinfo.value.rolled_back
         mh = monitor.get_module("compute").mh
         assert not mh.reconfig
-        assert mh._divulge_callback is None
+        assert not mh.divulge_settled.is_set()
         assert not monitor._unbound  # no clone left behind
         assert monitor.get_module("compute").state is ModuleState.RUNNING
         # The proof the rollback worked: the application still computes.
@@ -199,35 +200,30 @@ class TestTimeoutRollback:
         assert wait_displays(monitor, 1) == [2.5]
 
 
-class TestStateMoveStream:
-    def test_wait_without_target_raises(self, monitor):
-        stream = monitor.objstate_stream("compute")
-        try:
-            with pytest.raises(BusError, match="has no target"):
-                stream.wait(timeout=5)
-        finally:
-            stream.cancel()
-
-    def test_attach_after_divulge_still_installs_packet(self, monitor):
-        # The old module may divulge before the clone exists; the packet
-        # must land in the clone at attach time instead.
+class TestCoordinatorHandOff:
+    def test_divulge_during_clone_build(self, monitor):
+        # The old module may divulge before the clone exists: the
+        # coordinator takes the packet from the module's own outcome once
+        # the build returns, and installs it then.
+        feed_sensor(monitor, *range(1, 9))
+        wait_displays(monitor, 2)
         old = monitor.get_module("compute")
-        stream = monitor.objstate_stream("compute")
-        feed_sensor(monitor, 1)  # one reading -> point reached -> divulge
-        assert stream._delivered.wait(15)  # divulged, no target yet
-        spec = old.spec.with_attributes(machine="beta", status="clone")
-        monitor.add_module(
-            spec, instance="compute.late", machine="beta", status="clone"
+        plan = FaultPlan("slow-clone-build").schedule(
+            "coordinator.clone_build", "delay", delay=1.5
         )
-        stream.attach_target("compute.late")
-        packet = stream.wait(timeout=5)
-        assert monitor.get_module("compute.late").mh.incoming_packet == packet
-        assert ProcessState.from_bytes(packet).module == "compute"
-
-    def test_attach_to_started_module_rejected(self, monitor):
-        stream = monitor.objstate_stream("compute")
-        try:
-            with pytest.raises(BusError, match="already started"):
-                stream.attach_target("display")
-        finally:
-            stream.cancel()
+        with fault_plan(plan):
+            worker, outcome = move_in_background(monitor)
+            wait_signalled(monitor, "compute")
+            feed_sensor(monitor, 9)
+            wait_until(old.mh.divulged.is_set, timeout=15)
+            assert not any(line.startswith("build clone compute") for line in monitor.trace)
+            worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert "error" not in outcome, f"move failed: {outcome.get('error')!r}"
+        assert plan.fired("coordinator.clone_build") == 1
+        clone = monitor.get_module("compute")
+        assert clone is not old
+        assert clone.mh.incoming_packet == old.mh.outgoing_packet
+        assert outcome["report"].stack_depth == old.mh.outgoing_frames >= 2
+        feed_sensor(monitor, *range(10, 121))
+        assert wait_displays(monitor, 30) == expected_averages(30)

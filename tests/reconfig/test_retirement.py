@@ -1,7 +1,7 @@
 """A removed module instance is freed by reference counting.
 
-An instance sits in reference cycles with its ``mh`` (port, divulge and
-restore callbacks, lifecycle hook, namespace ↔ ``__globals__``), so
+An instance sits in reference cycles with its ``mh`` (port, a host's
+divulge and restore hooks, lifecycle hook, namespace ↔ ``__globals__``), so
 without :meth:`ModuleInstance.retire` a replaced module — its heap and
 two state packets included — lives on until the next gen-2 collection.
 Every case here runs with the cyclic collector off: an instance that is
@@ -152,6 +152,16 @@ class TestInProcessReplace:
         _wait_progress(app, _count(app) + 3)
 
 
+class TestShutdown:
+    def test_shutdown_frees_every_local_instance(self, app, collector_off):
+        _wait_progress(app, 3)
+        refs = [_refs(app.get_module(name)) for name in ("compute", "sink")]
+        app.shutdown()
+        for module_ref, mh_ref in refs:
+            assert module_ref() is None
+            assert mh_ref() is None
+
+
 class TestHostSideRemove:
     def test_remove_frees_a_hosted_instance(self, collector_off):
         core = ModuleHost(
@@ -183,7 +193,7 @@ class TestHostSideRemove:
                 ],
             )
             core.handle("start", ["stage#1"])
-            core.handle("signal", ["stage#1"])  # arms the divulge lambdas
+            core.handle("signal", ["stage#1"])
             module_ref, mh_ref = _refs(core.modules["stage#1"])
             core.handle("remove", ["stage#1"])
             assert "stage#1" not in core.modules

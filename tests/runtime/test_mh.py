@@ -4,14 +4,21 @@ import threading
 
 import pytest
 
+from repro.bus.host import ModuleHost
+from repro.bus.machine import Host
+from repro.bus.module import prepared_source_for
+from repro.bus.spec import ModuleSpec
 from repro.errors import (
     CaptureError,
+    InjectedFault,
     RestoreError,
     RuntimeStateError,
 )
+from repro.runtime.faults import FaultPlan, fault_plan
 from repro.runtime.mh import MH, ModuleStop, SleepPolicy
 from repro.runtime.refs import Ref
 from repro.state.frames import ProcessState
+from repro.state.machine import MACHINES
 
 
 def captured_mh(machine=None, depth=2):
@@ -24,6 +31,14 @@ def captured_mh(machine=None, depth=2):
     mh.capture("main", "llF", 1, depth, 0.0)
     mh.encode()
     return mh
+
+
+def divulge(mh):
+    """Run one capture of main to its divulge."""
+    mh.request_reconfig()
+    mh.begin_reconfig_capture("P")
+    mh.capture("main", "l", 1)
+    return mh.encode()
 
 
 class TestFlags:
@@ -125,13 +140,90 @@ class TestCaptureProtocol:
         assert clone.heap["c"].n == 9
 
     def test_divulge_callback(self):
+        # encode sets one event for either outcome, then runs the hook a
+        # host sets once; the hook survives a revival.
         seen = []
         mh = MH("m")
-        mh.set_divulge_callback(seen.append)
+        mh.on_divulge_settled = lambda: seen.append(
+            (mh.divulged.is_set(), mh.divulge_failed)
+        )
+        packet = divulge(mh)
+        assert mh.divulge_settled.is_set() and mh.divulged.is_set()
+        assert seen == [(True, None)]
+        mh.prepare_revival(packet)
+        assert not mh.divulge_settled.is_set()
+        with fault_plan(FaultPlan().schedule("mh.encode", "crash")):
+            divulge(mh)
+        assert mh.divulge_settled.is_set() and not mh.divulged.is_set()
+        assert seen[1] == (False, mh.divulge_failed)
+        assert isinstance(mh.divulge_failed, InjectedFault)
+
+    def test_a_dropped_divulge_settles_nothing(self):
+        mh = MH("m")
+        with fault_plan(FaultPlan().schedule("mh.encode", "drop")):
+            divulge(mh)
+        assert mh.outgoing_packet is not None
+        assert not mh.divulge_settled.is_set()
+
+    def test_host_pushes_each_divulge_outcome(self):
+        # The hook ModuleHost sets at add pushes the packet with its frame
+        # count, and still does after a revival, with no re-arming.
+        events = []
+        host = ModuleHost(
+            "unit-host",
+            Host("unit-host", MACHINES["modern-64"]),
+            SleepPolicy(scale=0.0),
+            events.append,
+        )
+        spec = ModuleSpec(name="m", inline_source="def main():\n    pass\n")
+        try:
+            host.handle(
+                "add", ["m#1", "m", spec.to_abstract(prepared_source_for(spec)), "original", None]
+            )
+            mh = host.modules["m#1"].mh
+            packet = divulge(mh)
+            mh.prepare_revival(packet)
+            with fault_plan(FaultPlan().schedule("mh.encode", "crash")):
+                divulge(mh)
+        finally:
+            host.stop_all()
+        assert events[0] == ["divulged", "m#1", packet, 1]
+        assert events[1][:2] == ["divulge_failed", "m#1"]
+        assert events[1][2].startswith("InjectedFault")
+
+
+class TestWithdrawnSignal:
+    def test_abandon_clears_the_flag(self):
+        mh = MH("m")
+        mh.request_reconfig()
+        mh.abandon_divulge()
+        assert not mh.reconfig
+
+    def test_an_abandoned_capture_divulges_to_nobody(self):
+        # The capture raced past the signal check before the withdrawal:
+        # its packet goes back to the module's own thread.
+        seen = []
+        mh = MH("m")
+        mh.on_divulge_settled = lambda: seen.append(True)
+        mh.request_reconfig()
         mh.begin_reconfig_capture("P")
+        mh.abandon_divulge()
         mh.capture("main", "l", 1)
-        mh.encode()
-        assert len(seen) == 1 and isinstance(seen[0], bytes)
+        packet = mh.encode()
+        assert not mh.divulged.is_set() and not mh.divulge_settled.is_set()
+        assert seen == []
+        assert mh.reclaim_abandoned_divulge() == packet
+
+    def test_a_signal_after_an_abandoned_one_divulges(self):
+        seen = []
+        mh = MH("m")
+        mh.on_divulge_settled = lambda: seen.append(True)
+        mh.request_reconfig()
+        mh.abandon_divulge()  # the module never reached its point
+        divulge(mh)
+        assert mh.divulged.is_set() and mh.divulge_settled.is_set()
+        assert seen == [True]
+        assert mh.reclaim_abandoned_divulge() is None  # no self-revival
 
 
 class TestRestoreProtocol:

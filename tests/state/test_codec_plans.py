@@ -46,7 +46,8 @@ from repro.state.frames import ActivationRecord, ProcessState, StackState
 from repro.state.heap import HeapCodec
 from repro.state.machine import MACHINES
 from repro.state.pointers import SymbolicPointer
-from repro.state.reference import (
+
+from tests.state.reference_codec import (
     reference_decode_values,
     reference_encode_any,
     reference_encode_values,

@@ -3,7 +3,7 @@
 The compiled encoder/decoder plans (repro.state.encoding) are a pure
 performance change; every byte they produce must match the original
 tree-walking codec, which is preserved verbatim in
-``repro.state.reference`` as the executable wire specification.  Two
+``tests/state/reference_codec.py`` as the executable wire specification.  Two
 layers of protection here:
 
 1. Hard-coded hex vectors produced by the seed codec — these catch a
@@ -24,7 +24,8 @@ from repro.state.frames import ProcessState, ActivationRecord, StackState
 from repro.state.heap import HeapCodec, HeapImage
 from repro.state.machine import MACHINES
 from repro.state.pointers import SymbolicPointer
-from repro.state.reference import (
+
+from tests.state.reference_codec import (
     reference_decode_values,
     reference_encode_values,
     reference_state_from_bytes,

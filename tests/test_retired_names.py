@@ -57,8 +57,9 @@ GUARDS = [
     ),
     # One state hand-off path: a packet decodes eagerly off its own
     # bytes, the reported depth is the encoder's frame count, and the
-    # one-shot objstate_move runs on the stream.  The lazy frames, header
-    # peek, memoryview decode and second divulge wait.
+    # one-shot objstate_move and the coordinator share one divulge wait.
+    # The lazy frames, header peek, memoryview decode and second divulge
+    # wait.
     Guard(
         "the state hand-off paths",
         r"peek_state_header|StateHeader|skip_value|StackState\.lazy|wait_divulged|\.materialize\(",
@@ -167,6 +168,20 @@ GUARDS = [
         r"repro\.loadgen|bench_l[1]|BENCH_reconfig_under_loa[d]",
         ("src", "tests", "benchmarks", "docs", "README.md", "DESIGN.md", ".github"),
         ("from repro.loadgen import run", "benchmarks/bench_l1.py", "BENCH_reconfig_under_load.json"),
+    ),
+    # One divulge hand-off: the coordinator takes the packet from the old
+    # module's own outcome, and a withdrawn signal is one abandon.  The
+    # callback stream, its registration and the separate flag clear.
+    Guard(
+        "the divulge callback stream",
+        r"StateMoveStream|objstate_stream|set_divulge_callback|clear_reconfig",
+        CODE,
+        (
+            "stream = StateMoveStream(bus, old, module)",
+            "bus.objstate_stream(old)",
+            "mh.set_divulge_callback(on_packet)",
+            'link.request(["clear_reconfig", key])',
+        ),
     ),
     # One queue move per replace (SoftwareBus._move_queues), and a
     # literal rmq that drains whatever queue it is given: the probe for a
