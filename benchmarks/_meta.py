@@ -16,22 +16,19 @@ import sys
 from typing import Dict, Optional
 
 #: Bump when the meta block's shape changes.
-META_SCHEMA = "repro-bench-meta/1"
+META_SCHEMA = "repro-bench-meta/2"
 
 
 def bench_meta(
     seed: Optional[int] = None,
-    sample: Optional[int] = None,
     batch: Optional[Dict[str, object]] = None,
     **extra: object,
 ) -> Dict[str, object]:
-    """The consistent ``{schema, cpus, seed, sample, batch, ...}`` block.
+    """The consistent ``{schema, cpus, seed, batch, ...}`` block.
 
     ``seed`` is the workload RNG seed (None for benchmarks without
-    randomness); ``sample`` is the telemetry span sampling rate in
-    effect (None when telemetry was disabled for the run); ``batch`` is
-    the link-coalescing settings in effect (pass
-    ``repro.bus.batch.batch_settings()`` for benchmarks that cross a
+    randomness); ``batch`` is the link-coalescing settings in effect
+    (pass ``repro.bus.batch.batch_settings()`` for benchmarks that cross a
     transport — flush caps and the backpressure watermark change those
     numbers as much as cpu count does).  Extra keyword pairs pass
     straight through for benchmark-specific context.
@@ -40,7 +37,6 @@ def bench_meta(
         "schema": META_SCHEMA,
         "cpus": os.cpu_count(),
         "seed": seed,
-        "sample": sample,
         "python": platform.python_version(),
         "platform": sys.platform,
     }

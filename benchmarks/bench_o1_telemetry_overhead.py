@@ -14,10 +14,10 @@ what the flight recorder costs on the bus message hot path
   the disabled fast path holds raw ``MessageQueue.put`` bound methods —
   zero wrappers, zero flag tests.
 - ``enabled`` — throughput with the recorder installed: delivery counts
-  kept in-lock by the swapped-in ``RecordingMessageQueue`` classes,
-  ``bus.routed`` derived lazily from queue cells, and per-message spans
-  sampled 1-in-``sample``.  Asserted < 10% (down from ~80% with PR 4's
-  per-delivery counting closures).
+  kept in-lock by the swapped-in ``RecordingMessageQueue`` classes and
+  ``bus.routed`` derived lazily from queue cells (``route()`` opens no
+  span; every span the recorder sees is recorded).  Asserted < 10%
+  (down from ~80% with per-delivery counting closures).
 - ``guard_ns`` — the cost of the ``telemetry.recorder is None`` guard
   used by the sites that cannot compile themselves out (faults-style
   one-attribute-load-plus-branch idiom), measured directly.
@@ -35,13 +35,13 @@ enabled/disabled segment *straddled* between two baseline segments
 whose mean it is compared against (``b1 e b2 d b3`` per round, medians
 across rounds) — a sequential all-baseline-then-all-enabled layout let
 slow container drift show "disabled" beating "baseline" by double
-digits.  ``cpus`` and the sampling rate are recorded so trajectories
-across containers stay comparable.
+digits.  The rounds are many and short, and a segment is rated by its
+median batch (see ``measure_modes``).  ``cpus`` is recorded so
+trajectories across containers stay comparable.
 
 It also times the Figure-1 monitor move (feed-driven, same harness as
 the chaos suite) with telemetry on and off, since the replace path is
-where spans actually get recorded; the move runs unsampled
-(``sample=1``) to show full-fidelity recording does not tax it.
+where spans actually get recorded.
 
 Run standalone to (re)generate ``BENCH_telemetry.json``::
 
@@ -69,12 +69,13 @@ from benchmarks.conftest import report
 DISABLED_OVERHEAD_LIMIT_PCT = 3.0
 #: Enabled-mode telemetry must cost less than this on bus throughput.
 ENABLED_OVERHEAD_LIMIT_PCT = 10.0
-#: 1-in-N sampling of top-level per-message spans in the enabled runs
-#: (replace trees are always recorded in full; see docs/telemetry.md).
-SAMPLE = 16
 #: Heartbeat cadence for the tracing+health tier — the production
 #: default, measured explicitly here and off everywhere else.
 HEARTBEAT_INTERVAL_S = 0.2
+#: The enabled/disabled mode sweep: many short straddled rounds (see
+#: ``measure_modes``), 11.25 s of timed segments in all.
+MODE_SEGMENT_S = 0.05
+MODE_ROUNDS = 45
 
 
 def assert_disabled_path_uninstrumented() -> None:
@@ -126,7 +127,7 @@ def assert_recording_keeps_the_plan() -> None:
     bus, _ = build(receivers=8, receiver_host="sparc")
     try:
         plain = bus._rebuild_routing()["sender"]["out"]
-        telemetry.enable(capacity=1024, sample=SAMPLE)
+        telemetry.enable(capacity=1024)
         try:
             recorded = bus._rebuild_routing()["sender"]["out"]
         finally:
@@ -194,7 +195,7 @@ def measure_xlink_fanout(rounds: int, calls: int) -> Dict[str, object]:
         del times["plain"][:]
         for _ in range(rounds):
             segment(None)
-            rec = telemetry.enable(capacity=1024, sample=SAMPLE)
+            rec = telemetry.enable(capacity=1024)
             try:
                 segment(rec)
             finally:
@@ -251,7 +252,7 @@ def measure_pinned_pair(rounds: int, seconds: float) -> Dict[str, object]:
         time.sleep(0.3)  # warm-up
         for _ in range(rounds):
             segment("plain")
-            telemetry.enable(capacity=1024, sample=SAMPLE)
+            telemetry.enable(capacity=1024)
             try:
                 segment("recording")
             finally:
@@ -287,7 +288,7 @@ def guard_cost_ns(iterations: int = 1_000_000) -> float:
     return max(0.0, (guarded - empty) / iterations * 1e9)
 
 
-def measure_modes(seconds: float, rounds: int) -> Dict[str, object]:
+def measure_modes(segment: float, rounds: int) -> Dict[str, object]:
     """Straddled baseline / enabled / disabled trials, median summary.
 
     One persistent 1-to-1 bus serves every trial; modes are switched
@@ -305,6 +306,15 @@ def measure_modes(seconds: float, rounds: int) -> Dict[str, object]:
     rounds kill the remaining outliers.  (A sequential layout — all
     baseline trials, then all enabled — reported "disabled" beating
     "baseline" by double digits, which is structurally impossible.)
+
+    Rounds are many and short (``segment`` seconds each; 45 rounds of
+    50 ms by default), and a segment's rate is that of its *median*
+    200-message batch.  Nine rounds of 250 ms segments, rated by total
+    throughput, read the disabled mode anywhere from -4 % to +6 % on a
+    2-cpu host (EXPERIMENTS.md "One record path"): short rounds keep
+    each mode next to its baselines in time, and the median batch
+    ignores a segment's preempted batches and its first,
+    routing-table-compiling one.
 
     Note ``b2``/``b3`` run after an enable/disable cycle.  By the
     structural guarantee checked in ``assert_disabled_path_uninstrumented``
@@ -325,25 +335,27 @@ def measure_modes(seconds: float, rounds: int) -> Dict[str, object]:
         queue = bus.get_module(names[0]).queue("inp")
 
         def spin(duration: float) -> float:
-            sent = 0
-            start = time.perf_counter()
-            deadline = start + duration
-            while time.perf_counter() < deadline:
+            """Messages/s of the segment's median 200-message batch."""
+            batches: List[float] = []
+            now = time.perf_counter()
+            deadline = now + duration
+            while now < deadline:
                 for _ in range(200):
                     bus.route("sender", "out", message)
-                sent += 200
                 queue.drain()
-            return sent / (time.perf_counter() - start)
+                end = time.perf_counter()
+                batches.append(end - now)
+                now = end
+            return 200 / statistics.median(batches)
 
         def set_enabled(on: bool) -> None:
             # The bus recompiles its delivery path on its own: a recorder
             # change drops every live routing table.
             if on:
-                telemetry.enable(capacity=1024, sample=SAMPLE)
+                telemetry.enable(capacity=1024)
             else:
                 telemetry.disable()
 
-        segment = max(0.05, seconds / 2.0)
         spin(0.3)  # interpreter/branch-predictor warm-up
         rates: Dict[str, List[float]] = {
             "baseline": [],
@@ -377,6 +389,7 @@ def measure_modes(seconds: float, rounds: int) -> Dict[str, object]:
         "enabled_overhead_pct": max(0.0, round(statistics.median(enabled_pcts), 2)),
         "disabled_overhead_pct": max(0.0, round(statistics.median(disabled_pcts), 2)),
         "rounds": rounds,
+        "segment_s": segment,
     }
 
 
@@ -447,7 +460,7 @@ def measure_tracing_health(seconds: float, rounds: int) -> Dict[str, object]:
 
         def set_plane(on: bool) -> None:
             if on:
-                telemetry.enable(capacity=1024, sample=SAMPLE)
+                telemetry.enable(capacity=1024)
                 bus.enable_health(interval=HEARTBEAT_INTERVAL_S)
             else:
                 bus.disable_health()
@@ -521,13 +534,14 @@ def measure_fig1_move(enabled: bool, iterations: int) -> Tuple[float, float]:
 def run_all(seconds: float, rounds: int, move_iterations: int) -> Dict[str, object]:
     assert_disabled_path_uninstrumented()
     assert_recording_keeps_the_plan()
-    modes = measure_modes(seconds, rounds)
+    modes = measure_modes(MODE_SEGMENT_S, MODE_ROUNDS)
     tracing_health = measure_tracing_health(seconds, rounds)
     move_off = measure_fig1_move(enabled=False, iterations=move_iterations)
     move_on = measure_fig1_move(enabled=True, iterations=move_iterations)
     return {
         "bus_msgs_per_sec": modes["rates"],
         "rounds": modes["rounds"],
+        "segment_s": modes["segment_s"],
         "disabled_overhead_pct": modes["disabled_overhead_pct"],
         "enabled_overhead_pct": modes["enabled_overhead_pct"],
         "tracing_health": tracing_health,
@@ -550,9 +564,9 @@ def run_all(seconds: float, rounds: int, move_iterations: int) -> Dict[str, obje
 
 
 def test_o1_telemetry_overhead():
-    # The mode sweep needs full-size segments even in the quick/test
-    # configuration: 0.125s segments on a busy 1-core container put
-    # double-digit noise on a ~2.5% effect.
+    # The tracing+heartbeats tier needs full-size segments even in the
+    # quick/test configuration: each must span a heartbeat, and 0.125s
+    # segments on a busy 1-core container put double-digit noise on it.
     results = run_all(seconds=0.5, rounds=9, move_iterations=3)
     report(
         "O1",
@@ -589,9 +603,8 @@ def main(argv: List[str]) -> None:
         "benchmark": "bench_o1_telemetry_overhead",
         "unit": "delivered messages/second; move times in ms",
         "quick": quick,
-        "meta": bench_meta(sample=SAMPLE),
+        "meta": bench_meta(),
         "cpus": os.cpu_count(),
-        "sample": SAMPLE,
         "disabled_overhead_limit_pct": DISABLED_OVERHEAD_LIMIT_PCT,
         "enabled_overhead_limit_pct": ENABLED_OVERHEAD_LIMIT_PCT,
         "results": results,

@@ -51,26 +51,21 @@ Enabled-mode cost model (see docs/telemetry.md for the full writeup):
 
 - **Counters are per-thread shards.**  ``count()`` increments a plain
   dict owned by the calling thread — no lock, no contention — and reads
-  (``counters()``/``counter()``/``snapshot()``) merge the shards lazily.
+  (``counters()``/``counter()``/``snapshot()``) merge the shards lazily;
+  a read folds the shards of exited threads into one retired total.
   External *sources* (``add_source``) contribute absolute totals the
   same way: the bus registers one that derives ``bus.routed`` from queue
   cells, and one that pulls counters back from remote ``ModuleHost``
   processes, so reads are always a fresh, idempotent aggregation.
-- **Spans are pooled and sampled.**  Each thread keeps a small free
-  list of preallocated ``Span`` objects, and when the recorder is
-  created with ``sample=N > 1``, top-level spans *outside* any
-  reconfiguration (per-message bus/MH/TCP spans) are recorded 1-in-N —
-  the rest return noop spans without allocating, and drop their whole
-  subtree with them (the sampler decides at tree tops, so a recorded
-  child never dangles from a dropped parent).  Spans inside a
-  ``reconfig.replace`` tree (ambient root set, or any local parent, or
-  an explicit ``recon=``) are **always** recorded, so replace trees
-  stay complete at any sample rate.
-- **Events buffer per thread.**  Completed spans and point events are
-  appended to a thread-local buffer (lock-free for the owner) and
-  flushed in batches into the bounded ring under a flush lock; any read
-  (``events()``/``spans()``/``export_jsonl``) force-flushes all buffers
-  first, so exports and chaos artifacts observe everything.
+- **One record path.**  A span is a fresh :class:`Span`; closing it,
+  or calling ``event()``, appends one record to the bounded ring (a
+  ``deque`` append, atomic under the GIL — no lock, no per-thread
+  buffer).  Every span is recorded: the only spans that recur at
+  steady state are one per TCP frame sent or received and one per
+  ``host.deliver_batch`` (``route()`` opens none), so a sampler or a
+  free list has nothing to save, and a lost frame can be explained from
+  the ring.  ``drain_records`` pops the ring until it is empty, so a
+  record ships once.
 
 Threading model
 ---------------
@@ -92,7 +87,7 @@ import json
 import threading
 import time
 from collections import deque
-from typing import IO, Any, Callable, Deque, Dict, List, Optional, Tuple, Union
+from typing import IO, Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple, Union
 
 __all__ = [
     "FlightRecorder",
@@ -123,27 +118,13 @@ def next_reconfiguration_id() -> str:
     return "rc-%04d" % next(_recon_ids)
 
 
-#: Per-thread span free-list bounds: seeded at thread registration so the
-#: steady state allocates nothing, capped so a burst of leaked spans
-#: cannot grow it without bound.
-_POOL_SEED = 8
-_POOL_MAX = 32
-
-
 class Span:
     """A started span.  Closing it appends a record to the event log.
 
     Usable as a context manager (the common case) or held and closed
     manually (``mh.capture`` opens at ``begin_reconfig_capture`` and
-    closes inside ``encode``, on the same module thread).
-
-    Spans that close cleanly (still on top of their own thread's stack)
-    are returned to that thread's free list and reused by the next
-    ``span()`` call, so the per-message steady state is allocation-free.
-    Holding a reference to a span after closing it is fine for reads,
-    but a second ``close()`` after the object has been recycled would
-    close the *new* span — the in-tree callers never do this (they close
-    once, or close then immediately drop the reference).
+    closes inside ``encode``, on the same module thread).  Closing is
+    idempotent.
     """
 
     __slots__ = (
@@ -171,22 +152,10 @@ class Span:
         ambient: bool = False,
         attrs: Optional[Dict[str, Any]] = None,
     ):
-        self._start(recorder, name, recon, parent, ambient, attrs if attrs is not None else {})
-
-    def _start(
-        self,
-        recorder: "FlightRecorder",
-        name: str,
-        recon: Optional[str],
-        parent: Optional[int],
-        ambient: bool,
-        attrs: Dict[str, Any],
-    ) -> None:
-        """(Re)initialise every slot — also the pool-reuse entry point."""
         self._recorder = recorder
         self.sid = next(recorder._ids)
         self.name = name
-        self.attrs = attrs
+        self.attrs = attrs if attrs is not None else {}
         self.thread = threading.current_thread().name
         self.t1 = None
 
@@ -218,9 +187,7 @@ class Span:
         # (including an adopted cross-process trace context), so on every
         # parent->child edge of a merged tree child.l0 > parent.l0 holds
         # even when the two halves ran on machines with unrelated wall
-        # clocks.  Only *recorded* spans tick (sampled-out tops never
-        # reach _start), so the steady-state sampling fast path pays
-        # nothing for it.
+        # clocks.
         self.l0 = recorder._tick()
         self.t0 = time.monotonic()
 
@@ -235,15 +202,13 @@ class Span:
         self.t1 = time.monotonic()
         rec = self._recorder
         stack = rec._stack()
-        clean = False
         if stack and stack[-1] is self:
             stack.pop()
-            clean = True
         elif self in stack:  # closed out of order; be forgiving
             stack.remove(self)
         if self._restore_ambient:
             rec._ambient = self._ambient_prev
-        rec._emit(
+        rec._events.append(
             {
                 "type": "span",
                 "sid": self.sid,
@@ -259,13 +224,6 @@ class Span:
                 "attrs": self.attrs,
             }
         )
-        # Only a span popped cleanly off its *own* thread's stack is safe
-        # to recycle: a leaked or cross-thread close may still be
-        # referenced by someone who thinks it is theirs.
-        if clean:
-            pool = rec._pool()
-            if len(pool) < _POOL_MAX:
-                pool.append(self)
 
     def __enter__(self) -> "Span":
         return self
@@ -305,36 +263,6 @@ class _NoopSpan:
 NOOP_SPAN = _NoopSpan()
 
 
-class _DroppedSpan(_NoopSpan):
-    """A sampled-out *top-level* span.
-
-    While it is open, every anonymous span its thread opens is dropped
-    too (they get the shared :data:`NOOP_SPAN`), so the sampler decides
-    whole trees: without this, a child of a dropped parent would look
-    top-level itself, consume its own sampling tick, and — with uniform
-    parent/child workloads — the tick parity could record *only*
-    orphaned children while never recording a parent.
-    """
-
-    __slots__ = ("_tls", "_closed")
-
-    def __init__(self, tls):
-        self._tls = tls
-        self._closed = False
-        tls.dropped += 1
-
-    def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self._tls.dropped -= 1
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.close()
-        return False
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<DroppedSpan>"
-
 _CounterKey = Tuple[str, Optional[str]]
 #: An external aggregation source: returns ``(counters, gauges)`` as
 #: *absolute totals* keyed ``(name, key)``.  Called outside the recorder
@@ -342,19 +270,36 @@ _CounterKey = Tuple[str, Optional[str]]
 Source = Callable[[], Tuple[Dict[_CounterKey, int], Dict[_CounterKey, float]]]
 
 
-def _shard_items(shard: Dict[_CounterKey, Any]) -> List[Tuple[_CounterKey, Any]]:
-    """Snapshot a shard owned by another (still-running) thread.
+def _stable_list(items: Iterable[Any]) -> List[Any]:
+    """Copy a live shard's items, or the ring, while others write to it.
 
-    The owner inserts new keys without a lock, so a plain ``items()``
-    iteration can raise ``RuntimeError: dictionary changed size``; retry
-    until a consistent snapshot lands (insertions are rare — one per new
-    (name, key) pair per thread — so this converges immediately).
+    Shard owners insert keys, and span closes append records, without a
+    lock.  A copy that a writer interleaves with raises ``RuntimeError``
+    (a dict changed size, a deque mutated during iteration); retry until
+    a consistent copy lands (writes are single C-level operations, so it
+    converges immediately).
     """
     while True:
         try:
-            return list(shard.items())
+            return list(items)
         except RuntimeError:
             continue
+
+
+def _add_counters(
+    into: Dict[_CounterKey, int], items: Iterable[Tuple[_CounterKey, int]]
+) -> None:
+    for k, v in items:
+        into[k] = into.get(k, 0) + v
+
+
+def _max_gauges(
+    into: Dict[_CounterKey, float], items: Iterable[Tuple[_CounterKey, float]]
+) -> None:
+    for k, v in items:
+        current = into.get(k)
+        if current is None or v > current:
+            into[k] = v
 
 
 class FlightRecorder:
@@ -363,29 +308,24 @@ class FlightRecorder:
     The event log is a bounded ring (``capacity`` most recent records):
     old traffic falls off the back, the reconfiguration that just failed
     stays in.  Counters and gauges are unbounded but tiny (one slot per
-    name/key pair per thread) and survive ring overflow.
-
-    ``sample=N`` records 1-in-N of the top-level spans opened outside
-    any reconfiguration; everything under a ``reconfig.replace`` root is
-    always recorded (see module docstring).  ``sample=1`` (the default)
-    records everything.
+    name/key pair per live thread, plus one retired total) and survive
+    ring overflow.
     """
 
-    def __init__(self, capacity: int = 4096, sample: int = 1):
+    def __init__(self, capacity: int = 4096):
         self.capacity = capacity
-        self.sample = max(1, int(sample))
         self._ids = itertools.count(1)
         #: Guards shard/source registration and slow-path reads only —
         #: never taken on the per-message hot path.
         self._lock = threading.Lock()
-        self._flush_lock = threading.Lock()
         self._events: Deque[Dict[str, Any]] = deque(maxlen=capacity)
-        #: Flush granularity: small enough that a tiny ring still ends
-        #: up holding the newest ``capacity`` records after overflow.
-        self._flush_batch = min(32, max(1, capacity // 8))
-        self._counter_shards: List[Dict[_CounterKey, int]] = []
-        self._gauge_shards: List[Dict[_CounterKey, float]] = []
-        self._buffers: List[List[Dict[str, Any]]] = []
+        #: (thread, counter shard, gauge shard) per live recording thread.
+        self._shards: List[
+            Tuple[threading.Thread, Dict[_CounterKey, int], Dict[_CounterKey, float]]
+        ] = []
+        #: Totals folded in from the shards of threads that have exited.
+        self._retired_counters: Dict[_CounterKey, int] = {}
+        self._retired_gauges: Dict[_CounterKey, float] = {}
         self._sources: List[Source] = []
         self._tls = threading.local()
         #: (recon_id, root span id) of the in-flight reconfiguration.
@@ -439,17 +379,11 @@ class FlightRecorder:
     def _register_thread(self) -> Any:
         """First telemetry touch from a thread: allocate its shards."""
         tls = self._tls
+        tls.counters = counters = {}
+        tls.gauges = gauges = {}
+        tls.stack = []
         with self._lock:
-            tls.counters = counters = {}
-            tls.gauges = gauges = {}
-            tls.buffer = buffer = []
-            tls.stack = []
-            tls.pool = [Span.__new__(Span) for _ in range(_POOL_SEED)]
-            tls.sample_tick = 0
-            tls.dropped = 0
-            self._counter_shards.append(counters)
-            self._gauge_shards.append(gauges)
-            self._buffers.append(buffer)
+            self._shards.append((threading.current_thread(), counters, gauges))
         return tls
 
     def _stack(self) -> List[Span]:
@@ -457,12 +391,6 @@ class FlightRecorder:
             return self._tls.stack
         except AttributeError:
             return self._register_thread().stack
-
-    def _pool(self) -> List[Span]:
-        try:
-            return self._tls.pool
-        except AttributeError:
-            return self._register_thread().pool
 
     # -- spans ---------------------------------------------------------
 
@@ -474,52 +402,8 @@ class FlightRecorder:
         parent: Optional[int] = None,
         ambient: bool = False,
         **attrs: Any,
-    ) -> Union[Span, _NoopSpan]:
-        """Open (and start) a span.  Close it to record it.
-
-        May return ``NOOP_SPAN`` when sampling drops a top-level span.
-        """
-        return self._span(name, recon, parent, ambient, attrs)
-
-    def _span(
-        self,
-        name: str,
-        recon: Optional[str],
-        parent: Optional[int],
-        ambient: bool,
-        attrs: Dict[str, Any],
-    ) -> Union[Span, _NoopSpan]:
-        tls = self._tls
-        try:
-            stack = tls.stack
-        except AttributeError:
-            tls = self._register_thread()
-            stack = tls.stack
-        if (
-            self.sample > 1
-            and not ambient
-            and parent is None
-            and recon is None
-            and not stack
-            and self._ambient is None
-        ):
-            if tls.dropped:
-                # Anonymous descendant of a sampled-out span: dropped
-                # with its tree, no tick consumed, not counted (only
-                # tree tops land in telemetry.sampled_out).
-                return NOOP_SPAN
-            tick = tls.sample_tick + 1
-            tls.sample_tick = tick
-            if tick % self.sample:
-                shard = tls.counters
-                k = ("telemetry.sampled_out", name)
-                shard[k] = shard.get(k, 0) + 1
-                return _DroppedSpan(tls)
-        pool = tls.pool
-        if pool:
-            span = pool.pop()
-            span._start(self, name, recon, parent, ambient, attrs)
-            return span
+    ) -> Span:
+        """Open (and start) a span.  Close it to record it."""
         return Span(self, name, recon=recon, parent=parent, ambient=ambient, attrs=attrs)
 
     # -- counters / gauges ---------------------------------------------
@@ -558,35 +442,36 @@ class FlightRecorder:
     def _merged(self) -> Tuple[Dict[_CounterKey, int], Dict[_CounterKey, float]]:
         """Fresh aggregation of all shards + sources.
 
-        Copies the registration lists under the lock, then walks them
-        outside it: sources may take their own locks (the bus lock, a
-        transport link), and must never be called with ours held.
+        Under the lock, the shards of threads that have exited fold into
+        the retired totals and are dropped, so a recorder that outlives
+        many short threads (clone threads, host request threads) keeps
+        one shard per live thread.  The live shards and the sources are
+        walked outside it: sources may take their own locks (the bus
+        lock, a transport link), and must never be called with ours held.
         """
         with self._lock:
-            counter_shards = list(self._counter_shards)
-            gauge_shards = list(self._gauge_shards)
+            live = []
+            for entry in self._shards:
+                thread, counter_shard, gauge_shard = entry
+                if thread.is_alive():
+                    live.append(entry)
+                    continue
+                _add_counters(self._retired_counters, counter_shard.items())
+                _max_gauges(self._retired_gauges, gauge_shard.items())
+            self._shards = live
+            counters = dict(self._retired_counters)
+            gauges = dict(self._retired_gauges)
             sources = list(self._sources)
-        counters: Dict[_CounterKey, int] = {}
-        for shard in counter_shards:
-            for k, v in _shard_items(shard):
-                counters[k] = counters.get(k, 0) + v
-        gauges: Dict[_CounterKey, float] = {}
-        for shard in gauge_shards:
-            for k, v in _shard_items(shard):
-                current = gauges.get(k)
-                if current is None or v > current:
-                    gauges[k] = v
+        for _thread, counter_shard, gauge_shard in live:
+            _add_counters(counters, _stable_list(counter_shard.items()))
+            _max_gauges(gauges, _stable_list(gauge_shard.items()))
         for source in sources:
             try:
                 extra_counters, extra_gauges = source()
             except Exception:
                 continue  # a dead worker/link must not poison local reads
-            for k, v in extra_counters.items():
-                counters[k] = counters.get(k, 0) + v
-            for k, v in extra_gauges.items():
-                current = gauges.get(k)
-                if current is None or v > current:
-                    gauges[k] = v
+            _add_counters(counters, extra_counters.items())
+            _max_gauges(gauges, extra_gauges.items())
         return counters, gauges
 
     def counters(self) -> Dict[_CounterKey, int]:
@@ -604,36 +489,6 @@ class FlightRecorder:
 
     # -- events --------------------------------------------------------
 
-    def _emit(self, record: Dict[str, Any]) -> None:
-        """Append to this thread's buffer; flush a batch when full.
-
-        Only the owning thread appends to its buffer; the flush holds
-        ``_flush_lock`` and moves a length-stable prefix (the owner only
-        ever appends, so ``buffer[:n]`` + ``del buffer[:n]`` is exact —
-        no record is lost or duplicated even if the owner appends more
-        while another thread's read-flush is mid-transfer).
-        """
-        try:
-            buffer = self._tls.buffer
-        except AttributeError:
-            buffer = self._register_thread().buffer
-        buffer.append(record)
-        if len(buffer) >= self._flush_batch:
-            with self._flush_lock:
-                n = len(buffer)
-                self._events.extend(buffer[:n])
-                del buffer[:n]
-
-    def _flush_all(self) -> None:
-        with self._lock:
-            buffers = list(self._buffers)
-        with self._flush_lock:
-            for buffer in buffers:
-                n = len(buffer)
-                if n:
-                    self._events.extend(buffer[:n])
-                    del buffer[:n]
-
     def event(self, kind: str, *, recon: Optional[str] = None, **fields: Any) -> None:
         """Record a point event (fault fired, abort, crash, ...)."""
         if recon is None:
@@ -643,7 +498,7 @@ class FlightRecorder:
             else:
                 current = self._ambient
                 recon = current[0] if current is not None else None
-        self._emit(
+        self._events.append(
             {
                 "type": "event",
                 "kind": kind,
@@ -657,9 +512,7 @@ class FlightRecorder:
 
     def events(self, recon: Optional[str] = None) -> List[Dict[str, Any]]:
         """Ring contents, oldest-completion first across all threads."""
-        self._flush_all()
-        with self._flush_lock:
-            records = list(self._events)
+        records = _stable_list(self._events)
         records.sort(key=lambda r: r.get("t1") or r.get("t") or 0.0)
         if recon is not None:
             records = [r for r in records if r.get("recon") == recon]
@@ -675,18 +528,22 @@ class FlightRecorder:
     # -- cross-process trace merge -------------------------------------
 
     def drain_records(self) -> List[Dict[str, Any]]:
-        """Pop every buffered span/event record (remote-side shipping).
+        """Pop every span/event record in the ring (remote-side shipping).
 
         A worker/daemon recorder calls this when the bus asks for a
         ``telemetry_snapshot``: records ship exactly once (counters stay
         put — they are absolute totals, re-read idempotently).  The bus
-        recorder never drains itself.
+        recorder never drains itself.  Pops until the ring is empty, so
+        a record appended while a drain runs ships in this drain or the
+        next, never twice.
         """
-        self._flush_all()
-        with self._flush_lock:
-            records = list(self._events)
-            self._events.clear()
-        return records
+        pop = self._events.popleft
+        records: List[Dict[str, Any]] = []
+        try:
+            while True:
+                records.append(pop())
+        except IndexError:
+            return records
 
     def ingest_remote(self, host: str, records: List[Dict[str, Any]]) -> int:
         """Merge records drained from another process into this ring.
@@ -731,8 +588,7 @@ class FlightRecorder:
             merged.append(rec)
         if max_tick:
             self.observe_tick(max_tick)
-        with self._flush_lock:
-            self._events.extend(merged)
+        self._events.extend(merged)
         return len(merged)
 
     # -- health plane --------------------------------------------------
@@ -754,8 +610,8 @@ class FlightRecorder:
         """Counters + gauges with ``name{key}``-style string keys.
 
         Also carries a ``telemetry`` block recording how the numbers
-        were produced (sample rate, shard/source counts), so exported
-        artifacts are self-describing.
+        were produced (ring capacity, live shard and source counts), so
+        exported artifacts are self-describing.
         """
 
         def flatten(table: Dict[_CounterKey, Any]) -> Dict[str, Any]:
@@ -767,9 +623,8 @@ class FlightRecorder:
         counters, gauges = self._merged()
         with self._lock:
             meta = {
-                "sample": self.sample,
                 "capacity": self.capacity,
-                "counter_shards": len(self._counter_shards),
+                "counter_shards": len(self._shards),
                 "sources": len(self._sources),
             }
         snap = {"counters": flatten(counters), "gauges": flatten(gauges), "telemetry": meta}
@@ -829,11 +684,15 @@ def on_activation(hook: Callable[[Optional[FlightRecorder]], None]) -> Callable:
 def enable(capacity: int = 4096, sample: int = 1) -> FlightRecorder:
     """Install (and return) a fresh recorder, replacing any current one.
 
-    ``sample=N`` records 1-in-N top-level per-message spans (replace
-    trees are always complete; see module docstring).
+    Every span is recorded; ``sample`` accepts only 1 and is kept for
+    callers that still pass it.
     """
+    if sample != 1:
+        raise ValueError(
+            f"sample={sample!r}: every span is recorded, only sample=1 is accepted"
+        )
     global recorder
-    recorder = rec = FlightRecorder(capacity=capacity, sample=sample)
+    recorder = rec = FlightRecorder(capacity=capacity)
     for hook in _activation_hooks:
         hook(rec)
     return rec
@@ -867,7 +726,7 @@ def span(
     rec = recorder
     if rec is None:
         return NOOP_SPAN
-    return rec._span(name, recon, parent, ambient, attrs)
+    return Span(rec, name, recon=recon, parent=parent, ambient=ambient, attrs=attrs)
 
 
 def count(name: str, n: int = 1, key: Optional[str] = None) -> None:

@@ -152,10 +152,9 @@ def render_events(events: List[Dict[str, Any]]) -> str:
 def telemetry_meta_line(counters: Dict[str, Any]) -> str:
     """One comment line describing how the snapshot was recorded.
 
-    Snapshots carry a ``telemetry`` block (sample rate, ring capacity,
-    shard/source counts) so a dump from a production bus running
-    ``sample=16`` is not misread as a complete trace.  Returns "" for
-    dumps from before the block existed.
+    Snapshots carry a ``telemetry`` block (ring capacity, live shard and
+    source counts), so a dump says how big a window of records it kept.
+    Returns "" for dumps from before the block existed.
     """
     meta = counters.get("telemetry")
     if not isinstance(meta, dict):
@@ -203,21 +202,16 @@ def render_health(health: Dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-def exposition_meta(counters: Dict[str, Any]) -> Dict[str, Any]:
+def exposition_meta() -> Dict[str, Any]:
     """The ``benchmarks/_meta.py``-shaped environment block for exposition.
 
-    Mirrors ``bench_meta()`` (schema/cpus/sample/python/platform) without
+    Mirrors ``bench_meta()`` (schema/cpus/python/platform) without
     importing the benchmarks package — ``tools/stats`` ships inside the
-    library, the benchmarks live at the repo root.  ``sample`` comes from
-    the dump's own ``telemetry`` block when present, so the exposition
-    says how the numbers were recorded, not how this host would record.
+    library, the benchmarks live at the repo root.
     """
-    telemetry = counters.get("telemetry")
-    sample = telemetry.get("sample") if isinstance(telemetry, dict) else None
     return {
-        "schema": "repro-bench-meta/1",
+        "schema": "repro-bench-meta/2",
         "cpus": os.cpu_count(),
-        "sample": sample,
         "python": _platform.python_version(),
         "platform": sys.platform,
     }
@@ -245,7 +239,7 @@ def stats_json(
         {r["recon"] for r in spans + events if r.get("recon")}
     )
     out: Dict[str, Any] = {
-        "meta": exposition_meta(counters),
+        "meta": exposition_meta(),
         "recons": recons,
         "span_count": len(spans),
         "event_count": len(events),
@@ -283,7 +277,7 @@ def prometheus_text(snapshot: Dict[str, Any]) -> str:
     becomes per-host up/status gauges.
     """
     lines: List[str] = []
-    meta = exposition_meta(snapshot)
+    meta = exposition_meta()
     labels = ",".join(
         f'{key}="{meta[key]}"' for key in sorted(meta) if meta[key] is not None
     )

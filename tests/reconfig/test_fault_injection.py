@@ -258,8 +258,9 @@ def test_persistent_fault_aborts_and_rolls_back(kv, site, mode):
 def test_divulge_crash_fast_aborts_without_waiting(kv, site):
     """A crash on the divulge path aborts immediately, not at the deadline.
 
-    The failure is routed to the stream's failure callback, which wakes
-    the coordinator's wait early — so the abort is a plain
+    The module records the failure as its divulge outcome
+    (``divulge_failed``), which ``SoftwareBus.await_divulge`` raises as
+    soon as the outcome settles — so the abort is a plain
     ReconfigurationAborted, never a timeout.
     """
     before = kv.snapshot_configuration().describe()

@@ -262,134 +262,24 @@ class TestAbortedReplaceTree:
         assert error.attempts == 3
 
 
-class TestSampledSpans:
-    """Satellite: 1-in-N sampling must never touch replace trees.
+class TestOneRecordPath:
+    """Every span is recorded: there is no sampler to drop a tree."""
 
-    Production buses run the recorder with ``sample=N`` so per-message
-    spans cost almost nothing; the sampler is allowed to drop *only*
-    top-level spans opened outside any reconfiguration — anything with a
-    recon id, a parent, an open ancestor on its thread, or an ambient
-    root in flight is recorded unconditionally.
-    """
-
-    @pytest.fixture
-    def sampled(self):
-        rec = telemetry.enable(capacity=8192, sample=8)
-        yield rec
-        telemetry.disable()
-
-    def test_replace_tree_is_complete_at_sample_8(self, sampled, tmp_path):
-        from repro.tools import stats
-
-        bus = launch_manual_monitor(requests=2, group_size=2)
-        try:
-
-            def feed():
-                wait_signalled(bus, "compute")
-                feed_sensor(bus, 1)
-
-            outcome = move_in_background(
-                bus, "compute", feed, machine="beta", timeout=15
-            )
-        finally:
-            bus.shutdown()
-
-        report = outcome["report"]
-        (root,) = sampled.spans(name="reconfig.replace")
-        assert root["recon"] == report.recon_id
-        # Every coordinator stage and every module-thread MH span made
-        # it into the log despite the 1-in-8 sampler.
-        for stage in COMMIT_STAGES:
-            (span,) = sampled.spans(recon=report.recon_id, name=f"stage.{stage}")
-            assert span["parent"] == root["sid"], stage
-        for name in MH_SPANS:
-            assert sampled.spans(recon=report.recon_id, name=name), name
-
-        # The chaos-artifact export renders the same tree shape as the
-        # unsampled mode — replay tooling does not care about sampling.
-        path = tmp_path / "trace.jsonl"
-        sampled.export_jsonl(str(path))
-        records = stats.load_records(str(path))
-        spans, _events, _counters = stats.split_records(
-            records, recon=report.recon_id
-        )
-        tree = stats.render_tree(spans)
-        assert tree.splitlines()[0].startswith(
-            f"reconfig.replace [{report.recon_id}]"
-        )
-        for stage in COMMIT_STAGES:
-            assert f"  stage.{stage}" in tree
-
-    def test_rollback_tree_is_complete_at_sample_8(self, sampled):
-        bus = launch_manual_kv()
-        plan = FaultPlan("sampled-rebind").schedule(
-            "coordinator.rebind", "crash", times=99
-        )
-        try:
-            with fault_plan(plan):
-
-                def feed():
-                    wait_signalled(bus, "shard")
-                    kv_send(bus, "put", "k1", "v1")
-                    assert kv_reply(bus) == ("k1", "v1")
-
-                outcome = move_in_background(
-                    bus, "shard", feed, machine="beta", timeout=10
-                )
-        finally:
-            bus.shutdown()
-
-        error = outcome["error"]
-        assert isinstance(error, ReconfigurationAborted)
-        recon = error.recon_id
-        (root,) = sampled.spans(name="reconfig.replace")
-        assert root["recon"] == recon
-        rebinds = sampled.spans(recon=recon, name="stage.rebind")
-        assert [s["attrs"]["attempt"] for s in rebinds] == [1, 2, 3]
-        (rollback,) = sampled.spans(recon=recon, name="stage.rollback")
-        assert rollback["parent"] == root["sid"]
-        assert sampled.counter("reconfig.rollbacks") == 1
-
-    def test_noise_spans_are_sampled_and_counted(self, sampled):
-        """Top-level app spans outside any reconfiguration are the only
-        thing the sampler drops — 1-in-8 recorded, the rest tallied in
-        ``telemetry.sampled_out`` so the drop rate stays observable."""
+    def test_every_top_level_span_is_recorded(self, recorder):
         for _ in range(64):
-            with telemetry.span("app.msg"):
-                pass
-        assert len(sampled.spans(name="app.msg")) == 64 // 8
-        assert sampled.counter("telemetry.sampled_out", key="app.msg") == 64 - 64 // 8
-
-    def test_recon_tagged_spans_are_never_sampled(self, sampled):
-        """Anything carrying a reconfiguration id is recorded in full,
-        no matter how many there are — sampling only ever applies to
-        anonymous top-level traffic."""
-        for _ in range(32):
-            with telemetry.span("app.recon_op", recon="rc-test"):
-                pass
-        assert len(sampled.spans(name="app.recon_op")) == 32
-        assert sampled.counter("telemetry.sampled_out", key="app.recon_op") == 0
-
-    def test_sampling_decides_whole_trees(self, sampled):
-        """Children ride their parent's fate: under a recorded parent
-        every child is recorded, under a dropped parent every child is
-        dropped (without consuming a sampling tick), so no recorded
-        child ever dangles from a parent it cannot name."""
-        for _ in range(32):
             with telemetry.span("app.outer"):
                 with telemetry.span("app.inner"):
                     pass
-        outers = sampled.spans(name="app.outer")
-        inners = sampled.spans(name="app.inner")
-        # only outers tick the sampler: exactly 1-in-8 trees survive
-        assert len(outers) == 32 // 8
-        assert len(inners) == 32 // 8
-        for outer in outers:
-            children = [s for s in inners if s["parent"] == outer["sid"]]
-            assert len(children) == 1
-        # dropped inners were dropped *with* their tree, not sampled
-        assert sampled.counter("telemetry.sampled_out", key="app.outer") == 28
-        assert sampled.counter("telemetry.sampled_out", key="app.inner") == 0
+        outers = recorder.spans(name="app.outer")
+        inners = recorder.spans(name="app.inner")
+        assert len(outers) == len(inners) == 64
+        assert {s["parent"] for s in inners} == {s["sid"] for s in outers}
+
+    @pytest.mark.parametrize("sample", [0, 2, 16])
+    def test_enable_accepts_only_sample_1(self, sample):
+        with pytest.raises(ValueError):
+            telemetry.enable(sample=sample)
+        assert telemetry.recorder is None
 
 
 class TestBusCounters:

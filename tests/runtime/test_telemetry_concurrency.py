@@ -12,7 +12,13 @@ bus-side aggregation source.  These tests pin the merge contract down:
   process* — land in the same ``bus.delivered{queue}`` counter as
   bus-side shard increments, with no lost and no double counts;
 - repeated reads are idempotent, because every source reports absolute
-  totals rather than consuming deltas.
+  totals rather than consuming deltas;
+- the shards of exited threads fold into one retired total, so a
+  recorder that outlives many short threads keeps one shard per live
+  thread;
+- spans and events appended by racing threads land in the ring once:
+  drains ship each record exactly once, and a small ring keeps the
+  newest ``capacity`` records.
 """
 
 from __future__ import annotations
@@ -113,6 +119,133 @@ class TestThreadShardedCounters:
         second = (recorder.counters(), recorder.gauges())
         assert first == second
         assert recorder.counter_total("app.once") == 3
+
+
+class TestRetiredShards:
+    THREADS = 50
+
+    def test_exited_threads_fold_into_one_retired_total(self, recorder):
+        """Clone threads and host request threads come and go: their
+        counts survive them, their shards do not."""
+        workers = [
+            threading.Thread(target=telemetry.count, args=("app.short",))
+            for _ in range(self.THREADS)
+        ]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join()
+        assert recorder.counter("app.short") == self.THREADS
+        assert recorder.snapshot()["telemetry"]["counter_shards"] < 5
+        # Folding is exact: a second read neither loses nor re-adds.
+        assert recorder.counter("app.short") == self.THREADS
+
+    def test_exited_threads_keep_their_gauge_peaks(self, recorder):
+        def peak(value):
+            telemetry.gauge_max("app.depth", value)
+
+        workers = [threading.Thread(target=peak, args=(v,)) for v in (3, 9, 4)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join()
+        assert recorder.gauges()[("app.depth", None)] == 9
+
+
+class TestRacingRing:
+    WRITERS = 4
+    PER_WRITER = 2000
+
+    def _write(self, writer: int, start: threading.Barrier) -> None:
+        start.wait()
+        for seq in range(self.PER_WRITER):
+            with telemetry.span("app.op", writer=writer, seq=seq):
+                pass
+            telemetry.event("app.tick", writer=writer, seq=seq)
+
+    def _race(self, reader) -> list:
+        """Run the writers against ``reader`` (called in a loop on two
+        threads until the writers finish); returns what readers raised."""
+        start = threading.Barrier(self.WRITERS)
+        done = threading.Event()
+        errors = []
+
+        def read():
+            while not done.is_set():
+                try:
+                    reader()
+                except Exception as exc:  # pragma: no cover - the failure
+                    errors.append(exc)
+
+        readers = [threading.Thread(target=read) for _ in range(2)]
+        writers = [
+            threading.Thread(target=self._write, args=(w, start))
+            for w in range(self.WRITERS)
+        ]
+        for t in readers + writers:
+            t.start()
+        for t in writers:
+            t.join()
+        done.set()
+        for t in readers:
+            t.join()
+        return errors
+
+    @staticmethod
+    def _key(record):
+        return (record["type"], record["attrs"]["writer"], record["attrs"]["seq"])
+
+    def test_drains_ship_every_record_exactly_once(self):
+        recorder = telemetry.enable(capacity=1 << 16)
+        try:
+            shipped = []
+            lock = threading.Lock()
+
+            def drain():
+                records = recorder.drain_records()
+                recorder.events()
+                with lock:
+                    shipped.extend(records)
+
+            errors = self._race(drain)
+            shipped.extend(recorder.drain_records())
+        finally:
+            telemetry.disable()
+        assert errors == []
+        keys = [self._key(r) for r in shipped]
+        assert len(keys) == len(set(keys)), "a record shipped twice"
+        assert set(keys) == {
+            (kind, w, seq)
+            for kind in ("span", "event")
+            for w in range(self.WRITERS)
+            for seq in range(self.PER_WRITER)
+        }
+        assert recorder.drain_records() == []
+
+    def test_small_ring_keeps_the_newest_records(self):
+        capacity = 64
+        recorder = telemetry.enable(capacity=capacity)
+        try:
+            errors = self._race(recorder.events)
+            records = recorder.events()
+        finally:
+            telemetry.disable()
+        assert errors == []
+        assert len(records) == capacity
+        # The ring is FIFO across writers: what a writer has left in it
+        # is the tail of what it wrote, in full.
+        written = [
+            (seq, is_event)
+            for seq in range(self.PER_WRITER)
+            for is_event in (False, True)
+        ]
+        for w in range(self.WRITERS):
+            kept = sorted(
+                (r["attrs"]["seq"], r["type"] == "event")
+                for r in records
+                if r["attrs"]["writer"] == w
+            )
+            assert kept == written[len(written) - len(kept):], w
 
 
 @pytest.mark.multiproc

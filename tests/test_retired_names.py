@@ -192,6 +192,23 @@ GUARDS = [
         CODE,
         ('discard = getattr(queue, "discard", None)',),
     ),
+    # One record path in the flight recorder: a span is a fresh Span
+    # whose close appends to the ring.  The span sampler (its dropped
+    # span and drop counter), the span free-list bounds and the
+    # per-thread event buffers' flush size.  Not "sample=": perf/run.py
+    # still passes enable(sample=1).
+    Guard(
+        "the span sampler, free-list and event buffers",
+        r"_DroppedSpan|telemetry\.sampled_out|_POOL_SEED|_POOL_MAX|_flush_batch",
+        CODE,
+        (
+            "return _DroppedSpan(tls)",
+            'rec.counter("telemetry.sampled_out", key="app.msg")',
+            "pool = [Span.__new__(Span) for _ in range(_POOL_SEED)]",
+            "if len(pool) < _POOL_MAX:",
+            "self._flush_batch = min(32, max(1, capacity // 8))",
+        ),
+    ),
 ]
 
 

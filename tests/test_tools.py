@@ -126,7 +126,7 @@ class TestStatsCli:
         assert 'repro_queue_hwm{key="display.inp"} 5' in out
         # the dump is self-describing: how it was recorded rides along
         assert "# recorded with" in out
-        assert "sample=1" in out
+        assert "capacity=" in out
 
     def test_tree_and_recon_filter(self, trace, capsys):
         assert stats_main([str(trace), "--tree", "--recon", "rc-0001"]) == 0
@@ -143,7 +143,7 @@ class TestStatsCli:
         assert doc["recons"] == ["rc-0001", "rc-0002"]
         assert doc["latency"]["reconfig.replace"]["count"] == 2
         assert doc["counters"]["bus.delivered{sensor.out}"] == 12
-        assert doc["meta"]["schema"] == "repro-bench-meta/1"
+        assert doc["meta"]["schema"] == "repro-bench-meta/2"
         assert doc["meta"]["cpus"] is not None
         assert doc["span_count"] == 4 and doc["event_count"] == 1
 
@@ -151,7 +151,7 @@ class TestStatsCli:
         assert stats_main([str(trace)]) == 0
         out = capsys.readouterr().out
         assert "# TYPE repro_meta_info gauge" in out
-        assert 'schema="repro-bench-meta/1"' in out
+        assert 'schema="repro-bench-meta/2"' in out
         assert "repro_meta_info{" in out
 
     def test_health_flag_without_snapshot(self, trace, capsys):
