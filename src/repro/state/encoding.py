@@ -62,7 +62,9 @@ Implementation notes (the reconfiguration critical path, see
   offset, so nothing is copied out first.  Scalars are read in place
   (``struct.unpack_from``), tags are tested in the order state packets
   contain them, and one-byte varints and short string elements are read
-  inline.  A string costs one slice of ``bytes`` and one UTF-8 decode;
+  inline (``ProcessState.from_bytes`` reads a frame's ``n`` values and
+  short longs itself, and a repeated frame header once per run).  A
+  string costs one slice of ``bytes`` and one UTF-8 decode;
   a packed dict costs one of each for all of its strings.  A payload
   that is not UTF-8 raises ``DecodingError``: the core lets the
   ``UnicodeDecodeError`` through and each decode entry point converts
@@ -186,8 +188,12 @@ def write_any(buf: bytearray, value: object, checks: Optional[tuple]) -> None:
     encoder of their tag.  Either way machine checks fire per scalar,
     exactly as under a declared format; an unsupported type raises the
     inference :class:`FormatError`.  No :class:`TypeSpec` is built and
-    nothing is compiled or cached per value shape.
+    nothing is compiled or cached per value shape.  ``None`` — the NULL
+    slot, the commonest ``a`` value of a deep stack — is tested first.
     """
+    if value is None:
+        buf.append(0x6E)  # 'n'
+        return
     tag = ANY_TAG_BY_TYPE.get(type(value)) or any_tag(value)
     if tag == 0x73:  # 's'
         data = value.encode("utf-8")
@@ -236,8 +242,6 @@ def write_any(buf: bytearray, value: object, checks: Optional[tuple]) -> None:
                 buf += data
             else:
                 write_any(buf, item, checks)
-    elif tag == 0x6E:  # 'n'
-        buf.append(0x6E)
     elif tag:  # 'b' / 'F' / 'B' / 'p'
         _SCALAR_ENCODER_BY_TAG[tag](buf, value, checks)
     else:

@@ -20,8 +20,11 @@ appends every field and frame into **one** ``bytearray`` through compiled
 encoder plans; deserialization is the same walk from the other side, one
 pass over the packet's own ``bytes`` from the end of the fixed header that
 decodes header fields, statics, heap and every frame before it returns.
-The stack depth a coordinator reports comes from the encoding module's
-frame count, sent with the packet, never from parsing it.
+Both sides pay for a frame header once per run of frames that repeat it
+(the idle frames of a recursion), and the frame loops write and read a
+``None`` value and a short long or int themselves.  The stack depth a
+coordinator reports comes from the encoding module's frame count, sent
+with the packet, never from parsing it.
 """
 
 from __future__ import annotations
@@ -82,46 +85,13 @@ class ActivationRecord:
 
     Construction does not validate: ``values`` are checked against
     ``fmt`` once, by the compiled encoder plan, when the record is
-    encoded (:meth:`encode_into_buffer`).
+    encoded (:meth:`ProcessState.to_bytes`).
     """
 
     procedure: str
     location: int
     fmt: str
     values: List[object] = field(default_factory=list)
-
-    def encode_into_buffer(
-        self, buf: bytearray, machine: Optional[MachineProfile], checks=None
-    ) -> None:
-        """Append this frame's wire form; the capture/encode hot path.
-
-        ``checks`` is the machine's resolved check suite when the caller
-        already holds it (``ProcessState.to_bytes`` resolves once for the
-        whole packet); otherwise it is derived from ``machine``.  A value
-        that does not match ``fmt`` raises the position-naming
-        :class:`FormatError` of :func:`check_arity`.
-        """
-        if checks is None and machine is not None:
-            checks = _checks_of(machine)
-        _append_str(buf, self.procedure)
-        buf.append(0x6C)  # 'l'
-        _append_varint(
-            buf,
-            self.location * 2 if self.location >= 0 else -self.location * 2 - 1,
-        )
-        _append_str(buf, self.fmt)
-        plan = encoder_plan(self.fmt)
-        values = self.values
-        if len(plan) != len(values):
-            check_arity(self.fmt, values)  # raises the arity FormatError
-        try:
-            for encode, value in zip(plan, values):
-                encode(buf, value, checks)
-        except (EncodingError, FormatError):
-            # A declaration mismatch surfaces as check_arity's
-            # position-naming FormatError; anything else is re-raised.
-            check_arity(self.fmt, values)
-            raise
 
 
 class StackState:
@@ -191,9 +161,15 @@ def _check_packet_framing(data) -> None:
         )
 
 
-def _read_str_field(buf, pos: int, end: int, name: str) -> Tuple[str, int]:
+def _read_str_field(
+    buf, pos: int, end: int, name: str, null: Optional[str] = None
+) -> Tuple[str, int]:
+    # A str field; ``null`` is what an 'n' tag decodes to where the field
+    # may be NULL (None: it may not).  Any other value refuses the packet.
     value, pos = _read_checked(buf, pos, end, None)
     if not isinstance(value, str):
+        if value is None and null is not None:
+            return null, pos
         raise DecodingError(f"corrupt process state field {name!r}")
     return value, pos
 
@@ -224,8 +200,16 @@ class ProcessState:
         a placeholder length word, the body is appended — statics and
         heap by the one-walk ``a`` writer, frames through their compiled
         encoder plans — and the length is patched in place: no header+body
-        concatenation copy.  This is where a captured frame is validated
-        against its format (:meth:`ActivationRecord.encode_into_buffer`).
+        concatenation copy.
+
+        This is where a captured frame is validated against its format: a
+        value that does not match ``fmt`` raises the position-naming
+        :class:`FormatError` of :func:`check_arity`.  A frame header
+        (procedure, location, format) is written once per run of frames
+        that repeat it — the idle frames of a recursion — and its bytes
+        are appended again for the rest of the run, which shares one plan
+        lookup.  A ``None`` value is the ``n`` tag under every compiled
+        encoder, so a NULL slot is written here without a call.
         """
         checks = None if machine is None else _checks_of(machine)
         buf = bytearray(STATE_MAGIC)
@@ -239,8 +223,39 @@ class ProcessState:
         write_any(buf, dict(self.heap), checks)
         buf.append(0x6C)  # 'l'
         _append_varint(buf, len(self.stack) * 2)  # zigzag of a non-negative
+        run = header = plan = None
         for record in self.stack:
-            record.encode_into_buffer(buf, machine, checks)
+            key = (record.procedure, record.location, record.fmt)
+            # An exact int location only: 3.0 == 3, but a float location
+            # cannot be written, so it must not borrow an int's header.
+            if key == run and type(key[1]) is int:
+                buf += header
+            else:
+                start = len(buf)
+                procedure, location, fmt = key
+                _append_str(buf, procedure)
+                buf.append(0x6C)  # 'l'
+                _append_varint(
+                    buf, location * 2 if location >= 0 else -location * 2 - 1
+                )
+                _append_str(buf, fmt)
+                header = buf[start:]
+                plan = encoder_plan(fmt)
+                run = key
+            values = record.values
+            if len(plan) != len(values):
+                check_arity(record.fmt, values)  # raises the arity FormatError
+            try:
+                for encode, value in zip(plan, values):
+                    if value is None:
+                        buf.append(0x6E)  # 'n'
+                    else:
+                        encode(buf, value, checks)
+            except (EncodingError, FormatError):
+                # A declaration mismatch surfaces as check_arity's
+                # position-naming FormatError; anything else is re-raised.
+                check_arity(record.fmt, values)
+                raise
         body_length = len(buf) - _BODY_OFFSET
         buf[_LEN_OFFSET:_BODY_OFFSET] = body_length.to_bytes(4, "big")
         return bytes(buf)
@@ -258,6 +273,14 @@ class ProcessState:
         so a corrupt or truncated frame, bytes after the last frame, or a
         value the target cannot hold refuses the whole packet here, before
         a module installs any of it.
+
+        A frame whose header bytes repeat the previous frame's byte for
+        byte (``startswith`` at the frame's offset) reuses that header's
+        decoded fields and arity; any other header is decoded and checked
+        afresh.  A frame's NULL slots, and its longs and ints whose varint
+        takes one or two bytes, are read in place, each long or int through
+        the target's machine check; every other value goes through
+        :func:`_read_checked`.
         """
         _check_packet_framing(data)
         checks = None if machine is None else _checks_of(machine)
@@ -265,8 +288,12 @@ class ProcessState:
         try:
             module, pos = _read_str_field(data, _BODY_OFFSET, end, "module")
             status, pos = _read_str_field(data, pos, end, "status")
-            reconfig_point, pos = _read_checked(data, pos, end, None)
-            source_machine, pos = _read_checked(data, pos, end, None)
+            reconfig_point, pos = _read_str_field(
+                data, pos, end, "reconfig_point", null=""
+            )
+            source_machine, pos = _read_str_field(
+                data, pos, end, "source_machine", null=""
+            )
             statics, pos = _read_checked(data, pos, end, checks)
             heap, pos = _read_checked(data, pos, end, checks)
             frame_count, pos = _read_checked(data, pos, end, None)
@@ -275,18 +302,47 @@ class ProcessState:
             if not isinstance(frame_count, int) or frame_count < 0:
                 raise DecodingError("corrupt frame count in process state")
             records = []
+            header = None  # the previous frame's header bytes
             for _ in range(frame_count):
-                procedure, pos = _read_checked(data, pos, end, None)
-                location, pos = _read_checked(data, pos, end, None)
-                fmt, pos = _read_checked(data, pos, end, None)
-                if not isinstance(procedure, str) or not isinstance(fmt, str):
-                    raise DecodingError("corrupt activation record header")
-                if not isinstance(location, int):
-                    raise DecodingError("corrupt activation record location")
+                if header is not None and data.startswith(header, pos):
+                    pos += len(header)
+                else:
+                    start = pos
+                    procedure, pos = _read_checked(data, pos, end, None)
+                    location, pos = _read_checked(data, pos, end, None)
+                    fmt, pos = _read_checked(data, pos, end, None)
+                    if not isinstance(procedure, str) or not isinstance(fmt, str):
+                        raise DecodingError("corrupt activation record header")
+                    if not isinstance(location, int):
+                        raise DecodingError("corrupt activation record location")
+                    arity = len(parse_format(fmt))
+                    header = data[start:pos]
                 values = []
-                for _ in parse_format(fmt):
+                append = values.append
+                for _ in range(arity):
+                    tag = data[pos] if pos < end else 0
+                    if tag == 0x6E:  # 'n'
+                        append(None)
+                        pos += 1
+                        continue
+                    if tag == 0x6C or tag == 0x69:  # 'l' / 'i'
+                        # A varint of one or two bytes is read here.
+                        if pos + 1 < end and (n := data[pos + 1]) < 0x80:
+                            pos += 2
+                        elif pos + 2 < end and data[pos + 2] < 0x80:
+                            n = (n & 0x7F) | data[pos + 2] << 7
+                            pos += 3
+                        else:
+                            value, pos = _read_checked(data, pos, end, checks)
+                            append(value)
+                            continue
+                        value = (n >> 1) if n % 2 == 0 else -((n + 1) >> 1)
+                        if checks is not None:
+                            checks[1 if tag == 0x6C else 0](value)
+                        append(value)
+                        continue
                     value, pos = _read_checked(data, pos, end, checks)
-                    values.append(value)
+                    append(value)
                 records.append(ActivationRecord(procedure, location, fmt, values))
         except UnicodeDecodeError as exc:
             raise _bad_utf8(exc) from exc
@@ -297,8 +353,8 @@ class ProcessState:
             stack=StackState(records),
             statics=statics,
             heap=heap,
-            reconfig_point=str(reconfig_point),
-            source_machine=str(source_machine),
+            reconfig_point=reconfig_point,
+            source_machine=source_machine,
             status=status,
         )
 

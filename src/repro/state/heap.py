@@ -97,7 +97,8 @@ class HeapImage:
 _SCALARS = (type(None), bool, int, float, str, bytes)
 #: Exact-type membership, tested before the ``isinstance`` chains: nearly
 #: every heap node is a plain scalar, and no scalar is a pointer or tuple.
-#: Container elements of these types are copied without a call at all.
+#: Container elements of these types are copied without a call at all,
+#: and a segment made only of them is copied in one C call.
 _EXACT_SCALARS = frozenset(_SCALARS)
 
 
@@ -115,6 +116,11 @@ class HeapCodec:
     restore side tells the two apart by ``type(node)``.  Containers occur
     in an image only as segments: one found inline, not behind a pointer,
     is malformed.
+
+    An exact ``list`` or ``dict`` whose elements are all of exact scalar
+    types (a ``str -> str`` store) is checked by one C scan of their
+    types and copied whole, on capture and on restore; the copy is a
+    fresh container all the same.  Any other segment takes the walk.
     """
 
     def __init__(self, prefix: str = "heap"):
@@ -142,8 +148,16 @@ class HeapCodec:
 
         def flatten_children(obj: object) -> object:
             if isinstance(obj, list):
+                if type(obj) is list and exact.issuperset(map(type, obj)):
+                    return list(obj)
                 return [v if type(v) in exact else flatten(v) for v in obj]
             if isinstance(obj, dict):
+                if (
+                    type(obj) is dict
+                    and exact.issuperset(map(type, obj))
+                    and exact.issuperset(map(type, obj.values()))
+                ):
+                    return dict(obj)
                 return {
                     (k if type(k) in exact else flatten(k)): (
                         v if type(v) in exact else flatten(v)
@@ -188,12 +202,20 @@ class HeapCodec:
             # The shell is registered before its children are rebuilt, so
             # a cycle back to this segment finds it.
             if type(node) is list:
-                items: List[object] = []
+                if exact.issuperset(map(type, node)):
+                    rebuilt[segment] = items = list(node)
+                    return items
+                items = []
                 rebuilt[segment] = items
                 items.extend([v if type(v) in exact else unflatten(v) for v in node])
                 return items
             if type(node) is dict:
-                entries: Dict[object, object] = {}
+                if exact.issuperset(map(type, node)) and exact.issuperset(
+                    map(type, node.values())
+                ):
+                    rebuilt[segment] = entries = dict(node)
+                    return entries
+                entries = {}
                 rebuilt[segment] = entries
                 for key, value in node.items():
                     entries[key if type(key) in exact else unflatten(key)] = (

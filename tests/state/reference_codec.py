@@ -391,6 +391,17 @@ def reference_state_from_bytes(data: bytes, machine=None):
     for name, value in (("module", module), ("status", status)):
         if not isinstance(value, str):
             raise DecodingError(f"corrupt process state field {name!r}")
+    # The point and the source machine may be NULL: 'n' is the default "".
+    if reconfig_point is None:
+        reconfig_point = ""
+    if source_machine is None:
+        source_machine = ""
+    for name, value in (
+        ("reconfig_point", reconfig_point),
+        ("source_machine", source_machine),
+    ):
+        if not isinstance(value, str):
+            raise DecodingError(f"corrupt process state field {name!r}")
     if not isinstance(frame_count, int) or frame_count < 0:
         raise DecodingError("corrupt frame count in process state")
     records = []
@@ -418,7 +429,7 @@ def reference_state_from_bytes(data: bytes, machine=None):
         stack=StackState(records),
         statics=dict(statics),  # type: ignore[arg-type]
         heap=dict(heap),  # type: ignore[arg-type]
-        reconfig_point=str(reconfig_point),
-        source_machine=str(source_machine),
+        reconfig_point=reconfig_point,  # type: ignore[arg-type]
+        source_machine=source_machine,  # type: ignore[arg-type]
         status=status,  # type: ignore[arg-type]
     )

@@ -11,6 +11,8 @@ from repro.errors import (
     RestoreError,
 )
 from repro.runtime.mh import MH
+from repro.state import frames
+from repro.state.encoding import encode_values
 from repro.state.format import check_arity, parse_format
 from repro.state.frames import (
     STATE_MAGIC,
@@ -19,7 +21,14 @@ from repro.state.frames import (
     ProcessState,
     StackState,
 )
+from repro.state.machine import Endianness, MachineProfile
 from repro.state.pointers import SymbolicPointer
+
+from tests.state.reference_codec import (
+    reference_state_from_bytes,
+    reference_state_to_bytes,
+)
+from tests.state.stacks import DESCEND_FMT, deep_state_stack
 
 
 def make_record(procedure="compute", location=3, fmt="lllF", values=None):
@@ -324,3 +333,149 @@ def test_encoding_refuses_exactly_what_check_arity_refuses(case):
         None if expected is None else f"bad capture block in m.f: {expected}"
     )
     assert mh.divulged.is_set() == (expected is None)
+
+
+# -- header runs: a repeated frame header is written and read once -----------
+
+
+def _headers(state):
+    return [(r.procedure, r.location, r.fmt) for r in state.stack]
+
+
+def _inlined(value) -> bool:
+    # What the frame loop reads in place: a NULL slot, or a long or int
+    # whose zigzag varint takes one or two bytes.
+    return value is None or (type(value) is int and -8192 <= value <= 8191)
+
+
+class TestFrameRuns:
+    def test_run_with_one_changed_field_decodes_like_the_reference(self, sparc, vax):
+        idle = [2, 9] + [None] * 5
+        records = [
+            ActivationRecord("descend", 2, DESCEND_FMT, list(idle)) for _ in range(150)
+        ]
+        records.append(ActivationRecord("descend", 5, DESCEND_FMT, list(idle)))
+        records += [
+            ActivationRecord("descend", 2, DESCEND_FMT, [2, n] + [None] * 5)
+            for n in range(150)
+        ]
+        records.append(ActivationRecord("ascend", 2, DESCEND_FMT, list(idle)))
+        records.append(ActivationRecord("main", 1, "l", [1]))
+        state = ProcessState(module="m", stack=StackState(records))
+        packet = state.to_bytes(sparc)
+        assert packet == reference_state_to_bytes(state, sparc)
+        ours = ProcessState.from_bytes(packet, vax)
+        ref = reference_state_from_bytes(packet, vax)
+        assert ours.stack == ref.stack == state.stack
+        assert _headers(ours)[149:152] == [
+            ("descend", 2, DESCEND_FMT),
+            ("descend", 5, DESCEND_FMT),
+            ("descend", 2, DESCEND_FMT),
+        ]
+        assert _headers(ours)[-2] == ("ascend", 2, DESCEND_FMT)
+
+    def test_an_equal_float_location_does_not_borrow_the_runs_header(self):
+        # 3.0 == 3, but a float location cannot be written as a header;
+        # it is refused inside a run as it is on its own.
+        for records in (
+            [make_record(location=3.0)],
+            [make_record(location=3), make_record(location=3.0)],
+        ):
+            with pytest.raises(TypeError):
+                ProcessState(module="m", stack=StackState(records)).to_bytes()
+
+    def test_unrepresentable_long_in_a_repeated_frame(self, sparc, vax):
+        records = [
+            ActivationRecord("descend", 2, DESCEND_FMT, [2, n] + [None] * 5)
+            for n in (1, 2, 2**40, 4)
+        ]
+        packet = ProcessState(module="m", stack=StackState(records)).to_bytes(sparc)
+        with pytest.raises(
+            MachineCompatibilityError,
+            match="integer 1099511627776 does not fit a 32-bit native long "
+            "on machine 'vax-like'",
+        ):
+            ProcessState.from_bytes(packet, vax)
+
+    def test_in_place_longs_and_ints_pass_the_target_check(self):
+        seen = []
+
+        def check(kind):
+            return lambda value: seen.append((kind, value))
+
+        target = MachineProfile("spy", Endianness.BIG, int_bits=32, long_bits=64)
+        object.__setattr__(target, "_codec_checks", (check("i"), check("l"), None))
+        records = [
+            ActivationRecord("f", 2, "lli", [2, n, -n]) for n in (1, 100, 8191)
+        ]
+        packet = ProcessState(module="m", stack=StackState(records)).to_bytes()
+        ProcessState.from_bytes(packet, target)
+        assert seen == [
+            ("l", 2), ("l", 1), ("i", -1),
+            ("l", 2), ("l", 100), ("i", -100),
+            ("l", 2), ("l", 8191), ("i", -8191),
+        ]
+
+    @pytest.mark.parametrize("depth", [64, 256])
+    def test_deep_run_reads_headers_once(self, monkeypatch, sparc, depth):
+        calls = []
+        read = frames._read_checked
+
+        def counting(*args):
+            calls.append(args[1])
+            return read(*args)
+
+        state = ProcessState(module="m", stack=deep_state_stack(depth))
+        packet = state.to_bytes(sparc)
+        monkeypatch.setattr(frames, "_read_checked", counting)
+        decoded = ProcessState.from_bytes(packet, sparc)
+        assert decoded.stack == state.stack
+        runs = 1 + sum(
+            a != b for a, b in zip(_headers(state), _headers(state)[1:])
+        )
+        out_of_place = sum(
+            not _inlined(value) for record in state.stack for value in record.values
+        )
+        # Seven packet fields, three per header run, one per value the
+        # frame loop does not read in place: 21 at any depth (the
+        # per-field read made about ten calls per frame, 2570 at 256).
+        assert len(calls) == 7 + 3 * runs + out_of_place == 21
+
+
+class TestNullableHeaderFields:
+    def test_a_none_field_decodes_to_the_default(self):
+        packet = ProcessState(
+            module="m", reconfig_point=None, source_machine=None
+        ).to_bytes()
+        for decoded in (
+            ProcessState.from_bytes(packet),
+            reference_state_from_bytes(packet),
+        ):
+            assert decoded.reconfig_point == "" and decoded.source_machine == ""
+
+    def test_a_str_field_is_kept(self):
+        packet = ProcessState(
+            module="m", reconfig_point="None", source_machine="vax-like"
+        ).to_bytes()
+        for decoded in (
+            ProcessState.from_bytes(packet),
+            reference_state_from_bytes(packet),
+        ):
+            assert decoded.reconfig_point == "None"
+            assert decoded.source_machine == "vax-like"
+
+    @pytest.mark.parametrize("field", ["reconfig_point", "source_machine"])
+    def test_an_int_field_is_refused(self, field):
+        fields = {"reconfig_point": "Q", "source_machine": "sparc-like"}
+        fields[field] = 7
+        body = (
+            encode_values("ss", ["m", "clone"])
+            + encode_values("aa", [fields["reconfig_point"], fields["source_machine"]])
+            + encode_values("aal", [{}, {}, 0])
+        )
+        packet = _with_body(ProcessState(module="m").to_bytes(), body)
+        message = f"corrupt process state field {field!r}"
+        with pytest.raises(DecodingError, match=message):
+            ProcessState.from_bytes(packet)
+        with pytest.raises(DecodingError, match=message):
+            reference_state_from_bytes(packet)

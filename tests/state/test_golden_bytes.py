@@ -15,6 +15,7 @@ layers of protection here:
 """
 
 import collections
+import hashlib
 
 import pytest
 
@@ -31,6 +32,12 @@ from tests.state.reference_codec import (
     reference_state_from_bytes,
     reference_state_to_bytes,
 )
+from tests.state.stacks import deep_state
+
+#: sha256 of ``deep_state()``'s packet under sparc-like, written by the
+#: codec that wrote every frame header afresh; never regenerate it from
+#: the current code.
+DEEP_STATE_SHA256 = "eb3da631e93ed248a54002f49697de05ef9c6c714a65d42218e6261bef39a56b"
 
 # (fmt, values, seed-encoder hex) — generated once from the pre-rewrite
 # codec; never regenerate these from the current code.
@@ -280,6 +287,18 @@ class TestLiveComparison:
         assert rebuilt["shared"] is rebuilt["again"] is rebuilt["ring"][1]
         assert rebuilt["ring"][2] is rebuilt["ring"]
         assert ours.stack.depth == 1
+
+    def test_deep_state_packet_identical(self):
+        # 255 idle frames repeat one header: written once per run, the
+        # packet is still the reference walk's, byte for byte.
+        machine = MACHINES["sparc-like"]
+        packet = deep_state().to_bytes(machine)
+        assert packet == reference_state_to_bytes(deep_state(), machine)
+        assert hashlib.sha256(packet).hexdigest() == DEEP_STATE_SHA256
+        ours = ProcessState.from_bytes(packet, MACHINES["vax-like"])
+        ref = reference_state_from_bytes(packet, MACHINES["vax-like"])
+        assert ours.stack == ref.stack == deep_state().stack
+        assert ours.heap == ref.heap and ours.statics == ref.statics
 
     def test_process_state_decoders_agree(self):
         machine = MACHINES["sparc-like"]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bus.message import Message
-from repro.errors import DecodingError, EncodingError
+from repro.errors import DecodingError, EncodingError, FormatError
 from repro.state.encoding import (
     _append_varint,
     decode_any,
@@ -11,8 +11,10 @@ from repro.state.encoding import (
     encode_values,
     write_any,
 )
-from repro.state.frames import ProcessState
+from repro.state.frames import STATE_MAGIC, ActivationRecord, ProcessState, StackState
 from repro.state.machine import Endianness
+
+from tests.state.reference_codec import reference_state_from_bytes
 
 
 class TestDecoderDefenses:
@@ -101,3 +103,69 @@ class TestNestedNullability:
     def test_tuple_with_nones(self):
         data = encode_values("(aa)", [(None, "x")])
         assert decode_values(data) == [(None, "x")]
+
+
+#: Start of a state packet's body: magic, version byte, length word.
+BODY = len(STATE_MAGIC) + 5
+
+
+def _reframed(packet: bytes, body: bytes) -> bytes:
+    # The packet's own magic and version, the length word patched to the
+    # new body, so only the body is at fault.
+    return packet[: BODY - 4] + len(body).to_bytes(4, "big") + body
+
+
+def _run_state(frames: int = 3) -> ProcessState:
+    # A run of frames that share one header, then main.
+    records = [
+        ActivationRecord("descend", 2, "llaa", [2, n, None, "x"])
+        for n in range(frames)
+    ]
+    records.append(ActivationRecord("main", 1, "l", [1]))
+    return ProcessState(module="m", stack=StackState(records))
+
+
+def _outcome(decode, packet, refusals=(Exception,)):
+    try:
+        state = decode(packet)
+    except refusals:
+        return "refused"
+    return [(r.procedure, r.location, r.fmt, r.values) for r in state.stack]
+
+
+class TestFrameRunDefenses:
+    def test_a_flipped_header_byte_is_never_read_as_the_previous_header(self):
+        state = _run_state(4)
+        packet = state.to_bytes()
+        header = b"s\x07descendl\x04s\x04llaa"
+        starts = []
+        at = packet.find(header)
+        while at != -1:
+            starts.append(at)
+            at = packet.find(header, at + 1)
+        assert len(starts) == 4
+        compared = 0
+        for start in starts[1:]:
+            for offset in range(len(header)):
+                for mask in (0x01, 0x80, 0xFF):
+                    forged = bytearray(packet)
+                    forged[start + offset] ^= mask
+                    forged = bytes(forged)
+                    # A typed refusal here; the reference may let a
+                    # UnicodeDecodeError through.
+                    ours = _outcome(
+                        ProcessState.from_bytes, forged, (DecodingError, FormatError)
+                    )
+                    assert ours == _outcome(reference_state_from_bytes, forged)
+                    if isinstance(ours, list):
+                        # Decoded afresh: the k-th frame is not its
+                        # predecessor's header with the old values.
+                        assert ours != _outcome(ProcessState.from_bytes, packet)
+                        compared += 1
+        assert compared  # some flips still parse, and parse like the reference
+
+    def test_a_truncated_run_is_refused_at_every_offset(self):
+        packet = _run_state(3).to_bytes()
+        for cut in range(BODY, len(packet)):
+            with pytest.raises(DecodingError):
+                ProcessState.from_bytes(_reframed(packet, packet[BODY:cut]))

@@ -1,5 +1,7 @@
 """Tests for heap capture/restore (repro.state.heap)."""
 
+from enum import IntEnum
+
 import pytest
 
 from repro.errors import HeapError
@@ -62,15 +64,38 @@ class TestStringStoreSegments:
         assert store["k0"] == "v0" and "k1" in store
 
     def test_restore_shares_no_container_with_the_image(self):
+        # All-scalar segments are copied whole, each way: the image holds
+        # no live container and each restore gets fresh ones.
         store = {"a": "b", 1: 2.5, None: True}
         xs = [1, "x", b"y", None]
         image = HeapCodec().capture({"store": store, "xs": xs})
         first = HeapCodec().restore(image)
         second = HeapCodec().restore(image)
         assert first == second == {"store": store, "xs": xs}
-        for name in ("store", "xs"):
+        for name, live in (("store", store), ("xs", xs)):
             segment = image.segments[image.roots[name].segment]
+            assert segment is not live and type(segment) is type(live)
             assert first[name] is not segment and first[name] is not second[name]
+            assert type(first[name]) is type(live)
+        first["store"]["a"] = "changed"
+        first["xs"].append(2)
+        assert store["a"] == "b" and len(xs) == 4
+        assert HeapCodec().restore(image) == {"store": store, "xs": xs}
+
+    def test_subclassed_entries_take_the_walk_and_keep_their_types(self):
+        class Key(str):
+            pass
+
+        class Level(IntEnum):
+            HIGH = 2
+
+        store = {"a": "b", Key("k"): "v", "level": Level.HIGH}
+        xs = ["x", Level.HIGH]
+        restored = HeapCodec().roundtrip({"store": store, "xs": xs})
+        assert restored == {"store": store, "xs": xs}
+        assert {type(k) for k in restored["store"]} == {str, Key}
+        assert type(restored["store"]["level"]) is Level
+        assert type(restored["xs"][1]) is Level
 
     def test_a_store_with_one_pointer_value(self):
         shared = ["x"]
