@@ -620,7 +620,8 @@ class SoftwareBus:
                     if old.has_queue(decl.name):
                         new.queue(decl.name)  # raises before anything changed
             self._swap(old, new, "hand over")
-            return self._move_queues(old, new, preserve_queues)
+            moved = self._move_queues(old, new, preserve_queues)
+            return moved if preserve_queues else {}
 
     def hand_back(self, new: ModuleInstance, old: ModuleInstance) -> Dict[str, int]:
         """Undo :meth:`hand_over` (rollback): ``old`` answers to its name
@@ -633,7 +634,11 @@ class SoftwareBus:
             return self._move_queues(new, old, True)
 
     def _move_queues(
-        self, src: ModuleInstance, dst: ModuleInstance, preserve: bool
+        self,
+        src: ModuleInstance,
+        dst: Optional[ModuleInstance],
+        preserve: bool,
+        interface: Optional[str] = None,
     ) -> Dict[str, int]:
         """Figure 5's ``cq`` + ``rmq`` as one move, run where the queues live.
 
@@ -645,9 +650,13 @@ class SoftwareBus:
            queue of the same name (profiles transferred as by ``cq``), so
            a router still holding a routing entry taken before the
            hand-over reaches ``dst``, behind the moved prefix; with
-           ``preserve=False`` the forward discards and counts;
+           ``preserve=False`` the forward discards and counts, and a
+           queue a ``cq`` already sealed keeps its forward;
         3. what the seals took goes to the front of ``dst``'s queues;
-        4. ``{interface: moved}`` is returned (empty without ``preserve``).
+        4. ``{interface: moved (or discarded)}`` is returned.
+
+        ``interface`` restricts the move to one queue: the literal ``cq``,
+        or ``rmq`` (no ``dst``).
 
         A remote ``src`` is moved by its host, in one ``move_queues``
         request.  When ``dst`` shares the host all four steps run there;
@@ -659,22 +668,29 @@ class SoftwareBus:
         names = [
             decl.name
             for decl in src.spec.interfaces
-            if src.has_queue(decl.name) and (dst.has_queue(decl.name) or not preserve)
+            if (interface is None or decl.name == interface)
+            and src.has_queue(decl.name)
+            and (not preserve or dst.has_queue(decl.name))
         ]
         src_link = getattr(src, "link", None)
         dst_link = getattr(dst, "link", None)
-        if dst_link is None:
+        if dst_link is not None:
+            if dst.sealed and dst_link is not src_link:
+                dst_link.request(["move_queues", "", dst.key, preserve])
+                dst.sealed = False
+        elif dst is not None:
             for decl in dst.spec.interfaces:
-                if dst.has_queue(decl.name):
-                    dst.queue(decl.name).unseal()
-        elif dst.sealed and dst_link is not src_link:
-            dst_link.request(["move_queues", "", dst.key, preserve])
-            dst.sealed = False
+                name = decl.name
+                if (interface is None or name == interface) and dst.has_queue(name):
+                    dst.queue(name).unseal()
         counts: Dict[str, int] = {}
         if src_link is None:
             for name in names:
+                queue = src.queue(name)
+                if not preserve and queue.sealed:
+                    continue
                 forward = self._forward(src, name, dst, preserve)
-                messages = src.queue(name).seal(forward)
+                messages = queue.seal(forward)
                 if preserve:
                     self._prepend(src, name, dst, messages)
                 elif messages:
@@ -682,8 +698,9 @@ class SoftwareBus:
                 counts[name] = len(messages)
         else:
             shared = dst_link is src_link
+            to = dst.key if shared else ""
             reply = src_link.request(
-                ["move_queues", src.key, dst.key if shared else "", preserve]
+                ["move_queues", src.key, to, preserve, interface or ""]
             )
             src.sealed = not shared
             for name, moved in dict(reply).items():  # type: ignore[call-overload]
@@ -697,8 +714,8 @@ class SoftwareBus:
                     self._prepend(src, name, dst, messages)
                     moved = len(messages)
                 counts[name] = int(moved)
-        for name in names:
-            count = counts.get(name, 0)
+        counts = {name: counts.get(name, 0) for name in names}
+        for name, count in counts.items():
             if preserve:
                 self.trace.append(
                     f"cq {src.name}.{name} -> {dst.name} on {dst.host.name} "
@@ -707,7 +724,7 @@ class SoftwareBus:
             self.trace.append(
                 f"rmq {src.name}.{name} on {src.host.name} ({count} msgs)"
             )
-        return {name: counts.get(name, 0) for name in names} if preserve else {}
+        return counts
 
     @staticmethod
     def _forward(
@@ -739,7 +756,7 @@ class SoftwareBus:
         messages: List[Message],
     ) -> None:
         """Put ``src``'s messages, transferred to ``dst``'s profile, at the
-        front of ``dst``'s queue (what ``cq`` does with its copy)."""
+        front of ``dst``'s queue (step 3 of the move)."""
         if messages:
             dst.queue(interface).prepend(
                 [m.transferred(src.host.profile, dst.host.profile) for m in messages]
@@ -1321,33 +1338,19 @@ class SoftwareBus:
     # ------------------------------------------------------------------
 
     def copy_queue(self, old: str, interface: str, new: str) -> int:
-        """Copy messages queued at old's interface to new's same interface."""
-        return self._copy_queue(self.get_module(old), interface, self.get_module(new))
+        """``cq``: :meth:`hand_over`'s queue move for one interface, which
+        leaves the old queue empty, so it does the ``rmq`` too; returns
+        how many messages went to the front of ``new``'s queue."""
+        with self._lock:
+            src, dst = self.get_module(old), self.get_module(new)
+            return self._move_queues(src, dst, True, interface).get(interface, 0)
 
     def remove_queue(self, old: str, interface: str) -> int:
-        return self._remove_queue(self.get_module(old), interface)
-
-    def _copy_queue(
-        self, old: ModuleInstance, interface: str, new: ModuleInstance
-    ) -> int:
-        if not old.has_queue(interface):
-            return 0
-        messages = old.queue(interface).snapshot()
-        self._prepend(old, interface, new, messages)
-        self.trace.append(
-            f"cq {old.name}.{interface} -> {new.name} on {new.host.name} "
-            f"({len(messages)} msgs)"
-        )
-        return len(messages)
-
-    def _remove_queue(self, old: ModuleInstance, interface: str) -> int:
-        if not old.has_queue(interface):
-            return 0
-        removed = len(old.queue(interface).drain())
-        self.trace.append(
-            f"rmq {old.name}.{interface} on {old.host.name} ({removed} msgs)"
-        )
-        return removed
+        """``rmq``: seal ``old``'s queue with a discard that counts; returns
+        how many it discarded.  A queue a ``cq`` sealed keeps its forward."""
+        with self._lock:
+            module = self.get_module(old)
+            return self._move_queues(module, None, False, interface).get(interface, 0)
 
     # ------------------------------------------------------------------
     # Shutdown

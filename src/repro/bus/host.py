@@ -418,15 +418,17 @@ class ModuleHost:
         return True
 
     def _cmd_deliver_front(self, key, interface, wires) -> bool:
-        """Prepend a batch of (older) messages: the literal ``cq``, or a
-        prefix a queue move took on another host."""
+        """Prepend a batch of (older) messages: a moved prefix from
+        another host."""
         messages = [Message.from_wire(bytes(w), self.profile) for w in wires]
         with self.modules_lock:
             self._module(key).queue(str(interface)).prepend(messages)
         self._last_delivery[str(key)] = time.monotonic()
         return True
 
-    def _cmd_move_queues(self, src_key, dst_key, preserve) -> Dict[str, object]:
+    def _cmd_move_queues(
+        self, src_key, dst_key, preserve, interface=""
+    ) -> Dict[str, object]:
         """The host's half of ``SoftwareBus._move_queues``: Figure 5's
         ``cq`` + ``rmq`` as one move, run where the queues live.
 
@@ -438,48 +440,45 @@ class ModuleHost:
         ``host.deliver_miss``) and the reply carries their wires for the
         bus to prepend.  An empty ``src_key`` only unseals.  Without
         ``preserve`` every message is discarded and counted, and the
-        reply gives the counts.
+        reply gives the counts, leaving a queue already sealed as it is.
+        A non-empty ``interface`` restricts the move to that queue.
         """
+        interface = str(interface)
         with self.modules_lock:
             dst = self._module(dst_key) if dst_key else None
             if dst is not None:
                 for decl in dst.spec.interfaces:
-                    if dst.has_queue(decl.name):
-                        dst.queue(decl.name).unseal()
+                    name = decl.name
+                    if (not interface or name == interface) and dst.has_queue(name):
+                        dst.queue(name).unseal()
             if not src_key:
                 return {}
             src = self._module(src_key)
             reply: Dict[str, object] = {}
             for decl in src.spec.interfaces:
                 name = decl.name
-                if not src.has_queue(name):
+                if (interface and name != interface) or not src.has_queue(name):
                     continue
+                queue = src.queue(name)
                 if not preserve:
                     forward = discarding(f"{src.name}.{name}")
-                    messages = src.queue(name).seal(forward)
+                    # A queue a cq sealed keeps its forward.
+                    messages = [] if queue.sealed else queue.seal(forward)
                     if messages:
                         forward(messages)
                     reply[name] = len(messages)
                 elif dst is None:
-                    messages = src.queue(name).seal()
+                    messages = queue.seal()
                     reply[name] = [m.to_wire(self.profile) for m in messages]
                 elif dst.has_queue(name):
                     target = dst.queue(name)
-                    messages = src.queue(name).seal(target.put_many)
+                    messages = queue.seal(target.put_many)
                     target.prepend(messages)
                     reply[name] = len(messages)
         return reply
 
     def _cmd_counts(self, key) -> Dict[str, int]:
         return self._module(key).queued_counts()
-
-    def _cmd_snapshot_queue(self, key, interface) -> List[bytes]:
-        messages = self._module(key).queue(str(interface)).snapshot()
-        return [m.to_wire(self.profile) for m in messages]
-
-    def _cmd_drain_queue(self, key, interface) -> List[bytes]:
-        messages = self._module(key).queue(str(interface)).drain()
-        return [m.to_wire(self.profile) for m in messages]
 
     def _cmd_discard_queue(self, key, interface) -> int:
         """Drain and *discard* — returns only the count (the link

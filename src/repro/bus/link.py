@@ -243,9 +243,9 @@ class Link:
             self._pending[seq] = waiter
         try:
             with self._send_lock:
-                # FIFO barrier: requests (queue moves, snapshots,
-                # drains) must observe every delivery appended before
-                # them, so pending batches ship first.
+                # FIFO barrier: requests (queue moves among them) must
+                # observe every delivery appended before them, so
+                # pending batches ship first.
                 self._coalescer.drain_locked()
                 self.channel.send(["req", seq] + payload)
         except (InjectedFault, TransportError, OSError) as exc:

@@ -7,9 +7,9 @@ runs the pair as one move (``SoftwareBus.hand_over``): :meth:`seal`
 takes everything queued and, in the same lock hold, turns the queue
 into a forward to its successor, so a router still holding a routing
 entry taken before the hand-over reaches the successor — behind what
-was moved — instead of a queue nobody reads.  A queue sealed with no
-successor is closed: a put raises.  The literal ``cq``/``rmq`` keep an
-atomic snapshot-copy and a drain.
+was moved — instead of a queue nobody reads.  The literal ``cq`` is the
+same move for one interface, and ``rmq`` a seal whose forward discards.
+A queue sealed with no successor is closed: a put raises.
 
 Wakeup protocol (see ``docs/bus-internals.md``): ``get`` parks on a
 condition variable with a ``time.monotonic()`` deadline — there is no
@@ -122,7 +122,7 @@ class MessageQueue:
 
         Used by coalesced ``deliver_batch`` dispatch, where one frame
         often carries many messages for the same queue.  Unlike
-        ``prepend`` (queue *copies* during reconfiguration) these are
+        ``prepend`` (the prefix a queue move takes over) these are
         fresh deliveries, so the recording subclass counts them in
         ``_pushed``.
         """
@@ -187,26 +187,23 @@ class MessageQueue:
         return len(self)
 
     def snapshot(self) -> List[Message]:
-        """Atomic copy of the queued messages (the ``cq`` command)."""
+        """Atomic copy of the queued messages, for inspection."""
         with self._lock:
             return list(self._items)
 
     def drain(self) -> List[Message]:
-        """Atomically remove and return everything (the ``rmq`` command)."""
+        """Atomically remove and return everything."""
         with self._lock:
             items = list(self._items)
             self._items.clear()
-        rec = telemetry.recorder
-        if rec is not None and items:
-            rec.count("queue.drained", n=len(items), key=self.name)
         return items
 
     def prepend(self, messages: List[Message]) -> None:
-        """Insert copied messages at the *front*, preserving their order.
+        """Insert moved messages at the *front*, preserving their order.
 
-        The ``cq`` command runs after the new module's bindings are live,
-        so fresh messages may already sit in its queue; the old module's
-        messages are strictly older and must be consumed first.
+        A queue move runs after the successor answers to the name, so
+        fresh messages may already sit in its queue; the moved ones are
+        strictly older and must be consumed first.
         """
         with self._lock:
             self._items.extendleft(reversed(messages))
@@ -238,6 +235,10 @@ class MessageQueue:
             self._forward = forward
             self._not_empty.notify_all()
         return items
+
+    @property
+    def sealed(self) -> bool:
+        return self._sealed
 
     def unseal(self) -> None:
         with self._lock:
@@ -314,8 +315,8 @@ class RecordingMessageQueue(MessageQueue):
 
 
 def discarding(name: str) -> Callable[[List[Message]], None]:
-    """The forward of a sealed queue whose messages die with it (a move
-    with ``preserve_queues=False``): each is counted as
+    """The forward of a sealed queue whose messages die with it (``rmq``,
+    or a move with ``preserve_queues=False``): each is counted as
     ``queue.discarded``."""
 
     def discard(messages: List[Message]) -> None:

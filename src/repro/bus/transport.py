@@ -88,13 +88,13 @@ class ProxyQueue:
     """Bus-side view of a remote module's per-interface queue.
 
     Hot-path delivery never passes through here (routing entries bind a
-    direct wire-put); this covers the literal ``cq``/``rmq`` (snapshots
-    and drains), the moved prefix a replace puts at the front of a queue
-    on another host, and the benchmarks' delivered counts (discards) —
-    requests, so their effects are ordered against prior deliveries by
-    per-link FIFO.  A replace's own move is
-    one host command (``SoftwareBus._move_queues``).  On the wire the
-    queue is addressed by its module's host key.
+    direct wire-put); this covers the moved prefix a queue move puts at
+    the front of a queue on another host, and the benchmarks' delivered
+    counts (discards) — requests, so their effects are ordered against
+    prior deliveries by per-link FIFO.  The move itself, a replace's or
+    the literal ``cq``/``rmq``, is one host command
+    (``SoftwareBus._move_queues``).  On the wire the queue is addressed
+    by its module's host key.
     """
 
     __slots__ = ("_handle", "interface")
@@ -118,20 +118,6 @@ class ProxyQueue:
 
     def __len__(self) -> int:
         return self.peek_count()
-
-    def snapshot(self) -> List[Message]:
-        wires = self._handle.link.request(
-            ["snapshot_queue", self._handle.key, self.interface]
-        )
-        profile = self._handle.host.profile
-        return [Message.from_wire(bytes(w), profile) for w in wires]  # type: ignore[union-attr]
-
-    def drain(self) -> List[Message]:
-        wires = self._handle.link.request(
-            ["drain_queue", self._handle.key, self.interface]
-        )
-        profile = self._handle.host.profile
-        return [Message.from_wire(bytes(w), profile) for w in wires]  # type: ignore[union-attr]
 
     def discard(self) -> int:
         """Drain remotely, returning only the count (no wires shipped

@@ -7,15 +7,18 @@ once".  Four command kinds appear in Figure 5:
 =======  =========================================================
 ``add``  create a binding between two endpoints
 ``del``  delete a binding
-``cq``   copy the messages queued at an old endpoint to a new one
-``rmq``  remove (drain) the messages queued at an endpoint
+``cq``   move the messages queued at an old endpoint to a new one
+``rmq``  remove (discard) the messages queued at an endpoint
 =======  =========================================================
+
+``cq`` is a replace's queue move: the old queue is sealed with a forward
+to the new one, so it does its ``rmq``'s work as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.bus.bus import SoftwareBus
 from repro.bus.spec import BindingSpec
@@ -105,6 +108,8 @@ class BindBatch:
         lock = getattr(bus, "_lock", None)
         if lock is not None:
             lock.acquire()
+        # A cq's move did its rmq's work: that rmq sends nothing.
+        moved: Set[Endpoint] = set()
         try:
             for command in self.commands:
                 if command.op == "add":
@@ -112,9 +117,11 @@ class BindBatch:
                 elif command.op == "del":
                     bus.remove_binding(command.binding)
                 elif command.op == "cq":
-                    bus.copy_queue(command.left[0], command.left[1], command.right[0])  # type: ignore[index]
+                    bus.copy_queue(*command.left, command.right[0])  # type: ignore[index]
+                    moved.add(command.left)
                 elif command.op == "rmq":
-                    bus.remove_queue(command.left[0], command.left[1])
+                    if command.left not in moved:
+                        bus.remove_queue(*command.left)
         finally:
             if lock is not None:
                 lock.release()

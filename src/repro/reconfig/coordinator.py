@@ -146,7 +146,7 @@ def prepare_rebind_batch(
     Equivalent to Figure 5's per-interface loops over ``struct_ifdest``
     and ``struct_ifsources`` (bidirectional interfaces appear in both, so
     the paper's two loops touch some bindings twice; we deduplicate).
-    Queue copies (``cq``) and removals (``rmq``) are appended for every
+    Queue moves (``cq``) and removals (``rmq``) are appended for every
     interface that can receive, so no queued message is lost.
 
     This is the batch form of the script, for a ``new`` instance with a

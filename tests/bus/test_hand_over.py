@@ -29,6 +29,7 @@ from repro.bus.module import prepared_source_for
 from repro.bus.spec import BindingSpec, ModuleSpec
 from repro.errors import ReconfigurationAborted, ReconfigurationTimeout, SpecError
 from repro.reconfig.coordinator import ReconfigurationCoordinator
+from repro.reconfig.scripts import figure5_replacement_script
 from repro.runtime import telemetry
 from repro.runtime.mh import SleepPolicy
 from repro.state.machine import MACHINES
@@ -357,6 +358,42 @@ def test_a_same_host_remote_replace_makes_five_link_requests(watchdog, monkeypat
 
 
 @pytest.mark.multiproc
+def test_a_worker_hosted_script_replace_makes_five_link_requests(
+    watchdog, monkeypatch
+):
+    """Figure 5's script on a worker: its cq is the one queue move, and
+    the rmq paired with it sends nothing."""
+    bus = SoftwareBus(sleep_scale=0.0, workers=1)
+    try:
+        bus.add_module(_idle_spec("feeder", OUT), instance="feeder")
+        bus.add_module(
+            _counter_spec(), instance="counter", attributes={"placement": "worker:0"}
+        )
+        bus.add_binding(BindingSpec("feeder", "out", "counter", "inp"))
+        bus.start_module("counter")
+        _feed(bus, 1, 2, 3)
+        wait_until(lambda: _total(bus) == 6)
+        machine = bus.get_module("counter").host.name
+        sent = []
+        request = Link.request
+
+        def counting(link, command, *args, **kwargs):
+            sent.append(str(command[0]))
+            return request(link, command, *args, **kwargs)
+
+        monkeypatch.setattr(Link, "request", counting)
+        with _Nudger(bus):
+            new = figure5_replacement_script(bus, "counter", machine, timeout=30)
+        monkeypatch.undo()
+        assert sorted(sent) == sorted(["add", "signal", "move_queues", "start", "remove"])
+        assert bus.get_module(new).host.name == machine
+        _feed(bus, 10)
+        wait_until(lambda: (bus.statics_of(new).get("total") or 0) >= 16)
+    finally:
+        bus.shutdown()
+
+
+@pytest.mark.multiproc
 def test_a_rolled_back_remote_replace_makes_four_link_requests(watchdog, monkeypatch):
     """signal, add, abandon, remove: withdrawing the signal is one
     request, which also clears the module's reconfiguration flag."""
@@ -465,6 +502,98 @@ class TestSealRace:
             coordinator = ReconfigurationCoordinator(bus)
             for _ in range(self.REPLACES):
                 coordinator.replace("relay", timeout=30)
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(10)
+            sys.setswitchinterval(interval)
+        try:
+            deadline = time.monotonic() + 10.0
+            got = []
+            while len(got) < sent and time.monotonic() < deadline:
+                time.sleep(0.02)
+                got = list(bus.statics_of("collector").get("got", []))
+            assert len(got) == sent, f"{sent - len(got)} of {sent} numbers lost"
+            assert got == list(range(sent))
+        finally:
+            bus.shutdown()
+
+
+class TestFigure5Queues:
+    """Figure 5's ``cq``/``rmq`` run on the replace's queue move."""
+
+    def test_a_put_after_cq_reaches_the_new_tail_and_rmq_keeps_the_forward(self):
+        rec = telemetry.enable(capacity=1 << 12)
+        bus = SoftwareBus(sleep_scale=0.0)
+        relay = ModuleSpec(
+            name="relay", inline_source=RELAY_SOURCE, interfaces=[IN, OUT]
+        )
+        try:
+            old = bus.add_module(relay, instance="relay")
+            new = bus.add_module(relay, instance="relay.new")
+            for value in (1, 2):
+                old.deliver("inp", _message(value))
+            new.deliver("inp", _message(3))
+            assert bus.copy_queue("relay", "inp", "relay.new") == 2
+            old.deliver("inp", _message(4))  # a router's stale routing entry
+            assert bus.remove_queue("relay", "inp") == 0
+            old.deliver("inp", _message(5))  # the rmq left the forward alone
+            assert [m.values[0] for m in new.queue("inp").snapshot()] == [1, 2, 3, 4, 5]
+            assert old.queue("inp").peek_count() == 0
+            assert rec.counter_total("queue.discarded") == 0
+        finally:
+            bus.shutdown()
+
+
+class TestFigure5SealRace:
+    """The script twin of :class:`TestSealRace`: Figure 5's script replaces
+    an in-process relay 20 times under an unthrottled feeder.  Its ``cq``
+    seals the old queue with a forward to the new one, so a put that a
+    router sends on a routing entry from before the rebind reaches the
+    new module: every number arrives once, in order."""
+
+    REPLACES = 20
+
+    def test_every_number_arrives_once_in_order(self, watchdog):
+        bus = SoftwareBus(sleep_scale=0.0)
+        relay = ModuleSpec(
+            name="relay",
+            inline_source=RELAY_SOURCE,
+            interfaces=[IN, OUT],
+            reconfig_points=["Q"],
+        )
+        collector = ModuleSpec(
+            name="collector", inline_source=COLLECTOR_SOURCE, interfaces=[IN]
+        )
+        bus.add_module(_idle_spec("feeder", OUT), instance="feeder")
+        bus.add_module(relay, instance="relay")
+        bus.add_module(collector, instance="collector")
+        bus.add_binding(BindingSpec("feeder", "out", "relay", "inp"))
+        bus.add_binding(BindingSpec("relay", "out", "collector", "inp"))
+        bus.start_module("relay")
+        bus.start_module("collector")
+        stop = threading.Event()
+        sent = 0
+
+        def feed():
+            nonlocal sent
+            while not stop.is_set():
+                _feed(bus, sent)
+                sent += 1
+
+        def burn():
+            while not stop.is_set():
+                pass
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        threads = [threading.Thread(target=f, daemon=True) for f in (feed, burn, burn)]
+        try:
+            for thread in threads:
+                thread.start()
+            name = "relay"
+            for _ in range(self.REPLACES):
+                name = figure5_replacement_script(bus, name, "local", timeout=30)
         finally:
             stop.set()
             for thread in threads:

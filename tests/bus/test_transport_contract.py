@@ -253,9 +253,11 @@ class TestDeliveryContract:
         copied = bus.copy_queue("collector", "inp", "collector2")
         assert copied == len(sent)
         assert bus.get_module("collector2").queued_counts().get("inp") == len(sent)
+        # cq moves: it leaves nothing behind for the rmq.
+        assert bus.get_module("collector").queued_counts().get("inp") == 0
 
         removed = bus.remove_queue("collector", "inp")
-        assert removed == len(sent)
+        assert removed == 0
         assert bus.get_module("collector").queued_counts().get("inp") == 0
 
         # The copy preserved both content and order: the second collector
@@ -267,6 +269,37 @@ class TestDeliveryContract:
             )
         )
         assert list(got) == sent
+
+    def test_a_delivery_after_cq_follows_the_move_and_rmq_keeps_it(self, placed_bus):
+        """``cq`` seals the old queue with a forward to the new one: a
+        delivery still addressed to the old module lands at the new
+        queue's tail, behind the moved prefix, and the ``rmq`` that
+        follows discards nothing and leaves the forward in place."""
+        bus, placement = placed_bus
+        bus.add_module(_collector_spec(), instance="collector", placement=placement)
+        bus.add_module(
+            _collector_spec("collector2"), instance="collector2", placement=placement
+        )
+        bus.add_module(_feeder_spec(), instance="feeder")
+        bus.add_binding(BindingSpec("feeder", "out", "collector", "inp"))
+        _feed(bus, 1, 2)
+        _wait(lambda: bus.get_module("collector").queued_counts().get("inp") == 2)
+        old = bus.get_module("collector")
+
+        def deliver(value):  # as a router on a stale routing entry would
+            old.deliver("inp", Message(values=[value], fmt="l").validated())
+
+        assert bus.copy_queue("collector", "inp", "collector2") == 2
+        deliver(3)
+        assert bus.remove_queue("collector", "inp") == 0
+        deliver(4)
+        bus.start_module("collector2")
+        got = _wait(
+            lambda: (lambda g: g if len(g) == 4 else None)(
+                bus.statics_of("collector2").get("got", [])
+            )
+        )
+        assert list(got) == [1, 2, 3, 4]
 
     def test_stop_interrupts_blocked_read(self, placed_bus):
         bus, placement = placed_bus

@@ -20,8 +20,9 @@ the seed semantics, plus the one deliberate wire change since: a
 non-empty dict of NUL-free strings under an ``s``/``a`` key and value
 spec travels as the packed ``}`` tag (count, byte length, the UTF-8 of
 ``k1 NUL v1 NUL ... vn``), written and read here entry by entry, as the
-rule states it (``STATE_VERSION`` 3).  (The one deliberate divergence
-of the live codec — rejecting non-numeric values under ``'f'``/``'F'``
+rule states it (``STATE_VERSION`` 3).  A string that is not UTF-8 is
+refused with the live codec's ``DecodingError``.  (The one deliberate
+divergence of the live codec — rejecting non-numeric values under ``'f'``/``'F'``
 instead of silently coercing through ``float()`` — is documented where
 the live codec does it; this reference keeps the old coercion so the
 divergence is testable.)
@@ -242,6 +243,14 @@ class ReferenceDecoder:
     def _read_signed(self) -> int:
         return _unzigzag(self._read_varint())
 
+    def _take_text(self, length: int) -> str:
+        try:
+            return self._take(length).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DecodingError(
+                f"invalid UTF-8 in abstract state: {exc.reason}"
+            ) from exc
+
     def read(self) -> object:
         tag = chr(self._take(1)[0])
         if tag == "n":
@@ -262,13 +271,13 @@ class ReferenceDecoder:
             return value
         if tag == "s":
             length = self._read_varint()
-            return self._take(length).decode("utf-8")
+            return self._take_text(length)
         if tag == "B":
             length = self._read_varint()
             return self._take(length)
         if tag == "p":
             length = self._read_varint()
-            segment = self._take(length).decode("utf-8")
+            segment = self._take_text(length)
             index = self._read_signed()
             from repro.state.pointers import SymbolicPointer
 
@@ -289,7 +298,7 @@ class ReferenceDecoder:
         if tag == "}":
             count = self._read_varint()
             length = self._read_varint()
-            strings = self._take(length).decode("utf-8").split("\x00")
+            strings = self._take_text(length).split("\x00")
             if len(strings) != 2 * count:
                 raise DecodingError(
                     f"packed dict of {count} pairs holds {len(strings)} strings"

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.errors import (
     CaptureError,
     DecodingError,
+    EncodingError,
     FormatError,
     MachineCompatibilityError,
     RestoreError,
@@ -376,12 +377,13 @@ class TestFrameRuns:
 
     def test_an_equal_float_location_does_not_borrow_the_runs_header(self):
         # 3.0 == 3, but a float location cannot be written as a header;
-        # it is refused inside a run as it is on its own.
+        # it is refused inside a run as it is on its own, as the reference
+        # codec refuses it.
         for records in (
             [make_record(location=3.0)],
             [make_record(location=3), make_record(location=3.0)],
         ):
-            with pytest.raises(TypeError):
+            with pytest.raises(EncodingError, match="format 'l' requires int, got 3.0"):
                 ProcessState(module="m", stack=StackState(records)).to_bytes()
 
     def test_unrepresentable_long_in_a_repeated_frame(self, sparc, vax):

@@ -14,7 +14,10 @@ from repro.state.encoding import (
 from repro.state.frames import STATE_MAGIC, ActivationRecord, ProcessState, StackState
 from repro.state.machine import Endianness
 
-from tests.state.reference_codec import reference_state_from_bytes
+from tests.state.reference_codec import (
+    reference_state_from_bytes,
+    reference_state_to_bytes,
+)
 
 
 class TestDecoderDefenses:
@@ -125,11 +128,11 @@ def _run_state(frames: int = 3) -> ProcessState:
     return ProcessState(module="m", stack=StackState(records))
 
 
-def _outcome(decode, packet, refusals=(Exception,)):
+def _outcome(decode, packet):
     try:
         state = decode(packet)
-    except refusals:
-        return "refused"
+    except (DecodingError, FormatError) as exc:
+        return type(exc).__name__  # a typed refusal, and nothing else
     return [(r.procedure, r.location, r.fmt, r.values) for r in state.stack]
 
 
@@ -151,11 +154,8 @@ class TestFrameRunDefenses:
                     forged = bytearray(packet)
                     forged[start + offset] ^= mask
                     forged = bytes(forged)
-                    # A typed refusal here; the reference may let a
-                    # UnicodeDecodeError through.
-                    ours = _outcome(
-                        ProcessState.from_bytes, forged, (DecodingError, FormatError)
-                    )
+                    # Both codecs refuse with the same typed error.
+                    ours = _outcome(ProcessState.from_bytes, forged)
                     assert ours == _outcome(reference_state_from_bytes, forged)
                     if isinstance(ours, list):
                         # Decoded afresh: the k-th frame is not its
@@ -169,3 +169,20 @@ class TestFrameRunDefenses:
         for cut in range(BODY, len(packet)):
             with pytest.raises(DecodingError):
                 ProcessState.from_bytes(_reframed(packet, packet[BODY:cut]))
+
+    @pytest.mark.parametrize("location", [True, 3.0], ids=["bool", "float"])
+    def test_a_location_that_is_not_an_int_is_refused_like_the_reference(
+        self, location
+    ):
+        # After a frame at location 1: True == 1, so the bool frame would
+        # otherwise join that frame's run and borrow its header.
+        records = [
+            ActivationRecord("f", 1, "l", [1]),
+            ActivationRecord("f", location, "l", [1]),
+        ]
+        state = ProcessState(module="m", stack=StackState(records))
+        refusal = f"format 'l' requires int, got {location!r}"
+        for encode in (ProcessState.to_bytes, reference_state_to_bytes):
+            with pytest.raises(EncodingError) as refused:
+                encode(state)
+            assert str(refused.value) == refusal

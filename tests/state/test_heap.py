@@ -6,25 +6,10 @@ import pytest
 
 from repro.errors import HeapError
 from repro.state.encoding import decode_any, encode_any
-from repro.state.heap import (
-    HeapCodec,
-    HeapImage,
-    clear_hooks,
-    heap_hook,
-    registered_hooks,
-    run_capture_hook,
-    run_restore_hook,
-)
+from repro.state.heap import HeapCodec, HeapImage
 from repro.state.pointers import SymbolicPointer
 
 POINTER = SymbolicPointer("heap:0", 0)
-
-
-@pytest.fixture(autouse=True)
-def _clean_hooks():
-    clear_hooks()
-    yield
-    clear_hooks()
 
 
 class TestHeapCodecScalars:
@@ -221,7 +206,8 @@ class TestHeapErrors:
         class Custom:
             pass
 
-        with pytest.raises(HeapError, match="heap_hook"):
+        hook = r"mh\.register_heap_hook\(name, capture, restore\)"
+        with pytest.raises(HeapError, match=hook):
             HeapCodec().capture({"x": Custom()})
 
     def test_malformed_image(self):
@@ -261,26 +247,3 @@ class TestHeapErrors:
         image = HeapCodec().capture({"p": pointer})
         assert HeapCodec().restore(image)["p"] == pointer
 
-
-class TestProgrammerHooks:
-    def test_register_and_run(self):
-        class Matrix:
-            def __init__(self, rows):
-                self.rows = rows
-
-        heap_hook(
-            "matrix",
-            capture=lambda m: m.rows,
-            restore=lambda rows: Matrix(rows),
-        )
-        assert registered_hooks() == ["matrix"]
-        m = Matrix([[1, 2], [3, 4]])
-        flat = run_capture_hook("matrix", m)
-        assert flat == [[1, 2], [3, 4]]
-        rebuilt = run_restore_hook("matrix", flat)
-        assert isinstance(rebuilt, Matrix)
-        assert rebuilt.rows == m.rows
-
-    def test_missing_hook(self):
-        with pytest.raises(HeapError, match="no heap hook"):
-            run_capture_hook("nope", object())

@@ -192,6 +192,25 @@ GUARDS = [
         CODE,
         ('discard = getattr(queue, "discard", None)',),
     ),
+    # One queue transfer: Figure 5's cq/rmq run on the replace's queue
+    # move, so the snapshot-copy and drain path and its two host commands
+    # are gone; and one heap hook mechanism (mh.register_heap_hook), so
+    # the global hook registry nothing read.
+    Guard(
+        "the queue copy path and the heap hook registry",
+        r"snapshot_queue|drain_queue|_copy_queue|_remove_queue"
+        r"|run_capture_hook|run_restore_hook|registered_hooks",
+        CODE,
+        (
+            'link.request(["snapshot_queue", key, interface])',
+            "def _cmd_drain_queue(self, key, interface):",
+            "self._copy_queue(old, interface, new)",
+            "self._remove_queue(old, interface)",
+            'run_capture_hook("matrix", m)',
+            'run_restore_hook("matrix", flat)',
+            "registered_hooks()",
+        ),
+    ),
     # One record path in the flight recorder: a span is a fresh Span
     # whose close appends to the ring.  The span sampler (its dropped
     # span and drop counter), the span free-list bounds and the
