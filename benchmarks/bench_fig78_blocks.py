@@ -5,7 +5,7 @@ and one capture block per outgoing edge; reconfiguration points share
 the call-edge capture blocks.
 
 Measured here: generated block counts match that formula as the number
-of call sites grows, and the codegen cost of flattening scales with
+of call sites grows, and the codegen cost of preparation scales with
 procedure size.
 """
 

@@ -11,6 +11,7 @@ be cross-checked against a live run.
 
 from __future__ import annotations
 
+import statistics
 import sys
 import time
 from typing import Dict, List, Optional, Tuple
@@ -24,6 +25,22 @@ def report(experiment: str, claim: str, measured: str) -> None:
     """Emit a paper-vs-measured line into the captured output."""
     print(f"\n[{experiment}] paper: {claim}")
     print(f"[{experiment}] measured: {measured}")
+
+
+def median_ratio(slow, fast, rounds: int = 15, best_of: int = 5) -> float:
+    """``slow``'s time over ``fast``'s: the median over ``rounds`` rounds,
+    each the best of ``best_of`` runs of both, interleaved so that a
+    change in the machine's speed hits both sides of a round."""
+    ratios = []
+    for _ in range(rounds):
+        best = [float("inf"), float("inf")]
+        for _ in range(best_of):
+            for side, fn in enumerate((slow, fast)):
+                start = time.perf_counter()
+                fn()
+                best[side] = min(best[side], time.perf_counter() - start)
+        ratios.append(best[0] / best[1])
+    return statistics.median(ratios)
 
 
 class DirectPort:

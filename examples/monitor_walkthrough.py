@@ -50,12 +50,9 @@ def main():
                 f"live={sorted(edge.live)} dead={sorted(edge.dead_captured)}"
             )
 
-    banner("Figure 4 — automatically prepared compute module (excerpt)")
-    lines = result.source.split("\n")
-    # Print the compute procedure (the part Figure 4 centres on).
-    start = next(i for i, l in enumerate(lines) if l.startswith("def compute"))
-    print("\n".join(lines[start : start + 46]))
-    print("    ... (dispatch loop continues)")
+    banner("Figure 4 — automatically prepared compute module")
+    # The compute procedure (the part Figure 4 centres on).
+    print("def compute" + result.source.split("def compute", 1)[1].rstrip())
 
     banner("Figures 1 & 5 — live move of compute, mid-recursion")
     config = build_monitor_configuration(

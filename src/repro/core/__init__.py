@@ -13,8 +13,8 @@ Pipeline (Section 3 of the paper):
 3. :mod:`repro.core.validate` — supported-subset checks with diagnostics
 4. :mod:`repro.core.desugar` — ``for range(...)`` loops into capturable whiles
 5. :mod:`repro.core.varinfo` — frame layouts (what each capture block saves)
-6. :mod:`repro.core.cfg` — structured control-flow graph per procedure
-7. :mod:`repro.core.flatten` — dispatch-loop flattening (the goto)
+6. :mod:`repro.core.liveness` — live variables at each capture edge
+7. :mod:`repro.core.flatten` — structured resume guards (the goto)
 8. :mod:`repro.core.transformer` — assembles the final module source
 """
 

@@ -1,9 +1,9 @@
 """Source snippets for capture and restore blocks (Figures 7 and 8).
 
 Each function returns a list of source lines (no indentation); the
-flattener indents and splices them into the dispatch loop.  Keeping the
-text generation here makes the correspondence with the paper's figures
-auditable in one place:
+emitter in :mod:`repro.core.flatten` indents and splices them into the
+procedure's own statements.  Keeping the text generation here makes the
+correspondence with the paper's figures auditable in one place:
 
 - :func:`call_capture_lines`      = Figure 7, "Capture Block for Edge (i, Si)"
 - :func:`reconfig_capture_lines`  = Figure 7, "Capture Block for
@@ -57,7 +57,6 @@ def call_capture_lines(
     layout: FrameLayout,
     edge: ReconEdge,
     is_main: bool,
-    after_block: int,
     keep: Optional[Set[str]] = None,
 ) -> List[str]:
     """Capture block installed after a call edge ``(i, Si)``.
@@ -72,8 +71,6 @@ def call_capture_lines(
     if is_main:
         lines.append("    mh.encode()")
     lines.append("    return None")
-    lines.append(f"_mh_pc = {after_block}")
-    lines.append("continue")
     return lines
 
 
@@ -81,7 +78,6 @@ def reconfig_capture_lines(
     layout: FrameLayout,
     edge: ReconEdge,
     is_main: bool,
-    resume_block: int,
     keep: Optional[Set[str]] = None,
 ) -> List[str]:
     """Capture block installed at a reconfiguration point ``(j, R)``.
@@ -99,29 +95,26 @@ def reconfig_capture_lines(
     if is_main:
         lines.append("    mh.encode()")
     lines.append("    return None")
-    lines.append(f"_mh_pc = {resume_block}")
-    lines.append("continue")
     return lines
 
 
 def restore_block_lines(
     layout: FrameLayout,
     edges: List[ReconEdge],
-    call_block_for_edge: Dict[int, int],
-    resume_block_for_edge: Dict[int, int],
     is_main: bool,
     keep_per_edge: Optional[Dict[int, Set[str]]] = None,
 ) -> List[str]:
     """Restore block inserted at the top of an instrumented procedure.
 
-    Restores the local state, then dispatches on the captured location:
-    call edges re-enter their call block with ``_mh_redo`` set (repeat
-    the call, dummies substituted); the reconfiguration edge ends the
-    restoration and resumes at the label ``R``.
+    Restores the local state, then checks the captured location and
+    keeps it in ``_mh_r``, the resume value the procedure's guarded
+    statements steer by: a call edge's label repeats the call (dummies
+    substituted), the reconfiguration edge ends the restoration here and
+    its label ``R`` clears ``_mh_r``.
 
-    With pruning (``keep_per_edge``), each dispatch arm restores exactly
+    With pruning (``keep_per_edge``), each location arm restores exactly
     the variables its edge captured; unpruned, the variable restores are
-    hoisted above the dispatch since every edge captures the full frame.
+    hoisted above the location test since every edge captures the full frame.
     """
     lines: List[str] = []
     if is_main:
@@ -148,12 +141,9 @@ def restore_block_lines(
             )
             for index, var in enumerate(variables, start=1):
                 lines.append(f"        {var.restore_stmt(f'_mh_vals[{index}]')}")
-        if edge.kind == "call":
-            lines.append("        _mh_redo = True")
-            lines.append(f"        _mh_pc = {call_block_for_edge[edge.number]}")
-        else:
+        if edge.kind == "reconfig":
             lines.append("        mh.end_restore()")
-            lines.append(f"        _mh_pc = {resume_block_for_edge[edge.number]}")
+        lines.append(f"        _mh_r = {edge.number}")
         keyword = "elif"
     lines.append("    else:")
     lines.append(

@@ -1,38 +1,60 @@
-"""Control-flow flattening: emit an instrumented procedure as Python source.
+"""Emit an instrumented procedure as Python source, with structured resume.
 
-The paper's restore code jumps with ``goto Li`` into loop bodies.  The
-flattener provides that power in Python: each procedure becomes a
-dispatch loop over an explicit program counter ``_mh_pc``::
+The paper's restore code jumps with ``goto Li`` into loop bodies.  Python
+has no goto, so each instrumented procedure keeps its own ``if``/``while``
+structure and steers by a resume value ``_mh_r`` instead: the restore
+block (Figure 8) sets it to the captured edge number, and it is 0 in
+normal execution.  On the way to that edge's label
+
+- a label-free run of statements that comes before a label in its block
+  runs only under ``if not _mh_r:``;
+- a loop holding the label is entered whatever its test says
+  (``_mh_r == k or not _mh_r and <test>``; ``_mh_r or <test>`` where no
+  label follows it in its block), and so is the branch of an ``if`` that
+  holds it;
+- a call edge's label repeats the call with dummy arguments and clears
+  ``_mh_r``; a reconfiguration point's label clears it.
+
+The paper's Figure 4 ``compute`` comes out as::
 
     def compute(num: int, n: int, rp: Ref):
         temper = None
-        _mh_pc = 0
-        _mh_redo = False
+        _mh_r = 0
         if mh.restoring:
             _mh_vals = mh.restore('compute')
+            mh.expect_frame_fmt('lllaa', 'compute')
             num = _mh_vals[1]
             ...
-        while True:
-            if _mh_pc == 0:
-                ...
-            elif _mh_pc == 3:   # call block, edge (3, S3)
-                if _mh_redo:
-                    _mh_redo = False
-                    compute(num, 0, rp)      # dummies substituted
-                else:
-                    compute(num, n - 1, rp)
-                _mh_pc = 4
-                continue
-            elif _mh_pc == 4:   # capture block for edge 3
-                if mh.capturestack:
-                    mh.capture('compute', 'lllF', 3, num, n, rp.get())
-                    return None
+            if _mh_vals[0] == 3:
+                _mh_r = 3
+            elif _mh_vals[0] == 4:
+                mh.end_restore()
+                _mh_r = 4
+            else:
+                mh.bad_restore_location(_mh_vals[0], 'compute')
+        if not _mh_r:
+            temper = None
+            if n <= 0:
+                rp.set(0.0)
+                return
+        if _mh_r == 3:                   # label of edge (3, S21)
+            _mh_r = 0
+            compute(num, 0, rp)          # dummies substituted
+        elif not _mh_r:
+            compute(num, n - 1, rp)
+        if mh.capturestack:              # capture block for edge 3
+            mh.capture('compute', 'lllaa', 3, num, n, rp.get(), temper)
+            return None
+        if _mh_r:                        # label R, the last in its block
+            _mh_r = 0
+        else:
+            if mh.reconfig:
                 ...
 
-Normal execution pays one integer comparison chain per block transition
-plus one flag test per capture block — the paper's "run-time cost is
-merely that of periodically testing the flags", with the dispatch
-overhead measured honestly in benchmark D1.
+Normal execution pays one test of ``_mh_r`` per guarded run, labelled
+statement and pass through a loop test that holds a label, plus one flag
+test per capture block — the paper's "run-time cost is merely that of
+periodically testing the flags", measured in benchmarks D1 and A3.
 """
 
 from __future__ import annotations
@@ -46,9 +68,8 @@ from repro.core.capture_blocks import (
     reconfig_capture_lines,
     restore_block_lines,
 )
-from repro.core.cfg import Block, CondGoto, FunctionCFG, Goto, ReturnTerm
 from repro.core.dummy_args import substitute_dummy_args
-from repro.core.recongraph import ReconfigurationGraph
+from repro.core.recongraph import ReconEdge, ReconfigurationGraph
 from repro.core.varinfo import FrameLayout
 from repro.errors import FlattenError
 
@@ -76,28 +97,6 @@ class FlattenOptions:
         return self.keep_per_edge.get(edge_number)
 
 
-class _Emitter:
-    """Indentation-aware line buffer."""
-
-    def __init__(self) -> None:
-        self.lines: List[str] = []
-        self.level = 0
-
-    def emit(self, line: str = "") -> None:
-        self.lines.append(f"{INDENT * self.level}{line}" if line else "")
-
-    def emit_lines(self, lines: List[str]) -> None:
-        for line in lines:
-            self.emit(line)
-
-    def source(self) -> str:
-        return "\n".join(self.lines) + "\n"
-
-
-def _unparse_stmt(stmt: ast.stmt) -> List[str]:
-    return ast.unparse(stmt).split("\n")
-
-
 def _signature(fn: ast.FunctionDef) -> str:
     args = ast.unparse(fn.args)
     return f"def {fn.name}({args}):"
@@ -114,86 +113,188 @@ def _docstring(fn: ast.FunctionDef) -> Optional[str]:
     return None
 
 
-def _redo_stmt(block: Block, functions: Dict[str, ast.FunctionDef]) -> ast.stmt:
+def _redo_stmt(stmt: ast.stmt, functions: Dict[str, ast.FunctionDef]) -> ast.stmt:
     """The call statement re-executed during restoration, dummies applied."""
-    stmt = block.stmts[0]
-    call: Optional[ast.Call] = None
-    if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
-        call = stmt.value
-    elif isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Call):
-        call = stmt.value
-    if call is None:  # pragma: no cover - guaranteed by validation
-        raise FlattenError("call block does not contain a call statement")
+    call = stmt.value if isinstance(stmt, (ast.Expr, ast.Assign)) else None
+    if not isinstance(call, ast.Call):  # pragma: no cover - guaranteed by validation
+        raise FlattenError("call edge does not label a call statement")
     callee_name = call.func.id if isinstance(call.func, ast.Name) else None
     callee = functions.get(callee_name) if callee_name else None
     new_call = substitute_dummy_args(call, callee)
     if isinstance(stmt, ast.Expr):
         redo: ast.stmt = ast.Expr(value=new_call)
     else:
-        assign = stmt
-        redo = ast.Assign(targets=[assign.targets[0]], value=new_call)
+        redo = ast.Assign(targets=[stmt.targets[0]], value=new_call)
     ast.copy_location(redo, stmt)
     return ast.fix_missing_locations(redo)
 
 
+def _resume_test(
+    labels: List[int], test: Optional[ast.expr] = None, only: bool = False
+) -> str:
+    """True while resuming to one of ``labels`` or, in normal execution,
+    when ``test`` holds: ``_mh_r == k or not _mh_r and <test>``.
+
+    ``only``: a set ``_mh_r`` can be nothing but one of ``labels`` here,
+    so the test shrinks to ``_mh_r or <test>``.
+    """
+    if only and test is not None:
+        return ast.unparse(ast.BoolOp(ast.Or(), [ast.Name("_mh_r"), test]))
+    normal: ast.expr = ast.UnaryOp(ast.Not(), ast.Name("_mh_r"))
+    if test is not None:
+        normal = ast.BoolOp(ast.And(), [normal, test])
+    if not labels:
+        return ast.unparse(normal)
+    if len(labels) == 1:
+        resume: ast.expr = ast.Compare(
+            ast.Name("_mh_r"), [ast.Eq()], [ast.Constant(labels[0])]
+        )
+    else:
+        resume = ast.Compare(
+            ast.Name("_mh_r"),
+            [ast.In()],
+            [ast.Tuple([ast.Constant(k) for k in labels])],
+        )
+    return ast.unparse(ast.BoolOp(ast.Or(), [resume, normal]))
+
+
+class _Emitter:
+    """Writes one procedure's statements with their labels and guards."""
+
+    def __init__(
+        self,
+        layout: FrameLayout,
+        edges: List[ReconEdge],
+        functions: Dict[str, ast.FunctionDef],
+        is_main: bool,
+        options: FlattenOptions,
+    ) -> None:
+        self.layout = layout
+        self.functions = functions
+        self.is_main = is_main
+        self.options = options
+        self.edge_at = {id(edge.stmt): edge for edge in edges}
+        self.lines: List[str] = []
+        self.level = 0
+
+    def emit(self, *lines: str) -> None:
+        self.lines.extend(f"{INDENT * self.level}{line}" for line in lines)
+
+    def nested(self, header: str, lines: List[str]) -> None:
+        self.emit(header)
+        self.emit(*(INDENT + line for line in lines))
+
+    def labels(self, stmts: List[ast.stmt]) -> List[int]:
+        """Edge numbers of the labels ``stmts`` hold, themselves included."""
+        return sorted(
+            self.edge_at[id(node)].number
+            for stmt in stmts
+            for node in ast.walk(stmt)
+            if id(node) in self.edge_at
+        )
+
+    def block(self, stmts: List[ast.stmt]) -> None:
+        held = [self.labels([stmt]) for stmt in stmts]
+        guarded: List[ast.stmt] = []
+        for index, stmt in enumerate(stmts):
+            later = any(held[index + 1 :])
+            if not held[index]:
+                if later:
+                    guarded.append(stmt)
+                else:
+                    self.emit(*ast.unparse(stmt).split("\n"))
+                continue
+            if guarded:
+                self.indented("if not _mh_r:", guarded)
+                guarded = []
+            self.labelled(stmt, held[index], later)
+
+    def indented(self, header: str, stmts: List[ast.stmt]) -> None:
+        self.emit(header)
+        self.level += 1
+        self.block(stmts)
+        self.level -= 1
+
+    def labelled(self, stmt: ast.stmt, labels: List[int], later: bool) -> None:
+        """``later``: a label follows ``stmt`` in its block, so ``_mh_r``
+        may be on its way past ``stmt`` rather than into it."""
+        edge = self.edge_at.get(id(stmt))
+        if edge is not None:
+            # With nothing labelled after it, a set _mh_r can only be bound
+            # for this label.
+            here = f"if _mh_r == {edge.number}:" if later else "if _mh_r:"
+            otherwise = "elif not _mh_r:" if later else "else:"
+            keep = self.options.keep_for(edge.number)
+            if edge.kind == "reconfig":
+                self.nested(here, ["_mh_r = 0"])
+                self.nested(
+                    otherwise,
+                    reconfig_capture_lines(self.layout, edge, self.is_main, keep),
+                )
+                return
+            # The ablation repeats the original call verbatim — the unsafe
+            # behaviour Section 3 warns about.
+            redo = (
+                _redo_stmt(stmt, self.functions)
+                if self.options.substitute_dummies
+                else stmt
+            )
+            self.nested(here, ["_mh_r = 0", *ast.unparse(redo).split("\n")])
+            self.nested(otherwise, ast.unparse(stmt).split("\n"))
+            # While _mh_r passes by, no capture is under way: mh.capturestack
+            # is only raised by a reconfiguration capture block, and those
+            # stay shut until restoration has ended.
+            self.emit(*call_capture_lines(self.layout, edge, self.is_main, keep))
+            return
+        if isinstance(stmt, ast.While):
+            test = _resume_test(labels, stmt.test, only=not later)
+            self.indented(f"while {test}:", stmt.body)
+            return
+        assert isinstance(stmt, ast.If), stmt  # all else was desugared or refused
+        else_labels = self.labels(stmt.orelse)
+        only = not later and not else_labels
+        test = _resume_test(self.labels(stmt.body), stmt.test, only)
+        self.indented(f"if {test}:", stmt.body)
+        if stmt.orelse:
+            header = f"elif {_resume_test(else_labels)}:" if later else "else:"
+            self.indented(header, stmt.orelse)
+
+
 def flatten_function(
     fn: ast.FunctionDef,
-    cfg: FunctionCFG,
     layout: FrameLayout,
     recon: ReconfigurationGraph,
     functions: Dict[str, ast.FunctionDef],
     is_main: bool,
     options: Optional[FlattenOptions] = None,
 ) -> str:
-    """Emit the reconfigurable (flattened + instrumented) source of ``fn``."""
+    """Emit the reconfigurable (instrumented, resumable) source of ``fn``."""
     options = options or FlattenOptions()
-    out = _Emitter()
+    edges = recon.edges_from(fn.name)
+    out = _Emitter(layout, edges, functions, is_main, options)
     out.emit(_signature(fn))
     out.level += 1
 
+    body = fn.body
     doc = _docstring(fn)
     if doc is not None:
         out.emit(f"{doc!r}")
+        body = body[1:]
 
     # -- locals pre-initialisation (uninitialised slots are NULL) --
-    locals_ = layout.local_names()
-    for name in locals_:
-        out.emit(f"{name} = None")
-    out.emit(f"_mh_pc = {cfg.entry}")
-    out.emit("_mh_redo = False")
+    out.emit(*(f"{name} = None" for name in layout.local_names()))
+    out.emit("_mh_r = 0")
 
     # -- restore block (Figure 8) --
-    edges = recon.edges_from(fn.name)
     if edges:
-        out.emit_lines(
-            restore_block_lines(
-                layout,
-                edges,
-                cfg.call_block_for_edge,
-                cfg.resume_block_for_edge,
-                is_main,
-                keep_per_edge=options.keep_per_edge,
+        out.emit(
+            *restore_block_lines(
+                layout, edges, is_main, keep_per_edge=options.keep_per_edge
             )
         )
 
-    # -- dispatch loop --
-    out.emit("while True:")
-    out.level += 1
-    keyword = "if"
-    for block_id in cfg.block_ids():
-        block = cfg.blocks[block_id]
-        out.emit(f"{keyword} _mh_pc == {block_id}:")
-        keyword = "elif"
-        out.level += 1
-        _emit_block(out, block, cfg, layout, recon, functions, is_main, options)
-        out.level -= 1
-    out.emit("else:")
-    out.level += 1
-    out.emit(f"mh.bad_pc(_mh_pc, '{fn.name}')")
-    out.level -= 2
-    out.level -= 1
-
-    return out.source()
+    out.block(body)
+    return "\n".join(out.lines) + "\n"
 
 
 def check_flattened(name: str, source: str) -> None:
@@ -201,7 +302,7 @@ def check_flattened(name: str, source: str) -> None:
 
     Only the failure path of :func:`repro.core.transformer.prepare_module`
     calls this: the assembled module is compiled once, and when that
-    raises, each flattened procedure is compiled on its own to name the
+    raises, each emitted procedure is compiled on its own to name the
     culprit.
     """
     try:
@@ -210,83 +311,3 @@ def check_flattened(name: str, source: str) -> None:
         raise FlattenError(
             f"flattener produced invalid source for {name!r}: {exc}\n{source}"
         ) from exc
-
-
-def _emit_block(
-    out: _Emitter,
-    block: Block,
-    cfg: FunctionCFG,
-    layout: FrameLayout,
-    recon: ReconfigurationGraph,
-    functions: Dict[str, ast.FunctionDef],
-    is_main: bool,
-    options: FlattenOptions,
-) -> None:
-    term = block.terminator
-    if block.kind == "call":
-        assert block.edge is not None and isinstance(term, Goto)
-        out.emit("if _mh_redo:")
-        out.level += 1
-        out.emit("_mh_redo = False")
-        if options.substitute_dummies:
-            out.emit_lines(_unparse_stmt(_redo_stmt(block, functions)))
-        else:
-            # Ablation: repeat the original call verbatim — the unsafe
-            # behaviour Section 3 warns about.
-            out.emit_lines(_unparse_stmt(block.stmts[0]))
-        out.level -= 1
-        out.emit("else:")
-        out.level += 1
-        out.emit_lines(_unparse_stmt(block.stmts[0]))
-        out.level -= 1
-        out.emit(f"_mh_pc = {term.target}")
-        out.emit("continue")
-        return
-    if block.kind == "capture":
-        assert block.edge is not None and isinstance(term, Goto)
-        out.emit_lines(
-            call_capture_lines(
-                layout,
-                block.edge,
-                is_main,
-                term.target,
-                keep=options.keep_for(block.edge.number),
-            )
-        )
-        return
-    if block.kind == "reconfig_capture":
-        assert block.edge is not None and isinstance(term, Goto)
-        out.emit_lines(
-            reconfig_capture_lines(
-                layout,
-                block.edge,
-                is_main,
-                term.target,
-                keep=options.keep_for(block.edge.number),
-            )
-        )
-        return
-
-    # plain block
-    for stmt in block.stmts:
-        out.emit_lines(_unparse_stmt(stmt))
-    if isinstance(term, Goto):
-        out.emit(f"_mh_pc = {term.target}")
-        out.emit("continue")
-    elif isinstance(term, CondGoto):
-        out.emit(f"if {ast.unparse(term.test)}:")
-        out.level += 1
-        out.emit(f"_mh_pc = {term.then_target}")
-        out.level -= 1
-        out.emit("else:")
-        out.level += 1
-        out.emit(f"_mh_pc = {term.else_target}")
-        out.level -= 1
-        out.emit("continue")
-    elif isinstance(term, ReturnTerm):
-        if term.value is not None:
-            out.emit(f"return {ast.unparse(term.value)}")
-        else:
-            out.emit("return None")
-    else:  # pragma: no cover - cfg.check() rules this out
-        raise FlattenError(f"block {block.id} has no terminator")

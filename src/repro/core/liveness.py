@@ -3,21 +3,21 @@
 Paper Section 3: "At a reconfiguration point, data-flow analysis could be
 used to determine the set of live variables."  The paper leaves this as
 future work (the programmer lists the variables); we implement the
-analysis as an advisory pass: a classic backward may-liveness fixpoint
-over the per-procedure CFG, reporting which captured frame variables are
-actually dead at each capture edge.  The transformer still captures the
-full frame (conservative and version-stable), but the report lets a
-module author — or the CAPTURE-PRUNING extension in ``transformer`` —
-shrink the abstract state.
+analysis as an advisory pass: a backward may-liveness pass over the
+procedure's own (desugared) statements, iterating each loop to its
+fixpoint, reporting which captured frame variables are actually dead at
+each capture edge.  The transformer still captures the full frame
+(conservative and version-stable), but the report lets a module author
+— or the CAPTURE-PRUNING extension in ``transformer`` — shrink the
+abstract state.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.cfg import Block, CondGoto, FunctionCFG, Goto, ReturnTerm
 from repro.core.recongraph import ReconfigurationGraph
 from repro.core.varinfo import FrameLayout
 
@@ -42,26 +42,14 @@ def _uses_defs_of_stmt(stmt: ast.stmt) -> Tuple[Set[str], Set[str]]:
     return uses, defs
 
 
-def _block_gen_kill(block: Block) -> Tuple[Set[str], Set[str]]:
-    """use/def sets of a block, respecting statement order."""
-    gen: Set[str] = set()
-    kill: Set[str] = set()
-    for stmt in block.stmts:
-        uses, defs = _uses_defs_of_stmt(stmt)
-        gen |= uses - kill
-        kill |= defs
-    term = block.terminator
-    if isinstance(term, CondGoto):
-        for node in ast.walk(term.test):
-            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                if node.id not in kill:
-                    gen.add(node.id)
-    elif isinstance(term, ReturnTerm) and term.value is not None:
-        for node in ast.walk(term.value):
-            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                if node.id not in kill:
-                    gen.add(node.id)
-    return gen, kill
+def _reads(expr: Optional[ast.expr]) -> Set[str]:
+    if expr is None:
+        return set()
+    return {
+        node.id
+        for node in ast.walk(expr)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
 
 
 @dataclass
@@ -91,8 +79,6 @@ class LivenessReport:
     """Per-procedure liveness at every capture edge."""
 
     procedure: str
-    live_in: Dict[int, Set[str]] = field(default_factory=dict)
-    live_out: Dict[int, Set[str]] = field(default_factory=dict)
     edges: List[EdgeLiveness] = field(default_factory=list)
 
     def edge(self, number: int) -> EdgeLiveness:
@@ -105,59 +91,87 @@ class LivenessReport:
         return sum(len(e.dead_captured) for e in self.edges)
 
 
+class _Pass:
+    """One backward pass over a procedure's statements.
+
+    ``after`` is the set live after the statements; the result is the
+    set live before them.  A loop iterates to a fixpoint, ``break`` takes
+    the loop's live-out set, ``continue`` its head set, and ``return``
+    kills everything after it.  At each edge it records what is live
+    there; inside a loop the last iteration, run on the fixpoint, writes
+    last.
+    """
+
+    def __init__(self, recon: ReconfigurationGraph, procedure: str) -> None:
+        self.edge_at = {id(edge.stmt): edge for edge in recon.edges_from(procedure)}
+        #: edge number -> (live after the edge, live at its label)
+        self.at_edge: Dict[int, Tuple[Set[str], Set[str]]] = {}
+
+    def stmts(
+        self,
+        stmts: List[ast.stmt],
+        after: Set[str],
+        loop: Optional[Tuple[Set[str], Set[str]]],
+    ) -> Set[str]:
+        live = after
+        for stmt in reversed(stmts):
+            live = self.stmt(stmt, live, loop)
+        return live
+
+    def stmt(
+        self,
+        stmt: ast.stmt,
+        after: Set[str],
+        loop: Optional[Tuple[Set[str], Set[str]]],
+    ) -> Set[str]:
+        edge = self.edge_at.get(id(stmt))
+        if edge is not None and edge.kind == "reconfig":
+            self.at_edge[edge.number] = (after, after)
+            return after
+        if isinstance(stmt, ast.If):
+            return (
+                _reads(stmt.test)
+                | self.stmts(stmt.body, after, loop)
+                | self.stmts(stmt.orelse, after, loop)
+            )
+        if isinstance(stmt, ast.While):
+            head = _reads(stmt.test) | after
+            while True:
+                new_head = head | self.stmts(stmt.body, head, (after, head))
+                if new_head == head:
+                    return head
+                head = new_head
+        if isinstance(stmt, ast.Return):
+            return _reads(stmt.value)
+        # Validation keeps break and continue inside a loop.
+        if isinstance(stmt, ast.Break):
+            return loop[0]  # type: ignore[index]
+        if isinstance(stmt, ast.Continue):
+            return loop[1]  # type: ignore[index]
+        uses, defs = _uses_defs_of_stmt(stmt)
+        live = uses | (after - defs)
+        if edge is not None:
+            # A call edge's label re-executes the call: what it reads is
+            # captured too, and its own assignment target is not.
+            self.at_edge[edge.number] = (after, live)
+        return live
+
+
 def analyze_liveness(
-    cfg: FunctionCFG, layout: FrameLayout, recon: ReconfigurationGraph
+    fn: ast.FunctionDef, layout: FrameLayout, recon: ReconfigurationGraph
 ) -> LivenessReport:
-    """Backward may-liveness fixpoint over one procedure's CFG."""
+    """Backward may-liveness over one (desugared) procedure's statements."""
     frame_names = set(layout.names())
-    gen: Dict[int, Set[str]] = {}
-    kill: Dict[int, Set[str]] = {}
-    for block_id, block in cfg.blocks.items():
-        g, k = _block_gen_kill(block)
-        gen[block_id] = g & frame_names
-        kill[block_id] = k & frame_names
-
-    live_in: Dict[int, Set[str]] = {b: set() for b in cfg.blocks}
-    live_out: Dict[int, Set[str]] = {b: set() for b in cfg.blocks}
-    changed = True
-    while changed:
-        changed = False
-        for block_id in cfg.blocks:
-            out: Set[str] = set()
-            for succ in cfg.successors(block_id):
-                out |= live_in[succ]
-            new_in = gen[block_id] | (out - kill[block_id])
-            if out != live_out[block_id] or new_in != live_in[block_id]:
-                live_out[block_id] = out
-                live_in[block_id] = new_in
-                changed = True
-
-    report = LivenessReport(
-        procedure=cfg.procedure, live_in=live_in, live_out=live_out
-    )
-    for edge in recon.edges_from(cfg.procedure):
-        if edge.kind == "reconfig":
-            # Live at the resume label (what the continuation reads).
-            resume = cfg.resume_block_for_edge[edge.number]
-            live = set(live_in[resume])
-            capture_set = set(live)
-        else:
-            # Live after the call returns: the capture block's successor.
-            # (The call's own arguments were already consumed.)
-            call_block = cfg.call_block_for_edge[edge.number]
-            capture_block = cfg.successors(call_block)[0]
-            after = cfg.successors(capture_block)[0]
-            live = set(live_in[after])
-            # The pruned capture is live_in at the call block itself: it
-            # carries what the re-executed call reads plus what the
-            # continuation reads, and correctly excludes the call's own
-            # assignment target (the redo call recomputes it).
-            capture_set = set(live_in[call_block])
+    walk = _Pass(recon, fn.name)
+    walk.stmts(fn.body, set(), None)
+    report = LivenessReport(procedure=fn.name)
+    for edge in recon.edges_from(fn.name):
+        live, capture_set = walk.at_edge[edge.number]
         report.edges.append(
             EdgeLiveness(
                 edge_number=edge.number,
                 kind=edge.kind,
-                live=live,
+                live=live & frame_names,
                 captured=frame_names,
                 capture_set=capture_set & frame_names,
             )

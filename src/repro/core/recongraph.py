@@ -64,6 +64,13 @@ class ReconEdge:
             return f"({self.number}, {self.point.label})"  # type: ignore[union-attr]
         return f"({self.number}, S{self.lineno})"
 
+    @property
+    def stmt(self) -> ast.stmt:
+        """The statement the edge labels: its call, or its point's marker."""
+        if self.call_site is not None:
+            return self.call_site.stmt
+        return self.point.stmt  # type: ignore[union-attr]
+
 
 @dataclass
 class ReconfigurationGraph:
@@ -96,18 +103,6 @@ class ReconfigurationGraph:
             if edge.number == number:
                 return edge
         raise ReconfigGraphError(f"no reconfiguration edge numbered {number}")
-
-    def edge_for_call_stmt(self, stmt: ast.stmt) -> Optional[ReconEdge]:
-        for edge in self.edges:
-            if edge.call_site is not None and edge.call_site.stmt is stmt:
-                return edge
-        return None
-
-    def edge_for_point_stmt(self, stmt: ast.stmt) -> Optional[ReconEdge]:
-        for edge in self.edges:
-            if edge.point is not None and edge.point.stmt is stmt:
-                return edge
-        return None
 
     def point_labels(self) -> List[str]:
         return [p.label for p in self.points]

@@ -6,7 +6,7 @@ reconfiguration points and returns a :class:`TransformResult` whose
 Figure 3 (original compute module) into Figure 4 (prepared compute
 module).  Procedures not on the reconfiguration graph pass through
 byte-for-byte semantics-preserving (re-unparsed); the rest are validated,
-desugared, lowered to a CFG and flattened with capture/restore blocks.
+desugared and emitted with capture/restore blocks and resume guards.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from types import CodeType
 from typing import Dict, List, Optional
 
 from repro.core.callgraph import MAIN, StaticCallGraph, build_call_graph
-from repro.core.cfg import CFGBuilder, FunctionCFG
 from repro.core.desugar import desugar_for_range
 from repro.core.flatten import FlattenOptions, check_flattened, flatten_function
 from repro.core.liveness import LivenessReport, analyze_liveness
@@ -47,7 +46,6 @@ class FunctionReport:
     """Per-procedure transformation statistics (used by tests and benches)."""
 
     procedure: str
-    block_count: int
     call_capture_blocks: int
     reconfig_capture_blocks: int
     has_restore_block: bool
@@ -65,7 +63,6 @@ class TransformResult:
     call_graph: StaticCallGraph
     recon_graph: Optional[ReconfigurationGraph]
     layouts: Dict[str, FrameLayout] = field(default_factory=dict)
-    cfgs: Dict[str, FunctionCFG] = field(default_factory=dict)
     reports: Dict[str, FunctionReport] = field(default_factory=dict)
     liveness: Dict[str, LivenessReport] = field(default_factory=dict)
     #: ``source`` compiled under :func:`module_filename`; ``None`` for an
@@ -87,7 +84,7 @@ class TransformResult:
         lines = [f"module {self.module_name!r}:", self.recon_graph.describe()]
         for report in self.reports.values():
             lines.append(
-                f"  {report.procedure}: {report.block_count} blocks, "
+                f"  {report.procedure}: "
                 f"{report.call_capture_blocks} call capture block(s), "
                 f"{report.reconfig_capture_blocks} reconfiguration capture "
                 f"block(s), fmt={report.fmt!r}"
@@ -188,13 +185,12 @@ def prepare_module(
         recon_graph=recon,
     )
 
-    # Pass 3: lower and flatten each instrumented procedure.
-    flattened: Dict[str, str] = {}
+    # Pass 3: emit each instrumented procedure.
+    emitted: Dict[str, str] = {}
     for name in recon.procedures():
         fn = call_graph.functions[name]
         layout = analyze_frame(fn)
-        cfg = CFGBuilder(fn, recon).build()
-        liveness = analyze_liveness(cfg, layout, recon)
+        liveness = analyze_liveness(fn, layout, recon)
         keep_per_edge = None
         if prune_dead_captures:
             keep_per_edge = {
@@ -207,27 +203,21 @@ def prepare_module(
         )
         text = flatten_function(
             fn,
-            cfg,
             layout,
             recon,
             call_graph.functions,
             is_main=(name == entry),
             options=options,
         )
-        flattened[name] = text
+        emitted[name] = text
         result.layouts[name] = layout
-        result.cfgs[name] = cfg
         result.liveness[name] = liveness
+        edges = recon.edges_from(name)
         result.reports[name] = FunctionReport(
             procedure=name,
-            block_count=len(cfg.blocks),
-            call_capture_blocks=sum(
-                1 for b in cfg.blocks.values() if b.kind == "capture"
-            ),
-            reconfig_capture_blocks=sum(
-                1 for b in cfg.blocks.values() if b.kind == "reconfig_capture"
-            ),
-            has_restore_block=bool(recon.edges_from(name)),
+            call_capture_blocks=sum(1 for e in edges if e.kind == "call"),
+            reconfig_capture_blocks=sum(1 for e in edges if e.kind == "reconfig"),
+            has_restore_block=bool(edges),
             fmt=layout.fmt,
             variables=layout.names(),
         )
@@ -239,8 +229,8 @@ def prepare_module(
         pieces.append(f"#   {line}")
     pieces.append("")
     for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and node.name in flattened:
-            pieces.append(flattened[node.name])
+        if isinstance(node, ast.FunctionDef) and node.name in emitted:
+            pieces.append(emitted[node.name])
         else:
             pieces.append(ast.unparse(node))
         pieces.append("")
@@ -251,7 +241,7 @@ def prepare_module(
     try:
         result.code = compile(output, module_filename(module_name), "exec")
     except SyntaxError as exc:
-        for name, text in flattened.items():
+        for name, text in emitted.items():
             check_flattened(name, text)
         raise TransformError(
             f"assembled reconfigurable module does not compile: {exc}"

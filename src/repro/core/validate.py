@@ -18,6 +18,9 @@ points at the offending line):
   either ``f(...)`` or ``x = f(...)`` — with positional arguments
 - loop ``else`` clauses are rejected (their resume semantics under
   restoration are ambiguous)
+- ``break``/``continue`` must sit inside a loop (``ast.parse`` accepts a
+  stray one; only the compiler would refuse it, without naming the
+  procedure's source line)
 """
 
 from __future__ import annotations
@@ -110,9 +113,12 @@ class _InstrumentedChecker(ast.NodeVisitor):
     def check_body(self) -> None:
         self.check_signature()
         for stmt in self.fn.body:
-            self._check_stmt(stmt)
+            self._check_stmt(stmt, in_loop=False)
 
-    def _check_stmt(self, stmt: ast.stmt) -> None:
+    def _check_stmt(self, stmt: ast.stmt, in_loop: bool) -> None:
+        if isinstance(stmt, (ast.Break, ast.Continue)) and not in_loop:
+            keyword = "break" if isinstance(stmt, ast.Break) else "continue"
+            self.report(f"{keyword} outside loop", stmt)
         for banned, why in _BANNED_STMTS.items():
             if isinstance(stmt, banned):
                 self.report(why, stmt)
@@ -137,9 +143,10 @@ class _InstrumentedChecker(ast.NodeVisitor):
         self._check_expressions(stmt)
 
         # Recurse into structured bodies.
+        in_loop = in_loop or isinstance(stmt, (ast.While, ast.For))
         for attr in ("body", "orelse"):
             for child in getattr(stmt, attr, []) or []:
-                self._check_stmt(child)
+                self._check_stmt(child, in_loop)
 
     def _check_instrumented_calls(self, stmt: ast.stmt) -> None:
         """Calls into the reconfiguration graph must be whole statements."""

@@ -83,7 +83,7 @@ class ReconfigGraphError(TransformError):
 
 
 class FlattenError(TransformError):
-    """Control-flow flattening failed for a function body."""
+    """Emitting an instrumented procedure produced invalid source."""
 
 
 # ---------------------------------------------------------------------------

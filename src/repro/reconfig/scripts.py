@@ -72,10 +72,15 @@ def upgrade_module(
     """Replace a module with a *new version* (software maintenance).
 
     The new source must preserve the old version's reconfiguration graph
-    shape at the captured locations (same procedures on main-to-point
-    paths, same frame variables); a mismatch is detected at restore time
-    and reported, leaving the clone failed and diagnosable rather than
-    silently corrupt.
+    shape at the captured locations: the same procedures on main-to-point
+    paths, with the same edge numbers and frame layouts.  Restore checks
+    what the packet carries — each frame's procedure name, its format
+    letters (``mh.expect_frame_fmt``), its resume location (an edge of
+    that procedure) and the frame count (no frame left when restoration
+    ends) — and a mismatch fails the clone with a ``RestoreError`` before
+    it resumes normal execution.  Variable *names* are not compared: a
+    renamed local, or two locals of one format letter in swapped order,
+    takes the captured value by its position in the frame.
     """
     old = obj_cap(bus, instance)
     spec = old.spec.with_attributes()

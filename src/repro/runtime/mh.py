@@ -488,13 +488,6 @@ class MH:
             return Ref(packed[0])
         raise RestoreError(f"malformed packed Ref value {packed!r}")
 
-    def bad_pc(self, pc: object, procedure: str) -> None:
-        """Dispatch-loop fell off the block table: a transformer bug."""
-        raise RuntimeStateError(
-            f"{self.module}.{procedure}: invalid program counter {pc!r} in "
-            f"flattened dispatch loop"
-        )
-
     def bad_restore_location(self, location: object, procedure: str) -> None:
         """Captured location has no edge at this node: version mismatch."""
         raise RestoreError(

@@ -208,8 +208,8 @@ class ProcessState:
         (procedure, location, format) is written once per run of frames
         that repeat it — the idle frames of a recursion — and its bytes
         are appended again for the rest of the run, which shares one plan
-        lookup; a location that is not an ``int`` (or is a ``bool``) is
-        refused there.  A ``None`` value is the ``n`` tag under every
+        lookup; a location that is not an ``int`` (or is a ``bool``), or
+        that ``machine``'s long cannot hold, is refused there.  A ``None`` value is the ``n`` tag under every
         compiled encoder, so a NULL slot is written here without a call.
         """
         checks = None if machine is None else _checks_of(machine)
@@ -236,6 +236,8 @@ class ProcessState:
                 procedure, location, fmt = key
                 if not isinstance(location, int) or isinstance(location, bool):
                     raise EncodingError(f"format 'l' requires int, got {location!r}")
+                if checks is not None:
+                    checks[1](location)  # the machine's long range
                 _append_str(buf, procedure)
                 buf.append(0x6C)  # 'l'
                 _append_varint(
@@ -280,7 +282,7 @@ class ProcessState:
         A frame whose header bytes repeat the previous frame's byte for
         byte (``startswith`` at the frame's offset) reuses that header's
         decoded fields and arity; any other header is decoded and checked
-        afresh.  A frame's NULL slots, and its longs and ints whose varint
+        afresh, its location against the target's long range.  A frame's NULL slots, and its longs and ints whose varint
         takes one or two bytes, are read in place, each long or int through
         the target's machine check; every other value goes through
         :func:`_read_checked`.
@@ -312,7 +314,7 @@ class ProcessState:
                 else:
                     start = pos
                     procedure, pos = _read_checked(data, pos, end, None)
-                    location, pos = _read_checked(data, pos, end, None)
+                    location, pos = _read_checked(data, pos, end, checks)
                     fmt, pos = _read_checked(data, pos, end, None)
                     if not isinstance(procedure, str) or not isinstance(fmt, str):
                         raise DecodingError("corrupt activation record header")

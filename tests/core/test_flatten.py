@@ -6,6 +6,8 @@ program plus dormant blocks), and must capture/restore correctly when one
 is.
 """
 
+import re
+
 import pytest
 
 from repro.core import prepare_module
@@ -356,11 +358,14 @@ def test_capture_restore_roundtrip_at_point(name, source, queues, expected):
 
 
 class TestFlattenedSourceShape:
-    def test_dispatch_loop_present(self):
+    def test_no_dispatch_loop(self):
+        # The procedure keeps its own structure: no loop the source did
+        # not have, and no generated name but the restored values and
+        # the resume value (no program counter).
         source = CORPUS[0][1]
         text = prepare_module(source, "m").source
-        assert "_mh_pc" in text
-        assert "while True:" in text
+        assert "while" not in text
+        assert set(re.findall(r"_mh_\w+", text)) == {"_mh_vals", "_mh_r"}
 
     def test_docstring_preserved(self):
         source = CORPUS[7][1]

@@ -3,7 +3,6 @@
 import ast
 
 from repro.core.callgraph import build_call_graph
-from repro.core.cfg import CFGBuilder
 from repro.core.liveness import analyze_liveness
 from repro.core.recongraph import build_reconfiguration_graph
 from repro.core.varinfo import analyze_frame
@@ -16,9 +15,8 @@ def liveness_for(source: str, name: str):
     call_graph = build_call_graph(tree)
     recon = build_reconfiguration_graph(call_graph)
     fn = call_graph.functions[name]
-    cfg = CFGBuilder(fn, recon).build()
     layout = analyze_frame(fn)
-    return analyze_liveness(cfg, layout, recon), recon
+    return analyze_liveness(fn, layout, recon), recon
 
 
 class TestLivenessAtPoints:
@@ -100,6 +98,57 @@ class TestLivenessAtCallEdges:
         report, recon = liveness_for(source, "main")
         edge = report.edge(recon.reconfig_edges()[0].number)
         assert "cell" in edge.live
+
+
+class TestLoopExitsAndReturn:
+    def test_break_takes_the_loops_live_out_set(self):
+        # y is read only after the loop, and the loop leaves only by break.
+        source = (
+            "def main():\n"
+            "    x = 0\n"
+            "    y = 7\n"
+            "    while True:\n"
+            "        mh.reconfig_point('R')\n"
+            "        x = x + 1\n"
+            "        if x > 3:\n"
+            "            break\n"
+            "        y = x\n"
+            "    mh.write('out', 'l', y)\n"
+        )
+        report, recon = liveness_for(source, "main")
+        assert report.edge(recon.reconfig_edges()[0].number).live == {"x", "y"}
+
+    def test_continue_takes_the_loops_head_set(self):
+        # Past the continue, x is rewritten before the loop reads it again;
+        # only the continue carries R's x to the read after the loop.
+        source = (
+            "def main():\n"
+            "    x = 0\n"
+            "    k = 0\n"
+            "    while k < 3:\n"
+            "        mh.reconfig_point('R')\n"
+            "        k = k + 1\n"
+            "        if k > 1:\n"
+            "            continue\n"
+            "        x = 5\n"
+            "    mh.write('out', 'l', x)\n"
+        )
+        report, recon = liveness_for(source, "main")
+        assert report.edge(recon.reconfig_edges()[0].number).live == {"x", "k"}
+
+    def test_return_kills_everything_after_it(self):
+        source = (
+            "def main():\n"
+            "    x = 1\n"
+            "    y = 2\n"
+            "    mh.reconfig_point('R')\n"
+            "    return x\n"
+            "    mh.write('out', 'l', y)\n"
+        )
+        report, recon = liveness_for(source, "main")
+        edge = report.edge(recon.reconfig_edges()[0].number)
+        assert edge.live == {"x"}
+        assert edge.dead_captured == {"y"}
 
 
 class TestReportShape:

@@ -133,9 +133,9 @@ class TestQueries:
     def test_edge_for_stmts(self):
         recon = recon_of(COMPUTE_SRC)
         call_edge = recon.edges[0]
-        assert recon.edge_for_call_stmt(call_edge.call_site.stmt) is call_edge
+        assert call_edge.stmt is call_edge.call_site.stmt
         point_edge = recon.edges[-1]
-        assert recon.edge_for_point_stmt(point_edge.point.stmt) is point_edge
+        assert point_edge.stmt is point_edge.point.stmt
 
     def test_describe_lists_edges(self):
         text = recon_of(COMPUTE_SRC).describe()

@@ -57,7 +57,8 @@ class TestReportCompleteness:
         result = prepare_module(FIGURE6_SRC, "sample")
         assert set(result.reports) == set(result.recon_graph.procedures())
         for name, report in result.reports.items():
-            assert report.block_count > 0
+            edges = result.recon_graph.edges_from(name)
+            assert report.call_capture_blocks + report.reconfig_capture_blocks == len(edges)
             assert report.fmt.startswith("l")
             assert result.layouts[name].names() == report.variables
 

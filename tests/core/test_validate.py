@@ -66,6 +66,27 @@ class TestBannedStatements:
         assert_rejected("while False:\n    pass\nelse:\n    pass", "else-clauses")
 
 
+class TestLoopExits:
+    # ast.parse accepts a stray break or continue (the *compiler* rejects
+    # it); validation must refuse it with a located diagnostic.
+    def test_break_outside_loop(self):
+        assert_rejected("x = 1\nif x:\n    break", "line 4: break outside loop")
+
+    def test_continue_outside_loop(self):
+        assert_rejected("continue", "line 2: continue outside loop")
+
+    def test_inside_a_loop_they_pass(self):
+        body = "for i in range(3):\n    if i:\n        continue\n    break"
+        assert diagnostics_for(body) == []
+
+    def test_prepare_module_refuses_with_the_line(self):
+        from repro.core import prepare_module
+
+        source = "def main():\n    break\n    mh.reconfig_point('R')\n"
+        with pytest.raises(UnsupportedConstructError, match="line 2: break outside loop"):
+            prepare_module(source, "m")
+
+
 class TestBannedExpressions:
     def test_lambda(self):
         assert_rejected("f = lambda x: x", "scopes invisible")

@@ -278,11 +278,6 @@ class TestRestoreProtocol:
         with pytest.raises(RestoreError, match="does not match any"):
             mh.bad_restore_location(99, "main")
 
-    def test_bad_pc(self):
-        mh = MH("m")
-        with pytest.raises(RuntimeStateError, match="program counter"):
-            mh.bad_pc(-1, "main")
-
 
 class TestRefPacking:
     def test_pack_none(self):

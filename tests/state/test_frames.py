@@ -413,6 +413,7 @@ class TestFrameRuns:
         packet = ProcessState(module="m", stack=StackState(records)).to_bytes()
         ProcessState.from_bytes(packet, target)
         assert seen == [
+            ("l", 2),  # the location, once for the run's one header
             ("l", 2), ("l", 1), ("i", -1),
             ("l", 2), ("l", 100), ("i", -100),
             ("l", 2), ("l", 8191), ("i", -8191),

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.bus.message import Message
-from repro.errors import DecodingError, EncodingError, FormatError
+from repro.errors import (
+    DecodingError,
+    EncodingError,
+    FormatError,
+    MachineCompatibilityError,
+)
 from repro.state.encoding import (
     _append_varint,
     decode_any,
@@ -12,7 +17,7 @@ from repro.state.encoding import (
     write_any,
 )
 from repro.state.frames import STATE_MAGIC, ActivationRecord, ProcessState, StackState
-from repro.state.machine import Endianness
+from repro.state.machine import MACHINES, Endianness
 
 from tests.state.reference_codec import (
     reference_state_from_bytes,
@@ -186,3 +191,36 @@ class TestFrameRunDefenses:
             with pytest.raises(EncodingError) as refused:
                 encode(state)
             assert str(refused.value) == refusal
+
+    @pytest.mark.parametrize("location", [2**40, -(2**40)], ids=["high", "low"])
+    def test_a_location_the_machine_cannot_hold_is_refused_like_the_reference(
+        self, location
+    ):
+        # A run of two frames: the location is checked where the run's
+        # header is written and where a new header is read.
+        records = [ActivationRecord("f", location, "l", [1])] * 2
+        state = ProcessState(module="m", stack=StackState(records))
+        vax = MACHINES["vax-like"]
+        refusals = []
+        for encode in (ProcessState.to_bytes, reference_state_to_bytes):
+            with pytest.raises(MachineCompatibilityError) as refused:
+                encode(state, vax)
+            refusals.append(str(refused.value))
+        assert refusals[0] == refusals[1]
+        assert "32-bit native long" in refusals[0]
+
+        packet = state.to_bytes()  # no machine: nothing to check against
+        refusals = []
+        for decode in (ProcessState.from_bytes, reference_state_from_bytes):
+            with pytest.raises(MachineCompatibilityError) as refused:
+                decode(packet, vax)
+            refusals.append(str(refused.value))
+        assert refusals[0] == refusals[1]
+        # A machine with a 64-bit long holds it, and both codecs agree.
+        sparc = MACHINES["sparc-like"]
+        assert state.to_bytes(sparc) == reference_state_to_bytes(state, sparc)
+        ours = ProcessState.from_bytes(packet, sparc).stack
+        theirs = reference_state_from_bytes(packet, sparc).stack
+        assert [(r.location, r.values) for r in ours] == [
+            (r.location, r.values) for r in theirs
+        ] == [(location, [1])] * 2

@@ -28,7 +28,6 @@ FORBIDDEN = [
     "repro.core.validate",
     "repro.core.desugar",
     "repro.core.varinfo",
-    "repro.core.cfg",
     "repro.core.flatten",
     "repro.core.liveness",
     "repro.core.capture_blocks",

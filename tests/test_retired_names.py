@@ -228,6 +228,23 @@ GUARDS = [
             "self._flush_batch = min(32, max(1, capacity // 8))",
         ),
     ),
+    # One form for a prepared procedure: its own if/while structure,
+    # steered on restore by the resume value _mh_r.  The basic-block
+    # graph, the program counter of the dispatch loop over its blocks,
+    # the redo flag of a call block and the fall-off-the-table check.
+    Guard(
+        "the basic-block dispatch loop",
+        r"_mh_pc|_mh_redo|bad_pc|CFGBuilder|FunctionCFG|core/cfg",
+        CODE,
+        (
+            "_mh_pc = 0",
+            "_mh_redo = True",
+            "mh.bad_pc(_mh_pc, 'main')",
+            "cfg = CFGBuilder(fn, recon).build()",
+            "cfgs: Dict[str, FunctionCFG]",
+            "block boundaries, `core/cfg.py`",
+        ),
+    ),
 ]
 
 
