@@ -13,8 +13,8 @@ ones:
     whatever accumulated, so a sparse sender sees one thread wakeup of
     added latency, while a busy sender's messages pile up naturally
     during the previous ``send`` and ship many-per-frame.  A single
-    flush is bounded by ``max_entries``/``max_bytes``.
-    Pending bytes are bounded by ``pending_hwm``: appenders *block* when
+    flush is bounded by :data:`MAX_ENTRIES`/:data:`MAX_BYTES`.
+    Pending bytes are bounded by :data:`PENDING_HWM`: appenders *block* when
     a slow receiver lets the backlog grow, so backpressure propagates to
     senders instead of OOMing the bus process.
 
@@ -46,7 +46,7 @@ interface, "")``; for ``write_batch`` (host -> bus tunneled writes) it is
 All integers are big-endian and length-prefixed, matching the TCP
 framing convention (docs/tcp-protocol.md).  The u16 indexes cap one
 blob at 65,535 distinct strings and wire groups — far above any flush
-cap (``BatchPolicy.max_entries``); :func:`pack_batch` raises rather
+cap (:data:`MAX_ENTRIES`); :func:`pack_batch` raises rather
 than silently truncating if a caller exceeds them.
 """
 
@@ -55,7 +55,6 @@ from __future__ import annotations
 import struct
 import threading
 from collections import deque
-from dataclasses import asdict, dataclass
 from typing import Callable, List, Optional, Tuple
 
 from repro.errors import InjectedFault, TransportError
@@ -157,21 +156,16 @@ def unpack_batch(
 
 
 # ---------------------------------------------------------------------------
-# Policy
+# Caps (every coalescer, bus side and host side, uses the same)
 # ---------------------------------------------------------------------------
 
-
-@dataclass
-class BatchPolicy:
-    """Flush and backpressure caps for one coalescing channel."""
-
-    #: Most entries a single batch frame carries.
-    max_entries: int = 128
-    #: Most pending-budget bytes a single batch frame carries.
-    max_bytes: int = 256 * 1024
-    #: Pending-byte high-watermark: appenders block above this, so a
-    #: slow receiver backpressures its senders instead of OOMing them.
-    pending_hwm: int = 4 * 1024 * 1024
+#: Most entries a single batch frame carries.
+MAX_ENTRIES = 128
+#: Most pending-budget bytes a single batch frame carries.
+MAX_BYTES = 256 * 1024
+#: Pending-byte high-watermark: appenders block above this, so a slow
+#: receiver backpressures its senders instead of OOMing them.
+PENDING_HWM = 4 * 1024 * 1024
 
 
 def batch_settings() -> dict:
@@ -181,7 +175,13 @@ def batch_settings() -> dict:
     keys and values here are part of the benchmark's contract — which is
     why the key of a flush delay that was never enabled still reads 0.
     """
-    return {"enabled": True, **asdict(BatchPolicy()), "linger_s": 0.0}
+    return {
+        "enabled": True,
+        "max_entries": MAX_ENTRIES,
+        "max_bytes": MAX_BYTES,
+        "pending_hwm": PENDING_HWM,
+        "linger_s": 0.0,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +210,6 @@ class Coalescer:
         command: str,
         ship: Callable[[List[object]], None],
         send_lock: threading.Lock,
-        policy: BatchPolicy,
         notify_drop: Optional[Callable[[int, BaseException], None]] = None,
         notify_ok: Optional[Callable[[], None]] = None,
     ):
@@ -218,7 +217,6 @@ class Coalescer:
         self.command = command
         self.ship = ship
         self.send_lock = send_lock
-        self.policy = policy
         self.notify_drop = notify_drop
         self.notify_ok = notify_ok
         self._lock = threading.Lock()
@@ -247,9 +245,8 @@ class Coalescer:
         """
         pairs = list(pairs)
         cost = len(wire) + _ENTRY_COST * len(pairs)
-        hwm = self.policy.pending_hwm
         with self._lock:
-            while not self._closed and self._bytes >= hwm:
+            while not self._closed and self._bytes >= PENDING_HWM:
                 self._space_waiters += 1
                 try:
                     self._space.wait()
@@ -274,15 +271,14 @@ class Coalescer:
 
     def _pop_chunk(self) -> Tuple[List[Tuple[bytes, List]], int]:
         """Slice one batch off the buffer (caller holds ``self._lock``)."""
-        policy = self.policy
         groups: List[Tuple[bytes, List]] = []
         entries = 0
         nbytes = 0
         while self._groups:
             wire, pairs, cost = self._groups[0]
             if groups and (
-                entries + len(pairs) > policy.max_entries
-                or nbytes + cost > policy.max_bytes
+                entries + len(pairs) > MAX_ENTRIES
+                or nbytes + cost > MAX_BYTES
             ):
                 break
             self._groups.popleft()

@@ -380,7 +380,7 @@ class SoftwareBus:
         with self._lock:
             if name in self._instances:
                 try:
-                    self._free(module)
+                    module.remove()
                 except (BusError, TransportError):
                     pass
                 raise BusError(f"instance {name!r} already exists")
@@ -479,9 +479,8 @@ class SoftwareBus:
                 f"cannot remove {instance!r}: {len(remaining)} binding(s) "
                 f"still attached — delete them first"
             )
-        self._free(module, timeout)
+        module.remove(timeout)
         with self._lock:
-            module.state = ModuleState.REMOVED
             del self._instances[instance]
             self._invalidate_routing_locked()
         self.trace.append(f"remove module {instance}")
@@ -493,21 +492,10 @@ class SoftwareBus:
         with self._lock:
             if not any(m is module for m in self._unbound):
                 raise BusError(f"{module.name!r} on {module.host.name}: not unbound")
-        self._free(module, timeout)
+        module.remove(timeout)
         with self._lock:
-            module.state = ModuleState.REMOVED
             self._unbound = [m for m in self._unbound if m is not module]
         self.trace.append(f"remove module {module.name} on {module.host.name}")
-
-    @staticmethod
-    def _free(module: ModuleInstance, timeout: float = 5.0) -> None:
-        """Stop and release a module that is being deleted."""
-        if getattr(module, "is_remote", False):
-            # Its host stops the module as it removes it: one request.
-            module.discard()
-        else:
-            module.stop(timeout)
-            module.retire()
 
     def get_module(self, instance: str) -> ModuleInstance:
         with self._lock:
@@ -1367,14 +1355,12 @@ class SoftwareBus:
             if rec is not None:
                 rec.set_health_provider(None)
         for module in modules:
-            if not getattr(module, "is_remote", False):
-                module.mh.stop()  # every local thread is told before any join
+            module.request_stop()  # every thread is told before any join
         for module in modules:
-            # As a commit frees the module it replaced: a remote one is
-            # removed from its host (which leaves shared transports
-            # reusable), a local one is stopped and retired.
+            # As a commit removes the module it replaced (a remote one
+            # from its host, which leaves shared transports reusable).
             try:
-                self._free(module, timeout)
+                module.remove(timeout)
             except (BusError, TransportError):
                 pass  # host already gone
         with self._lock:

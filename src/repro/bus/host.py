@@ -31,10 +31,10 @@ import threading
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.bus.batch import BatchPolicy, Coalescer, unpack_batch
+from repro.bus.batch import Coalescer, unpack_batch
 from repro.bus.machine import Host
 from repro.bus.message import Message
-from repro.bus.module import ModuleInstance, ModuleState
+from repro.bus.module import ModuleInstance
 from repro.bus.queues import discarding
 from repro.bus.spec import spec_from_abstract
 from repro.errors import BindingError, BusError, TransportError, UnknownModuleError
@@ -152,7 +152,6 @@ class ModuleHost:
             "write_batch",
             ship=send_event,
             send_lock=self._send_gate,
-            policy=BatchPolicy(),
         )
         #: key -> hosted module.
         self.modules: Dict[str, ModuleInstance] = {}
@@ -254,7 +253,7 @@ class ModuleHost:
         with self.modules_lock:
             modules = list(self.modules.values())
         for module in modules:
-            module.mh.stop()
+            module.request_stop()
         # Flush what the modules wrote before their threads exited, then
         # stop accepting appends.
         with self._send_gate:
@@ -340,9 +339,7 @@ class ModuleHost:
             module = self.modules.pop(str(key))
         # Withdrawn/migrated modules must not leak delivery stamps.
         self._last_delivery.pop(str(key), None)
-        module.stop()
-        module.state = ModuleState.REMOVED
-        module.retire()
+        module.remove()
         return True
 
     def _cmd_revive(self, key, packet) -> str:

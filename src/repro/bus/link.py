@@ -13,7 +13,7 @@ import threading
 from queue import SimpleQueue
 from typing import Callable, Dict, List, Optional
 
-from repro.bus.batch import BatchPolicy, Coalescer
+from repro.bus.batch import Coalescer
 from repro.bus.host import TRACE_CONTEXT_TAG, note_event_failed
 from repro.errors import (
     BusError,
@@ -101,7 +101,6 @@ class Link:
             "deliver_batch",
             ship=self._ship_event,
             send_lock=self._send_lock,
-            policy=BatchPolicy(),
             notify_drop=self._note_send_failed,
             notify_ok=self._note_send_ok,
         )

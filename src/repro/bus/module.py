@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import enum
 import threading
-import traceback
 from functools import lru_cache
 from types import CodeType
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
@@ -33,7 +32,6 @@ from repro.core.naming import module_filename
 from repro.errors import (
     ModuleCrashedError,
     ModuleLifecycleError,
-    TransportError,
     UnknownInterfaceError,
 )
 from repro.runtime import faults, telemetry
@@ -326,18 +324,6 @@ class ModuleInstance:
                 except ModuleStop:
                     self.state = ModuleState.STOPPED
                     return
-                except TransportError:
-                    # A read interrupted by stop surfaces as TransportError when
-                    # the module swallowed ModuleStop; treat as a clean stop.
-                    if not self.mh.running:
-                        self.state = ModuleState.STOPPED
-                        return
-                    self.crash = TransportError(traceback.format_exc())
-                    self.state = ModuleState.CRASHED
-                    telemetry.event(
-                        "module.crash", instance=self.name, cause="TransportError"
-                    )
-                    return
                 except BaseException as exc:  # noqa: BLE001 - report, don't die silently
                     self.crash = exc
                     self.state = ModuleState.CRASHED
@@ -359,6 +345,17 @@ class ModuleInstance:
                     self.state = ModuleState.STOPPED
                 return
         finally:
+            if self.mh.outgoing_packet is None:
+                # Ended without divulging: a replace waiting for the
+                # point hears why now rather than at its deadline.
+                if self.state is ModuleState.CRASHED:
+                    failure: BaseException = ModuleCrashedError(self.name, self.crash)
+                else:
+                    failure = ModuleLifecycleError(
+                        f"{self.name}: {self.state.value} before reaching a "
+                        f"reconfiguration point"
+                    )
+                self.mh.settle_divulge(failure)
             hook = self.lifecycle_hook
             if hook is not None:
                 try:
@@ -366,12 +363,29 @@ class ModuleInstance:
                 except Exception:  # noqa: BLE001 - hooks must not kill the thread
                     pass
 
+    def request_stop(self) -> None:
+        """Ask the thread of control to exit, without waiting for it.
+
+        Sets the stop flag, then wakes the module's own queues, so a read
+        blocked on an empty one sees the flag at once.
+        """
+        self.mh.stop()
+        for queue in self._queues.values():
+            queue.wake()
+
     def stop(self, timeout: float = 5.0) -> None:
         """Ask the thread of control to exit and wait for it."""
-        self.mh.stop()
+        self.request_stop()
         self.join(timeout)
         if self.state is ModuleState.RUNNING:
             self.state = ModuleState.STOPPED
+
+    def remove(self, timeout: float = 5.0) -> None:
+        """Stop the module and release it for good (the ``del`` half of
+        ``mh_chg_obj``, wherever the module runs)."""
+        self.stop(timeout)
+        self.state = ModuleState.REMOVED
+        self.retire()
 
     def join(self, timeout: float = 5.0) -> None:
         if self.thread is not None:
@@ -420,10 +434,10 @@ class ModuleInstance:
         functions' ``__globals__`` point at each other.  Cut here, the
         instance, its heap and its state packets are freed by reference
         counting the moment the last caller drops it, not at whichever
-        gen-2 collection comes next.  Called by whoever removes the
-        instance, never by :meth:`stop` (a revival reuses the namespace),
-        and only once the thread has exited: a thread that outlived its
-        stop still runs in the namespace.
+        gen-2 collection comes next.  Called by :meth:`remove`, never by
+        :meth:`stop` (a revival reuses the namespace), and does nothing
+        until the thread has exited: a thread that outlived its stop
+        still runs in the namespace.
         """
         if self.thread is not None and self.thread.is_alive():
             return

@@ -15,11 +15,11 @@ Wakeup protocol (see ``docs/bus-internals.md``): ``get`` parks on a
 condition variable with a ``time.monotonic()`` deadline — there is no
 polling loop.  Waiters are woken by ``put``/``put_many``/``prepend`` (only
 when someone is actually waiting), by a seal with no successor, and by
-stop requests:
-a stop event that supports ``subscribe``/``unsubscribe`` (see
-:class:`repro.runtime.events.InterruptibleEvent`, which every module's
-``mh`` stop flag is) has the waiter's condition registered for the
-duration of the wait, so ``set()`` interrupts the read immediately.
+:meth:`MessageQueue.wake`: a stop sets the module's stop flag and then
+wakes each of the module's own queues
+(:meth:`repro.bus.module.ModuleInstance.request_stop`), and ``get``
+tests the flag under the queue's lock, so a blocked read sees the stop
+at once.
 
 Telemetry
 ---------
@@ -145,8 +145,11 @@ class MessageQueue:
 
         Raises :class:`TransportError` on timeout, close, or stop (a
         stopping module must not stay parked on an empty queue).  The
-        deadline is computed from ``time.monotonic()``, so notify-heavy
-        queues neither overshoot nor undershoot the timeout.
+        stop flag is tested under the queue's lock, and whoever sets it
+        calls :meth:`wake` afterwards, so a read parked here sees the
+        stop at once.  The deadline is computed from ``time.monotonic()``,
+        so notify-heavy queues neither overshoot nor undershoot the
+        timeout.
         """
         deadline = None
         if timeout is not None and timeout >= 0:
@@ -155,9 +158,6 @@ class MessageQueue:
             items = self._items
             if items:
                 return items.popleft()
-            subscribe = getattr(stop_event, "subscribe", None)
-            if subscribe is not None:
-                subscribe(self._not_empty)
             self._waiters += 1
             try:
                 while not items:
@@ -180,8 +180,11 @@ class MessageQueue:
                 return items.popleft()
             finally:
                 self._waiters -= 1
-                if subscribe is not None:
-                    stop_event.unsubscribe(self._not_empty)  # type: ignore[union-attr]
+
+    def wake(self) -> None:
+        """Wake every blocked reader to re-test its stop flag."""
+        with self._lock:
+            self._not_empty.notify_all()
 
     def peek_count(self) -> int:
         return len(self)

@@ -173,9 +173,6 @@ class _ProxyMH:
             self._handle.link.request(["statics", self._handle.key])  # type: ignore[call-overload]
         )
 
-    def stop(self) -> None:
-        self._handle.stop()
-
     # -- state packet hand-off ------------------------------------------------
 
     @property
@@ -226,8 +223,6 @@ class RemoteModuleHandle:
     its deliveries and its events address it, so a replaced module and
     its clone can share one host and one name.
     """
-
-    is_remote = True
 
     def __init__(
         self,
@@ -313,6 +308,9 @@ class RemoteModuleHandle:
         self.link.request(["start", self.key])
         self.state = ModuleState.RUNNING
 
+    def request_stop(self) -> None:
+        pass  # its host stops the module as it removes it (remove)
+
     def stop(self, timeout: float = 5.0) -> None:
         value = self.link.request(["stop", self.key], timeout=timeout + 30.0)
         self.state = ModuleState(str(value))
@@ -342,10 +340,11 @@ class RemoteModuleHandle:
         if self.state is ModuleState.CRASHED and self.crash is not None:
             raise ModuleCrashedError(self.name, self.crash)
 
-    def discard(self) -> None:
-        """Remove the module from its remote host (bus-side bookkeeping too)."""
+    def remove(self, timeout: float = 5.0) -> None:
+        """Remove the module from its host, which stops it first: one
+        request (bus-side bookkeeping too)."""
         self.transport._forget(self.key)
-        self.link.request(["remove", self.key])
+        self.link.request(["remove", self.key], timeout=timeout + 30.0)
         self.state = ModuleState.REMOVED
 
     # -- event sink -----------------------------------------------------------

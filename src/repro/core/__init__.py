@@ -14,7 +14,7 @@ Pipeline (Section 3 of the paper):
 4. :mod:`repro.core.desugar` — ``for range(...)`` loops into capturable whiles
 5. :mod:`repro.core.varinfo` — frame layouts (what each capture block saves)
 6. :mod:`repro.core.liveness` — live variables at each capture edge
-7. :mod:`repro.core.flatten` — structured resume guards (the goto)
+7. :mod:`repro.core.resume` — structured resume guards (the goto)
 8. :mod:`repro.core.transformer` — assembles the final module source
 """
 

@@ -1,7 +1,7 @@
 """Source snippets for capture and restore blocks (Figures 7 and 8).
 
 Each function returns a list of source lines (no indentation); the
-emitter in :mod:`repro.core.flatten` indents and splices them into the
+emitter in :mod:`repro.core.resume` indents and splices them into the
 procedure's own statements.  Keeping the text generation here makes the
 correspondence with the paper's figures auditable in one place:
 

@@ -71,13 +71,13 @@ from repro.core.capture_blocks import (
 from repro.core.dummy_args import substitute_dummy_args
 from repro.core.recongraph import ReconEdge, ReconfigurationGraph
 from repro.core.varinfo import FrameLayout
-from repro.errors import FlattenError
+from repro.errors import EmitError
 
 INDENT = "    "
 
 
 @dataclass
-class FlattenOptions:
+class EmitOptions:
     """Codegen knobs.
 
     ``substitute_dummies=False`` disables the paper's dummy-argument
@@ -117,7 +117,7 @@ def _redo_stmt(stmt: ast.stmt, functions: Dict[str, ast.FunctionDef]) -> ast.stm
     """The call statement re-executed during restoration, dummies applied."""
     call = stmt.value if isinstance(stmt, (ast.Expr, ast.Assign)) else None
     if not isinstance(call, ast.Call):  # pragma: no cover - guaranteed by validation
-        raise FlattenError("call edge does not label a call statement")
+        raise EmitError("call edge does not label a call statement")
     callee_name = call.func.id if isinstance(call.func, ast.Name) else None
     callee = functions.get(callee_name) if callee_name else None
     new_call = substitute_dummy_args(call, callee)
@@ -167,7 +167,7 @@ class _Emitter:
         edges: List[ReconEdge],
         functions: Dict[str, ast.FunctionDef],
         is_main: bool,
-        options: FlattenOptions,
+        options: EmitOptions,
     ) -> None:
         self.layout = layout
         self.functions = functions
@@ -260,16 +260,16 @@ class _Emitter:
             self.indented(header, stmt.orelse)
 
 
-def flatten_function(
+def emit_procedure(
     fn: ast.FunctionDef,
     layout: FrameLayout,
     recon: ReconfigurationGraph,
     functions: Dict[str, ast.FunctionDef],
     is_main: bool,
-    options: Optional[FlattenOptions] = None,
+    options: Optional[EmitOptions] = None,
 ) -> str:
     """Emit the reconfigurable (instrumented, resumable) source of ``fn``."""
-    options = options or FlattenOptions()
+    options = options or EmitOptions()
     edges = recon.edges_from(fn.name)
     out = _Emitter(layout, edges, functions, is_main, options)
     out.emit(_signature(fn))
@@ -297,8 +297,8 @@ def flatten_function(
     return "\n".join(out.lines) + "\n"
 
 
-def check_flattened(name: str, source: str) -> None:
-    """Raise a :class:`FlattenError` naming ``name`` if ``source`` is invalid.
+def check_emitted(name: str, source: str) -> None:
+    """Raise an :class:`EmitError` naming ``name`` if ``source`` is invalid.
 
     Only the failure path of :func:`repro.core.transformer.prepare_module`
     calls this: the assembled module is compiled once, and when that
@@ -306,8 +306,8 @@ def check_flattened(name: str, source: str) -> None:
     culprit.
     """
     try:
-        compile(source, f"<flattened {name}>", "exec")
+        compile(source, f"<emitted {name}>", "exec")
     except SyntaxError as exc:
-        raise FlattenError(
-            f"flattener produced invalid source for {name!r}: {exc}\n{source}"
+        raise EmitError(
+            f"emitter produced invalid source for {name!r}: {exc}\n{source}"
         ) from exc

@@ -18,7 +18,6 @@ from typing import Dict, List, Optional
 
 from repro.core.callgraph import MAIN, StaticCallGraph, build_call_graph
 from repro.core.desugar import desugar_for_range
-from repro.core.flatten import FlattenOptions, check_flattened, flatten_function
 from repro.core.liveness import LivenessReport, analyze_liveness
 from repro.core.naming import module_filename
 from repro.core.recongraph import (
@@ -26,6 +25,7 @@ from repro.core.recongraph import (
     build_reconfiguration_graph,
     find_reconfig_points,
 )
+from repro.core.resume import EmitOptions, check_emitted, emit_procedure
 from repro.core.validate import (
     check_instrumented,
     check_module_level,
@@ -197,11 +197,11 @@ def prepare_module(
                 entry_.edge_number: set(entry_.capture_set)
                 for entry_ in liveness.edges
             }
-        options = FlattenOptions(
+        options = EmitOptions(
             substitute_dummies=substitute_dummies,
             keep_per_edge=keep_per_edge,
         )
-        text = flatten_function(
+        text = emit_procedure(
             fn,
             layout,
             recon,
@@ -242,7 +242,7 @@ def prepare_module(
         result.code = compile(output, module_filename(module_name), "exec")
     except SyntaxError as exc:
         for name, text in emitted.items():
-            check_flattened(name, text)
+            check_emitted(name, text)
         raise TransformError(
             f"assembled reconfigurable module does not compile: {exc}"
         ) from exc

@@ -82,7 +82,7 @@ class ReconfigGraphError(TransformError):
     """The reconfiguration graph is invalid (e.g. unreachable point)."""
 
 
-class FlattenError(TransformError):
+class EmitError(TransformError):
     """Emitting an instrumented procedure produced invalid source."""
 
 

@@ -46,7 +46,6 @@ from repro.errors import (
     RuntimeStateError,
 )
 from repro.runtime import faults, telemetry
-from repro.runtime.events import InterruptibleEvent
 from repro.runtime.files import FileReattachRegistry
 from repro.state.format import check_arity
 from repro.state.frames import ActivationRecord, ProcessState, StackState
@@ -166,9 +165,9 @@ class MH:
         }
 
         # --- lifecycle ---
-        # Interruptible so a stop request wakes reads blocked on empty
-        # message queues without any polling (see repro.bus.queues).
-        self._stop_event = InterruptibleEvent()
+        # Whoever sets it wakes the module's queues, so a read blocked on
+        # an empty one sees it at once (ModuleInstance.request_stop).
+        self._stop_event = threading.Event()
         self._sleep_policy = sleep_policy or SleepPolicy()
         self._port = None  # duck-typed message port attached by the bus
 
@@ -311,7 +310,6 @@ class MH:
             suppressed, failure = True, exc
         if suppressed:
             self._suppress_divulge = False
-            self.divulge_failed = failure
             telemetry.event(
                 "mh.divulge_suppressed",
                 module=self.module,
@@ -319,12 +317,26 @@ class MH:
             )
             if failure is None:
                 return packet  # dropped: nobody hears of it
+        self.settle_divulge(failure)
+        return packet
+
+    def settle_divulge(self, failure: Optional[BaseException] = None) -> None:
+        """Record a divulge's outcome: the packet went out, or ``failure``.
+
+        :meth:`encode` settles each packet it builds (unless the divulge
+        is dropped); the platform settles with the module's exit when
+        its thread ends without having built one, so a replace waiting
+        for the point aborts at once instead of at its deadline.
+        """
         with self._divulge_lock:
+            self.divulge_failed = failure
             # A withdrawn signal: the packet goes to nobody, and the
             # module's thread resumes from it (reclaim_abandoned_divulge).
-            # The hook runs inside the lock so that a remote host pushes
-            # the outcome before it answers an abandon that follows.
-            if not self._divulge_abandoned:
+            # Without a packet there is nothing to resume from, so the
+            # outcome stands for the next signal.  The hook runs inside
+            # the lock so that a remote host pushes the outcome before it
+            # answers an abandon that follows.
+            if not (self._divulge_abandoned and self.outgoing_packet is not None):
                 if failure is None:
                     self.divulged.set()
                 self.divulge_settled.set()
@@ -334,7 +346,6 @@ class MH:
                         hook()
                     except Exception:  # noqa: BLE001 - hooks must not crash the module
                         pass
-        return packet
 
     def _refuse_bad_frame(self) -> None:
         """On a failed encode, raise for the first captured frame (in
@@ -588,8 +599,12 @@ class MH:
     def read(self, interface: str, timeout: Optional[float] = None) -> List[object]:
         """The paper's ``mh_read``: block for the next message's values."""
         self.check_stop()
-        values = self._require_port().read(interface, timeout, self._stop_event)
-        self.check_stop()
+        try:
+            values = self._require_port().read(interface, timeout, self._stop_event)
+        finally:
+            # A read the stop interrupted raises ModuleStop, never the
+            # port's TransportError, which module code may catch.
+            self.check_stop()
         self.stats["messages_received"] += 1
         return values
 
@@ -615,8 +630,10 @@ class MH:
             raise RuntimeStateError(
                 f"module {self.module!r}: port does not support read_msg"
             )
-        values, sender = reader(interface, timeout, self._stop_event)
-        self.check_stop()
+        try:
+            values, sender = reader(interface, timeout, self._stop_event)
+        finally:
+            self.check_stop()
         return values, sender
 
     def write_to(

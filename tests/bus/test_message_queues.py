@@ -9,7 +9,6 @@ from repro.bus.message import Message
 from repro.bus.queues import MessageQueue
 from repro.errors import MachineCompatibilityError, TransportError
 from repro.runtime import telemetry
-from repro.runtime.events import InterruptibleEvent
 
 
 class TestMessage:
@@ -81,11 +80,17 @@ class TestMessageQueue:
             queue.get(timeout=0.05)
 
     def test_get_interrupted_by_stop(self):
-        # An interruptible stop event (what every module's mh uses) wakes
-        # the blocked reader immediately — no timeout needed at all.
+        # A stop sets the flag and wakes the queue (what a module's
+        # request_stop does): the blocked reader sees it immediately, no
+        # timeout needed at all.
         queue = MessageQueue("q")
-        stop = InterruptibleEvent()
-        timer = threading.Timer(0.05, stop.set)
+        stop = threading.Event()
+
+        def request_stop():
+            stop.set()
+            queue.wake()
+
+        timer = threading.Timer(0.05, request_stop)
         timer.start()
         start = time.monotonic()
         with pytest.raises(TransportError, match="stop"):

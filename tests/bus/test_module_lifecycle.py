@@ -1,5 +1,7 @@
 """Additional lifecycle tests for ModuleInstance (repro.bus.module)."""
 
+import time
+
 import pytest
 
 from repro.bus.bus import SoftwareBus
@@ -102,6 +104,34 @@ class TestDivulgeFlow:
         # Refused before the signal: the old module keeps running.
         assert not bus.get_module("pointed").mh.reconfig
         assert "signal reconfig pointed" not in bus.trace
+
+
+#: Catches every Exception around its read, as module code may.
+CATCH_ALL = """\
+def main():
+    while mh.running:
+        try:
+            mh.read1('inp')
+        except Exception as exc:
+            mh.statics['caught'] = repr(exc)
+"""
+
+
+class TestStop:
+    def test_a_stopped_read_raises_module_stop_past_except_exception(self, bus):
+        spec = ModuleSpec(
+            name="catcher",
+            inline_source=CATCH_ALL,
+            interfaces=[InterfaceDecl("inp", Role.USE, pattern="l")],
+        )
+        module = bus.add_module(spec, machine="local", start=True)
+        queue = module.queue("inp")
+        wait_until(lambda: queue._waiters == 1)  # parked in the read
+        start = time.monotonic()
+        module.stop()
+        assert time.monotonic() - start < 1.0
+        assert module.state is ModuleState.STOPPED
+        assert "caught" not in module.mh.statics  # the handler never ran
 
 
 class TestQueuesAndDescribe:

@@ -25,7 +25,8 @@ from queue import SimpleQueue
 
 import pytest
 
-from repro.bus.batch import BatchPolicy, pack_batch, unpack_batch
+from repro.bus import batch
+from repro.bus.batch import pack_batch, unpack_batch
 from repro.bus.bus import SoftwareBus
 from repro.bus.host import ModuleHost
 from repro.bus.interfaces import InterfaceDecl, Role
@@ -70,6 +71,17 @@ def main():
         n = mh.read1("inp")
         total = total + n
         mh.statics["total"] = total
+'''
+
+#: Crashes on a zero, before it comes back to its point.
+DIVIDER_SOURCE = '''
+def main():
+    total = 0
+    mh.init()
+    while mh.running:
+        mh.reconfig_point("Q")
+        n = mh.read1("inp")
+        total = total + 1 // n
 '''
 
 FEEDER_SOURCE = '''
@@ -391,6 +403,35 @@ class TestReplaceContract:
             coordinator.replace("counter", timeout=30)
         _feed(bus, 2)
         _wait(lambda: bus.statics_of("counter").get("total") == 15)
+
+    def test_replace_of_a_crashed_module_aborts_at_once(self, placed_bus):
+        """The crash settled the divulge wherever the module ran, so the
+        replace aborts at its point wait long before the 10 s deadline."""
+        bus, placement = placed_bus
+        spec = ModuleSpec(
+            name="divider",
+            inline_source=DIVIDER_SOURCE,
+            interfaces=[InterfaceDecl(name="inp", role=Role.USE, pattern="l")],
+            reconfig_points=["Q"],
+        )
+        bus.add_module(spec, instance="divider", placement=placement)
+        bus.add_module(_feeder_spec(), instance="feeder")
+        bus.add_binding(BindingSpec("feeder", "out", "divider", "inp"))
+        bus.start_module("divider")
+        _feed(bus, 0)
+        module = bus.get_module("divider")
+        _wait(lambda: module.state is ModuleState.CRASHED)
+        before = bus.snapshot_configuration().describe()
+
+        start = time.monotonic()
+        with pytest.raises(ReconfigurationAborted) as excinfo:
+            ReconfigurationCoordinator(bus).replace("divider")
+        assert time.monotonic() - start < 1.0
+        assert excinfo.value.stage == "wait_point"
+        assert "crashed" in str(excinfo.value.cause)
+        assert bus.snapshot_configuration().describe() == before
+        assert bus.get_module("divider") is module
+        assert not bus._unbound  # no clone left behind
 
     @pytest.mark.parametrize(
         "target", ["worker:0", "tcp:0", "inproc"], ids=["same-host", "migrating", "home"]
@@ -757,10 +798,6 @@ def _msg(value):
     ).validated()
 
 
-def _links_of(bus):
-    return [link for t in bus._transports.values() for link in t.links()]
-
-
 class _GateChannel:
     """Frame channel whose ``send`` blocks until the gate opens.
 
@@ -811,17 +848,16 @@ class TestBatchedDelivery:
     default on every transport.
     """
 
-    def _shrink_batches(self, bus, max_entries=7):
-        """Force many tiny batches so boundaries land mid-stream."""
-        for link in _links_of(bus):
-            link._coalescer.policy = BatchPolicy(max_entries=max_entries)
+    def _shrink_batches(self, monkeypatch, max_entries=7):
+        """Force many tiny bus-side batches so boundaries land mid-stream."""
+        monkeypatch.setattr(batch, "MAX_ENTRIES", max_entries)
 
-    def test_fifo_preserved_across_batch_boundaries(self, placed_bus):
+    def test_fifo_preserved_across_batch_boundaries(self, placed_bus, monkeypatch):
         bus, placement = placed_bus
         bus.add_module(_collector_spec(), instance="collector", placement=placement)
         bus.add_module(_feeder_spec(), instance="feeder")
         bus.add_binding(BindingSpec("feeder", "out", "collector", "inp"))
-        self._shrink_batches(bus)
+        self._shrink_batches(monkeypatch)
         bus.start_module("collector")
 
         sent = list(range(400))
@@ -833,7 +869,9 @@ class TestBatchedDelivery:
         )
         assert list(got) == sent
 
-    def test_queue_transfer_interleaves_with_in_flight_batch(self, placed_bus):
+    def test_queue_transfer_interleaves_with_in_flight_batch(
+        self, placed_bus, monkeypatch
+    ):
         bus, placement = placed_bus
         # Collector not started: deliveries pile up, so a prepend issued
         # right behind a burst exercises the request barrier against an
@@ -842,7 +880,7 @@ class TestBatchedDelivery:
         bus.add_module(_collector_spec(), instance="collector", placement=placement)
         bus.add_module(_feeder_spec(), instance="feeder")
         bus.add_binding(BindingSpec("feeder", "out", "collector", "inp"))
-        self._shrink_batches(bus)
+        self._shrink_batches(monkeypatch)
 
         first = list(range(100))
         _feed(bus, *first)
@@ -862,13 +900,13 @@ class TestBatchedDelivery:
         )
         assert list(got) == expected
 
-    def test_backpressure_blocks_then_drains(self):
+    def test_backpressure_blocks_then_drains(self, monkeypatch):
+        monkeypatch.setattr(batch, "MAX_ENTRIES", 8)
+        monkeypatch.setattr(batch, "MAX_BYTES", 1 << 20)
+        monkeypatch.setattr(batch, "PENDING_HWM", 256)
         profile = MACHINES["modern-64"]
         channel = _GateChannel()
         link = Link("gate", profile, channel)
-        link._coalescer.policy = BatchPolicy(
-            max_entries=8, max_bytes=1 << 20, pending_hwm=256
-        )
         try:
             wires = [_msg(i).to_wire(profile) for i in range(40)]
             done = threading.Event()

@@ -79,18 +79,18 @@ class TestCompiledOnce:
         # else is: no per-procedure guard, no throw-away syntax check.
         assert [f for f in compile_calls if f != "<unknown>"] == ["<module compute>"]
 
-    def test_bad_flattener_output_names_the_procedure(self, monkeypatch):
+    def test_bad_emitter_output_names_the_procedure(self, monkeypatch):
         from repro.core import transformer
-        from repro.errors import FlattenError
+        from repro.errors import EmitError
 
-        flatten = transformer.flatten_function
+        emit = transformer.emit_procedure
 
         def broken(fn, *args, **kwargs):
-            text = flatten(fn, *args, **kwargs)
+            text = emit(fn, *args, **kwargs)
             return text + "    )\n" if fn.name == "compute" else text
 
-        monkeypatch.setattr(transformer, "flatten_function", broken)
-        with pytest.raises(FlattenError, match="invalid source for 'compute'"):
+        monkeypatch.setattr(transformer, "emit_procedure", broken)
+        with pytest.raises(EmitError, match="invalid source for 'compute'"):
             prepare_module(COMPUTE_SRC, "compute")
 
 

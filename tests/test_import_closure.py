@@ -28,7 +28,7 @@ FORBIDDEN = [
     "repro.core.validate",
     "repro.core.desugar",
     "repro.core.varinfo",
-    "repro.core.flatten",
+    "repro.core.resume",
     "repro.core.liveness",
     "repro.core.capture_blocks",
     "repro.core.transformer",

@@ -245,6 +245,48 @@ GUARDS = [
             "block boundaries, `core/cfg.py`",
         ),
     ),
+    # The emitter of a prepared procedure is named for what it does
+    # (structured resume), not for the flattening it no longer does.
+    # HeapCodec's flatten helpers are another thing and stay.
+    Guard(
+        "the flattener names",
+        r"flatten_function|FlattenOptions|FlattenError|check_flattened"
+        r"|core/flatten\.|core\.flatten",
+        CODE,
+        (
+            "text = flatten_function(fn, layout, recon, functions, True)",
+            "options = FlattenOptions(substitute_dummies=False)",
+            "raise FlattenError(message)",
+            "check_flattened(name, text)",
+            "`core/flatten.py`",
+            "from repro.core.flatten import emit",
+        ),
+    ),
+    # One stop path and one removal path per module, wherever it runs: a
+    # stop sets a plain Event and wakes the module's own queues, and every
+    # module has remove().  The subscribe-on-wait stop event, its module,
+    # the handle's remote flag and the bus's removal helper that branched
+    # on it.
+    Guard(
+        "the stop event and the removal branch",
+        r"InterruptibleEvent|runtime/events|runtime\.events|is_remote|_free\(",
+        CODE,
+        (
+            "stop = InterruptibleEvent()",
+            "`runtime/events.py`",
+            "from repro.runtime.events import stop_event",
+            'if getattr(module, "is_remote", False):',
+            "self._free(module, timeout)",
+        ),
+    ),
+    # Every coalescer runs under the same three caps, module constants of
+    # repro.bus.batch; a test monkeypatches them.
+    Guard(
+        "the batch policy object",
+        r"BatchPolicy",
+        CODE,
+        ("policy=BatchPolicy(max_entries=7)",),
+    ),
 ]
 
 
