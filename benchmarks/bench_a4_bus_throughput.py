@@ -386,13 +386,16 @@ def main(argv: List[str]) -> None:
     out = "BENCH_bus.json"
     if "--out" in argv:
         out = argv[argv.index("--out") + 1]
-    results = run_all(seconds=0.3 if quick else 1.0)
-    xproc = run_xproc_tier(seconds=1.0 if quick else 3.0)
+    route_s, xproc_s = (0.3, 1.0) if quick else (1.0, 3.0)
+    results = run_all(seconds=route_s)
+    xproc = run_xproc_tier(seconds=xproc_s)
     payload = {
         "benchmark": "bench_a4_bus_throughput",
         "unit": "delivered messages/second",
         "quick": quick,
-        "meta": bench_meta(batch=batch_settings()),
+        "meta": bench_meta(
+            batch=batch_settings(), route_window_s=route_s, xproc_window_s=xproc_s
+        ),
         "results": results,
         "pre_fast_path_baseline": PRE_FAST_PATH_BASELINE,
         "speedup_vs_pre_fast_path": {

@@ -281,7 +281,7 @@ class ModuleHost:
             self.send_event(["divulged", key, mh.outgoing_packet, mh.outgoing_frames])
         else:
             self.send_event(
-                ["divulge_failed", key, f"{type(failure).__name__}: {failure}"]
+                ["divulge_failed", key, type(failure).__name__, str(failure)]
             )
 
     def _push_lifecycle(self, key: str, module: ModuleInstance) -> None:

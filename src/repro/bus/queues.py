@@ -11,15 +11,22 @@ was moved — instead of a queue nobody reads.  The literal ``cq`` is the
 same move for one interface, and ``rmq`` a seal whose forward discards.
 A queue sealed with no successor is closed: a put raises.
 
-Wakeup protocol (see ``docs/bus-internals.md``): ``get`` parks on a
-condition variable with a ``time.monotonic()`` deadline — there is no
-polling loop.  Waiters are woken by ``put``/``put_many``/``prepend`` (only
-when someone is actually waiting), by a seal with no successor, and by
-:meth:`MessageQueue.wake`: a stop sets the module's stop flag and then
-wakes each of the module's own queues
-(:meth:`repro.bus.module.ModuleInstance.request_stop`), and ``get``
-tests the flag under the queue's lock, so a blocked read sees the stop
-at once.
+Wakeup protocol (see ``docs/bus-internals.md``): the messages live in
+one :class:`queue.SimpleQueue` per queue, so a blocked ``get`` is handed
+its message inside that store's C ``get`` — one call, no Python
+condition variable — and a ``put`` that finds a parked reader wakes it
+from C too.  A plain lock guards only the seal state: each put arm tests
+it and enqueues under that lock, so a seal orders against every put.
+``get`` takes no lock: it tests the module's stop flag and the closed
+state, then blocks in the store's ``get(timeout)``.  What must interrupt
+a parked read puts a private wake token that ``get`` swallows before it
+tests both again: :meth:`MessageQueue.wake` (a stop sets the module's
+stop flag, then wakes each of the module's own queues,
+:meth:`repro.bus.module.ModuleInstance.request_stop`) and a seal with
+no successor.  Tokens are counted, so the length is exact while the
+queue is quiet.  ``seal``, ``drain``, ``prepend`` and ``snapshot`` take
+the messages out under the lock and put back what stays, each in one
+C-level pass; they run on hand-over and inspection paths.
 
 Telemetry
 ---------
@@ -44,15 +51,21 @@ its delivery counts until the recorder is uninstalled.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 import weakref
-from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
+from itertools import repeat
+from queue import Empty, SimpleQueue
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.bus.message import Message
 from repro.errors import TransportError
 from repro.runtime import telemetry
+
+#: The wake token: put by :meth:`MessageQueue.wake` and by a closing
+#: seal, swallowed by ``get``, never handed to a reader.
+_WAKE = object()
 
 
 class MessageQueue:
@@ -60,12 +73,11 @@ class MessageQueue:
 
     __slots__ = (
         "name",
-        "_items",
+        "_store",
         "_lock",
-        "_not_empty",
         "_sealed",
         "_forward",
-        "_waiters",
+        "_tokens",
         "_pushed",
         "_directed",
         "_hwm",
@@ -74,13 +86,14 @@ class MessageQueue:
 
     def __init__(self, name: str = ""):
         self.name = name
-        self._items: Deque[Message] = deque()
+        # The messages, and any wake tokens among them.
+        self._store: "SimpleQueue[object]" = SimpleQueue()
         self._lock = threading.Lock()
-        self._not_empty = threading.Condition(self._lock)
         # Sealed: every put goes to ``_forward`` (None: the put raises).
         self._sealed = False
         self._forward: Optional[Callable[[List[Message]], None]] = None
-        self._waiters = 0
+        # Wake tokens in the store, changed under the lock.
+        self._tokens = 0
         # Telemetry cells: total puts, puts via route_to, sampled depth
         # high-water mark.  Written only by RecordingMessageQueue (under
         # the queue lock), read lock-free by the aggregation source.
@@ -95,17 +108,24 @@ class MessageQueue:
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._items)
+            # A read that has taken a token but not yet counted it off
+            # makes the difference -1 for a moment.
+            return max(0, self._store.qsize() - self._tokens)
 
     def put(self, message: Message) -> None:
-        with self._lock:
-            if self._sealed:
-                forward = self._forward
-            else:
-                self._items.append(message)
-                if self._waiters:
-                    self._not_empty.notify()
+        # The put arms take the lock by hand: the message's hand-off to a
+        # parked read waits for what the putter runs before ``put``, and
+        # ``with`` on the lock read about a tenth slower on the two-thread
+        # round trip (benchmarks/bench_q1_queue_handoff.py).
+        lock = self._lock
+        lock.acquire()
+        try:
+            if not self._sealed:
+                self._store.put(message)
                 return
+            forward = self._forward
+        finally:
+            lock.release()
         self._hand_on(forward, [message])
 
     def put_directed(self, message: Message) -> None:
@@ -126,14 +146,17 @@ class MessageQueue:
         fresh deliveries, so the recording subclass counts them in
         ``_pushed``.
         """
-        with self._lock:
-            if self._sealed:
-                forward = self._forward
-            else:
-                self._items.extend(messages)
-                if self._waiters:
-                    self._not_empty.notify_all()
+        lock = self._lock
+        lock.acquire()
+        try:
+            if not self._sealed:
+                # ``put`` returns None, so ``any`` runs the map to its
+                # end in C.
+                any(map(self._store.put, messages))
                 return
+            forward = self._forward
+        finally:
+            lock.release()
         self._hand_on(forward, messages)
 
     def get(
@@ -145,46 +168,62 @@ class MessageQueue:
 
         Raises :class:`TransportError` on timeout, close, or stop (a
         stopping module must not stay parked on an empty queue).  The
-        stop flag is tested under the queue's lock, and whoever sets it
+        stop flag is tested before the read blocks, and whoever sets it
         calls :meth:`wake` afterwards, so a read parked here sees the
-        stop at once.  The deadline is computed from ``time.monotonic()``,
-        so notify-heavy queues neither overshoot nor undershoot the
-        timeout.
+        stop at once.  A negative ``timeout`` waits without limit.  The
+        deadline is computed from ``time.monotonic()``, so wake-heavy
+        queues neither overshoot nor undershoot the timeout.
         """
-        deadline = None
-        if timeout is not None and timeout >= 0:
-            deadline = time.monotonic() + timeout
-        with self._not_empty:
-            items = self._items
-            if items:
-                return items.popleft()
-            self._waiters += 1
+        wait = timeout
+        if timeout is not None:
+            if timeout < 0:
+                wait = None
+            else:
+                deadline = time.monotonic() + timeout
+        while True:
+            if stop_event is not None and stop_event.is_set():
+                raise TransportError(f"queue {self.name!r}: read interrupted by stop")
+            if self._sealed and self._forward is None:
+                raise TransportError(f"queue {self.name!r} is closed")
             try:
-                while not items:
-                    if stop_event is not None and stop_event.is_set():
-                        raise TransportError(
-                            f"queue {self.name!r}: read interrupted by stop"
-                        )
-                    if self._sealed and self._forward is None:
-                        raise TransportError(f"queue {self.name!r} is closed")
-                    if deadline is None:
-                        self._not_empty.wait()
-                    else:
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
-                            raise TransportError(
-                                f"queue {self.name!r}: read timed out "
-                                f"after {timeout}s"
-                            )
-                        self._not_empty.wait(remaining)
-                return items.popleft()
-            finally:
-                self._waiters -= 1
+                message = self._store.get(True, wait)
+            except Empty:
+                raise TransportError(
+                    f"queue {self.name!r}: read timed out after {timeout}s"
+                ) from None
+            if message is not _WAKE:
+                return message  # type: ignore[return-value]
+            with self._lock:
+                self._tokens -= 1
+            if wait is not None:
+                wait = max(0.0, deadline - time.monotonic())
 
     def wake(self) -> None:
         """Wake every blocked reader to re-test its stop flag."""
         with self._lock:
-            self._not_empty.notify_all()
+            self._wake_locked()
+
+    def _wake_locked(self) -> None:
+        self._tokens += 1
+        self._store.put(_WAKE)
+
+    @property
+    def readers(self) -> int:
+        """Threads in :meth:`get` on this queue now; a read of an empty
+        queue stays counted while it is parked.
+
+        An inspection (tests wait on it to know a module is parked in
+        its read), taken from the threads' current frames, so the read
+        path pays nothing for it: a count kept by ``get`` itself cost
+        measurably on the two-thread hand-off
+        (benchmarks/bench_q1_queue_handoff.py).
+        """
+        code = MessageQueue.get.__code__
+        return sum(
+            1
+            for frame in sys._current_frames().values()
+            if frame.f_code is code and frame.f_locals.get("self") is self
+        )
 
     def peek_count(self) -> int:
         return len(self)
@@ -192,14 +231,14 @@ class MessageQueue:
     def snapshot(self) -> List[Message]:
         """Atomic copy of the queued messages, for inspection."""
         with self._lock:
-            return list(self._items)
+            taken = self._take_all()
+            any(map(self._store.put, taken))
+        return [m for m in taken if m is not _WAKE]  # type: ignore[misc]
 
     def drain(self) -> List[Message]:
         """Atomically remove and return everything."""
         with self._lock:
-            items = list(self._items)
-            self._items.clear()
-        return items
+            return self._take()
 
     def prepend(self, messages: List[Message]) -> None:
         """Insert moved messages at the *front*, preserving their order.
@@ -209,10 +248,11 @@ class MessageQueue:
         strictly older and must be consumed first.
         """
         with self._lock:
-            self._items.extendleft(reversed(messages))
-            depth = len(self._items)
-            if self._waiters:
-                self._not_empty.notify_all()
+            queued = self._take_all()
+            put = self._store.put
+            any(map(put, messages))
+            any(map(put, queued))
+            depth = self._store.qsize() - self._tokens
         rec = telemetry.recorder
         if rec is not None and messages:
             rec.count("queue.copied_in", n=len(messages), key=self.name)
@@ -229,15 +269,16 @@ class MessageQueue:
         A put that found the queue sealed therefore reaches the
         successor's tail, behind whatever the caller moves to its front.
         With no ``forward`` the queue is closed: a put raises, and so
-        does a read of the empty queue.  :meth:`unseal` reopens it.
+        does a read of the empty queue, a parked one at once.
+        :meth:`unseal` reopens it.
         """
         with self._lock:
-            items = list(self._items)
-            self._items.clear()
+            messages = self._take()
             self._sealed = True
             self._forward = forward
-            self._not_empty.notify_all()
-        return items
+            if forward is None:
+                self._wake_locked()
+        return messages
 
     @property
     def sealed(self) -> bool:
@@ -247,6 +288,36 @@ class MessageQueue:
         with self._lock:
             self._sealed = False
             self._forward = None
+
+    def _take_all(self) -> List[object]:
+        """Take everything out of the store, wake tokens too, in order
+        (caller holds the lock).
+
+        The store is emptied in one C-level pass, which runs no Python
+        code, so a read on another thread cannot take from its middle
+        (with a Python loop it could, and what is put back would be out
+        of order).  What is put back keeps its tokens where they were:
+        moved to the front, tokens that keep coming would hold a reader
+        off the messages behind them.
+        """
+        store = self._store
+        taken: List[object] = []
+        try:
+            taken.extend(map(store.get, repeat(False, store.qsize())))
+        except Empty:  # should a read ever take from it mid-pass, keep what was taken
+            pass
+        return taken
+
+    def _take(self) -> List[Message]:
+        """Take every message out of the store, in order (caller holds
+        the lock); wake tokens go back in, so a read parked for a wake
+        still gets it."""
+        taken = self._take_all()
+        if not self._tokens:
+            return taken  # type: ignore[return-value]
+        messages = [m for m in taken if m is not _WAKE]
+        any(map(self._store.put, repeat(_WAKE, len(taken) - len(messages))))
+        return messages  # type: ignore[return-value]
 
     def _hand_on(
         self,
@@ -276,44 +347,47 @@ class RecordingMessageQueue(MessageQueue):
     __slots__ = ()
 
     def put(self, message: Message) -> None:
-        with self._lock:
-            if self._sealed:
-                forward = self._forward
-            else:
-                self._items.append(message)
+        lock = self._lock
+        lock.acquire()
+        try:
+            if not self._sealed:
+                self._store.put(message)
                 self._pushed += 1
-                if self._waiters:
-                    self._not_empty.notify()
                 return
+            forward = self._forward
+        finally:
+            lock.release()
         self._hand_on(forward, [message])
 
     def put_directed(self, message: Message) -> None:
-        with self._lock:
-            if self._sealed:
-                forward = self._forward
-            else:
-                items = self._items
-                items.append(message)
+        lock = self._lock
+        lock.acquire()
+        try:
+            if not self._sealed:
+                store = self._store
+                store.put(message)
                 self._pushed += 1
                 self._directed += 1
-                depth = len(items)
+                depth = store.qsize() - self._tokens
                 if depth > self._hwm:
                     self._hwm = depth
-                if self._waiters:
-                    self._not_empty.notify()
                 return
+            forward = self._forward
+        finally:
+            lock.release()
         self._hand_on(forward, [message])
 
     def put_many(self, messages: List[Message]) -> None:
-        with self._lock:
-            if self._sealed:
-                forward = self._forward
-            else:
-                self._items.extend(messages)
+        lock = self._lock
+        lock.acquire()
+        try:
+            if not self._sealed:
+                any(map(self._store.put, messages))
                 self._pushed += len(messages)
-                if self._waiters:
-                    self._not_empty.notify_all()
                 return
+            forward = self._forward
+        finally:
+            lock.release()
         self._hand_on(forward, messages)
 
 
@@ -342,7 +416,7 @@ def _cell_source(tracked: Set[MessageQueue]) -> Tuple[Dict[Tuple[str, Optional[s
     """Aggregate queue cells into ``bus.delivered`` / ``queue.hwm``.
 
     Absolute totals re-read on every merge (idempotent).  The read-time
-    ``len(_items)`` probe catches high-water marks the every-64th-put
+    depth probe catches high-water marks the every-64th-put
     sampling missed on lightly-loaded queues.  ``tracked`` is the set
     captured for one recorder: ``disable()`` freezes rather than clears
     it, so a detached recorder still exports its final totals (the
@@ -363,7 +437,7 @@ def _cell_source(tracked: Set[MessageQueue]) -> Tuple[Dict[Tuple[str, Optional[s
         k = ("bus.delivered", name)
         counters[k] = counters.get(k, 0) + pushed
         hwm = q._hwm
-        depth = len(q._items)
+        depth = q._store.qsize() - q._tokens
         if depth > hwm:
             hwm = depth
         if hwm:

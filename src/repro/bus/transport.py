@@ -60,6 +60,7 @@ from repro.bus.module import ModuleState, prepared_source_for
 from repro.bus.spec import ModuleSpec
 from repro.errors import (
     BusError,
+    InjectedFault,
     ModuleCrashedError,
     ModuleLifecycleError,
     TransportError,
@@ -203,9 +204,32 @@ class _ProxyMH:
         self.divulged.set()
         self.divulge_settled.set()
 
-    def _on_divulge_failed(self, text: str) -> None:
-        self.divulge_failed = TransportError(text)
+    def _on_divulge_failed(self, kind: str, text: str) -> None:
+        self.divulge_failed = _divulge_failure(kind, text)
         self.divulge_settled.set()
+
+
+#: The failures a divulge ends with on its host that the bus raises as
+#: their own type; any other arrives as a TransportError naming its type.
+_DIVULGE_FAILURES = {
+    cls.__name__: cls
+    for cls in (ModuleCrashedError, ModuleLifecycleError, InjectedFault)
+}
+
+
+def _divulge_failure(kind: str, text: str) -> BaseException:
+    """A host's divulge failure, from its class name and its text.
+
+    A known type is rebuilt around the host's text as it is, without its
+    constructor (which formats a message from arguments, such as a
+    crash's cause, that stayed on the host).
+    """
+    cls = _DIVULGE_FAILURES.get(kind)
+    if cls is None:
+        return TransportError(f"{kind}: {text}")
+    failure = cls.__new__(cls)
+    Exception.__init__(failure, text)
+    return failure
 
 
 class RemoteModuleHandle:
@@ -709,7 +733,7 @@ class RemoteTransport:
             elif command == "divulge_failed":
                 handle = self._handles.get(str(args[0]))
                 if handle is not None:
-                    handle.mh._on_divulge_failed(str(args[1]))
+                    handle.mh._on_divulge_failed(str(args[1]), str(args[2]))
             elif command == "restored":
                 handle = self._handles.get(str(args[0]))
                 if handle is not None:

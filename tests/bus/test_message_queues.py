@@ -1,5 +1,6 @@
 """Tests for messages and queues (repro.bus.message, repro.bus.queues)."""
 
+import sys
 import threading
 import time
 
@@ -130,17 +131,22 @@ class TestMessageQueue:
         # poll slice per wakeup (`waited += slice_`), so spurious wakeups
         # made timeouts fire far too early (and quiet queues up to 50 ms
         # late).  With monotonic deadlines the timeout must land within
-        # ~10% regardless of how often the condition is poked.
+        # ~10% regardless of how often the reader is woken.
         queue = MessageQueue("q")
         timeout = 0.25
         storm_stop = threading.Event()
+        wakes = []
+        errors = []
 
         def storm():
-            # Spurious wakeups: notify without ever enqueuing a message.
-            while not storm_stop.is_set():
-                with queue._not_empty:
-                    queue._not_empty.notify_all()
-                time.sleep(0.002)
+            # Spurious wakeups: wake without ever enqueuing a message.
+            try:
+                while not storm_stop.is_set():
+                    queue.wake()
+                    wakes.append(1)
+                    time.sleep(0.002)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
 
         thread = threading.Thread(target=storm)
         thread.start()
@@ -152,8 +158,13 @@ class TestMessageQueue:
         finally:
             storm_stop.set()
             thread.join(timeout=5)
+        assert not errors, f"the storm thread died: {errors[0]!r}"
+        assert len(wakes) >= 10, "no storm reached the reader"
         assert elapsed >= timeout * 0.9, f"timeout fired early: {elapsed:.3f}s"
         assert elapsed <= timeout * 1.5 + 0.1, f"timeout fired late: {elapsed:.3f}s"
+        # Every wake token the read did not swallow is counted off.
+        assert len(queue) == 0
+        assert queue.snapshot() == []
 
     def test_blocking_get_wakes_on_put(self):
         queue = MessageQueue("q")
@@ -162,11 +173,17 @@ class TestMessageQueue:
         def consumer():
             result.append(queue.get(timeout=5).values[0])
 
+        assert queue.readers == 0
         thread = threading.Thread(target=consumer)
         thread.start()
+        deadline = time.monotonic() + 5
+        while queue.readers != 1 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert queue.readers == 1  # parked in the read
         queue.put(msg("wake"))
         thread.join(timeout=5)
         assert result == ["wake"]
+        assert queue.readers == 0
 
     def test_snapshot_nondestructive(self):
         queue = MessageQueue("q")
@@ -227,3 +244,64 @@ class TestMessageQueue:
         queue.put(msg(7))
         assert forwarded == [3, 4, 5, 6]
         assert queue.get(timeout=1).values == [7]
+
+    def test_concurrent_puts_wakes_and_moves_lose_nothing(self):
+        # Producers (put and put_many), a waker and an inspector that
+        # takes everything out and puts it back (snapshot, an empty
+        # prepend) race one reader, with a short switch interval: every
+        # message arrives once, each producer's in order, and every wake
+        # token left in the store is counted.
+        queue = MessageQueue("q")
+        producers, per_producer = 4, 400
+        done = threading.Event()
+        errors = []
+
+        def guarded(fn):
+            def run():
+                try:
+                    fn()
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    errors.append(exc)
+            return run
+
+        def produce(p):
+            values = [p * 10_000 + i for i in range(per_producer)]
+            for i in range(0, per_producer, 8):
+                queue.put(msg(values[i]))
+                queue.put_many([msg(v) for v in values[i + 1 : i + 8]])
+
+        def disturb():
+            # Yields between rounds, so wake tokens cannot pile up faster
+            # than the reader swallows them.
+            while not done.is_set():
+                queue.wake()
+                queue.snapshot()
+                queue.prepend([])
+                len(queue)
+                time.sleep(0)
+
+        threads = [
+            threading.Thread(target=guarded(lambda p=p: produce(p)))
+            for p in range(producers)
+        ] + [threading.Thread(target=guarded(disturb))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            got = [
+                queue.get(timeout=10).values[0]
+                for _ in range(producers * per_producer)
+            ]
+        finally:
+            done.set()
+            sys.setswitchinterval(interval)
+            for thread in threads:
+                thread.join(timeout=10)
+        assert not errors, errors
+        assert not any(thread.is_alive() for thread in threads)
+        for p in range(producers):
+            mine = [v for v in got if v // 10_000 == p]
+            assert mine == [p * 10_000 + i for i in range(per_producer)]
+        assert len(queue) == 0 and queue.snapshot() == []
+        assert queue._tokens == queue._store.qsize()

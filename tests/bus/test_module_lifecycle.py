@@ -126,7 +126,7 @@ class TestStop:
         )
         module = bus.add_module(spec, machine="local", start=True)
         queue = module.queue("inp")
-        wait_until(lambda: queue._waiters == 1)  # parked in the read
+        wait_until(lambda: queue.readers == 1)  # parked in the read
         start = time.monotonic()
         module.stop()
         assert time.monotonic() - start < 1.0

@@ -25,7 +25,7 @@ from queue import SimpleQueue
 
 import pytest
 
-from repro.bus import batch
+from repro.bus import batch, transport
 from repro.bus.batch import pack_batch, unpack_batch
 from repro.bus.bus import SoftwareBus
 from repro.bus.host import ModuleHost
@@ -36,7 +36,7 @@ from repro.bus.message import Message
 from repro.bus.module import ModuleState, prepared_source_for
 from repro.bus.spec import BindingSpec, ModuleSpec
 from repro.bus.transport import TcpTransport
-from repro.errors import ReconfigurationAborted, TransportError
+from repro.errors import ModuleCrashedError, ReconfigurationAborted, TransportError
 from repro.reconfig.coordinator import ReconfigurationCoordinator
 from repro.runtime import telemetry
 from repro.runtime.faults import FaultPlan, fault_plan
@@ -428,7 +428,7 @@ class TestReplaceContract:
             ReconfigurationCoordinator(bus).replace("divider")
         assert time.monotonic() - start < 1.0
         assert excinfo.value.stage == "wait_point"
-        assert "crashed" in str(excinfo.value.cause)
+        assert isinstance(excinfo.value.cause, ModuleCrashedError)
         assert bus.snapshot_configuration().describe() == before
         assert bus.get_module("divider") is module
         assert not bus._unbound  # no clone left behind
@@ -899,6 +899,47 @@ class TestBatchedDelivery:
             )
         )
         assert list(got) == expected
+
+    @pytest.mark.parametrize("placement", ["worker:0", "tcp:0"], ids=["worker", "tcp"])
+    def test_host_tunnel_keeps_each_writer_whole_across_frames(
+        self, mixed_bus, monkeypatch, placement
+    ):
+        """Two writers on one host each write a burst of more than two
+        frames' worth (the host's own ``MAX_ENTRIES``), so the host's
+        write tunnel cuts its frames mid-stream: at the bus every value
+        arrives once, and each writer's values in the order written."""
+        bus = mixed_bus
+        burst = 2 * batch.MAX_ENTRIES + 44
+        frames = []
+
+        def counting_unpack(blob):
+            wires, entries = unpack_batch(blob)
+            frames.append(len(entries))
+            return wires, entries
+
+        monkeypatch.setattr(transport, "unpack_batch", counting_unpack)
+        bus.add_module(_collector_spec(), instance="collector")
+        for writer, base in (("a", 0), ("b", 10_000)):
+            spec = ModuleSpec(
+                name="writer",
+                inline_source=PRODUCER_SOURCE.replace("COUNT", str(burst)).replace(
+                    '"l", n)', f'"l", {base} + n)'
+                ),
+                interfaces=[InterfaceDecl(name="out", role=Role.DEFINE, pattern="l")],
+            )
+            bus.add_module(spec, instance=writer, placement=placement)
+            bus.add_binding(BindingSpec(writer, "out", "collector", "inp"))
+        bus.start_module("collector")
+        bus.start_module("a")
+        bus.start_module("b")
+        _wait(lambda: len(bus.statics_of("collector").get("got", [])) >= 2 * burst)
+        time.sleep(0.1)  # a duplicate would land behind the last value
+        got = list(bus.statics_of("collector")["got"])
+        assert sorted(got) == list(range(burst)) + list(range(10_000, 10_000 + burst))
+        assert [v for v in got if v < 10_000] == list(range(burst))
+        assert [v for v in got if v >= 10_000] == list(range(10_000, 10_000 + burst))
+        assert sum(frames) == 2 * burst
+        assert len(frames) >= 5 and max(frames) <= batch.MAX_ENTRIES, frames
 
     def test_backpressure_blocks_then_drains(self, monkeypatch):
         monkeypatch.setattr(batch, "MAX_ENTRIES", 8)

@@ -163,7 +163,7 @@ class TestOldModuleAlreadyGone:
                 # A signal withdrawn while the module waits in its read
                 # (a rolled-back replace) leaves no capture behind.
                 queue = module.queue("inp")
-                wait_until(lambda: queue._waiters == 1)
+                wait_until(lambda: queue.readers == 1)
                 module.mh.request_reconfig()
                 module.mh.abandon_divulge()
             bus.route("feeder", "out", Message(values=[value], fmt="l"))

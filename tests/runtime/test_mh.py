@@ -188,8 +188,8 @@ class TestCaptureProtocol:
         finally:
             host.stop_all()
         assert events[0] == ["divulged", "m#1", packet, 1]
-        assert events[1][:2] == ["divulge_failed", "m#1"]
-        assert events[1][2].startswith("InjectedFault")
+        assert events[1][:3] == ["divulge_failed", "m#1", "InjectedFault"]
+        assert "mh.encode" in events[1][3]
 
 
 class TestWithdrawnSignal:

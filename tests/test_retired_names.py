@@ -287,6 +287,15 @@ GUARDS = [
         CODE,
         ("policy=BatchPolicy(max_entries=7)",),
     ),
+    # One store per message queue, which hands a parked read its message
+    # inside its own C ``get``: the condition variable and its waiter
+    # count that every put notified through.
+    Guard(
+        "the condition-variable queue",
+        r"\b_not_empty\b|\b_waiters\b",
+        CODE,
+        ("with queue._not_empty:", "wait_until(lambda: queue._waiters == 1)"),
+    ),
 ]
 
 
