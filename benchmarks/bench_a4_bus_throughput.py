@@ -29,7 +29,12 @@ credit-loop pairs
 links entirely — the multi-core scale-out story — plus the in-process
 pair baseline, and ``spawn_ms``, the cold start of one worker (fresh
 one-slot pool: construct, which starts the worker, one placement,
-close).  The tier publishes
+close).  Over the ``aggregate`` window it also counts the delivery
+frames the bus ships, and the wires and entries they carry
+(``frames``/``wires``/``entries``): CI gates their ratios, which come
+from one run and so do not depend on the runner's speed — many entries
+per frame (coalescing) and one wire per host for the whole fan-out
+(shared wires).  The tier publishes
 honest numbers: ``cpus`` records
 ``os.cpu_count()``; on a single-core container the workers timeshare
 one core, so the win comes from fewer frames, not more cores.
@@ -45,9 +50,11 @@ import json
 import os
 import statistics
 import sys
+import threading
 import time
 from typing import Dict, List, Tuple
 
+from repro.bus import batch
 from repro.bus.batch import batch_settings
 from repro.bus.bus import SoftwareBus
 from repro.bus.interfaces import InterfaceDecl, Role
@@ -277,8 +284,41 @@ def build_xlink(workers: int, fanout: int) -> Tuple[SoftwareBus, List[str]]:
     return bus, names
 
 
-def measure_xlink(bus: SoftwareBus, names: List[str], seconds: float) -> float:
-    """Delivered msgs/s across links, counted by remote queue discards.
+class FrameCount:
+    """The delivery frames this process ships while in the ``with``
+    block, and the wires and entries they carry.
+
+    Every coalescer packs a frame with :func:`repro.bus.batch.pack_batch`
+    (one group per wire, one entry per delivery), so wrapping it counts
+    them all; a frame costs one extra call.
+    """
+
+    def __init__(self) -> None:
+        self.frames = self.wires = self.entries = 0
+        self._lock = threading.Lock()
+        self._pack = batch.pack_batch
+
+    def _counting(self, groups):
+        entries = sum(len(pairs) for _wire, pairs in groups)
+        with self._lock:
+            self.frames += 1
+            self.wires += len(groups)
+            self.entries += entries
+        return self._pack(groups)
+
+    def __enter__(self) -> "FrameCount":
+        batch.pack_batch = self._counting
+        return self
+
+    def __exit__(self, *exc) -> None:
+        batch.pack_batch = self._pack
+
+
+def measure_xlink(
+    bus: SoftwareBus, names: List[str], seconds: float
+) -> Tuple[float, FrameCount]:
+    """Delivered msgs/s across links, counted by remote queue discards,
+    and the frames that carried them.
 
     ``discard()`` drains each proxy queue in the worker and returns only
     the count — the periodic drain bounds worker memory, and because a
@@ -306,8 +346,9 @@ def measure_xlink(bus: SoftwareBus, names: List[str], seconds: float) -> float:
         return delivered, time.perf_counter() - start
 
     spin(seconds / 4)  # warmup
-    delivered, elapsed = spin(seconds)
-    return delivered / elapsed
+    with FrameCount() as frames:
+        delivered, elapsed = spin(seconds)
+    return delivered / elapsed, frames
 
 
 def measure_spawn_ms(rounds: int = 3) -> float:
@@ -342,7 +383,7 @@ def run_xproc_tier(seconds: float) -> Dict[str, object]:
 
     bus, names = build_xlink(workers=workers, fanout=fanout)
     try:
-        aggregate = measure_xlink(bus, names, seconds)
+        aggregate, frames = measure_xlink(bus, names, seconds)
     finally:
         bus.shutdown()
     return {
@@ -358,6 +399,9 @@ def run_xproc_tier(seconds: float) -> Dict[str, object]:
         "inproc_pair_baseline": round(inproc, 1),
         "pinned_pairs_aggregate": round(pinned, 1),
         "aggregate": round(aggregate, 1),
+        "frames": frames.frames,
+        "wires": frames.wires,
+        "entries": frames.entries,
         "spawn_ms": round(measure_spawn_ms(), 1),
         "scaleup_vs_inproc_pair": round(aggregate / inproc, 2) if inproc else 0.0,
     }

@@ -12,8 +12,8 @@ asynchronous.  Bindings connect the interfaces of modules."
   the reconfiguration ``cq`` command)
 - :mod:`repro.bus.spec`       — module and application specifications
 - :mod:`repro.bus.mil`        — the configuration language of Figure 2
-- :mod:`repro.bus.machine`    — simulated hosts with architecture profiles
 - :mod:`repro.bus.module`     — module instances (thread of control + namespace)
+  on a machine, which is its :class:`~repro.state.machine.MachineProfile`
 - :mod:`repro.bus.bus`        — the bus itself: routing, lifecycle, introspection
 - :mod:`repro.bus.transport`  — where else a module executes: in a
   machine daemon of the worker pool or of an attached TCP transport;
@@ -40,7 +40,6 @@ __all__ = [
     "ModuleSpec",
     "parse_mil",
     "parse_module_spec",
-    "Host",
     "ModuleInstance",
     "ModuleState",
     "SoftwareBus",
@@ -62,7 +61,6 @@ __getattr__, __dir__ = lazy_exports(
             "ModuleSpec",
         ],
         "repro.bus.mil": ["parse_mil", "parse_module_spec"],
-        "repro.bus.machine": ["Host"],
         "repro.bus.module": ["ModuleInstance", "ModuleState"],
         "repro.bus.bus": ["SoftwareBus"],
     },

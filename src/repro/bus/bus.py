@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 # deferral out of the bus process — after ``import repro.bus.bus`` no
 # set-up, ``launch()`` or ``replace()`` executes a first-use import.
 import repro.core.transformer  # noqa: F401
-from repro.bus.machine import HostRegistry
 from repro.bus.message import Message
 from repro.bus.module import ModuleInstance, ModuleState
 from repro.bus.queues import discarding
@@ -42,7 +41,7 @@ from repro.errors import (
 )
 from repro.runtime import faults, telemetry
 from repro.runtime.mh import SleepPolicy
-from repro.state.machine import MachineProfile
+from repro.state.machine import Endianness, MachineProfile, renamed
 
 if TYPE_CHECKING:
     from repro.bus.transport import RemoteTransport
@@ -111,7 +110,7 @@ class _RouteEntry:
             # fan-out only ever ships the sender's wire (see finalize).
             put = peer.remote_put(peer_if, self.sender_profile)
         else:
-            receiver = peer.host.profile
+            receiver = peer.host
             sender = self.sender_profile
             if (
                 sender is receiver
@@ -222,7 +221,9 @@ class SoftwareBus:
         workers: int = 0,
         worker_architecture: str = "modern-64",
     ):
-        self.hosts = HostRegistry()
+        #: Machine name -> its profile: every machine a module was placed
+        #: on, added by :meth:`add_host` or on first use.
+        self.hosts: Dict[str, MachineProfile] = {}
         self.module_specs: Dict[str, ModuleSpec] = {}
         # Instance name -> the module that answers to it.  A replacement
         # swaps the entry in place (hand_over), so a name keeps its
@@ -308,8 +309,17 @@ class SoftwareBus:
     # Hosts and module specifications
     # ------------------------------------------------------------------
 
-    def add_host(self, name: str, profile: Optional[MachineProfile] = None):
-        return self.hosts.add(name, profile)
+    def add_host(
+        self, name: str, profile: Optional[MachineProfile] = None
+    ) -> MachineProfile:
+        """Register machine ``name`` with ``profile``'s architecture (a
+        little-endian default without one); return its profile."""
+        with self._lock:
+            if name in self.hosts:
+                raise BusError(f"host {name!r} already registered")
+            host = renamed(profile or MachineProfile(name, Endianness.LITTLE), name)
+            self.hosts[name] = host
+            return host
 
     def register_module_spec(self, spec: ModuleSpec) -> None:
         self.module_specs[spec.name] = spec
@@ -328,7 +338,6 @@ class SoftwareBus:
         self.application_name = config.application.name
         for inst in config.application.instances:
             machine = inst.machine or default_host
-            self.hosts.ensure(machine)
             self.add_module(
                 config.modules[inst.module],
                 instance=inst.instance,
@@ -434,7 +443,7 @@ class SoftwareBus:
             placement = spec.attributes.get("placement") or None
         if placement in (None, "", "inproc"):
             with self._lock:
-                host = self.hosts.ensure(machine)
+                host = self.hosts.get(machine) or self.add_host(machine)
             module = ModuleInstance(
                 name=name,
                 spec=spec,
@@ -462,7 +471,7 @@ class SoftwareBus:
             slot=slot or None,
         )
         with self._lock:
-            self.hosts.adopt(module.host)
+            self.hosts.setdefault(module.host.name, module.host)
         return module, f"{module.host.name} via {tname}"
 
     def start_module(self, instance: str) -> None:
@@ -687,17 +696,20 @@ class SoftwareBus:
         else:
             shared = dst_link is src_link
             to = dst.key if shared else ""
+            # Before the request: a host that ran the move but whose reply
+            # was lost has sealed the queues all the same, and a hand-back
+            # must unseal them (an unseal of open queues does nothing).
+            src.sealed = not shared
             reply = src_link.request(
                 ["move_queues", src.key, to, preserve, interface or ""]
             )
-            src.sealed = not shared
             for name, moved in dict(reply).items():  # type: ignore[call-overload]
                 name = str(name)
                 if name not in names:
                     continue
                 if preserve and not shared:  # the wires, for step 3 here
                     messages = [
-                        Message.from_wire(bytes(w), src.host.profile) for w in moved
+                        Message.from_wire(bytes(w), src.host) for w in moved
                     ]
                     self._prepend(src, name, dst, messages)
                     moved = len(messages)
@@ -723,7 +735,7 @@ class SoftwareBus:
         routing put), or, without ``preserve``, a discard that counts."""
         if not preserve:
             return discarding(f"{src.name}.{interface}")
-        sender, receiver = src.host.profile, dst.host.profile
+        sender, receiver = src.host, dst.host
         if getattr(dst, "link", None) is not None:
             put = dst.remote_put(interface, sender)
             receiver = sender  # the host decodes the wire under its own profile
@@ -747,7 +759,7 @@ class SoftwareBus:
         front of ``dst``'s queue (step 3 of the move)."""
         if messages:
             dst.queue(interface).prepend(
-                [m.transferred(src.host.profile, dst.host.profile) for m in messages]
+                [m.transferred(src.host, dst.host) for m in messages]
             )
 
     def _swap(
@@ -883,9 +895,8 @@ class SoftwareBus:
         with self._lock:
             table: Dict[str, Dict[str, _RouteEntry]] = {}
             for name, module in self._instances.items():
-                profile = module.host.profile
                 table[name] = {
-                    decl.name: _RouteEntry(profile)
+                    decl.name: _RouteEntry(module.host)
                     for decl in module.spec.interfaces
                 }
             in_degree: Dict[Tuple[str, str], int] = {}

@@ -28,11 +28,9 @@ front — here, or through the bus.
 from __future__ import annotations
 
 import threading
-import time
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.bus.batch import Coalescer, unpack_batch
-from repro.bus.machine import Host
 from repro.bus.message import Message
 from repro.bus.module import ModuleInstance
 from repro.bus.queues import discarding
@@ -82,6 +80,13 @@ def _wire_safe(value: object) -> object:
     if isinstance(value, (list, tuple)):
         return [_wire_safe(v) for v in value]
     return repr(value)
+
+
+def failure_fields(exc: BaseException) -> Tuple[str, str]:
+    """A failure as it crosses a link: its type name and its text (an
+    ``err`` reply, a ``divulge_failed`` or a crash in ``lifecycle``).
+    The bus rebuilds it with :func:`repro.bus.link.remote_error`."""
+    return type(exc).__name__, str(exc)
 
 
 def note_event_failed(
@@ -136,19 +141,17 @@ class ModuleHost:
 
     def __init__(
         self,
-        machine_name: str,
-        host: Host,
+        profile: MachineProfile,
         sleep_policy: SleepPolicy,
         send_event: Callable[[List[object]], None],
     ):
-        self.machine_name = machine_name
-        self.host = host
-        self.profile = host.profile
+        #: The machine this host is: its modules run under this profile.
+        self.profile = profile
         self.sleep_policy = sleep_policy
         self._raw_send_event = send_event
         self._send_gate = threading.Lock()
         self._tunnel = Coalescer(
-            machine_name,
+            profile.name,
             "write_batch",
             ship=send_event,
             send_lock=self._send_gate,
@@ -163,10 +166,6 @@ class ModuleHost:
         # for endpoints whose whole fan-out lives on this host.  Replaced
         # atomically.
         self.routes: Dict[Tuple[str, str], Tuple] = {}
-        #: key -> monotonic time of the last delivery served through
-        #: this host (host-local fast-path writes bypass it; the
-        #: heartbeat reports the age as "last delivery the bus caused").
-        self._last_delivery: Dict[str, float] = {}
         self._hb_lock = threading.Lock()
         self._hb_interval = 0.0
         self._hb_stop: Optional[threading.Event] = None
@@ -177,7 +176,7 @@ class ModuleHost:
     def handle(self, command: str, args: List[object]) -> object:
         handler = getattr(self, f"_cmd_{command}", None)
         if handler is None:
-            raise BusError(f"host {self.machine_name}: unknown command {command!r}")
+            raise BusError(f"host {self.profile.name}: unknown command {command!r}")
         return handler(*strip_trace_context(args))
 
     def send_event(self, command: List[object]) -> None:
@@ -197,7 +196,7 @@ class ModuleHost:
         """Deliveries that found no module or queue (withdrawn in flight)."""
         rec = telemetry.recorder
         if rec is not None:
-            rec.count("host.deliver_miss", n=n, key=self.machine_name)
+            rec.count("host.deliver_miss", n=n, key=self.profile.name)
 
     def _put_local(self, key: str, interface: str, message: Message) -> None:
         """A host-local write; a module withdrawn in flight, or one whose
@@ -265,7 +264,7 @@ class ModuleHost:
             return self.modules[str(key)]
         except KeyError:
             raise UnknownModuleError(
-                f"host {self.machine_name}: no module {key!r}"
+                f"host {self.profile.name}: no module {key!r}"
             ) from None
 
     def _watch(self, key: str, module: ModuleInstance) -> None:
@@ -280,9 +279,7 @@ class ModuleHost:
         if failure is None:
             self.send_event(["divulged", key, mh.outgoing_packet, mh.outgoing_frames])
         else:
-            self.send_event(
-                ["divulge_failed", key, type(failure).__name__, str(failure)]
-            )
+            self.send_event(["divulge_failed", key, *failure_fields(failure)])
 
     def _push_lifecycle(self, key: str, module: ModuleInstance) -> None:
         crash = module.crash
@@ -291,7 +288,7 @@ class ModuleHost:
                 "lifecycle",
                 key,
                 module.state.value,
-                repr(crash) if crash is not None else "",
+                *(failure_fields(crash) if crash is not None else ("", "")),
             ]
         )
 
@@ -304,7 +301,7 @@ class ModuleHost:
         module = ModuleInstance(
             name=str(instance),
             spec=spec,
-            host=self.host,
+            host=self.profile,
             bus=self,
             status=str(status),
             sleep_policy=self.sleep_policy,
@@ -316,7 +313,7 @@ class ModuleHost:
         with self.modules_lock:
             if key in self.modules:
                 raise BusError(
-                    f"host {self.machine_name}: module {key!r} already present"
+                    f"host {self.profile.name}: module {key!r} already present"
                 )
             self.modules[key] = module
         return True
@@ -337,8 +334,6 @@ class ModuleHost:
     def _cmd_remove(self, key) -> bool:
         with self.modules_lock:
             module = self.modules.pop(str(key))
-        # Withdrawn/migrated modules must not leak delivery stamps.
-        self._last_delivery.pop(str(key), None)
         module.remove()
         return True
 
@@ -395,7 +390,6 @@ class ModuleHost:
                     buckets[(key, interface)] = [message]
                 else:
                     bucket.append(message)
-            touched = []
             with self.modules_lock:
                 modules = self.modules
                 for (key, interface), run in buckets.items():
@@ -407,11 +401,6 @@ class ModuleHost:
                         module.queue(interface).put_many(run)
                     except BusError:  # no such queue
                         self._count_miss(len(run))
-                        continue
-                    touched.append(key)
-        now = time.monotonic()
-        for key in touched:
-            self._last_delivery[key] = now
         return True
 
     def _cmd_deliver_front(self, key, interface, wires) -> bool:
@@ -420,7 +409,6 @@ class ModuleHost:
         messages = [Message.from_wire(bytes(w), self.profile) for w in wires]
         with self.modules_lock:
             self._module(key).queue(str(interface)).prepend(messages)
-        self._last_delivery[str(key)] = time.monotonic()
         return True
 
     def _cmd_move_queues(
@@ -506,7 +494,7 @@ class ModuleHost:
         return {k: v for k, v in statics.items()}
 
     def _cmd_ping(self) -> str:
-        return self.machine_name
+        return self.profile.name
 
     # -- telemetry parity across the boundary ---------------------------------
 
@@ -561,7 +549,7 @@ class ModuleHost:
                 self._hb_thread = threading.Thread(
                     target=self._heartbeat_loop,
                     args=(self._hb_stop,),
-                    name=f"heartbeat-{self.machine_name}",
+                    name=f"heartbeat-{self.profile.name}",
                     daemon=True,
                 )
                 self._hb_thread.start()
@@ -581,7 +569,7 @@ class ModuleHost:
             seq += 1
             try:
                 self.send_event(
-                    ["heartbeat", self.machine_name, seq, self._health_payload()]
+                    ["heartbeat", self.profile.name, seq, self._health_payload()]
                 )
             except Exception:  # noqa: BLE001 - a sick link must not kill the beat
                 pass
@@ -590,11 +578,10 @@ class ModuleHost:
         """Per-module liveness detail riding on each heartbeat, by instance
         name (a clone sharing the host with the module it replaces
         reports last)."""
-        now = time.monotonic()
         with self.modules_lock:
-            items = list(self.modules.items())
+            hosted = list(self.modules.values())
         modules: Dict[str, object] = {}
-        for key, module in items:
+        for module in hosted:
             try:
                 counts = module.queued_counts()
                 hwm = 0
@@ -603,25 +590,19 @@ class ModuleHost:
                         cell = getattr(module.queue(decl.name), "_hwm", 0)
                         if cell > hwm:
                             hwm = int(cell)
-                last = self._last_delivery.get(key)
                 mh = module.mh
                 modules[module.name] = {
                     "state": module.state.value,
                     "queued": int(sum(counts.values())),
                     "queue_hwm": hwm,
                     "divulging": bool(mh.reconfig and not mh.divulged.is_set()),
-                    "last_delivery_age": (
-                        now - last if last is not None else None
-                    ),
                 }
             except Exception:  # noqa: BLE001 - a module mid-teardown is skippable
                 continue
         return {"modules": modules}
 
 
-def serve_host(
-    channel, name: str, profile: MachineProfile, sleep_scale: float
-) -> None:
+def serve_host(channel, profile: MachineProfile, sleep_scale: float) -> None:
     """Host modules behind ``channel`` until shutdown or the bus goes away.
 
     The whole remote side of a link, for every machine daemon.  Events
@@ -641,8 +622,7 @@ def serve_host(
             pass  # bus side went away; the loop below notices on recv
 
     core = ModuleHost(
-        name,
-        Host(name=name, profile=profile),
+        profile,
         SleepPolicy(scale=sleep_scale),
         lambda command: send(["evt", 0] + list(command)),
     )
@@ -651,7 +631,7 @@ def serve_host(
         try:
             reply: List[object] = ["rep", seq, core.handle(command, args)]
         except Exception as exc:  # noqa: BLE001 - every failure becomes an err reply
-            reply = ["err", seq, f"{type(exc).__name__}: {exc}"]
+            reply = ["err", seq, *failure_fields(exc)]
         send(reply)
 
     failing = False
@@ -668,7 +648,7 @@ def serve_host(
                 try:
                     core.handle(command, frame[3:])
                 except Exception as exc:  # noqa: BLE001 - a bad event must not kill the host
-                    note_event_failed(name, command, exc, first=not failing)
+                    note_event_failed(profile.name, command, exc, first=not failing)
                     failing = True
                 else:
                     failing = False

@@ -20,7 +20,6 @@ from repro.errors import (
     InjectedFault,
     ReconfigTimeoutError,
     TransportError,
-    UnknownModuleError,
 )
 from repro.runtime import telemetry
 from repro.state.machine import MachineProfile
@@ -42,15 +41,35 @@ class _Waiter:
         self.event.set()
 
 
-def _error_from(link_name: str, message: str) -> BusError:
-    """Rehydrate a remote ``err`` reply into a useful exception type."""
-    if "ReconfigTimeoutError" in message:
-        return ReconfigTimeoutError(message)
-    if "UnknownModuleError" in message:
-        return UnknownModuleError(f"{link_name}: {message}")
-    if "TransportError" in message or message == "link closed":
-        return TransportError(f"{link_name}: {message}")
-    return BusError(f"{link_name}: {message}")
+def _with_subclasses(cls: type) -> List[type]:
+    return [cls] + [
+        sub for child in cls.__subclasses__() for sub in _with_subclasses(child)
+    ]
+
+
+#: The failures a host sends that the bus raises as their own type: every
+#: ``BusError``, a deadline and an injected fault.
+_REMOTE_ERRORS: Dict[str, type] = {
+    cls.__name__: cls
+    for cls in (*_with_subclasses(BusError), ReconfigTimeoutError, InjectedFault)
+}
+
+
+def remote_error(kind: str, text: str) -> BaseException:
+    """A host's failure, rebuilt from its type name and its text
+    (:func:`~repro.bus.host.failure_fields`).
+
+    A known type is rebuilt around the host's text as it is, without its
+    constructor (which formats a message from arguments, such as a
+    crash's cause, that stayed on the host); anything else is a
+    ``BusError`` naming its type, so ``except BusError`` still catches it.
+    """
+    cls = _REMOTE_ERRORS.get(kind)
+    if cls is None:
+        return BusError(f"{kind}: {text}")
+    error = cls.__new__(cls)
+    Exception.__init__(error, text)
+    return error
 
 
 class Link:
@@ -126,7 +145,12 @@ class Link:
                     with self._lock:
                         waiter = self._pending.pop(seq, None)
                     if waiter is not None:
-                        waiter.complete(str(kind), frame[2])
+                        waiter.complete(
+                            kind,
+                            frame[2]
+                            if kind == "rep"
+                            else remote_error(str(frame[2]), str(frame[3])),
+                        )
                 elif kind == "evt":
                     self._events.put((str(frame[2]), frame[3:]))
         except (TransportError, OSError):
@@ -138,7 +162,7 @@ class Link:
                 pending = list(self._pending.values())
                 self._pending.clear()
             for waiter in pending:
-                waiter.complete("err", "link closed")
+                waiter.complete("err", TransportError(f"{self.name}: link closed"))
             self._events.put(None)
 
     def _dispatch_loop(self) -> None:
@@ -225,9 +249,9 @@ class Link:
     def request(self, command: List[object], timeout: float = 30.0) -> object:
         """Round-trip one request frame, sent once.
 
-        A failed send (injected or real) or no reply within ``timeout``
-        raises ``TransportError``; an ``err`` reply raises its
-        rehydrated error.
+        A failed send (injected or real), no reply within ``timeout`` or
+        a link that closes first raises ``TransportError``; an ``err``
+        reply raises the host's failure (:func:`remote_error`).
         """
         if self.closed.is_set():
             raise TransportError(f"link {self.name}: closed")
@@ -258,7 +282,7 @@ class Link:
                 f"link {self.name}: no reply to {command[0]!r} in {timeout}s"
             )
         if waiter.kind == "err":
-            raise _error_from(self.name, str(waiter.value))
+            raise waiter.value  # type: ignore[misc]
         return waiter.value
 
     def close(self) -> None:

@@ -24,7 +24,6 @@ from functools import lru_cache
 from types import CodeType
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
-from repro.bus.machine import Host
 from repro.bus.message import Message
 from repro.bus.queues import MessageQueue
 from repro.bus.spec import ModuleSpec
@@ -37,6 +36,7 @@ from repro.errors import (
 from repro.runtime import faults, telemetry
 from repro.runtime.mh import MH, ModuleStop, SleepPolicy
 from repro.runtime.refs import Ref
+from repro.state.machine import MachineProfile
 
 if TYPE_CHECKING:
     from repro.core.transformer import TransformResult
@@ -208,13 +208,14 @@ def prepared_source_for(spec: ModuleSpec) -> str:
 
 
 class ModuleInstance:
-    """One executing (or executable) module on a host."""
+    """One executing (or executable) module on a host, whose profile is
+    ``host``."""
 
     def __init__(
         self,
         name: str,
         spec: ModuleSpec,
-        host: Host,
+        host: MachineProfile,
         bus,
         status: str = "original",
         sleep_policy: Optional[SleepPolicy] = None,
@@ -226,7 +227,7 @@ class ModuleInstance:
         self.state = ModuleState.CREATED
         self.mh = MH(
             module=spec.name,
-            machine=host.profile,
+            machine=host,
             status=status,
             sleep_policy=sleep_policy,
         )

@@ -173,7 +173,7 @@ def daemon_entry(
     channel = SocketChannel(sock)
     try:
         channel.send(["evt", 0, "hello", machine_name, profile.to_abstract()])
-        serve_host(channel, machine_name, profile, sleep_scale)
+        serve_host(channel, profile, sleep_scale)
     finally:
         channel.close()
 

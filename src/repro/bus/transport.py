@@ -43,7 +43,6 @@ runs (that is :mod:`repro.bus.host`):
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import socket
 import subprocess
@@ -53,31 +52,29 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.bus import tcp
 from repro.bus.batch import unpack_batch
-from repro.bus.link import Link
-from repro.bus.machine import Host, catalogued
+from repro.bus.link import Link, remote_error
 from repro.bus.message import Message
 from repro.bus.module import ModuleState, prepared_source_for
 from repro.bus.spec import ModuleSpec
 from repro.errors import (
     BusError,
-    InjectedFault,
     ModuleCrashedError,
     ModuleLifecycleError,
     TransportError,
     UnknownInterfaceError,
 )
 from repro.runtime import telemetry
-from repro.state.machine import MachineProfile, profile_from_abstract
+from repro.state.machine import (
+    MachineProfile,
+    catalogued,
+    profile_from_abstract,
+    renamed,
+)
 
 
 #: How long a transport's hosts have, all together, to start and answer:
 #: interpreter start-up plus the repro imports, slow on cold caches.
 START_TIMEOUT_S = 60.0
-
-
-def host_profile(name: str, architecture: str) -> MachineProfile:
-    """The profile of host ``name``: a catalogued architecture, renamed."""
-    return dataclasses.replace(catalogued(architecture), name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +108,7 @@ class ProxyQueue:
     def put(self, message: Message) -> None:
         handle = self._handle
         handle.link.send_deliver(
-            handle.key, self.interface, message.to_wire(handle.host.profile)
+            handle.key, self.interface, message.to_wire(handle.host)
         )
 
     def peek_count(self) -> int:
@@ -130,7 +127,7 @@ class ProxyQueue:
         )
 
     def prepend(self, messages: List[Message]) -> None:
-        profile = self._handle.host.profile
+        profile = self._handle.host
         self._handle.link.request(
             [
                 "deliver_front",
@@ -153,7 +150,7 @@ class _ProxyMH:
     def __init__(self, handle: "RemoteModuleHandle"):
         self._handle = handle
         self.module = handle.spec.name
-        self.machine = handle.host.profile
+        self.machine = handle.host
         self.divulged = threading.Event()
         self.divulge_settled = threading.Event()
         self.restored = threading.Event()
@@ -205,31 +202,8 @@ class _ProxyMH:
         self.divulge_settled.set()
 
     def _on_divulge_failed(self, kind: str, text: str) -> None:
-        self.divulge_failed = _divulge_failure(kind, text)
+        self.divulge_failed = remote_error(kind, text)
         self.divulge_settled.set()
-
-
-#: The failures a divulge ends with on its host that the bus raises as
-#: their own type; any other arrives as a TransportError naming its type.
-_DIVULGE_FAILURES = {
-    cls.__name__: cls
-    for cls in (ModuleCrashedError, ModuleLifecycleError, InjectedFault)
-}
-
-
-def _divulge_failure(kind: str, text: str) -> BaseException:
-    """A host's divulge failure, from its class name and its text.
-
-    A known type is rebuilt around the host's text as it is, without its
-    constructor (which formats a message from arguments, such as a
-    crash's cause, that stayed on the host).
-    """
-    cls = _DIVULGE_FAILURES.get(kind)
-    if cls is None:
-        return TransportError(f"{kind}: {text}")
-    failure = cls.__new__(cls)
-    Exception.__init__(failure, text)
-    return failure
 
 
 class RemoteModuleHandle:
@@ -253,7 +227,6 @@ class RemoteModuleHandle:
         key: str,
         name: str,
         spec: ModuleSpec,
-        host: Host,
         link: Link,
         transport: "RemoteTransport",
         placement: str,
@@ -262,7 +235,8 @@ class RemoteModuleHandle:
         self.key = key
         self.name = name
         self.spec = spec
-        self.host = host
+        #: The profile of the machine it runs on: its link's.
+        self.host = link.profile
         self.link = link
         self.transport = transport
         self.placement = placement
@@ -373,9 +347,9 @@ class RemoteModuleHandle:
 
     # -- event sink -----------------------------------------------------------
 
-    def _on_lifecycle(self, state_value: str, crash_text: str) -> None:
-        if crash_text:
-            self.crash = BusError(crash_text)
+    def _on_lifecycle(self, state_value: str, kind: str, text: str) -> None:
+        if kind:
+            self.crash = remote_error(kind, text)
         self.state = ModuleState(state_value)
 
     def describe(self) -> str:
@@ -394,11 +368,11 @@ class RemoteTransport:
     """Shared bus-side logic for transports hosting modules out of process.
 
     The slot table: ``_names`` lists the hosts in declared order, and
-    ``_slots[i]`` holds host ``i``'s ``(link, host)``.  A subclass
-    constructor fills the table through :meth:`_start`, so every host is
-    up once the transport exists; :meth:`close` empties it.  A placement
-    slot is a host name or an index into ``_names``; no slot means
-    round-robin along it.  A subclass says how its hosts start
+    ``_slots[i]`` is host ``i``'s link, which carries its profile.  A
+    subclass constructor fills the table through :meth:`_start`, so every
+    host is up once the transport exists; :meth:`close` empties it.  A
+    placement slot is a host name or an index into ``_names``; no slot
+    means round-robin along it.  A subclass says how its hosts start
     (:meth:`_start_hosts`) and stop (:meth:`_reap`).
 
     The naming rule: ``hosts`` given as a count ``N`` are named
@@ -417,7 +391,7 @@ class RemoteTransport:
         else:
             self._names = self._labels = list(hosts)
         #: Replaced whole, never edited in place, so readers need no lock.
-        self._slots: List[Tuple[Link, Host]] = []
+        self._slots: List[Link] = []
         #: Round-robin turns; ``next()`` on a count is atomic.
         self._rr = itertools.count()
         #: Host key -> handle.  Keys are ``<instance>#<n>``, ``n`` from
@@ -461,10 +435,7 @@ class RemoteTransport:
             self._reap(grace=0.0)
             raise
         # Declared order, not answer order.
-        self._slots = [
-            (links[name], Host(name=name, profile=links[name].profile))
-            for name in self._names
-        ]
+        self._slots = [links[name] for name in self._names]
 
     def _start_hosts(self, links: Dict[str, Link], deadline: float) -> None:
         """Start every host, then await each one's link by ``deadline``."""
@@ -477,7 +448,7 @@ class RemoteTransport:
 
     def links(self) -> List[Link]:
         """The link of every host, in declared order."""
-        return [link for link, _host in self._slots]
+        return self._slots
 
     def _index(self, slot: str) -> Optional[int]:
         """The index ``slot`` names (a host name or an index), else None."""
@@ -499,7 +470,7 @@ class RemoteTransport:
         index = self._index(slot) if slot else None
         return None if index is None else self._names[index]
 
-    def _place(self, slot: Optional[str]) -> Tuple[Link, Host, str]:
+    def _place(self, slot: Optional[str]) -> Tuple[Link, str]:
         if not slot:
             index = next(self._rr) % len(self._names)
         else:
@@ -512,8 +483,7 @@ class RemoteTransport:
         slots = self._slots
         if not slots:
             raise TransportError(f"{self.name} transport is closed")
-        link, host = slots[index]
-        return link, host, f"{self.name}:{self._labels[index]}"
+        return slots[index], f"{self.name}:{self._labels[index]}"
 
     def _open_link(self, name: str, profile: MachineProfile, channel) -> Link:
         link = Link(name, profile, channel)
@@ -523,7 +493,7 @@ class RemoteTransport:
     def close(self) -> None:
         """Shut every host down and close its link, then reap the processes."""
         slots, self._slots = self._slots, []
-        for link, _host in slots:
+        for link in slots:
             try:
                 link.request(["shutdown"], timeout=5)
             except BusError:
@@ -690,7 +660,7 @@ class RemoteTransport:
         state_packet: Optional[bytes] = None,
         slot: Optional[str] = None,
     ) -> RemoteModuleHandle:
-        link, host, placement = self._place(slot)
+        link, placement = self._place(slot)
         prepared = prepared_source_for(spec)
         key = f"{instance}#{next(self._keys)}"
         link.request(
@@ -700,7 +670,6 @@ class RemoteTransport:
             key=key,
             name=instance,
             spec=spec,
-            host=host,
             link=link,
             transport=self,
             placement=placement,
@@ -741,7 +710,7 @@ class RemoteTransport:
             elif command == "lifecycle":
                 handle = self._handles.get(str(args[0]))
                 if handle is not None:
-                    handle._on_lifecycle(str(args[1]), str(args[2]))
+                    handle._on_lifecycle(str(args[1]), str(args[2]), str(args[3]))
             elif command == "heartbeat":
                 monitor = self._health_monitor
                 if monitor is not None:
@@ -781,7 +750,7 @@ class TcpTransport(RemoteTransport):
             raise BusError(f"{self.name} transport needs at least one host")
         given = machines if isinstance(machines, dict) else {}
         self._profiles: Dict[str, MachineProfile] = {
-            name: host_profile(name, given.get(name, architecture))
+            name: renamed(catalogued(given.get(name, architecture)), name)
             for name in self._names
         }
         self._sleep_scale = sleep_scale

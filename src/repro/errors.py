@@ -115,6 +115,9 @@ class BusError(ReproError):
 class MILSyntaxError(BusError):
     """The configuration specification (MIL) failed to parse."""
 
+    #: Unknown position: a failure rebuilt from another process's text.
+    lineno = col = 0
+
     def __init__(self, message: str, lineno: int = 0, col: int = 0):
         super().__init__(message)
         self.lineno = lineno

@@ -3,10 +3,11 @@
 The paper moves modules "to different architectures" and argues that the
 process state must therefore be captured in an abstract, machine-neutral
 format.  We cannot attach real heterogeneous hardware to a test run, so we
-simulate it (see DESIGN.md, substitutions): every simulated host carries a
-:class:`MachineProfile` describing its byte order and native integer
-widths.  State leaving a module is translated *native -> canonical* on the
-source machine and *canonical -> native* on the target machine.
+simulate it (see DESIGN.md, substitutions): a simulated host *is* a
+:class:`MachineProfile`, its name and its byte order and native integer
+widths, and a module placed on it runs under that profile.  State leaving
+a module is translated *native -> canonical* on the source machine and
+*canonical -> native* on the target machine.
 
 Two behaviours make the simulation meaningful rather than decorative:
 
@@ -23,10 +24,10 @@ from __future__ import annotations
 import enum
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict
 
-from repro.errors import EncodingError, MachineCompatibilityError
+from repro.errors import BusError, EncodingError, MachineCompatibilityError
 from repro.state.format import ScalarType, TypeSpec, iter_scalars
 
 
@@ -280,3 +281,26 @@ MACHINES: Dict[str, MachineProfile] = {
     ),
     "modern-64": MachineProfile("modern-64", Endianness.LITTLE, int_bits=32, long_bits=64),
 }
+
+
+def catalogued(architecture: str) -> MachineProfile:
+    """The catalogue profile named ``architecture``, else a ``BusError``."""
+    try:
+        return MACHINES[architecture]
+    except KeyError:
+        raise BusError(
+            f"unknown architecture {architecture!r}; catalogue: "
+            f"{', '.join(sorted(MACHINES))}"
+        ) from None
+
+
+def renamed(profile: MachineProfile, name: str) -> MachineProfile:
+    """``profile`` as the profile of machine ``name``.
+
+    A machine is its profile: the name is the machine's, so captured
+    states record *which machine* they came from, and the rest is its
+    architecture's.
+    """
+    if profile.name == name:
+        return profile
+    return replace(profile, name=name)

@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bus.bus import SoftwareBus
 from repro.bus.interfaces import InterfaceDecl, Role
-from repro.bus.machine import Host
 from repro.bus.message import Message
 from repro.bus.spec import BindingSpec, ModuleSpec
 from repro.bus.transport import RemoteTransport
@@ -149,6 +148,7 @@ def test_table_matches_the_plain_list_reference(sequence):
 class _CountingLink:
     def __init__(self, name):
         self.name = name
+        self.profile = MACHINES["modern-64"]
         self.events = []
 
     def send_event(self, command):
@@ -162,10 +162,7 @@ class _CountingTransport(RemoteTransport):
 
     def __init__(self, links=3):
         super().__init__([f"host-{i}" for i in range(links)])
-        self._slots = [
-            (_CountingLink(name), Host(name, MACHINES["modern-64"]))
-            for name in self._names
-        ]
+        self._slots = [_CountingLink(name) for name in self._names]
 
 
 MONITORS = 64

@@ -23,16 +23,20 @@ from repro.bus.bus import SoftwareBus
 from repro.bus.host import ModuleHost
 from repro.bus.interfaces import InterfaceDecl, Role
 from repro.bus.link import Link
-from repro.bus.machine import Host
 from repro.bus.message import Message
 from repro.bus.module import prepared_source_for
 from repro.bus.spec import BindingSpec, ModuleSpec
-from repro.errors import ReconfigurationAborted, ReconfigurationTimeout, SpecError
+from repro.errors import (
+    ReconfigurationAborted,
+    ReconfigurationTimeout,
+    SpecError,
+    TransportError,
+)
 from repro.reconfig.coordinator import ReconfigurationCoordinator
 from repro.reconfig.scripts import figure5_replacement_script
 from repro.runtime import telemetry
 from repro.runtime.mh import SleepPolicy
-from repro.state.machine import MACHINES
+from repro.state.machine import MACHINES, renamed
 
 from tests.conftest import wait_until
 
@@ -224,7 +228,7 @@ class TestOneHostOneName:
         profile = MACHINES["modern-64"]
         events = []
         core = ModuleHost(
-            "unit-host", Host("unit-host", profile), SleepPolicy(scale=0.0), events.append
+            renamed(profile, "unit-host"), SleepPolicy(scale=0.0), events.append
         )
         spec = _counter_spec()
         try:
@@ -255,7 +259,6 @@ class TestOneHostOneName:
             assert queued("counter#2") == [8, 9]
             core.handle("remove", ["counter#1"])
             assert list(core.modules) == ["counter#2"]
-            assert list(core._last_delivery) == ["counter#2"]
         finally:
             core.stop_all()
 
@@ -266,8 +269,7 @@ class TestHostMove:
     @pytest.fixture
     def core(self):
         core = ModuleHost(
-            "unit-host",
-            Host("unit-host", MACHINES["modern-64"]),
+            renamed(MACHINES["modern-64"], "unit-host"),
             SleepPolicy(scale=0.0),
             lambda event: None,
         )
@@ -421,6 +423,41 @@ def test_a_rolled_back_remote_replace_makes_four_link_requests(watchdog, monkeyp
         assert sent == ["signal", "add", "abandon", "remove"]
         _feed(bus, 10)
         wait_until(lambda: _total(bus) == 16)
+    finally:
+        bus.shutdown()
+
+
+@pytest.mark.multiproc
+def test_a_hand_back_after_a_lost_move_reply_reopens_the_old_queues(
+    watchdog, monkeypatch
+):
+    """The host ran the move of a hand-over to an in-process clone, and
+    its reply was lost: the old module's queues were sealed all the same,
+    so the hand-back must reopen them."""
+    bus = SoftwareBus(sleep_scale=0.0, workers=1)
+    try:
+        bus.add_module(_idle_spec("feeder", OUT), instance="feeder")
+        old = bus.add_module(_counter_spec(), instance="counter", placement="worker:0")
+        bus.add_binding(BindingSpec("feeder", "out", "counter", "inp"))
+        clone = bus.build_clone(_counter_spec(), "counter")
+        request = Link.request
+
+        def reply_lost(link, command, *args, **kwargs):
+            value = request(link, command, *args, **kwargs)
+            if command[0] == "move_queues":
+                raise TransportError(f"link {link.name}: no reply to 'move_queues'")
+            return value
+
+        monkeypatch.setattr(Link, "request", reply_lost)
+        with pytest.raises(TransportError):
+            bus.hand_over(old, clone)
+        monkeypatch.undo()
+        bus.hand_back(clone, old)
+        assert bus.get_module("counter") is old
+        rec = telemetry.enable(capacity=1 << 12)
+        old.queue("inp").put(_message(5))
+        assert old.queued_counts() == {"inp": 1}
+        assert rec.counter_total("host.deliver_miss") == 0
     finally:
         bus.shutdown()
 

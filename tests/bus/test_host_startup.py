@@ -117,11 +117,11 @@ def test_one_slot_table_for_both_transports(kind):
             assert transport.peek_host(bad) is None
             with pytest.raises(BusError, match=repr(bad)):
                 transport._place(bad)
-        placements = [transport._place(None)[2] for _ in range(4)]
+        placements = [transport._place(None)[1] for _ in range(4)]
         assert placements == [f"{kind}:{labels[i]}" for i in (0, 1, 2, 0)]
-        link, host, placement = transport._place(names[1])
-        assert transport._place("1") == (link, host, placement)
-        assert link.name == host.name == names[1]
+        link, placement = transport._place(names[1])
+        assert transport._place("1") == (link, placement)
+        assert link.name == link.profile.name == names[1]
         assert placement == f"{kind}:{labels[1]}"
     finally:
         transport.close()
@@ -220,15 +220,15 @@ class TestTcpDaemonStart:
         transport = TcpTransport(machines={"b": "vax-like", "a": "sparc-like"})
         try:
             assert transport._names == ["b", "a"]
-            for name, (link, host) in zip(transport._names, transport._slots):
+            for name, link in zip(transport._names, transport._slots):
                 # Each connection was matched to its machine by the name
                 # in its hello, and carries that daemon's own profile.
-                assert link.name == host.name == host.profile.name == name
+                assert link.name == link.profile.name == name
                 assert link.request(["ping"]) is not None
-            by_name = {host.name: host.profile for _, host in transport._slots}
+            by_name = {link.name: link.profile for link in transport._slots}
             assert by_name["b"].endianness.value == "little"
             assert by_name["a"].endianness.value == "big"
             assert transport.peek_host("0") == "b"
-            assert transport._place("1")[2] == "tcp:a"
+            assert transport._place("1")[1] == "tcp:a"
         finally:
             transport.close()

@@ -37,6 +37,34 @@ class TestMessage:
     def test_seq_increments(self):
         assert Message(values=[]).seq < Message(values=[]).seq
 
+    def test_seq_is_unique_across_threads(self):
+        """8 threads x 10 000 messages, with frequent thread switches: no
+        seq is handed out twice, and each thread's increase."""
+        per_thread = [[] for _ in range(8)]
+        start = threading.Barrier(len(per_thread))
+
+        def build(seqs):
+            start.wait()
+            for _ in range(10_000):
+                seqs.append(Message(values=[]).seq)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=build, args=(seqs,)) for seqs in per_thread
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        every = [seq for seqs in per_thread for seq in seqs]
+        assert len(every) == len(set(every)) == 80_000
+        for seqs in per_thread:
+            assert seqs == sorted(seqs)
+
     def test_transferred_same_machine_is_identity(self, sparc):
         message = Message(values=[1])
         assert message.transferred(sparc, sparc) is message

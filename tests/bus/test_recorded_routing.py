@@ -14,7 +14,6 @@ import pytest
 from repro.bus.bus import SoftwareBus
 from repro.bus.host import ModuleHost
 from repro.bus.interfaces import InterfaceDecl, Role
-from repro.bus.machine import Host
 from repro.bus.message import Message
 from repro.bus.module import prepared_source_for
 from repro.bus.queues import MessageQueue
@@ -23,7 +22,7 @@ from repro.bus.transport import RemoteTransport
 from repro.errors import TransportError
 from repro.runtime import telemetry
 from repro.runtime.mh import SleepPolicy
-from repro.state.machine import MACHINES
+from repro.state.machine import MACHINES, renamed
 
 IDLE = "def main():\n    pass\n"
 
@@ -45,6 +44,7 @@ class _FakeLink:
     """A link to a host that is never there: records what it is asked."""
 
     name = "fake-0"
+    profile = MACHINES["modern-64"]
 
     def __init__(self):
         self.appends = []
@@ -77,7 +77,7 @@ class _FakeTransport(RemoteTransport):
     def __init__(self):
         super().__init__(["fake-0"])
         self.link = _FakeLink()
-        self._slots = [(self.link, Host(name="fake-0", profile=MACHINES["modern-64"]))]
+        self._slots = [self.link]
 
 
 def _bus():
@@ -374,10 +374,7 @@ def test_a_dead_link_does_not_disarm_the_links_after_it():
     live.name = "fake-1"
     dead.request = _closed
     transport = RemoteTransport(["fake-0", "fake-1"])
-    transport._slots = [
-        (link, Host(name=link.name, profile=MACHINES["modern-64"]))
-        for link in (dead, live)
-    ]
+    transport._slots = [dead, live]
     monitor = _Monitor()
     transport.enable_telemetry()
     transport.enable_health(monitor, 0.05)
@@ -400,8 +397,7 @@ class TestHostCounts:
 
     def _host(self):
         core = ModuleHost(
-            "unit-host",
-            Host(name="unit-host", profile=MACHINES["modern-64"]),
+            renamed(MACHINES["modern-64"], "unit-host"),
             SleepPolicy(scale=0.0),
             lambda command: None,
         )

@@ -101,7 +101,7 @@ class TestInvalidation:
         # The name routes from the clone's entry now; a name that never
         # existed still raises.
         assert bus._routing_table["sender"]["out"].sender_profile is (
-            bus.get_module("sender").host.profile
+            bus.get_module("sender").host
         )
         with pytest.raises(UnknownModuleError):
             send(bus, 3, instance="nobody")

@@ -18,7 +18,6 @@ from repro.bus.bus import SoftwareBus
 from repro.bus.host import ModuleHost, serve_host
 from repro.bus.interfaces import InterfaceDecl, Role
 from repro.bus.link import Link
-from repro.bus.machine import Host
 from repro.bus.message import Message
 from repro.bus.module import prepared_source_for
 from repro.bus.spec import BindingSpec, ModuleSpec
@@ -26,7 +25,7 @@ from repro.bus.transport import RemoteTransport
 from repro.errors import TransportError
 from repro.runtime import telemetry
 from repro.runtime.mh import SleepPolicy
-from repro.state.machine import MACHINES
+from repro.state.machine import MACHINES, renamed
 
 from tests.conftest import wait_until
 
@@ -85,8 +84,7 @@ class TestHostSideMiss:
     @pytest.fixture
     def core(self):
         core = ModuleHost(
-            "unit-host",
-            Host(name="unit-host", profile=PROFILE),
+            renamed(PROFILE, "unit-host"),
             SleepPolicy(scale=0.0),
             lambda command: None,
         )
@@ -183,7 +181,9 @@ class TestEventFailuresAreCounted:
         rec = telemetry.enable(capacity=256)
         channel = _MemoryChannel()
         server = threading.Thread(
-            target=serve_host, args=(channel, "unit-host", PROFILE, 0.0), daemon=True
+            target=serve_host,
+            args=(channel, renamed(PROFILE, "unit-host"), 0.0),
+            daemon=True,
         )
         server.start()
         channel.inbox.put(["evt", 0, "no_such_command"])

@@ -31,17 +31,22 @@ from repro.bus.bus import SoftwareBus
 from repro.bus.host import ModuleHost
 from repro.bus.interfaces import InterfaceDecl, Role
 from repro.bus.link import Link
-from repro.bus.machine import Host
 from repro.bus.message import Message
 from repro.bus.module import ModuleState, prepared_source_for
 from repro.bus.spec import BindingSpec, ModuleSpec
 from repro.bus.transport import TcpTransport
-from repro.errors import ModuleCrashedError, ReconfigurationAborted, TransportError
+from repro.errors import (
+    BusError,
+    ModuleCrashedError,
+    ModuleLifecycleError,
+    ReconfigurationAborted,
+    TransportError,
+)
 from repro.reconfig.coordinator import ReconfigurationCoordinator
 from repro.runtime import telemetry
 from repro.runtime.faults import FaultPlan, fault_plan
 from repro.runtime.mh import SleepPolicy
-from repro.state.machine import MACHINES
+from repro.state.machine import MACHINES, renamed
 from repro.tools import stats
 
 pytestmark = pytest.mark.multiproc
@@ -325,6 +330,73 @@ class TestDeliveryContract:
         elapsed = time.monotonic() - started
         assert module.state in (ModuleState.STOPPED, ModuleState.DIVULGED)
         assert elapsed < 2.0, f"stop took {elapsed:.2f}s against a blocked read"
+
+
+class TestMachines:
+    def test_a_module_runs_under_the_profile_of_its_machine(self, placed_bus):
+        """A machine is its profile: ``module.host`` names the machine the
+        module was placed on and is the profile its messages are encoded
+        and decoded with — a remote module's is its link's."""
+        bus, placement = placed_bus
+        bus.add_host("big", MACHINES["sparc-like"])
+        module = bus.add_module(
+            _collector_spec(), instance="collector", machine="big", placement=placement
+        )
+        bus.add_module(_feeder_spec(), instance="feeder")
+        bus.add_binding(BindingSpec("feeder", "out", "collector", "inp"))
+        bus.start_module("collector")
+        if placement is None:
+            machine = "big"
+            assert module.mh.machine is module.host
+        else:
+            machine = module.link.name
+            assert module.host is module.link.profile
+            assert module.link.request(["ping"]) == machine  # the host's own name
+        assert module.host.name == machine
+        assert bus.hosts[machine] is module.host
+        _feed(bus, 1, -2, 3)
+        _wait(lambda: bus.statics_of("collector").get("got") == [1, -2, 3])
+        assert bus._routing_table["collector"]["inp"].sender_profile is module.host
+
+
+@pytest.mark.parametrize("placed_bus", ["worker", "tcp"], indirect=True)
+class TestRemoteFailureTypes:
+    """A host's failure reaches the bus as its own type, or as a
+    ``BusError`` naming it: an ``err`` reply and a crash alike."""
+
+    def test_a_second_start_is_a_lifecycle_error(self, placed_bus):
+        bus, placement = placed_bus
+        module = bus.add_module(_collector_spec(), instance="c", placement=placement)
+        module.start()
+        with pytest.raises(ModuleLifecycleError, match="cannot start"):
+            module.start()
+
+    def test_a_type_name_in_the_text_is_not_the_type(self, placed_bus):
+        bus, placement = placed_bus
+        module = bus.add_module(_collector_spec(), instance="c", placement=placement)
+        with pytest.raises(BusError, match="unknown command 'TransportError'") as info:
+            module.link.request(["TransportError"])
+        assert type(info.value) is BusError
+
+    def test_a_crash_keeps_its_type_name(self, placed_bus):
+        bus, placement = placed_bus
+        spec = ModuleSpec(
+            name="divider",
+            inline_source=DIVIDER_SOURCE,
+            interfaces=[InterfaceDecl(name="inp", role=Role.USE, pattern="l")],
+            reconfig_points=["Q"],
+        )
+        module = bus.add_module(spec, instance="divider", placement=placement)
+        bus.add_module(_feeder_spec(), instance="feeder")
+        bus.add_binding(BindingSpec("feeder", "out", "divider", "inp"))
+        bus.start_module("divider")
+        _feed(bus, 0)
+        _wait(lambda: module.state is ModuleState.CRASHED)
+        text = "ZeroDivisionError: integer division or modulo by zero"
+        assert type(module.crash) is BusError
+        assert str(module.crash) == text
+        with pytest.raises(ModuleCrashedError, match=text):
+            module.check_alive()
 
 
 class TestReplaceContract:
@@ -997,9 +1069,8 @@ class TestBatchedDelivery:
 
     def _host_core(self):
         profile = MACHINES["modern-64"]
-        host = Host(name="unit-host", profile=profile)
         core = ModuleHost(
-            "unit-host", host, SleepPolicy(scale=0.0), lambda command: None
+            renamed(profile, "unit-host"), SleepPolicy(scale=0.0), lambda command: None
         )
         return core, profile
 
@@ -1023,19 +1094,5 @@ class TestBatchedDelivery:
             for name in ("a", "b"):
                 queued = core.modules[name].queue("inp").snapshot()
                 assert [m.values for m in queued] == [[7]]
-                assert name in core._last_delivery
-            assert "ghost" not in core._last_delivery  # missing module skipped
-        finally:
-            core.stop_all()
-
-    def test_last_delivery_tracks_module_lifecycle(self):
-        core, profile = self._host_core()
-        try:
-            self._add(core, "collector#1")
-            blob = pack_batch([(_msg(1).to_wire(profile), [("collector#1", "inp", "")])])
-            core.handle("deliver_batch", [blob])
-            assert "collector#1" in core._last_delivery
-            core.handle("remove", ["collector#1"])
-            assert core._last_delivery == {}, "removal must drop the stamp"
         finally:
             core.stop_all()

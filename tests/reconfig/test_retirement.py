@@ -15,7 +15,6 @@ import pytest
 
 from repro.bus.bus import SoftwareBus
 from repro.bus.interfaces import InterfaceDecl, Role
-from repro.bus.machine import Host
 from repro.bus.module import ModuleState, prepared_source_for
 from repro.bus.spec import BindingSpec, ModuleSpec
 from repro.bus.host import ModuleHost
@@ -23,7 +22,7 @@ from repro.errors import ReconfigurationAborted
 from repro.reconfig.coordinator import ReconfigurationCoordinator
 from repro.runtime.faults import FaultPlan, fault_plan
 from repro.runtime.mh import SleepPolicy
-from repro.state.machine import MACHINES
+from repro.state.machine import MACHINES, renamed
 
 from tests.conftest import wait_until
 
@@ -165,8 +164,7 @@ class TestShutdown:
 class TestHostSideRemove:
     def test_remove_frees_a_hosted_instance(self, collector_off):
         core = ModuleHost(
-            "unit-host",
-            Host(name="unit-host", profile=MACHINES["modern-64"]),
+            renamed(MACHINES["modern-64"], "unit-host"),
             SleepPolicy(scale=0.0),
             lambda command: None,
         )

@@ -141,7 +141,6 @@ class TestSnapshot:
                         "queued": 3,
                         "queue_hwm": 9,
                         "divulging": False,
-                        "last_delivery_age": 0.01,
                     }
                 }
             },

@@ -5,7 +5,6 @@ import threading
 import pytest
 
 from repro.bus.host import ModuleHost
-from repro.bus.machine import Host
 from repro.bus.module import prepared_source_for
 from repro.bus.spec import ModuleSpec
 from repro.errors import (
@@ -18,7 +17,7 @@ from repro.runtime.faults import FaultPlan, fault_plan
 from repro.runtime.mh import MH, ModuleStop, SleepPolicy
 from repro.runtime.refs import Ref
 from repro.state.frames import ProcessState
-from repro.state.machine import MACHINES
+from repro.state.machine import MACHINES, renamed
 
 
 def captured_mh(machine=None, depth=2):
@@ -170,8 +169,7 @@ class TestCaptureProtocol:
         # count, and still does after a revival, with no re-arming.
         events = []
         host = ModuleHost(
-            "unit-host",
-            Host("unit-host", MACHINES["modern-64"]),
+            renamed(MACHINES["modern-64"], "unit-host"),
             SleepPolicy(scale=0.0),
             events.append,
         )

@@ -296,6 +296,23 @@ GUARDS = [
         CODE,
         ("with queue._not_empty:", "wait_until(lambda: queue._waiters == 1)"),
     ),
+    # A machine is its MachineProfile, and a remote failure crosses a
+    # link as its type name and its text: the host registry and its
+    # module, the substring rebuild of an err reply, the lock around the
+    # message sequence and the delivery stamps nothing read.
+    Guard(
+        "the host wrapper and the untyped remote failure",
+        r"\bHostRegistry\b|repro\.bus\.machine|_error_from|_sequence_lock"
+        r"|_last_delivery",
+        CODE,
+        (
+            "self.hosts = HostRegistry()",
+            "from repro.bus.machine import Host",
+            "raise _error_from(self.name, text)",
+            "with _sequence_lock:",
+            "self._last_delivery[key] = now",
+        ),
+    ),
 ]
 
 
