@@ -29,8 +29,7 @@ def _launch():
     bus.attach_transport(
         TcpTransport(
             machines={"alpha": "sparc-like", "beta": "vax-like"}, sleep_scale=1.0
-        ),
-        owned=True,
+        )
     )
     bus.launch(config)
     deadline = time.monotonic() + 40

@@ -35,7 +35,7 @@ def main():
     daemons = TcpTransport(
         machines={"alpha": "sparc-like", "beta": "vax-like"}, sleep_scale=1.0
     )
-    bus.attach_transport(daemons, owned=True)
+    bus.attach_transport(daemons)
     for link in daemons.links():
         print(f"  machine {link.name} up ({link.profile.describe()})")
 

@@ -24,7 +24,6 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 import repro.core.transformer  # noqa: F401
 from repro.bus.message import Message
 from repro.bus.module import ModuleInstance, ModuleState
-from repro.bus.queues import discarding
 from repro.bus.spec import (
     ApplicationSpec,
     BindingSpec,
@@ -54,10 +53,16 @@ _live_buses_lock = threading.Lock()
 
 @telemetry.on_activation
 def _recompile_live_buses(rec: Optional[telemetry.FlightRecorder]) -> None:
+    """A recorder was installed or removed: every live bus recompiles on
+    its next route.  A table holds ``put`` methods bound when it was
+    built, i.e. of the queue class before the recording swap; dropping
+    it is what makes counts start (or stop) on the next message.  The
+    remote hosts follow their transports (:mod:`repro.bus.transport`)."""
     with _live_buses_lock:
         buses = list(_live_buses)
     for bus in buses:
-        bus._on_recorder_change(rec)
+        with bus._lock:
+            bus._invalidate_routing_locked()
 
 
 class _RouteEntry:
@@ -253,7 +258,6 @@ class SoftwareBus:
         self.application_name = ""
         self.trace: List[str] = []  # reconfiguration/audit log
         self._transports: Dict[str, RemoteTransport] = {}
-        self._owned_transports: List[RemoteTransport] = []
         # Health plane (opt-in via enable_health; benchmarks measure the
         # heartbeat cost explicitly rather than paying it by default).
         self._health_monitor = None
@@ -269,33 +273,29 @@ class SoftwareBus:
                     architecture=worker_architecture,
                     sleep_scale=sleep_scale,
                 ),
-                owned=True,
             )
 
-    def attach_transport(self, transport: RemoteTransport, owned: bool = False):
-        """Register a remote transport under its own name.
+    def attach_transport(self, transport: RemoteTransport, owned: bool = True):
+        """Register a remote transport under its own name; the bus serves
+        it from now on and closes it at :meth:`shutdown`.
 
-        ``owned`` transports are closed by :meth:`shutdown`; shared ones
-        (one pool serving several buses, as the test suite does) are the
-        caller's to close.
+        A transport serves one bus: one that already serves a bus is
+        refused with ``BusError``.  ``owned`` accepts only ``True`` and is
+        kept for callers that still pass it.  The transport's hosts
+        report to the recorder themselves, from the moment it started.
         """
+        if owned is not True:
+            raise ValueError(f"owned={owned!r}: only owned=True is accepted")
         with self._lock:
             if transport.name in self._transports:
                 raise BusError(f"transport {transport.name!r} already attached")
             transport.attach_bus(self)
             self._transports[transport.name] = transport
-            if owned:
-                self._owned_transports.append(transport)
             monitor = self._health_monitor
         if monitor is not None:
             try:
                 transport.enable_health(monitor, self._health_interval)
             except Exception:  # noqa: BLE001 - heartbeats are best-effort
-                pass
-        if telemetry.recorder is not None:
-            try:
-                transport.enable_telemetry()
-            except Exception:  # noqa: BLE001 - remote counters are best-effort
                 pass
         return transport
 
@@ -646,9 +646,8 @@ class SoftwareBus:
         2. ``src``'s queues are sealed, each with a forward to ``dst``'s
            queue of the same name (profiles transferred as by ``cq``), so
            a router still holding a routing entry taken before the
-           hand-over reaches ``dst``, behind the moved prefix; with
-           ``preserve=False`` the forward discards and counts, and a
-           queue a ``cq`` already sealed keeps its forward;
+           hand-over reaches ``dst``, behind the moved prefix
+           (:meth:`ModuleInstance.seal_queues`, also without ``preserve``);
         3. what the seals took goes to the front of ``dst``'s queues;
         4. ``{interface: moved (or discarded)}`` is returned.
 
@@ -676,22 +675,14 @@ class SoftwareBus:
                 dst_link.request(["move_queues", "", dst.key, preserve])
                 dst.sealed = False
         elif dst is not None:
-            for decl in dst.spec.interfaces:
-                name = decl.name
-                if (interface is None or name == interface) and dst.has_queue(name):
-                    dst.queue(name).unseal()
+            dst.unseal_queues(interface)
         counts: Dict[str, int] = {}
         if src_link is None:
-            for name in names:
-                queue = src.queue(name)
-                if not preserve and queue.sealed:
-                    continue
-                forward = self._forward(src, name, dst, preserve)
-                messages = queue.seal(forward)
+            for name, messages in src.seal_queues(
+                names, preserve, lambda name: self._forward(src, name, dst)
+            ):
                 if preserve:
                     self._prepend(src, name, dst, messages)
-                elif messages:
-                    forward(messages)
                 counts[name] = len(messages)
         else:
             shared = dst_link is src_link
@@ -728,13 +719,11 @@ class SoftwareBus:
 
     @staticmethod
     def _forward(
-        src: ModuleInstance, interface: str, dst: ModuleInstance, preserve: bool
+        src: ModuleInstance, interface: str, dst: ModuleInstance
     ) -> Callable[[List[Message]], None]:
         """What a put that finds ``src``'s sealed queue is handed to:
         ``dst``'s queue of the same name (a remote ``dst``'s through its
-        routing put), or, without ``preserve``, a discard that counts."""
-        if not preserve:
-            return discarding(f"{src.name}.{interface}")
+        routing put)."""
         sender, receiver = src.host, dst.host
         if getattr(dst, "link", None) is not None:
             put = dst.remote_put(interface, sender)
@@ -824,7 +813,7 @@ class SoftwareBus:
         name (the name is what ``route_to`` matches).  Recording does not
         change this: a host counts ``bus.routed`` /
         ``bus.directed`` for the writes it delivers itself, and its
-        counters reach the bus recorder through the remote source.
+        counters reach the bus recorder through its transport.
         """
         routes_by_link: Dict[object, List[List[object]]] = {}
         for name, by_interface in table.items():
@@ -933,7 +922,7 @@ class SoftwareBus:
         """Start (or roll over) the routed-count derivation epoch.
 
         A fresh recorder starts from zero (the enable() hook reset every
-        queue cell) and gets the bus's lazy sources registered; a rebuild
+        queue cell) and gets the bus's routed-count source; a rebuild
         under the *same* recorder freezes the current derived totals as
         bases first, so endpoints keep their history even when the new
         table maps them to different queues (or to a wrapper).
@@ -943,8 +932,6 @@ class SoftwareBus:
             self._routed_base = {}
             self._routed_epoch = {}
             rec.add_source(self._routed_source)
-            if self._transports:
-                rec.add_source(self._remote_telemetry_source)
         else:
             self._routed_base = self._derived_routed()
 
@@ -973,57 +960,6 @@ class SoftwareBus:
             {("bus.routed", ep): total for ep, total in totals.items() if total},
             {},
         )
-
-    def _remote_telemetry_source(self):
-        """Recorder source: counters aggregated back from remote hosts.
-
-        Each transport reports absolute totals from its hosts'
-        recorders, so worker/TCP placements don't under-count —
-        ``bus.delivered`` for a remote module's queue is counted by the
-        queue in *that* process and merged here on read.  A dead link
-        loses nothing but its own contribution.
-        """
-        with self._lock:
-            transports = list(self._transports.values())
-        counters: Dict[Tuple[str, Optional[str]], int] = {}
-        gauges: Dict[Tuple[str, Optional[str]], float] = {}
-        for transport in transports:
-            try:
-                remote_counters, remote_gauges = transport.telemetry_snapshot()
-            except Exception:
-                continue
-            for k, v in remote_counters.items():
-                counters[k] = counters.get(k, 0) + v
-            for k, v in remote_gauges.items():
-                current = gauges.get(k)
-                if current is None or v > current:
-                    gauges[k] = v
-        return counters, gauges
-
-    def _on_recorder_change(
-        self, rec: Optional[telemetry.FlightRecorder]
-    ) -> None:
-        """A recorder was installed or removed: recompile on next route.
-
-        The table holds ``put`` methods bound when it was built, i.e. of
-        the queue class before the recording swap; dropping it is what
-        makes counts start (or stop) on the next message.  The remote
-        hosts' recorders follow, outside the bus lock and best-effort per
-        transport: losing remote counters must never break routing.  A
-        transport's hosts are all up once it exists, so one attached
-        later is armed by :meth:`attach_transport`.
-        """
-        with self._lock:
-            self._invalidate_routing_locked()
-            transports = list(self._transports.values())
-        for transport in transports:
-            try:
-                if rec is None:
-                    transport.disable_telemetry()
-                else:
-                    transport.enable_telemetry()
-            except Exception:  # noqa: BLE001 - e.g. an injected link fault
-                continue
 
     def share_trace_context(self) -> None:
         """Hand the running reconfiguration's trace context to every
@@ -1369,7 +1305,7 @@ class SoftwareBus:
             module.request_stop()  # every thread is told before any join
         for module in modules:
             # As a commit removes the module it replaced (a remote one
-            # from its host, which leaves shared transports reusable).
+            # from its host).
             try:
                 module.remove(timeout)
             except (BusError, TransportError):
@@ -1379,11 +1315,9 @@ class SoftwareBus:
             self._unbound = []
             self._bindings.clear()
             self._invalidate_routing_locked()
-            owned = self._owned_transports
-            self._owned_transports = []
-            for transport in owned:
-                del self._transports[transport.name]
-        for transport in owned:
+            transports = list(self._transports.values())
+            self._transports.clear()
+        for transport in transports:
             transport.close()
 
     def check_health(self) -> None:

@@ -33,7 +33,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.bus.batch import Coalescer, unpack_batch
 from repro.bus.message import Message
 from repro.bus.module import ModuleInstance
-from repro.bus.queues import discarding
 from repro.bus.spec import spec_from_abstract
 from repro.errors import BindingError, BusError, TransportError, UnknownModuleError
 from repro.runtime import telemetry
@@ -432,33 +431,29 @@ class ModuleHost:
         with self.modules_lock:
             dst = self._module(dst_key) if dst_key else None
             if dst is not None:
-                for decl in dst.spec.interfaces:
-                    name = decl.name
-                    if (not interface or name == interface) and dst.has_queue(name):
-                        dst.queue(name).unseal()
+                dst.unseal_queues(interface)
             if not src_key:
                 return {}
             src = self._module(src_key)
+            names = [
+                decl.name
+                for decl in src.spec.interfaces
+                if (not interface or decl.name == interface)
+                and src.has_queue(decl.name)
+                and (not preserve or dst is None or dst.has_queue(decl.name))
+            ]
             reply: Dict[str, object] = {}
-            for decl in src.spec.interfaces:
-                name = decl.name
-                if (interface and name != interface) or not src.has_queue(name):
-                    continue
-                queue = src.queue(name)
+            for name, messages in src.seal_queues(
+                names,
+                preserve,
+                lambda name: None if dst is None else dst.queue(name).put_many,
+            ):
                 if not preserve:
-                    forward = discarding(f"{src.name}.{name}")
-                    # A queue a cq sealed keeps its forward.
-                    messages = [] if queue.sealed else queue.seal(forward)
-                    if messages:
-                        forward(messages)
                     reply[name] = len(messages)
                 elif dst is None:
-                    messages = queue.seal()
                     reply[name] = [m.to_wire(self.profile) for m in messages]
-                elif dst.has_queue(name):
-                    target = dst.queue(name)
-                    messages = queue.seal(target.put_many)
-                    target.prepend(messages)
+                else:
+                    dst.queue(name).prepend(messages)
                     reply[name] = len(messages)
         return reply
 

@@ -22,10 +22,10 @@ import enum
 import threading
 from functools import lru_cache
 from types import CodeType
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.bus.message import Message
-from repro.bus.queues import MessageQueue
+from repro.bus.queues import MessageQueue, discarding
 from repro.bus.spec import ModuleSpec
 from repro.core.naming import module_filename
 from repro.errors import (
@@ -267,6 +267,34 @@ class ModuleInstance:
 
     def queued_counts(self) -> Dict[str, int]:
         return {name: q.peek_count() for name, q in self._queues.items()}
+
+    def unseal_queues(self, interface: Optional[str] = None) -> None:
+        """Reopen the queues a move sealed (only ``interface``'s, if given)."""
+        for name, queue in self._queues.items():
+            if not interface or name == interface:
+                queue.unseal()
+
+    def seal_queues(
+        self, names: List[str], preserve: bool, forward_to: Callable
+    ) -> Iterator[Tuple[str, List[Message]]]:
+        """Seal each queue of ``names`` for a queue move (Figure 5's ``cq``
+        + ``rmq``), yielding ``(name, messages it held)`` before the next
+        is sealed.  With ``preserve`` a later put goes to
+        ``forward_to(name)`` (``None`` closes the queue); without, it and
+        the messages are discarded and counted, and a queue a ``cq``
+        already sealed keeps its forward and yields none."""
+        for name in names:
+            queue = self._queues[name]
+            if preserve:
+                yield name, queue.seal(forward_to(name))
+            elif queue.sealed:
+                yield name, []
+            else:
+                discard = discarding(f"{self.name}.{name}")
+                messages = queue.seal(discard)
+                if messages:
+                    discard(messages)
+                yield name, messages
 
     # -- lifecycle -----------------------------------------------------------
 

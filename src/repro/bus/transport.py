@@ -30,9 +30,13 @@ runs (that is :mod:`repro.bus.host`):
 :class:`RemoteTransport`
     one slot table, one naming rule and one start rule — host names in
     declared order, every host started before any is awaited,
-    round-robin, slot resolution, placement, shutdown — plus remote
-    telemetry, the health plane and event dispatch.  A subclass says
-    only how its hosts start and stop.
+    round-robin, slot resolution, placement, shutdown — plus the health
+    plane and event dispatch.  A transport serves the one bus it is
+    attached to, which closes it at shutdown.  A subclass says only how
+    its hosts start and stop.
+:class:`_HostTotals`
+    one host's counters as a source of the flight recorder: a transport
+    arms, reads and disarms its own hosts (see docs/telemetry.md).
 :class:`TcpTransport`
     the daemons' client (and :class:`WorkerTransport`, the same client
     under the name ``worker``).  It stays here rather than in
@@ -48,6 +52,7 @@ import socket
 import subprocess
 import threading
 import time
+import weakref
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.bus import tcp
@@ -243,6 +248,8 @@ class RemoteModuleHandle:
         self.status = status
         self.state = ModuleState.LOADED
         self.crash: Optional[BaseException] = None
+        #: Orders :meth:`start` against the host's lifecycle events.
+        self._state_lock = threading.Lock()
         self.thread = None
         #: Its queues were sealed on its host for a successor elsewhere,
         #: which its host cannot forward to; a hand-back unseals them.
@@ -304,7 +311,9 @@ class RemoteModuleHandle:
 
     def start(self) -> None:
         self.link.request(["start", self.key])
-        self.state = ModuleState.RUNNING
+        with self._state_lock:  # an end reported before the reply stands
+            if self.state is ModuleState.LOADED:
+                self.state = ModuleState.RUNNING
 
     def request_stop(self) -> None:
         pass  # its host stops the module as it removes it (remove)
@@ -348,9 +357,10 @@ class RemoteModuleHandle:
     # -- event sink -----------------------------------------------------------
 
     def _on_lifecycle(self, state_value: str, kind: str, text: str) -> None:
-        if kind:
-            self.crash = remote_error(kind, text)
-        self.state = ModuleState(state_value)
+        with self._state_lock:
+            if kind:
+                self.crash = remote_error(kind, text)
+            self.state = ModuleState(state_value)
 
     def describe(self) -> str:
         return (
@@ -364,15 +374,98 @@ class RemoteModuleHandle:
 # ---------------------------------------------------------------------------
 
 
+#: Every started, unclosed transport (weak — discovery only), as the
+#: queue layer keeps its queues, so the recorder hook reaches its hosts.
+_transports: "weakref.WeakSet[RemoteTransport]" = weakref.WeakSet()
+_registry_lock = threading.Lock()
+
+
+@telemetry.on_activation
+def _on_telemetry_activation(rec: Optional[telemetry.FlightRecorder]) -> None:
+    """Every live transport's hosts follow the recorder (best-effort per
+    link: remote counters must never break enable() or disable())."""
+    with _registry_lock:
+        transports = list(_transports)
+    for transport in transports:
+        transport._follow_recorder()
+
+
+def _unflatten(flat, kind: Callable) -> Dict[Tuple[str, Optional[str]], object]:
+    """A host's ``"<name>|<key>"``-keyed table, keyed ``(name, key or None)``."""
+    table: Dict[Tuple[str, Optional[str]], object] = {}
+    for wire_key, value in dict(flat).items():
+        name, _, key = str(wire_key).partition("|")
+        table[(name, key or None)] = kind(value)
+    return table
+
+
+class _HostTotals:
+    """One host's counters and gauges: a source of the bus recorder.
+
+    A read asks the host for its absolute totals and merges the trace
+    records riding on the reply into the recorder.  A host that does not
+    answer keeps its last totals: ``telemetry.source_lost`` marks the
+    outage once, and the health monitor, if any, condemns the host until
+    its next heartbeat.  After :meth:`finish` the last totals are served
+    without asking: a closed link is never asked again.
+    """
+
+    def __init__(self, transport: "RemoteTransport", link: Link, rec):
+        self._transport, self._link, self._rec = transport, link, rec
+        self._totals: Tuple[Dict, Dict] = ({}, {})
+        self._asking = True
+        self._lost = False
+
+    def __call__(self) -> Tuple[Dict, Dict]:
+        if self._asking:
+            self.read()
+        return self._totals
+
+    def finish(self) -> None:
+        """Read the host one last time, then never ask it again."""
+        if self._asking:
+            self.read()
+            self._asking = False
+
+    def read(self) -> None:
+        name = self._link.name
+        try:
+            snap = self._link.request(["telemetry_snapshot"])
+        except BusError as exc:
+            if not self._asking:
+                return  # closed meanwhile: an orderly end
+            if not self._lost:
+                self._lost = True
+                self._rec.event(
+                    "telemetry.source_lost",
+                    host=name,
+                    transport=self._transport.name,
+                    error=f"{type(exc).__name__}: {exc}",
+                )
+            monitor = self._transport._health_monitor
+            if monitor is not None:
+                monitor.mark_dead(name, f"telemetry_snapshot: {type(exc).__name__}")
+            return
+        records = snap.get("records") or []
+        if records:
+            self._rec.ingest_remote(name, [dict(r) for r in records])
+        self._totals = (
+            _unflatten(snap.get("counters", {}), int),
+            _unflatten(snap.get("gauges", {}), float),
+        )
+        self._lost = False
+
+
 class RemoteTransport:
     """Shared bus-side logic for transports hosting modules out of process.
 
     The slot table: ``_names`` lists the hosts in declared order, and
     ``_slots[i]`` is host ``i``'s link, which carries its profile.  A
     subclass constructor fills the table through :meth:`_start`, so every
-    host is up once the transport exists; :meth:`close` empties it.  A
-    placement slot is a host name or an index into ``_names``; no slot
-    means round-robin along it.  A subclass says how its hosts start
+    host is up once the transport exists, recording if a recorder is
+    installed; :meth:`close` empties it.  A placement slot is a host
+    name or an index into ``_names``; no slot means round-robin along
+    it.  A subclass says how its hosts start
     (:meth:`_start_hosts`) and stop (:meth:`_reap`).
 
     The naming rule: ``hosts`` given as a count ``N`` are named
@@ -395,23 +488,23 @@ class RemoteTransport:
         #: Round-robin turns; ``next()`` on a count is atomic.
         self._rr = itertools.count()
         #: Host key -> handle.  Keys are ``<instance>#<n>``, ``n`` from
-        #: this counter, so they are unique across every bus sharing the
-        #: transport.
+        #: this counter, so they are unique across the transport's hosts.
         self._keys = itertools.count(1)
         self._handles: Dict[str, RemoteModuleHandle] = {}
         self._handles_lock = threading.Lock()
-        #: host name -> last successfully read (counters, gauges): a
-        #: link that dies mid-snapshot keeps contributing its last-known
-        #: totals instead of raising into ``snapshot()``.
-        self._last_link_totals: Dict[str, Tuple[Dict, Dict]] = {}
-        #: hosts currently unreachable — used to emit
-        #: ``telemetry.source_lost`` once per outage, not once per read.
-        self._lost_links: set = set()
-        #: set by enable_telemetry, cleared by disable_telemetry.
-        self._hosts_recording = False
+        #: The recorder the hosts record for and its source per link
+        #: (:meth:`_follow_recorder`), changed under the telemetry lock.
+        self._recorder: Optional[telemetry.FlightRecorder] = None
+        self._sources: List[_HostTotals] = []
+        self._telemetry_lock = threading.Lock()
         self._health_monitor = None
 
     def attach_bus(self, bus) -> None:
+        """Serve ``bus``: the writes its modules make here that no
+        host-local route takes are routed by it.  A transport serves one
+        bus, which closes it at shutdown."""
+        if self._bus is not None:
+            raise BusError(f"transport {self.name!r} already serves a bus")
         self._bus = bus
 
     # -- starting hosts --------------------------------------------------------
@@ -436,6 +529,9 @@ class RemoteTransport:
             raise
         # Declared order, not answer order.
         self._slots = [links[name] for name in self._names]
+        with _registry_lock:
+            _transports.add(self)
+        self._follow_recorder()
 
     def _start_hosts(self, links: Dict[str, Link], deadline: float) -> None:
         """Start every host, then await each one's link by ``deadline``."""
@@ -491,8 +587,14 @@ class RemoteTransport:
         return link
 
     def close(self) -> None:
-        """Shut every host down and close its link, then reap the processes."""
-        slots, self._slots = self._slots, []
+        """Read every host's totals one last time, shut it down and close
+        its link, then reap the processes."""
+        with _registry_lock:
+            _transports.discard(self)
+        with self._telemetry_lock:
+            for source in self._sources:
+                source.finish()
+            slots, self._slots, self._sources = self._slots, [], []
         for link in slots:
             try:
                 link.request(["shutdown"], timeout=5)
@@ -513,93 +615,31 @@ class RemoteTransport:
 
     # -- remote telemetry ------------------------------------------------------
 
-    def enable_telemetry(self) -> None:
-        """Install a flight recorder in every remote host (enable-if-absent
-        on the host side)."""
-        self._hosts_recording = True
-        self._broadcast(["telemetry_enable"])
+    def _follow_recorder(self) -> None:
+        """Make the hosts record for the installed recorder, or stop.
 
-    def disable_telemetry(self) -> None:
-        """Uninstall every live host's recorder, best-effort per link.
-
-        The hosts' totals are read one last time first and served from
-        then on, so the bus recorder that ``telemetry.disable()``
-        detached still exports what the hosts counted.
+        Runs as the transport starts and at every ``enable()`` and
+        ``disable()``.  The sources of the recorder before are finished,
+        so the hosts' totals stay in it.  A new recorder has each host
+        install its own (enable-if-absent) and gets one source per link;
+        without one each host uninstalls its own.  Best-effort per link.
+        The recorder is read under the lock, so a start racing
+        ``enable()`` or ``disable()`` ends on the one installed last.
         """
-        if not self._hosts_recording:
-            return
-        self.telemetry_snapshot()
-        self._hosts_recording = False
-        self._broadcast(["telemetry_disable"], timeout=5)
-
-    def telemetry_snapshot(self):
-        """Aggregate counters/gauges across this transport's hosts.
-
-        Returns ``(counters, gauges)`` keyed ``(name, key)`` like
-        :meth:`FlightRecorder.counters` — counters summed across hosts,
-        gauges max-merged — for the bus's remote aggregation source.
-        Buffered trace records riding on each reply are merged straight
-        into the bus recorder (``ingest_remote``).
-
-        A host that died (or is shutting down) mid-read must not poison
-        ``snapshot()``: its last successfully read totals keep counting,
-        and a ``telemetry.source_lost`` event marks the outage once.
-        Once ``disable_telemetry`` has run, the last totals are served
-        without asking the hosts.
-        """
-        counters: Dict[Tuple[str, Optional[str]], int] = {}
-        gauges: Dict[Tuple[str, Optional[str]], float] = {}
-        rec = telemetry.recorder
-        for link in self.links():
-            totals = self._last_link_totals.get(link.name)
-            if self._hosts_recording or totals is None:
-                totals = self._read_host_totals(link, rec)
-                if totals is None:
-                    continue
-            link_counters, link_gauges = totals
-            for k, v in link_counters.items():
-                counters[k] = counters.get(k, 0) + v
-            for k, v in link_gauges.items():
-                current = gauges.get(k)
-                if current is None or v > current:
-                    gauges[k] = v
-        return counters, gauges
-
-    def _read_host_totals(self, link: Link, rec) -> Optional[Tuple[Dict, Dict]]:
-        """One host's ``(counters, gauges)``, or its last known totals."""
-        try:
-            snap = link.request(["telemetry_snapshot"])
-            link_counters: Dict[Tuple[str, Optional[str]], int] = {}
-            link_gauges: Dict[Tuple[str, Optional[str]], float] = {}
-            for flat, value in dict(snap.get("counters", {})).items():
-                name, _, key = str(flat).partition("|")
-                link_counters[(name, key or None)] = int(value)
-            for flat, value in dict(snap.get("gauges", {})).items():
-                name, _, key = str(flat).partition("|")
-                link_gauges[(name, key or None)] = float(value)
-            records = snap.get("records") or []
-            if rec is not None and records:
-                rec.ingest_remote(link.name, [dict(r) for r in records])
-            totals = self._last_link_totals[link.name] = (link_counters, link_gauges)
-            self._lost_links.discard(link.name)
-            return totals
-        except BusError as exc:
-            if link.name not in self._lost_links:
-                self._lost_links.add(link.name)
-                telemetry.event(
-                    "telemetry.source_lost",
-                    host=link.name,
-                    transport=self.name,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            monitor = self._health_monitor
-            if monitor is not None:
-                # Self-healing condemnation: a later heartbeat
-                # un-condemns, so a transient fault costs nothing.
-                monitor.mark_dead(
-                    link.name, f"telemetry_snapshot: {type(exc).__name__}"
-                )
-            return self._last_link_totals.get(link.name)
+        with self._telemetry_lock:
+            rec = telemetry.recorder
+            if rec is self._recorder:
+                return
+            for source in self._sources:
+                source.finish()
+            self._recorder, self._sources = rec, []
+            if rec is None:
+                self._broadcast(["telemetry_disable"], timeout=5)
+                return
+            self._broadcast(["telemetry_enable"])
+            self._sources = [_HostTotals(self, link, rec) for link in self.links()]
+            for source in self._sources:
+                rec.add_source(source)
 
     def share_trace_context(self) -> None:
         """Make every live host adopt the caller's trace context.
@@ -617,7 +657,8 @@ class RemoteTransport:
         ``replace()`` returns.  Best-effort per link: a dead host simply
         has nothing left to say.
         """
-        self.telemetry_snapshot()
+        for source in self._sources:
+            source.read()
         self._broadcast(["clear_trace_context"], timeout=5)
 
     # -- health plane ----------------------------------------------------------

@@ -154,6 +154,12 @@ class _CountingLink:
     def send_event(self, command):
         self.events.append(command[0])
 
+    def request(self, command, timeout=30.0):
+        return True
+
+    def close(self):
+        pass
+
 
 class _CountingTransport(RemoteTransport):
     """A transport that hosts nothing; its links only count events."""

@@ -6,7 +6,9 @@ decode once per receiver profile, ship once per link).  Installing a
 recorder may add one counting callable at the front of ``puts`` and
 nothing else, for every shape of fan-out, and the counters it feeds are
 exact.  A recorder installed or removed on a running bus takes effect on
-the next message, and removing it stops the remote hosts' recorders too.
+the next message.  A transport's hosts follow the recorder themselves:
+each link is one source of it, read once per recorder read, and a host's
+last totals stay in the recorder after its transport closes.
 """
 
 import pytest
@@ -19,7 +21,7 @@ from repro.bus.module import prepared_source_for
 from repro.bus.queues import MessageQueue
 from repro.bus.spec import BindingSpec, ModuleSpec
 from repro.bus.transport import RemoteTransport
-from repro.errors import TransportError
+from repro.errors import BusError, TransportError
 from repro.runtime import telemetry
 from repro.runtime.mh import SleepPolicy
 from repro.state.machine import MACHINES, renamed
@@ -43,10 +45,10 @@ SENDS = 7
 class _FakeLink:
     """A link to a host that is never there: records what it is asked."""
 
-    name = "fake-0"
     profile = MACHINES["modern-64"]
 
-    def __init__(self):
+    def __init__(self, name="fake-0"):
+        self.name = name
         self.appends = []
         self.events = []
         self.requests = []
@@ -70,14 +72,24 @@ class _FakeLink:
             self.host_counters = {}
         return "stopped" if command[0] == "stop" else True
 
+    def close(self):
+        self.requests.append("close")
+
 
 class _FakeTransport(RemoteTransport):
+    """Started by the one start rule, with fake links as its hosts."""
+
     name = "fake"
 
-    def __init__(self):
-        super().__init__(["fake-0"])
-        self.link = _FakeLink()
-        self._slots = [self.link]
+    def __init__(self, *links):
+        self._fakes = list(links) or [_FakeLink()]
+        super().__init__([link.name for link in self._fakes])
+        self.link = self._fakes[0]
+        self._start()
+
+    def _start_hosts(self, links, deadline):
+        for link in self._fakes:
+            links[link.name] = link
 
 
 def _bus():
@@ -354,12 +366,75 @@ def test_a_transport_attached_while_recording_is_armed():
         bus.shutdown()
 
 
+def test_a_transport_attached_after_a_recorded_rebuild_is_read():
+    """The hosts of a transport attached after the bus first compiled a
+    recorded table report all the same: the recorder reads the link, not
+    a source the bus registered at that rebuild."""
+    bus = SoftwareBus(sleep_scale=0.0)
+    try:
+        rec = telemetry.enable(capacity=1024)
+        bus.add_module(SENDER, instance="s")
+        bus._rebuild_routing()
+        link = bus.attach_transport(_FakeTransport()).link
+        link.host_counters = {"bus.delivered|f0.inp": 1}
+        assert rec.counter("bus.delivered", key="f0.inp") == 1
+        assert link.requests.count("telemetry_snapshot") == 1
+    finally:
+        bus.shutdown()
+
+
+def test_a_transport_serves_one_bus():
+    first, second = SoftwareBus(sleep_scale=0.0), SoftwareBus(sleep_scale=0.0)
+    transport = first.attach_transport(_FakeTransport())
+    try:
+        with pytest.raises(BusError, match="already serves a bus"):
+            second.attach_transport(transport)
+        assert transport._bus is first
+        assert second._transports == {}
+    finally:
+        second.shutdown()
+        first.shutdown()
+    assert transport.link.requests[-2:] == ["shutdown", "close"]
+
+
+def test_owned_accepts_only_true():
+    bus = SoftwareBus(sleep_scale=0.0)
+    transport = _FakeTransport()
+    try:
+        with pytest.raises(ValueError, match="only owned=True"):
+            bus.attach_transport(transport, owned=False)
+        assert bus.attach_transport(transport, owned=True) is transport
+    finally:
+        bus.shutdown()
+    assert transport.links() == []
+
+
+def test_shutdown_keeps_the_closed_hosts_totals(bus):
+    """The bus closes its transport at shutdown: each host is read one
+    last time and never asked again, so its totals stay in the recorder
+    (the detached one too) and no source is reported lost."""
+    rec = telemetry.enable(capacity=1024)
+    link = bus.transport("fake").link
+    link.host_counters = {"bus.delivered|f0.inp": 7}
+    bus.shutdown()
+    asked = len(link.requests)
+    assert link.requests[-3:] == ["telemetry_snapshot", "shutdown", "close"]
+    assert rec.counter("bus.delivered", key="f0.inp") == 7
+    telemetry.disable()
+    assert rec.counter("bus.delivered", key="f0.inp") == 7
+    assert len(link.requests) == asked
+    assert not [e for e in rec.events() if e["kind"] == "telemetry.source_lost"]
+
+
 class _Monitor:
     def __init__(self):
         self.hosts = []
 
     def register_host(self, host, transport=None):
         self.hosts.append(host)
+
+    def mark_dead(self, host, reason):
+        pass
 
 
 def _closed(command, timeout=30.0):
@@ -370,16 +445,17 @@ def test_a_dead_link_does_not_disarm_the_links_after_it():
     """Recorders and heartbeats are armed per link: a dead host (a
     crashed worker stays published) is skipped, the hosts after it are
     still armed."""
-    dead, live = _FakeLink(), _FakeLink()
-    live.name = "fake-1"
+    dead, live = _FakeLink(), _FakeLink("fake-1")
     dead.request = _closed
-    transport = RemoteTransport(["fake-0", "fake-1"])
-    transport._slots = [dead, live]
-    monitor = _Monitor()
-    transport.enable_telemetry()
-    transport.enable_health(monitor, 0.05)
-    assert live.requests == ["telemetry_enable", "health_enable"]
-    assert monitor.hosts == ["fake-0", "fake-1"]
+    transport = _FakeTransport(dead, live)
+    try:
+        monitor = _Monitor()
+        telemetry.enable(capacity=1024)
+        transport.enable_health(monitor, 0.05)
+        assert live.requests == ["telemetry_enable", "health_enable"]
+        assert monitor.hosts == ["fake-0", "fake-1"]
+    finally:
+        transport.close()
 
 
 def test_disable_without_a_recorder_touches_no_bus(bus):

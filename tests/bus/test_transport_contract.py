@@ -103,6 +103,11 @@ def main():
         n = n + 1
 '''
 
+FALLER_SOURCE = '''
+def main():
+    raise ValueError("at once")
+'''
+
 RELAY_SOURCE = '''
 def main():
     n = 0
@@ -132,7 +137,7 @@ def placed_bus(request):
         placement = "worker:0"
     elif request.param == "tcp":
         bus = SoftwareBus(sleep_scale=0.0)
-        bus.attach_transport(TcpTransport(machines=1, sleep_scale=0.0), owned=True)
+        bus.attach_transport(TcpTransport(machines=1, sleep_scale=0.0))
         placement = "tcp:0"
     else:
         bus = SoftwareBus(sleep_scale=0.0)
@@ -145,7 +150,7 @@ def placed_bus(request):
 def mixed_bus():
     """One bus with a worker and a TCP daemon attached."""
     bus = SoftwareBus(sleep_scale=0.0, workers=1)
-    bus.attach_transport(TcpTransport(machines=1, sleep_scale=0.0), owned=True)
+    bus.attach_transport(TcpTransport(machines=1, sleep_scale=0.0))
     yield bus
     bus.shutdown()
 
@@ -397,6 +402,25 @@ class TestRemoteFailureTypes:
         assert str(module.crash) == text
         with pytest.raises(ModuleCrashedError, match=text):
             module.check_alive()
+
+    def test_a_module_that_crashes_at_once_reads_crashed(self, placed_bus):
+        """The host may report a crash before its ``start`` reply lands:
+        the crash stands, and is never read as running."""
+        bus, placement = placed_bus
+        spec = ModuleSpec(name="faller", inline_source=FALLER_SOURCE)
+        modules = [
+            bus.add_module(spec, instance=f"faller{i}", placement=placement)
+            for i in range(20)
+        ]
+        for module in modules:
+            module.start()
+        _wait(
+            lambda: all(m.state is ModuleState.CRASHED for m in modules),
+            timeout=2.0,
+        )
+        for module in modules:
+            with pytest.raises(ModuleCrashedError, match="ValueError: at once"):
+                module.check_alive()
 
 
 class TestReplaceContract:
@@ -742,8 +766,9 @@ class TestNoCompileInRemoteReplace:
         transport = bus.transport(placement.partition(":")[0])
 
         def compiled_on_host():
-            counters, _ = transport.telemetry_snapshot()
-            return counters.get(("module.compiled", "counter"), 0)
+            (link,) = transport.links()
+            counters = link.request(["telemetry_snapshot"])["counters"]
+            return counters.get("module.compiled|counter", 0)
 
         bus.add_module(_feeder_spec(), instance="feeder")
         bus.add_module(_counter_spec(), instance="counter", placement=placement)

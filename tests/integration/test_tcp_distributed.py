@@ -34,8 +34,7 @@ def distributed():
     bus.attach_transport(
         TcpTransport(
             machines={"alpha": "sparc-like", "beta": "vax-like"}, sleep_scale=1.0
-        ),
-        owned=True,
+        )
     )
     bus.launch(config)
     yield bus

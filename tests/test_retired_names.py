@@ -313,6 +313,22 @@ GUARDS = [
             "self._last_delivery[key] = now",
         ),
     ),
+    # A transport reports its own hosts to the recorder, one source per
+    # link, and serves the one bus that closes it: the bus's remote
+    # source, its list of owned transports, the per-transport arming
+    # flag and the transport-wide merge of its hosts' totals.
+    Guard(
+        "the bus's remote telemetry relay",
+        r"_remote_telemetry_source|_owned_transports|_hosts_recording"
+        r"|\.telemetry_snapshot\(",
+        CODE,
+        (
+            "rec.add_source(self._remote_telemetry_source)",
+            "for transport in self._owned_transports:",
+            "if self._hosts_recording:",
+            "counters, _ = transport.telemetry_snapshot()",
+        ),
+    ),
 ]
 
 
