@@ -14,7 +14,8 @@ from __future__ import annotations
 import threading
 import time
 import weakref
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple
 
 # Not used by name here.  ``bus/module.py`` resolves the transformer
 # inside its preparation memo so that hosts, which import that file but
@@ -53,22 +54,23 @@ _live_buses_lock = threading.Lock()
 
 @telemetry.on_activation
 def _recompile_live_buses(rec: Optional[telemetry.FlightRecorder]) -> None:
-    """A recorder was installed or removed: every live bus recompiles on
-    its next route.  A table holds ``put`` methods bound when it was
-    built, i.e. of the queue class before the recording swap; dropping
-    it is what makes counts start (or stop) on the next message.  The
-    remote hosts follow their transports (:mod:`repro.bus.transport`)."""
+    """A recorder was installed or removed: every live bus republishes
+    its routes at once.  A table holds ``put`` methods bound when it was
+    built, i.e. of the queue class before the recording swap (the queue
+    layer's hook runs first); rebuilding it is what makes counts start
+    (or stop) on the next message.  The republish is no topology edit
+    and counts nothing into the new recorder.  The remote hosts follow
+    their transports (:mod:`repro.bus.transport`)."""
     with _live_buses_lock:
         buses = list(_live_buses)
     for bus in buses:
-        with bus._lock:
-            bus._invalidate_routing_locked()
+        bus._rebuild_routing()
 
 
 class _RouteEntry:
     """Compiled deliveries for one bound (instance, interface) endpoint.
 
-    Built once per topology change (see ``SoftwareBus._rebuild_routing``),
+    Built once per topology edit (see ``SoftwareBus._rebuild_routing``),
     so the per-message path is a dict lookup plus direct calls — no
     binding-list scan, no interface-direction re-checks, and no bus lock
     held during delivery.  The same shape whether or not a recorder is
@@ -244,10 +246,14 @@ class SoftwareBus:
         # a re-added binding goes to the end, exactly as in a list.
         self._bindings: Dict[BindingSpec, None] = {}
         self._lock = threading.RLock()
-        # Copy-on-write routing snapshot: instance -> interface -> entry.
-        # ``None`` means "stale, rebuild on next route"; mutators only
-        # ever invalidate, so readers never see a half-built table.
-        self._routing_table: Optional[Dict[str, Dict[str, _RouteEntry]]] = None
+        # The published routing table: instance -> interface -> entry.
+        # Replaced whole when an edit section ends (see editing()), never
+        # edited in place, so readers take no lock.
+        self._routing_table: Dict[str, Dict[str, _RouteEntry]] = {}
+        # Nesting depth of edit sections, and whether an edit since the
+        # last publication changed what the table is built from.
+        self._edit_depth = 0
+        self._routes_stale = False
         # Routed-count derivation state (see _prepare_telemetry): the
         # recorder these belong to, frozen totals from earlier routing
         # epochs, and the current endpoint -> (queue, offsets) map.
@@ -336,16 +342,18 @@ class SoftwareBus:
         for spec in config.modules.values():
             self.register_module_spec(spec)
         self.application_name = config.application.name
-        for inst in config.application.instances:
-            machine = inst.machine or default_host
-            self.add_module(
-                config.modules[inst.module],
-                instance=inst.instance,
-                machine=machine,
-                attributes=inst.attributes,
-            )
-        for binding in config.application.bindings:
-            self.add_binding(binding)
+        # One section, so the whole application is published once.
+        with self.editing():
+            for inst in config.application.instances:
+                machine = inst.machine or default_host
+                self.add_module(
+                    config.modules[inst.module],
+                    instance=inst.instance,
+                    machine=machine,
+                    attributes=inst.attributes,
+                )
+            for binding in config.application.bindings:
+                self.add_binding(binding)
         for inst in config.application.instances:
             self.start_module(inst.instance)
 
@@ -359,7 +367,6 @@ class SoftwareBus:
         instance: Optional[str] = None,
         machine: str = "local",
         status: str = "original",
-        state_packet: Optional[bytes] = None,
         start: bool = False,
         attributes: Optional[Dict[str, str]] = None,
         placement: Optional[str] = None,
@@ -383,10 +390,8 @@ class SoftwareBus:
         with self._lock:
             if name in self._instances:
                 raise BusError(f"instance {name!r} already exists")
-        module, where = self._build(
-            spec, name, machine, status, state_packet, attributes, placement
-        )
-        with self._lock:
+        module, where = self._build(spec, name, machine, status, attributes, placement)
+        with self.editing():
             if name in self._instances:
                 try:
                     module.remove()
@@ -394,7 +399,7 @@ class SoftwareBus:
                     pass
                 raise BusError(f"instance {name!r} already exists")
             self._instances[name] = module
-            self._invalidate_routing_locked()
+            self._routes_stale = True
         self.trace.append(f"add module {name} on {where} (status={status})")
         if start:
             self.start_module(name)
@@ -417,9 +422,7 @@ class SoftwareBus:
         Until then the bus still owns it: :meth:`shutdown` stops and
         discards it like any module.
         """
-        module, where = self._build(
-            spec, instance, machine, status, None, None, placement
-        )
+        module, where = self._build(spec, instance, machine, status, None, placement)
         with self._lock:
             self._unbound.append(module)
         self.trace.append(f"build clone {instance} on {where} (status={status})")
@@ -431,7 +434,6 @@ class SoftwareBus:
         name: str,
         machine: str,
         status: str,
-        state_packet: Optional[bytes],
         attributes: Optional[Dict[str, str]],
         placement: Optional[str],
     ) -> Tuple[ModuleInstance, str]:
@@ -452,23 +454,17 @@ class SoftwareBus:
                 status=status,
                 sleep_policy=self._sleep_policy,
             )
-            if state_packet is not None:
-                module.mh.incoming_packet = state_packet
             module.load()
             return module, machine
         tname, _, slot = placement.partition(":")
         if tname == "inproc":
             raise BusError(f"placement {placement!r}: inproc takes no slot")
         transport = self.transport(tname)
-        # The placement round-trip runs outside the bus lock: the host
-        # compiles the module meanwhile, and tunneled deliveries from
-        # other remote modules must keep routing.
+        # The placement round-trip (the host compiles the module) holds
+        # the bus lock only inside an edit section, as launch() does;
+        # routing takes no lock, so tunneled writes keep flowing.
         module = transport.add_module(
-            spec,
-            instance=name,
-            status=status,
-            state_packet=state_packet,
-            slot=slot or None,
+            spec, instance=name, status=status, slot=slot or None
         )
         with self._lock:
             self.hosts.setdefault(module.host.name, module.host)
@@ -489,9 +485,9 @@ class SoftwareBus:
                 f"still attached — delete them first"
             )
         module.remove(timeout)
-        with self._lock:
+        with self.editing():
             del self._instances[instance]
-            self._invalidate_routing_locked()
+            self._routes_stale = True
         self.trace.append(f"remove module {instance}")
 
     def discard_module(self, module: ModuleInstance, timeout: float = 5.0) -> None:
@@ -546,12 +542,12 @@ class SoftwareBus:
             )
 
     def add_binding(self, binding: BindingSpec) -> None:
-        with self._lock:
+        with self.editing():
             self._check_binding(binding)
             if binding in self._bindings:
                 raise BindingError(f"{binding.describe()}: already bound")
             self._bindings[binding] = None
-            self._invalidate_routing_locked()
+            self._routes_stale = True
         self.trace.append(binding.describe())
 
     def remove_binding(self, binding: BindingSpec) -> None:
@@ -562,7 +558,7 @@ class SoftwareBus:
             to_instance=binding.from_instance,
             to_interface=binding.from_interface,
         )
-        with self._lock:
+        with self.editing():
             table = self._bindings
             if binding in table and flipped in table:
                 # Both orientations are bound: the earlier one goes.
@@ -574,7 +570,7 @@ class SoftwareBus:
             else:
                 raise BindingError(f"{binding.describe()}: no such binding")
             del table[existing]
-            self._invalidate_routing_locked()
+            self._routes_stale = True
             self.trace.append(f"unbind {existing.describe()[5:]}")
 
     def bindings(self) -> List[BindingSpec]:
@@ -597,11 +593,11 @@ class SoftwareBus:
     ) -> Dict[str, int]:
         """Make ``new`` the module that answers to ``old``'s name (rebind).
 
-        One bus-lock section.  Every binding of the name is checked
-        against ``new``'s interfaces first, so a successor that drops or
-        changes a bound interface raises with nothing changed.  Then
-        ``new`` takes ``old``'s entry in place, the routing snapshot is
-        dropped (``clear_routes`` reaches every host ahead of the queue
+        One edit section (:meth:`editing`).  Every binding of the name is
+        checked against ``new``'s interfaces first, so a successor that
+        drops or changes a bound interface raises with nothing changed.
+        Then ``new`` takes ``old``'s entry in place, the routes are
+        published (``set_routes`` reaches every host ahead of the queue
         move, per-link FIFO), and Figure 5's ``cq``/``rmq`` run as one
         move (:meth:`_move_queues`): ``old``'s queues are sealed with a
         forward to ``new``'s, and what they held goes to the front of
@@ -611,7 +607,7 @@ class SoftwareBus:
         same.  ``old`` stays owned by the bus, unbound, until
         :meth:`discard_module` or :meth:`hand_back`.
         """
-        with self._lock:
+        with self.editing():
             if preserve_queues:
                 for decl in old.spec.interfaces:
                     if old.has_queue(decl.name):
@@ -626,7 +622,7 @@ class SoftwareBus:
         reached ``new``'s queues, the moved messages and every later
         arrival, goes to the front of ``old``'s, and a put that still
         reaches ``new``'s is forwarded to ``old``'s."""
-        with self._lock:
+        with self.editing():
             self._swap(new, old, "hand back")
             return self._move_queues(new, old, True)
 
@@ -639,7 +635,9 @@ class SoftwareBus:
     ) -> Dict[str, int]:
         """Figure 5's ``cq`` + ``rmq`` as one move, run where the queues live.
 
-        Caller holds the bus lock.  In order:
+        Caller holds the bus lock.  Routes an edit section changed so far
+        are published first, so on every link ``set_routes`` precedes the
+        ``move_queues`` request.  In order:
 
         1. ``dst``'s queues are unsealed (a hand-back reopens what the
            hand-over sealed);
@@ -661,6 +659,7 @@ class SoftwareBus:
         here.  A remote ``dst`` sealed that way is unsealed by a request
         of its own before ``src`` is sealed.
         """
+        self._publish_routes()
         names = [
             decl.name
             for decl in src.spec.interfaces
@@ -767,7 +766,7 @@ class SoftwareBus:
                 self._check_binding(binding, successor)
         self._instances[name] = successor
         self._unbound = [m for m in self._unbound if m is not successor] + [current]
-        self._invalidate_routing_locked()
+        self._routes_stale = True
         self.trace.append(
             f"{verb} {name}: {current.host.name} -> {successor.host.name}"
         )
@@ -776,34 +775,42 @@ class SoftwareBus:
     # Message routing
     # ------------------------------------------------------------------
 
-    def _invalidate_routing_locked(self) -> None:
-        """Drop the routing snapshot and every host-local route with it.
+    @contextmanager
+    def editing(self) -> Iterator[None]:
+        """A topology edit section: the bus lock, held across every edit
+        of one batch (sections nest).
 
-        Caller holds the bus lock.  The ``clear_routes`` broadcast is an
-        event (non-blocking send), so issuing it under the lock is safe;
-        per-link FIFO guarantees a remote host stops using its local
-        routes before it sees any post-change command, such as a
-        hand-over's queue move.  A router that read the old snapshot
-        before it was dropped may still put into a replaced module's
-        queue afterwards; the move seals that queue with a forward to
-        the successor's (:meth:`_move_queues`), so the put is not lost.
-
-        Hosts hold routes only while a snapshot is published (a rebuild
-        publishes its table before it pushes routes, under this lock), so
-        with the snapshot already dropped there is nothing left to clear:
-        a batch of topology edits costs one broadcast, not one per edit.
+        Routes change one way: when the outermost section ends, the
+        routes its edits changed are published (:meth:`_publish_routes`),
+        so a reader never sees a half-edited topology and never rebuilds
+        one itself.  A queue move inside a section publishes first.
         """
-        if self._routing_table is None:
+        with self._lock:
+            self._edit_depth += 1
+            try:
+                yield
+            finally:
+                self._edit_depth -= 1
+                if not self._edit_depth:
+                    self._publish_routes()
+
+    def _publish_routes(self) -> None:
+        """Publish the routes edited since the last publication, if any:
+        rebuild the table, swap it in and push each host its slice.
+        Caller holds the bus lock."""
+        if not self._routes_stale:
             return
-        self._routing_table = None
-        for transport in self._transports.values():
-            for link in transport.links():
-                link.send_event(["clear_routes"])
+        self._routes_stale = False
+        rec = telemetry.recorder
+        if rec is not None:
+            rec.count("bus.routing_rebuild")
+        self._rebuild_routing()
 
     def _push_worker_routes(
         self, table: Dict[str, Dict[str, _RouteEntry]]
     ) -> None:
-        """Ship host-local routes to each remote host.
+        """Ship each remote host its whole table of host-local routes,
+        which it swaps in at once.
 
         An endpoint qualifies when *all* its destinations live on the
         sender's own link: the host then delivers those writes directly
@@ -815,6 +822,8 @@ class SoftwareBus:
         ``bus.directed`` for the writes it delivers itself, and its
         counters reach the bus recorder through its transport.
         """
+        if not self._transports:
+            return
         routes_by_link: Dict[object, List[List[object]]] = {}
         for name, by_interface in table.items():
             sender = self._instances.get(name)
@@ -872,14 +881,15 @@ class SoftwareBus:
             )
 
     def _rebuild_routing(self) -> Dict[str, Dict[str, _RouteEntry]]:
-        """Build a fresh routing snapshot from the current topology.
+        """Build the routing table from the current topology, publish it
+        and push each host its host-local routes; return it.
 
         Every declared interface of every instance gets an entry (so a
         bound-or-not lookup is one dict hit); receive-direction checks
-        and host-profile comparisons happen here, once per topology
-        change, never on the per-message path.  The finished table is
-        published atomically; concurrent routes either see the previous
-        snapshot or rebuild their own — both are complete tables.
+        and host-profile comparisons happen here, once per publication,
+        never on the per-message path.  The finished table replaces the
+        published one in one assignment: a router sees the one or the
+        other, both complete.
         """
         with self._lock:
             table: Dict[str, Dict[str, _RouteEntry]] = {}
@@ -896,7 +906,7 @@ class SoftwareBus:
                     (b_inst, b_if, a_inst, a_if),
                 ):
                     peer = self._instances[dst]
-                    if peer.spec.interface(dst_if).direction.can_receive:
+                    if peer.has_queue(dst_if):  # a queue: it can receive
                         table[src][src_if].add(peer, dst_if)
                         key = (dst, dst_if)
                         in_degree[key] = in_degree.get(key, 0) + 1
@@ -905,9 +915,6 @@ class SoftwareBus:
                     entry.finalize()
             rec = telemetry.recorder
             if rec is not None:
-                # Routing-cache miss counter: every rebuild *is* a miss
-                # (hits = bus.routed - bus.routing_rebuild).
-                rec.count("bus.routing_rebuild")
                 self._prepare_telemetry(rec)
                 derived: Dict[str, object] = {}
                 for name, by_interface in table.items():
@@ -1076,19 +1083,12 @@ class SoftwareBus:
         interface can receive; cross-host deliveries round-trip through
         the canonical encoding, encoded once per send and decoded once
         per distinct receiver profile.  The hot path is two dict lookups
-        against the routing snapshot — no binding scan, and no bus lock
-        held while enqueuing at peers.
+        against the published table — no binding scan, no rebuild, and
+        no bus lock.
         """
-        table = self._routing_table
-        if table is None:
-            table = self._rebuild_routing()
-        by_interface = table.get(instance)
+        by_interface = self._routing_table.get(instance)
         if by_interface is None:
-            # A stale snapshot or an unknown instance: a rebuild settles which.
-            by_interface = self._rebuild_routing().get(instance)
-            if by_interface is None:
-                self.get_module(instance)  # raises UnknownModuleError
-                return
+            raise UnknownModuleError(f"no module instance {instance!r}")
         entry = by_interface.get(interface)
         if entry is None:
             return  # declared-interface misuse kept as the historical no-op
@@ -1117,16 +1117,12 @@ class SoftwareBus:
         destination must actually be bound to (instance, interface) —
         an unbound directed send is a programming error, not a silent drop.
         """
-        table = self._routing_table
-        if table is None:
-            table = self._rebuild_routing()
-        by_interface = table.get(instance)
+        by_interface = self._routing_table.get(instance)
         if by_interface is None:
-            by_interface = self._rebuild_routing().get(instance) or {}
+            raise UnknownModuleError(f"no module instance {instance!r}")
         entry = by_interface.get(interface)
         target = entry.by_dest.get(destination) if entry is not None else None
         if target is None:
-            self.get_module(instance)  # unknown senders still raise
             raise BindingError(
                 f"directed send from {instance}.{interface} to "
                 f"{destination!r}: no such binding"
@@ -1310,11 +1306,11 @@ class SoftwareBus:
                 module.remove(timeout)
             except (BusError, TransportError):
                 pass  # host already gone
-        with self._lock:
+        with self.editing():
             self._instances.clear()
             self._unbound = []
             self._bindings.clear()
-            self._invalidate_routing_locked()
+            self._routes_stale = True
             transports = list(self._transports.values())
             self._transports.clear()
         for transport in transports:

@@ -13,10 +13,12 @@ Worker-local fan-out: the bus pushes per-host route tables to each link
 (``set_routes``) covering endpoints whose *every* destination lives on
 that same host; such writes are delivered host-locally without touching
 the bus process at all, which is what lets pinned producer/consumer
-pairs scale with cores.  Any topology change broadcasts ``clear_routes``
-first (per-link FIFO makes a subsequent queue move exact).  Routes are
-pushed whether or not telemetry records: a host counts the writes it
-delivers itself, the bus the ones tunneled to it.
+pairs scale with cores.  Every topology edit ends by pushing each host
+its new table, which the host swaps in whole, so a pinned sender keeps
+its route through edits that do not change it; per-link FIFO puts the
+push ahead of a hand-over's queue move.  Routes are pushed whether or
+not telemetry records: a host counts the writes it delivers itself, the
+bus the ones tunneled to it.
 
 A replace moves the old module's queues where they live, in one
 command (``move_queues``): each old queue is sealed with a forward to
@@ -79,6 +81,17 @@ def _wire_safe(value: object) -> object:
     if isinstance(value, (list, tuple)):
         return [_wire_safe(v) for v in value]
     return repr(value)
+
+
+def _snapshot(value: object) -> object:
+    """``value`` with each list and dict in it copied by one C-level call
+    before it is walked, so a module thread editing them cannot tear the
+    reply the serve thread encodes."""
+    if isinstance(value, dict):
+        return {k: _snapshot(v) for k, v in value.copy().items()}
+    if isinstance(value, list):
+        return [_snapshot(v) for v in value.copy()]
+    return value
 
 
 def failure_fields(exc: BaseException) -> Tuple[str, str]:
@@ -293,7 +306,7 @@ class ModuleHost:
 
     # -- module lifecycle commands -----------------------------------------
 
-    def _cmd_add(self, key, instance, spec_raw, status, packet) -> bool:
+    def _cmd_add(self, key, instance, spec_raw, status) -> bool:
         """Host module ``key``, named ``instance`` (what it writes under)."""
         key = str(key)
         spec = spec_from_abstract(dict(spec_raw))
@@ -305,8 +318,6 @@ class ModuleHost:
             status=str(status),
             sleep_policy=self.sleep_policy,
         )
-        if packet is not None:
-            module.mh.incoming_packet = bytes(packet)
         module.load()
         self._watch(key, module)
         with self.modules_lock:
@@ -477,16 +488,11 @@ class ModuleHost:
         self.routes = table
         return True
 
-    def _cmd_clear_routes(self) -> bool:
-        self.routes = {}
-        return True
-
     # -- introspection ---------------------------------------------------------
 
     def _cmd_statics(self, key) -> Dict[str, object]:
         # Test/debug introspection: only canonical-encodable statics travel.
-        statics = self._module(key).mh.statics
-        return {k: v for k, v in statics.items()}
+        return _snapshot(self._module(key).mh.statics)
 
     def _cmd_ping(self) -> str:
         return self.profile.name

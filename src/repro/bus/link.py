@@ -133,6 +133,7 @@ class Link:
         self._dispatcher.start()
 
     def _read_loop(self) -> None:
+        why = "link closed"
         try:
             while True:
                 try:
@@ -153,8 +154,8 @@ class Link:
                         )
                 elif kind == "evt":
                     self._events.put((str(frame[2]), frame[3:]))
-        except (TransportError, OSError):
-            pass
+        except (TransportError, OSError) as exc:
+            why = f"link closed: {exc}"
         finally:
             self.closed.set()
             self._coalescer.close()
@@ -162,7 +163,7 @@ class Link:
                 pending = list(self._pending.values())
                 self._pending.clear()
             for waiter in pending:
-                waiter.complete("err", TransportError(f"{self.name}: link closed"))
+                waiter.complete("err", TransportError(f"{self.name}: {why}"))
             self._events.put(None)
 
     def _dispatch_loop(self) -> None:

@@ -44,7 +44,7 @@ import sys
 from typing import List, Tuple
 
 from repro.bus.host import serve_host
-from repro.errors import TransportError
+from repro.errors import DecodingError, TransportError
 from repro.runtime import faults, telemetry
 from repro.state.encoding import decode_any, encode_any
 from repro.state.machine import MachineProfile, profile_from_abstract
@@ -102,7 +102,12 @@ def recv_frame(sock: socket.socket) -> object:
     # The span covers payload read + decode, not the idle wait for
     # the header — a listener parked between frames is not "receiving".
     with telemetry.span("tcp.recv_frame", bytes=length):
-        value = decode_any(_recv_exact(sock, length))
+        try:
+            value = decode_any(_recv_exact(sock, length))
+        except DecodingError as exc:
+            # Ends the channel as EOF does: what follows cannot be trusted.
+            telemetry.count("tcp.bad_frames")
+            raise TransportError(f"undecodable frame: {exc}") from exc
     rec = telemetry.recorder
     if rec is not None:
         rec.count("tcp.frames_received")

@@ -698,15 +698,12 @@ class RemoteTransport:
         spec: ModuleSpec,
         instance: str,
         status: str = "original",
-        state_packet: Optional[bytes] = None,
         slot: Optional[str] = None,
     ) -> RemoteModuleHandle:
         link, placement = self._place(slot)
         prepared = prepared_source_for(spec)
         key = f"{instance}#{next(self._keys)}"
-        link.request(
-            ["add", key, instance, spec.to_abstract(prepared), status, state_packet]
-        )
+        link.request(["add", key, instance, spec.to_abstract(prepared), status])
         handle = RemoteModuleHandle(
             key=key,
             name=instance,
@@ -716,8 +713,6 @@ class RemoteTransport:
             placement=placement,
             status=status,
         )
-        if state_packet is not None:
-            handle.mh._incoming = state_packet
         self._register(handle)
         return handle
 

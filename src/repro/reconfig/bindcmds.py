@@ -66,9 +66,10 @@ class BindBatch:
 
     "The rebinding commands are applied all at once, after the old module
     has divulged its state" — while the batch runs, no module thread can
-    observe a half-rebound configuration because the bus binding table is
-    mutated under its lock command-by-command and the divulged module is
-    no longer producing messages.
+    observe a half-rebound configuration because the batch is one edit
+    section of the bus (:meth:`~repro.bus.bus.SoftwareBus.editing`),
+    whose routes are published whole, and the divulged module is no
+    longer producing messages.
     """
 
     commands: List[BindCommand] = field(default_factory=list)
@@ -102,15 +103,12 @@ class BindBatch:
     def apply(self, bus: SoftwareBus) -> None:
         if self.applied:
             raise ReconfigError("bind batch already applied")
-        # Hold the bus routing lock across the whole batch (the lock is
-        # reentrant): no message is routed against a half-rebound binding
-        # table — the batch really is applied "all at once".
-        lock = getattr(bus, "_lock", None)
-        if lock is not None:
-            lock.acquire()
+        # One edit section: no message is routed against a half-rebound
+        # binding table — the batch really is applied "all at once", and
+        # its routes are published once, ahead of its first queue move.
         # A cq's move did its rmq's work: that rmq sends nothing.
         moved: Set[Endpoint] = set()
-        try:
+        with bus.editing():
             for command in self.commands:
                 if command.op == "add":
                     bus.add_binding(command.binding)
@@ -122,9 +120,6 @@ class BindBatch:
                 elif command.op == "rmq":
                     if command.left not in moved:
                         bus.remove_queue(*command.left)
-        finally:
-            if lock is not None:
-                lock.release()
         self.applied = True
 
     def describe(self) -> str:

@@ -7,10 +7,11 @@ against a plain-list reference for it: binding order (which is delivery
 order among the destinations of one endpoint), a removed-and-re-added
 binding going to the end, either endpoint order naming the same link on
 removal, and the errors.  The rebind tests pin the cost model: however
-many commands a Figure-5 ``BindBatch`` carries, applying it invalidates
-routing once, i.e. one ``clear_routes`` per attached link; and a
-replacement's hand-over edits no binding at all, so the table keeps its
-sequence and routing is invalidated once.
+many commands a Figure-5 ``BindBatch`` or a ``launch()`` carries, it
+rebuilds the routing table once and pushes one ``set_routes`` per
+attached link; and a replacement's hand-over edits no binding at all, so
+the table keeps its sequence and is published once, on every link ahead
+of the queue move.
 """
 
 import pytest
@@ -19,7 +20,13 @@ from hypothesis import given, settings, strategies as st
 from repro.bus.bus import SoftwareBus
 from repro.bus.interfaces import InterfaceDecl, Role
 from repro.bus.message import Message
-from repro.bus.spec import BindingSpec, ModuleSpec
+from repro.bus.spec import (
+    ApplicationSpec,
+    BindingSpec,
+    Configuration,
+    InstanceSpec,
+    ModuleSpec,
+)
 from repro.bus.transport import RemoteTransport
 from repro.errors import BindingError, SpecError
 from repro.reconfig.coordinator import prepare_rebind_batch
@@ -149,20 +156,21 @@ class _CountingLink:
     def __init__(self, name):
         self.name = name
         self.profile = MACHINES["modern-64"]
-        self.events = []
+        self.sent = []  # command names of events and requests, in send order
 
     def send_event(self, command):
-        self.events.append(command[0])
+        self.sent.append(command[0])
 
     def request(self, command, timeout=30.0):
-        return True
+        self.sent.append(command[0])
+        return {}  # what a host that holds nothing replies to move_queues
 
     def close(self):
         pass
 
 
 class _CountingTransport(RemoteTransport):
-    """A transport that hosts nothing; its links only count events."""
+    """A transport whose links run nothing; they only log what is sent."""
 
     name = "counting"
 
@@ -188,8 +196,7 @@ def wide():
     bus.shutdown()
 
 
-def _publish_routes(bus):
-    """Route once, so a snapshot is published and hosts hold routes."""
+def _send(bus):
     bus.route(
         "hub",
         "out",
@@ -197,17 +204,35 @@ def _publish_routes(bus):
     )
 
 
+def _rebuilds(bus, monkeypatch):
+    """The list every routing-table rebuild of ``bus`` appends to from now."""
+    calls = []
+    rebuild = bus._rebuild_routing
+
+    def counted():
+        calls.append(1)
+        return rebuild()
+
+    monkeypatch.setattr(bus, "_rebuild_routing", counted)
+    return calls
+
+
+def _sent_from_now(transport):
+    for link in transport.links():
+        del link.sent[:]
+    return {link.name: link.sent for link in transport.links()}
+
+
 class TestBatchIsOneTableEdit:
-    def test_apply_clears_routes_once_per_link(self, wide):
+    def test_apply_publishes_routes_once_per_link(self, wide, monkeypatch):
         bus, transport = wide
         batch = prepare_rebind_batch(bus, obj_cap(bus, "hub"), "hub.new")
         assert len(batch.commands) >= 2 * MONITORS
-        _publish_routes(bus)
-        for link in transport.links():
-            del link.events[:]
+        rebuilds = _rebuilds(bus, monkeypatch)
+        sent = _sent_from_now(transport)
         batch.apply(bus)
-        for link in transport.links():
-            assert link.events.count("clear_routes") == 1, link.name
+        assert len(rebuilds) == 1
+        assert sent == {link.name: ["set_routes"] for link in transport.links()}
         assert bus.destinations_of("hub.new", "out") == [
             (f"mon_{j:02d}", "inp") for j in range(MONITORS)
         ]
@@ -225,7 +250,7 @@ class TestBatchIsOneTableEdit:
         bus.hand_back(clone, old)
         assert bus.bindings() == order
         assert bus.snapshot_configuration().describe() == before
-        _publish_routes(bus)  # the handed-back table routes
+        _send(bus)  # the handed-back table routes
         assert bus.get_module("mon_63").queue("inp").peek_count() == 1
 
     def test_refused_hand_over_changes_nothing(self, wide):
@@ -245,18 +270,70 @@ class TestBatchIsOneTableEdit:
         bus.discard_module(clone)
         assert not bus._unbound
 
-    def test_hand_over_clears_routes_once_and_edits_no_binding(self, wide):
+    def test_hand_over_publishes_once_edits_no_binding(self, wide, monkeypatch):
         bus, transport = wide
         order = bus.bindings()
         old = bus.get_module("hub")
         clone = bus.build_clone(HUB, "hub")
-        _publish_routes(bus)
-        for link in transport.links():
-            del link.events[:]
+        _send(bus)
+        rebuilds = _rebuilds(bus, monkeypatch)
+        sent = _sent_from_now(transport)
         bus.hand_over(old, clone)
-        for link in transport.links():
-            assert link.events.count("clear_routes") == 1, link.name
+        assert len(rebuilds) == 1
+        assert sent == {link.name: ["set_routes"] for link in transport.links()}
         assert bus.bindings() == order
         assert bus.get_module("hub") is clone
-        _publish_routes(bus)  # the hub's endpoint now routes from the clone
+        _send(bus)  # the hub's endpoint now routes from the clone
         assert bus.get_module("mon_63").queue("inp").peek_count() == 2
+
+    def test_routes_reach_every_link_ahead_of_the_queue_move(self, monkeypatch):
+        """A hand-over between two hosts, and the hand-back: each publishes
+        once, and every link that takes a ``move_queues`` has its
+        ``set_routes`` first (per-link FIFO then orders the host's route
+        swap ahead of the move)."""
+        bus = SoftwareBus(sleep_scale=0.0)
+        transport = bus.attach_transport(_CountingTransport())
+        try:
+            old = bus.add_module(HUB, instance="hub", placement="counting:0")
+            bus.add_module(LEAF, instance="m0")
+            bus.add_binding(BindingSpec("hub", "out", "m0", "inp"))
+            clone = bus.build_clone(HUB, "hub", placement="counting:1")
+            rebuilds = _rebuilds(bus, monkeypatch)
+            sent = _sent_from_now(transport)
+            bus.hand_over(old, clone)
+            assert sent == {
+                "host-0": ["set_routes", "move_queues"],
+                "host-1": ["set_routes"],
+                "host-2": ["set_routes"],
+            }
+            sent = _sent_from_now(transport)
+            bus.hand_back(clone, old)
+            assert sent == {  # host-0 unseals the old module's queues
+                "host-0": ["set_routes", "move_queues"],
+                "host-1": ["set_routes", "move_queues"],
+                "host-2": ["set_routes"],
+            }
+            assert len(rebuilds) == 2
+        finally:
+            bus.shutdown()
+
+    def test_launch_publishes_routes_once_per_link(self, monkeypatch):
+        bus = SoftwareBus(sleep_scale=0.0)
+        transport = bus.attach_transport(_CountingTransport())
+        rebuilds = _rebuilds(bus, monkeypatch)
+        app = ApplicationSpec(
+            name="wide",
+            instances=[InstanceSpec("hub", "hub")]
+            + [InstanceSpec(f"mon_{j:02d}", "leaf") for j in range(MONITORS)],
+            bindings=[
+                BindingSpec("hub", "out", f"mon_{j:02d}", "inp") for j in range(MONITORS)
+            ],
+        )
+        try:
+            sent = _sent_from_now(transport)
+            bus.launch(Configuration(modules={"hub": HUB, "leaf": LEAF}, application=app))
+            assert len(rebuilds) == 1
+            assert sent == {link.name: ["set_routes"] for link in transport.links()}
+            assert len(bus.destinations_of("hub", "out")) == MONITORS
+        finally:
+            bus.shutdown()

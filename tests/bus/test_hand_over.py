@@ -235,7 +235,7 @@ class TestOneHostOneName:
             for key in ("counter#1", "counter#2"):
                 core.handle(
                     "add",
-                    [key, "counter", spec.to_abstract(prepared_source_for(spec)), "clone", None],
+                    [key, "counter", spec.to_abstract(prepared_source_for(spec)), "clone"],
                 )
             assert {m.name for m in core.modules.values()} == {"counter"}
             blob = pack_batch(
@@ -277,7 +277,7 @@ class TestHostMove:
         for key in ("counter#1", "counter#2"):
             core.handle(
                 "add",
-                [key, "counter", spec.to_abstract(prepared_source_for(spec)), "clone", None],
+                [key, "counter", spec.to_abstract(prepared_source_for(spec)), "clone"],
             )
         yield core
         core.stop_all()

@@ -485,7 +485,6 @@ class TestHostCounts:
                     name,
                     spec.to_abstract(prepared_source_for(spec)),
                     "original",
-                    None,
                 ],
             )
         core.handle("set_routes", [[["a", "out", [["b#1", "inp", "b"]]]]])
@@ -509,7 +508,7 @@ class TestHostCounts:
         core = self._host()
         try:
             rec = telemetry.enable(capacity=1024)
-            core.handle("clear_routes", [])
+            core.handle("set_routes", [[]])  # no route for this host any more
             core.route("a", "out", Message(values=[1], fmt="l"))
             assert rec.counter("bus.routed", key="a.out") == 0
         finally:

@@ -95,7 +95,7 @@ class TestHostSideMiss:
         spec = _stage_spec()
         core.handle(
             "add",
-            [key, instance, spec.to_abstract(prepared_source_for(spec)), "clone", None],
+            [key, instance, spec.to_abstract(prepared_source_for(spec)), "clone"],
         )
 
     def test_host_local_route_to_a_missing_destination_is_counted(self, core):

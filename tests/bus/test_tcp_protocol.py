@@ -6,9 +6,12 @@ import threading
 import pytest
 
 from repro.bus.interfaces import InterfaceDecl, Role
+from repro.bus.link import Link
 from repro.bus.spec import ModuleSpec, spec_from_abstract
-from repro.bus.tcp import _MAX_FRAME, recv_frame, send_frame
+from repro.bus.tcp import _FRAME_HEADER, _MAX_FRAME, SocketChannel, recv_frame, send_frame
 from repro.errors import TransportError
+from repro.runtime import telemetry
+from repro.state.encoding import encode_any
 from repro.state.machine import MACHINES, profile_from_abstract
 
 
@@ -70,6 +73,50 @@ class TestFraming:
         send_frame(left, ["rep", 9, True])
         thread.join(5)
         assert received == [["rep", 9, True]]
+
+
+class TestUndecodableFrame:
+    """A frame whose payload does not decode ends its channel as EOF
+    does, with a typed error that names why, counted once."""
+
+    @staticmethod
+    def _send_trailing(sock):
+        """A ``rep`` frame carrying one value and 9 bytes after it."""
+        payload = encode_any(["rep", 1, True]) + bytes(9)
+        sock.sendall(_FRAME_HEADER.pack(len(payload)) + payload)
+
+    def test_recv_frame_raises_a_transport_error(self, sock_pair):
+        left, right = sock_pair
+        rec = telemetry.enable(capacity=64)
+        self._send_trailing(left)
+        with pytest.raises(TransportError, match="undecodable frame: 9 trailing bytes"):
+            recv_frame(right)
+        assert rec.counter("tcp.bad_frames") == 1
+
+    def test_a_link_ends_with_the_cause_and_no_thread_dies(
+        self, sock_pair, monkeypatch
+    ):
+        left, right = sock_pair
+        died = []
+        monkeypatch.setattr(threading, "excepthook", died.append)
+        rec = telemetry.enable(capacity=64)
+        link = Link("bad", MACHINES["modern-64"], SocketChannel(left))
+
+        def answer():
+            recv_frame(right)  # the request below
+            self._send_trailing(right)
+
+        host = threading.Thread(target=answer)
+        host.start()
+        try:
+            with pytest.raises(TransportError, match="bad: link closed: undecodable frame"):
+                link.request(["ping"], timeout=10)
+            assert link.closed.wait(5)
+        finally:
+            host.join(5)
+            link.close()
+        assert rec.counter("tcp.bad_frames") == 1
+        assert died == []
 
 
 class TestSpecSerialization:

@@ -671,8 +671,7 @@ class TestRecordedRouting:
                 tunneled.append(instance)
                 on_write(instance, *args)
 
-            bus._on_transport_write = spy
-            bus._rebuild_routing()  # pushes the route
+            bus._on_transport_write = spy  # add_binding pushed the route
             bus.start_module("c")
             bus.start_module("p")
             got = _wait(
@@ -1103,7 +1102,7 @@ class TestBatchedDelivery:
         spec = _collector_spec()
         core.handle(
             "add",
-            [key, "collector", spec.to_abstract(prepared_source_for(spec)), "original", None],
+            [key, "collector", spec.to_abstract(prepared_source_for(spec)), "original"],
         )
 
     def test_deliver_batch_dispatch_and_shared_wires(self):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bus.bus import SoftwareBus
 from repro.errors import ReconfigError
 from repro.reconfig.bindcmds import BindBatch, BindCommand
 
@@ -47,7 +48,7 @@ class TestBindBatch:
         assert "add a.x" in text and "rmq a.x" in text
 
     def test_double_apply_rejected(self, monkeypatch):
-        batch = BindBatch()
-        batch.apply(bus=None)  # empty batch: no bus calls made
+        batch, bus = BindBatch(), SoftwareBus(sleep_scale=0.0)
+        batch.apply(bus)  # empty batch: no edit, nothing published
         with pytest.raises(ReconfigError, match="already applied"):
-            batch.apply(bus=None)
+            batch.apply(bus)

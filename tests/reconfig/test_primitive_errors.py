@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bus.bus import SoftwareBus
 from repro.errors import ReconfigError
 from repro.reconfig.bindcmds import BindBatch
 from repro.reconfig.primitives import bind_cap, chg_obj, edit_bind
@@ -30,8 +31,8 @@ class TestChgObjErrors:
 
 class TestBatchInvariants:
     def test_empty_batch_applies_once(self):
-        batch = BindBatch()
-        batch.apply(None)
+        batch, bus = BindBatch(), SoftwareBus(sleep_scale=0.0)
+        batch.apply(bus)
         assert batch.applied
         with pytest.raises(ReconfigError):
-            batch.apply(None)
+            batch.apply(bus)

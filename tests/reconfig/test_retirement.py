@@ -187,7 +187,6 @@ class TestHostSideRemove:
                     "stage",
                     spec.to_abstract(prepared_source_for(spec)),
                     "original",
-                    None,
                 ],
             )
             core.handle("start", ["stage#1"])

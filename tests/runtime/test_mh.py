@@ -176,7 +176,7 @@ class TestCaptureProtocol:
         spec = ModuleSpec(name="m", inline_source="def main():\n    pass\n")
         try:
             host.handle(
-                "add", ["m#1", "m", spec.to_abstract(prepared_source_for(spec)), "original", None]
+                "add", ["m#1", "m", spec.to_abstract(prepared_source_for(spec)), "original"]
             )
             mh = host.modules["m#1"].mh
             packet = divulge(mh)

@@ -329,6 +329,23 @@ GUARDS = [
             "counters, _ = transport.telemetry_snapshot()",
         ),
     ),
+    # Routes are published when a topology edit ends, never rebuilt by a
+    # reader: the invalidation that dropped the table and the host
+    # command that dropped a host's routes with it.
+    Guard(
+        "the dropped routing table",
+        r"clear_routes|_invalidate_routing_locked",
+        ("src", "docs"),
+        ('link.send_event(["clear_routes"])', "self._invalidate_routing_locked()"),
+    ),
+    # A clone gets its state packet through mh.incoming_packet: the add
+    # option that installed one nothing passed.
+    Guard(
+        "the add-time state packet",
+        r"state_packet",
+        ("src/repro/bus",),
+        ("bus.add_module(spec, state_packet=packet)",),
+    ),
 ]
 
 
