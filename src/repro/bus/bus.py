@@ -15,7 +15,7 @@ import threading
 import time
 import weakref
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 # Not used by name here.  ``bus/module.py`` resolves the transformer
 # inside its preparation memo so that hosts, which import that file but
@@ -254,6 +254,12 @@ class SoftwareBus:
         # last publication changed what the table is built from.
         self._edit_depth = 0
         self._routes_stale = False
+        # Instance names a module has started under (start_module), and
+        # the host-local routes of the last publication: (instance,
+        # interface) -> the link they were pushed to.  Together they keep
+        # a running sender from switching from the tunnel to its host.
+        self._started: Set[str] = set()
+        self._host_local: Dict[Tuple[str, str], object] = {}
         # Routed-count derivation state (see _prepare_telemetry): the
         # recorder these belong to, frozen totals from earlier routing
         # epochs, and the current endpoint -> (queue, offsets) map.
@@ -471,7 +477,13 @@ class SoftwareBus:
         return module, f"{module.host.name} via {tname}"
 
     def start_module(self, instance: str) -> None:
-        self.get_module(instance).start()
+        # Recorded before the start request goes out, under the lock a
+        # publication holds: a publication either sees the name started
+        # or has queued its set_routes ahead of the start on the link.
+        with self._lock:
+            module = self.get_module(instance)
+            self._started.add(instance)
+        module.start()
         self.trace.append(f"start module {instance}")
 
     def remove_module(self, instance: str, timeout: float = 5.0) -> None:
@@ -487,6 +499,7 @@ class SoftwareBus:
         module.remove(timeout)
         with self.editing():
             del self._instances[instance]
+            self._started.discard(instance)
             self._routes_stale = True
         self.trace.append(f"remove module {instance}")
 
@@ -821,18 +834,31 @@ class SoftwareBus:
         change this: a host counts ``bus.routed`` /
         ``bus.directed`` for the writes it delivers itself, and its
         counters reach the bus recorder through its transport.
+
+        A route only switches from the host to the tunnel, never back
+        while its sender may have tunneled writes in flight, which a
+        host-local write could overtake: a qualifying endpoint is pushed
+        only if it was pushed to the same link by the last publication,
+        or no module has started under its instance name yet.
         """
         if not self._transports:
             return
         routes_by_link: Dict[object, List[List[object]]] = {}
+        pushed: Dict[Tuple[str, str], object] = {}
         for name, by_interface in table.items():
             sender = self._instances.get(name)
             link = getattr(sender, "link", None)
             if link is None:
                 continue
+            fresh = name not in self._started
             for ifname, entry in by_interface.items():
                 targets = entry.targets
-                if targets and all(t[4] is link for t in targets):
+                if (
+                    targets
+                    and all(t[4] is link for t in targets)
+                    and (fresh or self._host_local.get((name, ifname)) is link)
+                ):
+                    pushed[(name, ifname)] = link
                     routes_by_link.setdefault(link, []).append(
                         [
                             name,
@@ -840,6 +866,7 @@ class SoftwareBus:
                             [[key, dest_if, dest] for dest, dest_if, *_, key in targets],
                         ]
                     )
+        self._host_local = pushed
         for transport in self._transports.values():
             for link in transport.links():
                 link.send_event(["set_routes", routes_by_link.get(link, [])])
@@ -884,12 +911,14 @@ class SoftwareBus:
         """Build the routing table from the current topology, publish it
         and push each host its host-local routes; return it.
 
-        Every declared interface of every instance gets an entry (so a
-        bound-or-not lookup is one dict hit); receive-direction checks
-        and host-profile comparisons happen here, once per publication,
-        never on the per-message path.  The finished table replaces the
-        published one in one assignment: a router sees the one or the
-        other, both complete.
+        Every instance gets a row, and every interface that can send an
+        entry in it (so a bound-or-not lookup is one dict hit; a
+        receive-only interface routes nothing and has none, which
+        ``route()`` reads as its no-op and ``route_to`` as no binding);
+        receive-direction checks and host-profile comparisons happen
+        here, once per publication, never on the per-message path.  The
+        finished table replaces the published one in one assignment: a
+        router sees the one or the other, both complete.
         """
         with self._lock:
             table: Dict[str, Dict[str, _RouteEntry]] = {}
@@ -897,6 +926,7 @@ class SoftwareBus:
                 table[name] = {
                     decl.name: _RouteEntry(module.host)
                     for decl in module.spec.interfaces
+                    if decl.direction.can_send
                 }
             in_degree: Dict[Tuple[str, str], int] = {}
             for binding in self._bindings:

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.errors import EncodingError, FormatError
-from repro.state.encoding import decode_values, encode_values
-from repro.state.format import check_arity
+from repro.state.encoding import check_arity, decode_values, encode_values
 from repro.state.machine import MachineProfile
 
 @dataclass

@@ -47,7 +47,7 @@ from repro.errors import (
 )
 from repro.runtime import faults, telemetry
 from repro.runtime.files import FileReattachRegistry
-from repro.state.format import check_arity
+from repro.state.encoding import check_arity
 from repro.state.frames import ActivationRecord, ProcessState, StackState
 from repro.state.heap import HeapCodec, HeapImage
 from repro.state.machine import MachineProfile

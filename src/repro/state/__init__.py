@@ -22,7 +22,6 @@ from repro.state.format import (
     DictType,
     parse_format,
     format_of_value,
-    value_matches,
     MIL_PATTERN_NAMES,
     pattern_to_format,
 )
@@ -32,6 +31,7 @@ from repro.state.encoding import (
     decode_values,
     encode_any,
     decode_any,
+    value_matches,
 )
 from repro.state.frames import (
     ActivationRecord,

@@ -20,12 +20,17 @@ loudly at the module, not mysteriously at the clone).
 Implementation notes (the reconfiguration critical path, see
 ``docs/state-encoding.md``):
 
-- **Declared values: compiled encoder plans.**  Each :class:`TypeSpec`
-  compiles once into a flat closure that validates and appends in a
-  single walk (:func:`compiled_encoder`); each format string compiles
-  once into a tuple of those closures (:func:`encoder_plan`, cached
-  alongside format parsing).  This is the path of every activation
-  record and every bus message.
+- **Declared values: one compiled plan per format string.**  A format
+  string compiles once (:func:`format_plan`) into a :class:`FormatPlan`:
+  its top-level specs, and for each spec a check and a writer that
+  :func:`_compile` builds side by side, a container composing its
+  children's pairs, so the two accept the same values by construction.
+  The writer validates as it appends, in one walk: it is the path of
+  every activation record and every bus message.  The check
+  (:func:`check_arity`, :func:`value_matches`) serves
+  ``Message.validated()`` and names the failing position when a writer
+  refuses a value.  The plans live in one dict keyed by format string;
+  a nested spec has no entry of its own.
 - **Self-described values: one walk, no inference.**  The wire form of an
   ``a`` value depends only on the runtime type of each node, so
   :func:`write_any` dispatches on ``type(value)`` and appends tag and
@@ -81,18 +86,19 @@ from __future__ import annotations
 
 import struct
 from itertools import chain
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.errors import DecodingError, EncodingError
+from repro.errors import DecodingError, EncodingError, FormatError
 from repro.state.format import (
     ANY_TAG_BY_TYPE,
     DictType,
     ListType,
+    SCALAR_CHARS,
     ScalarType,
     TupleType,
     TypeSpec,
     any_tag,
-    check_arity,
+    parse_format,
     unsupported_any,
 )
 from repro.state.machine import MachineProfile
@@ -185,8 +191,8 @@ def write_any(buf: bytearray, value: object, checks: Optional[tuple]) -> None:
     ``ANY_TAG_BY_TYPE``, then :func:`any_tag`'s ``isinstance`` chain for
     subclasses.  Strings, longs and containers — nearly every node of a
     state packet — are written here; the rarer scalars go to the compiled
-    encoder of their tag.  Either way machine checks fire per scalar,
-    exactly as under a declared format; an unsupported type raises the
+    writer of their one-letter format.  Either way machine checks fire per
+    scalar, exactly as under a declared format; an unsupported type raises the
     inference :class:`FormatError`.  No :class:`TypeSpec` is built and
     nothing is compiled or cached per value shape.  ``None`` — the NULL
     slot, the commonest ``a`` value of a deep stack — is tested first.
@@ -249,13 +255,18 @@ def write_any(buf: bytearray, value: object, checks: Optional[tuple]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Compiled encoders
+# Compiled format plans: a check and a writer per spec, compiled together
 # ---------------------------------------------------------------------------
 
-#: An encoder closure: append the canonical form of ``value`` to ``buf``.
-#: ``checks`` is a machine's compiled check suite (see
-#: ``MachineProfile.codec_checks``), resolved once per encode call rather
-#: than once per value, or None when no machine constraint applies.
+#: A check: does ``value`` fit the spec it was compiled from?  ``None``
+#: fits every spec (see :func:`value_matches`).
+_Matcher = Callable[[object], bool]
+
+#: A writer: append the canonical form of ``value`` to ``buf``, refusing
+#: (``EncodingError``) what its check refuses.  ``checks`` is a machine's
+#: compiled check suite (see ``MachineProfile.codec_checks``), resolved
+#: once per encode call rather than once per value, or None when no
+#: machine constraint applies.
 _EncodeFn = Callable[[bytearray, object, Optional[tuple]], None]
 
 
@@ -265,11 +276,20 @@ def _checks_of(machine: MachineProfile) -> tuple:
     return machine.__dict__.get("_codec_checks") or machine.codec_checks()
 
 
-def _build_scalar_encoder(spec: ScalarType) -> _EncodeFn:
-    char = spec.char
+def _match_any(value: object) -> bool:
+    # Anything write_any can encode fits: the same tag table, walked
+    # without building a TypeSpec.
+    tag = any_tag(value)
+    if tag == 0x5B or tag == 0x28:
+        return all(_match_any(item) for item in value)
+    if tag == 0x7B:
+        return all(_match_any(k) and _match_any(v) for k, v in value.items())
+    return tag != 0
 
+
+def _compile_scalar(char: str) -> Tuple[_Matcher, _EncodeFn]:
     if char == "a":
-        return write_any
+        return _match_any, write_any
 
     if char == "n":
 
@@ -279,7 +299,7 @@ def _build_scalar_encoder(spec: ScalarType) -> _EncodeFn:
                 return
             raise EncodingError(f"format 'n' requires None, got {value!r}")
 
-        return enc_none
+        return (lambda value: value is None), enc_none
 
     if char == "b":
 
@@ -292,7 +312,7 @@ def _build_scalar_encoder(spec: ScalarType) -> _EncodeFn:
             buf.append(0x62)  # 'b'
             buf.append(1 if value else 0)
 
-        return enc_bool
+        return (lambda value: value is None or isinstance(value, bool)), enc_bool
 
     if char in ("i", "l"):
         tag = ord(char)
@@ -319,7 +339,10 @@ def _build_scalar_encoder(spec: ScalarType) -> _EncodeFn:
                     buf.append(byte)
                     return
 
-        return enc_int
+        return (
+            lambda value: value is None
+            or (isinstance(value, int) and not isinstance(value, bool))
+        ), enc_int
 
     if char in ("f", "F"):
         tag = ord(char)
@@ -341,7 +364,10 @@ def _build_scalar_encoder(spec: ScalarType) -> _EncodeFn:
             buf.append(tag)
             buf.extend(pack(float(value)))
 
-        return enc_float
+        return (
+            lambda value: value is None
+            or (isinstance(value, (int, float)) and not isinstance(value, bool))
+        ), enc_float
 
     if char == "s":
 
@@ -356,7 +382,7 @@ def _build_scalar_encoder(spec: ScalarType) -> _EncodeFn:
             _append_varint(buf, len(data))
             buf.extend(data)
 
-        return enc_str
+        return (lambda value: value is None or isinstance(value, str)), enc_str
 
     if char == "B":
 
@@ -370,7 +396,9 @@ def _build_scalar_encoder(spec: ScalarType) -> _EncodeFn:
             _append_varint(buf, len(value))
             buf.extend(value)
 
-        return enc_bytes
+        return (
+            lambda value: value is None or isinstance(value, (bytes, bytearray))
+        ), enc_bytes
 
     if char == "p":
 
@@ -385,17 +413,34 @@ def _build_scalar_encoder(spec: ScalarType) -> _EncodeFn:
             buf.extend(data)
             _append_signed(buf, index)
 
-        return enc_pointer
+        return (
+            lambda value: value is None or type(value).__name__ == "SymbolicPointer"
+        ), enc_pointer
 
     raise EncodingError(f"unknown scalar format {char!r}")  # pragma: no cover
 
 
-def _build_encoder(spec: TypeSpec) -> _EncodeFn:
+#: Each scalar's check and writer, built once at import and shared by
+#: every plan: CPython specializes a call site on the function object it
+#: calls, so the values of a ``"ssss"`` frame must meet one writer, not four.
+_SCALARS: Dict[str, Tuple[_Matcher, _EncodeFn]] = {
+    char: _compile_scalar(char) for char in SCALAR_CHARS
+}
+
+#: The writers :func:`write_any` hands its rarer scalars to.
+_SCALAR_ENCODER_BY_TAG: Dict[int, _EncodeFn] = {
+    ord(char): _SCALARS[char][1] for char in "bFBp"
+}
+
+
+def _compile(spec: TypeSpec) -> Tuple[_Matcher, _EncodeFn]:
+    """Compile ``spec`` into its check and its writer, which accept the
+    same values; a container composes its children's pairs."""
     if isinstance(spec, ScalarType):
-        return _build_scalar_encoder(spec)
+        return _SCALARS[spec.char]
 
     if isinstance(spec, ListType):
-        enc_element = compiled_encoder(spec.element)
+        match_element, enc_element = _compile(spec.element)
 
         def enc_list(buf, value, checks):
             if value is None:
@@ -408,10 +453,15 @@ def _build_encoder(spec: TypeSpec) -> _EncodeFn:
             for item in value:
                 enc_element(buf, item, checks)
 
-        return enc_list
+        return (
+            lambda value: value is None
+            or (isinstance(value, list) and all(match_element(v) for v in value))
+        ), enc_list
 
     if isinstance(spec, TupleType):
-        elements = tuple(compiled_encoder(e) for e in spec.elements)
+        pairs = [_compile(element) for element in spec.elements]
+        matchers = tuple(match for match, _ in pairs)
+        elements = tuple(enc for _, enc in pairs)
         arity = len(elements)
 
         def enc_tuple(buf, value, checks):
@@ -425,11 +475,18 @@ def _build_encoder(spec: TypeSpec) -> _EncodeFn:
             for enc_element, item in zip(elements, value):
                 enc_element(buf, item, checks)
 
-        return enc_tuple
+        return (
+            lambda value: value is None
+            or (
+                isinstance(value, tuple)
+                and len(value) == arity
+                and all(m(v) for m, v in zip(matchers, value))
+            )
+        ), enc_tuple
 
     if isinstance(spec, DictType):
-        enc_key = compiled_encoder(spec.key)
-        enc_val = compiled_encoder(spec.value)
+        match_key, enc_key = _compile(spec.key)
+        match_val, enc_val = _compile(spec.value)
         # Only a dict whose key and value specs both admit a str can take
         # the packed form; any other declaration always walks.
         packable = all(
@@ -451,51 +508,89 @@ def _build_encoder(spec: TypeSpec) -> _EncodeFn:
                 enc_key(buf, key, checks)
                 enc_val(buf, item, checks)
 
-        return enc_dict
+        return (
+            lambda value: value is None
+            or (
+                isinstance(value, dict)
+                and all(match_key(k) and match_val(v) for k, v in value.items())
+            )
+        ), enc_dict
 
     raise EncodingError(f"unknown type spec {spec!r}")  # pragma: no cover
 
 
-#: Compiled encoder per distinct spec (TypeSpec hashes by format_char, so
-#: structurally equal specs share one closure).  Plain dict, no lock: a
-#: racing rebuild just installs an equivalent closure.
-_ENCODER_CACHE: Dict[TypeSpec, _EncodeFn] = {}
+class FormatPlan(NamedTuple):
+    """A format string compiled once: its top-level specs, and each
+    spec's check and writer, position by position."""
+
+    specs: Tuple[TypeSpec, ...]
+    matchers: Tuple[_Matcher, ...]
+    encoders: Tuple[_EncodeFn, ...]
 
 
-def compiled_encoder(spec: TypeSpec) -> _EncodeFn:
-    """The compiled single-walk encoder for one spec."""
-    encoder = _ENCODER_CACHE.get(spec)
-    if encoder is None:
-        encoder = _build_encoder(spec)
-        _ENCODER_CACHE[spec] = encoder
-    return encoder
+#: The one cache of compiled formats, keyed by format string (formats
+#: recur: every frame of a deep capture reuses its procedure's format,
+#: every message on an interface the declared pattern).  Bounded, since
+#: a packet names the formats its frames decode under.  Plain dict, no
+#: lock: a racing compile just installs an equivalent plan.
+_PLANS: Dict[str, FormatPlan] = {}
 
 
-#: The compiled encoders :func:`write_any` hands its rarer scalars to.
-_SCALAR_ENCODER_BY_TAG: Dict[int, _EncodeFn] = {
-    ord(char): compiled_encoder(ScalarType(char)) for char in "bFBp"
-}
-
-
-def encoder_plan(fmt: str) -> Tuple[_EncodeFn, ...]:
-    """One compiled encoder per top-level spec of ``fmt``.
-
-    Cached per distinct format string (formats recur heavily: every frame
-    of a deep capture reuses its procedure's format, every message on an
-    interface reuses the declared pattern), sharing the lru-cached parse
-    from :mod:`repro.state.format`.
-    """
-    plan = _PLAN_CACHE.get(fmt)
+def format_plan(fmt: str) -> FormatPlan:
+    """The compiled plan of ``fmt``: parsed and compiled on first use."""
+    plan = _PLANS.get(fmt)
     if plan is None:
-        from repro.state.format import parse_format
-
-        plan = tuple(compiled_encoder(spec) for spec in parse_format(fmt))
-        if len(_PLAN_CACHE) < 4096:
-            _PLAN_CACHE[fmt] = plan
+        specs = tuple(parse_format(fmt))
+        pairs = [_compile(spec) for spec in specs]
+        plan = FormatPlan(
+            specs,
+            tuple(match for match, _ in pairs),
+            tuple(enc for _, enc in pairs),
+        )
+        if len(_PLANS) < 4096:
+            _PLANS[fmt] = plan
     return plan
 
 
-_PLAN_CACHE: Dict[str, Tuple[_EncodeFn, ...]] = {}
+
+
+def value_matches(spec: TypeSpec, value: object) -> bool:
+    """Return True when ``value`` is acceptable for ``spec``.
+
+    The check is used both by capture (fail fast with a clear error rather
+    than emit a corrupt abstract state) and by interface pattern checking
+    on the software bus.  It is the check compiled beside the spec's
+    writer, so what it accepts the writer encodes.
+
+    ``None`` is acceptable for *every* format: a pre-initialised local that
+    has not been assigned yet is captured as NULL, exactly as an
+    uninitialised C variable occupies its declared slot.  The canonical
+    encoding is self-describing, so a NULL travels as the ``n`` tag and
+    restores as ``None`` regardless of the declared format.
+    """
+    return format_plan(spec.format_char()).matchers[0](value)
+
+
+def check_arity(fmt: str, values: Sequence[object]) -> List[TypeSpec]:
+    """Parse ``fmt`` and verify it matches ``values`` element-wise.
+
+    Returns the parsed specs.  Raises :class:`FormatError` on arity or
+    type mismatch; the error message names the failing position, which
+    ``mh.encode`` surfaces verbatim, with the procedure's name, so a module
+    author can find the bad capture block.
+    """
+    specs, matchers, _ = _PLANS.get(fmt) or format_plan(fmt)
+    if len(specs) != len(values):
+        raise FormatError(
+            f"format {fmt!r} declares {len(specs)} values but {len(values)} supplied"
+        )
+    for index, (matcher, value) in enumerate(zip(matchers, values)):
+        if not matcher(value):
+            raise FormatError(
+                f"value #{index} ({value!r}) does not match format "
+                f"{specs[index].format_char()!r} in {fmt!r}"
+            )
+    return list(specs)
 
 
 # ---------------------------------------------------------------------------
@@ -655,29 +750,23 @@ def encode_values(
 
     The values of the paper's ``mh_capture("llF", 1, n, response)``
     encode as ``encode_values("llF", [1, n, response], machine)`` would
-    write them (a frame goes through the same ``encoder_plan``).
+    write them (a frame goes through the same :func:`format_plan`).
 
     Validation and encoding are one compiled walk; when a value does not
-    match its declaration, the slow-path re-check reproduces the exact
-    :class:`FormatError` the naive implementation raised, naming the
-    failing position.
+    match its declaration, the re-check with the plan's matchers raises
+    the :class:`FormatError` naming the failing position.
     """
-    plan = encoder_plan(fmt)
-    if len(plan) != len(values):
-        from repro.errors import FormatError
-
-        raise FormatError(
-            f"format {fmt!r} declares {len(plan)} values but {len(values)} supplied"
-        )
+    encoders = (_PLANS.get(fmt) or format_plan(fmt)).encoders
+    if len(encoders) != len(values):
+        check_arity(fmt, values)  # raises the arity FormatError
     buf = bytearray()
     checks = None if machine is None else _checks_of(machine)
     try:
-        for encode, value in zip(plan, values):
+        for encode, value in zip(encoders, values):
             encode(buf, value, checks)
     except EncodingError:
-        # A declaration mismatch must surface as the position-naming
-        # FormatError of the pre-compiled implementation; re-walk with the
-        # full checker to distinguish it from a genuine encoding failure.
+        # A declaration mismatch surfaces as check_arity's position-naming
+        # FormatError; a genuine encoding failure is re-raised.
         check_arity(fmt, values)
         raise
     return bytes(buf)

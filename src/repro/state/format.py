@@ -37,13 +37,18 @@ Example: ``"il[F](si)"`` declares an int, a long, a list of doubles and an
 The POLYLITH configuration language of Figure 2 declares interface message
 *patterns* with names (``pattern = {integer}``); :func:`pattern_to_format`
 maps those names onto format characters.
+
+This module is the language only: specs, the parser, MIL names, the ``a``
+tags and inference.  What a format *accepts* and how its values are
+written are compiled together, once per format string, in
+:mod:`repro.state.encoding` (``format_plan``, ``check_arity``,
+``value_matches``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Callable, Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.errors import FormatError
 from repro.state.pointers import SymbolicPointer
@@ -181,25 +186,13 @@ class _Parser:
         return specs
 
 
-@lru_cache(maxsize=4096)
-def _parse_format_cached(fmt: str) -> Tuple[TypeSpec, ...]:
-    """Parse once per distinct format string.
-
-    Formats recur heavily — every message on an interface carries the
-    interface's declared pattern, and every wire header is ``"ssl"`` —
-    so the parsed structure is memoized.  :class:`TypeSpec` nodes are
-    immutable, making the shared tuple safe to hand out repeatedly.
-    """
-    return tuple(_Parser(fmt).parse_all())
-
-
 def parse_format(fmt: str) -> List[TypeSpec]:
     """Parse a format string into a list of :class:`TypeSpec` nodes.
 
     >>> [s.format_char() for s in parse_format("il[F]")]
     ['i', 'l', '[F]']
     """
-    return list(_parse_format_cached(fmt))
+    return _Parser(fmt).parse_all()
 
 
 def pattern_to_format(names: Sequence[str]) -> str:
@@ -239,7 +232,7 @@ def format_to_pattern(fmt: str) -> str:
 
 
 #: Wire tag of a self-described (``a``) value, keyed by its exact runtime
-#: type.  The ``a`` writer (:mod:`repro.state.encoding`), the ``a`` matcher
+#: type.  The ``a`` writer and the ``a`` check (:mod:`repro.state.encoding`)
 #: and :func:`format_of_value` all dispatch through this one table, so a
 #: value always travels under the tag inference would name for it.
 ANY_TAG_BY_TYPE: Dict[type, int] = {
@@ -323,138 +316,6 @@ def format_of_value(value: object) -> TypeSpec:
     if not tag:
         raise unsupported_any(value)
     return ScalarType(chr(tag))
-
-
-# ---------------------------------------------------------------------------
-# Compiled matchers
-#
-# ``value_matches`` used to re-dispatch on the TypeSpec class and re-branch
-# on the scalar char for every value of every frame of every capture — a
-# measurable cost on the reconfiguration critical path (and on every bus
-# message, via ``check_arity``).  Each spec now compiles once into a flat
-# closure; compiled matchers are cached per spec and bundled per format
-# string, mirroring the compiled encoder plans in ``repro.state.encoding``.
-# ---------------------------------------------------------------------------
-
-_Matcher = Callable[[object], bool]
-
-
-def _match_any(value: object) -> bool:
-    # Anything the ``a`` writer can encode matches: the same tag table,
-    # walked without building a TypeSpec.
-    tag = any_tag(value)
-    if tag == 0x5B or tag == 0x28:
-        return all(_match_any(item) for item in value)
-    if tag == 0x7B:
-        return all(_match_any(k) and _match_any(v) for k, v in value.items())
-    return tag != 0
-
-
-def _build_matcher(spec: TypeSpec) -> _Matcher:
-    if isinstance(spec, ScalarType):
-        ch = spec.char
-        if ch == "a":
-            return _match_any
-        if ch == "n":
-            return lambda value: value is None
-        if ch == "b":
-            return lambda value: value is None or isinstance(value, bool)
-        if ch in ("i", "l"):
-            return lambda value: value is None or (
-                isinstance(value, int) and not isinstance(value, bool)
-            )
-        if ch in ("f", "F"):
-            return lambda value: value is None or (
-                isinstance(value, (int, float)) and not isinstance(value, bool)
-            )
-        if ch == "s":
-            return lambda value: value is None or isinstance(value, str)
-        if ch == "B":
-            return lambda value: value is None or isinstance(value, (bytes, bytearray))
-        if ch == "p":
-            return lambda value: value is None or type(value).__name__ == "SymbolicPointer"
-        return lambda value: value is None  # pragma: no cover - closed set
-    if isinstance(spec, ListType):
-        element = compiled_matcher(spec.element)
-        return lambda value: value is None or (
-            isinstance(value, list) and all(element(v) for v in value)
-        )
-    if isinstance(spec, TupleType):
-        elements = tuple(compiled_matcher(e) for e in spec.elements)
-        arity = len(elements)
-        return lambda value: value is None or (
-            isinstance(value, tuple)
-            and len(value) == arity
-            and all(m(v) for m, v in zip(elements, value))
-        )
-    if isinstance(spec, DictType):
-        key = compiled_matcher(spec.key)
-        val = compiled_matcher(spec.value)
-        return lambda value: value is None or (
-            isinstance(value, dict)
-            and all(key(k) and val(v) for k, v in value.items())
-        )
-    return lambda value: value is None  # pragma: no cover - parser is closed
-
-
-#: Compiled matcher per distinct spec.  TypeSpec hashes by format_char, so
-#: structurally equal specs share one closure.  Plain dict (no lock): a
-#: racing rebuild just produces an equivalent closure.
-_MATCHER_CACHE: Dict[TypeSpec, _Matcher] = {}
-
-
-def compiled_matcher(spec: TypeSpec) -> _Matcher:
-    """The compiled form of :func:`value_matches` for one spec."""
-    matcher = _MATCHER_CACHE.get(spec)
-    if matcher is None:
-        matcher = _build_matcher(spec)
-        _MATCHER_CACHE[spec] = matcher
-    return matcher
-
-
-@lru_cache(maxsize=4096)
-def matcher_plan(fmt: str) -> Tuple[_Matcher, ...]:
-    """One compiled matcher per top-level spec of ``fmt``, parse-cached."""
-    return tuple(compiled_matcher(spec) for spec in _parse_format_cached(fmt))
-
-
-def value_matches(spec: TypeSpec, value: object) -> bool:
-    """Return True when ``value`` is acceptable for ``spec``.
-
-    The check is used both by capture (fail fast with a clear error rather
-    than emit a corrupt abstract state) and by interface pattern checking
-    on the software bus.
-
-    ``None`` is acceptable for *every* format: a pre-initialised local that
-    has not been assigned yet is captured as NULL, exactly as an
-    uninitialised C variable occupies its declared slot.  The canonical
-    encoding is self-describing, so a NULL travels as the ``n`` tag and
-    restores as ``None`` regardless of the declared format.
-    """
-    return compiled_matcher(spec)(value)
-
-
-def check_arity(fmt: str, values: Sequence[object]) -> List[TypeSpec]:
-    """Parse ``fmt`` and verify it matches ``values`` element-wise.
-
-    Returns the parsed specs.  Raises :class:`FormatError` on arity or
-    type mismatch; the error message names the failing position, which
-    ``mh.encode`` surfaces verbatim, with the procedure's name, so a module
-    author can find the bad capture block.
-    """
-    specs = _parse_format_cached(fmt)
-    if len(specs) != len(values):
-        raise FormatError(
-            f"format {fmt!r} declares {len(specs)} values but {len(values)} supplied"
-        )
-    plan = matcher_plan(fmt)
-    for index, (matcher, value) in enumerate(zip(plan, values)):
-        if not matcher(value):
-            raise FormatError(
-                f"value #{index} ({value!r}) does not match format "
-                f"{specs[index].format_char()!r} in {fmt!r}"
-            )
-    return list(specs)
 
 
 def iter_scalars(spec: TypeSpec) -> Iterator[ScalarType]:

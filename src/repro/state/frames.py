@@ -17,7 +17,7 @@ The serialized form (:meth:`ProcessState.to_bytes`) is the packet that
 
 Critical-path layout (see ``docs/state-encoding.md``): serialization
 appends every field and frame into **one** ``bytearray`` through compiled
-encoder plans; deserialization is the same walk from the other side, one
+format plans; deserialization is the same walk from the other side, one
 pass over the packet's own ``bytes`` from the end of the fixed header that
 decodes header fields, statics, heap and every frame before it returns.
 Both sides pay for a frame header once per run of frames that repeat it
@@ -38,10 +38,10 @@ from repro.state.encoding import (
     _checks_of,
     _bad_utf8,
     _read_checked,
-    encoder_plan,
+    check_arity,
+    format_plan,
     write_any,
 )
-from repro.state.format import check_arity, parse_format
 from repro.state.machine import MachineProfile
 
 #: Magic prefix of a serialized process state packet.
@@ -84,7 +84,7 @@ class ActivationRecord:
     call chain matches the captured one.
 
     Construction does not validate: ``values`` are checked against
-    ``fmt`` once, by the compiled encoder plan, when the record is
+    ``fmt`` once, by the writers of its compiled format plan, when it is
     encoded (:meth:`ProcessState.to_bytes`).
     """
 
@@ -198,9 +198,9 @@ class ProcessState:
 
         One ``bytearray`` end to end: the fixed header goes in first with
         a placeholder length word, the body is appended — statics and
-        heap by the one-walk ``a`` writer, frames through their compiled
-        encoder plans — and the length is patched in place: no header+body
-        concatenation copy.
+        heap by the one-walk ``a`` writer, frames through the writers of
+        their compiled format plans — and the length is patched in place:
+        no header+body concatenation copy.
 
         This is where a captured frame is validated against its format: a
         value that does not match ``fmt`` raises the position-naming
@@ -245,7 +245,7 @@ class ProcessState:
                 )
                 _append_str(buf, fmt)
                 header = buf[start:]
-                plan = encoder_plan(fmt)
+                plan = format_plan(fmt).encoders
                 run = key
             values = record.values
             if len(plan) != len(values):
@@ -320,7 +320,7 @@ class ProcessState:
                         raise DecodingError("corrupt activation record header")
                     if not isinstance(location, int):
                         raise DecodingError("corrupt activation record location")
-                    arity = len(parse_format(fmt))
+                    arity = len(format_plan(fmt).specs)
                     header = data[start:pos]
                 values = []
                 append = values.append

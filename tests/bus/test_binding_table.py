@@ -28,7 +28,7 @@ from repro.bus.spec import (
     ModuleSpec,
 )
 from repro.bus.transport import RemoteTransport
-from repro.errors import BindingError, SpecError
+from repro.errors import BindingError, SpecError, UnknownModuleError
 from repro.reconfig.coordinator import prepare_rebind_batch
 from repro.reconfig.primitives import obj_cap
 from repro.state.machine import MACHINES
@@ -157,9 +157,12 @@ class _CountingLink:
         self.name = name
         self.profile = MACHINES["modern-64"]
         self.sent = []  # command names of events and requests, in send order
+        self.routes = []  # the host-local routes of the last set_routes
 
     def send_event(self, command):
         self.sent.append(command[0])
+        if command[0] == "set_routes":
+            self.routes = command[1]
 
     def request(self, command, timeout=30.0):
         self.sent.append(command[0])
@@ -337,3 +340,115 @@ class TestBatchIsOneTableEdit:
             assert len(bus.destinations_of("hub", "out")) == MONITORS
         finally:
             bus.shutdown()
+
+
+MON = ModuleSpec(
+    name="mon",
+    inline_source=IDLE,
+    interfaces=[InterfaceDecl("inp", Role.USE, pattern="l")],
+)
+
+
+def _pushed(transport):
+    """Each pushed endpoint and the host it was pushed to, from the last
+    ``set_routes`` of every link."""
+    return {
+        (sender, interface): link.name
+        for link in transport.links()
+        for sender, interface, _ in link.routes
+    }
+
+
+class TestLocalitySwitch:
+    """A route switches from the tunnel to its host only while no module
+    has started under the sender's name: a running sender's tunneled
+    writes may still be in flight, and a host-local write would overtake
+    them.  A route already host-local stays so while it still qualifies."""
+
+    @pytest.fixture
+    def counting(self):
+        bus = SoftwareBus(sleep_scale=0.0)
+        transport = bus.attach_transport(_CountingTransport())
+        yield bus, transport
+        bus.shutdown()
+
+    def test_a_sender_not_yet_started_is_pushed(self, counting):
+        bus, transport = counting
+        bus.add_module(HUB, instance="hub", placement="counting:0")
+        bus.add_module(MON, instance="m0", placement="counting:0")
+        bus.add_binding(BindingSpec("hub", "out", "m0", "inp"))
+        assert _pushed(transport) == {("hub", "out"): "host-0"}
+
+    def test_a_started_sender_whose_receiver_joins_its_link_is_not_pushed(
+        self, counting
+    ):
+        bus, transport = counting
+        bus.add_module(HUB, instance="hub", placement="counting:0")
+        old = bus.add_module(MON, instance="m0", placement="counting:1")
+        bus.add_binding(BindingSpec("hub", "out", "m0", "inp"))
+        bus.start_module("hub")
+        assert _pushed(transport) == {}  # tunneled: m0 is on another host
+        clone = bus.build_clone(MON, "m0", placement="counting:0")
+        bus.hand_over(old, clone)
+        assert bus.destinations_of("hub", "out") == [("m0", "inp")]
+        assert _pushed(transport) == {}  # still tunneled, though all on host-0
+        bus.discard_module(old)
+        bus.remove_binding(BindingSpec("hub", "out", "m0", "inp"))
+        bus.add_binding(BindingSpec("hub", "out", "m0", "inp"))
+        assert _pushed(transport) == {}
+
+    def test_a_pushed_endpoint_stays_pushed_through_edits(self, counting):
+        bus, transport = counting
+        bus.add_module(HUB, instance="hub", placement="counting:0")
+        bus.add_module(MON, instance="m0", placement="counting:0")
+        bus.add_binding(BindingSpec("hub", "out", "m0", "inp"))
+        bus.start_module("hub")
+        bus.start_module("m0")
+        bus.add_module(HUB, instance="x")
+        bus.add_module(MON, instance="y")
+        unrelated = BindingSpec("x", "out", "y", "inp")
+        bus.add_binding(unrelated)
+        bus.remove_binding(unrelated)
+        assert _pushed(transport) == {("hub", "out"): "host-0"}
+        old = bus.get_module("m0")
+        clone = bus.build_clone(MON, "m0", placement="counting:0")
+        bus.hand_over(old, clone)  # the receiver, on the same host
+        (route,) = transport.links()[0].routes
+        assert route == ["hub", "out", [[clone.key, "inp", "m0"]]]
+        old = bus.get_module("hub")
+        clone = bus.build_clone(HUB, "hub", placement="counting:0")
+        bus.hand_over(old, clone)  # the sender, on the same host
+        assert _pushed(transport) == {("hub", "out"): "host-0"}
+        other = bus.build_clone(HUB, "hub", placement="counting:1")
+        bus.hand_over(clone, other)  # away from its receiver: tunneled
+        assert _pushed(transport) == {}
+        bus.hand_back(other, clone)  # back, but started: stays tunneled
+        assert _pushed(transport) == {}
+
+
+def test_the_table_holds_entries_only_for_interfaces_that_can_send():
+    """A fan-out of 66 instances, 65 of them receive-only: every instance
+    has a row, and only the hub's two sending interfaces have entries."""
+    bus = SoftwareBus(sleep_scale=0.0)
+    try:
+        bus.add_module(HUB, instance="hub")
+        for j in range(MONITORS):
+            bus.add_module(MON, instance=f"mon_{j:02d}")
+            bus.add_binding(BindingSpec("hub", "out", f"mon_{j:02d}", "inp"))
+        bus.add_module(MON, instance="echo")
+        table = bus._routing_table
+        assert len(table) == MONITORS + 2
+        assert sum(len(row) for row in table.values()) == 2
+        assert set(table["hub"]) == {"out", "srv"}
+        message = Message(values=[1], fmt="l", source_instance="mon_00")
+        with pytest.raises(UnknownModuleError):
+            bus.route("nobody", "out", message)
+        bus.route("mon_00", "inp", message)  # receive-only: a no-op
+        assert bus.get_module("hub").has_queue("srv")
+        assert bus.get_module("hub").queue("srv").peek_count() == 0
+        with pytest.raises(BindingError, match="no such binding"):
+            bus.route_to("mon_00", "inp", "hub", message)
+        _send(bus)
+        assert bus.get_module("mon_63").queue("inp").peek_count() == 1
+    finally:
+        bus.shutdown()

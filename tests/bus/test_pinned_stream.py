@@ -11,6 +11,11 @@ producer's writes through the bus, where one could arrive behind writes
 made after it.  The consumer counts every value that arrives below the
 largest it has seen; the count is a local captured at its
 reconfiguration point, so it rides each replace.
+
+A route switches from the tunnel to the host only while no module has
+started under the sender's name.  So a running producer whose consumer
+moves onto its daemon keeps tunneling: a host-local write could
+overtake the writes it tunneled just before the move.
 """
 
 import time
@@ -56,6 +61,7 @@ def main():
         got = got + 1
         mh.statics["backwards"] = backwards
         mh.statics["got"] = got
+        mh.statics["top"] = top
 """
 
 #: Appends to and trims a statics list as fast as it can.  The list is
@@ -141,6 +147,37 @@ class TestPinnedOrder:
         assert bus.get_module("consumer").placement == "tcp:0"
         statics = _settled(bus)
         assert statics["backwards"] == 0
+
+
+def test_a_receiver_moved_onto_its_running_senders_daemon_stays_in_order(watchdog):
+    """The producer runs on daemon ``alpha``; its consumer is replaced 60
+    times, alternately onto ``alpha`` and back to ``beta``.  Order is
+    asserted.  Values lost are printed, not asserted: a put that reaches
+    the old module's sealed queue on the other daemon after the move is
+    dropped there (``host.deliver_miss``), a known gap of its own."""
+    bus = SoftwareBus(sleep_scale=1.0)
+    bus.attach_transport(TcpTransport(machines=["alpha", "beta"], sleep_scale=1.0))
+    try:
+        bus.add_module(_spec("producer", PRODUCER_SOURCE, OUT), placement="tcp:alpha")
+        bus.add_module(
+            _spec("consumer", CONSUMER_SOURCE, INP, points=["Q"]),
+            placement="tcp:beta",
+        )
+        bus.add_binding(BindingSpec("producer", "out", "consumer", "inp"))
+        bus.start_module("consumer")
+        bus.start_module("producer")
+        wait_until(lambda: bus.statics_of("consumer").get("got", 0) > 100, timeout=30)
+        coordinator = ReconfigurationCoordinator(bus)
+        for move in range(60):
+            target = "tcp:alpha" if move % 2 == 0 else "tcp:beta"
+            coordinator.replace("consumer", placement=target, timeout=20)
+            assert bus.get_module("consumer").placement == target
+        statics = _settled(bus)
+        lost = statics["top"] + 1 - statics["got"]
+        print(f"60 moves: {statics['backwards']} out of order, {lost} lost")
+        assert statics["backwards"] == 0
+    finally:
+        bus.shutdown()
 
 
 def test_statics_read_while_a_module_edits_them(watchdog):

@@ -361,7 +361,10 @@ class TestMachines:
         assert bus.hosts[machine] is module.host
         _feed(bus, 1, -2, 3)
         _wait(lambda: bus.statics_of("collector").get("got") == [1, -2, 3])
-        assert bus._routing_table["collector"]["inp"].sender_profile is module.host
+        assert bus.get_module("collector").host is module.host
+        if placement is None:  # the architecture of machine "big"
+            sparc = MACHINES["sparc-like"].describe()
+            assert module.host.describe() == sparc.replace("sparc-like", "big")
 
 
 @pytest.mark.parametrize("placed_bus", ["worker", "tcp"], indirect=True)

@@ -2,7 +2,10 @@
 
 This is the original tree-walking implementation of the canonical
 encoding, preserved verbatim when :mod:`repro.state.encoding` moved to
-compiled per-spec plans.  Nothing in the package runs it, so it lives
+compiled plans (now one ``format_plan`` per format string, whose checks
+and writers are built side by side).  It imports only ``check_arity``
+from the live codec: the seed's per-frame check, which reads the same
+plan's checks.  Nothing in the package runs it, so it lives
 beside its callers, outside ``src/``.  It exists for two reasons:
 
 1. **Golden-bytes testing.**  Byte-identical wire output is a hard
@@ -40,9 +43,9 @@ from repro.state.format import (
     ScalarType,
     TupleType,
     TypeSpec,
-    check_arity,
     format_of_value,
 )
+from repro.state.encoding import check_arity
 from repro.state.machine import MachineProfile
 
 

@@ -2,9 +2,9 @@
 
 The fast path rests on three properties:
 
-1. Plans are *shared*: the same format string (or structurally equal
-   TypeSpec) always yields the same compiled closures, so a deep capture
-   pays the compilation cost once, not once per frame.
+1. Plans are *shared*: the same format string always yields the same
+   compiled plan, so a deep capture pays the compilation cost once, not
+   once per frame; the plans live in one cache keyed by format string.
 2. Plans are *faithful*: for every format character and any acceptable
    value, the compiled encoder emits exactly the bytes the reference
    tree-walk emits (property-tested below with hypothesis).
@@ -24,24 +24,21 @@ from hypothesis import given, settings, strategies as st
 import repro.state.encoding as encoding_module
 import repro.state.format as format_module
 import repro.state.frames as frames_module
-from repro.errors import DecodingError, FormatError, MachineCompatibilityError
+from repro.errors import (
+    DecodingError,
+    EncodingError,
+    FormatError,
+    MachineCompatibilityError,
+)
 from repro.state.encoding import (
-    _ENCODER_CACHE,
-    _PLAN_CACHE,
-    compiled_encoder,
+    _PLANS,
     decode_any,
     encode_any,
     encode_values,
-    encoder_plan,
-)
-from repro.state.format import (
-    ScalarType,
-    TypeSpec,
-    compiled_matcher,
-    matcher_plan,
-    parse_format,
+    format_plan,
     value_matches,
 )
+from repro.state.format import ScalarType, TypeSpec
 from repro.state.frames import ActivationRecord, ProcessState, StackState
 from repro.state.heap import HeapCodec
 from repro.state.machine import MACHINES
@@ -56,56 +53,38 @@ from tests.state.reference_codec import (
 
 class TestPlanCaching:
     def test_encoder_plan_is_cached_per_format(self):
-        assert encoder_plan("llF") is encoder_plan("llF")
+        assert format_plan("llF") is format_plan("llF")
+        assert "llF" in _PLANS
 
-    def test_structurally_equal_specs_share_encoders(self):
-        # TypeSpec hashes by format_char, so "[l]" parsed twice (even in
-        # different surrounding formats) compiles once.
-        a = parse_format("[l]")[0]
-        b = parse_format("i[l]")[1]
-        assert compiled_encoder(a) is compiled_encoder(b)
-
-    def test_plan_entries_are_shared_with_spec_cache(self):
-        plan = encoder_plan("il")
-        assert plan[0] is compiled_encoder(ScalarType("i"))
-        assert plan[1] is compiled_encoder(ScalarType("l"))
-
-    def test_matcher_plan_is_cached(self):
-        assert matcher_plan("llF") is matcher_plan("llF")
-        spec = parse_format("{sl}")[0]
-        assert compiled_matcher(spec) is compiled_matcher(spec)
-
-    def test_plan_cache_interplay_with_parse_lru(self):
-        # encoder_plan goes through the lru-cached parse_format; a format
-        # seen by check_arity first must still hit the same parse result.
-        fmt = "l(si)[F]"
-        specs = parse_format(fmt)
-        plan = encoder_plan(fmt)
-        assert len(plan) == len(specs)
-        assert all(
-            entry is compiled_encoder(spec) for entry, spec in zip(plan, specs)
-        )
+    def test_a_nested_spec_adds_no_cache_entry_of_its_own(self):
+        # A container composes its children's check and writer as it
+        # compiles; only the format string itself is cached.
+        fmt = "{s[(l[F])]}"
+        _PLANS.pop(fmt, None)
+        before = set(_PLANS)
+        (spec,) = format_plan(fmt).specs
+        assert set(_PLANS) - before == {fmt}
+        assert "[(l[F])]" not in before and "[(l[F])]" not in _PLANS
+        assert "(l[F])" not in _PLANS and "[F]" not in _PLANS
+        assert value_matches(spec, {"k": [(1, [2.5])]})
+        assert not value_matches(spec, {"k": [(1, ["x"])]})
 
     def test_plan_cache_bounded(self):
         # The per-format dict refuses to grow past its bound, but still
         # returns a working plan for the overflow format.
-        before = dict(_PLAN_CACHE)
+        before = dict(_PLANS)
         try:
-            _PLAN_CACHE.clear()
-            _PLAN_CACHE.update({f"fake{i}": () for i in range(4096)})
-            plan = encoder_plan("overflow-never-cached" * 0 + "l")
-            assert "l" not in _PLAN_CACHE or len(_PLAN_CACHE) <= 4097
+            _PLANS.clear()
+            _PLANS.update({f"fake{i}": () for i in range(4096)})
+            plan = format_plan("l")
+            assert "l" not in _PLANS
             buf = bytearray()
-            plan[0](buf, 5, None)
-            assert bytes(buf) == encode_values("l", [5])
+            plan.encoders[0](buf, 5, None)
+            assert plan.matchers[0](5)
         finally:
-            _PLAN_CACHE.clear()
-            _PLAN_CACHE.update(before)
-
-    def test_compiled_encoder_idempotent_for_containers(self):
-        spec = parse_format("{s[l]}")[0]
-        assert compiled_encoder(spec) is compiled_encoder(spec)
-        assert spec in _ENCODER_CACHE
+            _PLANS.clear()
+            _PLANS.update(before)
+        assert bytes(buf) == encode_values("l", [5])
 
 
 # -- property: compiled == reference for every format char ----------------
@@ -175,8 +154,16 @@ def test_compiled_encoder_matches_reference(case, machine):
 @settings(max_examples=200, deadline=None)
 def test_compiled_matcher_matches_value_matches_contract(case):
     char, value = case
-    spec = ScalarType(char)
-    assert compiled_matcher(spec)(value) == value_matches(spec, value)
+    _, (matcher,), (encoder,) = format_plan(char)
+    assert matcher(value) == value_matches(ScalarType(char), value)
+    refused = False
+    try:
+        encoder(bytearray(), value, None)
+    except (EncodingError, FormatError):
+        refused = True
+    except OverflowError:
+        pass  # 'f' beyond binary32 range: the seed's own error, not a refusal
+    assert refused == (not matcher(value))
 
 
 @given(values=st.lists(st.integers(-(2**60), 2**60), min_size=1, max_size=6))
@@ -307,11 +294,11 @@ class TestOneWalkWriter:
         # The inference path compiled and cached an encoder for every
         # distinct inferred shape, forever.
         encode_any([1, "warm"])
-        before = len(_ENCODER_CACHE)
+        before = len(_PLANS)
         for n in range(1000):
             shape = tuple([n, "s", 1.5, None][: n % 4 + 1]) + (("x",) * (n % 7),)
             encode_any({f"k{n}": shape, "nest": {n: [shape, {"d": n * 0.5}]}})
-        assert len(_ENCODER_CACHE) == before
+        assert len(_PLANS) == before
 
     def test_no_inference_on_the_packet_path(self, monkeypatch):
         # Structural guard: the pre-pass cannot creep back in unnoticed.
@@ -344,17 +331,14 @@ class TestOneWalkWriter:
             heap={"image": HeapCodec().capture({"store": store}).to_abstract()},
         )
         state.to_bytes(machine)  # warm the machine's checks and frame plans
+        write_a = format_plan("a").encoders[0]
         calls.clear()
         built.clear()
         packet = state.to_bytes(machine)
         encode_any(state.heap, machine)
-        compiled_encoder(ScalarType("a"))(
-            bytearray(), state.heap, machine.codec_checks()
-        )
+        write_a(bytearray(), state.heap, machine.codec_checks())
         assert calls == []
-        assert [spec for spec in built if isinstance(spec, TypeSpec)] == [
-            ScalarType("a")
-        ]  # the one spec this test itself constructed
+        assert [spec for spec in built if isinstance(spec, TypeSpec)] == []
         assert ProcessState.from_bytes(packet).heap == state.heap
 
 
@@ -431,9 +415,10 @@ class TestAnyMatcher:
             assert not value_matches(ScalarType("a"), value)
 
     def test_builds_no_typespec(self, monkeypatch):
+        format_plan("a")  # compiled before counting
         built = []
         monkeypatch.setattr(
             ScalarType, "__post_init__", lambda self: built.append(self)
         )
-        assert compiled_matcher(ScalarType("a"))({"k": [1, "x", (2.5, None)]})
-        assert len(built) == 1  # the spec passed to compiled_matcher above
+        assert value_matches(ScalarType("a"), {"k": [1, "x", (2.5, None)]})
+        assert len(built) == 1  # the spec passed to value_matches above

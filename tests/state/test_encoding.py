@@ -15,7 +15,7 @@ from repro.state.encoding import (
     decode_values,
     encode_any,
     encode_values,
-    encoder_plan,
+    format_plan,
 )
 from repro.state.format import parse_format
 from repro.state.pointers import SymbolicPointer
@@ -208,7 +208,7 @@ class TestEncoderValidation:
     @pytest.mark.parametrize("fmt", ["f", "F"])
     @pytest.mark.parametrize("bad", ["1.5", True])
     def test_float_coercion_rejected_on_write(self, fmt, bad):
-        (encode,) = encoder_plan(fmt)
+        (encode,) = format_plan(fmt).encoders
         with pytest.raises(EncodingError, match="requires int or float"):
             encode(bytearray(), bad, None)
 

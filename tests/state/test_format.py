@@ -8,13 +8,12 @@ from repro.state.format import (
     ListType,
     ScalarType,
     TupleType,
-    check_arity,
     format_of_value,
     iter_scalars,
     parse_format,
     pattern_to_format,
-    value_matches,
 )
+from repro.state.encoding import check_arity, value_matches
 from repro.state.pointers import SymbolicPointer
 
 

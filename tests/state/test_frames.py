@@ -13,8 +13,8 @@ from repro.errors import (
 )
 from repro.runtime.mh import MH
 from repro.state import frames
-from repro.state.encoding import encode_values
-from repro.state.format import check_arity, parse_format
+from repro.state.encoding import check_arity, encode_values
+from repro.state.format import parse_format
 from repro.state.frames import (
     STATE_MAGIC,
     STATE_VERSION,

@@ -338,6 +338,25 @@ GUARDS = [
         ("src", "docs"),
         ('link.send_event(["clear_routes"])', "self._invalidate_routing_locked()"),
     ),
+    # A format string compiles once, into one plan of checks and writers
+    # built side by side (encoding.format_plan): the separate matcher
+    # compiler, the per-spec caches and the memoized parse.
+    Guard(
+        "the second format compiler and its caches",
+        r"\bcompiled_matcher\b|\bmatcher_plan\b|_MATCHER_CACHE|\bcompiled_encoder\b"
+        r"|_ENCODER_CACHE|_parse_format_cached|\bencoder_plan\b|\b_PLAN_CACHE\b",
+        CODE,
+        (
+            "return compiled_matcher(spec)(value)",
+            "plan = matcher_plan(fmt)",
+            "_MATCHER_CACHE[spec] = matcher",
+            "enc = compiled_encoder(spec.element)",
+            "encoder = _ENCODER_CACHE.get(spec)",
+            "specs = _parse_format_cached(fmt)",
+            "plan = encoder_plan(fmt)",
+            "_PLAN_CACHE[fmt] = plan",
+        ),
+    ),
     # A clone gets its state packet through mh.incoming_packet: the add
     # option that installed one nothing passed.
     Guard(
