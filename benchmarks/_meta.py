@@ -10,10 +10,11 @@ changes instead of guessing.
 
 from __future__ import annotations
 
+import argparse
 import os
 import platform
 import sys
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 #: Bump when the meta block's shape changes.
 META_SCHEMA = "repro-bench-meta/2"
@@ -44,3 +45,21 @@ def bench_meta(
         meta["batch"] = batch
     meta.update(extra)
     return meta
+
+
+def bench_args(argv: List[str], doc: Optional[str], out: str) -> argparse.Namespace:
+    """Read a benchmark script's command line: ``--quick`` and ``--out``.
+
+    ``doc`` is the script's docstring (its first line is the help text)
+    and ``out`` the committed file it writes by default.  ``--help``
+    exits 0 and an unknown flag exits 2, both before any work, so
+    neither runs the benchmark nor overwrites that file.
+    """
+    parser = argparse.ArgumentParser(description=(doc or "").partition("\n")[0])
+    parser.add_argument(
+        "--quick", action="store_true", help="shorter windows (what CI runs)"
+    )
+    parser.add_argument(
+        "--out", default=out, help=f"where the JSON payload goes (default {out})"
+    )
+    return parser.parse_args(argv)

@@ -62,7 +62,7 @@ from repro.bus.message import Message
 from repro.bus.spec import BindingSpec, ModuleSpec
 from repro.state.machine import MACHINES
 
-from benchmarks._meta import bench_meta
+from benchmarks._meta import bench_args, bench_meta
 from benchmarks.conftest import report
 
 IDLE = "def main():\n    pass\n"
@@ -426,10 +426,8 @@ def test_a4_throughput():
 
 
 def main(argv: List[str]) -> None:
-    quick = "--quick" in argv
-    out = "BENCH_bus.json"
-    if "--out" in argv:
-        out = argv[argv.index("--out") + 1]
+    args = bench_args(argv, __doc__, "BENCH_bus.json")
+    quick, out = args.quick, args.out
     route_s, xproc_s = (0.3, 1.0) if quick else (1.0, 3.0)
     results = run_all(seconds=route_s)
     xproc = run_xproc_tier(seconds=xproc_s)

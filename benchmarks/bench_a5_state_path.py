@@ -47,7 +47,7 @@ from repro.runtime.mh import MH
 from repro.state.frames import ProcessState
 from repro.state.machine import MACHINES
 
-from benchmarks._meta import bench_meta
+from benchmarks._meta import bench_args, bench_meta
 from benchmarks.conftest import report
 from tests.state.reference_codec import (
     reference_state_from_bytes,
@@ -299,10 +299,8 @@ def test_a5_state_path():
 
 
 def main(argv: List[str]) -> None:
-    quick = "--quick" in argv
-    out = "BENCH_state.json"
-    if "--out" in argv:
-        out = argv[argv.index("--out") + 1]
+    args = bench_args(argv, __doc__, "BENCH_state.json")
+    quick, out = args.quick, args.out
     results = run_all(quick)
     roundtrip = results["roundtrip_ms"]
     baseline = PRE_FAST_PATH_BASELINE["roundtrip_ms"]

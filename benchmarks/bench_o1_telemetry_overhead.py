@@ -61,7 +61,7 @@ from typing import Dict, List, Tuple
 from repro.bus.queues import MessageQueue
 from repro.runtime import telemetry
 
-from benchmarks._meta import bench_meta
+from benchmarks._meta import bench_args, bench_meta
 from benchmarks.bench_a4_bus_throughput import build
 from benchmarks.conftest import report
 
@@ -399,13 +399,13 @@ def measure_tracing_health(seconds: float, rounds: int) -> Dict[str, object]:
     PR 9 added two always-on costs to enabled mode: trace-context
     propagation (a trailer on link requests, Lamport ticks on recorded
     spans) and the health plane (a worker heartbeating over its link,
-    the bus-side monitor recording arrivals on the dispatcher thread).
+    the bus-side monitor recording arrivals on the link's pump thread).
     Neither touches the inproc delivery hot path directly, and this tier
     is the proof: same straddled ``b1 e b2`` layout as
     :func:`measure_modes`, but the bus owns a spawned worker beating at
     the default 200 ms cadence while the enabled segment runs.  On the
      1-core CI containers every beat is a genuine preemption of the
-    measured loop (worker wakes, encodes, sends; dispatcher decodes),
+    measured loop (worker wakes, encodes, sends; the link's pump decodes),
     so the default cadence — what production pays — is what the gate
     bounds.  Heartbeats stay off in every other tier — and off by
     default everywhere — precisely so this one measures their cost
@@ -590,10 +590,8 @@ def test_o1_telemetry_overhead():
 
 
 def main(argv: List[str]) -> None:
-    quick = "--quick" in argv
-    out = "BENCH_telemetry.json"
-    if "--out" in argv:
-        out = argv[argv.index("--out") + 1]
+    args = bench_args(argv, __doc__, "BENCH_telemetry.json")
+    quick, out = args.quick, args.out
     results = run_all(
         seconds=0.5,
         rounds=9,

@@ -55,7 +55,7 @@ from __future__ import annotations
 import struct
 import threading
 from collections import deque
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 from repro.errors import InjectedFault, TransportError
 from repro.runtime import telemetry
@@ -116,30 +116,41 @@ def pack_batch(groups: List[Tuple[bytes, List[Tuple[str, str, str]]]]) -> bytes:
 def unpack_batch(
     blob: bytes,
 ) -> Tuple[List[bytes], List[Tuple[str, str, str, int]]]:
-    """Decode a batch blob into ``(wires, [(a, b, c, wire_index), ...])``."""
-    offset = 0
-    (n_wires,) = _U32.unpack_from(blob, offset)
-    offset += 4
-    wires: List[bytes] = []
-    for _ in range(n_wires):
-        (length,) = _U32.unpack_from(blob, offset)
+    """Decode a batch blob into ``(wires, [(a, b, c, wire_index), ...])``.
+
+    A blob that is not exactly one batch is refused with
+    ``TransportError``: one cut short anywhere (a wire or a name that
+    runs past its end leaves the next count unreadable), bytes left
+    over, a name that is not UTF-8 or an index past its table.
+    """
+    try:
+        offset = 0
+        (n_wires,) = _U32.unpack_from(blob, offset)
         offset += 4
-        wires.append(blob[offset : offset + length])
-        offset += length
-    (n_strings,) = _U32.unpack_from(blob, offset)
-    offset += 4
-    strings: List[str] = []
-    for _ in range(n_strings):
-        (length,) = _U16.unpack_from(blob, offset)
-        offset += 2
-        strings.append(str(blob[offset : offset + length], "utf-8"))
-        offset += length
-    (n_entries,) = _U32.unpack_from(blob, offset)
+        wires: List[bytes] = []
+        for _ in range(n_wires):
+            (length,) = _U32.unpack_from(blob, offset)
+            offset += 4
+            wires.append(blob[offset : offset + length])
+            offset += length
+        (n_strings,) = _U32.unpack_from(blob, offset)
+        offset += 4
+        strings: List[str] = []
+        for _ in range(n_strings):
+            (length,) = _U16.unpack_from(blob, offset)
+            offset += 2
+            strings.append(str(blob[offset : offset + length], "utf-8"))
+            offset += length
+        (n_entries,) = _U32.unpack_from(blob, offset)
+    except struct.error:
+        raise TransportError("batch blob is truncated") from None
+    except UnicodeDecodeError as exc:
+        raise TransportError(f"batch name is not UTF-8: {exc}") from None
     offset += 4
     end = offset + n_entries * _ENTRY.size
-    if end > len(blob):
+    if end != len(blob):
         raise TransportError(
-            f"batch claims {n_entries} entries but blob is truncated"
+            f"batch claims {n_entries} entries in {len(blob) - offset} bytes"
         )
     try:
         entries = [
@@ -196,7 +207,14 @@ class Coalescer:
     transport errors; ``send_lock`` is the channel's frame send lock —
     the flusher takes it per flush, and owners call :meth:`drain_locked`
     *while holding it* just before any frame whose FIFO position matters
-    (requests, non-delivery events), so batching never reorders a link.
+    (requests), so batching never reorders a link.  A non-delivery event
+    goes out through :meth:`send`, which does both.
+
+    Every event frame this coalescer ships is accounted: a failed send
+    counts its entries as ``link.events_dropped``, and the first failure
+    of a streak raises one ``link.send_failed`` flare.  Chaos-injected
+    faults are deliberate single-frame failures, not an outage; they are
+    counted but raise no flare.
 
     Appends never ship inline: even a lone message is handed to the
     flusher (one thread wakeup), which is what lets a single fast sender
@@ -210,15 +228,12 @@ class Coalescer:
         command: str,
         ship: Callable[[List[object]], None],
         send_lock: threading.Lock,
-        notify_drop: Optional[Callable[[int, BaseException], None]] = None,
-        notify_ok: Optional[Callable[[], None]] = None,
     ):
         self.name = name
         self.command = command
         self.ship = ship
         self.send_lock = send_lock
-        self.notify_drop = notify_drop
-        self.notify_ok = notify_ok
+        self._send_failing = False  # in a failure streak (flare raised)
         self._lock = threading.Lock()
         self._data = threading.Condition(self._lock)  # flusher waits here
         self._space = threading.Condition(self._lock)  # HWM waiters
@@ -307,19 +322,43 @@ class Coalescer:
                 return
             self._ship_chunk(groups, entries)
 
+    def send(self, command: List[object]) -> None:
+        """Ship one non-delivery event behind every pending delivery.
+
+        The FIFO barrier for events (route pushes, packets, divulge
+        outcomes): under one send-lock hold the pending batches ship
+        first, then ``command``.  A failed send is counted like a lost
+        batch, never raised.
+        """
+        with self.send_lock:
+            self.drain_locked()
+            self._ship(command, 1)
+
     def _ship_chunk(self, groups, entries: int) -> None:
-        try:
-            self.ship([self.command, pack_batch(groups)])
-        except (InjectedFault, TransportError, OSError) as exc:
-            self._count_drop(entries, exc)
-        else:
+        if self._ship([self.command, pack_batch(groups)], entries):
             rec = telemetry.recorder
             if rec is not None:
                 rec.count("link.batches", key=self.name)
                 rec.count("link.batched_messages", n=entries, key=self.name)
-            notify_ok = self.notify_ok
-            if notify_ok is not None:
-                notify_ok()
+
+    def _ship(self, command: List[object], entries: int) -> bool:
+        """Send one frame carrying ``entries`` deliveries or events;
+        caller holds the send lock.  False when it was lost (counted)."""
+        try:
+            self.ship(command)
+        except (InjectedFault, TransportError, OSError) as exc:
+            self._count_drop(entries)
+            if not isinstance(exc, InjectedFault) and not self._send_failing:
+                self._send_failing = True
+                telemetry.event(
+                    "link.send_failed",
+                    host=self.name,
+                    error=f"{type(exc).__name__}: {exc}",
+                    dropped=entries,
+                )
+            return False
+        self._send_failing = False
+        return True
 
     def _flush_loop(self) -> None:
         while True:
@@ -342,9 +381,7 @@ class Coalescer:
             self._data.notify_all()
             self._space.notify_all()
 
-    def _count_drop(self, n: int, exc: Optional[BaseException] = None) -> None:
+    def _count_drop(self, n: int) -> None:
         rec = telemetry.recorder
         if rec is not None:
             rec.count("link.events_dropped", n=n, key=self.name)
-        if exc is not None and self.notify_drop is not None:
-            self.notify_drop(n, exc)

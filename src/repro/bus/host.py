@@ -160,7 +160,6 @@ class ModuleHost:
         #: The machine this host is: its modules run under this profile.
         self.profile = profile
         self.sleep_policy = sleep_policy
-        self._raw_send_event = send_event
         self._send_gate = threading.Lock()
         self._tunnel = Coalescer(
             profile.name,
@@ -197,10 +196,10 @@ class ModuleHost:
         When the write tunnel has coalesced frames pending, they ship
         first under the same send-gate hold — a ``divulged`` event must
         never overtake the writes the module issued before divulging.
+        A failed send is counted, as on the bus side
+        (:meth:`~repro.bus.batch.Coalescer.send`).
         """
-        with self._send_gate:
-            self._tunnel.drain_locked()
-            self._raw_send_event(command)
+        self._tunnel.send(command)
 
     # -- what hosted modules see as "the bus" --------------------------------
 

@@ -10,7 +10,6 @@ over a frame channel (``send``/``recv``/``close``:
 from __future__ import annotations
 
 import threading
-from queue import SimpleQueue
 from typing import Callable, Dict, List, Optional
 
 from repro.bus.batch import Coalescer
@@ -77,13 +76,21 @@ class Link:
 
     The frame protocol is the machine-daemon one: ``[kind, seq,
     command, args...]`` with ``kind`` in ``req``/``rep``/``err``/``evt``.
-    The *pump* thread only ever completes request waiters and enqueues
-    events; events are handled on a dedicated dispatcher thread.  That
-    split is load-bearing: the hand-over (``SoftwareBus.hand_over``)
-    issues its queue-move request while holding the bus lock, and an
-    event handler may block on that same lock (tunneled writes route
-    through the bus) — with a single thread the reply behind a blocked
-    event could never be read.
+    One *pump* thread handles the frames in the order they arrive: a
+    reply completes its request's waiter, an event runs ``on_event``
+    inline.  So a request never returns before an event its host sent
+    ahead of the reply has been handled.
+
+    That holds only while no event handler takes the bus lock or waits
+    on a request: ``SoftwareBus.hand_over`` holds the lock while it waits
+    for a ``move_queues`` reply that only the pump can read.  The
+    handlers (``RemoteTransport._make_on_event``) route through the
+    lock-free table, set flags and record heartbeats.  The one place a
+    handler can block is a coalescer's high-water mark, and that always
+    drains: a host's serve loop never blocks on a send, and a flusher
+    pops its chunk even when the send fails.  A handler that raises is
+    counted (:func:`~repro.bus.host.note_event_failed`, one flare per
+    streak) and never ends the link.
 
     A request is sent once: the channel delivers each frame once or
     fails, so a lost send or a missed deadline is a ``TransportError``,
@@ -94,7 +101,8 @@ class Link:
     whose flusher drains opportunistically, so a busy link ships many
     messages per ``deliver_batch`` frame.  Per-link FIFO survives
     because every *other* frame (requests, non-delivery events) drains
-    the pending batch under the send lock before going out.
+    the pending batch under the send lock before going out.  The
+    coalescer sends every event frame and counts each one lost.
     """
 
     def __init__(
@@ -113,27 +121,19 @@ class Link:
         self._lock = threading.Lock()
         self._send_lock = threading.Lock()
         self._pending: Dict[int, _Waiter] = {}
-        self._events: SimpleQueue = SimpleQueue()
-        self._send_failing = False
         self._coalescer = Coalescer(
             name,
             "deliver_batch",
-            ship=self._ship_event,
+            ship=lambda command: channel.send(["evt", 0, *command]),
             send_lock=self._send_lock,
-            notify_drop=self._note_send_failed,
-            notify_ok=self._note_send_ok,
         )
-        self._pump = threading.Thread(
+        threading.Thread(
             target=self._read_loop, name=f"link-pump-{name}", daemon=True
-        )
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, name=f"link-evt-{name}", daemon=True
-        )
-        self._pump.start()
-        self._dispatcher.start()
+        ).start()
 
     def _read_loop(self) -> None:
         why = "link closed"
+        failing = False
         try:
             while True:
                 try:
@@ -141,7 +141,19 @@ class Link:
                 except InjectedFault:
                     continue  # injected before any byte was read: nothing lost
                 kind = frame[0]
-                if kind in ("rep", "err"):
+                if kind == "evt":
+                    handler = self.on_event
+                    if handler is None:
+                        continue
+                    command = str(frame[2])
+                    try:
+                        handler(command, frame[3:])
+                    except Exception as exc:  # noqa: BLE001 - a bad event must not end the link
+                        note_event_failed(self.name, command, exc, first=not failing)
+                        failing = True
+                    else:
+                        failing = False
+                elif kind in ("rep", "err"):
                     seq = int(frame[1])
                     with self._lock:
                         waiter = self._pending.pop(seq, None)
@@ -152,8 +164,6 @@ class Link:
                             if kind == "rep"
                             else remote_error(str(frame[2]), str(frame[3])),
                         )
-                elif kind == "evt":
-                    self._events.put((str(frame[2]), frame[3:]))
         except (TransportError, OSError) as exc:
             why = f"link closed: {exc}"
         finally:
@@ -164,74 +174,18 @@ class Link:
                 self._pending.clear()
             for waiter in pending:
                 waiter.complete("err", TransportError(f"{self.name}: {why}"))
-            self._events.put(None)
-
-    def _dispatch_loop(self) -> None:
-        failing = False
-        while True:
-            item = self._events.get()
-            if item is None:
-                return
-            handler = self.on_event
-            if handler is None:
-                continue
-            try:
-                handler(item[0], list(item[1]))
-            except Exception as exc:  # noqa: BLE001 - a bad event must not kill the link
-                note_event_failed(self.name, item[0], exc, first=not failing)
-                failing = True
-            else:
-                failing = False
-
-    def _ship_event(self, command: List[object]) -> None:
-        """Raw event send — caller (coalescer flusher) holds the send lock."""
-        self.channel.send(["evt", 0] + list(command))
-
-    def _note_send_ok(self) -> None:
-        if self._send_failing:
-            self._send_failing = False
-
-    def _note_send_failed(self, dropped: int, exc: BaseException) -> None:
-        """Mark the link's send side as failing — one event per streak.
-
-        Chaos-injected faults are deliberate single-frame failures, not
-        an outage; they are counted (``link.events_dropped``) but do not
-        raise the ``link.send_failed`` flare.
-        """
-        if isinstance(exc, InjectedFault):
-            return
-        if not self._send_failing:
-            self._send_failing = True
-            telemetry.event(
-                "link.send_failed",
-                host=self.name,
-                error=f"{type(exc).__name__}: {exc}",
-                dropped=int(dropped),
-            )
 
     def send_event(self, command: List[object]) -> None:
         """Fire-and-forget frame (non-delivery events: route pushes, packets).
 
         Acts as a FIFO barrier: any coalesced deliveries pending on this
         link ship first, under the same send-lock hold, so the event is
-        ordered behind every delivery appended before this call.  Failed
-        sends are counted (``link.events_dropped``) instead of silently
-        vanishing, and the first failure of a streak emits a
-        ``link.send_failed`` event.
+        ordered behind every delivery appended before this call.  A
+        failed send is counted (``link.events_dropped``), and the first
+        failure of a streak raises a ``link.send_failed`` flare
+        (:meth:`~repro.bus.batch.Coalescer.send`).
         """
-        try:
-            with self._send_lock:
-                self._coalescer.drain_locked()
-                self.channel.send(["evt", 0] + list(command))
-        except (InjectedFault, TransportError, OSError) as exc:
-            # A lost event is a lost frame; the host notices via FIFO
-            # gaps — but the loss itself is now observable.
-            rec = telemetry.recorder
-            if rec is not None:
-                rec.count("link.events_dropped", key=self.name)
-            self._note_send_failed(1, exc)
-        else:
-            self._note_send_ok()
+        self._coalescer.send(command)
 
     def send_deliver(self, instance: str, interface: str, wire: bytes) -> None:
         """Queue one encoded message for coalesced delivery (hot path)."""

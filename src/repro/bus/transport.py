@@ -198,7 +198,7 @@ class _ProxyMH:
     def abandon_divulge(self) -> None:
         self._handle.link.request(["abandon", self._handle.key])
 
-    # -- event sinks (called from the link dispatcher thread) -------------------
+    # -- event sinks (called from the link's pump thread) ----------------------
 
     def _on_divulged(self, packet: bytes, frames: int) -> None:
         self.outgoing_packet = packet

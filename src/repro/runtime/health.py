@@ -29,7 +29,7 @@ consults the monitor as a pre-flight gate — refusing to target a
 the :class:`~repro.reconfig.coordinator.ReconfigurationReport`.
 
 The monitor never calls out: heartbeat events are pushed into
-:meth:`record_heartbeat` by each transport's link dispatcher, and a
+:meth:`record_heartbeat` by each transport's link pumps, and a
 transport that notices a closed link calls :meth:`mark_dead` directly.
 All verdicts are recomputed at read time from arrival timestamps, so a
 wedged publisher cannot freeze the bus's view of it.
@@ -137,7 +137,7 @@ class HealthMonitor:
     def record_heartbeat(
         self, host: str, seq: int, payload: Dict[str, Any]
     ) -> None:
-        """One heartbeat arrived (called from link dispatcher threads)."""
+        """One heartbeat arrived (called from link pump threads)."""
         now = self._clock()
         with self._lock:
             record = self._hosts.get(host)

@@ -3,11 +3,15 @@
 A delivery whose module is gone, a write whose sender is unknown, and an
 event whose handler raises each end in a counter or a trace line, at
 whichever end of the link it happened — and the rest of the batch or
-event stream still goes through.  The tests drive a ``ModuleHost``, the
-bus-side event handler and a ``Link`` directly, with no timing.
+event stream still goes through.  A link handles its frames in the
+order they arrive, so no reply overtakes an event sent ahead of it.
+The tests drive a ``ModuleHost``, the bus-side event handler and a
+``Link`` directly; only the order test sleeps, to give a reply it must
+not see yet the time to arrive.
 """
 
 import threading
+import time
 from queue import SimpleQueue
 from types import SimpleNamespace
 
@@ -53,6 +57,18 @@ def _msg(value):
 
 def _queued(module, interface="inp"):
     return [m.values[0] for m in module.queue(interface).snapshot()]
+
+
+def _request_in_background(link, channel):
+    """Send a ``ping`` request from its own thread; return the list its
+    reply lands in, once the request frame is on the channel."""
+    replies = []
+    threading.Thread(
+        target=lambda: replies.append(link.request(["ping"], timeout=10)),
+        daemon=True,
+    ).start()
+    wait_until(lambda: channel.sent)
+    return replies
 
 
 class _MemoryChannel:
@@ -151,7 +167,7 @@ def _flares(rec):
 
 
 class TestEventFailuresAreCounted:
-    def test_bus_side_dispatcher(self):
+    def test_bus_side_pump(self):
         rec = telemetry.enable(capacity=256)
         handled = []
 
@@ -177,6 +193,23 @@ class TestEventFailuresAreCounted:
         finally:
             link.close()
 
+    def test_a_handler_transport_error_does_not_end_the_link(self):
+        def on_event(command, args):
+            raise (TransportError if command == "bad" else OSError)(command)
+
+        channel = _MemoryChannel()
+        link = Link("unit-host", PROFILE, channel, on_event=on_event)
+        try:
+            channel.inbox.put(["evt", 0, "bad"])
+            channel.inbox.put(["evt", 0, "worse"])
+            replies = _request_in_background(link, channel)
+            channel.inbox.put(["rep", 1, "still here"])
+            wait_until(lambda: replies)
+            assert replies == ["still here"]
+            assert not link.closed.is_set()
+        finally:
+            link.close()
+
     def test_host_side_serve_loop(self):
         rec = telemetry.enable(capacity=256)
         channel = _MemoryChannel()
@@ -198,3 +231,46 @@ class TestEventFailuresAreCounted:
         flares = _flares(rec)
         assert [f["command"] for f in flares] == ["no_such_command"]
         assert "unknown command" in flares[0]["error"]
+
+
+# ---------------------------------------------------------------------------
+# A link handles its frames in the order they arrive
+# ---------------------------------------------------------------------------
+
+
+class TestLinkFrameOrder:
+    def test_a_link_runs_its_pump_and_its_flusher_only(self):
+        link = Link("threads", PROFILE, _MemoryChannel())
+        try:
+            names = sorted(
+                t.name for t in threading.enumerate() if t.name.endswith("-threads")
+            )
+            assert names == ["batch-flush-threads", "link-pump-threads"]
+        finally:
+            link.close()
+
+    def test_a_reply_never_overtakes_an_earlier_event(self):
+        entered = threading.Event()
+        release = threading.Event()
+        handled = []
+
+        def on_event(command, args):
+            entered.set()
+            release.wait(10)
+            handled.append(command)
+
+        channel = _MemoryChannel()
+        link = Link("unit-host", PROFILE, channel, on_event=on_event)
+        try:
+            replies = _request_in_background(link, channel)
+            channel.inbox.put(["evt", 0, "restored", "m"])
+            channel.inbox.put(["rep", 1, "unit-host"])
+            assert entered.wait(10)
+            time.sleep(0.2)  # room for a reply read past the held event
+            assert replies == [], "the reply overtook the event ahead of it"
+            release.set()
+            wait_until(lambda: replies)
+            assert handled == ["restored"] and replies == ["unit-host"]
+        finally:
+            release.set()
+            link.close()

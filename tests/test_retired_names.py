@@ -357,6 +357,22 @@ GUARDS = [
             "_PLAN_CACHE[fmt] = plan",
         ),
     ),
+    # A link handles its frames on its pump, in the order they arrive, and
+    # its coalescer accounts for every lost event frame: the event
+    # dispatcher thread and the send-failure hooks the link gave the
+    # coalescer.
+    Guard(
+        "the link's event dispatcher and send-failure hooks",
+        r"\b_dispatch_loop\b|link-evt-|notify_drop|notify_ok|_note_send_failed",
+        CODE,
+        (
+            "target=self._dispatch_loop,",
+            'name=f"link-evt-{name}"',
+            "notify_drop=self._note_send_failed,",
+            "notify_ok=self._note_send_ok,",
+            "self._note_send_failed(1, exc)",
+        ),
+    ),
     # A clone gets its state packet through mh.incoming_packet: the add
     # option that installed one nothing passed.
     Guard(
