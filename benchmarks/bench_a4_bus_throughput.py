@@ -14,9 +14,16 @@ the configurations that stress the routing table:
 - ``bindings128``   the measured pair plus 128 unrelated bindings
                     (an O(bindings) route scan collapses here);
 - ``xhost_fanout8`` one sender fanning out to 8 receivers on a
-                    different architecture (stresses encode-once
-                    cross-host delivery: one wire encode per send, one
-                    decode per distinct receiver profile).
+                    different architecture (stresses cross-machine
+                    delivery inside the bus process: one carry per send
+                    for the one receiver profile, no wire built);
+- ``directed``      ``route_to`` of a ``perf`` ``kv_inproc`` request
+                    (``ssss``) to a receiver of the sender's profile;
+- ``xhost_directed`` the same request from a sparc-like sender to a
+                    vax-like receiver, the ``kv_inproc`` shape while its
+                    shard sits on ``beta`` (a carry whose receiver is
+                    narrower, so the receiver's checks run too).  CI
+                    gates ``directed / xhost_directed`` from one run.
 
 A second tier measures the *cross-process link path* through the
 worker-pool transport.  Its headline ``aggregate`` is an in-process
@@ -182,6 +189,67 @@ def measure(bus: SoftwareBus, names: List[str], seconds: float) -> float:
     return sent * len(names) / elapsed
 
 
+#: A ``kv_inproc`` request: op, key, value, the loader to reply to.
+KV_REQUEST = ["put", "key-000042", "value-000042", "loader_0"]
+
+
+def build_directed(receiver_host: str) -> SoftwareBus:
+    """A sparc-like sender bound to one ``shard`` on ``receiver_host``:
+    ``alpha`` is sparc-like (same profile), ``beta`` vax-like."""
+    bus = SoftwareBus(sleep_scale=0.0)
+    bus.add_host("alpha", MACHINES["sparc-like"])
+    bus.add_host("beta", MACHINES["vax-like"])
+    for name, role, host in (
+        ("sender", Role.DEFINE, "alpha"),
+        ("shard", Role.USE, receiver_host),
+    ):
+        spec = ModuleSpec(
+            name=name,
+            inline_source=IDLE,
+            interfaces=[InterfaceDecl("requests", role, pattern="ssss")],
+        )
+        bus.add_module(spec, machine=host)
+    bus.add_binding(BindingSpec("sender", "requests", "shard", "requests"))
+    return bus
+
+
+def measure_directed(seconds: float) -> Dict[str, float]:
+    """Delivered messages per second through ``route_to``, for the
+    ``directed`` (shard on ``alpha``) and ``xhost_directed`` (on
+    ``beta``) buses, in interleaved rounds of 200 sends: the median
+    round of each, so both rows see the same host and their ratio, which
+    CI gates, does not drift with it."""
+    message = Message(
+        values=list(KV_REQUEST),
+        fmt="ssss",
+        source_instance="sender",
+        source_interface="requests",
+    )
+    buses = {
+        key: build_directed(host)
+        for key, host in (("directed", "alpha"), ("xhost_directed", "beta"))
+    }
+    rates: Dict[str, List[float]] = {key: [] for key in buses}
+    batch = 200
+    try:
+        queues = {
+            key: bus.get_module("shard").queue("requests")
+            for key, bus in buses.items()
+        }
+        deadline = time.perf_counter() + seconds * 2
+        while time.perf_counter() < deadline:
+            for key, bus in buses.items():
+                start = time.perf_counter()
+                for _ in range(batch):
+                    bus.route_to("sender", "requests", "shard", message)
+                rates[key].append(batch / (time.perf_counter() - start))
+                queues[key].drain()  # keep memory bounded
+    finally:
+        for bus in buses.values():
+            bus.shutdown()
+    return {key: statistics.median(values[1:]) for key, values in rates.items()}
+
+
 def run_all(seconds: float) -> Dict[str, float]:
     results: Dict[str, float] = {}
     scenarios = {
@@ -196,6 +264,8 @@ def run_all(seconds: float) -> Dict[str, float]:
             results[key] = round(measure(bus, names, seconds), 1)
         finally:
             bus.shutdown()
+    for key, rate in measure_directed(seconds).items():
+        results[key] = round(rate, 1)
     return results
 
 
@@ -423,6 +493,7 @@ def test_a4_throughput():
     assert results["bindings128"] > results["1to1"] / 3
     assert results["fanout32"] > results["1to1"] / 3
     assert results["xhost_fanout8"] > 0
+    assert results["xhost_directed"] > 0
 
 
 def main(argv: List[str]) -> None:
@@ -443,6 +514,7 @@ def main(argv: List[str]) -> None:
         "speedup_vs_pre_fast_path": {
             key: round(value / PRE_FAST_PATH_BASELINE[key], 2)
             for key, value in results.items()
+            if key in PRE_FAST_PATH_BASELINE
         },
         "xproc": xproc,
     }

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Set,
 # deferral out of the bus process — after ``import repro.bus.bus`` no
 # set-up, ``launch()`` or ``replace()`` executes a first-use import.
 import repro.core.transformer  # noqa: F401
-from repro.bus.message import Message
+from repro.bus.message import Message, changes_machine
 from repro.bus.module import ModuleInstance, ModuleState
 from repro.bus.spec import (
     ApplicationSpec,
@@ -80,13 +80,14 @@ class _RouteEntry:
     - ``puts``: called with the message as written — the bound ``put`` of
       every local receiver on the sender's profile (identity transfers).
     - ``groups``: ``None`` when that is every delivery, else
-      ``(xfer_groups, link_groups)``.  The message is encoded once; each
-      distinct receiver profile decodes the wire once for its
-      ``[put]`` (``xfer_groups``: ``[(profile, [put])]``), and each link
-      ships it once with every ``(instance, interface)`` target riding
-      in the same batch entry list (``link_groups``: ``[(link,
-      [(instance, interface)])]``) — encode-once fan-out, in process and
-      across process boundaries alike.
+      ``(xfer_groups, link_groups)``.  Each distinct receiver profile
+      gets the message carried once for its ``[put]`` (``xfer_groups``:
+      ``[(profile, [put])]``, see ``Message.transferred``: no bytes are
+      built in process), and, when there are links, the message is
+      encoded once and each link ships that wire once with every
+      ``(instance, interface)`` target riding in the same batch entry
+      list (``link_groups``: ``[(link, [(instance, interface)])]``) —
+      encode-once fan-out across process boundaries.
     - ``by_dest``: destination instance -> ``(put, receiver_profile |
       None)`` for ``route_to``.
 
@@ -118,13 +119,7 @@ class _RouteEntry:
             put = peer.remote_put(peer_if, self.sender_profile)
         else:
             receiver = peer.host
-            sender = self.sender_profile
-            if (
-                sender is receiver
-                or sender is None
-                or receiver is None
-                or sender.name == receiver.name
-            ):
+            if not changes_machine(self.sender_profile, receiver):
                 receiver = None  # identity transfer
             queue = peer.queue(peer_if)
             put = queue.put
@@ -1110,11 +1105,11 @@ class SoftwareBus:
         """Deliver a message written on (instance, interface).
 
         Asynchronous: the message is enqueued at every bound peer whose
-        interface can receive; cross-host deliveries round-trip through
-        the canonical encoding, encoded once per send and decoded once
-        per distinct receiver profile.  The hot path is two dict lookups
-        against the published table — no binding scan, no rebuild, and
-        no bus lock.
+        interface can receive; a delivery that changes machine in process
+        is carried once per distinct receiver profile, and one that leaves
+        the process is encoded once per send, shared by every link.  The
+        hot path is two dict lookups against the published table — no
+        binding scan, no rebuild, and no bus lock.
         """
         by_interface = self._routing_table.get(instance)
         if by_interface is None:
@@ -1126,17 +1121,19 @@ class SoftwareBus:
             put(message)
         groups = entry.groups
         if groups is not None:
-            # Encode once, decode once per distinct receiver profile, ship
-            # once per link (the batch entry list carries every same-host
-            # target of this wire).
+            # Carry once per distinct receiver profile; encode once, and
+            # only for links, shipped once per link (the batch entry list
+            # carries every same-host target of this wire).
             xfers, links = groups
-            wire = message.to_wire(entry.sender_profile)
+            sender = entry.sender_profile
             for profile, puts in xfers:
-                decoded = Message.from_wire(wire, profile)
+                carried = message.transferred(sender, profile)
                 for put in puts:
-                    put(decoded)
-            for link, pairs in links:
-                link.send_deliver_shared(pairs, wire)
+                    put(carried)
+            if links:
+                wire = message.to_wire(sender)
+                for link, pairs in links:
+                    link.send_deliver_shared(pairs, wire)
 
     def route_to(
         self, instance: str, interface: str, destination: str, message: Message

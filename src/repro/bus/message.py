@@ -1,11 +1,16 @@
 """Messages carried by the software bus.
 
-Every message crossing a (simulated) machine boundary travels in the
-canonical abstract encoding: the sender's host encodes with its own
-:class:`~repro.state.machine.MachineProfile`, the receiver decodes with
-its own — this is POLYLITH's "data transformation needed to communicate
-across heterogeneous hosts", applied to ordinary messages as well as to
-process-state packets.
+A message that changes machine takes POLYLITH's "data transformation
+needed to communicate across heterogeneous hosts": the sender's
+:class:`~repro.state.machine.MachineProfile` checks what it writes and
+the receiver's what it reads, exactly as for a process-state packet.
+Where bytes travel — a link to another process, a host, a moved queue
+— that is the canonical abstract encoding: the sender encodes under its
+own profile, the receiver decodes under its own.  Between two simulated
+machines inside the bus process the message is *carried* instead
+(:meth:`Message.transferred`): the format plan's carriers return the
+values that round trip would read back, and raise what it would raise,
+without building the bytes.
 """
 
 from __future__ import annotations
@@ -14,9 +19,33 @@ import itertools
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.errors import EncodingError, FormatError
-from repro.state.encoding import check_arity, decode_values, encode_values
+from repro.errors import DecodingError, EncodingError, FormatError
+from repro.state.encoding import (
+    carry_values,
+    check_arity,
+    decode_values,
+    encode_values,
+)
 from repro.state.machine import MachineProfile
+
+
+def changes_machine(
+    sender: Optional[MachineProfile], receiver: Optional[MachineProfile]
+) -> bool:
+    """Whether a delivery from ``sender`` to ``receiver`` is translated.
+
+    The one identity-transfer rule: a delivery between the same profile,
+    between profiles of the same machine name, or with no profile on
+    either side hands the message over as written.  The routing table
+    (``_RouteEntry``) and :meth:`Message.transferred` both ask this.
+    """
+    return not (
+        sender is receiver
+        or sender is None
+        or receiver is None
+        or sender.name == receiver.name
+    )
+
 
 @dataclass
 class Message:
@@ -79,19 +108,26 @@ class Message:
         cls, data: bytes, machine: Optional[MachineProfile]
     ) -> "Message":
         """Decode on the *receiver's* machine (self-describing body)."""
-        values = decode_values(data, machine)
-        if len(values) < 3:
-            from repro.errors import DecodingError
+        return cls._received(decode_values(data, machine))
 
+    @classmethod
+    def _received(cls, values: List[object]) -> "Message":
+        """The message a receiver reads from its header and body values,
+        however they arrived: a header that is not (str, str, int) is a
+        :class:`DecodingError`."""
+        if len(values) < 3:
             raise DecodingError("message wire form too short")
-        source_instance, source_interface, seq = values[:3]
-        return cls(
-            values=list(values[3:]),
-            fmt="",
-            source_instance=str(source_instance),
-            source_interface=str(source_interface),
-            seq=int(seq),  # type: ignore[arg-type]
-        )
+        source_instance, source_interface, seq, *body = values
+        if (
+            type(source_instance) is not str
+            or type(source_interface) is not str
+            or type(seq) is not int
+        ):
+            raise DecodingError(
+                f"malformed message header {values[:3]!r}: "
+                f"expected (str, str, int)"
+            )
+        return cls(body, "", source_instance, source_interface, seq)
 
     def transferred(
         self,
@@ -100,12 +136,26 @@ class Message:
     ) -> "Message":
         """The message as seen after crossing sender -> receiver.
 
-        Same-machine delivery is a no-op; cross-machine delivery round-trips
-        the canonical wire form, enforcing representability on both ends.
+        A delivery that does not change machine (:func:`changes_machine`)
+        is a no-op.  Otherwise the message is carried, header and body as
+        the wire writes them in one stream: the result, or the exception,
+        is exactly that of ``Message.from_wire(self.to_wire(sender),
+        receiver)`` — the sender's checks in writer order, then the
+        receiver's in reader order where it can refuse what the sender
+        accepted — with fresh containers, plain scalar types, and no
+        bytes built.  A value the sender refuses is refused by
+        :meth:`to_wire`, so the error names the endpoint as it always has.
         """
-        if sender is receiver or sender is None or receiver is None:
+        if not changes_machine(sender, receiver):
             return self
-        if sender.name == receiver.name:
-            return self
-        return Message.from_wire(self.to_wire(sender), receiver)
-
+        try:
+            carried = carry_values(
+                "ssl" + (self.fmt or "a" * len(self.values)),
+                [self.source_instance, self.source_interface, self.seq, *self.values],
+                sender,
+                receiver,
+            )
+        except (EncodingError, FormatError):
+            self.to_wire(sender)  # raises the refusal, worded as on the wire
+            raise
+        return Message._received(carried)

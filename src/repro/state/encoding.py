@@ -22,15 +22,20 @@ Implementation notes (the reconfiguration critical path, see
 
 - **Declared values: one compiled plan per format string.**  A format
   string compiles once (:func:`format_plan`) into a :class:`FormatPlan`:
-  its top-level specs, and for each spec a check and a writer that
-  :func:`_compile` builds side by side, a container composing its
-  children's pairs, so the two accept the same values by construction.
+  its top-level specs, and for each spec a check, a writer and a carrier
+  that :func:`_compile` builds side by side, a container composing its
+  children's, so the three accept the same values by construction.
   The writer validates as it appends, in one walk: it is the path of
-  every activation record and every bus message.  The check
-  (:func:`check_arity`, :func:`value_matches`) serves
-  ``Message.validated()`` and names the failing position when a writer
-  refuses a value.  The plans live in one dict keyed by format string;
-  a nested spec has no entry of its own.
+  every activation record and of every message that leaves the bus
+  process.  The check (:func:`check_arity`, :func:`value_matches`)
+  serves ``Message.validated()`` and names the failing position when a
+  writer refuses a value.  The carrier (:func:`carry_values`,
+  :func:`carry_any` for ``a``) returns what a reader would read back
+  from the writer's bytes, and raises what the writer or the reader's
+  machine checks would raise, without building the bytes: it is the
+  path of a message that changes simulated machine inside the bus
+  process (``Message.transferred``).  The plans live in one dict keyed
+  by format string; a nested spec has no entry of its own.
 - **Self-described values: one walk, no inference.**  The wire form of an
   ``a`` value depends only on the runtime type of each node, so
   :func:`write_any` dispatches on ``type(value)`` and appends tag and
@@ -53,11 +58,12 @@ Implementation notes (the reconfiguration critical path, see
   otherwise the attempt falls back to the per-entry walk on any failure
   — a later non-str entry, a NUL inside an entry, a lone surrogate — so
   the walk's errors and their messages are unchanged.
-- **Machine checks are compiled per profile.**  Both writers take the
-  machine's check suite as a call argument (``MachineProfile.codec_checks``:
-  ``(check_i, check_l, check_F)``, closures with bounds and error
-  strings pre-resolved, ``None`` where the machine imposes nothing), so
-  heterogeneity errors surface at capture time with the messages of
+- **Machine checks are compiled per profile.**  The writers and the
+  carriers take the machine's check suite as a call argument
+  (``MachineProfile.codec_checks``: ``(check_i, check_l, check_F)``,
+  closures with bounds and error strings pre-resolved, ``None`` where
+  the machine imposes nothing), so heterogeneity errors surface at
+  capture time with the messages of
   ``MachineProfile.check_representable``.  Strings, bytes, booleans,
   ``None`` and pointers fit every machine and are never checked.
 - **Decode: the same walk from the other side.**  The decode core
@@ -255,7 +261,7 @@ def write_any(buf: bytearray, value: object, checks: Optional[tuple]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Compiled format plans: a check and a writer per spec, compiled together
+# Compiled format plans: a check, a writer and a carrier per spec
 # ---------------------------------------------------------------------------
 
 #: A check: does ``value`` fit the spec it was compiled from?  ``None``
@@ -268,6 +274,14 @@ _Matcher = Callable[[object], bool]
 #: once per encode call rather than once per value, or None when no
 #: machine constraint applies.
 _EncodeFn = Callable[[bytearray, object, Optional[tuple]], None]
+
+#: A carrier: return ``value`` as the reader reads back what the writer
+#: wrote — fresh lists, dicts and ``bytes``, a plain ``str``/``int``/
+#: ``float`` for a subclass, a ``float`` narrowed under ``f`` — running
+#: the writer's machine checks and raising what the writer raises, in
+#: the writer's order, without building the bytes.  ``checks`` as for a
+#: writer.
+_CarryFn = Callable[[object, Optional[tuple]], object]
 
 
 def _checks_of(machine: MachineProfile) -> tuple:
@@ -287,9 +301,48 @@ def _match_any(value: object) -> bool:
     return tag != 0
 
 
-def _compile_scalar(char: str) -> Tuple[_Matcher, _EncodeFn]:
+def carry_any(value: object, checks: Optional[tuple]) -> object:
+    """The carrier of :func:`write_any`: the same dispatch on
+    ``type(value)``, the same machine checks, the same errors, and the
+    value :func:`decode_any` would read back.  The packed ``}`` form
+    reads back as the per-entry walk does, so dicts are always walked.
+    """
+    if value is None:
+        return None
+    tag = ANY_TAG_BY_TYPE.get(type(value)) or any_tag(value)
+    if tag == 0x73:  # 's'
+        if type(value) is str:
+            if not value.isascii():
+                value.encode("utf-8")  # a lone surrogate raises here
+            return value
+        value.encode("utf-8")
+        return str.__str__(value)
+    if tag == 0x6C:  # 'l'
+        if checks is not None:
+            checks[1](value)
+        return value if type(value) is int else int.__int__(value)
+    if tag == 0x5B:  # '['
+        return [
+            item
+            if type(item) is str and item.isascii()
+            else carry_any(item, checks)
+            for item in value
+        ]
+    if tag == 0x28:  # '('
+        return tuple([carry_any(item, checks) for item in value])
+    if tag == 0x7B:  # '{' or '}'
+        return {
+            carry_any(key, checks): carry_any(item, checks)
+            for key, item in value.items()
+        }
+    if tag:  # 'b' / 'F' / 'B' / 'p'
+        return _SCALAR_CARRIER_BY_TAG[tag](value, checks)
+    raise unsupported_any(value)
+
+
+def _compile_scalar(char: str) -> Tuple[_Matcher, _EncodeFn, _CarryFn]:
     if char == "a":
-        return _match_any, write_any
+        return _match_any, write_any, carry_any
 
     if char == "n":
 
@@ -299,7 +352,12 @@ def _compile_scalar(char: str) -> Tuple[_Matcher, _EncodeFn]:
                 return
             raise EncodingError(f"format 'n' requires None, got {value!r}")
 
-        return (lambda value: value is None), enc_none
+        def carry_none(value, checks):
+            if value is None:
+                return None
+            raise EncodingError(f"format 'n' requires None, got {value!r}")
+
+        return (lambda value: value is None), enc_none, carry_none
 
     if char == "b":
 
@@ -312,7 +370,16 @@ def _compile_scalar(char: str) -> Tuple[_Matcher, _EncodeFn]:
             buf.append(0x62)  # 'b'
             buf.append(1 if value else 0)
 
-        return (lambda value: value is None or isinstance(value, bool)), enc_bool
+        def carry_bool(value, checks):
+            if value is None or isinstance(value, bool):
+                return value
+            raise EncodingError(f"format 'b' requires bool, got {value!r}")
+
+        return (
+            (lambda value: value is None or isinstance(value, bool)),
+            enc_bool,
+            carry_bool,
+        )
 
     if char in ("i", "l"):
         tag = ord(char)
@@ -339,10 +406,25 @@ def _compile_scalar(char: str) -> Tuple[_Matcher, _EncodeFn]:
                     buf.append(byte)
                     return
 
+        def carry_int(value, checks):
+            if value is None:
+                return None
+            if checks is not None:
+                checks[check_index](value)
+            if type(value) is int:
+                return value
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise EncodingError(f"format {char!r} requires int, got {value!r}")
+            return int.__int__(value)
+
         return (
-            lambda value: value is None
-            or (isinstance(value, int) and not isinstance(value, bool))
-        ), enc_int
+            (
+                lambda value: value is None
+                or (isinstance(value, int) and not isinstance(value, bool))
+            ),
+            enc_int,
+            carry_int,
+        )
 
     if char in ("f", "F"):
         tag = ord(char)
@@ -364,10 +446,29 @@ def _compile_scalar(char: str) -> Tuple[_Matcher, _EncodeFn]:
             buf.append(tag)
             buf.extend(pack(float(value)))
 
+        def carry_float(value, checks):
+            if value is None:
+                return None
+            if is_double and checks is not None and checks[2] is not None:
+                checks[2](value)
+            if type(value) is not float and (
+                not isinstance(value, (int, float)) or isinstance(value, bool)
+            ):
+                raise EncodingError(
+                    f"format {char!r} requires int or float, got {value!r}"
+                )
+            if is_double:
+                return float(value)
+            return _unpack_f32(_pack_f32(float(value)))[0]
+
         return (
-            lambda value: value is None
-            or (isinstance(value, (int, float)) and not isinstance(value, bool))
-        ), enc_float
+            (
+                lambda value: value is None
+                or (isinstance(value, (int, float)) and not isinstance(value, bool))
+            ),
+            enc_float,
+            carry_float,
+        )
 
     if char == "s":
 
@@ -382,7 +483,23 @@ def _compile_scalar(char: str) -> Tuple[_Matcher, _EncodeFn]:
             _append_varint(buf, len(data))
             buf.extend(data)
 
-        return (lambda value: value is None or isinstance(value, str)), enc_str
+        def carry_str(value, checks):
+            if type(value) is str:
+                if not value.isascii():
+                    value.encode("utf-8")  # a lone surrogate raises here
+                return value
+            if value is None:
+                return None
+            if not isinstance(value, str):
+                raise EncodingError(f"format 's' requires str, got {value!r}")
+            value.encode("utf-8")
+            return str.__str__(value)
+
+        return (
+            (lambda value: value is None or isinstance(value, str)),
+            enc_str,
+            carry_str,
+        )
 
     if char == "B":
 
@@ -396,9 +513,18 @@ def _compile_scalar(char: str) -> Tuple[_Matcher, _EncodeFn]:
             _append_varint(buf, len(value))
             buf.extend(value)
 
+        def carry_bytes(value, checks):
+            if type(value) is bytes or value is None:
+                return value
+            if not isinstance(value, (bytes, bytearray)):
+                raise EncodingError(f"format 'B' requires bytes, got {value!r}")
+            return bytes(value)
+
         return (
-            lambda value: value is None or isinstance(value, (bytes, bytearray))
-        ), enc_bytes
+            (lambda value: value is None or isinstance(value, (bytes, bytearray))),
+            enc_bytes,
+            carry_bytes,
+        )
 
     if char == "p":
 
@@ -413,34 +539,54 @@ def _compile_scalar(char: str) -> Tuple[_Matcher, _EncodeFn]:
             buf.extend(data)
             _append_signed(buf, index)
 
+        def carry_pointer(value, checks):
+            if value is None:
+                return None
+            segment, index = _pointer_parts(value)
+            segment.encode("utf-8")
+            if (
+                type(value) is SymbolicPointer
+                and type(segment) is str
+                and type(index) is int
+            ):
+                return value  # frozen: nothing to copy
+            return SymbolicPointer(str.__str__(segment), int.__int__(index))
+
         return (
-            lambda value: value is None or type(value).__name__ == "SymbolicPointer"
-        ), enc_pointer
+            (lambda value: value is None or type(value).__name__ == "SymbolicPointer"),
+            enc_pointer,
+            carry_pointer,
+        )
 
     raise EncodingError(f"unknown scalar format {char!r}")  # pragma: no cover
 
 
-#: Each scalar's check and writer, built once at import and shared by
-#: every plan: CPython specializes a call site on the function object it
-#: calls, so the values of a ``"ssss"`` frame must meet one writer, not four.
-_SCALARS: Dict[str, Tuple[_Matcher, _EncodeFn]] = {
+#: Each scalar's check, writer and carrier, built once at import and
+#: shared by every plan: CPython specializes a call site on the function
+#: object it calls, so the values of a ``"ssss"`` frame must meet one
+#: writer, not four.
+_SCALARS: Dict[str, Tuple[_Matcher, _EncodeFn, _CarryFn]] = {
     char: _compile_scalar(char) for char in SCALAR_CHARS
 }
 
-#: The writers :func:`write_any` hands its rarer scalars to.
+#: The writers :func:`write_any` hands its rarer scalars to, and the
+#: carriers :func:`carry_any` does.
 _SCALAR_ENCODER_BY_TAG: Dict[int, _EncodeFn] = {
     ord(char): _SCALARS[char][1] for char in "bFBp"
 }
+_SCALAR_CARRIER_BY_TAG: Dict[int, _CarryFn] = {
+    ord(char): _SCALARS[char][2] for char in "bFBp"
+}
 
 
-def _compile(spec: TypeSpec) -> Tuple[_Matcher, _EncodeFn]:
-    """Compile ``spec`` into its check and its writer, which accept the
-    same values; a container composes its children's pairs."""
+def _compile(spec: TypeSpec) -> Tuple[_Matcher, _EncodeFn, _CarryFn]:
+    """Compile ``spec`` into its check, its writer and its carrier, which
+    accept the same values; a container composes its children's."""
     if isinstance(spec, ScalarType):
         return _SCALARS[spec.char]
 
     if isinstance(spec, ListType):
-        match_element, enc_element = _compile(spec.element)
+        match_element, enc_element, carry_element = _compile(spec.element)
 
         def enc_list(buf, value, checks):
             if value is None:
@@ -453,15 +599,27 @@ def _compile(spec: TypeSpec) -> Tuple[_Matcher, _EncodeFn]:
             for item in value:
                 enc_element(buf, item, checks)
 
+        def carry_list(value, checks):
+            if value is None:
+                return None
+            if not isinstance(value, list):
+                raise EncodingError(f"expected list, got {type(value).__name__}")
+            return [carry_element(item, checks) for item in value]
+
         return (
-            lambda value: value is None
-            or (isinstance(value, list) and all(match_element(v) for v in value))
-        ), enc_list
+            (
+                lambda value: value is None
+                or (isinstance(value, list) and all(match_element(v) for v in value))
+            ),
+            enc_list,
+            carry_list,
+        )
 
     if isinstance(spec, TupleType):
-        pairs = [_compile(element) for element in spec.elements]
-        matchers = tuple(match for match, _ in pairs)
-        elements = tuple(enc for _, enc in pairs)
+        triples = [_compile(element) for element in spec.elements]
+        matchers = tuple(match for match, _, _ in triples)
+        elements = tuple(enc for _, enc, _ in triples)
+        carriers = tuple(carry for _, _, carry in triples)
         arity = len(elements)
 
         def enc_tuple(buf, value, checks):
@@ -475,20 +633,34 @@ def _compile(spec: TypeSpec) -> Tuple[_Matcher, _EncodeFn]:
             for enc_element, item in zip(elements, value):
                 enc_element(buf, item, checks)
 
-        return (
-            lambda value: value is None
-            or (
-                isinstance(value, tuple)
-                and len(value) == arity
-                and all(m(v) for m, v in zip(matchers, value))
+        def carry_tuple(value, checks):
+            if value is None:
+                return None
+            if not isinstance(value, tuple) or len(value) != arity:
+                raise EncodingError(f"expected {arity}-tuple, got {value!r}")
+            return tuple(
+                [carry(item, checks) for carry, item in zip(carriers, value)]
             )
-        ), enc_tuple
+
+        return (
+            (
+                lambda value: value is None
+                or (
+                    isinstance(value, tuple)
+                    and len(value) == arity
+                    and all(m(v) for m, v in zip(matchers, value))
+                )
+            ),
+            enc_tuple,
+            carry_tuple,
+        )
 
     if isinstance(spec, DictType):
-        match_key, enc_key = _compile(spec.key)
-        match_val, enc_val = _compile(spec.value)
+        match_key, enc_key, carry_key = _compile(spec.key)
+        match_val, enc_val, carry_val = _compile(spec.value)
         # Only a dict whose key and value specs both admit a str can take
-        # the packed form; any other declaration always walks.
+        # the packed form; any other declaration always walks.  A packed
+        # dict reads back as the walk does, so its carrier always walks.
         packable = all(
             isinstance(part, ScalarType) and part.char in "sa"
             for part in (spec.key, spec.value)
@@ -508,24 +680,39 @@ def _compile(spec: TypeSpec) -> Tuple[_Matcher, _EncodeFn]:
                 enc_key(buf, key, checks)
                 enc_val(buf, item, checks)
 
+        def carry_dict(value, checks):
+            if value is None:
+                return None
+            if not isinstance(value, dict):
+                raise EncodingError(f"expected dict, got {type(value).__name__}")
+            return {
+                carry_key(key, checks): carry_val(item, checks)
+                for key, item in value.items()
+            }
+
         return (
-            lambda value: value is None
-            or (
-                isinstance(value, dict)
-                and all(match_key(k) and match_val(v) for k, v in value.items())
-            )
-        ), enc_dict
+            (
+                lambda value: value is None
+                or (
+                    isinstance(value, dict)
+                    and all(match_key(k) and match_val(v) for k, v in value.items())
+                )
+            ),
+            enc_dict,
+            carry_dict,
+        )
 
     raise EncodingError(f"unknown type spec {spec!r}")  # pragma: no cover
 
 
 class FormatPlan(NamedTuple):
     """A format string compiled once: its top-level specs, and each
-    spec's check and writer, position by position."""
+    spec's check, writer and carrier, position by position."""
 
     specs: Tuple[TypeSpec, ...]
     matchers: Tuple[_Matcher, ...]
     encoders: Tuple[_EncodeFn, ...]
+    carriers: Tuple[_CarryFn, ...]
 
 
 #: The one cache of compiled formats, keyed by format string (formats
@@ -541,17 +728,16 @@ def format_plan(fmt: str) -> FormatPlan:
     plan = _PLANS.get(fmt)
     if plan is None:
         specs = tuple(parse_format(fmt))
-        pairs = [_compile(spec) for spec in specs]
+        triples = [_compile(spec) for spec in specs]
         plan = FormatPlan(
             specs,
-            tuple(match for match, _ in pairs),
-            tuple(enc for _, enc in pairs),
+            tuple(match for match, _, _ in triples),
+            tuple(enc for _, enc, _ in triples),
+            tuple(carry for _, _, carry in triples),
         )
         if len(_PLANS) < 4096:
             _PLANS[fmt] = plan
     return plan
-
-
 
 
 def value_matches(spec: TypeSpec, value: object) -> bool:
@@ -579,7 +765,8 @@ def check_arity(fmt: str, values: Sequence[object]) -> List[TypeSpec]:
     ``mh.encode`` surfaces verbatim, with the procedure's name, so a module
     author can find the bad capture block.
     """
-    specs, matchers, _ = _PLANS.get(fmt) or format_plan(fmt)
+    plan = _PLANS.get(fmt) or format_plan(fmt)
+    specs, matchers = plan.specs, plan.matchers
     if len(specs) != len(values):
         raise FormatError(
             f"format {fmt!r} declares {len(specs)} values but {len(values)} supplied"
@@ -787,6 +974,53 @@ def decode_values(
     except UnicodeDecodeError as exc:
         raise _bad_utf8(exc) from exc
     return values
+
+
+def carry_values(
+    fmt: str,
+    values: Sequence[object],
+    writer: MachineProfile,
+    reader: Optional[MachineProfile] = None,
+) -> List[object]:
+    """``values`` as ``decode_values(encode_values(fmt, values, writer),
+    reader)`` reads them back, or its exception, with no bytes built.
+
+    The plan's carriers run ``writer``'s checks and refuse what its
+    writers refuse, in the same order, and a declaration mismatch is
+    re-raised as the same position-naming :class:`FormatError`.  Then,
+    where ``reader`` can refuse what ``writer`` accepted
+    (:func:`_reader_may_refuse`), the carriers run again over the carried
+    values with ``reader``'s checks, in reader order: a carried value is
+    what the reader reads, so carrying it again raises what the reader's
+    checks raise.  A string or ``None`` meets no machine check and is
+    skipped.
+    """
+    carriers = (_PLANS.get(fmt) or format_plan(fmt)).carriers
+    if len(carriers) != len(values):
+        check_arity(fmt, values)  # raises the arity FormatError
+    checks = _checks_of(writer)
+    try:
+        carried = [carry(value, checks) for carry, value in zip(carriers, values)]
+    except EncodingError:
+        check_arity(fmt, values)
+        raise
+    if reader is not None and _reader_may_refuse(writer, reader):
+        checks = _checks_of(reader)
+        for carry, value in zip(carriers, carried):
+            if type(value) is not str and value is not None:
+                carry(value, checks)
+    return carried
+
+
+def _reader_may_refuse(writer: MachineProfile, reader: MachineProfile) -> bool:
+    # The reader is narrower on 'i' or 'l', or has 32-bit floats at all:
+    # a writer checks a double only if it is a float already, and an int
+    # under 'F' becomes one on the way.
+    return (
+        reader.int_bits < writer.int_bits
+        or reader.long_bits < writer.long_bits
+        or reader.float_bits == 32
+    )
 
 
 def encode_any(value: object, machine: Optional[MachineProfile] = None) -> bytes:

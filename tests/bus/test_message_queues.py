@@ -8,7 +8,7 @@ import pytest
 
 from repro.bus.message import Message
 from repro.bus.queues import MessageQueue
-from repro.errors import MachineCompatibilityError, TransportError
+from repro.errors import DecodingError, MachineCompatibilityError, TransportError
 from repro.runtime import telemetry
 
 
@@ -82,7 +82,7 @@ class TestMessage:
             message.transferred(sparc, vax)
 
     def test_malformed_wire(self):
-        with pytest.raises(Exception):
+        with pytest.raises(DecodingError):
             Message.from_wire(b"\x01\x02", None)
 
 

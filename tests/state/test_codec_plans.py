@@ -154,7 +154,8 @@ def test_compiled_encoder_matches_reference(case, machine):
 @settings(max_examples=200, deadline=None)
 def test_compiled_matcher_matches_value_matches_contract(case):
     char, value = case
-    _, (matcher,), (encoder,) = format_plan(char)
+    plan = format_plan(char)
+    (matcher,), (encoder,) = plan.matchers, plan.encoders
     assert matcher(value) == value_matches(ScalarType(char), value)
     refused = False
     try:
