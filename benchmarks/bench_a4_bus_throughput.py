@@ -23,7 +23,12 @@ the configurations that stress the routing table:
                     vax-like receiver, the ``kv_inproc`` shape while its
                     shard sits on ``beta`` (a carry whose receiver is
                     narrower, so the receiver's checks run too).  CI
-                    gates ``directed / xhost_directed`` from one run.
+                    gates ``directed / xhost_directed`` from one run;
+- ``module_write``  a ``kv_inproc`` shard's reply (``ss``) written by the
+                    module itself, ``mh.write_to`` -> port -> ``route_to``
+                    into a receiver of its profile: the module-side write
+                    layer on top of ``directed``'s prebuilt message.  CI
+                    gates ``directed / module_write`` from one run.
 
 A second tier measures the *cross-process link path* through the
 worker-pool transport.  Its headline ``aggregate`` is an in-process
@@ -59,7 +64,7 @@ import statistics
 import sys
 import threading
 import time
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.bus import batch
 from repro.bus.batch import batch_settings
@@ -213,39 +218,68 @@ def build_directed(receiver_host: str) -> SoftwareBus:
     return bus
 
 
+def build_module_write() -> SoftwareBus:
+    """A ``kv_inproc`` shard whose ``replies`` (``ss``) are bound to one
+    loader on its own machine, as in ``perf``'s ``kv_mil``."""
+    bus = SoftwareBus(sleep_scale=0.0)
+    bus.add_host("alpha", MACHINES["sparc-like"])
+    for name, role in (("shard", Role.DEFINE), ("loader", Role.USE)):
+        spec = ModuleSpec(
+            name=name,
+            inline_source=IDLE,
+            interfaces=[InterfaceDecl("replies", role, pattern="ss")],
+        )
+        bus.add_module(spec, machine="alpha")
+    bus.add_binding(BindingSpec("shard", "replies", "loader", "replies"))
+    return bus
+
+
 def measure_directed(seconds: float) -> Dict[str, float]:
-    """Delivered messages per second through ``route_to``, for the
-    ``directed`` (shard on ``alpha``) and ``xhost_directed`` (on
-    ``beta``) buses, in interleaved rounds of 200 sends: the median
-    round of each, so both rows see the same host and their ratio, which
-    CI gates, does not drift with it."""
+    """Delivered messages per second for the ``directed`` (shard on
+    ``alpha``) and ``xhost_directed`` (on ``beta``) buses, where a
+    prebuilt request is ``route_to``'d, and for ``module_write``, where
+    the shard writes its reply through its own ``mh.write_to``, in
+    interleaved rounds of 200 sends: the median round of each, so every
+    row sees the same host and their ratios, which CI gates, do not
+    drift with it."""
     message = Message(
         values=list(KV_REQUEST),
         fmt="ssss",
         source_instance="sender",
         source_interface="requests",
     )
-    buses = {
+    directed = {
         key: build_directed(host)
         for key, host in (("directed", "alpha"), ("xhost_directed", "beta"))
     }
-    rates: Dict[str, List[float]] = {key: [] for key in buses}
+    write_bus = build_module_write()
+    shard = write_bus.get_module("shard").mh
+
+    def route_to(bus: SoftwareBus) -> Callable[[], None]:
+        return lambda: bus.route_to("sender", "requests", "shard", message)
+
+    # row -> (one send, the queue it fills)
+    rows = {
+        key: (route_to(bus), bus.get_module("shard").queue("requests"))
+        for key, bus in directed.items()
+    }
+    rows["module_write"] = (
+        lambda: shard.write_to("replies", "loader", "ss", "key-000042", "value-000042"),
+        write_bus.get_module("loader").queue("replies"),
+    )
+    rates: Dict[str, List[float]] = {key: [] for key in rows}
     batch = 200
     try:
-        queues = {
-            key: bus.get_module("shard").queue("requests")
-            for key, bus in buses.items()
-        }
-        deadline = time.perf_counter() + seconds * 2
+        deadline = time.perf_counter() + seconds * len(rows)
         while time.perf_counter() < deadline:
-            for key, bus in buses.items():
+            for key, (send, queue) in rows.items():
                 start = time.perf_counter()
                 for _ in range(batch):
-                    bus.route_to("sender", "requests", "shard", message)
+                    send()
                 rates[key].append(batch / (time.perf_counter() - start))
-                queues[key].drain()  # keep memory bounded
+                queue.drain()  # keep memory bounded
     finally:
-        for bus in buses.values():
+        for bus in (*directed.values(), write_bus):
             bus.shutdown()
     return {key: statistics.median(values[1:]) for key, values in rates.items()}
 
@@ -494,6 +528,7 @@ def test_a4_throughput():
     assert results["fanout32"] > results["1to1"] / 3
     assert results["xhost_fanout8"] > 0
     assert results["xhost_directed"] > 0
+    assert results["module_write"] > 0
 
 
 def main(argv: List[str]) -> None:

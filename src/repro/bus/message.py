@@ -17,14 +17,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import call
 from typing import List, Optional
 
 from repro.errors import DecodingError, EncodingError, FormatError
 from repro.state.encoding import (
+    _PLANS,
     carry_values,
     check_arity,
     decode_values,
     encode_values,
+    format_plan,
 )
 from repro.state.machine import MachineProfile
 
@@ -65,9 +68,20 @@ class Message:
     seq: int = field(default_factory=itertools.count(1).__next__)
 
     def validated(self) -> "Message":
-        """Check values against the declared format (raises FormatError)."""
-        if self.fmt:
-            check_arity(self.fmt, self.values)
+        """Check values against the declared format (raises FormatError).
+
+        One pass of the compiled plan's checks over the values, no list
+        built; only a refused message goes through :func:`check_arity`,
+        which words the error.
+        """
+        fmt = self.fmt
+        if fmt:
+            values = self.values
+            matchers = (_PLANS.get(fmt) or format_plan(fmt)).matchers
+            if len(matchers) != len(values) or not all(
+                map(call, matchers, values)
+            ):
+                check_arity(fmt, values)
         return self
 
     # -- wire form ------------------------------------------------------------

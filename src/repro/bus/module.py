@@ -53,44 +53,55 @@ class ModuleState(enum.Enum):
 
 
 class ModulePort:
-    """The side of the bus a module's MH runtime talks to."""
+    """The side of the bus a module's MH runtime talks to.
+
+    A write resolves its interface's sending side once, on the
+    interface's first write: the declared send format, kept per
+    interface.  An interface that cannot send is never kept, so every
+    write on it is refused afresh.  The values list is the caller's
+    (``MH.write`` passes a fresh one) and goes into the message as is.
+    """
 
     def __init__(self, instance: "ModuleInstance"):
         self.instance = instance
+        #: interface -> its declared send format, for each interface
+        #: written so far.
+        self._send_fmts: Dict[str, str] = {}
 
-    def write(self, interface: str, fmt: str, values: List[object]) -> None:
+    def _resolve_send_fmt(self, interface: str) -> str:
         decl = self.instance.spec.interface(interface)
         if not decl.direction.can_send:
             raise UnknownInterfaceError(
                 f"{self.instance.name}: interface {interface!r} "
                 f"({decl.role.value}) cannot send"
             )
-        message = Message(
-            values=list(values),
-            fmt=fmt or decl.send_fmt(),
-            source_instance=self.instance.name,
-            source_interface=interface,
-        ).validated()
-        self.instance.bus.route(self.instance.name, interface, message)
+        fmt = self._send_fmts[interface] = decl.send_fmt()
+        return fmt
+
+    def write(self, interface: str, fmt: str, values: List[object]) -> None:
+        declared = self._send_fmts.get(interface)
+        if declared is None:
+            declared = self._resolve_send_fmt(interface)
+        name = self.instance.name
+        self.instance.bus.route(
+            name,
+            interface,
+            Message(values, fmt or declared, name, interface).validated(),
+        )
 
     def write_to(
         self, interface: str, destination: str, fmt: str, values: List[object]
     ) -> None:
         """Directed delivery to one bound peer (server replies)."""
-        decl = self.instance.spec.interface(interface)
-        if not decl.direction.can_send:
-            raise UnknownInterfaceError(
-                f"{self.instance.name}: interface {interface!r} "
-                f"({decl.role.value}) cannot send"
-            )
-        message = Message(
-            values=list(values),
-            fmt=fmt or decl.send_fmt(),
-            source_instance=self.instance.name,
-            source_interface=interface,
-        ).validated()
+        declared = self._send_fmts.get(interface)
+        if declared is None:
+            declared = self._resolve_send_fmt(interface)
+        name = self.instance.name
         self.instance.bus.route_to(
-            self.instance.name, interface, destination, message
+            name,
+            interface,
+            destination,
+            Message(values, fmt or declared, name, interface).validated(),
         )
 
     def read(
