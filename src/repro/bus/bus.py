@@ -44,6 +44,7 @@ from repro.runtime.mh import SleepPolicy
 from repro.state.machine import Endianness, MachineProfile, renamed
 
 if TYPE_CHECKING:
+    from repro.bus.queues import MessageQueue
     from repro.bus.transport import RemoteTransport
 
 #: Every live bus, held weakly, so a recorder installed or removed
@@ -55,12 +56,14 @@ _live_buses_lock = threading.Lock()
 @telemetry.on_activation
 def _recompile_live_buses(rec: Optional[telemetry.FlightRecorder]) -> None:
     """A recorder was installed or removed: every live bus republishes
-    its routes at once.  A table holds ``put`` methods bound when it was
-    built, i.e. of the queue class before the recording swap (the queue
-    layer's hook runs first); rebuilding it is what makes counts start
-    (or stop) on the next message.  The republish is no topology edit
-    and counts nothing into the new recorder.  The remote hosts follow
-    their transports (:mod:`repro.bus.transport`)."""
+    its routes at once.  The queues count every put either way; what a
+    recorder changes is the table — the ``bus.routed`` / ``bus.directed``
+    / ``bus.dropped`` callables ``_RouteEntry.instrument`` adds, and the
+    epoch of the derived ``bus.routed`` — so rebuilding it is what makes
+    those counts start (or stop, the old recorder's derived totals
+    frozen) on the next message.  The republish is no topology edit and
+    counts nothing into the new recorder.  The remote hosts follow their
+    transports (:mod:`repro.bus.transport`)."""
     with _live_buses_lock:
         buses = list(_live_buses)
     for bus in buses:
@@ -148,15 +151,15 @@ class _RouteEntry:
         most one counting callable at the front of ``puts``:
 
         - ``bus.delivered`` and ``queue.hwm`` come from the receiving
-          queues themselves, whose class swaps to
-          ``RecordingMessageQueue`` while recording (the table is rebuilt
-          whenever the recorder changes, so it holds the swapped ``put``).
+          queues themselves, which count every put in-lock, recorder or
+          not (``repro.bus.queues``): ``puts`` keeps the raw bound
+          ``MessageQueue.put``.
         - ``bus.routed`` is *derived* when the entry delivers into a local
           queue fed by no other endpoint (``in_degree`` counts edges per
           receiving endpoint): every undirected put on that queue is
           exactly one ``route()`` call here, so the count is computed
           lazily from the queue's cells — ``derived`` collects endpoint
-          -> queue for ``SoftwareBus._routed_source``.  Other entries
+          -> queue for the bus's ``_RoutedTotals``.  Other entries
           (fan-in receivers, all-remote fan-outs) count it directly.
         - An unbound endpoint counts ``bus.dropped`` instead, so silent
           drops become visible.
@@ -197,6 +200,53 @@ class _RouteEntry:
             _rec.count("bus.routed", key=_key)
 
         self.puts = [routed] + self.puts
+
+
+class _RoutedTotals:
+    """One bus's ``bus.routed`` for one recorder: a source of it.
+
+    An endpoint that alone feeds one local queue is counted from that
+    queue's cells (:meth:`_RouteEntry.instrument`): each of its puts
+    not made by ``route_to`` is one ``route()`` of the endpoint.  The
+    totals of earlier routing epochs are the base; the current epoch
+    maps each such endpoint to its queue and the queue's
+    ``(_pushed, _directed)`` when the table was published.  The cells
+    count with or without a recorder, so the bus freezes the totals
+    with ``restart({})`` when the recorder goes: a detached recorder's
+    figure stops moving.
+    """
+
+    def __init__(self, lock: threading.RLock):
+        self._lock = lock  # the bus lock, which every publication holds
+        self._base: Dict[str, int] = {}
+        self._epoch: Dict[str, Tuple[MessageQueue, int, int]] = {}
+
+    def restart(self, derived: Dict[str, MessageQueue]) -> None:
+        """Keep the totals so far as the base and count ``derived`` from
+        here on (caller holds the bus lock)."""
+        self._base = self._totals()
+        epoch = {}
+        for endpoint, queue in derived.items():
+            with queue._lock:  # a consistent (_pushed, _directed) pair
+                epoch[endpoint] = (queue, queue._pushed, queue._directed)
+        self._epoch = epoch
+
+    def _totals(self) -> Dict[str, int]:
+        totals = dict(self._base)
+        for endpoint, (queue, pushed0, directed0) in self._epoch.items():
+            with queue._lock:
+                delta = (queue._pushed - pushed0) - (queue._directed - directed0)
+            if delta:
+                totals[endpoint] = totals.get(endpoint, 0) + delta
+        return totals
+
+    def __call__(self):
+        with self._lock:
+            totals = self._totals()
+        return (
+            {("bus.routed", ep): total for ep, total in totals.items() if total},
+            {},
+        )
 
 
 class SoftwareBus:
@@ -255,12 +305,10 @@ class SoftwareBus:
         # a running sender from switching from the tunnel to its host.
         self._started: Set[str] = set()
         self._host_local: Dict[Tuple[str, str], object] = {}
-        # Routed-count derivation state (see _prepare_telemetry): the
-        # recorder these belong to, frozen totals from earlier routing
-        # epochs, and the current endpoint -> (queue, offsets) map.
-        self._telemetry_rec: Optional[telemetry.FlightRecorder] = None
-        self._routed_base: Dict[str, int] = {}
-        self._routed_epoch: Dict[str, Tuple] = {}
+        # The recorder of the last publication and its bus.routed
+        # source (see _routed_for).
+        self._routed_rec: Optional[telemetry.FlightRecorder] = None
+        self._routed: Optional[_RoutedTotals] = None
         self._sleep_policy = SleepPolicy(scale=sleep_scale)
         self.application_name = ""
         self.trace: List[str] = []  # reconfiguration/audit log
@@ -939,59 +987,35 @@ class SoftwareBus:
                 for entry in by_interface.values():
                     entry.finalize()
             rec = telemetry.recorder
-            if rec is not None:
-                self._prepare_telemetry(rec)
-                derived: Dict[str, object] = {}
+            routed = self._routed_for(rec)
+            if routed is not None:
+                derived: Dict[str, MessageQueue] = {}
                 for name, by_interface in table.items():
                     for ifname, entry in by_interface.items():
                         entry.instrument(rec, f"{name}.{ifname}", in_degree, derived)
-                self._freeze_derivation(derived)
+                routed.restart(derived)
             self._routing_table = table
             self._push_worker_routes(table)
             return table
 
-    def _prepare_telemetry(self, rec: telemetry.FlightRecorder) -> None:
-        """Start (or roll over) the routed-count derivation epoch.
+    def _routed_for(
+        self, rec: Optional[telemetry.FlightRecorder]
+    ) -> Optional[_RoutedTotals]:
+        """The ``bus.routed`` source of ``rec`` (caller holds the bus lock).
 
-        A fresh recorder starts from zero (the enable() hook reset every
-        queue cell) and gets the bus's routed-count source; a rebuild
-        under the *same* recorder freezes the current derived totals as
-        bases first, so endpoints keep their history even when the new
-        table maps them to different queues (or to a wrapper).
+        When the recorder has changed since the last publication, the old
+        source is frozen first (its counts stop with its recorder) and a
+        fresh recorder gets a source of its own, starting from zero.
         """
-        if rec is not self._telemetry_rec:
-            self._telemetry_rec = rec
-            self._routed_base = {}
-            self._routed_epoch = {}
-            rec.add_source(self._routed_source)
-        else:
-            self._routed_base = self._derived_routed()
-
-    def _freeze_derivation(self, derived: Dict[str, object]) -> None:
-        epoch: Dict[str, Tuple] = {}
-        for endpoint, queue in derived.items():
-            with queue._lock:  # consistent (_pushed, _directed) pair
-                epoch[endpoint] = (queue, queue._pushed, queue._directed)
-        self._routed_epoch = epoch
-
-    def _derived_routed(self) -> Dict[str, int]:
-        """Absolute bus.routed totals per endpoint: bases + live deltas."""
-        totals = dict(self._routed_base)
-        for endpoint, (queue, pushed0, directed0) in self._routed_epoch.items():
-            with queue._lock:
-                delta = (queue._pushed - pushed0) - (queue._directed - directed0)
-            if delta:
-                totals[endpoint] = totals.get(endpoint, 0) + delta
-        return totals
-
-    def _routed_source(self):
-        """Recorder source: lazily derived ``bus.routed`` counters."""
-        with self._lock:
-            totals = self._derived_routed()
-        return (
-            {("bus.routed", ep): total for ep, total in totals.items() if total},
-            {},
-        )
+        if rec is not self._routed_rec:
+            if self._routed is not None:
+                self._routed.restart({})
+            self._routed_rec = rec
+            self._routed = None
+            if rec is not None:
+                self._routed = _RoutedTotals(self._lock)
+                rec.add_source(self._routed)
+        return self._routed
 
     def share_trace_context(self) -> None:
         """Hand the running reconfiguration's trace context to every

@@ -577,24 +577,19 @@ class ModuleHost:
     def _health_payload(self) -> Dict[str, object]:
         """Per-module liveness detail riding on each heartbeat, by instance
         name (a clone sharing the host with the module it replaces
-        reports last)."""
+        reports last).  ``queue_hwm`` is the depth of the module's
+        deepest queue at the beat, with or without a recorder."""
         with self.modules_lock:
             hosted = list(self.modules.values())
         modules: Dict[str, object] = {}
         for module in hosted:
             try:
                 counts = module.queued_counts()
-                hwm = 0
-                for decl in module.spec.interfaces:
-                    if module.has_queue(decl.name):
-                        cell = getattr(module.queue(decl.name), "_hwm", 0)
-                        if cell > hwm:
-                            hwm = int(cell)
                 mh = module.mh
                 modules[module.name] = {
                     "state": module.state.value,
                     "queued": int(sum(counts.values())),
-                    "queue_hwm": hwm,
+                    "queue_hwm": int(max(counts.values(), default=0)),
                     "divulging": bool(mh.reconfig and not mh.divulged.is_set()),
                 }
             except Exception:  # noqa: BLE001 - a module mid-teardown is skippable

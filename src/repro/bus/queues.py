@@ -31,22 +31,27 @@ C-level pass; they run on hand-over and inspection paths.
 Telemetry
 ---------
 
-Delivery accounting lives *in the queue class*, not in wrappers around
-``put``: while a flight recorder is installed, every live queue's
-``__class__`` is swapped to :class:`RecordingMessageQueue`, whose ``put``
-bumps plain integer cells (``_pushed``, ``_hwm``) inside the lock it
-already holds — exact under concurrency, no extra lock, no tuple
-hashing, no wrapper call.  ``disable()`` swaps the class back, so the
-disabled ``put`` is byte-identical to the uninstrumented one (both
-classes use ``__slots__``, which also keeps the swapped instances'
-attribute access on the fast path).  A lazily-read aggregation source
-registered on the recorder turns the cells into ``bus.delivered{queue}``
-counters and ``queue.hwm{queue}`` gauges; ``bus.routed`` is *derived*
-from the same cells by the routing table (see ``bus.py``).
+Delivery accounting lives *in the queue*, not in wrappers around
+``put``: every put arm bumps a plain integer cell (``_pushed``) inside
+the lock it already holds — exact under concurrency, no extra lock, no
+tuple hashing, no wrapper call — whether or not a recorder is
+installed.  One increment, 25–60 ns, is all a put pays for it, within
+noise end to end and on the two-thread hand-off (EXPERIMENTS.md "One
+queue class"), so there is one queue class and nothing to switch when a
+recorder comes or goes.  The directed arm also counts ``_directed``, so
+the routing table can leave directed traffic out of the ``bus.routed``
+it derives from the same cells (see ``bus.py``).  A put that finds the
+queue sealed counts nothing here: its forward counts it where it lands.
 
-While recording, queues are held strongly (``_tracked``) so a queue
-destroyed mid-session — e.g. a replaced module's — keeps contributing
-its delivery counts until the recorder is uninstalled.
+Each recorder gets one lazily-read aggregation source,
+:class:`_QueueCells`, which turns the cells into
+``bus.delivered{queue}`` counters and ``queue.hwm{queue}`` gauges.  It
+reads each queue's puts since the recorder was installed, from offsets
+it takes at that moment (nothing is reset, so no put can undo it), and
+holds the queues strongly, so a queue destroyed mid-session — e.g. a
+replaced module's — keeps contributing its counts.  When the recorder
+is removed (or replaced) the source keeps its final totals and lets the
+queues go: a detached recorder's figures stop moving.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ import time
 import weakref
 from itertools import repeat
 from queue import Empty, SimpleQueue
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.bus.message import Message
 from repro.errors import TransportError
@@ -80,7 +85,6 @@ class MessageQueue:
         "_tokens",
         "_pushed",
         "_directed",
-        "_hwm",
         "__weakref__",
     )
 
@@ -94,17 +98,15 @@ class MessageQueue:
         self._forward: Optional[Callable[[List[Message]], None]] = None
         # Wake tokens in the store, changed under the lock.
         self._tokens = 0
-        # Telemetry cells: total puts, puts via route_to, sampled depth
-        # high-water mark.  Written only by RecordingMessageQueue (under
-        # the queue lock), read lock-free by the aggregation source.
+        # Delivery cells: puts taken, and those of them via route_to.
+        # Written under the lock by the put arms, never reset; a
+        # recorder reads them from offsets (_QueueCells).
         self._pushed = 0
         self._directed = 0
-        self._hwm = 0
         with _registry_lock:
             _queues.add(self)
-            if telemetry.recorder is not None:
-                _tracked.add(self)
-                self.__class__ = RecordingMessageQueue
+            if _cells is not None:
+                _cells.offsets[self] = 0
 
     def __len__(self) -> int:
         with self._lock:
@@ -122,6 +124,7 @@ class MessageQueue:
         try:
             if not self._sealed:
                 self._store.put(message)
+                self._pushed += 1
                 return
             forward = self._forward
         finally:
@@ -129,13 +132,21 @@ class MessageQueue:
         self._hand_on(forward, [message])
 
     def put_directed(self, message: Message) -> None:
-        """``route_to`` delivery — identical to ``put`` when disabled.
-
-        The recording subclass additionally tags the delivery in its
-        ``_directed`` cell so directed traffic is excluded from the
-        routed-count derivation in ``bus.py``.
-        """
-        self.put(message)
+        """``route_to`` delivery while recording: a ``put`` that also
+        counts itself in ``_directed``, so the routed-count derivation in
+        ``bus.py`` leaves it out."""
+        lock = self._lock
+        lock.acquire()
+        try:
+            if not self._sealed:
+                self._store.put(message)
+                self._pushed += 1
+                self._directed += 1
+                return
+            forward = self._forward
+        finally:
+            lock.release()
+        self._hand_on(forward, [message])
 
     def put_many(self, messages: List[Message]) -> None:
         """The bulk arm of ``put``: one lock acquire for a whole run.
@@ -143,8 +154,7 @@ class MessageQueue:
         Used by coalesced ``deliver_batch`` dispatch, where one frame
         often carries many messages for the same queue.  Unlike
         ``prepend`` (the prefix a queue move takes over) these are
-        fresh deliveries, so the recording subclass counts them in
-        ``_pushed``.
+        fresh deliveries, so they count in ``_pushed``.
         """
         lock = self._lock
         lock.acquire()
@@ -153,6 +163,7 @@ class MessageQueue:
                 # ``put`` returns None, so ``any`` runs the map to its
                 # end in C.
                 any(map(self._store.put, messages))
+                self._pushed += len(messages)
                 return
             forward = self._forward
         finally:
@@ -330,67 +341,6 @@ class MessageQueue:
         forward(messages)
 
 
-class RecordingMessageQueue(MessageQueue):
-    """A :class:`MessageQueue` whose ``put`` keeps delivery counts.
-
-    Installed by swapping ``__class__`` on live instances at telemetry
-    enable time (and back at disable): the object's state is untouched,
-    only the method table changes.  Counting happens inside the lock
-    ``put`` already takes, so the cells are exact under any number of
-    producer threads.  ``put`` itself pays for exactly one extra
-    increment — the depth high-water mark comes from the read-time
-    probe in the aggregation source (plus exact updates on the rare
-    paths: directed puts, ``prepend``), so it is a *sampled*
-    gauge: a queue drained between reads may under-report its peak.
-    """
-
-    __slots__ = ()
-
-    def put(self, message: Message) -> None:
-        lock = self._lock
-        lock.acquire()
-        try:
-            if not self._sealed:
-                self._store.put(message)
-                self._pushed += 1
-                return
-            forward = self._forward
-        finally:
-            lock.release()
-        self._hand_on(forward, [message])
-
-    def put_directed(self, message: Message) -> None:
-        lock = self._lock
-        lock.acquire()
-        try:
-            if not self._sealed:
-                store = self._store
-                store.put(message)
-                self._pushed += 1
-                self._directed += 1
-                depth = store.qsize() - self._tokens
-                if depth > self._hwm:
-                    self._hwm = depth
-                return
-            forward = self._forward
-        finally:
-            lock.release()
-        self._hand_on(forward, [message])
-
-    def put_many(self, messages: List[Message]) -> None:
-        lock = self._lock
-        lock.acquire()
-        try:
-            if not self._sealed:
-                any(map(self._store.put, messages))
-                self._pushed += len(messages)
-                return
-            forward = self._forward
-        finally:
-            lock.release()
-        self._hand_on(forward, messages)
-
-
 def discarding(name: str) -> Callable[[List[Message]], None]:
     """The forward of a sealed queue whose messages die with it (``rmq``,
     or a move with ``preserve_queues=False``): each is counted as
@@ -402,76 +352,78 @@ def discarding(name: str) -> Callable[[List[Message]], None]:
     return discard
 
 
-#: All live queues (weak — discovery only) and, while a recorder is
-#: installed, strong references so destroyed queues keep contributing
-#: their counts until disable().  Guarded by ``_registry_lock`` because
-#: queues are created from module/worker threads while the aggregation
-#: source iterates.
+#: All live queues (weak — discovery only), and the source of the
+#: installed recorder, if any, which every new queue joins.  Guarded by
+#: ``_registry_lock`` because queues are created from module/worker
+#: threads while a recorder comes or goes.
 _queues: "weakref.WeakSet[MessageQueue]" = weakref.WeakSet()
-_tracked: Set[MessageQueue] = set()
+_cells: Optional["_QueueCells"] = None
 _registry_lock = threading.Lock()
 
+_Totals = Tuple[Dict[Tuple[str, Optional[str]], int], Dict[Tuple[str, Optional[str]], float]]
 
-def _cell_source(tracked: Set[MessageQueue]) -> Tuple[Dict[Tuple[str, Optional[str]], int], Dict[Tuple[str, Optional[str]], float]]:
-    """Aggregate queue cells into ``bus.delivered`` / ``queue.hwm``.
 
-    Absolute totals re-read on every merge (idempotent).  The read-time
-    depth probe catches high-water marks the every-64th-put
-    sampling missed on lightly-loaded queues.  ``tracked`` is the set
-    captured for one recorder: ``disable()`` freezes rather than clears
-    it, so a detached recorder still exports its final totals (the
-    cells stop moving once the classes swap back).
+class _QueueCells:
+    """``bus.delivered`` / ``queue.hwm`` of one recorder: a source of it.
+
+    ``offsets`` holds every queue live while the recorder is installed,
+    strongly, with its ``_pushed`` when the recorder came (0 for a queue
+    made since); a read is the puts since then, absolute totals re-read
+    on every merge (idempotent).  The gauge is the queue's depth at read
+    time, the most a read can see without a put paying for more; the
+    rare paths that know a depth (``prepend``) record theirs exactly.
+    :meth:`finish` keeps the totals of the moment the recorder goes and
+    drops the queues.
     """
-    counters: Dict[Tuple[str, Optional[str]], int] = {}
-    gauges: Dict[Tuple[str, Optional[str]], float] = {}
-    with _registry_lock:
-        queues = list(tracked)
-    for q in queues:
-        name = q.name
-        pushed = q._pushed
-        # A queue with no puts this session reports nothing — stale
-        # pre-enable queues (e.g. left over from a finished bus) must
-        # not surface their old backlog as fresh gauges.
-        if not name or not pushed:
-            continue
-        k = ("bus.delivered", name)
-        counters[k] = counters.get(k, 0) + pushed
-        hwm = q._hwm
-        depth = q._store.qsize() - q._tokens
-        if depth > hwm:
-            hwm = depth
-        if hwm:
-            k = ("queue.hwm", name)
-            current = gauges.get(k)
-            if current is None or hwm > current:
-                gauges[k] = hwm
-    return counters, gauges
+
+    def __init__(self, queues: List[MessageQueue]):
+        self.offsets: Dict[MessageQueue, int] = {q: q._pushed for q in queues}
+        self._final: Optional[_Totals] = None
+
+    def __call__(self) -> _Totals:
+        if self._final is not None:
+            return self._final
+        counters: Dict[Tuple[str, Optional[str]], int] = {}
+        gauges: Dict[Tuple[str, Optional[str]], float] = {}
+        with _registry_lock:
+            items = list(self.offsets.items())
+        for q, offset in items:
+            name = q.name
+            pushed = q._pushed - offset
+            # A queue with no puts this session reports nothing — stale
+            # pre-enable queues (e.g. left over from a finished bus) must
+            # not surface their old backlog as fresh gauges.
+            if not name or not pushed:
+                continue
+            k = ("bus.delivered", name)
+            counters[k] = counters.get(k, 0) + pushed
+            depth = q._store.qsize() - q._tokens
+            if depth > 0:
+                k = ("queue.hwm", name)
+                current = gauges.get(k)
+                if current is None or depth > current:
+                    gauges[k] = depth
+        return counters, gauges
+
+    def finish(self) -> None:
+        """Keep the totals of now for good and let the queues go."""
+        final = self()
+        with _registry_lock:
+            self._final = final
+            self.offsets = {}
 
 
 @telemetry.on_activation
 def _on_telemetry_activation(rec: Optional[telemetry.FlightRecorder]) -> None:
-    """Swap live queues to/from the recording class at enable/disable.
-
-    Each enable captures a *fresh* tracked set (published as the global
-    so ``MessageQueue.__init__`` keeps feeding it) and registers a
-    source bound to that set on the new recorder.  Disable swaps the
-    classes back but leaves the set with the old recorder's source:
-    its cells are frozen, so post-disable exports stay correct, and the
-    strong references die with the recorder.
-    """
-    global _tracked
+    """Give a new recorder its own source over every live queue, and
+    finish the source of the recorder it replaces (or that
+    ``disable()`` removed)."""
+    global _cells
+    with _registry_lock:
+        previous = _cells
+        _cells = None if rec is None else _QueueCells(list(_queues))
+        current = _cells
+    if previous is not None:
+        previous.finish()
     if rec is not None:
-        tracked: Set[MessageQueue] = set()
-        with _registry_lock:
-            for q in list(_queues):
-                q._pushed = 0
-                q._directed = 0
-                q._hwm = 0
-                q.__class__ = RecordingMessageQueue
-                tracked.add(q)
-            _tracked = tracked
-        rec.add_source(lambda: _cell_source(tracked))
-    else:
-        with _registry_lock:
-            for q in list(_queues):
-                q.__class__ = MessageQueue
+        rec.add_source(current)

@@ -39,13 +39,15 @@ instrumentation site with::
         rec.count("tcp.frames_sent")
 
 so the disabled cost is one attribute load plus one branch — the same
-idiom as :mod:`repro.runtime.faults`.  The bus goes further: its
-per-message accounting is compiled into the routing table and the queue
-classes whenever the recorder changes (see ``SoftwareBus._rebuild_routing``
-and ``queues.RecordingMessageQueue``), so the disabled ``route()`` fast
-path carries **zero** added instructions.  ``bench_o1_telemetry_overhead``
-proves both the disabled-mode (<3%) and enabled-mode (<10%) overhead
-bounds.
+idiom as :mod:`repro.runtime.faults`.  The bus goes further: a queue
+counts each put with one in-lock increment whether or not a recorder is
+installed (``queues.MessageQueue``; a price within noise end to end),
+and the rest of its per-message accounting is compiled into the routing
+table whenever the recorder changes (see
+``SoftwareBus._rebuild_routing``), so the disabled ``route()`` fast path
+holds the raw bound ``MessageQueue.put`` and tests no flag.
+``bench_o1_telemetry_overhead`` proves both the disabled-mode (<3%) and
+enabled-mode (<10%) overhead bounds.
 
 Enabled-mode cost model (see docs/telemetry.md for the full writeup):
 
@@ -668,9 +670,9 @@ recorder: Optional[FlightRecorder] = None
 
 #: Activation hooks: called with the new recorder on ``enable()`` and
 #: with ``None`` on a ``disable()`` that removed one — only when the
-#: recorder actually changes.  The queue layer uses this to swap live
-#: queues to/from their recording class, the bus to recompile its
-#: routing tables; registration is import-time only (no unregistration
+#: recorder actually changes.  The queue layer uses this to give a new
+#: recorder its source over the queue cells (and freeze the old one's),
+#: the bus to recompile its routing tables; registration is import-time only (no unregistration
 #: — modules live as long as the process).
 _activation_hooks: List[Callable[[Optional[FlightRecorder]], None]] = []
 

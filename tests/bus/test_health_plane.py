@@ -126,6 +126,39 @@ class TestLiveHeartbeats:
         finally:
             telemetry.disable()
 
+    def test_a_beat_reports_unread_messages_without_a_recorder(self, worker_bus):
+        """A worker module holding unread messages beats their depth as
+        its ``queue_hwm``, with no recorder installed anywhere."""
+        assert telemetry.recorder is None
+        worker_bus.add_module(
+            ModuleSpec(
+                name="sink",
+                inline_source=FEEDER_SOURCE,
+                interfaces=[InterfaceDecl(name="inp", role=Role.USE, pattern="l")],
+            ),
+            instance="sink",
+            placement="worker:0",
+        )  # never started: nothing reads its queue
+        worker_bus.add_module(
+            ModuleSpec(
+                name="feeder",
+                inline_source=FEEDER_SOURCE,
+                interfaces=[InterfaceDecl(name="out", role=Role.DEFINE, pattern="l")],
+            ),
+            instance="feeder",
+        )
+        worker_bus.add_binding(BindingSpec("feeder", "out", "sink", "inp"))
+        _feed(worker_bus, 1, 2, 3, 4, 5, 6)
+        monitor = worker_bus.enable_health(interval=0.05)
+        deadline = time.monotonic() + 10
+        while True:
+            sink = monitor.snapshot()["modules"].get("sink", {})
+            if sink.get("queued") == 6:
+                break
+            assert time.monotonic() < deadline, f"no beat counted 6 queued: {sink}"
+            time.sleep(0.02)
+        assert sink["queue_hwm"] >= 5
+
     def test_every_worker_beats_not_only_the_placed_one(self, worker_bus):
         monitor = worker_bus.enable_health(interval=0.05)
         _launch_counter(worker_bus, placement="worker:1")  # slot 1, not 0

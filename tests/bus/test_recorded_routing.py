@@ -26,6 +26,8 @@ from repro.runtime import telemetry
 from repro.runtime.mh import SleepPolicy
 from repro.state.machine import MACHINES, renamed
 
+from tests.conftest import wait_until
+
 IDLE = "def main():\n    pass\n"
 
 SENDER = ModuleSpec(
@@ -205,8 +207,8 @@ def _queues(puts):
 
 
 def _groups(entry):
-    """``entry.groups`` with bound puts reduced to their queues (the
-    recording class swap changes the bound methods, not the receivers)."""
+    """``entry.groups`` with bound puts reduced to their queues (each
+    rebuild binds its methods anew; the receivers are what must match)."""
     if entry.groups is None:
         return None
     xfers, links = entry.groups
@@ -301,6 +303,65 @@ def test_enable_and_disable_mid_run(bus):
         _send(bus, "t", value)
     assert _bus_counters(rec) == expected
     _raw_puts(bus)
+
+
+@pytest.mark.parametrize("successor", ["disable", "enable"])
+def test_a_detached_recorder_keeps_its_final_counts(bus, successor):
+    """Queues count every put, recorder or not, so the recorder that
+    goes — removed, or replaced by a fresh one — keeps the totals it had
+    then: the derived ``bus.routed`` as well as ``bus.delivered``."""
+    expected = _identity(bus)
+    rec = telemetry.enable(capacity=1024)
+    for value in range(SENDS):
+        _send(bus, "s", value)
+    fresh = telemetry.disable() if successor == "disable" else telemetry.enable()
+    for value in range(5):
+        _send(bus, "s", value)
+    assert _bus_counters(rec) == expected
+    if successor == "enable":
+        assert _bus_counters(fresh) == {k: 5 for k in expected}
+
+
+def test_a_queue_move_counts_each_message_once(bus):
+    """A replace moves what the old module held and forwards a put that
+    raced it: each message is one delivery and one route.
+
+    The moved prefix counts as ``queue.copied_in`` on the successor, not
+    as a second ``bus.delivered``; a put made on a routing entry read
+    before the hand-over reaches the sealed old queue and counts once,
+    where its forward lands; ``bus.routed`` is the number of sends.
+    """
+    bus.add_module(SENDER, instance="s", machine="local")
+    _receivers(bus, ["r0"])
+    _bind(bus, "s", "r0")
+    rec = telemetry.enable(capacity=1024)
+    for value in range(3):
+        _send(bus, "s", value)  # nobody reads: queued at the old module
+    stale = bus._routing_table["s"]["out"]  # a router's entry, mid-route
+    old = bus.get_module("r0")
+    new = bus.build_clone(RECEIVER, "r0")
+    assert bus.hand_over(old, new) == {"inp": 3}
+    assert _bus_counters(rec) == {
+        ("bus.routed", "s.out"): 3,
+        ("bus.delivered", "r0.inp"): 3,
+    }
+    # What route() does with the entry it read before the hand-over.
+    late = Message(values=[3], fmt="l", source_instance="s", source_interface="out")
+    for put in stale.puts:
+        put(late)
+    assert _bus_counters(rec) == {
+        ("bus.routed", "s.out"): 4,
+        ("bus.delivered", "r0.inp"): 4,
+    }
+    for value in (4, 5):
+        _send(bus, "s", value)
+    bus.discard_module(old)  # the commit
+    assert [m.values[0] for m in new.queue("inp").snapshot()] == list(range(6))
+    assert rec.counter("queue.copied_in", key="r0.inp") == 3
+    assert _bus_counters(rec) == {
+        ("bus.routed", "s.out"): 6,
+        ("bus.delivered", "r0.inp"): 6,
+    }
 
 
 def test_host_local_routes_are_pushed_while_recording(bus):
@@ -471,11 +532,11 @@ def test_disable_without_a_recorder_touches_no_bus(bus):
 class TestHostCounts:
     """A host counts the writes it delivers on a pushed route itself."""
 
-    def _host(self):
+    def _host(self, send_event=lambda command: None):
         core = ModuleHost(
             renamed(MACHINES["modern-64"], "unit-host"),
             SleepPolicy(scale=0.0),
-            lambda command: None,
+            send_event,
         )
         for name, spec in (("a", SENDER), ("b", RECEIVER)):
             core.handle(
@@ -502,6 +563,26 @@ class TestHostCounts:
             assert rec.counter("bus.directed", key="a.out") == 1
             assert rec.counter("bus.delivered", key="b.inp") == SENDS + 1
         finally:
+            core.stop_all()
+
+    def test_a_beat_reports_the_deepest_queue_without_a_recorder(self):
+        """A heartbeat's ``queue_hwm`` is the depth of the module's
+        deepest queue, read off the queue, so it needs no recorder."""
+        beats = []
+        core = self._host(beats.append)
+        try:
+            assert telemetry.recorder is None
+            message = Message(values=[1], fmt="l", source_instance="a", source_interface="out")
+            for _ in range(6):
+                core.route("a", "out", message)  # b never reads them
+            core.handle("health_enable", [0.01])
+            wait_until(lambda: beats)
+            kind, _name, _seq, payload = beats[0]
+            assert kind == "heartbeat"
+            assert payload["modules"]["b"]["queued"] == 6
+            assert payload["modules"]["b"]["queue_hwm"] >= 5
+        finally:
+            core.handle("health_disable", [])
             core.stop_all()
 
     def test_tunneled_writes_are_left_to_the_bus(self):

@@ -2,7 +2,7 @@
 
 The enabled-mode redesign keeps one logical counter in up to three
 physical places at once: per-thread shard cells (``telemetry.count``),
-in-queue delivery cells (``RecordingMessageQueue``), and remote flight
+in-queue delivery cells (``MessageQueue``'s put count), and remote flight
 recorders in worker processes whose absolute totals flow back through a
 bus-side aggregation source.  These tests pin the merge contract down:
 

@@ -373,6 +373,15 @@ GUARDS = [
             "self._note_send_failed(1, exc)",
         ),
     ),
+    # One queue class, which counts every put whether or not a recorder
+    # is installed: the recording subclass and the class swap that
+    # installed it on live queues.
+    Guard(
+        "the recording queue class and its swap",
+        r"RecordingMessageQueue|__class__ *=[^=]",
+        CODE,
+        ("class RecordingMessageQueue(MessageQueue):", "q.__class__ = MessageQueue"),
+    ),
     # A clone gets its state packet through mh.incoming_packet: the add
     # option that installed one nothing passed.
     Guard(
