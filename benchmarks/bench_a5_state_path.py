@@ -19,7 +19,11 @@ four layers this repo optimises:
                   bytes.  The tiers above carry no heap, so none of them
                   walks the self-described statics/heap path that
                   dominates a KV shard's packet; ``encode_ms/decode_ms``
-                  is the host-speed-independent shape CI gates on;
+                  is the host-speed-independent shape CI gates on.
+                  ``carry_ms`` is the same state handed over inside the
+                  process instead (``carry_state``: the writer pass, then
+                  the reader pass, no packet), and ``carry_ms/decode_ms``
+                  a second shape CI gates on;
 - ``fig1_move``   the end-to-end Monitor move (Figure 1): total latency
                   and the coordinator-controlled overhead
                   (total - delay_to_point) of the pipelined replace, with
@@ -44,7 +48,7 @@ from repro.apps.monitor import build_monitor_configuration
 from repro.bus.bus import SoftwareBus
 from repro.reconfig.scripts import move_module
 from repro.runtime.mh import MH
-from repro.state.frames import ProcessState
+from repro.state.frames import Handoff, ProcessState
 from repro.state.machine import MACHINES
 
 from benchmarks._meta import bench_args, bench_meta
@@ -182,11 +186,20 @@ def _heap_phases() -> Dict[str, float]:
     clone.end_restore()
     t5 = time.perf_counter()
     assert clone.heap["store"] == old.heap["store"]
+    # The state encode packed, carried instead: what a clone in this
+    # process reads without the packet.
+    state = old.outgoing.state
+    gc.collect()
+    t6 = time.perf_counter()
+    carried = Handoff.written(state, MACHINES["sparc-like"]).read(MACHINES["vax-like"])
+    t7 = time.perf_counter()
+    assert carried == ProcessState.from_bytes(packet, MACHINES["vax-like"])
     return {
         "capture_ms": (t1 - t0) * 1e3,
         "encode_ms": (t2 - t1) * 1e3,
         "decode_ms": (t4 - t3) * 1e3,
         "restore_ms": (t5 - t4) * 1e3,
+        "carry_ms": (t7 - t6) * 1e3,
         "packet_bytes": len(packet),
     }
 
@@ -195,7 +208,7 @@ def measure_heap(reps: int) -> Dict[str, float]:
     runs = [_heap_phases() for _ in range(reps)]
     results = {
         phase: round(min(run[phase] for run in runs), 3)
-        for phase in ("capture_ms", "encode_ms", "decode_ms", "restore_ms")
+        for phase in ("capture_ms", "encode_ms", "decode_ms", "restore_ms", "carry_ms")
     }
     results["packet_bytes"] = runs[0]["packet_bytes"]
     results["frames"] = HEAP_DEPTH + 1

@@ -402,8 +402,8 @@ def measure_modes(segment: float, rounds: int) -> Dict[str, object]:
         bus.shutdown()
     return {
         "rates": {k: round(statistics.median(v), 1) for k, v in rates.items()},
-        "enabled_overhead_pct": max(0.0, round(statistics.median(enabled_pcts), 2)),
-        "disabled_overhead_pct": max(0.0, round(statistics.median(disabled_pcts), 2)),
+        "enabled_overhead_pct": round(statistics.median(enabled_pcts), 2),
+        "disabled_overhead_pct": round(statistics.median(disabled_pcts), 2),
         "rounds": rounds,
         "segment_s": segment,
     }
@@ -576,7 +576,7 @@ def measure_tracing_health(seconds: float, rounds: int) -> Dict[str, object]:
     return {
         "baseline_msgs_per_sec": round(statistics.median(baselines), 1),
         "enabled_msgs_per_sec": round(statistics.median(rates), 1),
-        "overhead_pct": max(0.0, round(statistics.median(pcts), 2)),
+        "overhead_pct": round(statistics.median(pcts), 2),
         "round_pct_quartiles": [round(quartiles[0], 2), round(quartiles[2], 2)],
         "heartbeat_interval_s": HEARTBEAT_INTERVAL_S,
         "rounds": rounds,

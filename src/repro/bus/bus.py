@@ -41,6 +41,7 @@ from repro.errors import (
 )
 from repro.runtime import faults, telemetry
 from repro.runtime.mh import SleepPolicy
+from repro.state.frames import Handoff
 from repro.state.machine import Endianness, MachineProfile, renamed
 
 if TYPE_CHECKING:
@@ -1255,14 +1256,17 @@ class SoftwareBus:
     def objstate_move(
         self, old: str, new: str, timeout: float = 10.0
     ) -> bytes:
-        """Signal ``old`` to divulge its state, wait, install it in ``new``.
+        """Signal ``old`` to divulge its state, wait, install it in ``new``;
+        return the state's packet.
 
         The paper: "signals a module to divulge state information on a
         particular interface, then moves that state information to an
-        interface of another module."  The divulged packet crosses the
-        two hosts' machine profiles like any other message.  The target
-        must exist before the signal, and the old module is joined once
-        it has divulged.
+        interface of another module."  The divulged state crosses the
+        two hosts' machine profiles like any other message: carried to a
+        target in this process (no bytes), shipped as the packet to one
+        behind a link.  The packet returned is built for the caller.
+        The target must exist before the signal, and the old module is
+        joined once it has divulged.
         """
         target = self.get_module(new)
         if target.state not in (ModuleState.CREATED, ModuleState.LOADED):
@@ -1272,20 +1276,21 @@ class SoftwareBus:
             )
         old_module = self.get_module(old)
         self.signal_reconfig(old)
-        packet = self.await_divulge(old_module, timeout)
-        target.mh.incoming_packet = packet
-        self.trace.append(f"objstate_move {old} -> {new} ({len(packet)} bytes)")
+        handoff = self.await_divulge(old_module, timeout)
+        target.mh.incoming = handoff
+        self.trace.append(f"objstate_move {old} -> {new} ({handoff.length} bytes)")
         old_module.join(timeout)
-        return packet
+        return handoff.packet
 
-    def await_divulge(self, module: ModuleInstance, timeout: float = 10.0) -> bytes:
-        """Wait for a signalled ``module`` to divulge; return its packet.
+    def await_divulge(self, module: ModuleInstance, timeout: float = 10.0) -> Handoff:
+        """Wait for a signalled ``module`` to divulge; return its state.
 
         The module's own ``mh`` records the outcome (``divulge_settled``):
-        the packet it sent out, or why the divulge failed, which raises
-        here at once rather than at the deadline.  With neither by the
-        deadline, the module's crash is raised if it crashed, else a
-        timeout.  The caller installs the packet where the state goes.
+        the state it divulged (kept in process, or the packet its host
+        pushed), or why the divulge failed, which raises here at once
+        rather than at the deadline.  With neither by the deadline, the
+        module's crash is raised if it crashed, else a timeout.  The
+        caller installs the state where it goes (``mh.incoming``).
         """
         mh = module.mh
         deadline = time.monotonic() + timeout
@@ -1302,11 +1307,11 @@ class SoftwareBus:
                 )
                 raise
             if not dropped:
-                packet = mh.outgoing_packet
+                handoff = mh.outgoing
                 telemetry.event(
-                    "bus.stream_divulge", instance=module.name, bytes=len(packet)
+                    "bus.stream_divulge", instance=module.name, bytes=handoff.length
                 )
-                return packet
+                return handoff
             # A lost hand-off: only the deadline notices.
             telemetry.event("bus.divulge_dropped", instance=module.name)
             time.sleep(max(0.0, deadline - time.monotonic()))

@@ -22,7 +22,7 @@ import enum
 import threading
 from functools import lru_cache
 from types import CodeType
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.bus.message import Message
 from repro.bus.queues import MessageQueue, discarding
@@ -40,6 +40,7 @@ from repro.state.machine import MachineProfile
 
 if TYPE_CHECKING:
     from repro.core.transformer import TransformResult
+    from repro.state.frames import Handoff
 
 
 class ModuleState(enum.Enum):
@@ -385,7 +386,7 @@ class ModuleInstance:
                     self.state = ModuleState.STOPPED
                 return
         finally:
-            if self.mh.outgoing_packet is None:
+            if self.mh.outgoing is None:
                 # Ended without divulging: a replace waiting for the
                 # point hears why now rather than at its deadline.
                 if self.state is ModuleState.CRASHED:
@@ -431,17 +432,19 @@ class ModuleInstance:
         if self.thread is not None:
             self.thread.join(timeout)
 
-    def revive(self, packet: Optional[bytes] = None, timeout: float = 5.0) -> None:
-        """Resume a divulged/stopped module from a captured state packet.
+    def revive(
+        self, packet: Union[Handoff, bytes, None] = None, timeout: float = 5.0
+    ) -> None:
+        """Resume a divulged/stopped module from a captured state.
 
         The rollback half of an aborted replacement: the old module's
         thread has exited (its state went out with the divulge), but its
         queues and bindings are untouched, so restarting it as a clone
         of *itself* — same namespace, fresh thread, state restored from
-        its own packet — puts the application back exactly where the
-        capture left it.
+        what it divulged (its kept state, or ``packet``) — puts the
+        application back exactly where the capture left it.
         """
-        pkt = packet if packet is not None else self.mh.outgoing_packet
+        pkt = packet if packet is not None else self.mh.outgoing
         if pkt is None:
             raise ModuleLifecycleError(
                 f"{self.name}: no captured state to revive from"
@@ -459,7 +462,9 @@ class ModuleInstance:
         self.mh.prepare_revival(pkt)
         self.crash = None
         self.state = ModuleState.RUNNING
-        telemetry.event("module.revive", instance=self.name, bytes=len(pkt))
+        telemetry.event(
+            "module.revive", instance=self.name, bytes=self.mh.incoming.length
+        )
         self.thread = threading.Thread(
             target=self._run, name=f"module-{self.name}", daemon=True
         )

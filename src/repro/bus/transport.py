@@ -69,6 +69,7 @@ from repro.errors import (
     UnknownInterfaceError,
 )
 from repro.runtime import telemetry
+from repro.state.frames import Handoff
 from repro.state.machine import (
     MachineProfile,
     catalogued,
@@ -159,10 +160,10 @@ class _ProxyMH:
         self.divulged = threading.Event()
         self.divulge_settled = threading.Event()
         self.restored = threading.Event()
-        self.outgoing_packet: Optional[bytes] = None
-        self.outgoing_frames: Optional[int] = None
+        #: The packet its host pushed with ``divulged``, as a hand-off.
+        self.outgoing: Optional[Handoff] = None
         self.divulge_failed: Optional[BaseException] = None
-        self._incoming: Optional[bytes] = None
+        self._incoming: Optional[Handoff] = None
 
     # -- status -------------------------------------------------------------
 
@@ -179,18 +180,36 @@ class _ProxyMH:
     # -- state packet hand-off ------------------------------------------------
 
     @property
-    def incoming_packet(self) -> Optional[bytes]:
+    def outgoing_packet(self) -> Optional[bytes]:
+        return None if self.outgoing is None else self.outgoing.packet
+
+    @property
+    def outgoing_frames(self) -> Optional[int]:
+        return None if self.outgoing is None else self.outgoing.frames
+
+    @property
+    def incoming(self) -> Optional[Handoff]:
         return self._incoming
+
+    @incoming.setter
+    def incoming(self, handoff: Optional[Handoff]) -> None:
+        # The module is behind a link: its state crosses as the packet,
+        # built here from a state kept in the bus process.  Fire-and-
+        # forget: per-link FIFO guarantees the packet is installed before
+        # any subsequent "start" request is served.
+        self._incoming = handoff
+        if handoff is not None:
+            self._handle.link.send_event(
+                ["install_packet", self._handle.key, handoff.packet]
+            )
+
+    @property
+    def incoming_packet(self) -> Optional[bytes]:
+        return None if self._incoming is None else self._incoming.packet
 
     @incoming_packet.setter
     def incoming_packet(self, packet: Optional[bytes]) -> None:
-        # Fire-and-forget: per-link FIFO guarantees the packet is
-        # installed before any subsequent "start" request is served.
-        self._incoming = packet
-        if packet is not None:
-            self._handle.link.send_event(
-                ["install_packet", self._handle.key, packet]
-            )
+        self.incoming = None if packet is None else Handoff.of_packet(packet)
 
     def request_reconfig(self) -> None:
         self._handle.link.request(["signal", self._handle.key])
@@ -201,8 +220,7 @@ class _ProxyMH:
     # -- event sinks (called from the link's pump thread) ----------------------
 
     def _on_divulged(self, packet: bytes, frames: int) -> None:
-        self.outgoing_packet = packet
-        self.outgoing_frames = frames
+        self.outgoing = Handoff.of_packet(packet, frames)
         self.divulged.set()
         self.divulge_settled.set()
 
@@ -325,8 +343,10 @@ class RemoteModuleHandle:
     def join(self, timeout: float = 5.0) -> None:
         pass  # remote stop is synchronous; nothing to join here
 
-    def revive(self, packet: Optional[bytes] = None, timeout: float = 5.0) -> None:
-        pkt = packet if packet is not None else self.mh.outgoing_packet
+    def revive(
+        self, packet: Union[Handoff, bytes, None] = None, timeout: float = 5.0
+    ) -> None:
+        pkt = packet if packet is not None else self.mh.outgoing
         if pkt is None:
             raise ModuleLifecycleError(
                 f"{self.name}: no captured state to revive from"
@@ -334,11 +354,10 @@ class RemoteModuleHandle:
         self.mh.divulged.clear()
         self.mh.divulge_settled.clear()
         self.mh.restored.clear()
-        self.mh.outgoing_packet = None
-        self.mh.outgoing_frames = None
+        self.mh.outgoing = None
         self.mh.divulge_failed = None
         value = self.link.request(
-            ["revive", self.key, pkt], timeout=timeout + 30.0
+            ["revive", self.key, Handoff.of(pkt).packet], timeout=timeout + 30.0
         )
         self.crash = None
         self.state = ModuleState(str(value))

@@ -62,14 +62,15 @@ def call_capture_lines(
     """Capture block installed after a call edge ``(i, Si)``.
 
     Triggered by ``mh.capturestack``; in ``main`` it additionally runs
-    ``mh.encode()`` to send the completed state outside the module.
+    ``mh.divulge()`` (the paper's ``mh_encode()``) to send the completed
+    state outside the module.
     """
     lines = [
         "if mh.capturestack:",
         f"    {_capture_call(layout, edge.number, edge_variables(layout, keep))}",
     ]
     if is_main:
-        lines.append("    mh.encode()")
+        lines.append("    mh.divulge()")
     lines.append("    return None")
     return lines
 
@@ -93,7 +94,7 @@ def reconfig_capture_lines(
         f"    {_capture_call(layout, edge.number, edge_variables(layout, keep))}",
     ]
     if is_main:
-        lines.append("    mh.encode()")
+        lines.append("    mh.divulge()")
     lines.append("    return None")
     return lines
 

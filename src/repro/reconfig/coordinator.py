@@ -20,7 +20,7 @@ Failure semantics: replacement is a *transaction*.  The stages are
                           module
 ``wait_point``            wait (with deadline) for the old module to reach
                           a reconfiguration point and divulge its state,
-                          then install the packet it divulged in the clone
+                          then install the state it divulged in the clone
 ``rebind``                hand the name over: check every binding of it
                           against the clone, make the clone the module
                           that answers to it, ``cq``/``rmq`` from the old
@@ -39,7 +39,10 @@ it, messages that reached the clone's queues are drained back, the
 clone is torn down, and the old
 module — whose thread exited when it divulged — is *revived* from its
 own captured state packet, so the application keeps executing exactly
-where the capture left it.  Every abort surfaces as a typed
+where the capture left it.  The divulged state is a
+:class:`~repro.state.frames.Handoff`: the clone, a revived old module
+and a replica in the bus process each read it without packet bytes;
+bytes are built only for a module behind a link.  Every abort surfaces as a typed
 :class:`~repro.errors.ReconfigurationAborted` carrying the stage and the
 partial :class:`ReconfigurationReport`.
 """
@@ -65,6 +68,7 @@ from repro.reconfig.bindcmds import BindBatch
 from repro.reconfig.primitives import ObjectCapability, obj_cap
 from repro.runtime import faults, telemetry
 from repro.runtime.faults import RetryPolicy
+from repro.state.frames import Handoff
 
 STAGES = (
     "clone_build",
@@ -241,7 +245,7 @@ class ReconfigurationCoordinator:
         instance: str,
         old_module: ModuleInstance,
         clone: Optional[ModuleInstance],
-        packet: Optional[bytes],
+        handoff: Optional[Handoff],
     ) -> None:
         """Put the application back on the old module.
 
@@ -252,23 +256,24 @@ class ReconfigurationCoordinator:
         every ``cq``-copied message plus all post-rebind arrivals —
         drains back to the front of the old module's queues, so nothing
         is lost or duplicated), tear the clone down, and finally revive
-        the old module from its captured packet if its thread already
+        the old module from the state it divulged if its thread already
         exited divulging.  The binding table was never edited, so it is
         the sequence it was.
         """
         bus = self.bus
         old_module.mh.abandon_divulge()
-        pkt = packet if packet is not None else old_module.mh.outgoing_packet
+        if handoff is None:
+            handoff = old_module.mh.outgoing
         if clone is not None:
             if bus.get_module(instance) is clone:
                 bus.hand_back(clone, old_module)
             bus.discard_module(clone)
-        if pkt is not None and not (
+        if handoff is not None and not (
             old_module.state is ModuleState.RUNNING
             and old_module.thread is not None
             and old_module.thread.is_alive()
         ):
-            old_module.revive(pkt)
+            old_module.revive(handoff)
             bus.trace.append(f"revive {instance} from captured state")
         report.rolled_back = True
 
@@ -465,7 +470,7 @@ class ReconfigurationCoordinator:
             self.bus.signal_reconfig(instance)
         report.completed.append("signal")
 
-        packet: Optional[bytes] = None
+        handoff: Optional[Handoff] = None
         try:
             if clone is None:
                 report.stage = "clone_build"
@@ -475,16 +480,16 @@ class ReconfigurationCoordinator:
             report.stage = "wait_point"
             report.stage_attempts["wait_point"] = 1
             with telemetry.span("stage.wait_point", instance=instance) as wait_span:
-                packet = self.bus.await_divulge(old_module, timeout)
+                handoff = self.bus.await_divulge(old_module, timeout)
                 report.t_divulged = time.monotonic()
-                clone.mh.incoming_packet = packet
+                clone.mh.incoming = handoff
                 self.bus.trace.append(
                     f"objstate_move {instance} -> {clone.name} on "
-                    f"{clone.host.name} ({len(packet)} bytes)"
+                    f"{clone.host.name} ({handoff.length} bytes)"
                 )
-                wait_span.set(packet_bytes=len(packet))
+                wait_span.set(packet_bytes=handoff.length)
             report.completed.append("wait_point")
-            report.packet_bytes = len(packet)
+            report.packet_bytes = handoff.length
 
             report.stage = "rebind"
 
@@ -518,7 +523,7 @@ class ReconfigurationCoordinator:
             rolled_back = True
             try:
                 with telemetry.span("stage.rollback", instance=instance):
-                    self._rollback(report, instance, old_module, clone, packet)
+                    self._rollback(report, instance, old_module, clone, handoff)
                 telemetry.count("reconfig.rollbacks")
             except Exception:
                 rolled_back = False
@@ -532,9 +537,9 @@ class ReconfigurationCoordinator:
         report.completed.append("commit")
         report.t_done = time.monotonic()
         telemetry.count("reconfig.commits")
-        # Reporting detail: the encoding module counted the frames and
-        # sent the count with the packet.
-        report.stack_depth = old_module.mh.outgoing_frames
+        # Reporting detail: the divulging module counted the frames and
+        # sent the count with the state.
+        report.stack_depth = handoff.frames
         self.history.append(report)
         self.bus.trace.append(report.describe())
 
@@ -570,10 +575,10 @@ class ReconfigurationCoordinator:
             machine=replica_machine,
             status="clone",
         )
-        packet = self.bus.get_module(instance).mh.incoming_packet
-        if packet is None:  # pragma: no cover - replace() always sets it
+        handoff = self.bus.get_module(instance).mh.incoming
+        if handoff is None:  # pragma: no cover - replace() always sets it
             raise ReconfigError("replacement clone lost its state packet")
-        replica.mh.incoming_packet = packet
+        replica.mh.incoming = handoff
         for binding in original_bindings:
             (a_inst, a_if), (b_inst, b_if) = binding.endpoints()
             new_a = replica_instance if a_inst == instance else a_inst

@@ -17,7 +17,7 @@ Capture protocol (generated code, cf. Figure 7)::
     ...
     if mh.capturestack:                 # block at call edge (i, Si)
         mh.capture("main", "llF", i, n, response)
-        mh.encode()                     # only in main
+        mh.divulge()                    # only in main: mh_encode, no bytes
         return
 
 Restore protocol (generated code, cf. Figure 8)::
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.errors import (
     CaptureError,
@@ -48,7 +48,7 @@ from repro.errors import (
 from repro.runtime import faults, telemetry
 from repro.runtime.files import FileReattachRegistry
 from repro.state.encoding import check_arity
-from repro.state.frames import ActivationRecord, ProcessState, StackState
+from repro.state.frames import ActivationRecord, Handoff, ProcessState, StackState
 from repro.state.heap import HeapCodec, HeapImage
 from repro.state.machine import MachineProfile
 
@@ -105,14 +105,14 @@ class MH:
         self._active_point: str = ""
         self._restore_stack: Optional[StackState] = None
         self._last_restored_fmt: str = ""
-        self.incoming_packet: Optional[bytes] = None
-        self.outgoing_packet: Optional[bytes] = None
-        # Depth of the stack inside outgoing_packet.  The count sits behind
-        # statics and heap on the wire, so it travels beside the packet
-        # instead of making the coordinator skip over both to report it.
-        self.outgoing_frames: Optional[int] = None
+        # The state this module restores from, and the state it divulged:
+        # a Handoff each, which carries a state kept in the bus process
+        # to a module there and builds packet bytes only for a module
+        # behind a link (see incoming_packet / outgoing_packet).
+        self.incoming: Optional[Handoff] = None
+        self.outgoing: Optional[Handoff] = None
         self.divulged = threading.Event()  # the packet went out
-        # Set by encode for either outcome of a divulge: the packet went
+        # Set by divulge for either outcome of a divulge: the packet went
         # out (``divulged``) or the divulge failed (``divulge_failed``).
         # The coordinator waits on it and takes the packet from here.
         self.divulge_settled = threading.Event()
@@ -125,19 +125,23 @@ class MH:
         # module's next divulge and restore are equally interesting).
         self.on_divulge_settled: Optional[Callable[[], None]] = None
         self.on_restored: Optional[Callable[[], None]] = None
+        # Set by a host behind a link, whose every divulged state leaves
+        # the process as a packet: divulge serializes it at once rather
+        # than run a writer pass and serialize after.
+        self.divulge_packets = False
         self._divulge_lock = threading.Lock()
         # A fault at the capture sites cannot raise through module code
         # (the capture blocks return unconditionally once entered, the
         # stack is already unwinding) — it suppresses the divulge instead:
-        # the packet is still built into outgoing_packet so the
-        # coordinator can revive the module from it during rollback.
+        # the state is still kept in outgoing so the coordinator can
+        # revive the module from it during rollback.
         self._suppress_divulge = False
         self.divulge_failed: Optional[BaseException] = None
         # Set when a withdrawn reconfiguration abandons an in-flight
         # divulge; the module's thread self-revives instead of exiting.
         self._divulge_abandoned = False
         # Telemetry spans held across calls on the same module thread:
-        # capture opens at begin_reconfig_capture and closes in encode;
+        # capture opens at begin_reconfig_capture and closes in divulge;
         # restore opens at the end of decode and closes in end_restore.
         self._capture_span = telemetry.NOOP_SPAN
         self._restore_span = telemetry.NOOP_SPAN
@@ -174,6 +178,28 @@ class MH:
     # ------------------------------------------------------------------
     # Status and lifecycle
     # ------------------------------------------------------------------
+
+    @property
+    def incoming_packet(self) -> Optional[bytes]:
+        """The wire form of :attr:`incoming` (built on first read when it
+        is a kept state); setting a packet installs it as the state to
+        restore from."""
+        return None if self.incoming is None else self.incoming.packet
+
+    @incoming_packet.setter
+    def incoming_packet(self, packet: Optional[bytes]) -> None:
+        self.incoming = None if packet is None else Handoff.of_packet(packet)
+
+    @property
+    def outgoing_packet(self) -> Optional[bytes]:
+        """The wire form of :attr:`outgoing`, built on first read and
+        cached: what a host behind a link pushes to the bus."""
+        return None if self.outgoing is None else self.outgoing.packet
+
+    @property
+    def outgoing_frames(self) -> Optional[int]:
+        """Depth of the divulged stack, counted as it was captured."""
+        return None if self.outgoing is None else self.outgoing.frames
 
     def getstatus(self) -> str:
         """The paper's ``mh_getstatus()``: ``"original"`` or ``"clone"``."""
@@ -257,18 +283,34 @@ class MH:
         )
         self.stats["frames_captured"] += 1
 
-    def encode(self) -> bytes:
-        """The paper's ``mh_encode()``: package state and divulge it.
+    def divulge(self) -> None:
+        """The paper's ``mh_encode()`` as a capture block calls it:
+        package the state and divulge it, with no packet bytes built.
 
         Runs in main's capture block, after the bottom-most frame is
-        captured.  Serializes with the *source* machine profile so
+        captured.  The writer pass of the state carrier
+        (:meth:`Handoff.written`) checks the state with the *source*
+        machine profile, raising what serializing it would, so
         representability problems surface here, at the old module.  A
         frame whose values do not match its capture block's format is
         refused here too, as a :class:`CaptureError` naming the
-        procedure, before anything is divulged.
+        procedure, before anything is divulged.  The checked state is
+        kept in :attr:`outgoing`: a module in this process reads it
+        without bytes, and :attr:`outgoing_packet` builds them for one
+        behind a link.
         """
+        self._divulge(Handoff.serialized if self.divulge_packets else Handoff.written)
+
+    def encode(self) -> bytes:
+        """:meth:`divulge`, serializing the state as it goes: returns the
+        packet (``ProcessState.to_bytes`` with the source profile)."""
+        return self._divulge(Handoff.serialized).packet
+
+    def _divulge(
+        self, package: Callable[[ProcessState, Optional[MachineProfile]], Handoff]
+    ) -> Handoff:
         if not self.capturestack:
-            raise CaptureError("encode() called outside a capture sequence")
+            raise CaptureError("mh_encode called outside a capture sequence")
         with telemetry.span("mh.encode", module=self.module) as enc_span:
             try:
                 heap_image = self._capture_heap()
@@ -284,20 +326,17 @@ class MH:
                     source_machine=self.machine.name if self.machine else "",
                     status="clone",
                 )
-                packet = state.to_bytes(self.machine)
+                handoff = package(state, self.machine)
             except Exception:
                 # Whatever the encoder tripped on first, a frame its
                 # format refuses is the error to report: it names the
                 # capture block to fix.  Otherwise re-raise.
                 self._refuse_bad_frame()
                 raise
-            enc_span.set(bytes=len(packet), frames=len(self._captured))
-        self._capture_span.set(
-            bytes=len(packet), frames=len(self._captured)
-        ).close()
+            enc_span.set(bytes=handoff.length, frames=handoff.frames)
+        self._capture_span.set(bytes=handoff.length, frames=handoff.frames).close()
         self._capture_span = telemetry.NOOP_SPAN
-        self.outgoing_packet = packet
-        self.outgoing_frames = len(self._captured)
+        self.outgoing = handoff
         self.stats["packets_encoded"] += 1
         telemetry.count("mh.packets_encoded", key=self.module)
         self.capturestack = False
@@ -316,14 +355,14 @@ class MH:
                 cause=type(failure).__name__ if failure is not None else "drop",
             )
             if failure is None:
-                return packet  # dropped: nobody hears of it
+                return handoff  # dropped: nobody hears of it
         self.settle_divulge(failure)
-        return packet
+        return handoff
 
     def settle_divulge(self, failure: Optional[BaseException] = None) -> None:
         """Record a divulge's outcome: the packet went out, or ``failure``.
 
-        :meth:`encode` settles each packet it builds (unless the divulge
+        :meth:`divulge` settles each state it keeps (unless the divulge
         is dropped); the platform settles with the module's exit when
         its thread ends without having built one, so a replace waiting
         for the point aborts at once instead of at its deadline.
@@ -336,7 +375,7 @@ class MH:
             # outcome stands for the next signal.  The hook runs inside
             # the lock so that a remote host pushes the outcome before it
             # answers an abandon that follows.
-            if not (self._divulge_abandoned and self.outgoing_packet is not None):
+            if not (self._divulge_abandoned and self.outgoing is not None):
                 if failure is None:
                     self.divulged.set()
                 self.divulge_settled.set()
@@ -370,20 +409,22 @@ class MH:
     # ------------------------------------------------------------------
 
     def decode(self) -> None:
-        """The paper's ``mh_decode()``: parse the incoming state packet.
+        """The paper's ``mh_decode()``: read the incoming state.
 
-        Deserializes with the *target* machine profile, rebuilds the heap
-        and statics, and stages the activation-record stack so successive
-        :meth:`restore` calls pop frames outermost-first.
+        Reads :attr:`incoming` with the *target* machine profile — the
+        reader pass of the state carrier for a state divulged in this
+        process, the decode of a packet that came over a link, either
+        refusing what decoding its packet would — then rebuilds the heap
+        and statics, and stages the activation-record stack so
+        successive :meth:`restore` calls pop frames outermost-first.
         """
         if faults.fire("mh.decode"):
-            self.incoming_packet = None  # drop: the state packet is lost
-        if self.incoming_packet is None:
+            self.incoming = None  # drop: the state packet is lost
+        incoming = self.incoming
+        if incoming is None:
             raise RestoreError(f"module {self.module!r} is a clone but has no state packet")
-        with telemetry.span(
-            "mh.decode", module=self.module, bytes=len(self.incoming_packet)
-        ):
-            state = ProcessState.from_bytes(self.incoming_packet, self.machine)
+        with telemetry.span("mh.decode", module=self.module, bytes=incoming.length):
+            state = incoming.read(self.machine)
             if state.module != self.module:
                 raise RestoreError(
                     f"state packet is for module {state.module!r}, this is {self.module!r}"
@@ -543,24 +584,25 @@ class MH:
             self.reconfig = False
 
     def reclaim_abandoned_divulge(self) -> Optional[bytes]:
-        """Module-thread side of :meth:`abandon_divulge` (one-shot)."""
+        """Module-thread side of :meth:`abandon_divulge` (one-shot): the
+        packet of the abandoned divulge, built here if it was not."""
         with self._divulge_lock:
-            if self._divulge_abandoned and self.outgoing_packet is not None:
+            if self._divulge_abandoned and self.outgoing is not None:
                 self._divulge_abandoned = False
-                return self.outgoing_packet
+                return self.outgoing.packet
             return None
 
-    def prepare_revival(self, packet: bytes) -> None:
-        """Reset the reconfiguration machinery to restore from ``packet``.
+    def prepare_revival(self, state: Union[Handoff, bytes]) -> None:
+        """Reset the reconfiguration machinery to restore from ``state``,
+        a divulged state or its packet.
 
         Used when an aborted replacement resumes the old module from its
         own captured state: the module restarts exactly like a clone,
         but in place, with its queues and bindings untouched.
         """
         with self._divulge_lock:
-            self.incoming_packet = packet
-            self.outgoing_packet = None
-            self.outgoing_frames = None
+            self.incoming = Handoff.of(state)
+            self.outgoing = None
             self._status = "clone"
             self.reconfig = False
             self.capturestack = False

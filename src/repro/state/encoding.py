@@ -146,39 +146,51 @@ def _pointer_parts(value: object) -> Tuple[str, int]:
     return segment, index
 
 
-def _write_packed(buf: bytearray, value: dict) -> bool:
-    """Append ``value`` in the packed ``}`` form if the rule admits it.
+def _varint_size(n: int) -> int:
+    # The byte count of _append_varint(buf, n), for n >= 0.
+    return 1 if n < 0x80 else (n.bit_length() + 6) // 7
+
+
+def _packed_data(value: dict) -> Optional[bytes]:
+    """The UTF-8 payload of ``value``'s packed ``}`` form, if the rule
+    admits it; else None.
 
     The rule: the dict is non-empty, and every key and value is a ``str``
     holding no NUL.  Then ``k1 NUL v1 NUL k2 ... vn`` is joined, counted
-    and encoded in C.  Any failure of the attempt returns False with
-    ``buf`` untouched, and the caller's per-entry walk writes the ``{``
-    form and raises its own errors: ``TypeError`` from a non-str entry,
-    a NUL count other than 2n - 1 from a NUL inside an entry, or
-    ``UnicodeEncodeError`` from a lone surrogate.  An empty dict, or one
-    whose first key or value is not a ``str`` (statics, int-valued
-    heaps), is turned away before the join, so it pays no throwaway
-    list and no exception.
+    and encoded in C.  Any failure of the attempt returns None, and the
+    caller's per-entry walk writes (or sizes) the ``{`` form and raises
+    its own errors: ``TypeError`` from a non-str entry, a NUL count other
+    than 2n - 1 from a NUL inside an entry, or ``UnicodeEncodeError``
+    from a lone surrogate.  An empty dict, or one whose first key or
+    value is not a ``str`` (statics, int-valued heaps), is turned away
+    before the join, so it pays no throwaway list and no exception.
     """
     for key, item in value.items():
         if not (isinstance(key, str) and isinstance(item, str)):
-            return False
+            return None
         break
     else:
-        return False
+        return None
     try:
         text = "\x00".join(_chain(value.items()))
     except TypeError:
-        return False
-    count = len(value)
-    if text.count("\x00") != 2 * count - 1:
-        return False
+        return None
+    if text.count("\x00") != 2 * len(value) - 1:
+        return None
     try:
-        data = text.encode("utf-8")
+        return text.encode("utf-8")
     except UnicodeEncodeError:
+        return None
+
+
+def _write_packed(buf: bytearray, value: dict) -> bool:
+    """Append ``value`` in the packed ``}`` form if the rule admits it
+    (:func:`_packed_data`); False, with ``buf`` untouched, if not."""
+    data = _packed_data(value)
+    if data is None:
         return False
     buf.append(0x7D)  # '}'
-    _append_varint(buf, count)
+    _append_varint(buf, len(value))
     _append_varint(buf, len(data))
     buf += data
     return True
@@ -707,12 +719,16 @@ def _compile(spec: TypeSpec) -> Tuple[_Matcher, _EncodeFn, _CarryFn]:
 
 class FormatPlan(NamedTuple):
     """A format string compiled once: its top-level specs, and each
-    spec's check, writer and carrier, position by position."""
+    spec's check, writer and carrier, position by position.  ``chars``
+    holds each spec's scalar char, or ``.`` for a container; ``shapes``
+    caches :func:`scalar_shape` by the values' types."""
 
     specs: Tuple[TypeSpec, ...]
     matchers: Tuple[_Matcher, ...]
     encoders: Tuple[_EncodeFn, ...]
     carriers: Tuple[_CarryFn, ...]
+    chars: str
+    shapes: Dict[tuple, object]
 
 
 #: The one cache of compiled formats, keyed by format string (formats
@@ -734,6 +750,10 @@ def format_plan(fmt: str) -> FormatPlan:
             tuple(match for match, _, _ in triples),
             tuple(enc for _, enc, _ in triples),
             tuple(carry for _, _, carry in triples),
+            "".join(
+                spec.char if isinstance(spec, ScalarType) else "." for spec in specs
+            ),
+            {},
         )
         if len(_PLANS) < 4096:
             _PLANS[fmt] = plan
@@ -1021,6 +1041,202 @@ def _reader_may_refuse(writer: MachineProfile, reader: MachineProfile) -> bool:
         or reader.long_bits < writer.long_bits
         or reader.float_bits == 32
     )
+
+
+def reader_checks(
+    writer: Optional[MachineProfile], reader: Optional[MachineProfile]
+) -> Optional[tuple]:
+    """``reader``'s check suite where it may refuse what ``writer``
+    accepted, else None (no reader check can fire)."""
+    if reader is None or (writer is not None and not _reader_may_refuse(writer, reader)):
+        return None
+    return _checks_of(reader)
+
+
+# ---------------------------------------------------------------------------
+# The state carrier: a writer pass that sizes, a reader pass that copies
+# ---------------------------------------------------------------------------
+#
+# ``carry_state`` (in ``frames``) hands a captured state to a module in
+# the same interpreter without building the packet.  Its writer pass runs
+# what the writers run, raising what they raise, and counts the bytes
+# they would append; its reader pass runs over a value the writer pass
+# accepted and returns what the reader would read back, fresh containers
+# included, running the reader's checks.  A node the fast paths below do
+# not cover is handed to the writer (into a scratch buffer) or to its
+# carrier, so the two passes share the codec's rules instead of
+# restating them.
+
+
+def size_any(value: object, checks: Optional[tuple]) -> int:
+    """The writer pass of :func:`write_any`: the number of bytes it would
+    append for ``value``, or what it would raise, in the same order."""
+    if value is None:
+        return 1
+    kind = type(value)
+    if kind is str:
+        n = len(value) if value.isascii() else len(value.encode("utf-8"))
+        return 1 + _varint_size(n) + n
+    if kind is int:
+        if checks is not None:
+            checks[1](value)
+        return 1 + _varint_size(value * 2 if value >= 0 else -value * 2 - 1)
+    if kind is list or kind is tuple:
+        size = 1 + _varint_size(len(value))
+        for item in value:
+            if type(item) is str and item.isascii():
+                n = len(item)
+                size += 1 + _varint_size(n) + n
+            else:
+                size += size_any(item, checks)
+        return size
+    if kind is dict:
+        data = _packed_data(value)
+        if data is not None:
+            n = len(data)
+            return 1 + _varint_size(len(value)) + _varint_size(n) + n
+        size = 1 + _varint_size(len(value))
+        for key, item in value.items():
+            size += size_any(key, checks) + size_any(item, checks)
+        return size
+    buf = bytearray()
+    write_any(buf, value, checks)
+    return len(buf)
+
+
+#: ``{str}``: a container whose every element has exactly this type reads
+#: back as a plain copy of itself.
+_STR_ONLY = frozenset([str])
+
+
+def received_any(value: object, checks: Optional[tuple]) -> object:
+    """The reader pass of an ``a`` value that :func:`size_any` accepted:
+    what :func:`decode_any` reads back from its bytes, in fresh
+    containers, running ``checks`` (the reader's, or None) where the
+    decoder would.  A ``str -> str`` dict, packed or walked on the wire,
+    is one type scan and one ``dict()`` copy."""
+    kind = type(value)
+    if kind is str or value is None or kind is bool:
+        return value
+    if kind is int:
+        if checks is not None:
+            checks[1](value)
+        return value
+    if kind is dict:
+        if _STR_ONLY.issuperset(map(type, value)) and _STR_ONLY.issuperset(
+            map(type, value.values())
+        ):
+            return dict(value)
+        return {
+            received_any(key, checks): received_any(item, checks)
+            for key, item in value.items()
+        }
+    if kind is list:
+        return [
+            item if type(item) is str else received_any(item, checks) for item in value
+        ]
+    if kind is tuple:
+        return tuple([received_any(item, checks) for item in value])
+    if kind is float:
+        if checks is not None and checks[2] is not None:
+            checks[2](value)
+        return value
+    return received_declared(carry_any, value, checks)
+
+
+#: An exact int in ``[-FITS_EVERY_MACHINE, FITS_EVERY_MACHINE)`` passes
+#: every machine's ``i`` and ``l`` check: a profile's int is at least 16
+#: bits wide and its long at least 32 (``MachineProfile.__post_init__``).
+FITS_EVERY_MACHINE = 1 << 15
+
+_NONE_TYPE = type(None)
+
+
+#: The codes of :func:`scalar_shape`: an exact int under ``i`` (checked
+#: by a machine's ``checks[0]``), under ``l`` or ``a`` (``checks[1]``), an
+#: exact float under ``F`` or ``a`` (``checks[2]``), a str, a bool.
+SHAPE_INT, SHAPE_LONG, SHAPE_DOUBLE, SHAPE_STR, SHAPE_BOOL = range(5)
+
+
+def scalar_shape(plan: FormatPlan, kinds: tuple) -> object:
+    """A frame's shape under ``plan``, by ``kinds``, its values' types
+    (as many as the plan has specs): False unless every value is
+    ``None`` or an exact ``int``, ``float``, ``str`` or ``bool`` that its
+    spec writes as itself (``int`` under ``l``/``i``/``a``, ``float``
+    under ``F``/``a``, ``str`` under ``s``/``a``, ``bool`` under
+    ``b``/``a``); else the ``(position, code)`` of each value that is not
+    ``None``, in order (codes ``SHAPE_*``).  Such a frame is sized from
+    its shape alone and read back as a copy of its values list."""
+    shape = plan.shapes.get(kinds)
+    if shape is None:
+        entries = []
+        for position, (char, kind) in enumerate(zip(plan.chars, kinds)):
+            if kind is _NONE_TYPE:
+                continue
+            if kind is int and char in "lai":
+                entries.append((position, SHAPE_INT if char == "i" else SHAPE_LONG))
+            elif kind is str and char in "sa":
+                entries.append((position, SHAPE_STR))
+            elif kind is float and char in "Fa":
+                entries.append((position, SHAPE_DOUBLE))
+            elif kind is bool and char in "ba":
+                entries.append((position, SHAPE_BOOL))
+            else:
+                shape = False
+                break
+        else:
+            shape = tuple(entries)
+        if len(plan.shapes) < 64:
+            plan.shapes[kinds] = shape
+    return shape
+
+
+def received_declared(
+    carry: _CarryFn, value: object, checks: Optional[tuple]
+) -> object:
+    """The reader pass of a value its writer accepted under the spec that
+    ``carry`` was compiled from: the carried value is what the reader
+    reads back, so carrying it again under the reader's ``checks`` raises
+    what the reader's decode raises."""
+    carried = carry(value, None)
+    if checks is not None and carried is not None and type(carried) is not str:
+        carry(carried, checks)
+    return carried
+
+
+def size_values(
+    plan: FormatPlan, values: Sequence[object], checks: Optional[tuple]
+) -> int:
+    """The writer pass of a frame's values under ``plan``, whose arity
+    the caller has checked: the bytes its writers would append, or what
+    they would raise.  (A frame of ``None`` and exact scalars takes its
+    :func:`scalar_shape` instead.)"""
+    size = 0
+    for char, encode, value in zip(plan.chars, plan.encoders, values):
+        if value is None:
+            size += 1
+        elif char == "a":
+            size += size_any(value, checks)
+        else:
+            buf = bytearray()
+            encode(buf, value, checks)
+            size += len(buf)
+    return size
+
+
+def received_values(
+    plan: FormatPlan, values: Sequence[object], checks: Optional[tuple]
+) -> List[object]:
+    """The reader pass of a frame's values that :func:`size_values`
+    accepted under ``plan``: a fresh list of what the reader reads back."""
+    return [
+        value
+        if value is None
+        else received_any(value, checks)
+        if char == "a"
+        else received_declared(carry, value, checks)
+        for char, carry, value in zip(plan.chars, plan.carriers, values)
+    ]
 
 
 def encode_any(value: object, machine: Optional[MachineProfile] = None) -> bytes:
