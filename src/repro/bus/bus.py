@@ -1262,11 +1262,10 @@ class SoftwareBus:
         The paper: "signals a module to divulge state information on a
         particular interface, then moves that state information to an
         interface of another module."  The divulged state crosses the
-        two hosts' machine profiles like any other message: carried to a
-        target in this process (no bytes), shipped as the packet to one
-        behind a link.  The packet returned is built for the caller.
-        The target must exist before the signal, and the old module is
-        joined once it has divulged.
+        two hosts' machine profiles like any other message: a target in
+        this process resumes from the copy the divulge kept, one behind
+        a link from the packet.  The target must exist before the signal,
+        and the old module is joined once it has divulged.
         """
         target = self.get_module(new)
         if target.state not in (ModuleState.CREATED, ModuleState.LOADED):
@@ -1278,7 +1277,7 @@ class SoftwareBus:
         self.signal_reconfig(old)
         handoff = self.await_divulge(old_module, timeout)
         target.mh.incoming = handoff
-        self.trace.append(f"objstate_move {old} -> {new} ({handoff.length} bytes)")
+        self.trace.append(f"objstate_move {old} -> {new} ({len(handoff.packet)} bytes)")
         old_module.join(timeout)
         return handoff.packet
 
@@ -1286,8 +1285,8 @@ class SoftwareBus:
         """Wait for a signalled ``module`` to divulge; return its state.
 
         The module's own ``mh`` records the outcome (``divulge_settled``):
-        the state it divulged (kept in process, or the packet its host
-        pushed), or why the divulge failed, which raises here at once
+        the state it divulged (with the copy it kept, or as the packet
+        its host pushed), or why the divulge failed, which raises here at once
         rather than at the deadline.  With neither by the deadline, the
         module's crash is raised if it crashed, else a timeout.  The
         caller installs the state where it goes (``mh.incoming``).
@@ -1309,7 +1308,7 @@ class SoftwareBus:
             if not dropped:
                 handoff = mh.outgoing
                 telemetry.event(
-                    "bus.stream_divulge", instance=module.name, bytes=handoff.length
+                    "bus.stream_divulge", instance=module.name, bytes=len(handoff.packet)
                 )
                 return handoff
             # A lost hand-off: only the deadline notices.

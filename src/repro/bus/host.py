@@ -281,7 +281,7 @@ class ModuleHost:
     def _watch(self, key: str, module: ModuleInstance) -> None:
         module.lifecycle_hook = lambda m: self._push_lifecycle(key, m)
         module.mh.on_divulge_settled = lambda: self._push_divulge(key, module)
-        module.mh.divulge_packets = True
+        module.mh.copy_divulged = False
         module.mh.on_restored = lambda: self.send_event(["restored", key])
 
     def _push_divulge(self, key: str, module: ModuleInstance) -> None:

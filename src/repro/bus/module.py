@@ -463,7 +463,7 @@ class ModuleInstance:
         self.crash = None
         self.state = ModuleState.RUNNING
         telemetry.event(
-            "module.revive", instance=self.name, bytes=self.mh.incoming.length
+            "module.revive", instance=self.name, bytes=len(self.mh.incoming.packet)
         )
         self.thread = threading.Thread(
             target=self._run, name=f"module-{self.name}", daemon=True

@@ -180,36 +180,21 @@ class _ProxyMH:
     # -- state packet hand-off ------------------------------------------------
 
     @property
-    def outgoing_packet(self) -> Optional[bytes]:
-        return None if self.outgoing is None else self.outgoing.packet
-
-    @property
-    def outgoing_frames(self) -> Optional[int]:
-        return None if self.outgoing is None else self.outgoing.frames
-
-    @property
     def incoming(self) -> Optional[Handoff]:
         return self._incoming
 
     @incoming.setter
     def incoming(self, handoff: Optional[Handoff]) -> None:
         # The module is behind a link: its state crosses as the packet,
-        # built here from a state kept in the bus process.  Fire-and-
-        # forget: per-link FIFO guarantees the packet is installed before
-        # any subsequent "start" request is served.
-        self._incoming = handoff
+        # and a copy kept for a module in this process stays behind.
+        # Fire-and-forget: per-link FIFO guarantees the packet is
+        # installed before any subsequent "start" request is served.
         if handoff is not None:
+            handoff = Handoff(handoff.packet, handoff.frames)
             self._handle.link.send_event(
                 ["install_packet", self._handle.key, handoff.packet]
             )
-
-    @property
-    def incoming_packet(self) -> Optional[bytes]:
-        return None if self._incoming is None else self._incoming.packet
-
-    @incoming_packet.setter
-    def incoming_packet(self, packet: Optional[bytes]) -> None:
-        self.incoming = None if packet is None else Handoff.of_packet(packet)
+        self._incoming = handoff
 
     def request_reconfig(self) -> None:
         self._handle.link.request(["signal", self._handle.key])
@@ -220,7 +205,7 @@ class _ProxyMH:
     # -- event sinks (called from the link's pump thread) ----------------------
 
     def _on_divulged(self, packet: bytes, frames: int) -> None:
-        self.outgoing = Handoff.of_packet(packet, frames)
+        self.outgoing = Handoff(packet, frames)
         self.divulged.set()
         self.divulge_settled.set()
 

@@ -62,15 +62,14 @@ def call_capture_lines(
     """Capture block installed after a call edge ``(i, Si)``.
 
     Triggered by ``mh.capturestack``; in ``main`` it additionally runs
-    ``mh.divulge()`` (the paper's ``mh_encode()``) to send the completed
-    state outside the module.
+    ``mh.encode()`` to send the completed state outside the module.
     """
     lines = [
         "if mh.capturestack:",
         f"    {_capture_call(layout, edge.number, edge_variables(layout, keep))}",
     ]
     if is_main:
-        lines.append("    mh.divulge()")
+        lines.append("    mh.encode()")
     lines.append("    return None")
     return lines
 
@@ -94,7 +93,7 @@ def reconfig_capture_lines(
         f"    {_capture_call(layout, edge.number, edge_variables(layout, keep))}",
     ]
     if is_main:
-        lines.append("    mh.divulge()")
+        lines.append("    mh.encode()")
     lines.append("    return None")
     return lines
 

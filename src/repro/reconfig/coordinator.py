@@ -40,9 +40,10 @@ clone is torn down, and the old
 module — whose thread exited when it divulged — is *revived* from its
 own captured state packet, so the application keeps executing exactly
 where the capture left it.  The divulged state is a
-:class:`~repro.state.frames.Handoff`: the clone, a revived old module
-and a replica in the bus process each read it without packet bytes;
-bytes are built only for a module behind a link.  Every abort surfaces as a typed
+:class:`~repro.state.frames.Handoff`: its packet, and a copy taken at
+the divulge that the first module in the bus process to resume from
+it (the clone, or the revived old module) reads instead of decoding
+the packet.  Every abort surfaces as a typed
 :class:`~repro.errors.ReconfigurationAborted` carrying the stage and the
 partial :class:`ReconfigurationReport`.
 """
@@ -485,11 +486,11 @@ class ReconfigurationCoordinator:
                 clone.mh.incoming = handoff
                 self.bus.trace.append(
                     f"objstate_move {instance} -> {clone.name} on "
-                    f"{clone.host.name} ({handoff.length} bytes)"
+                    f"{clone.host.name} ({len(handoff.packet)} bytes)"
                 )
-                wait_span.set(packet_bytes=handoff.length)
+                wait_span.set(packet_bytes=len(handoff.packet))
             report.completed.append("wait_point")
-            report.packet_bytes = handoff.length
+            report.packet_bytes = len(handoff.packet)
 
             report.stage = "rebind"
 

@@ -17,7 +17,7 @@ Capture protocol (generated code, cf. Figure 7)::
     ...
     if mh.capturestack:                 # block at call edge (i, Si)
         mh.capture("main", "llF", i, n, response)
-        mh.divulge()                    # only in main: mh_encode, no bytes
+        mh.encode()                     # only in main
         return
 
 Restore protocol (generated code, cf. Figure 8)::
@@ -106,13 +106,13 @@ class MH:
         self._restore_stack: Optional[StackState] = None
         self._last_restored_fmt: str = ""
         # The state this module restores from, and the state it divulged:
-        # a Handoff each, which carries a state kept in the bus process
-        # to a module there and builds packet bytes only for a module
-        # behind a link (see incoming_packet / outgoing_packet).
+        # a Handoff each, holding the packet and, for a state divulged in
+        # the bus process, a copy that the first module there to resume
+        # from it takes instead of decoding the packet.
         self.incoming: Optional[Handoff] = None
         self.outgoing: Optional[Handoff] = None
         self.divulged = threading.Event()  # the packet went out
-        # Set by divulge for either outcome of a divulge: the packet went
+        # Set by encode for either outcome of a divulge: the packet went
         # out (``divulged``) or the divulge failed (``divulge_failed``).
         # The coordinator waits on it and takes the packet from here.
         self.divulge_settled = threading.Event()
@@ -125,10 +125,9 @@ class MH:
         # module's next divulge and restore are equally interesting).
         self.on_divulge_settled: Optional[Callable[[], None]] = None
         self.on_restored: Optional[Callable[[], None]] = None
-        # Set by a host behind a link, whose every divulged state leaves
-        # the process as a packet: divulge serializes it at once rather
-        # than run a writer pass and serialize after.
-        self.divulge_packets = False
+        # Cleared by a host behind a link, whose every divulged state
+        # leaves the process as a packet: no copy is kept beside it.
+        self.copy_divulged = True
         self._divulge_lock = threading.Lock()
         # A fault at the capture sites cannot raise through module code
         # (the capture blocks return unconditionally once entered, the
@@ -141,7 +140,7 @@ class MH:
         # divulge; the module's thread self-revives instead of exiting.
         self._divulge_abandoned = False
         # Telemetry spans held across calls on the same module thread:
-        # capture opens at begin_reconfig_capture and closes in divulge;
+        # capture opens at begin_reconfig_capture and closes in encode;
         # restore opens at the end of decode and closes in end_restore.
         self._capture_span = telemetry.NOOP_SPAN
         self._restore_span = telemetry.NOOP_SPAN
@@ -181,19 +180,18 @@ class MH:
 
     @property
     def incoming_packet(self) -> Optional[bytes]:
-        """The wire form of :attr:`incoming` (built on first read when it
-        is a kept state); setting a packet installs it as the state to
-        restore from."""
+        """The packet of :attr:`incoming`; setting a packet installs it
+        as the state to restore from."""
         return None if self.incoming is None else self.incoming.packet
 
     @incoming_packet.setter
     def incoming_packet(self, packet: Optional[bytes]) -> None:
-        self.incoming = None if packet is None else Handoff.of_packet(packet)
+        self.incoming = None if packet is None else Handoff(packet)
 
     @property
     def outgoing_packet(self) -> Optional[bytes]:
-        """The wire form of :attr:`outgoing`, built on first read and
-        cached: what a host behind a link pushes to the bus."""
+        """The packet of :attr:`outgoing`: what a host behind a link
+        pushes to the bus."""
         return None if self.outgoing is None else self.outgoing.packet
 
     @property
@@ -283,34 +281,21 @@ class MH:
         )
         self.stats["frames_captured"] += 1
 
-    def divulge(self) -> None:
-        """The paper's ``mh_encode()`` as a capture block calls it:
-        package the state and divulge it, with no packet bytes built.
+    def encode(self) -> bytes:
+        """The paper's ``mh_encode()``: package state and divulge it.
 
         Runs in main's capture block, after the bottom-most frame is
-        captured.  The writer pass of the state carrier
-        (:meth:`Handoff.written`) checks the state with the *source*
-        machine profile, raising what serializing it would, so
+        captured.  Serializes with the *source* machine profile so
         representability problems surface here, at the old module.  A
         frame whose values do not match its capture block's format is
         refused here too, as a :class:`CaptureError` naming the
-        procedure, before anything is divulged.  The checked state is
-        kept in :attr:`outgoing`: a module in this process reads it
-        without bytes, and :attr:`outgoing_packet` builds them for one
-        behind a link.
+        procedure, before anything is divulged.  Beside the packet, the
+        divulge keeps a copy of the state, taken here, that a module in
+        this process resumes from without decoding the packet
+        (:meth:`Handoff.divulged`); both are in :attr:`outgoing`.
         """
-        self._divulge(Handoff.serialized if self.divulge_packets else Handoff.written)
-
-    def encode(self) -> bytes:
-        """:meth:`divulge`, serializing the state as it goes: returns the
-        packet (``ProcessState.to_bytes`` with the source profile)."""
-        return self._divulge(Handoff.serialized).packet
-
-    def _divulge(
-        self, package: Callable[[ProcessState, Optional[MachineProfile]], Handoff]
-    ) -> Handoff:
         if not self.capturestack:
-            raise CaptureError("mh_encode called outside a capture sequence")
+            raise CaptureError("encode() called outside a capture sequence")
         with telemetry.span("mh.encode", module=self.module) as enc_span:
             try:
                 heap_image = self._capture_heap()
@@ -326,15 +311,15 @@ class MH:
                     source_machine=self.machine.name if self.machine else "",
                     status="clone",
                 )
-                handoff = package(state, self.machine)
+                handoff = Handoff.divulged(state, self.machine, self.copy_divulged)
             except Exception:
                 # Whatever the encoder tripped on first, a frame its
                 # format refuses is the error to report: it names the
                 # capture block to fix.  Otherwise re-raise.
                 self._refuse_bad_frame()
                 raise
-            enc_span.set(bytes=handoff.length, frames=handoff.frames)
-        self._capture_span.set(bytes=handoff.length, frames=handoff.frames).close()
+            enc_span.set(bytes=len(handoff.packet), frames=handoff.frames)
+        self._capture_span.set(bytes=len(handoff.packet), frames=handoff.frames).close()
         self._capture_span = telemetry.NOOP_SPAN
         self.outgoing = handoff
         self.stats["packets_encoded"] += 1
@@ -355,14 +340,14 @@ class MH:
                 cause=type(failure).__name__ if failure is not None else "drop",
             )
             if failure is None:
-                return handoff  # dropped: nobody hears of it
+                return handoff.packet  # dropped: nobody hears of it
         self.settle_divulge(failure)
-        return handoff
+        return handoff.packet
 
     def settle_divulge(self, failure: Optional[BaseException] = None) -> None:
         """Record a divulge's outcome: the packet went out, or ``failure``.
 
-        :meth:`divulge` settles each state it keeps (unless the divulge
+        :meth:`encode` settles each state it divulges (unless the divulge
         is dropped); the platform settles with the module's exit when
         its thread ends without having built one, so a replace waiting
         for the point aborts at once instead of at its deadline.
@@ -411,10 +396,10 @@ class MH:
     def decode(self) -> None:
         """The paper's ``mh_decode()``: read the incoming state.
 
-        Reads :attr:`incoming` with the *target* machine profile — the
-        reader pass of the state carrier for a state divulged in this
-        process, the decode of a packet that came over a link, either
-        refusing what decoding its packet would — then rebuilds the heap
+        Reads :attr:`incoming` with the *target* machine profile
+        (:meth:`Handoff.read`: the copy a divulge in this process kept,
+        if no module has taken it, else the packet's decode; either
+        refuses what decoding the packet would), then rebuilds the heap
         and statics, and stages the activation-record stack so
         successive :meth:`restore` calls pop frames outermost-first.
         """
@@ -423,7 +408,7 @@ class MH:
         incoming = self.incoming
         if incoming is None:
             raise RestoreError(f"module {self.module!r} is a clone but has no state packet")
-        with telemetry.span("mh.decode", module=self.module, bytes=incoming.length):
+        with telemetry.span("mh.decode", module=self.module, bytes=len(incoming.packet)):
             state = incoming.read(self.machine)
             if state.module != self.module:
                 raise RestoreError(
@@ -584,8 +569,7 @@ class MH:
             self.reconfig = False
 
     def reclaim_abandoned_divulge(self) -> Optional[bytes]:
-        """Module-thread side of :meth:`abandon_divulge` (one-shot): the
-        packet of the abandoned divulge, built here if it was not."""
+        """Module-thread side of :meth:`abandon_divulge` (one-shot)."""
         with self._divulge_lock:
             if self._divulge_abandoned and self.outgoing is not None:
                 self._divulge_abandoned = False

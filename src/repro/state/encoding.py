@@ -146,51 +146,39 @@ def _pointer_parts(value: object) -> Tuple[str, int]:
     return segment, index
 
 
-def _varint_size(n: int) -> int:
-    # The byte count of _append_varint(buf, n), for n >= 0.
-    return 1 if n < 0x80 else (n.bit_length() + 6) // 7
-
-
-def _packed_data(value: dict) -> Optional[bytes]:
-    """The UTF-8 payload of ``value``'s packed ``}`` form, if the rule
-    admits it; else None.
+def _write_packed(buf: bytearray, value: dict) -> bool:
+    """Append ``value`` in the packed ``}`` form if the rule admits it.
 
     The rule: the dict is non-empty, and every key and value is a ``str``
     holding no NUL.  Then ``k1 NUL v1 NUL k2 ... vn`` is joined, counted
-    and encoded in C.  Any failure of the attempt returns None, and the
-    caller's per-entry walk writes (or sizes) the ``{`` form and raises
-    its own errors: ``TypeError`` from a non-str entry, a NUL count other
-    than 2n - 1 from a NUL inside an entry, or ``UnicodeEncodeError``
-    from a lone surrogate.  An empty dict, or one whose first key or
-    value is not a ``str`` (statics, int-valued heaps), is turned away
-    before the join, so it pays no throwaway list and no exception.
+    and encoded in C.  Any failure of the attempt returns False with
+    ``buf`` untouched, and the caller's per-entry walk writes the ``{``
+    form and raises its own errors: ``TypeError`` from a non-str entry,
+    a NUL count other than 2n - 1 from a NUL inside an entry, or
+    ``UnicodeEncodeError`` from a lone surrogate.  An empty dict, or one
+    whose first key or value is not a ``str`` (statics, int-valued
+    heaps), is turned away before the join, so it pays no throwaway
+    list and no exception.
     """
     for key, item in value.items():
         if not (isinstance(key, str) and isinstance(item, str)):
-            return None
+            return False
         break
     else:
-        return None
+        return False
     try:
         text = "\x00".join(_chain(value.items()))
     except TypeError:
-        return None
-    if text.count("\x00") != 2 * len(value) - 1:
-        return None
+        return False
+    count = len(value)
+    if text.count("\x00") != 2 * count - 1:
+        return False
     try:
-        return text.encode("utf-8")
+        data = text.encode("utf-8")
     except UnicodeEncodeError:
-        return None
-
-
-def _write_packed(buf: bytearray, value: dict) -> bool:
-    """Append ``value`` in the packed ``}`` form if the rule admits it
-    (:func:`_packed_data`); False, with ``buf`` untouched, if not."""
-    data = _packed_data(value)
-    if data is None:
         return False
     buf.append(0x7D)  # '}'
-    _append_varint(buf, len(value))
+    _append_varint(buf, count)
     _append_varint(buf, len(data))
     buf += data
     return True
@@ -1054,54 +1042,16 @@ def reader_checks(
 
 
 # ---------------------------------------------------------------------------
-# The state carrier: a writer pass that sizes, a reader pass that copies
+# The state carrier's reader pass: a copy, read as the decoder reads
 # ---------------------------------------------------------------------------
 #
-# ``carry_state`` (in ``frames``) hands a captured state to a module in
-# the same interpreter without building the packet.  Its writer pass runs
-# what the writers run, raising what they raise, and counts the bytes
-# they would append; its reader pass runs over a value the writer pass
-# accepted and returns what the reader would read back, fresh containers
-# included, running the reader's checks.  A node the fast paths below do
-# not cover is handed to the writer (into a scratch buffer) or to its
-# carrier, so the two passes share the codec's rules instead of
-# restating them.
-
-
-def size_any(value: object, checks: Optional[tuple]) -> int:
-    """The writer pass of :func:`write_any`: the number of bytes it would
-    append for ``value``, or what it would raise, in the same order."""
-    if value is None:
-        return 1
-    kind = type(value)
-    if kind is str:
-        n = len(value) if value.isascii() else len(value.encode("utf-8"))
-        return 1 + _varint_size(n) + n
-    if kind is int:
-        if checks is not None:
-            checks[1](value)
-        return 1 + _varint_size(value * 2 if value >= 0 else -value * 2 - 1)
-    if kind is list or kind is tuple:
-        size = 1 + _varint_size(len(value))
-        for item in value:
-            if type(item) is str and item.isascii():
-                n = len(item)
-                size += 1 + _varint_size(n) + n
-            else:
-                size += size_any(item, checks)
-        return size
-    if kind is dict:
-        data = _packed_data(value)
-        if data is not None:
-            n = len(data)
-            return 1 + _varint_size(len(value)) + _varint_size(n) + n
-        size = 1 + _varint_size(len(value))
-        for key, item in value.items():
-            size += size_any(key, checks) + size_any(item, checks)
-        return size
-    buf = bytearray()
-    write_any(buf, value, checks)
-    return len(buf)
+# A state divulged in the bus process is serialized (``to_bytes`` runs
+# every writer check) and, beside its packet, copied by this pass: it
+# runs over a value the writer accepted and returns what the decoder
+# would read back from its bytes, in fresh containers, running the
+# reader's checks where the decoder would.  A node the fast paths below
+# do not cover is handed to its carrier, so the pass shares the codec's
+# rules instead of restating them.
 
 
 #: ``{str}``: a container whose every element has exactly this type reads
@@ -1110,7 +1060,7 @@ _STR_ONLY = frozenset([str])
 
 
 def received_any(value: object, checks: Optional[tuple]) -> object:
-    """The reader pass of an ``a`` value that :func:`size_any` accepted:
+    """The reader pass of an ``a`` value that :func:`write_any` accepted:
     what :func:`decode_any` reads back from its bytes, in fresh
     containers, running ``checks`` (the reader's, or None) where the
     decoder would.  A ``str -> str`` dict, packed or walked on the wire,
@@ -1158,6 +1108,39 @@ _NONE_TYPE = type(None)
 SHAPE_INT, SHAPE_LONG, SHAPE_DOUBLE, SHAPE_STR, SHAPE_BOOL = range(5)
 
 
+def refusal_probe() -> Tuple[tuple, List[Tuple[int, object]]]:
+    """A check suite that refuses nothing, and the list into which it
+    records, in call order, each ``(check index, value)`` that some
+    machine's check may refuse: an ``i`` or ``l`` value that is not an
+    exact int in ``[-FITS_EVERY_MACHINE, FITS_EVERY_MACHINE)``, and a
+    double that a 32-bit float does not hold exactly.
+
+    A reader pass run under it calls the probe wherever it would call a
+    reader's check, and only a check can refuse a value the writer
+    accepted; so replaying the record under a reader's checks raises
+    what that reader's pass would raise, where it would raise it."""
+    seen: List[Tuple[int, object]] = []
+
+    def probe(index: int) -> Callable[[object], None]:
+        def probe_int(value: object) -> None:
+            if type(value) is not int or not -FITS_EVERY_MACHINE <= value < FITS_EVERY_MACHINE:
+                seen.append((index, value))
+
+        return probe_int
+
+    def probe_double(value: object) -> None:
+        try:
+            if type(value) is float and (
+                value != value or _unpack_f32(_pack_f32(value))[0] == value
+            ):
+                return  # NaN, or exact in 32 bits
+        except OverflowError:
+            pass
+        seen.append((2, value))
+
+    return (probe(0), probe(1), probe_double), seen
+
+
 def scalar_shape(plan: FormatPlan, kinds: tuple) -> object:
     """A frame's shape under ``plan``, by ``kinds``, its values' types
     (as many as the plan has specs): False unless every value is
@@ -1165,8 +1148,8 @@ def scalar_shape(plan: FormatPlan, kinds: tuple) -> object:
     spec writes as itself (``int`` under ``l``/``i``/``a``, ``float``
     under ``F``/``a``, ``str`` under ``s``/``a``, ``bool`` under
     ``b``/``a``); else the ``(position, code)`` of each value that is not
-    ``None``, in order (codes ``SHAPE_*``).  Such a frame is sized from
-    its shape alone and read back as a copy of its values list."""
+    ``None``, in order (codes ``SHAPE_*``).  Such a frame is read back
+    as a copy of its values list."""
     shape = plan.shapes.get(kinds)
     if shape is None:
         entries = []
@@ -1204,31 +1187,11 @@ def received_declared(
     return carried
 
 
-def size_values(
-    plan: FormatPlan, values: Sequence[object], checks: Optional[tuple]
-) -> int:
-    """The writer pass of a frame's values under ``plan``, whose arity
-    the caller has checked: the bytes its writers would append, or what
-    they would raise.  (A frame of ``None`` and exact scalars takes its
-    :func:`scalar_shape` instead.)"""
-    size = 0
-    for char, encode, value in zip(plan.chars, plan.encoders, values):
-        if value is None:
-            size += 1
-        elif char == "a":
-            size += size_any(value, checks)
-        else:
-            buf = bytearray()
-            encode(buf, value, checks)
-            size += len(buf)
-    return size
-
-
 def received_values(
     plan: FormatPlan, values: Sequence[object], checks: Optional[tuple]
 ) -> List[object]:
-    """The reader pass of a frame's values that :func:`size_values`
-    accepted under ``plan``: a fresh list of what the reader reads back."""
+    """The reader pass of a frame's values that their writers accepted
+    under ``plan``: a fresh list of what the reader reads back."""
     return [
         value
         if value is None

@@ -29,6 +29,7 @@ with the packet, never from parsing it.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -38,20 +39,16 @@ from repro.state.encoding import (
     _checks_of,
     _bad_utf8,
     _read_checked,
-    _varint_size,
     FITS_EVERY_MACHINE,
-    SHAPE_BOOL,
     SHAPE_DOUBLE,
     SHAPE_LONG,
-    SHAPE_STR,
     check_arity,
     format_plan,
     received_any,
     received_values,
     reader_checks,
+    refusal_probe,
     scalar_shape,
-    size_any,
-    size_values,
     write_any,
 )
 from repro.state.machine import MachineProfile
@@ -84,21 +81,8 @@ def _append_str(buf: bytearray, value: object) -> None:
         raise EncodingError(f"format 's' requires str, got {value!r}")
 
 
-def _str_size(value: object) -> int:
-    # The writer pass of _append_str: its byte count, or its error.
-    if type(value) is str and value.isascii():
-        n = len(value)
-    elif isinstance(value, str):
-        n = len(value.encode("utf-8"))
-    elif value is None:
-        return 1
-    else:
-        raise EncodingError(f"format 's' requires str, got {value!r}")
-    return 1 + _varint_size(n) + n
-
-
 def _read_str(value: object, name: str, null: Optional[str] = None) -> str:
-    # The reader pass of a header field _str_size accepted: what
+    # The reader pass of a header field _append_str accepted: what
     # _read_str_field reads back from its bytes, or its error.
     if value is None:
         if null is None:
@@ -246,8 +230,6 @@ class ProcessState:
         lookup; a location that is not an ``int`` (or is a ``bool``), or
         that ``machine``'s long cannot hold, is refused there.  A ``None`` value is the ``n`` tag under every
         compiled encoder, so a NULL slot is written here without a call.
-        :meth:`written_length` is this walk's writer pass, counting
-        instead of appending; a change here is mirrored there.
         """
         checks = None if machine is None else _checks_of(machine)
         buf = bytearray(STATE_MAGIC)
@@ -402,104 +384,20 @@ class ProcessState:
 
     # -- the in-process hand-off (see carry_state) ------------------------------
 
-    def written_length(self, machine: Optional[MachineProfile] = None) -> int:
-        """The writer pass of :func:`carry_state`: ``len(self.to_bytes(machine))``,
-        or what :meth:`to_bytes` raises, at the same point, with no bytes
-        built.
-
-        The same walk as :meth:`to_bytes`, counting instead of appending:
-        header fields, statics, heap, then each frame, a run of frames
-        that repeat a header sized once.  A packed ``}`` dict is joined
-        and checked once (:func:`~repro.state.encoding.size_any`); a
-        frame of ``None`` and exact scalars is sized from its shape
-        (:func:`~repro.state.encoding.scalar_shape`), and anything rarer
-        is written into a scratch buffer by its own writer, so the rules
-        and errors are the writer's.  A change to :meth:`to_bytes` is
-        mirrored here.
-        """
-        checks = None if machine is None else _checks_of(machine)
-        size = (
-            _BODY_OFFSET
-            + _str_size(self.module)
-            + _str_size(self.status)
-            + _str_size(self.reconfig_point)
-            + _str_size(self.source_machine)
-        )
-        size += size_any(dict(self.statics), checks)
-        size += size_any(dict(self.heap), checks)
-        size += 1 + _varint_size(len(self.stack) * 2)
-        run = plan = None
-        header = 0
-        for record in self.stack:
-            key = (record.procedure, record.location, record.fmt)
-            if key == run and type(key[1]) is int:
-                size += header
-            else:
-                procedure, location, fmt = key
-                if not isinstance(location, int) or isinstance(location, bool):
-                    raise EncodingError(f"format 'l' requires int, got {location!r}")
-                if checks is not None:
-                    checks[1](location)
-                header = _str_size(procedure) + 1
-                header += _varint_size(
-                    location * 2 if location >= 0 else -location * 2 - 1
-                )
-                header += _str_size(fmt)
-                size += header
-                plan = format_plan(fmt)
-                run = key
-            values = record.values
-            if len(plan.encoders) != len(values):
-                check_arity(record.fmt, values)  # raises the arity FormatError
-            kinds = tuple(map(type, values))
-            shape = plan.shapes.get(kinds)
-            if shape is None:
-                shape = scalar_shape(plan, kinds)
-            if shape is False:
-                try:
-                    size += size_values(plan, values, checks)
-                except (EncodingError, FormatError):
-                    check_arity(record.fmt, values)
-                    raise
-                continue
-            size += len(values)  # a tag each; a None is nothing more
-            for position, code in shape:
-                value = values[position]
-                if code == SHAPE_STR:
-                    n = len(value) if value.isascii() else len(value.encode("utf-8"))
-                    size += (1 if n < 0x80 else _varint_size(n)) + n
-                elif code == SHAPE_DOUBLE:
-                    if checks is not None and checks[2] is not None:
-                        checks[2](value)
-                    size += 8
-                elif code == SHAPE_BOOL:
-                    size += 1
-                elif -FITS_EVERY_MACHINE <= value < FITS_EVERY_MACHINE:
-                    size += 1 if -64 <= value < 64 else 2 if -8192 <= value < 8192 else 3
-                else:
-                    if checks is not None:
-                        checks[code](value)
-                    size += _varint_size(value * 2 if value >= 0 else -value * 2 - 1)
-        return size
-
-    def carried(
-        self,
-        writer: Optional[MachineProfile] = None,
-        reader: Optional[MachineProfile] = None,
-    ) -> "ProcessState":
-        """The reader pass of :func:`carry_state`, over a state that passed
-        :meth:`written_length` for ``writer``: what
+    def carried(self, checks: Optional[tuple] = None) -> "ProcessState":
+        """The reader pass of :func:`carry_state`, over a state that
+        :meth:`to_bytes` accepted for a writer: what
         ``from_bytes(self.to_bytes(writer), reader)`` returns, or what it
-        raises, with containers of its own.
+        raises, with containers of its own, where ``checks`` is
+        ``reader_checks(writer, reader)``
+        (:func:`~repro.state.encoding.reader_checks`: ``reader``'s check
+        suite, or None where it cannot refuse what ``writer`` accepted).
 
         The same walk as :meth:`from_bytes`: a NULL module or status, or
         a NULL procedure or format in a frame header, is refused as the
-        decoder refuses it, and ``reader``'s checks run where the decoder
-        runs them — only where ``reader`` may refuse what ``writer``
-        accepted (:func:`~repro.state.encoding.reader_checks`).  A change
-        to :meth:`from_bytes` is mirrored here.
+        decoder refuses it, and ``checks`` run where the decoder runs
+        them.  A change to :meth:`from_bytes` is mirrored here.
         """
-        checks = reader_checks(writer, reader)
         module = _read_str(self.module, "module")
         status = _read_str(self.status, "status")
         reconfig_point = _read_str(self.reconfig_point, "reconfig_point", null="")
@@ -583,81 +481,77 @@ def carry_state(
     reader: Optional[MachineProfile],
 ) -> ProcessState:
     """``ProcessState.from_bytes(state.to_bytes(writer), reader)``, or its
-    exception, with no packet built: the writer pass
-    (:meth:`ProcessState.written_length`) then the reader pass
-    (:meth:`ProcessState.carried`).  A :class:`Handoff` runs the two apart,
-    the writer pass once where the state is captured and the reader pass
-    once per module that resumes from it."""
-    state.written_length(writer)
-    return state.carried(writer, reader)
+    exception, as a module in the bus process receives a state divulged
+    there: :meth:`Handoff.divulged`, then :meth:`Handoff.read`."""
+    return Handoff.divulged(state, writer).read(reader)
 
 
 class Handoff:
     """A divulged state on its way to the modules that resume from it.
 
-    Either a state kept in the bus process, which passed the writer pass
-    for ``writer`` (:meth:`written`), or a packet that arrived over a
-    link (:meth:`of_packet`).  :meth:`read` gives each consumer its own
-    :class:`ProcessState`: the reader pass of a kept state, the decode
-    of a packet.  :attr:`packet` is the wire form, built from a kept
-    state on first read and cached, for a consumer behind a link.
-    ``length`` is the packet's length either way and ``frames`` its
-    stack depth.
+    ``packet`` is its wire form and ``frames`` its stack depth.  A state
+    divulged in the bus process (:meth:`divulged`) also holds a copy of
+    its own, taken where it was divulged: the first module to
+    :meth:`read` it takes that copy, running only its own machine's
+    checks, instead of decoding the packet.  A later reader decodes the
+    packet, as does every reader of a packet that came over a link.
     """
 
-    __slots__ = ("state", "writer", "length", "frames", "_packet")
+    __slots__ = ("packet", "frames", "_writer", "_copy", "_lock")
 
     def __init__(
         self,
-        state: Optional[ProcessState],
-        writer: Optional[MachineProfile],
-        length: int,
-        frames: Optional[int],
-        packet: Optional[bytes] = None,
+        packet: bytes,
+        frames: Optional[int] = None,
+        writer: Optional[MachineProfile] = None,
+        copy: Optional[Tuple[ProcessState, List[Tuple[int, object]]]] = None,
     ):
-        self.state = state
-        self.writer = writer
-        self.length = length
+        self.packet = packet
         self.frames = frames
-        self._packet = packet
+        self._writer = writer
+        # The copy and its probe's record, until a reader takes them.
+        self._copy = copy
+        self._lock = threading.Lock()
 
     @classmethod
-    def written(
-        cls, state: ProcessState, writer: Optional[MachineProfile]
+    def divulged(
+        cls, state: ProcessState, writer: Optional[MachineProfile], copy: bool = True
     ) -> "Handoff":
-        """Run the writer pass over ``state`` (raising what ``to_bytes``
-        would) and keep it."""
-        return cls(state, writer, state.written_length(writer), len(state.stack))
-
-    @classmethod
-    def serialized(
-        cls, state: ProcessState, writer: Optional[MachineProfile]
-    ) -> "Handoff":
-        """Serialize ``state`` (``to_bytes``) and keep it with its packet."""
+        """Serialize ``state`` for ``writer``, raising what
+        :meth:`ProcessState.to_bytes` raises, and, with ``copy``, take
+        the copy a module in this process resumes from, so that no later
+        change to a container ``state`` shares with the running
+        application reaches it.  The copy is the reader pass under a
+        :func:`~repro.state.encoding.refusal_probe`, so a reader runs its
+        own checks over the few values the probe recorded, not over the
+        whole state."""
         packet = state.to_bytes(writer)
-        return cls(state, writer, len(packet), len(state.stack), packet)
+        kept = None
+        if copy:
+            probe, seen = refusal_probe()
+            try:
+                kept = (state.carried(probe), seen)
+            except DecodingError:
+                pass  # a NULL header field: the packet's decode refuses it
+        return cls(packet, len(state.stack), writer, kept)
 
     @classmethod
-    def of_packet(cls, packet: bytes, frames: Optional[int] = None) -> "Handoff":
-        """A packet that came over a link (or from a caller), read by
-        :meth:`ProcessState.from_bytes`."""
-        return cls(None, None, len(packet), frames, packet)
-
-    @classmethod
-    def of(cls, state: Union[Handoff, bytes]) -> Handoff:
+    def of(cls, state: Union["Handoff", bytes]) -> "Handoff":
         """``state`` itself, or a packet as a hand-off."""
-        return state if isinstance(state, Handoff) else cls.of_packet(bytes(state))
-
-    @property
-    def packet(self) -> bytes:
-        packet = self._packet
-        if packet is None:
-            packet = self._packet = self.state.to_bytes(self.writer)
-        return packet
+        return state if isinstance(state, Handoff) else cls(bytes(state))
 
     def read(self, reader: Optional[MachineProfile]) -> ProcessState:
-        """The state as module ``reader`` resumes from it."""
-        if self.state is None:
-            return ProcessState.from_bytes(self._packet, reader)
-        return self.state.carried(self.writer, reader)
-
+        """The state as a module on machine ``reader`` resumes from it,
+        in containers of its own."""
+        with self._lock:
+            kept, self._copy = self._copy, None
+        if kept is None:
+            return ProcessState.from_bytes(self.packet, reader)
+        state, seen = kept
+        checks = reader_checks(self._writer, reader) if seen else None
+        if checks is not None:
+            for index, value in seen:
+                check = checks[index]
+                if check is not None:
+                    check(value)
+        return state

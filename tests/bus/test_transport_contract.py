@@ -472,7 +472,7 @@ class TestReplaceContract:
         coordinator = ReconfigurationCoordinator(bus)
         with _Nudger(bus):
             report = coordinator.replace("counter", timeout=30)
-        packet = bus.get_module("counter").mh.incoming_packet
+        packet = bus.get_module("counter").mh.incoming.packet
         monkeypatch.undo()
         assert report.stack_depth == ProcessState.from_bytes(packet).stack.depth >= 1
 

@@ -382,4 +382,4 @@ class TestFlattenedSourceShape:
         text = prepare_module(CORPUS[0][1], "m").source
         assert "mh.capturestack" in text
         assert "mh.begin_reconfig_capture('R')" in text
-        assert "mh.divulge()" in text
+        assert "mh.encode()" in text

@@ -1,21 +1,25 @@
 """An in-process hand-off, end to end on a bus, failure paths included.
 
-The old module divulges its state without building the packet, and the
-clone, a revived old module and a replica each read it with the state
-carrier.  These tests hold the bus to what the packet path did: the same
-abort (stage, cause, trace lines, packet size) when the clone's machine
-refuses the state, the old module revived from what it divulged, and a
-replica whose containers are its own — with no packet built or parsed.
+The old module divulges its packet and a copy of its state; the first
+module in the bus process to resume from it takes the copy, and any
+later one decodes the packet.  These tests hold the bus to what the
+packet path did: the same abort (stage, cause, trace lines, packet
+size) when the clone's machine refuses the state, the old module
+revived from what it divulged, a replica whose containers are its own,
+and a clone that resumes from the state as it was at the divulge, even
+when a peer changes a list it sent after the divulge.
 """
 
 import pytest
 
 from repro.bus.bus import SoftwareBus
+from repro.bus.interfaces import InterfaceDecl, Role
+from repro.bus.message import Message
 from repro.bus.module import ModuleState
-from repro.bus.spec import ModuleSpec
+from repro.bus.spec import BindingSpec, ModuleSpec
 from repro.errors import MachineCompatibilityError, ModuleCrashedError, ReconfigurationAborted
 from repro.reconfig.coordinator import ReconfigurationCoordinator
-from repro.state.frames import ProcessState
+from repro.state.frames import Handoff, ProcessState
 from repro.state.machine import MACHINES
 
 from tests.conftest import wait_until
@@ -42,6 +46,21 @@ def main():
     while mh.running:
         mh.reconfig_point('P')
         mh.statics['items'] = items
+        mh.sleep(0.005)
+"""
+
+#: Keeps the list a peer sent it in main's frame, its heap and statics.
+KEEPER = """\
+def main():
+    sent = None
+    mh.init()
+    while mh.running:
+        mh.reconfig_point('P')
+        if sent is None:
+            sent = mh.read1('inp')
+            mh.heap['sent'] = sent
+            mh.statics['sent'] = sent
+        mh.statics['seen'] = sent + []
         mh.sleep(0.005)
 """
 
@@ -110,7 +129,9 @@ def test_a_state_the_clone_cannot_hold_aborts_as_the_packet_did(bus, packets):
     seen = old.mh.statics["total"]
     wait_until(lambda: old.mh.statics["total"] > seen, timeout=10)
     assert old.state is ModuleState.RUNNING
-    assert packets == []
+    # One packet, built at the divulge.  The clone took the copy and
+    # refused it; the revived old module decoded the packet.
+    assert packets == ["to_bytes", "from_bytes"]
 
 
 def test_a_replica_holds_containers_of_its_own(bus, packets):
@@ -122,7 +143,8 @@ def test_a_replica_holds_containers_of_its_own(bus, packets):
     assert report.packet_bytes > 0
     for module in (clone, replica):
         wait_until(lambda module=module: "items" in module.mh.statics, timeout=10)
-    assert packets == []
+    # The clone took the copy; the replica decoded the packet.
+    assert packets == ["to_bytes", "from_bytes"]
 
     clone_items, replica_items = clone.mh.statics["items"], replica.mh.statics["items"]
     assert clone_items == replica_items == ["a"] and clone_items is not replica_items
@@ -133,3 +155,48 @@ def test_a_replica_holds_containers_of_its_own(bus, packets):
     assert clone_store == replica_store == {"k": "v"} and clone_store is not replica_store
     replica_store["new"] = "x"
     assert "new" not in clone_store
+
+
+@pytest.mark.parametrize("machine", ["alpha", "beta"])
+def test_a_clone_resumes_from_the_state_as_it_was_divulged(bus, monkeypatch, machine):
+    # Peer and keeper share a machine, so the keeper holds the very list
+    # the peer sent.  The peer changes it after the divulge and before
+    # the clone reads the state: the clone must not see the change.
+    bus.add_module(
+        ModuleSpec(
+            name="peer",
+            inline_source="def main():\n    pass\n",
+            interfaces=[InterfaceDecl("out", Role.DEFINE, pattern="a")],
+        ),
+        machine="alpha",
+    )
+    spec = ModuleSpec(
+        name="keeper",
+        inline_source=KEEPER,
+        reconfig_points=["P"],
+        interfaces=[InterfaceDecl("inp", Role.USE, pattern="a")],
+    )
+    keeper = bus.add_module(spec, machine="alpha", start=True)
+    bus.add_binding(BindingSpec("peer", "out", "keeper", "inp"))
+    sent = [1, 2]
+    bus.route("peer", "out", Message(values=[sent], fmt="a", source_instance="peer",
+                                     source_interface="out"))
+    wait_until(lambda: "seen" in keeper.mh.statics, timeout=10)
+    assert keeper.mh.statics["sent"] is sent
+
+    read = Handoff.read
+
+    def read_after_the_peer_wrote(self, reader):
+        sent.append(3)
+        return read(self, reader)
+
+    monkeypatch.setattr(Handoff, "read", read_after_the_peer_wrote)
+    ReconfigurationCoordinator(bus).replace("keeper", machine=machine, timeout=10)
+    monkeypatch.undo()
+
+    clone = bus.get_module("keeper")
+    assert clone is not keeper and sent == [1, 2, 3]
+    assert clone.mh.heap["sent"] == [1, 2] and clone.mh.statics["sent"] == [1, 2]
+    clone.mh.statics.pop("seen")
+    wait_until(lambda: "seen" in clone.mh.statics, timeout=10)
+    assert clone.mh.statics["seen"] == [1, 2]

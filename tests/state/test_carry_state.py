@@ -1,15 +1,14 @@
 """The state carrier against its oracle, the packet round trip.
 
 A state handed to a module in the same interpreter is carried
-(:func:`carry_state`: a writer pass, then a reader pass), not encoded
-and decoded.  Its contract is the round trip's: for every ordered pair
-of catalogued machines, ``carry_state(state, writer, reader)`` returns
-the state ``ProcessState.from_bytes(state.to_bytes(writer), reader)``
-reads back, with the same type at every node, or raises the same
-exception with the same text; the writer pass alone counts
-``len(state.to_bytes(writer))`` or raises what ``to_bytes`` raises; and
-the carried state shares no list, dict or ``bytearray`` with the state
-it carried.
+(:func:`carry_state`: the divulge serializes it and keeps a copy, the
+module resumes from the copy), not decoded.  Its contract is the round
+trip's: for every ordered pair of catalogued machines,
+``carry_state(state, writer, reader)`` returns the state
+``ProcessState.from_bytes(state.to_bytes(writer), reader)`` reads back,
+with the same type at every node, or raises the same exception with the
+same text; and the carried state shares no list, dict or ``bytearray``
+with the state it carried.
 """
 
 import pytest
@@ -52,8 +51,6 @@ def outcome(run):
 
 
 def assert_carried_as_on_the_wire(state, writer, reader):
-    written = outcome(lambda: len(state.to_bytes(writer)))
-    assert outcome(lambda: state.written_length(writer)) == written
     wired = outcome(lambda: typed_state(ProcessState.from_bytes(state.to_bytes(writer), reader)))
     carried = outcome(lambda: typed_state(carry_state(state, writer, reader)))
     assert carried == wired
@@ -188,34 +185,75 @@ class TestShapes:
 
 
 class TestHandoff:
-    def test_a_kept_state_builds_its_packet_once_on_first_read(self, monkeypatch):
-        built = []
-        to_bytes = ProcessState.to_bytes
+    def test_the_divulge_serializes_once_and_the_first_reader_takes_the_copy(self, monkeypatch):
+        parsed = []
+        from_bytes = ProcessState.from_bytes.__func__
         monkeypatch.setattr(
-            ProcessState, "to_bytes", lambda self, m=None: built.append(1) or to_bytes(self, m)
+            ProcessState,
+            "from_bytes",
+            classmethod(lambda cls, data, m=None: parsed.append(1) or from_bytes(cls, data, m)),
         )
-        kept = Handoff.written(deep_state(8, 16), SPARC)
-        reread = kept.read(VAX)
-        assert built == []
-        assert kept.packet == to_bytes(kept.state, SPARC) and len(built) == 1
-        assert kept.packet is kept.packet and len(built) == 1
-        assert kept.length == len(kept.packet) and kept.frames == 9
-        assert reread == ProcessState.from_bytes(kept.packet, VAX)
-
-    def test_each_read_hands_over_containers_of_its_own(self):
-        kept = Handoff.written(deep_state(8, 16), SPARC)
-        first, second = kept.read(VAX), kept.read(VAX)
-        assert first == second
+        state = deep_state(8, 16)
+        divulged = Handoff.divulged(state, SPARC)
+        assert divulged.packet == state.to_bytes(SPARC) and divulged.frames == 9
+        first = divulged.read(VAX)
+        assert parsed == []
+        second = divulged.read(VAX)
+        assert parsed == [1]
+        assert first == second == from_bytes(ProcessState, divulged.packet, VAX)
         assert not state_mutable_ids(first) & state_mutable_ids(second)
-        assert not state_mutable_ids(first) & state_mutable_ids(kept.state)
+        assert not state_mutable_ids(first) & state_mutable_ids(state)
+
+    def test_the_copy_is_the_state_as_divulged(self):
+        # A container the state shares with the running application may
+        # change after the divulge; the module that resumes sees none of it.
+        shared, store = [1, 2], {"k": "v"}
+        state = ProcessState(
+            module="m",
+            stack=StackState([ActivationRecord("main", 1, "la", [1, shared])]),
+            statics={"shared": shared},
+            heap={"store": store},
+        )
+        divulged = Handoff.divulged(state, SPARC)
+        shared.append(3)
+        store["late"] = "x"
+        for reader in (VAX, SPARC):  # the copy, then the packet
+            resumed = divulged.read(reader)
+            assert resumed.stack.records()[0].values[1] == [1, 2]
+            assert resumed.statics["shared"] == [1, 2]
+            assert resumed.heap["store"] == {"k": "v"}
+
+    def test_the_reader_refuses_the_first_value_it_cannot_hold(self):
+        # sparc-like writes both longs; vax-like refuses the statics' one
+        # first, as its decode would, from the probe's record alone.
+        wide = state(ActivationRecord("main", 1, "ll", [1, 2**50]), statics={"n": 2**40})
+        result = assert_carried_as_on_the_wire(wide, SPARC, VAX)
+        assert result[:2] == ("raised", MachineCompatibilityError)
+        assert str(2**40) in result[2]
+        assert assert_carried_as_on_the_wire(wide, SPARC, ALPHA)[0] == "ok"
+
+    @pytest.mark.parametrize("value", [0.1, 1e39, 0.5])
+    def test_a_32_bit_float_reader_checks_each_double(self, value):
+        # 0.1 is not exact in 32 bits and 1e39 overflows them; 0.5 fits.
+        for doubles in (
+            state(ActivationRecord("main", 1, "lF", [1, value])),
+            state(statics={"x": [value]}),
+        ):
+            result = assert_carried_as_on_the_wire(doubles, SPARC, M68K)
+            assert result[0] == ("ok" if value == 0.5 else "raised")
 
     def test_a_packet_is_decoded(self):
         packet = deep_state(4, 4).to_bytes(SPARC)
-        arrived = Handoff.of_packet(packet, 5)
+        arrived = Handoff(packet, 5)
         assert arrived.read(VAX) == ProcessState.from_bytes(packet, VAX)
-        assert (arrived.length, arrived.frames, arrived.packet) == (len(packet), 5, packet)
+        assert (arrived.frames, arrived.packet) == (5, packet)
         assert Handoff.of(arrived) is arrived and Handoff.of(packet).packet == packet
 
-    def test_the_writer_pass_raises_before_anything_is_kept(self):
+    def test_a_host_behind_a_link_keeps_no_copy(self, monkeypatch):
+        divulged = Handoff.divulged(deep_state(4, 4), SPARC, copy=False)
+        monkeypatch.setattr(ProcessState, "carried", None)  # never reached
+        assert divulged.read(VAX) == ProcessState.from_bytes(divulged.packet, VAX)
+
+    def test_the_writer_refusal_comes_before_anything_is_kept(self):
         with pytest.raises(MachineCompatibilityError):
-            Handoff.written(LONG_LOCATION, VAX)
+            Handoff.divulged(LONG_LOCATION, VAX)
